@@ -4,9 +4,12 @@ The closed loops in this package all reduce to the same skeleton: leader
 states drift under an exogenous input, each follower tracks a blend of a
 filter-chain output and the sampled neighbor average, and the filter chain is
 a string of first-order lags fed by that same average.  This module simulates
-that skeleton directly, evaluates explicit exponential-plus-sup bounds on the
-deviation from the leader convex combination, and runs the gain / blackout
-sweeps used to certify robustness trends.
+that skeleton on the same sampled-data engine as ``sim.run`` (integer ticks,
+one seq mailbox, sender payload history, shared RK4 step), supplying only
+the transmitted eta, the cascade right-hand side and what it records.  It
+also evaluates explicit exponential-plus-sup bounds on the deviation from the
+leader convex combination, and runs the gain / blackout sweeps used to
+certify robustness trends.
 """
 from __future__ import annotations
 
@@ -16,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comm import CommConfig, LinkSchedule, generate_schedule
+from .control import NeighborView
+from .engine import Engine, to_ticks
 from .topology import DirectedTopology, containment_weights, partition, \
     validate_assumption1
 
@@ -97,9 +102,7 @@ class CascadeConfig:
         ok, unreachable = validate_assumption1(topo)
         if not ok:
             raise CascadeError(f"unreachable followers: {unreachable}")
-        steps = self.comm.T / self.dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise CascadeError("dt must divide the sampling period T")
+        to_ticks(self.comm.T, self.dt, "the sampling period T", CascadeError)
 
 
 @dataclass
@@ -150,45 +153,26 @@ def simulate_cascade(cfg: CascadeConfig, seed: int | None = None,
     """Fixed-step RK4 integration of the cascade skeleton.
 
     Each agent transmits its eta at every sample instant; the sampled average
-    eps is frozen between message arrivals, so the right-hand side is smooth
-    inside every integration step.  Before the first delivery on all of a
-    follower's in-edges the average falls back to the follower's initial eta.
+    eps is the engine's neighbor view averaged once per step and held for the
+    step, so the right-hand side is smooth inside every integration step.
+    Before the first delivery on all of a follower's in-edges the average
+    falls back to the follower's initial eta.
     """
     cfg.validate()
     topo = cfg.topo
-    n, m, N = topo.n, topo.m, cfg.N
+    m, N = topo.m, cfg.N
     W = containment_weights(partition(topo)).W
     comm = cfg.comm if seed is None else dataclasses.replace(cfg.comm,
                                                              seed=seed)
     if schedules is None:
         schedules = {edge: generate_schedule(edge, comm, cfg.t_end, cfg.dt)
                      for edge in topo.edges()}
-
-    K = int(round(cfg.t_end / cfg.dt))
-    if abs(K * cfg.dt - cfg.t_end) > 1e-9:
-        raise CascadeError("dt must divide t_end")
-    steps_per_T = int(round(comm.T / cfg.dt))
-    dt = cfg.dt
-
-    edges = sorted(schedules)
-    w_lookup = {e: topo.weights[e[1], e[0]] for e in edges}
-    pending = {}
-    for e in edges:
-        evs = [ev for ev in schedules[e].events if np.isfinite(ev.delay)]
-        pending[e] = sorted(evs, key=lambda ev: (ev.arrival, ev.seq))
-    payloads: dict[tuple[tuple[int, int], int], np.ndarray] = {}
-    cursor = {e: 0 for e in edges}
-    mailbox: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
-
-    eta = cfg.eta0.copy()
-    zeta = cfg.zeta0.copy()
-    kappa = topo.kappa
+    eng = Engine(schedules, topo.weights, comm.T, cfg.dt, cfg.t_end,
+                 cfg.eta0[:m], CascadeError)
+    K = eng.K
     h = np.asarray(cfg.h, float)
     phi2 = cfg.phi2 or [Perturbation() for _ in range(cfg.sigma)]
 
-    times = np.arange(K + 1) * dt
-    tr_eta = np.empty((K + 1, n, N))
-    tr_zeta = np.empty((K + 1, m, cfg.sigma, N))
     tr_eps = np.empty((K + 1, m, N))
     tr_eta_c = np.empty((K + 1, m, N))
     tr_deta_c = np.empty((K + 1, m, N))
@@ -203,20 +187,8 @@ def simulate_cascade(cfg: CascadeConfig, seed: int | None = None,
     def drives(t: float) -> np.ndarray:
         return np.stack([broadcast(d.value(t)) for d in cfg.leader_drive])
 
-    def sampled_average() -> np.ndarray:
-        num = np.zeros((m, N))
-        wsum = np.zeros(m)
-        for e in edges:
-            msg = mailbox.get(e)
-            if msg is not None:
-                num[e[1]] += w_lookup[e] * msg[1]
-                wsum[e[1]] += w_lookup[e]
-        out = cfg.eta0[:m].copy()
-        live = wsum > 0
-        out[live] = num[live] / wsum[live, None]
-        return out
-
-    def rhs(t, eta_s, zeta_s, eps):
+    def rhs(t, y, eps):
+        eta_s, zeta_s = y
         phi1_v = broadcast(cfg.phi1.value(t))
         delta = cfg.alpha * zeta_s[:, 0] + (1.0 - cfg.alpha) * eps
         deta = np.empty_like(eta_s)
@@ -227,51 +199,27 @@ def simulate_cascade(cfg: CascadeConfig, seed: int | None = None,
             feed = zeta_s[:, ell + 1] if ell + 1 < cfg.sigma else eps
             dzeta[:, ell] = -h[ell] * (zeta_s[:, ell] - feed) \
                 + broadcast(phi2[ell].value(t))
-        return deta, dzeta
+        return [deta, dzeta], None
 
-    for k in range(K + 1):
-        t = k * dt
-        if k % steps_per_T == 0:
-            seq = k // steps_per_T
-            for e in edges:
-                payloads[(e, seq)] = eta[e[0]].copy()
-        for e in edges:
-            lst = pending[e]
-            c = cursor[e]
-            while c < len(lst) and lst[c].arrival <= t + 1e-12:
-                ev = lst[c]
-                cur = mailbox.get(e)
-                if cur is None or ev.seq > cur[0]:
-                    mailbox[e] = (ev.seq, payloads[(e, ev.seq)])
-                c += 1
-            cursor[e] = c
-
-        eps = sampled_average()
-        tr_eta[k] = eta
-        tr_zeta[k] = zeta
+    def record(k, y, eps, _):
+        t = k * cfg.dt
         tr_eps[k] = eps
-        tr_eta_c[k] = W @ eta[m:]
+        tr_eta_c[k] = W @ y[0][m:]
         tr_deta_c[k] = W @ drives(t)
         tr_phi1[k] = broadcast(cfg.phi1.value(t))
         for ell in range(cfg.sigma):
             tr_phi2[k, :, ell] = broadcast(phi2[ell].value(t))
 
-        if k == K:
-            break
+    def check(t, y):
+        if not all(np.all(np.isfinite(a)) for a in y):
+            raise CascadeError(f"cascade state diverged at t={t:.6g}")
 
-        de1, dz1 = rhs(t, eta, zeta, eps)
-        de2, dz2 = rhs(t + dt / 2, eta + dt / 2 * de1, zeta + dt / 2 * dz1,
-                       eps)
-        de3, dz3 = rhs(t + dt / 2, eta + dt / 2 * de2, zeta + dt / 2 * dz2,
-                       eps)
-        de4, dz4 = rhs(t + dt, eta + dt * de3, zeta + dt * dz3, eps)
-        eta = eta + dt / 6 * (de1 + 2 * de2 + 2 * de3 + de4)
-        zeta = zeta + dt / 6 * (dz1 + 2 * dz2 + 2 * dz3 + dz4)
-        if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(zeta))):
-            raise CascadeError(f"cascade state diverged at t={t + dt:.6g}")
-
-    return CascadeTrace(times=times, eta=tr_eta, zeta=tr_zeta, eps=tr_eps,
-                        eta_c=tr_eta_c, deta_c=tr_deta_c, phi1_vals=tr_phi1,
+    (tr_eta, tr_zeta), _ = eng.run(
+        [cfg.eta0.copy(), cfg.zeta0.copy()], lambda y: y[0], rhs, record,
+        check, freeze=NeighborView.p_avg)
+    return CascadeTrace(times=np.arange(K + 1) * cfg.dt, eta=tr_eta,
+                        zeta=tr_zeta, eps=tr_eps, eta_c=tr_eta_c,
+                        deta_c=tr_deta_c, phi1_vals=tr_phi1,
                         phi2_vals=tr_phi2, cfg=cfg)
 
 

@@ -3,14 +3,16 @@
 Each edge (j, i) transmits at every sample instant k*T.  A transmission is
 either dropped (delay = inf) or delivered after a finite delay; a repair pass
 then guarantees that consecutive delivered messages are never further apart
-than the blackout bound T_star.  Receivers keep only the message with the
-highest sequence number among those already arrived.
+than the blackout bound T_star.  Delays are whole multiples of the
+integration step dt; ``engine.Engine`` compiles these schedules into integer
+arrival ticks and keeps, per edge, the highest sequence number among the
+messages already arrived.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,60 +160,6 @@ def verify_blackout_bound(sched: LinkSchedule, T_star: float) -> bool:
         chain_send = max(c.send_time for c in candidates)
         deadline = chain_send + T_star
     return True
-
-
-@dataclass
-class Message:
-    seq: int
-    payload: np.ndarray
-    send_time: float
-    arrival: float
-
-
-@dataclass
-class Mailbox:
-    """Per-receiver store of the freshest message on each in-edge."""
-
-    latest: dict[tuple[int, int], Message] = field(default_factory=dict)
-
-    def deliver(self, edge: tuple[int, int], msg: Message) -> None:
-        cur = self.latest.get(edge)
-        if cur is None or msg.seq > cur.seq:
-            self.latest[edge] = msg
-
-    def get(self, edge: tuple[int, int]) -> Message | None:
-        return self.latest.get(edge)
-
-
-def latest_message(mailbox: Mailbox, edge: tuple[int, int], t: float) -> Message | None:
-    msg = mailbox.get(edge)
-    if msg is not None and msg.arrival > t:   # pragma: no cover - scheduler bug
-        raise RuntimeError("mailbox holds a message from the future")
-    return msg
-
-
-def advance_mailboxes(mailboxes: dict[tuple[int, int], Mailbox],
-                      schedules: dict[tuple[int, int], LinkSchedule],
-                      from_t: float, to_t: float, payload_source) -> None:
-    """Apply every arrival with time in (from_t, to_t].
-
-    payload_source(j, seq) must return chi_j at the send instant seq*T; it is
-    an error to request a payload for a sample past to_t.
-    """
-    if from_t > to_t:
-        raise ValueError("from_t must be <= to_t")
-    for edge, sched in schedules.items():
-        box = mailboxes[edge]
-        for ev in sched.events:
-            if ev.delay == INF:
-                continue
-            if from_t < ev.arrival <= to_t:
-                if ev.send_time > to_t:   # pragma: no cover - scheduler bug
-                    raise RuntimeError("payload requested for a future sample")
-                payload = payload_source(edge[0], ev.seq)
-                box.deliver(edge, Message(seq=ev.seq, payload=payload,
-                                          send_time=ev.send_time,
-                                          arrival=ev.arrival))
 
 
 def export_schedule_csv(schedules: dict[tuple[int, int], LinkSchedule],

@@ -131,6 +131,15 @@ def build_perturbation(doc: dict) -> Perturbation:
                         rate=float(doc.get("rate", 1.0)))
 
 
+def build_comm(doc: dict) -> CommConfig:
+    cdoc = doc["comm"]
+    return CommConfig(T=float(cdoc["T_seconds"]),
+                      T_star=float(cdoc["T_star_seconds"]),
+                      drop_prob=float(cdoc.get("drop_prob", 0.0)),
+                      delay_max=float(cdoc.get("delay_max_seconds", 0.0)),
+                      seed=int(cdoc.get("seed", 0)))
+
+
 def build_scenario(doc: dict) -> Scenario:
     validate_config(doc)
     topo = build_topology(doc)
@@ -143,7 +152,6 @@ def build_scenario(doc: dict) -> Scenario:
                        if "S1" in mdoc else None,
                        S2=np.asarray(mdoc["S2"], float)
                        if "S2" in mdoc else None)
-    models = [model] * topo.n
 
     ldoc = ag.get("leaders", {"kind": "oscillator_free"})
     v_d = np.asarray(ldoc.get("v_d", [0.0] * N), float)
@@ -168,15 +176,9 @@ def build_scenario(doc: dict) -> Scenario:
 
     ctl = doc["controllers"]
     gains = GainSet(m=topo.m, **{k: v for k, v in ctl["gains"].items()})
-    cdoc = doc["comm"]
-    comm = CommConfig(T=float(cdoc["T_seconds"]),
-                      T_star=float(cdoc["T_star_seconds"]),
-                      drop_prob=float(cdoc.get("drop_prob", 0.0)),
-                      delay_max=float(cdoc.get("delay_max_seconds", 0.0)),
-                      seed=int(cdoc.get("seed", 0)))
     sdoc = doc["sim"]
-    return Scenario(topo=topo, models=models, leader_trajs=leader_trajs,
-                    variant=ctl["variant"], gains=gains, comm=comm,
+    return Scenario(topo=topo, model=model, leader_trajs=leader_trajs,
+                    variant=ctl["variant"], gains=gains, comm=build_comm(doc),
                     dt=float(sdoc["dt_seconds"]),
                     t_end=float(sdoc["t_end_seconds"]), N=N, p0=p0, v0=v0,
                     psi_mode=ctl.get("psi_mode", "static"),
@@ -205,18 +207,12 @@ def build_cascade(doc: dict) -> CascadeConfig:
         zeta0 = np.zeros((topo.m, sigma, N))
     else:
         zeta0 = np.asarray(zeta_spec, float)
-    cdoc = doc["comm"]
-    comm = CommConfig(T=float(cdoc["T_seconds"]),
-                      T_star=float(cdoc["T_star_seconds"]),
-                      drop_prob=float(cdoc.get("drop_prob", 0.0)),
-                      delay_max=float(cdoc.get("delay_max_seconds", 0.0)),
-                      seed=int(cdoc.get("seed", 0)))
     sdoc = doc["sim"]
     phi2 = [build_perturbation(p) for p in cas.get("phi2", [])]
     return CascadeConfig(
         topo=topo, N=N, alpha=float(cas["alpha"]), sigma=sigma,
         k_eta=float(cas["k_eta"]), h=tuple(float(r) for r in cas["h"]),
-        comm=comm, dt=float(sdoc["dt_seconds"]),
+        comm=build_comm(doc), dt=float(sdoc["dt_seconds"]),
         t_end=float(sdoc["t_end_seconds"]), eta0=eta0, zeta0=zeta0,
         leader_drive=[build_perturbation(p) for p in cas["leader_drive"]],
         phi1=build_perturbation(cas["phi1"]) if "phi1" in cas

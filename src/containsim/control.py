@@ -142,6 +142,10 @@ class NeighborView:
         out[self.live] = num[self.live] / self.kappa_delivered[self.live, None]
         return out
 
+    def p_avg(self) -> np.ndarray:
+        """Weighted average of the delivered positions, not extrapolated."""
+        return self._average(self.p_msg, self.p_fallback)
+
     def vartheta_avg(self, t: float) -> np.ndarray:
         theta = self.p_msg + self.vhat_msg * (t - self.send_time)[:, None]
         return self._average(theta, self.p_fallback)

@@ -62,14 +62,14 @@ class AgentModel:
 
 def follower_rhs(model: AgentModel, p: np.ndarray, v: np.ndarray,
                  gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dp, dv) for one agent under input gamma."""
+    """(dp, dv) under input gamma; p, v, gamma hold one agent per row."""
     if gamma.shape != v.shape:
         raise ValueError("gamma dimension mismatch")
     if model.kind == "double_integrator":
         return v, gamma
     if model.kind == "nonlinear":
         return v, model.drift_fns["f"](p, v) + gamma
-    return v, model.S1 @ p + model.S2 @ v + gamma
+    return v, p @ model.S1.T + v @ model.S2.T + gamma
 
 
 def stacked_oscillator_matrix(S1: np.ndarray, S2: np.ndarray) -> np.ndarray:
@@ -112,11 +112,6 @@ class OscillatorFlow:
             mat = expm(self.S * key)
             self._cache[key] = mat
         return mat
-
-
-def oscillator_flow(S: np.ndarray, dt: float) -> np.ndarray:
-    """One-off matrix exponential of the stacked oscillator matrix."""
-    return expm(np.asarray(S, float) * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -168,24 +163,3 @@ def _damped_osc_envelope(t: float) -> float:
 
 def _damped_osc_envelope_dot(t: float) -> float:
     return (-0.96 * np.sin(t) - 0.4 * np.cos(t)) * np.exp(-0.2 * t)
-
-
-def leader_accel_damped_osc(i: int, t: float, N: int = 2) -> np.ndarray:
-    """Acceleration of leader i (1-based agent index) in the first example."""
-    return np.ones(N) * ((-1.0) ** i) * i * _damped_osc_envelope_dot(t)
-
-
-def leader_velocity_damped_osc(i: int, t: float,
-                             v_d: np.ndarray) -> np.ndarray:
-    v_d = np.asarray(v_d, float)
-    return v_d + np.ones(v_d.shape[0]) * ((-1.0) ** i) * i * \
-        _damped_osc_envelope(t)
-
-
-def leader_position_damped_osc(i: int, t: float, p0: np.ndarray,
-                             v_d: np.ndarray) -> np.ndarray:
-    p0 = np.asarray(p0, float)
-    v_d = np.asarray(v_d, float)
-    drift = np.ones(p0.shape[0]) * ((-1.0) ** i) * i * \
-        np.sin(t) * np.exp(-0.2 * t)
-    return p0 + v_d * t + drift

@@ -1,0 +1,141 @@
+"""Sampled-data engine on integer ticks, shared by sim.run and the cascade.
+
+Time is counted in ticks of the integration step dt, and seconds are
+converted once, when the link schedules are compiled: the message with
+sequence number seq is sent at tick seq * steps_per_T and arrives
+delay / dt ticks later.  Dropped messages are removed, and a send time or a
+delay that is not a whole number of ticks is rejected.  The mailbox is one
+int array holding the freshest delivered seq per edge (-1 while nothing has
+arrived).  Payloads are captured once per sender at the send ticks, so the
+messages in use are one fancy index into that history.  The neighbor view
+they form is frozen for the four stages of a classical RK4 step.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .comm import LinkSchedule
+from .control import NeighborView
+
+TICK_TOL = 1e-9
+
+
+def to_ticks(seconds, dt: float, what: str, error=ValueError) -> np.ndarray:
+    """seconds / dt as whole ticks; raises error unless dt divides them."""
+    x = np.asarray(seconds, dtype=float) / dt
+    k = np.round(x)
+    if not np.all(np.abs(x - k) <= TICK_TOL):
+        raise error(f"dt must divide {what}")
+    return k.astype(int)
+
+
+def rk4_step(rhs, t: float, h: float, y: list, u, k1: list) -> list:
+    """One classical RK4 step of dy/dt = rhs(t, y, u)[0] with u held fixed.
+
+    y is a list of state arrays and k1 = rhs(t, y, u)[0] is passed in, since
+    the caller already evaluated it to record the step-start outputs.
+    """
+    k2, _ = rhs(t + h / 2, [a + h / 2 * b for a, b in zip(y, k1)], u)
+    k3, _ = rhs(t + h / 2, [a + h / 2 * b for a, b in zip(y, k2)], u)
+    k4, _ = rhs(t + h, [a + h * b for a, b in zip(y, k3)], u)
+    return [a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
+class Engine:
+    """Compiled link schedules, the seq mailbox and the frozen-input loop.
+
+    fallback is the (m, N) reference a follower uses before any in-edge has
+    delivered; error is the exception type raised for an input that does
+    not fit the tick grid.
+    """
+
+    def __init__(self, schedules: dict[tuple[int, int], LinkSchedule],
+                 weights: np.ndarray, T: float, dt: float, t_end: float,
+                 fallback: np.ndarray, error=ValueError):
+        self.T, self.dt, self.fallback = T, dt, fallback
+        self.K = int(to_ticks(t_end, dt, "t_end", error))
+        self.steps_per_T = int(to_ticks(T, dt, "the sampling period T",
+                                        error))
+        self.edges = sorted(schedules)
+        self.src, self.dst = np.array(self.edges, dtype=int).reshape(-1, 2).T
+        self.w = weights[self.dst, self.src]
+        rows = np.array([(e, ev.seq, ev.send_time, ev.delay)
+                         for e, edge in enumerate(self.edges)
+                         for ev in schedules[edge].events
+                         if ev.delay != math.inf], dtype=float).reshape(-1, 4)
+        edge, seq = rows[:, 0].astype(int), rows[:, 1].astype(int)
+        send, delay = rows[:, 2], rows[:, 3]
+        if np.any(to_ticks(send, dt, "every send time", error)
+                  != seq * self.steps_per_T) or np.any(delay < 0):
+            raise error("link messages must be sent at seq*T and have "
+                        "delays >= 0")
+        tick = seq * self.steps_per_T + to_ticks(delay, dt,
+                                                 "every link delay", error)
+        arrival = send + delay
+        # Deliveries in the audit log's order: tick, edge, arrival, seq.
+        order = np.lexsort((seq, arrival, edge, tick))
+        order = order[tick[order] <= self.K]
+        self.tick, self.edge, self.seq = tick[order], edge[order], seq[order]
+        self.send, self.arrival = send[order], arrival[order]
+        self.first = np.searchsorted(self.tick, np.arange(self.K + 2))
+        self.box = np.full(len(self.edges), -1)
+
+    def audit(self) -> list[tuple]:
+        """(src, dst, seq, send_time, arrival) of every delivery, in order."""
+        return list(zip(self.src[self.edge].tolist(),
+                        self.dst[self.edge].tolist(), self.seq.tolist(),
+                        self.send.tolist(), self.arrival.tolist()))
+
+    def deliver(self, k: int) -> None:
+        """Apply the arrivals due at tick k to the mailbox."""
+        due = slice(self.first[k], self.first[k + 1])
+        np.maximum.at(self.box, self.edge[due], self.seq[due])
+
+    def view(self, hist: np.ndarray) -> NeighborView:
+        """View of the mailbox; hist[seq, j] is sender j's payload row, its
+        first N columns the position-like part, the rest a velocity estimate.
+        """
+        live = self.box >= 0
+        seq = self.box[live]
+        msg = hist[seq, self.src[live]]
+        m, N = self.fallback.shape
+        return NeighborView(m, N, self.dst[live], self.w[live], msg[:, :N],
+                            msg[:, N:], seq * self.T, self.fallback)
+
+    def run(self, y: list, payload, rhs, record, check, freeze=None):
+        """Integrate from state list y over ticks 0..K.
+
+        At each tick: capture payload(y) if it is a send tick, deliver the
+        arrivals, build the view (turned into the held input by freeze, if
+        given), evaluate rhs(t, y, u) -> (dy, out), call
+        record(k, y, u, out), then take one RK4 step and call
+        check(t + dt, y).  Returns the state history, one (K+1, ...) array
+        per state array, and the mailbox at every tick (K+1, E).
+        """
+        K, dt, spT = self.K, self.dt, self.steps_per_T
+        states = [np.empty((K + 1,) + a.shape) for a in y]
+        used_seq = np.empty((K + 1, len(self.edges)), dtype=int)
+        for k in range(K + 1):
+            t = k * dt
+            if k % spT == 0:
+                sample = payload(y)
+                if k == 0:
+                    hist = np.empty((K // spT + 1,) + sample.shape)
+                hist[k // spT] = sample
+            self.deliver(k)
+            used_seq[k] = self.box
+            u = self.view(hist)
+            if freeze is not None:
+                u = freeze(u)
+            dy, out = rhs(t, y, u)
+            for rec, a in zip(states, y):
+                rec[k] = a
+            record(k, y, u, out)
+            if k == K:
+                break
+            y = rk4_step(rhs, t, dt, y, u, dy)
+            check(t + dt, y)
+        return states, used_seq

@@ -1,25 +1,24 @@
-"""Fixed-step closed-loop integrator coupling dynamics, control, and comm.
+"""Closed-loop containment runs on the shared sampled-data engine.
 
-One run advances all agents on a common dt grid with classical fourth-order
-Runge-Kutta.  Message payloads are captured from the step-start state at the
-sampling instants kT, arrivals are applied between steps, and the mailbox is
-frozen for the four stages of each step, so the right-hand side stays smooth
-inside every step.
+``run`` plugs the controller and the agent models into ``engine.Engine``,
+which counts time in integer ticks, keeps the freshest delivered seq per
+edge and holds the neighbor view fixed for each RK4 step.  It supplies the
+payload (position and velocity estimate), the closed-loop right-hand side
+and the recorded input; the error and hull diagnostics follow the run.
 """
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import comm as comm_mod
 from .comm import CommConfig, LinkSchedule, generate_schedule
-from .control import ControllerBase, GainSet, NeighborView, check_gains, \
-    make_controller
+from .control import GainSet, check_gains, make_controller
 from .dynamics import AgentModel, LeaderTrajectory, follower_rhs
+from .engine import Engine, to_ticks
 from .topology import DirectedTopology, containment_weights, partition, \
     validate_assumption1
 
@@ -41,7 +40,7 @@ class DivergenceError(RuntimeError):
 @dataclass
 class Scenario:
     topo: DirectedTopology
-    models: list[AgentModel]                 # one per agent
+    model: AgentModel                        # shared by all agents
     leader_trajs: list[LeaderTrajectory]     # one per leader, [] for oscillator
     variant: str
     gains: GainSet
@@ -59,22 +58,18 @@ class Scenario:
 
     def validate(self) -> None:
         topo = self.topo
-        if len(self.models) != topo.n:
-            raise ScenarioError("need one model per agent")
         if self.variant != "oscillator_full" and \
                 self.variant != "oscillator_output" and \
                 len(self.leader_trajs) != topo.n - topo.m:
             raise ScenarioError("need one trajectory per leader")
-        steps = self.comm.T / self.dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise ScenarioError("dt must divide the sampling period T")
-        if self.dt > self.comm.T / 10 + 1e-12:
+        if to_ticks(self.comm.T, self.dt, "the sampling period T",
+                    ScenarioError) < 10:
             raise ScenarioError("dt must be at most T/10")
         ok, unreachable = validate_assumption1(topo)
         if not ok:
             raise ScenarioError(f"followers unreachable from leaders: "
                                 f"{unreachable}")
-        model = self.models[0]
+        model = self.model
         ok, problems = check_gains(self.variant, self.gains,
                                    S2=model.S2 if model.kind == "oscillator"
                                    else None)
@@ -218,9 +213,7 @@ def _hull_distance_fw(p: np.ndarray, X: np.ndarray) -> float:
 def build_schedules(scen: Scenario, seed: int | None = None
                     ) -> dict[tuple[int, int], LinkSchedule]:
     cfg = scen.comm if seed is None else \
-        CommConfig(T=scen.comm.T, T_star=scen.comm.T_star,
-                   drop_prob=scen.comm.drop_prob,
-                   delay_max=scen.comm.delay_max, seed=seed)
+        dataclasses.replace(scen.comm, seed=seed)
     return {edge: generate_schedule(edge, cfg, scen.t_end, scen.dt)
             for edge in scen.topo.edges()}
 
@@ -232,163 +225,58 @@ def run(scen: Scenario, seed: int | None = None,
 
     A prebuilt schedule set may be injected (e.g. to rerun the same message
     pattern at a finer step); otherwise schedules are generated from the
-    comm config with the given seed override.
+    comm config with the given seed override.  Injected delays must be whole
+    ticks of dt.
     """
     scen.validate()
     dt = scen.dt if dt is None else dt
     topo = scen.topo
-    n, m, N = topo.n, topo.m, scen.N
+    m, N = topo.m, scen.N
     W = containment_weights(partition(topo)).W
     if schedules is None:
         schedules = build_schedules(scen, seed)
 
-    model = scen.models[0]
+    model = scen.model
     ctrl = make_controller(scen.variant, scen.gains, N, model=model,
                            psi_mode=scen.psi_mode, v_d=scen.v_d,
                            use_velocity=scen.use_velocity)
+    eng = Engine(schedules, topo.weights, scen.comm.T, dt, scen.t_end,
+                 scen.p0[:m], ScenarioError)
+    K = eng.K
+    internals = ctrl.init_internals(scen.p0[:m], scen.v0[:m],
+                                    scen.ctrl_overrides)
+    names = list(internals)
+    gamma = np.empty((K + 1, m, N))
 
-    K = int(round(scen.t_end / dt))
-    if abs(K * dt - scen.t_end) > 1e-9:
-        raise ScenarioError("dt must divide t_end")
-    steps_per_T = int(round(scen.comm.T / dt))
+    def payload(y):
+        # Followers transmit their velocity estimate, leaders their velocity.
+        state = dict(zip(names, y[2:]))
+        vhat = [ctrl.transmitted_vhat(state, i) for i in range(m)]
+        return np.concatenate([y[0], np.vstack([*vhat, y[1][m:]])], axis=1)
 
-    p = scen.p0.copy()
-    v = scen.v0.copy()
-    internals = ctrl.init_internals(p[:m], v[:m], scen.ctrl_overrides)
-
-    edges = sorted(schedules)
-    edge_idx = {e: i for i, e in enumerate(edges)}
-    w_lookup = {e: topo.weights[e[1], e[0]] for e in edges}
-    # Pending deliveries per edge, sorted by arrival; payloads filled at send.
-    pending = {}
-    for e in edges:
-        evs = [ev for ev in schedules[e].events if ev.delay != math.inf]
-        pending[e] = sorted(evs, key=lambda ev: (ev.arrival, ev.seq))
-    payloads: dict[tuple[tuple[int, int], int], tuple] = {}
-    cursor = {e: 0 for e in edges}
-    mailbox: dict[tuple[int, int], tuple] = {}   # edge -> (seq, p, vhat, tsend)
-
-    times = np.arange(K + 1) * dt
-    trace_p = np.empty((K + 1, n, N))
-    trace_v = np.empty((K + 1, n, N))
-    trace_gamma = np.empty((K + 1, m, N))
-    trace_int = {name: np.empty((K + 1, m, N)) for name in internals}
-    used_seq = np.full((K + 1, len(edges)), -1, dtype=int)
-    audit = []
-
-    leader_models = scen.models[m:]
-
-    def leader_accel(t):
-        acc = np.zeros((n - m, N))
-        if leader_models[0].kind == "oscillator":
-            return acc   # free oscillation, gamma = 0
-        for li, traj in enumerate(scen.leader_trajs):
-            acc[li] = traj.accel(t)
-        return acc
-
-    def transmitted_vhat(j):
-        if j >= m:
-            return v[j]
-        return ctrl.transmitted_vhat(internals, j)
-
-    def make_view():
-        live = [(e, mailbox[e]) for e in edges if e in mailbox]
-        E = len(live)
-        dst = np.empty(E, dtype=int)
-        wts = np.empty(E)
-        pmsg = np.empty((E, N))
-        vmsg = np.empty((E, N))
-        tsend = np.empty(E)
-        for idx, (e, (seq, pm, vm, ts)) in enumerate(live):
-            dst[idx] = e[1]
-            wts[idx] = w_lookup[e]
-            pmsg[idx] = pm
-            vmsg[idx] = vm
-            tsend[idx] = ts
-        return NeighborView(m, N, dst, wts, pmsg, vmsg, tsend,
-                            scen.p0[:m])
-
-    def rhs(t, p_s, v_s, int_s, view):
-        out = ctrl.deriv(t, p_s[:m], v_s[:m], int_s, view)
-        dp = v_s.copy()
-        dv = np.empty_like(v_s)
-        if model.kind == "double_integrator":
-            dv[:m] = out.gamma
-        elif model.kind == "nonlinear":
-            dv[:m] = model.drift_fns["f"](p_s[:m], v_s[:m]) + out.gamma
+    def rhs(t, y, view):
+        p, v, *ints = y
+        out = ctrl.deriv(t, p[:m], v[:m], dict(zip(names, ints)), view)
+        dv = np.empty_like(v)
+        dv[:m] = follower_rhs(model, p[:m], v[:m], out.gamma)[1]
+        if model.kind == "oscillator":    # free leader oscillation
+            dv[m:] = p[m:] @ model.S1.T + v[m:] @ model.S2.T
         else:
-            dv[:m] = p_s[:m] @ model.S1.T + v_s[:m] @ model.S2.T + out.gamma
-        lk = leader_models[0].kind
-        if lk == "oscillator":
-            dv[m:] = p_s[m:] @ model.S1.T + v_s[m:] @ model.S2.T
-        else:
-            dv[m:] = leader_accel(t)
-        return dp, dv, out
+            for li, traj in enumerate(scen.leader_trajs):
+                dv[m + li] = traj.accel(t)
+        return [v, dv, *(out.d_internals[nm] for nm in names)], out
 
-    for k in range(K + 1):
-        t = k * dt
-        # capture payloads for sends due now (step-start state)
-        if k % steps_per_T == 0:
-            seq = k // steps_per_T
-            for e in edges:
-                j = e[0]
-                payloads[(e, seq)] = (p[j].copy(),
-                                      np.array(transmitted_vhat(j)))
-        # apply arrivals up to and including t
-        for e in edges:
-            lst = pending[e]
-            c = cursor[e]
-            while c < len(lst) and lst[c].arrival <= t + 1e-12:
-                ev = lst[c]
-                pm, vm = payloads[(e, ev.seq)]
-                cur = mailbox.get(e)
-                if cur is None or ev.seq > cur[0]:
-                    mailbox[e] = (ev.seq, pm, vm, ev.send_time)
-                audit.append((e[0], e[1], ev.seq, ev.send_time, ev.arrival))
-                c += 1
-            cursor[e] = c
+    def record(k, y, view, out):
+        gamma[k] = out.gamma
 
-        view = make_view()
-        for e in edges:
-            if e in mailbox:
-                used_seq[k, edge_idx[e]] = mailbox[e][0]
+    def check(t, y):
+        # abs(nan) <= limit is False, so this also catches non-finite p, v.
+        if not all(np.all(np.abs(a) <= DIVERGENCE_LIMIT) for a in y[:2]):
+            raise DivergenceError(t)
 
-        dp1, dv1, out1 = rhs(t, p, v, internals, view)
-        trace_p[k] = p
-        trace_v[k] = v
-        trace_gamma[k] = out1.gamma
-        for name in internals:
-            trace_int[name][k] = internals[name]
-
-        if k == K:
-            break
-
-        h = dt
-
-        def blend(fac, dps, dvs, dints):
-            pn = p + fac * dps
-            vn = v + fac * dvs
-            intn = {nm: internals[nm] + fac * dints[nm] for nm in internals}
-            return pn, vn, intn
-
-        d_int1 = out1.d_internals
-        p2, v2, int2 = blend(h / 2, dp1, dv1, d_int1)
-        dp2, dv2, out2 = rhs(t + h / 2, p2, v2, int2, view)
-        p3, v3, int3 = blend(h / 2, dp2, dv2, out2.d_internals)
-        dp3, dv3, out3 = rhs(t + h / 2, p3, v3, int3, view)
-        p4, v4, int4 = blend(h, dp3, dv3, out3.d_internals)
-        dp4, dv4, out4 = rhs(t + h, p4, v4, int4, view)
-
-        p = p + h / 6 * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
-        v = v + h / 6 * (dv1 + 2 * dv2 + 2 * dv3 + dv4)
-        for nm in internals:
-            internals[nm] = internals[nm] + h / 6 * (
-                d_int1[nm] + 2 * out2.d_internals[nm]
-                + 2 * out3.d_internals[nm] + out4.d_internals[nm])
-
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))) or \
-                max(np.max(np.abs(p)), np.max(np.abs(v))) > DIVERGENCE_LIMIT:
-            raise DivergenceError(t + h)
+    (trace_p, trace_v, *ints), used_seq = eng.run(
+        [scen.p0.copy(), scen.v0.copy(), *internals.values()],
+        payload, rhs, record, check)
 
     err_pos = np.empty((K + 1, m, N))
     err_vel = np.empty((K + 1, m, N))
@@ -399,10 +287,10 @@ def run(scen: Scenario, seed: int | None = None,
         for i in range(m):
             hull[k, i] = hull_distance(trace_p[k, i], trace_p[k, m:])
 
-    return Trace(times=times, p=trace_p, v=trace_v, gamma=trace_gamma,
-                 internals=trace_int, err_pos=err_pos, err_vel=err_vel,
-                 hull_dist=hull, W=W, m=m, audit=audit, used_seq=used_seq,
-                 edges=edges,
+    return Trace(times=np.arange(K + 1) * dt, p=trace_p, v=trace_v,
+                 gamma=gamma, internals=dict(zip(names, ints)),
+                 err_pos=err_pos, err_vel=err_vel, hull_dist=hull, W=W, m=m,
+                 audit=eng.audit(), used_seq=used_seq, edges=eng.edges,
                  meta={"label": scen.label, "dt": dt, "t_end": scen.t_end,
                        "seed": seed if seed is not None else scen.comm.seed,
                        "variant": scen.variant})

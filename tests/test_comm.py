@@ -6,13 +6,12 @@ import pytest
 from containsim.comm import (
     CommConfig,
     CommConfigError,
-    Mailbox,
-    Message,
-    advance_mailboxes,
+    LinkEvent,
+    LinkSchedule,
     generate_schedule,
-    latest_message,
     verify_blackout_bound,
 )
+from containsim.engine import Engine
 
 
 def cfg(**kw):
@@ -108,35 +107,6 @@ class TestScheduleGeneration:
             assert ev.delay == 0.0
             assert ev.arrival == ev.send_time
 
-
-class TestMailbox:
-    def test_keeps_freshest_sequence(self):
-        box = Mailbox()
-        box.deliver((0, 1), Message(3, np.array([1.0]), 0.3, 0.4))
-        box.deliver((0, 1), Message(1, np.array([2.0]), 0.1, 0.5))
-        assert box.get((0, 1)).seq == 3
-        box.deliver((0, 1), Message(4, np.array([3.0]), 0.4, 0.6))
-        assert box.get((0, 1)).payload[0] == 3.0
-
-    def test_latest_message_none_before_first_arrival(self):
-        box = Mailbox()
-        assert latest_message(box, (0, 1), 10.0) is None
-
-    def test_advance_applies_window(self):
-        c = cfg(drop_prob=0.0, delay_max=0.0)
-        schedules = {(0, 1): generate_schedule((0, 1), c, 2.0, 0.01)}
-        boxes = {(0, 1): Mailbox()}
-
-        def payload(j, seq):
-            return np.array([float(seq)])
-
-        advance_mailboxes(boxes, schedules, -1.0, 0.55, payload)
-        assert boxes[(0, 1)].get((0, 1)).seq == 5
-        advance_mailboxes(boxes, schedules, 0.55, 1.25, payload)
-        assert boxes[(0, 1)].get((0, 1)).seq == 12
-        with pytest.raises(ValueError):
-            advance_mailboxes(boxes, schedules, 2.0, 1.0, payload)
-
     def test_staleness_bounded_by_blackout(self):
         # At any time past the first bound, the freshest delivered sample is
         # never older than T* + delay_max.
@@ -149,3 +119,53 @@ class TestMailbox:
                               default=None)
             assert latest_send is not None
             assert t - latest_send <= 1.0 + 0.4 + 1e-9
+
+
+# Delays out of send order: seq 1 overtakes seq 0, seq 2 is dropped, seq 4
+# overtakes seq 3, and seq 5 would arrive after the 1 s horizon.
+OUT_OF_ORDER = (0.5, 0.05, math.inf, 0.3, 0.0, 0.7)
+FALLBACK = np.array([[7.0]])
+# Every sender's payload at sample seq is the number seq.
+HIST = np.repeat(np.arange(11.0)[:, None, None], 2, axis=1)
+
+
+def one_edge_engine(delays=OUT_OF_ORDER):
+    """The engine's mailbox on edge leader 1 -> follower 0, T=0.1, dt=0.01."""
+    events = [LinkEvent(seq=k, send_time=k * 0.1, delay=d)
+              for k, d in enumerate(delays)]
+    w = np.array([[0.0, 1.0], [0.0, 0.0]])
+    return Engine({(1, 0): LinkSchedule((1, 0), events)}, w, T=0.1, dt=0.01,
+                  t_end=1.0, fallback=FALLBACK), events
+
+
+class TestMailbox:
+    def test_keeps_freshest_sequence(self):
+        eng, _ = one_edge_engine()
+        seen = []
+        for k in range(eng.K + 1):
+            eng.deliver(k)
+            seen.append(int(eng.box[0]))
+        assert seen == [-1] * 15 + [1] * 25 + [4] * 61
+        view = eng.view(HIST)
+        assert view.p_msg.tolist() == [[4.0]]
+        assert view.send_time.tolist() == [0.4]
+
+    def test_latest_message_none_before_first_arrival(self):
+        eng, _ = one_edge_engine()
+        for k in range(15):
+            eng.deliver(k)
+        assert eng.box.tolist() == [-1]
+        view = eng.view(HIST)
+        assert view.dst.size == 0 and not view.live.any()
+        assert view.p_avg().tolist() == FALLBACK.tolist()
+
+    def test_advance_applies_window(self):
+        # Each tick applies exactly the arrivals of its window, checked
+        # against the float arrival times (1e-12 slack for rounding).
+        eng, events = one_edge_engine()
+        for k in range(eng.K + 1):
+            eng.deliver(k)
+            want = max((ev.seq for ev in events
+                        if ev.arrival <= k * 0.01 + 1e-12), default=-1)
+            assert eng.box[0] == want
+        assert [rec[2] for rec in eng.audit()] == [1, 4, 0, 3]

@@ -9,12 +9,21 @@ from containsim.dynamics import (
     OscillatorFlow,
     check_oscillator_spectrum,
     follower_rhs,
-    leader_accel_damped_osc,
-    leader_position_damped_osc,
-    leader_velocity_damped_osc,
-    oscillator_flow,
-    stacked_oscillator_matrix,
 )
+
+
+def damped_osc(i, v_d):
+    return LeaderTrajectory(kind="damped_oscillatory", v_d=v_d, index=i)
+
+
+def leader_position_damped_osc(i: int, t: float, p0: np.ndarray,
+                               v_d: np.ndarray) -> np.ndarray:
+    """Closed-form position of damped_oscillatory leader i (oracle)."""
+    p0 = np.asarray(p0, float)
+    v_d = np.asarray(v_d, float)
+    drift = np.ones(p0.shape[0]) * ((-1.0) ** i) * i * \
+        np.sin(t) * np.exp(-0.2 * t)
+    return p0 + v_d * t + drift
 
 
 class TestLeaderTrajectories:
@@ -24,9 +33,9 @@ class TestLeaderTrajectories:
         h = 1e-6
         for i in (7, 8, 9, 10):
             for t in (0.0, 1.0, 2.7, 10.0):
-                num = (leader_velocity_damped_osc(i, t + h, v_d)
-                       - leader_velocity_damped_osc(i, t - h, v_d)) / (2 * h)
-                ana = leader_accel_damped_osc(i, t)
+                num = (damped_osc(i, v_d).velocity(t + h)
+                       - damped_osc(i, v_d).velocity(t - h)) / (2 * h)
+                ana = damped_osc(i, v_d).accel(t)
                 assert np.allclose(num, ana, atol=1e-6)
 
     def test_velocity_matches_position_derivative(self):
@@ -37,7 +46,7 @@ class TestLeaderTrajectories:
             for t in (0.5, 4.0):
                 num = (leader_position_damped_osc(i, t + h, p0, v_d)
                        - leader_position_damped_osc(i, t - h, p0, v_d)) / (2 * h)
-                ana = leader_velocity_damped_osc(i, t, v_d)
+                ana = damped_osc(i, v_d).velocity(t)
                 assert np.allclose(num, ana, atol=1e-6)
 
     def test_position_matches_velocity_integral(self):
@@ -45,7 +54,7 @@ class TestLeaderTrajectories:
         p0 = np.zeros(2)
         i, t = 9, 6.0
         integral = np.array([
-            quad(lambda s: leader_velocity_damped_osc(i, s, v_d)[d], 0, t,
+            quad(lambda s: damped_osc(i, v_d).velocity(s)[d], 0, t,
                  limit=200)[0]
             for d in range(2)])
         assert np.allclose(leader_position_damped_osc(i, t, p0, v_d) - p0,
@@ -62,7 +71,7 @@ class TestLeaderTrajectories:
     def test_velocity_converges_to_limit(self):
         v_d = np.array([1.0, 0.1])
         for i in (7, 8, 9, 10):
-            assert np.allclose(leader_velocity_damped_osc(i, 80.0, v_d), v_d,
+            assert np.allclose(damped_osc(i, v_d).velocity(80.0), v_d,
                                atol=1e-5)
 
     def test_constant_and_stationary(self):
@@ -126,8 +135,7 @@ class TestOscillator:
     def test_flow_matches_rotation(self):
         # S1 = -I, S2 = 0 generates a rotation: e^{S pi/2} maps (p, v) to
         # (v, -p).
-        S = stacked_oscillator_matrix(-np.eye(2), np.zeros((2, 2)))
-        R = oscillator_flow(S, np.pi / 2)
+        R = OscillatorFlow(-np.eye(2), np.zeros((2, 2)))(np.pi / 2)
         x = np.array([1.0, 2.0, 3.0, 4.0])
         assert np.allclose(R @ x, [3.0, 4.0, -1.0, -2.0], atol=1e-12)
 
@@ -139,8 +147,8 @@ class TestOscillator:
         assert np.allclose(flow(0.3) @ flow(0.2), flow(0.5), atol=1e-12)
 
     def test_free_motion_energy_conserved(self):
-        S = stacked_oscillator_matrix(-np.eye(2), np.zeros((2, 2)))
+        flow = OscillatorFlow(-np.eye(2), np.zeros((2, 2)))
         x = np.array([1.0, -1.0, 0.5, 2.0])
         for t in (0.1, 1.0, 10.0):
-            y = oscillator_flow(S, t) @ x
+            y = flow(t) @ x
             assert np.isclose(y @ y, x @ x, atol=1e-10)

@@ -1,0 +1,75 @@
+"""The sampled-data engine as it runs: staleness bound and the tick grid."""
+import math
+
+import numpy as np
+import pytest
+
+from containsim import analysis, config, sim
+from containsim.analysis import CascadeError
+from containsim.comm import LinkEvent, LinkSchedule
+from containsim.engine import Engine, to_ticks
+from containsim.sim import ScenarioError
+from conftest import load_scenario_doc
+
+
+@pytest.mark.parametrize("name", ["benchmark_fullstate",
+                                  "oscillator_harmonic"])
+@pytest.mark.parametrize("seed, drop_prob", [(0, 0.2), (3, 0.6), (7, 0.9)])
+def test_used_message_never_older_than_blackout(name, seed, drop_prob):
+    # From t = T* on, every edge holds a message, and the one in use was
+    # sent at most T* ago, counted in whole ticks.
+    doc = load_scenario_doc(name)
+    doc["sim"]["t_end_seconds"] = 6.0
+    doc["comm"]["drop_prob"] = drop_prob
+    scen = config.build_scenario(doc)
+    assert scen.comm.delay_max > 0
+    trace = sim.run(scen, seed=seed)
+    steps_per_T = int(to_ticks(scen.comm.T, scen.dt, "T"))
+    t_star = int(to_ticks(scen.comm.T_star, scen.dt, "T*"))
+    used = trace.used_seq[t_star:]
+    ticks = np.arange(t_star, trace.used_seq.shape[0])
+    assert np.all(used >= 0)
+    assert np.all(ticks[:, None] - used * steps_per_T <= t_star)
+
+
+def _shift_first_delivery(schedules, shift):
+    ev = next(ev for ev in schedules[min(schedules)].events
+              if ev.delay != math.inf)
+    ev.delay += shift
+
+
+def test_injected_delay_off_the_tick_grid_rejected():
+    doc = load_scenario_doc("benchmark_fullstate")
+    doc["sim"]["t_end_seconds"] = 1.0
+    scen = config.build_scenario(doc)
+    schedules = sim.build_schedules(scen, seed=0)
+    _shift_first_delivery(schedules, scen.dt / 2)
+    with pytest.raises(ScenarioError, match="delay"):
+        sim.run(scen, schedules=schedules)
+    # The same delay is a whole number of ticks of the halved step.
+    sim.run(scen, schedules=schedules, dt=scen.dt / 2)
+
+
+def test_cascade_rejects_delay_off_the_tick_grid():
+    doc = load_scenario_doc("cascade_estimates")
+    doc["sim"]["t_end_seconds"] = 2.0
+    cas = config.build_cascade(doc)
+    schedules = {edge: analysis.generate_schedule(edge, cas.comm, cas.t_end,
+                                                  cas.dt)
+                 for edge in cas.topo.edges()}
+    _shift_first_delivery(schedules, cas.dt / 3)
+    with pytest.raises(CascadeError, match="delay"):
+        analysis.simulate_cascade(cas, schedules=schedules)
+
+
+@pytest.mark.parametrize("send_shift, delay, match", [
+    (0.0, 0.005, "delay"),          # half a tick late
+    (0.1, 0.0, "seq\\*T"),          # sent one period after sample seq
+    (0.0, -0.05, "delays >= 0"),    # arrives before it is sent
+])
+def test_engine_rejects_messages_off_the_schedule(send_shift, delay, match):
+    events = [LinkEvent(seq=0, send_time=0.0, delay=0.0),
+              LinkEvent(seq=1, send_time=0.1 + send_shift, delay=delay)]
+    with pytest.raises(ValueError, match=match):
+        Engine({(1, 0): LinkSchedule((1, 0), events)}, np.ones((2, 2)),
+               T=0.1, dt=0.01, t_end=1.0, fallback=np.zeros((1, 1)))

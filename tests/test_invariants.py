@@ -9,10 +9,9 @@ from containsim.comm import CommConfig, generate_schedule
 from containsim.control import GainSet, NeighborView, make_controller
 from containsim.dynamics import (
     AgentModel,
+    LeaderTrajectory,
+    OscillatorFlow,
     follower_rhs,
-    leader_velocity_damped_osc,
-    oscillator_flow,
-    stacked_oscillator_matrix,
 )
 from containsim.topology import containment_weights, is_nonsingular_m_matrix, \
     partition
@@ -76,8 +75,9 @@ class TestLeaderConvergence:
         v_d = np.array([1.0, 0.1])
         for i in (7, 8, 9, 10):
             for t in np.arange(48.0, 80.0, 0.5):
-                dev = np.linalg.norm(leader_velocity_damped_osc(i, t, v_d)
-                                     - v_d)
+                traj = LeaderTrajectory(kind="damped_oscillatory", v_d=v_d,
+                                        index=i)
+                dev = np.linalg.norm(traj.velocity(t) - v_d)
                 assert dev < 1e-3
 
 
@@ -102,10 +102,10 @@ class TestModelLinearity:
                                atol=1e-12)
 
     def test_harmonic_energy_constant_per_pair(self):
-        S = stacked_oscillator_matrix(-np.eye(2), np.zeros((2, 2)))
+        flow = OscillatorFlow(-np.eye(2), np.zeros((2, 2)))
         x = np.array([1.5, -0.5, 2.0, 1.0])   # (p1, p2, v1, v2)
         for t in np.linspace(0.0, 12.0, 25):
-            y = oscillator_flow(S, t) @ x
+            y = flow(t) @ x
             assert y[0] ** 2 + y[2] ** 2 == pytest.approx(
                 x[0] ** 2 + x[2] ** 2, abs=1e-10)
             assert y[1] ** 2 + y[3] ** 2 == pytest.approx(

@@ -31,7 +31,7 @@ def tiny_scenario(**kw):
     model = AgentModel(kind="double_integrator")
     v_d = np.array([1.0, 0.0])
     base = dict(
-        topo=topo, models=[model] * 3,
+        topo=topo, model=model,
         leader_trajs=[LeaderTrajectory(kind="constant_velocity", v_d=v_d)],
         variant="known_vd", gains=GainSet(m=2, k_p=4.0, k_d=4.0),
         comm=CommConfig(T=0.1, T_star=1.5), dt=0.01, t_end=5.0, N=2,
@@ -123,7 +123,7 @@ class TestRunLoop:
         topo = DirectedTopology(n=2, m=1, weights=w)
         v_d = np.zeros(2)
         scen = Scenario(
-            topo=topo, models=[AgentModel(kind="double_integrator")] * 2,
+            topo=topo, model=AgentModel(kind="double_integrator"),
             leader_trajs=[LeaderTrajectory(kind="stationary")],
             variant="known_vd", gains=GainSet(m=1, k_p=4.0, k_d=4.0),
             comm=CommConfig(T=0.01, T_star=1.5), dt=0.001, t_end=3.0, N=2,
