@@ -112,8 +112,7 @@ def _write_outputs(scen, trace, outputs, args) -> int:
     if "audit_csv" in outputs:
         sim.export_audit_csv(trace, dest(outputs["audit_csv"]))
     if "schedule_csv" in outputs:
-        schedules = sim.build_schedules(scen, args.seed)
-        export_schedule_csv(schedules, dest(outputs["schedule_csv"]))
+        export_schedule_csv(trace.schedules, dest(outputs["schedule_csv"]))
     if "sidecar_json" in outputs:
         sim.export_trace_sidecar(trace, scen, dest(outputs["sidecar_json"]))
     if "svg" in outputs:

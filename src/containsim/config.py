@@ -3,13 +3,15 @@
 A configuration file fully determines a run: topology, agent model, leader
 motion, controller variant and gains, communication statistics, and the
 integration window.  Unknown keys anywhere in the document are rejected so a
-typo cannot silently fall back to a default.  Time-valued keys carry a
-_seconds suffix.
+typo cannot silently fall back to a default, and so are NaN and infinite
+numbers, which JSON parsers accept.  Time-valued keys carry a _seconds
+suffix.
 """
 from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 
 import numpy as np
 
@@ -100,6 +102,18 @@ def validate_config(doc: dict) -> None:
         if "initial" in doc["cascade"]:
             _check_keys(doc["cascade"]["initial"], "cascade.initial", set(),
                         {"eta", "zeta"})
+    _check_finite(doc, "")
+
+
+def _check_finite(node, where: str) -> None:
+    if isinstance(node, dict):
+        for key, val in node.items():
+            _check_finite(val, f"{where}.{key}" if where else key)
+    elif isinstance(node, list):
+        for idx, val in enumerate(node):
+            _check_finite(val, f"{where}[{idx}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{where}: {node!r} is not a finite number")
 
 
 def _check_pert(doc: dict, where: str) -> None:

@@ -78,9 +78,9 @@ def check_gains(variant: str, gains: GainSet,
     """Validate positivity plus the variant-specific structural conditions."""
     problems = []
     for name in ("k_p", "k_d", "L_p", "L_d", "k_psi", "k_phi", "k_r"):
-        if np.any(getattr(gains, name) <= 0):
+        if not np.all(getattr(gains, name) > 0):      # NaN fails too
             problems.append(f"{name} must be strictly positive")
-    if gains.boundary_layer_eps <= 0:
+    if not gains.boundary_layer_eps > 0:
         problems.append("boundary_layer_eps must be strictly positive")
     if variant in ("full_state", "output_feedback", "known_vd",
                    "oscillator_full", "oscillator_output"):
@@ -90,7 +90,7 @@ def check_gains(variant: str, gains: GainSet,
             problems.append(
                 f"real-roots condition k_d^2 >= 4 k_p fails for followers {bad}")
     if variant == "nonlinear_vs":
-        if gains.lam is not None and np.any(gains.lam <= 0):
+        if gains.lam is not None and not np.all(gains.lam > 0):
             problems.append("lam must be strictly positive")
     if variant == "oscillator_output":
         if S2 is None:
@@ -106,9 +106,10 @@ def check_gains(variant: str, gains: GainSet,
     return (not problems), problems
 
 
-def vartheta(p_msg: np.ndarray, vhat_msg: np.ndarray, send_time: float,
-             t: float) -> np.ndarray:
-    """Position extrapolated from the last received sample."""
+def vartheta(p_msg: np.ndarray, vhat_msg: np.ndarray,
+             send_time: float | np.ndarray, t: float) -> np.ndarray:
+    """Position extrapolated from the last received sample; send_time is
+    a float or an (E, 1) column, one send time per message row."""
     return p_msg + vhat_msg * (t - send_time)
 
 
@@ -147,7 +148,7 @@ class NeighborView:
         return self._average(self.p_msg, self.p_fallback)
 
     def vartheta_avg(self, t: float) -> np.ndarray:
-        theta = self.p_msg + self.vhat_msg * (t - self.send_time)[:, None]
+        theta = vartheta(self.p_msg, self.vhat_msg, self.send_time[:, None], t)
         return self._average(theta, self.p_fallback)
 
     def vhat_avg(self, vhat_own: np.ndarray) -> np.ndarray:

@@ -4,7 +4,10 @@
 which counts time in integer ticks, keeps the freshest delivered seq per
 edge and holds the neighbor view fixed for each RK4 step.  It supplies the
 payload (position and velocity estimate), the closed-loop right-hand side
-and the recorded input; the error and hull diagnostics follow the run.
+and the recorded input.  The diagnostics follow the run: the containment
+errors of all steps come from one broadcast product with the weights, and
+each step builds the leader hull once and measures every follower's
+distance to it in one array pass.
 """
 from __future__ import annotations
 
@@ -93,6 +96,9 @@ class Trace:
     m: int
     audit: list = field(default_factory=list)
     used_seq: np.ndarray | None = None       # (K+1, E) seq in mailbox per edge
+    # the link schedules the run used, which the CLI exports
+    schedules: dict[tuple[int, int], LinkSchedule] = field(
+        default_factory=dict)
     edges: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
@@ -121,70 +127,76 @@ def containment_error(trace: Trace, t: float) -> tuple[np.ndarray, float]:
     return vec, float(np.linalg.norm(vec))
 
 
-def _stacked_error(W: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
-    # x_F + (L1^{-1} L2 (x) I) x_L  ==  x_F - W x_L, rowwise over followers.
-    return x[:m] - W @ x[m:]
+def hull_distance(p: np.ndarray, leaders: np.ndarray) -> float | np.ndarray:
+    """Distance from p to the convex hull of the leader points.
 
-
-def hull_distance(p: np.ndarray, leaders: np.ndarray) -> float:
-    """Distance from p to the convex hull of the leader points."""
+    ``p`` is one point of shape ``(N,)``, giving a float, or ``m`` points of
+    shape ``(m, N)``, giving an ``(m,)`` array; the hull is built once for
+    all of them.
+    """
     p = np.asarray(p, dtype=float)
     X = np.atleast_2d(np.asarray(leaders, dtype=float))
-    if X.shape[0] == 1:
-        return float(np.linalg.norm(p - X[0]))
-    if p.shape[0] == 2:
-        return _hull_distance_2d(p, X)
-    return _hull_distance_fw(p, X)
+    P = np.atleast_2d(p)
+    if P.shape[1] == 2:
+        dist = _planar_hull_distance(P, convex_hull_2d(X))
+    elif X.shape[0] == 1:
+        dist = _norms(P - X[0])
+    else:
+        dist = np.array([_hull_distance_fw(q, X) for q in P])
+    return float(dist[0]) if p.ndim == 1 else dist
 
 
-def _hull_distance_2d(p: np.ndarray, X: np.ndarray) -> float:
-    hull = _convex_hull_2d(X)
+def _norms(d: np.ndarray) -> np.ndarray:
+    # sqrt(x . x) along the last axis, the way np.linalg.norm computes it
+    # for one vector, so batched and per-point distances agree to the bit.
+    return np.sqrt(np.vecdot(d, d))
+
+
+def _planar_hull_distance(P: np.ndarray, hull: np.ndarray) -> np.ndarray:
+    """Distances of the rows of P (m, 2) to the polygon hull (H, 2)."""
     if len(hull) == 1:
-        return float(np.linalg.norm(p - hull[0]))
-    if len(hull) == 2:
-        return _segment_distance(p, hull[0], hull[1])
-    inside = all(
-        _cross2(hull[(k + 1) % len(hull)] - hull[k], p - hull[k]) >= -1e-12
-        for k in range(len(hull)))
-    if inside:
-        return 0.0
-    return min(_segment_distance(p, hull[k], hull[(k + 1) % len(hull)])
-               for k in range(len(hull)))
+        return _norms(P - hull[0])
+    a = hull if len(hull) > 2 else hull[:1]        # a segment has one edge
+    edge = np.concatenate((hull[1:], hull[:1]))[:len(a)] - a
+    dist = np.zeros(len(P))
+    out = np.ones(len(P), dtype=bool)
+    if len(a) > 2:       # inside: left of every edge, within 1e-12
+        cross = (edge[:, 0] * (P[:, 1, None] - a[:, 1])
+                 - edge[:, 1] * (P[:, 0, None] - a[:, 0]))
+        out = ~(cross.min(axis=1) >= -1e-12)
+    if out.any():        # nearest point on each edge, then the nearest edge
+        Q = P[out][:, None, :]
+        denom = np.vecdot(edge, edge)
+        s = np.clip(np.divide(np.vecdot(Q - a, edge), denom,
+                              out=np.zeros((len(Q), len(a))),
+                              where=denom != 0), 0.0, 1.0)
+        dist[out] = _norms(Q - (a + s[..., None] * edge)).min(axis=1)
+    return dist
 
 
-def _cross2(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+def convex_hull_2d(X: np.ndarray) -> np.ndarray:
+    """Monotone-chain hull (Andrew 1979) of the rows of X, as an (H, 2)
+    array: counterclockwise from the lowest-leftmost point, duplicates
+    merged, a single point for coincident input and the two end points for
+    collinear input."""
+    pts = sorted(set(map(tuple, np.asarray(X, dtype=float).tolist())))
+    if len(pts) > 2:
+        hull = _half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1]
+        pts = hull if len(hull) >= 3 else [pts[0], pts[-1]]
+    return np.array(pts).reshape(-1, 2)
 
 
-def _convex_hull_2d(X: np.ndarray) -> list[np.ndarray]:
-    """Monotone-chain hull, counterclockwise, degenerate cases collapsed."""
-    pts = sorted({(float(x), float(y)) for x, y in X})
-    if len(pts) <= 2:
-        return [np.array(q) for q in pts]
-
-    def half(points):
-        out = []
-        for q in points:
-            while len(out) >= 2 and _cross2(
-                    np.subtract(out[-1], out[-2]),
-                    np.subtract(q, out[-2])) <= 1e-14:
-                out.pop()
-            out.append(q)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:   # collinear input
-        return [np.array(pts[0]), np.array(pts[-1])]
-    return [np.array(q) for q in hull]
-
-
-def _segment_distance(p, a, b) -> float:
-    ab = np.subtract(b, a)
-    denom = float(ab @ ab)
-    s = 0.0 if denom == 0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + s * ab)))
+def _half_hull(points: list[tuple[float, float]]) -> list:
+    out = []
+    for q in points:
+        qx, qy = q
+        while len(out) >= 2:
+            (ox, oy), (ax, ay) = out[-2], out[-1]
+            if not (ax - ox) * (qy - oy) - (ay - oy) * (qx - ox) <= 1e-14:
+                break           # a left turn: keep out[-1]
+            out.pop()
+        out.append(q)
+    return out
 
 
 def _hull_distance_fw(p: np.ndarray, X: np.ndarray) -> float:
@@ -278,19 +290,18 @@ def run(scen: Scenario, seed: int | None = None,
         [scen.p0.copy(), scen.v0.copy(), *internals.values()],
         payload, rhs, record, check)
 
-    err_pos = np.empty((K + 1, m, N))
-    err_vel = np.empty((K + 1, m, N))
     hull = np.empty((K + 1, m))
     for k in range(K + 1):
-        err_pos[k] = _stacked_error(W, trace_p[k], m)
-        err_vel[k] = _stacked_error(W, trace_v[k], m)
-        for i in range(m):
-            hull[k, i] = hull_distance(trace_p[k, i], trace_p[k, m:])
+        hull[k] = hull_distance(trace_p[k, :m], trace_p[k, m:])
 
+    # x_F + (L1^{-1} L2 (x) I) x_L  ==  x_F - W x_L, for all steps at once.
     return Trace(times=np.arange(K + 1) * dt, p=trace_p, v=trace_v,
                  gamma=gamma, internals=dict(zip(names, ints)),
-                 err_pos=err_pos, err_vel=err_vel, hull_dist=hull, W=W, m=m,
+                 err_pos=trace_p[:, :m] - W @ trace_p[:, m:],
+                 err_vel=trace_v[:, :m] - W @ trace_v[:, m:],
+                 hull_dist=hull, W=W, m=m,
                  audit=eng.audit(), used_seq=used_seq, edges=eng.edges,
+                 schedules=schedules,
                  meta={"label": scen.label, "dt": dt, "t_end": scen.t_end,
                        "seed": seed if seed is not None else scen.comm.seed,
                        "variant": scen.variant})

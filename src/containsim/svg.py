@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .sim import Trace, _convex_hull_2d
+from .sim import Trace, convex_hull_2d
 
 _COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
@@ -88,7 +88,7 @@ def render_trajectories(trace: Trace, snapshot_times=(0.0, 10.0, 20.0, 40.0),
     snaps = [t for t in snapshot_times if t <= trace.times[-1] + 1e-9]
     for si, t in enumerate(snaps):
         k = trace.index_of(t)
-        hull = _convex_hull_2d(trace.p[k, m:])
+        hull = convex_hull_2d(trace.p[k, m:])
         pts = [(sx(q[0]), sy(q[1])) for q in hull]
         fade = 0.25 + 0.75 * si / max(1, len(snaps) - 1)
         c.polyline(pts, "#444", width=1.0, closed=len(pts) > 2,

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from containsim import cli
+from containsim import cli, config, sim
+from containsim.comm import export_schedule_csv, generate_schedule
 from conftest import load_scenario_doc
 
 
@@ -68,6 +69,35 @@ class TestRun:
             assert (out_dir / name).exists(), name
         side = json.loads((out_dir / "side.json").read_text())
         assert side["seed"] == 7
+
+    def test_schedules_generated_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return generate_schedule(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "generate_schedule", counting)
+        path = short_doc(tmp_path, schedule_csv="sched.csv")
+        out_dir = tmp_path / "out"
+        rc = cli.main(["run", "--config", path, "--out", str(out_dir),
+                       "--seed", "3"])
+        assert rc == 0
+        assert len(calls) == len(set(calls)) == 16
+        scen = config.build_scenario(config.load_config(path))
+        export_schedule_csv(sim.build_schedules(scen, 3),
+                            str(tmp_path / "fresh.csv"))
+        assert (out_dir / "sched.csv").read_bytes() == \
+            (tmp_path / "fresh.csv").read_bytes()
+
+    def test_nan_gain_exit_code(self, tmp_path):
+        doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
+        doc["controllers"]["gains"]["k_p"] = float("nan")
+        path = write_doc(tmp_path, doc)
+        for command in ("validate", "run"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--config", path])
+            assert exc.value.code == 1
 
     def test_divergence_exit_code(self, tmp_path):
         doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))

@@ -105,6 +105,28 @@ class TestBuilding:
         assert np.array_equal(scen.gains.k_p, np.full(6, 4.0))
         assert np.array_equal(scen.gains.L_p, np.full(6, 4.0))
 
+    @pytest.mark.parametrize("section, key", [
+        (("controllers", "gains"), "k_p"),
+        (("comm",), "T_seconds"),
+    ])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_number_rejected(self, section, key, bad):
+        doc = copy.deepcopy(load_scenario_doc("cascade_estimates"))
+        node = doc
+        for name in section:
+            node = node[name]
+        node[key] = bad
+        with pytest.raises(ConfigError, match="not a finite number"):
+            config.build_scenario(doc)
+        with pytest.raises(ConfigError, match="not a finite number"):
+            config.build_cascade(doc)
+
+    def test_nan_initial_position_rejected(self):
+        doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
+        doc["agents"]["initial"]["p"][2][1] = float("nan")
+        with pytest.raises(ConfigError, match=r"agents\.initial\.p\[2\]\[1\]"):
+            config.build_scenario(doc)
+
     def test_perturbation_builder(self):
         pert = config.build_perturbation(
             {"kind": "sinusoid", "amplitude": [1.0, 2.0], "omega": 0.5})

@@ -44,9 +44,10 @@ class TestGains:
             g.lam_derived()
 
     def test_check_gains_positivity(self):
-        g = GainSet(m=2, k_p=[4.0, -1.0], k_d=4.0)
-        ok, problems = check_gains("full_state", g)
-        assert not ok and any("k_p" in p for p in problems)
+        for bad in (-1.0, np.nan):          # nan <= 0 is False
+            g = GainSet(m=2, k_p=[4.0, bad], k_d=4.0)
+            ok, problems = check_gains("full_state", g)
+            assert not ok and any("k_p" in p for p in problems)
 
     def test_check_gains_discriminant(self):
         g = GainSet(m=1, k_p=4.0, k_d=1.0)

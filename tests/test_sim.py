@@ -15,6 +15,7 @@ from containsim.sim import (
     ScenarioError,
     build_schedules,
     containment_error,
+    convex_hull_2d,
     hull_distance,
 )
 from containsim.topology import DirectedTopology
@@ -40,6 +41,87 @@ def tiny_scenario(**kw):
         v_d=v_d)
     base.update(kw)
     return Scenario(**base)
+
+
+# Per-point reference for the batched planar hull distance: one hull per
+# point, scalar NumPy arithmetic.
+
+def _hull_distance_2d(p: np.ndarray, X: np.ndarray) -> float:
+    hull = _convex_hull_2d(X)
+    if len(hull) == 1:
+        return float(np.linalg.norm(p - hull[0]))
+    if len(hull) == 2:
+        return _segment_distance(p, hull[0], hull[1])
+    inside = all(
+        _cross2(hull[(k + 1) % len(hull)] - hull[k], p - hull[k]) >= -1e-12
+        for k in range(len(hull)))
+    if inside:
+        return 0.0
+    return min(_segment_distance(p, hull[k], hull[(k + 1) % len(hull)])
+               for k in range(len(hull)))
+
+
+def _cross2(a, b) -> float:
+    return float(a[0] * b[1] - a[1] * b[0])
+
+
+def _convex_hull_2d(X: np.ndarray) -> list[np.ndarray]:
+    """Monotone-chain hull, counterclockwise, degenerate cases collapsed."""
+    pts = sorted({(float(x), float(y)) for x, y in X})
+    if len(pts) <= 2:
+        return [np.array(q) for q in pts]
+
+    def half(points):
+        out = []
+        for q in points:
+            while len(out) >= 2 and _cross2(
+                    np.subtract(out[-1], out[-2]),
+                    np.subtract(q, out[-2])) <= 1e-14:
+                out.pop()
+            out.append(q)
+        return out
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:   # collinear input
+        return [np.array(pts[0]), np.array(pts[-1])]
+    return [np.array(q) for q in hull]
+
+
+def _segment_distance(p, a, b) -> float:
+    ab = np.subtract(b, a)
+    denom = float(ab @ ab)
+    s = 0.0 if denom == 0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+    return float(np.linalg.norm(p - (a + s * ab)))
+
+
+def hull_cases():
+    """Leader sets and followers, random and degenerate: one leader,
+    coincident, collinear and duplicated leaders, followers on vertices, on
+    edges and duplicated."""
+    rng = np.random.default_rng(2024)
+    square = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
+    cases = [
+        (np.array([[3.0, 4.0]]), rng.normal(size=(5, 2))),
+        (np.array([[1.0, 1.0]] * 3), rng.normal(size=(5, 2))),
+        (np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 0.0]]),
+         np.array([[1.0, 2.0], [-3.0, 0.0], [0.5, 0.0], [2.0, 0.0],
+                   [5.0, -1.0]])),
+        (np.outer([0.3, -1.2, 2.5, 0.7], [1.0, -2.0]),
+         rng.normal(size=(6, 2))),
+        (np.vstack([square, square[:2], [[1.0, 1.0], [1.0, 0.0]]]),
+         np.vstack([square, [[1.0, 0.0], [2.0, 1.0], [1.0, 1.0],
+                             [1.0, 1.0], [3.0, 3.0], [-1.0, 1.0]]])),
+    ]
+    for _ in range(200):
+        leaders = rng.normal(size=(rng.integers(2, 9), 2)) * 2.0
+        if rng.random() < 0.3:
+            leaders = np.round(leaders)
+        followers = np.vstack([rng.normal(size=(6, 2)) * 3.0, leaders[:2],
+                               (leaders[0] + leaders[1]) / 2, leaders[:1]])
+        cases.append((leaders, followers))
+    return cases
 
 
 class TestHullDistance:
@@ -110,6 +192,21 @@ class TestHullDistance:
             q3 = np.concatenate([q2, [0.0]])
             assert hull_distance(q3, leaders3) == \
                 pytest.approx(hull_distance(q2, leaders2), abs=1e-6)
+
+    def test_batched_matches_per_point_oracle(self):
+        for leaders, followers in hull_cases():
+            got = hull_distance(followers, leaders)
+            want = np.array([_hull_distance_2d(q, leaders) for q in followers])
+            assert got.shape == (len(followers),)
+            assert np.array_equal(got, want)
+            assert all(hull_distance(q, leaders) == d
+                       for q, d in zip(followers, want))
+
+    def test_convex_hull_matches_oracle_order(self):
+        for leaders, _ in hull_cases():
+            got = convex_hull_2d(leaders)
+            want = np.array(_convex_hull_2d(leaders)).reshape(-1, 2)
+            assert np.array_equal(got, want)
 
 
 class TestRunLoop:
