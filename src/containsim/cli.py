@@ -83,8 +83,10 @@ def cmd_validate(args) -> int:
 
 def _run_trace(doc, args):
     scen = _scenario(doc)
+    schedules = sim.build_schedules(scen, args.seed)
     try:
-        return scen, sim.run(scen, seed=args.seed)
+        return scen, schedules, sim.run(scen, seed=args.seed,
+                                        schedules=schedules)
     except DivergenceError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_RUNTIME)
@@ -92,16 +94,16 @@ def _run_trace(doc, args):
 
 def cmd_run(args) -> int:
     doc = _load(args.config)
-    scen, trace = _run_trace(doc, args)
+    scen, schedules, trace = _run_trace(doc, args)
     outputs = doc.get("outputs", {})
     try:
-        return _write_outputs(scen, trace, outputs, args)
+        return _write_outputs(scen, schedules, trace, outputs, args)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 
-def _write_outputs(scen, trace, outputs, args) -> int:
+def _write_outputs(scen, schedules, trace, outputs, args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     def dest(name):
@@ -112,7 +114,7 @@ def _write_outputs(scen, trace, outputs, args) -> int:
     if "audit_csv" in outputs:
         sim.export_audit_csv(trace, dest(outputs["audit_csv"]))
     if "schedule_csv" in outputs:
-        export_schedule_csv(trace.schedules, dest(outputs["schedule_csv"]))
+        export_schedule_csv(schedules, dest(outputs["schedule_csv"]))
     if "sidecar_json" in outputs:
         sim.export_trace_sidecar(trace, scen, dest(outputs["sidecar_json"]))
     if "svg" in outputs:
@@ -150,7 +152,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     doc = _load(args.config)
-    scen, trace = _run_trace(doc, args)
+    scen, _, trace = _run_trace(doc, args)
     os.makedirs(args.out, exist_ok=True)
     cert = analysis.containment_certificate(scen.topo)
     summary = {

@@ -44,7 +44,7 @@ class CommConfig:
             raise CommConfigError("delay_max must be < T_star")
 
 
-@dataclass(slots=True)
+@dataclass
 class LinkEvent:
     seq: int
     send_time: float

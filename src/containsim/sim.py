@@ -96,9 +96,6 @@ class Trace:
     m: int
     audit: list = field(default_factory=list)
     used_seq: np.ndarray | None = None       # (K+1, E) seq in mailbox per edge
-    # the link schedules the run used, which the CLI exports
-    schedules: dict[tuple[int, int], LinkSchedule] = field(
-        default_factory=dict)
     edges: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
@@ -301,7 +298,6 @@ def run(scen: Scenario, seed: int | None = None,
                  err_vel=trace_v[:, :m] - W @ trace_v[:, m:],
                  hull_dist=hull, W=W, m=m,
                  audit=eng.audit(), used_seq=used_seq, edges=eng.edges,
-                 schedules=schedules,
                  meta={"label": scen.label, "dt": dt, "t_end": scen.t_end,
                        "seed": seed if seed is not None else scen.comm.seed,
                        "variant": scen.variant})
