@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import CommConfig, LinkSchedule, generate_schedule
+from .comm import CommConfig, LinkSchedule, generate_schedule, to_ticks
 from .control import NeighborView
-from .engine import Engine, to_ticks
+from .engine import Engine
 from .topology import DirectedTopology, containment_weights, partition, \
     validate_assumption1
 

@@ -5,8 +5,8 @@ either dropped (delay = inf) or delivered after a finite delay; a repair pass
 then guarantees that consecutive delivered messages are never further apart
 than the blackout bound T_star.  Delays are whole multiples of the
 integration step dt; ``engine.Engine`` compiles these schedules into integer
-arrival ticks and keeps, per edge, the highest sequence number among the
-messages already arrived.
+arrival ticks (``to_ticks``) and keeps, per edge, the highest sequence number
+among the messages already arrived.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 INF = math.inf
+TICK_TOL = 1e-9
 
 
 class CommConfigError(ValueError):
@@ -61,6 +62,15 @@ class LinkSchedule:
     events: list[LinkEvent]
 
 
+def to_ticks(seconds, dt: float, what: str, error=ValueError) -> np.ndarray:
+    """seconds / dt as whole ticks; raises error unless dt divides them."""
+    x = np.asarray(seconds, dtype=float) / dt
+    k = np.round(x)
+    if not (np.abs(x - k) <= TICK_TOL).all():
+        raise error(f"dt must divide {what}")
+    return k.astype(int)
+
+
 def _edge_rng(cfg: CommConfig, edge: tuple[int, int]) -> np.random.Generator:
     # Independent, reproducible stream per (seed, j, i).
     ss = np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, edge[0], edge[1]])
@@ -102,33 +112,35 @@ def _repair_blackouts(events: list[LinkEvent], cfg: CommConfig, t_end: float,
     chain send.  Consecutive chain arrivals are then never more than T_star
     apart, so every window of length T_star inside the horizon sees at least
     one delivery.
+
+    events are in send order.  Delays are >= 0, so an event that arrives by
+    the deadline was sent by it: each extension scans only the sends in
+    (chain send, deadline].
     """
     if not events:
         return
     max_send = max(e.send_time for e in events)
-    chain_send = None
+    chain = -1                      # index of the last chain event
     deadline = cfg.T_star
-    guard = 0
-    while chain_send is None or chain_send < max_send:
-        candidates = [e for e in events
-                      if e.delay != INF
-                      and (chain_send is None or e.send_time > chain_send)
-                      and e.arrival <= deadline]
-        if candidates:
-            # Extend with the qualifying event of greatest send time: it
-            # dominates every other choice for future extensions.
-            chain_send = max(c.send_time for c in candidates)
-        else:
-            later = [e for e in events
-                     if chain_send is None or e.send_time > chain_send]
-            forced = min(later, key=lambda e: e.send_time)
+    while chain < 0 or events[chain].send_time < max_send:
+        # Extend with the qualifying event of greatest send time: it
+        # dominates every other choice for future extensions.
+        best = None
+        for i in range(chain + 1, len(events)):
+            e = events[i]
+            if e.send_time > deadline:
+                break
+            if e.delay != INF and e.arrival <= deadline:
+                best = i
+        if best is None:
+            # Force the earliest following event through, its delay capped
+            # so the chain constraint holds.
+            best = chain + 1
+            forced = events[best]
             delay = min(cfg.delay_max, deadline - forced.send_time)
             forced.delay = math.floor(delay / dt + 1e-9) * dt
-            chain_send = forced.send_time
-        deadline = chain_send + cfg.T_star
-        guard += 1
-        if guard > 2 * len(events) + 4:   # pragma: no cover - safety valve
-            raise RuntimeError("blackout repair failed to terminate")
+        chain = best
+        deadline = events[chain].send_time + cfg.T_star
 
 
 def verify_blackout_bound(sched: LinkSchedule, T_star: float) -> bool:

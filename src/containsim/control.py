@@ -11,6 +11,12 @@ have delivered at least one message; the averages are renormalized by the
 delivered weight sum.  Before anything is delivered on any in-edge the
 position reference falls back to the follower's initial position and the
 velocity-estimate average falls back to its own estimate.
+
+The oscillator laws first push each delayed sample [p; vhat] forward through
+the free flow e^{S (t - t_send)}.  Sends and stage times sit on the
+half-step grid of the integration step, so each lag is a whole number of
+half steps: the flows come from one integer-indexed table and the whole
+average is one batched product over the live edges per RK4 stage.
 """
 from __future__ import annotations
 
@@ -18,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .comm import to_ticks
 from .dynamics import AgentModel, OscillatorFlow
 
 BOUNDARY_LAYER_DEFAULT = 1e-4
@@ -118,12 +125,13 @@ class NeighborView:
 
     Arrays are indexed by delivered in-edge; dst maps each edge to its
     follower row.  kappa_delivered is the per-follower sum of delivered edge
-    weights (0 during warm-up).
+    weights (0 during warm-up).  dt is the integration step: every message
+    lag t - send_time at an RK4 stage is a whole number of half steps.
     """
 
     def __init__(self, m: int, N: int, dst: np.ndarray, w: np.ndarray,
                  p_msg: np.ndarray, vhat_msg: np.ndarray,
-                 send_time: np.ndarray, p_fallback: np.ndarray):
+                 send_time: np.ndarray, p_fallback: np.ndarray, dt: float):
         self.m = m
         self.N = N
         self.dst = dst
@@ -132,12 +140,13 @@ class NeighborView:
         self.vhat_msg = vhat_msg
         self.send_time = send_time
         self.p_fallback = p_fallback
+        self.dt = dt
         self.kappa_delivered = np.zeros(m)
         np.add.at(self.kappa_delivered, dst, w)
         self.live = self.kappa_delivered > 0
 
     def _average(self, contrib: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-        num = np.zeros((self.m, self.N))
+        num = np.zeros((self.m, contrib.shape[1]))
         np.add.at(num, self.dst, self.w[:, None] * contrib)
         out = fallback.copy()
         out[self.live] = num[self.live] / self.kappa_delivered[self.live, None]
@@ -156,14 +165,20 @@ class NeighborView:
 
     def oscillator_psi(self, t: float, flow: OscillatorFlow,
                        vhat_own: np.ndarray) -> np.ndarray:
-        """Weighted average of e^{S (t - t_send)} [p_msg; vhat_msg], (m, 2N)."""
-        num = np.zeros((self.m, 2 * self.N))
-        for e in range(self.dst.shape[0]):
-            x = np.concatenate([self.p_msg[e], self.vhat_msg[e]])
-            num[self.dst[e]] += self.w[e] * (flow(t - self.send_time[e]) @ x)
-        out = np.concatenate([self.p_fallback, vhat_own], axis=1)
-        out[self.live] = num[self.live] / self.kappa_delivered[self.live, None]
-        return out
+        """Weighted average of e^{S (t - t_send)} [p_msg; vhat_msg], (m, 2N).
+
+        The lags become whole half steps j, so the flows are one lookup in
+        flow's integer-indexed table and the products one stacked matmul;
+        matmul and the sequential add.at keep every per-edge product and
+        the summation order, where einsum or grouping by lag would not.
+        """
+        j = to_ticks(t - self.send_time, self.dt / 2, "every message lag")
+        if (j < 0).any():
+            raise ValueError("a message in the view is newer than t")
+        x = np.concatenate([self.p_msg, self.vhat_msg], axis=1)
+        y = np.matmul(flow.at_half_steps(j, self.dt), x[:, :, None])[:, :, 0]
+        return self._average(y, np.concatenate([self.p_fallback, vhat_own],
+                                               axis=1))
 
 
 @dataclass

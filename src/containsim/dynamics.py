@@ -98,12 +98,23 @@ def check_oscillator_spectrum(S1: np.ndarray, S2: np.ndarray) -> bool:
 
 
 class OscillatorFlow:
-    """Cached matrix exponentials e^{S dt} on the set of dt values seen."""
+    """Free flow e^{S tau} of the stacked oscillator matrix S.
+
+    ``flow(tau)`` caches e^{S tau} under tau rounded to 12 decimals, so expm
+    runs once per distinct lag.  ``at_half_steps(j, dt)`` gives the flows at
+    the lags j * dt/2 (j whole half steps, as in an RK4 step of dt) as one
+    (len(j), 2N, 2N) array taken from a table indexed by j.  The table grows
+    on demand and each row is filled once, through ``flow(j * dt/2)``, so its
+    entries are the cached matrices bit for bit.
+    """
 
     def __init__(self, S1: np.ndarray, S2: np.ndarray):
         self.S = stacked_oscillator_matrix(np.asarray(S1, float),
                                            np.asarray(S2, float))
         self._cache: dict[float, np.ndarray] = {}
+        self._dt = None                 # the step the table's rows refer to
+        self._table = np.empty((0,) + self.S.shape)
+        self._filled = np.zeros(0, dtype=bool)
 
     def __call__(self, dt: float) -> np.ndarray:
         key = round(float(dt), 12)
@@ -112,6 +123,25 @@ class OscillatorFlow:
             mat = expm(self.S * key)
             self._cache[key] = mat
         return mat
+
+    def at_half_steps(self, j: np.ndarray, dt: float) -> np.ndarray:
+        """e^{S j dt/2} for every entry of the int array j >= 0."""
+        if dt != self._dt:
+            self._dt, self._table = dt, np.empty((0,) + self.S.shape)
+            self._filled = np.zeros(0, dtype=bool)
+        n = len(self._filled)
+        if j.size and j.max() >= n:
+            grow = max(n, int(j.max()) + 1 - n)       # at least double
+            self._table = np.concatenate(
+                [self._table, np.empty((grow,) + self.S.shape)])
+            self._filled = np.concatenate(
+                [self._filled, np.zeros(grow, dtype=bool)])
+        missing = j[~self._filled[j]]
+        if missing.size:
+            for i in np.unique(missing).tolist():
+                self._table[i] = self(i * dt / 2)
+            self._filled[missing] = True
+        return self._table[j]
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +184,20 @@ class LeaderTrajectory:
     def initial_velocity(self) -> np.ndarray:
         """v(0) consistent with velocity(t) -> v_d."""
         return self.velocity(0.0)
+
+
+def leader_accels(trajs: list[LeaderTrajectory], t: float) -> np.ndarray:
+    """Every leader's ``accel(t)`` as one (L, N) array, equal to stacking
+    the per-leader calls bit for bit."""
+    N = trajs[0].v_d.shape[0] if trajs else 0
+    out = np.zeros((len(trajs), N))
+    rows = [i for i, tr in enumerate(trajs) if tr.kind == "damped_oscillatory"]
+    if rows:
+        # accel rounds once, after the exact product sign * index.
+        coef = np.array([(-1.0) ** trajs[i].index * trajs[i].index
+                         for i in rows])
+        out[rows] = (coef[:, None] * np.ones(N)) * _damped_osc_envelope_dot(t)
+    return out
 
 
 def _damped_osc_envelope(t: float) -> float:

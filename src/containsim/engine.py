@@ -16,19 +16,8 @@ import math
 
 import numpy as np
 
-from .comm import LinkSchedule
+from .comm import LinkSchedule, to_ticks
 from .control import NeighborView
-
-TICK_TOL = 1e-9
-
-
-def to_ticks(seconds, dt: float, what: str, error=ValueError) -> np.ndarray:
-    """seconds / dt as whole ticks; raises error unless dt divides them."""
-    x = np.asarray(seconds, dtype=float) / dt
-    k = np.round(x)
-    if not np.all(np.abs(x - k) <= TICK_TOL):
-        raise error(f"dt must divide {what}")
-    return k.astype(int)
 
 
 def rk4_step(rhs, t: float, h: float, y: list, u, k1: list) -> list:
@@ -103,7 +92,7 @@ class Engine:
         msg = hist[seq, self.src[live]]
         m, N = self.fallback.shape
         return NeighborView(m, N, self.dst[live], self.w[live], msg[:, :N],
-                            msg[:, N:], seq * self.T, self.fallback)
+                            msg[:, N:], seq * self.T, self.fallback, self.dt)
 
     def run(self, y: list, payload, rhs, record, check, freeze=None):
         """Integrate from state list y over ticks 0..K.

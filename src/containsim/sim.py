@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import CommConfig, LinkSchedule, generate_schedule
+from .comm import CommConfig, LinkSchedule, generate_schedule, to_ticks
 from .control import GainSet, check_gains, make_controller
-from .dynamics import AgentModel, LeaderTrajectory, follower_rhs
-from .engine import Engine, to_ticks
+from .dynamics import AgentModel, LeaderTrajectory, follower_rhs, \
+    leader_accels
+from .engine import Engine
 from .topology import DirectedTopology, containment_weights, partition, \
     validate_assumption1
 
@@ -35,9 +36,22 @@ class ScenarioError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    def __init__(self, t):
-        super().__init__(f"non-finite or diverging state at t={t:.6g}")
+    """A state left the finite range [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT].
+
+    agent is the row of the first offending agent (followers first, then
+    leaders), variable is "p" or "v", and last_norm is the norm of that
+    agent's row of that variable at the last step where it was in range.
+    """
+
+    def __init__(self, t: float, agent: int, variable: str,
+                 last_norm: float):
+        super().__init__(f"non-finite or diverging {variable} of agent "
+                         f"{agent} at t={t:.6g} (last finite norm "
+                         f"{last_norm:.6g})")
         self.t = t
+        self.agent = agent
+        self.variable = variable
+        self.last_norm = last_norm
 
 
 @dataclass
@@ -271,17 +285,19 @@ def run(scen: Scenario, seed: int | None = None,
         if model.kind == "oscillator":    # free leader oscillation
             dv[m:] = p[m:] @ model.S1.T + v[m:] @ model.S2.T
         else:
-            for li, traj in enumerate(scen.leader_trajs):
-                dv[m + li] = traj.accel(t)
+            dv[m:] = leader_accels(scen.leader_trajs, t)
         return [v, dv, *(out.d_internals[nm] for nm in names)], out
+
+    last = [scen.p0, scen.v0]        # p, v of the last step in range
 
     def record(k, y, view, out):
         gamma[k] = out.gamma
+        last[:] = y[:2]
 
     def check(t, y):
         # abs(nan) <= limit is False, so this also catches non-finite p, v.
         if not all(np.all(np.abs(a) <= DIVERGENCE_LIMIT) for a in y[:2]):
-            raise DivergenceError(t)
+            raise _divergence(t, y[:2], last)
 
     (trace_p, trace_v, *ints), used_seq = eng.run(
         [scen.p0.copy(), scen.v0.copy(), *internals.values()],
@@ -301,6 +317,16 @@ def run(scen: Scenario, seed: int | None = None,
                  meta={"label": scen.label, "dt": dt, "t_end": scen.t_end,
                        "seed": seed if seed is not None else scen.comm.seed,
                        "variant": scen.variant})
+
+
+def _divergence(t: float, y: list, last: list) -> DivergenceError:
+    """The error naming the first agent and variable out of range in y."""
+    for variable, a, prev in zip("pv", y, last):
+        bad = ~np.all(np.abs(a) <= DIVERGENCE_LIMIT, axis=1)
+        if bad.any():
+            agent = int(np.argmax(bad))
+            return DivergenceError(t, agent, variable,
+                                   float(np.linalg.norm(prev[agent])))
 
 
 def export_trace_csv(trace: Trace, path: str) -> None:

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import pytest
 
@@ -99,7 +100,7 @@ class TestRun:
                 cli.main([command, "--config", path])
             assert exc.value.code == 1
 
-    def test_divergence_exit_code(self, tmp_path):
+    def test_divergence_exit_code(self, tmp_path, capsys):
         doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
         doc["sim"]["t_end_seconds"] = 5.0
         doc["controllers"]["gains"] = {"k_p": 4.0e6, "k_d": 4000.0,
@@ -108,6 +109,9 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--config", path])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(r"diverging [pv] of agent \d+ at t=\S+ "
+                         r"\(last finite norm \S+\)", err)
 
 
 class TestSweep:

@@ -1,9 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from containsim import comm
 from containsim.comm import (
+    INF,
     CommConfig,
     CommConfigError,
     LinkEvent,
@@ -12,6 +17,49 @@ from containsim.comm import (
     verify_blackout_bound,
 )
 from containsim.engine import Engine
+
+
+def repair_blackouts_oracle(events: list[LinkEvent], cfg: CommConfig,
+                            t_end: float, dt: float) -> None:
+    """The repair pass scanning every event on every chain extension."""
+    if not events:
+        return
+    max_send = max(e.send_time for e in events)
+    chain_send = None
+    deadline = cfg.T_star
+    guard = 0
+    while chain_send is None or chain_send < max_send:
+        candidates = [e for e in events
+                      if e.delay != INF
+                      and (chain_send is None or e.send_time > chain_send)
+                      and e.arrival <= deadline]
+        if candidates:
+            chain_send = max(c.send_time for c in candidates)
+        else:
+            later = [e for e in events
+                     if chain_send is None or e.send_time > chain_send]
+            forced = min(later, key=lambda e: e.send_time)
+            delay = min(cfg.delay_max, deadline - forced.send_time)
+            forced.delay = math.floor(delay / dt + 1e-9) * dt
+            chain_send = forced.send_time
+        deadline = chain_send + cfg.T_star
+        guard += 1
+        if guard > 2 * len(events) + 4:
+            raise RuntimeError("blackout repair failed to terminate")
+
+
+@st.composite
+def comm_draws(draw):
+    """A CommConfig with at most a few hundred sends, a horizon and a step."""
+    T = draw(st.floats(0.01, 1.0))
+    T_star = T * draw(st.floats(1.0, 20.0))
+    c = CommConfig(T=T, T_star=T_star,
+                   drop_prob=draw(st.floats(0.0, 0.99)),
+                   delay_max=T_star * draw(st.floats(0.0, 0.999)),
+                   seed=draw(st.integers(0, 2**32)))
+    t_end = T * draw(st.floats(0.0, 300.0))
+    dt = T / draw(st.integers(1, 50))
+    return c, t_end, dt
 
 
 def cfg(**kw):
@@ -119,6 +167,25 @@ class TestScheduleGeneration:
                               default=None)
             assert latest_send is not None
             assert t - latest_send <= 1.0 + 0.4 + 1e-9
+
+
+class TestRepairProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(comm_draws())
+    def test_windowed_repair_matches_oracle(self, draw):
+        c, t_end, dt = draw
+        sched = generate_schedule((2, 5), c, t_end, dt)
+        with mock.patch.object(comm, "_repair_blackouts",
+                               repair_blackouts_oracle):
+            oracle = generate_schedule((2, 5), c, t_end, dt)
+        assert sched == oracle
+
+    @settings(max_examples=150, deadline=None)
+    @given(comm_draws())
+    def test_every_schedule_passes_the_verifier(self, draw):
+        c, t_end, dt = draw
+        assert verify_blackout_bound(generate_schedule((0, 1), c, t_end, dt),
+                                     c.T_star)
 
 
 # Delays out of send order: seq 1 overtakes seq 0, seq 2 is dropped, seq 4

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from containsim.control import (
     GainError,
@@ -20,7 +22,41 @@ def simple_view(m=2, N=2, t=0.0):
     vhat_msg = np.array([[1.0, 1.0], [-1.0, 0.0]])
     send_time = np.array([0.0, 0.0])
     p_fallback = np.array([[9.0, 9.0], [7.0, 7.0]])
-    return NeighborView(m, N, dst, w, p_msg, vhat_msg, send_time, p_fallback)
+    return NeighborView(m, N, dst, w, p_msg, vhat_msg, send_time, p_fallback,
+                        dt=0.01)
+
+
+def psi_oracle(view, t, flow, vhat_own):
+    """oscillator_psi as a loop over edges, one flow(lag) @ x each."""
+    num = np.zeros((view.m, 2 * view.N))
+    for e in range(view.dst.shape[0]):
+        x = np.concatenate([view.p_msg[e], view.vhat_msg[e]])
+        num[view.dst[e]] += view.w[e] * (flow(t - view.send_time[e]) @ x)
+    out = np.concatenate([view.p_fallback, vhat_own], axis=1)
+    out[view.live] = num[view.live] / view.kappa_delivered[view.live, None]
+    return out
+
+
+def oscillator_flows(rng, N):
+    """Two flows of one random oscillator: batched and oracle side.
+
+    S1 negative definite and S2 skew keep p'(-S1)p + v'v constant, so the
+    flows stay bounded over long lags.
+    """
+    B, C = rng.normal(size=(N, N)), rng.normal(size=(N, N))
+    S1, S2 = -(B @ B.T + np.eye(N)), C - C.T
+    return OscillatorFlow(S1, S2), OscillatorFlow(S1, S2)
+
+
+def random_view(rng, m, N, E, dt, spT, k, lag_max=None):
+    """Messages sent at seq * spT ticks of dt, none after tick k."""
+    top = k // spT if lag_max is None else lag_max
+    seq = k // spT - rng.integers(0, top + 1, size=E)
+    return NeighborView(m, N, rng.integers(0, m, size=E),
+                        rng.uniform(0.1, 3.0, size=E),
+                        rng.normal(size=(E, N)), rng.normal(size=(E, N)),
+                        np.maximum(seq, 0) * (spT * dt),
+                        rng.normal(size=(m, N)), dt)
 
 
 class TestGains:
@@ -100,6 +136,58 @@ class TestNeighborView:
         x2 = M @ np.array([5.0, 4.0, -1.0, 0.0])
         assert np.allclose(psi[0], (1 * x1 + 3 * x2) / 4)
         assert np.allclose(psi[1], [7.0, 7.0, 1.0, 1.0])
+
+
+class TestBatchedPsi:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 5), st.integers(1, 3),
+           st.integers(0, 40), st.sampled_from([0.01, 0.005, 0.02, 0.001]),
+           st.integers(1, 20), st.integers(0, 3000), st.integers(0, 2))
+    def test_matches_per_edge_oracle(self, seed, m, N, E, dt, spT, k, half):
+        rng = np.random.default_rng(seed)
+        view = random_view(rng, m, N, E, dt, spT, k)
+        flow, oracle_flow = oscillator_flows(rng, N)
+        own = rng.normal(size=(m, N))
+        t = k * dt + half * dt / 2          # the three RK4 stage times
+        assert np.array_equal(view.oscillator_psi(t, flow, own),
+                              psi_oracle(view, t, oracle_flow, own))
+
+    def test_cases(self):
+        rng = np.random.default_rng(5)
+        flow, oracle_flow = oscillator_flows(rng, 2)
+        own = rng.normal(size=(4, 2))
+        dt, spT = 0.01, 10
+        cases = [
+            (random_view(rng, 4, 2, 0, dt, spT, 50), 0.5),     # nothing live
+            (random_view(rng, 4, 2, 30, dt, spT, 50, 0), 0.5),  # one lag
+            (random_view(rng, 4, 2, 30, dt, spT, 50, 0), 0.505),  # half step
+            (random_view(rng, 4, 2, 12, dt, spT, 40, 4), 0.4),
+            (random_view(rng, 4, 2, 12, dt, spT, 900), 9.005),  # table grows
+            (random_view(rng, 4, 2, 12, dt, spT, 30), 0.31),
+        ]
+        for view, t in cases:
+            assert np.array_equal(view.oscillator_psi(t, flow, own),
+                                  psi_oracle(view, t, oracle_flow, own))
+        assert np.array_equal(cases[0][0].oscillator_psi(0.5, flow, own),
+                              np.concatenate([cases[0][0].p_fallback, own],
+                                             axis=1))
+
+    def test_flow_table_rows_are_the_cached_matrices(self):
+        flow = OscillatorFlow(-np.eye(2), np.zeros((2, 2)))
+        for dt in (0.01, 0.003, 0.01):          # a new dt restarts the table
+            j = np.array([7, 0, 7, 130, 2])
+            F = flow.at_half_steps(j, dt)
+            for jj, mat in zip(j, F):
+                assert np.array_equal(mat, flow(jj * dt / 2))
+
+    def test_lag_off_the_half_step_grid_raises(self):
+        flow = OscillatorFlow(-np.eye(2), np.zeros((2, 2)))
+        view = simple_view()                        # sent at 0.0, dt = 0.01
+        own = np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            view.oscillator_psi(0.0123, flow, own)
+        with pytest.raises(ValueError):
+            view.oscillator_psi(-0.01, flow, own)   # sent after t
 
 
 class TestControllers:

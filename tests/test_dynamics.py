@@ -9,6 +9,7 @@ from containsim.dynamics import (
     OscillatorFlow,
     check_oscillator_spectrum,
     follower_rhs,
+    leader_accels,
 )
 
 
@@ -27,6 +28,24 @@ def leader_position_damped_osc(i: int, t: float, p0: np.ndarray,
 
 
 class TestLeaderTrajectories:
+    def test_batched_accel_equals_stacked_per_leader_accel(self):
+        v_d = np.array([1.0, 0.1])
+        kinds = ("damped_oscillatory", "constant_velocity", "stationary",
+                 "oscillator_free")
+        groups = [[LeaderTrajectory(kind=k, v_d=v_d, index=i)
+                   for i in range(1, 5)] for k in kinds]
+        groups.append([LeaderTrajectory(kind=kinds[i % 4], v_d=v_d, index=i)
+                       for i in range(11)])          # mixed, index 0 too
+        groups.append([damped_osc(3, np.zeros(3)),
+                       LeaderTrajectory(kind="stationary", v_d=np.zeros(3))])
+        for trajs in groups:
+            for t in (0.0, 0.37, 1.0, 2.7, 4.0, 10.0, 33.3):
+                stacked = np.array([tr.accel(t) for tr in trajs])
+                batched = leader_accels(trajs, t)
+                assert np.array_equal(batched, stacked)
+                assert np.array_equal(np.signbit(batched),
+                                      np.signbit(stacked))
+
     def test_accel_matches_velocity_derivative(self):
         # central finite difference of the closed-form velocity
         v_d = np.array([1.0, 0.1])

@@ -6,8 +6,8 @@ import pytest
 
 from containsim import analysis, config, sim
 from containsim.analysis import CascadeError
-from containsim.comm import LinkEvent, LinkSchedule
-from containsim.engine import Engine, to_ticks
+from containsim.comm import LinkEvent, LinkSchedule, to_ticks
+from containsim.engine import Engine
 from containsim.sim import ScenarioError
 from conftest import load_scenario_doc
 

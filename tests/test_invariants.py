@@ -117,7 +117,7 @@ def _view(p_msg, vhat_msg):
     w = np.array([1.0, 2.0, 1.5])
     send_time = np.array([0.1, 0.2, 0.0])
     return NeighborView(2, 2, dst, w, p_msg, vhat_msg, send_time,
-                        np.zeros((2, 2)))
+                        np.zeros((2, 2)), dt=0.01)
 
 
 class TestControllerStructure:

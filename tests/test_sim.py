@@ -236,10 +236,17 @@ class TestRunLoop:
         assert np.max(np.abs(trace.p[:, 0] - expected)) < 2e-4
 
     def test_divergence_guard(self):
-        scen = tiny_scenario(gains=GainSet(m=2, k_p=4.0e6, k_d=4000.0),
-                             t_end=10.0)
-        with pytest.raises(DivergenceError):
+        gains = GainSet(m=2, k_p=4.0e6, k_d=4000.0)
+        scen = tiny_scenario(gains=gains, t_end=10.0)
+        with pytest.raises(DivergenceError) as exc:
             sim.run(scen)
+        err = exc.value
+        assert (err.t, err.agent, err.variable) == (0.02, 0, "v")
+        # The last step in range is t = 0.01, the end of a one-step run.
+        trace = sim.run(tiny_scenario(gains=gains, t_end=0.01))
+        assert np.all(np.abs(trace.v[1]) <= sim.DIVERGENCE_LIMIT)
+        assert err.last_norm == np.linalg.norm(trace.v[1, 0])
+        assert "agent 0" in str(err) and "v" in str(err)
 
     def test_dt_must_divide_period(self):
         scen = tiny_scenario(dt=0.003)
