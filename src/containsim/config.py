@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import CascadeConfig, Perturbation
 from .comm import CommConfig
-from .control import GainSet
+from .control import VARIANTS, GainSet
 from .dynamics import AgentModel, LeaderTrajectory
 from .sim import Scenario
 from .topology import DirectedTopology
@@ -78,6 +78,7 @@ def validate_config(doc: dict) -> None:
     _check_keys(doc["controllers"]["gains"], "controllers.gains", set(),
                 {"k_p", "k_d", "L_p", "L_d", "k_psi", "k_phi", "k_r",
                  "lam", "boundary_layer_eps"})
+    _check_controller_settings(doc["controllers"])
     _check_keys(doc["comm"], "comm",
                 {"T_seconds", "T_star_seconds"},
                 {"drop_prob", "delay_max_seconds", "seed"})
@@ -103,6 +104,20 @@ def validate_config(doc: dict) -> None:
             _check_keys(doc["cascade"]["initial"], "cascade.initial", set(),
                         {"eta", "zeta"})
     _check_finite(doc, "")
+
+
+def _check_controller_settings(ctl: dict) -> None:
+    """A known variant, and no setting that variant would ignore."""
+    variant = ctl["variant"]
+    if not isinstance(variant, str) or variant not in VARIANTS:
+        raise ConfigError(f"controllers.variant: unknown variant {variant!r}; "
+                          f"expected one of {sorted(VARIANTS)}")
+    unused = sorted(set(ctl) - {"variant", "gains"} - set(VARIANTS[variant]))
+    if unused:
+        raise ConfigError(f"controllers: variant {variant!r} does not read "
+                          + ", ".join(f"controllers.{key}" for key in unused))
+    if not isinstance(ctl.get("use_velocity", True), bool):
+        raise ConfigError("controllers.use_velocity: expected true or false")
 
 
 def _check_finite(node, where: str) -> None:
@@ -198,7 +213,7 @@ def build_scenario(doc: dict) -> Scenario:
                     psi_mode=ctl.get("psi_mode", "static"),
                     v_d=np.asarray(ctl["v_d"], float)
                     if "v_d" in ctl else None,
-                    use_velocity=bool(ctl.get("use_velocity", True)),
+                    use_velocity=ctl.get("use_velocity", True),
                     label=doc.get("label", "scenario"))
 
 

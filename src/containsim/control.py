@@ -1,8 +1,11 @@
 """Follower control laws and their auxiliary dynamic systems.
 
-Every variant is a stateless evaluator: given the physical state, the
-controller internals, and a frozen view of the delivered neighbor messages,
-it returns the control input and the time derivatives of its internals.
+Six variants run on three laws, ``DoubleIntegratorLaw``, ``OscillatorLaw``
+and ``NonlinearVSController``; ``make_controller`` maps a variant and its
+settings to a law and its switches.  Every law is a stateless evaluator:
+given the physical state, the controller internals, and a frozen view of the
+delivered neighbor messages, it returns the control input and the time
+derivatives of its internals.
 Internals are stored as (m, N) arrays, one row per follower, so a whole
 follower group is evaluated with a handful of numpy operations.
 
@@ -12,7 +15,7 @@ delivered weight sum.  Before anything is delivered on any in-edge the
 position reference falls back to the follower's initial position and the
 velocity-estimate average falls back to its own estimate.
 
-The oscillator laws first push each delayed sample [p; vhat] forward through
+The oscillator law first pushes each delayed sample [p; vhat] forward through
 the free flow e^{S (t - t_send)}.  Sends and stage times sit on the
 half-step grid of the integration step, so each lag is a whole number of
 half steps: the flows come from one integer-indexed table and the whole
@@ -20,7 +23,7 @@ average is one batched product over the live edges per RK4 stage.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +32,10 @@ from .dynamics import AgentModel, OscillatorFlow
 
 BOUNDARY_LAYER_DEFAULT = 1e-4
 
-VARIANTS = ("full_state", "output_feedback", "known_vd", "nonlinear_vs",
-            "oscillator_full", "oscillator_output")
+# The controllers settings each variant reads besides its gains.
+VARIANTS = {"full_state": ("psi_mode",), "output_feedback": ("psi_mode",),
+            "known_vd": ("psi_mode", "v_d", "use_velocity"),
+            "nonlinear_vs": (), "oscillator_full": (), "oscillator_output": ()}
 
 
 class GainError(ValueError):
@@ -89,8 +94,7 @@ def check_gains(variant: str, gains: GainSet,
             problems.append(f"{name} must be strictly positive")
     if not gains.boundary_layer_eps > 0:
         problems.append("boundary_layer_eps must be strictly positive")
-    if variant in ("full_state", "output_feedback", "known_vd",
-                   "oscillator_full", "oscillator_output"):
+    if variant != "nonlinear_vs":
         disc = gains.k_d ** 2 - 4.0 * gains.k_p
         if np.any(disc < 0):
             bad = np.nonzero(disc < 0)[0].tolist()
@@ -185,167 +189,68 @@ class NeighborView:
 class ControllerOutput:
     gamma: np.ndarray                       # (m, N)
     d_internals: dict[str, np.ndarray]
-    aux: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-class ControllerBase:
-    variant: str = ""
-    internal_names: tuple[str, ...] = ()
+class DoubleIntegratorLaw:
+    """gamma = -k_d (w - vhat) - k_p (p - psi) for double integrators.
 
-    def __init__(self, gains: GainSet, N: int):
-        self.gains = gains
-        self.N = N
-
-    def init_internals(self, p0: np.ndarray, v0: np.ndarray,
-                       overrides: dict | None = None) -> dict[str, np.ndarray]:
-        out = self._default_internals(p0, v0)
-        for name, value in (overrides or {}).items():
-            if name not in out:
-                raise ValueError(f"{self.variant} has no internal {name!r}")
-            out[name] = np.array(value, dtype=float).reshape(out[name].shape)
-        return out
-
-    def _default_internals(self, p0, v0) -> dict[str, np.ndarray]:
-        raise NotImplementedError
-
-    def transmitted_vhat(self, internals: dict, i: int) -> np.ndarray:
-        """The velocity estimate follower i puts on the wire."""
-        return internals["vhat"][i]
-
-    def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
-        raise NotImplementedError
-
-
-class FullStateController(ControllerBase):
-    """Input -k_d (v - vhat) - k_p (p - psi) with a distributed observer.
-
-    psi_mode "static" evaluates the reference position directly from the
-    extrapolated neighbor average; "dynamic" routes it through a first-order
-    filter so the input stays continuous across message arrivals.
+    vhat is the distributed observer's state, or the broadcast limit
+    velocity v_d when one is given; w is v, or phi + p from a first-order
+    output filter when use_velocity is off; psi is the extrapolated
+    neighbor average ("static"), or that average through a first-order
+    filter ("dynamic") so the input stays continuous across arrivals.
     """
 
-    variant = "full_state"
-
-    def __init__(self, gains, N, psi_mode="static"):
-        super().__init__(gains, N)
+    def __init__(self, gains: GainSet, N: int, psi_mode: str = "static",
+                 v_d=None, use_velocity: bool = True):
         if psi_mode not in ("static", "dynamic"):
             raise ValueError(f"bad psi_mode {psi_mode!r}")
-        self.psi_mode = psi_mode
-        self.internal_names = ("vhat", "psi") if psi_mode == "dynamic" \
-            else ("vhat",)
+        if v_d is not None and np.shape(v_d) != (N,):
+            raise ValueError(f"v_d must have {N} entries, got shape "
+                             f"{np.shape(v_d)}")
+        self.gains, self.N = gains, N
+        self.psi_mode, self.use_velocity = psi_mode, use_velocity
+        self.v_d = None if v_d is None else np.asarray(v_d, dtype=float)
 
-    def _default_internals(self, p0, v0):
-        out = {"vhat": np.zeros_like(v0)}
-        if self.psi_mode == "dynamic":
-            out["psi"] = p0.copy()
-        return out
-
-    def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
-        g = self.gains
-        vhat = internals["vhat"]
-        dvhat = -g.L_p[:, None] * (vhat - neigh.vhat_avg(vhat))
-        theta = neigh.vartheta_avg(t)
-        d_int = {"vhat": dvhat}
-        if self.psi_mode == "dynamic":
-            psi = internals["psi"]
-            d_int["psi"] = -g.k_psi[:, None] * (psi - theta) + vhat
-        else:
-            psi = theta
-        gamma = -g.k_d[:, None] * (v - vhat) - g.k_p[:, None] * (p - psi)
-        return ControllerOutput(gamma=gamma, d_internals=d_int,
-                                aux={"psi": psi})
-
-
-class OutputFeedbackController(ControllerBase):
-    """Velocity-free law: phi + p replaces v in the damping term."""
-
-    variant = "output_feedback"
-    internal_names = ("vhat", "psi", "phi")
-
-    def __init__(self, gains, N, psi_mode="dynamic"):
-        super().__init__(gains, N)
-        if psi_mode not in ("static", "dynamic"):
-            raise ValueError(f"bad psi_mode {psi_mode!r}")
-        self.psi_mode = psi_mode
-        if psi_mode == "static":
-            self.internal_names = ("vhat", "phi")
-
-    def _default_internals(self, p0, v0):
-        out = {"vhat": np.zeros_like(v0), "phi": np.zeros_like(p0)}
-        if self.psi_mode == "dynamic":
-            out["psi"] = p0.copy()
-        return out
-
-    def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
-        g = self.gains
-        vhat = internals["vhat"]
-        phi = internals["phi"]
-        dvhat = -g.L_p[:, None] * (vhat - neigh.vhat_avg(vhat))
-        theta = neigh.vartheta_avg(t)
-        d_int = {"vhat": dvhat}
-        if self.psi_mode == "dynamic":
-            psi = internals["psi"]
-            d_int["psi"] = -g.k_psi[:, None] * (psi - theta) + vhat
-        else:
-            psi = theta
-        gamma = -g.k_d[:, None] * (phi + p - vhat) - g.k_p[:, None] * (p - psi)
-        d_int["phi"] = -(phi + p) + gamma
-        return ControllerOutput(gamma=gamma, d_internals=d_int,
-                                aux={"psi": psi})
-
-
-class KnownVdController(ControllerBase):
-    """Observer-free variant: the leaders' limit velocity v_d is broadcast."""
-
-    variant = "known_vd"
-
-    def __init__(self, gains, N, v_d, psi_mode="static", use_velocity=True):
-        super().__init__(gains, N)
-        if psi_mode not in ("static", "dynamic"):
-            raise ValueError(f"bad psi_mode {psi_mode!r}")
-        self.psi_mode = psi_mode
-        self.use_velocity = use_velocity
-        self.v_d = np.asarray(v_d, dtype=float)
-        names = []
-        if psi_mode == "dynamic":
-            names.append("psi")
-        if not use_velocity:
-            names.append("phi")
-        self.internal_names = tuple(names)
-
-    def _default_internals(self, p0, v0):
+    def init_internals(self, p0: np.ndarray,
+                       v0: np.ndarray) -> dict[str, np.ndarray]:
         out = {}
+        if self.v_d is None:
+            out["vhat"] = np.zeros_like(v0)
         if self.psi_mode == "dynamic":
             out["psi"] = p0.copy()
         if not self.use_velocity:
             out["phi"] = np.zeros_like(p0)
         return out
 
-    def transmitted_vhat(self, internals, i):
-        return self.v_d
+    def transmitted_vhat(self, internals: dict) -> np.ndarray:
+        """The (m, N) velocity estimates the followers put on the wire."""
+        if self.v_d is None:
+            return internals["vhat"]
+        return np.broadcast_to(self.v_d, (self.gains.m, self.N))
 
     def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
         g = self.gains
-        vhat = np.broadcast_to(self.v_d, p.shape)
-        theta = neigh.vartheta_avg(t)
         d_int = {}
+        if self.v_d is None:
+            vhat = internals["vhat"]
+            d_int["vhat"] = -g.L_p[:, None] * (vhat - neigh.vhat_avg(vhat))
+        else:
+            vhat = np.broadcast_to(self.v_d, p.shape)
+        theta = neigh.vartheta_avg(t)
         if self.psi_mode == "dynamic":
             psi = internals["psi"]
             d_int["psi"] = -g.k_psi[:, None] * (psi - theta) + vhat
         else:
             psi = theta
-        if self.use_velocity:
-            gamma = -g.k_d[:, None] * (v - vhat) - g.k_p[:, None] * (p - psi)
-        else:
-            phi = internals["phi"]
-            gamma = -g.k_d[:, None] * (phi + p - vhat) \
-                - g.k_p[:, None] * (p - psi)
-            d_int["phi"] = -(phi + p) + gamma
-        return ControllerOutput(gamma=gamma, d_internals=d_int,
-                                aux={"psi": psi})
+        w = v if self.use_velocity else internals["phi"] + p
+        gamma = -g.k_d[:, None] * (w - vhat) - g.k_p[:, None] * (p - psi)
+        if not self.use_velocity:
+            d_int["phi"] = -w + gamma
+        return ControllerOutput(gamma=gamma, d_internals=d_int)
 
 
-class NonlinearVSController(ControllerBase):
+class NonlinearVSController:
     """Reference-velocity tracking with a smoothed variable-structure term.
 
     The discontinuous unit-vector term is replaced inside a boundary layer of
@@ -353,18 +258,17 @@ class NonlinearVSController(ControllerBase):
     chattering at the cost of an O(eps) steady perturbation.
     """
 
-    variant = "nonlinear_vs"
-    internal_names = ("vhat", "sigma1", "eta1", "eta2")
-
     def __init__(self, gains, N, model: AgentModel):
-        super().__init__(gains, N)
-        if model.kind != "nonlinear":
+        if model is None or model.kind != "nonlinear":
             raise ValueError("nonlinear_vs requires the nonlinear model")
-        self.model = model
+        self.gains, self.N, self.model = gains, N, model
 
-    def _default_internals(self, p0, v0):
+    def init_internals(self, p0, v0):
         return {"vhat": np.zeros_like(v0), "sigma1": np.zeros_like(v0),
                 "eta1": p0.copy(), "eta2": p0.copy()}
+
+    def transmitted_vhat(self, internals):
+        return internals["vhat"]
 
     def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
         g = self.gains
@@ -386,8 +290,7 @@ class NonlinearVSController(ControllerBase):
         return ControllerOutput(
             gamma=gamma,
             d_internals={"vhat": dvhat, "sigma1": dsigma1,
-                         "eta1": deta1, "eta2": deta2},
-            aux={"v_r": v_r, "dv_r": dv_r, "e": e})
+                         "eta1": deta1, "eta2": deta2})
 
     def drift_bound(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         fns = self.model.drift_fns
@@ -405,22 +308,30 @@ class NonlinearVSController(ControllerBase):
         return scale[..., None] * e
 
 
-class OscillatorFullController(ControllerBase):
-    """Oscillator law: references propagated through the free flow e^{S dt}."""
+class OscillatorLaw:
+    """Oscillator law: references propagated through the free flow e^{S dt}.
 
-    variant = "oscillator_full"
-    internal_names = ("vhat", "sigma")
+    The one switch is the output filter: without it (oscillator_full) the
+    law damps w = v - vhat; with it (oscillator_output) k_phi (phi + p)
+    stands in for v, so w = k_phi (phi + p) - vhat.
+    """
 
-    def __init__(self, gains, N, model: AgentModel):
-        super().__init__(gains, N)
-        if model.kind != "oscillator":
+    def __init__(self, gains: GainSet, N: int, model: AgentModel,
+                 output_filter: bool = False):
+        if model is None or model.kind != "oscillator":
             raise ValueError("oscillator variants require the oscillator model")
-        self.S1 = model.S1
-        self.S2 = model.S2
+        self.gains, self.N, self.output_filter = gains, N, output_filter
+        self.S1, self.S2 = model.S1, model.S2
         self.flow = OscillatorFlow(model.S1, model.S2)
 
-    def _default_internals(self, p0, v0):
-        return {"vhat": np.zeros_like(v0), "sigma": np.zeros_like(v0)}
+    def init_internals(self, p0, v0):
+        out = {"vhat": np.zeros_like(v0), "sigma": np.zeros_like(v0)}
+        if self.output_filter:
+            out["phi"] = np.zeros_like(p0)
+        return out
+
+    def transmitted_vhat(self, internals):
+        return internals["vhat"]
 
     def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
         g = self.gains
@@ -428,76 +339,50 @@ class OscillatorFullController(ControllerBase):
         sigma = internals["sigma"]
         psi = neigh.oscillator_psi(t, self.flow, vhat)
         psi1, psi2 = psi[:, : self.N], psi[:, self.N:]
-        dv = v - vhat
-        gamma = -(g.k_d[:, None] * dv + dv @ self.S2.T) \
-            - g.k_p[:, None] * (p - psi1) + 2.0 * sigma
-        dsigma = dv @ self.S1.T + sigma @ self.S2.T \
-            - g.k_d[:, None] * sigma - g.k_p[:, None] * (vhat - psi2)
-        dvhat = p @ self.S1.T + vhat @ self.S2.T + sigma
-        return ControllerOutput(gamma=gamma,
-                                d_internals={"vhat": dvhat, "sigma": dsigma},
-                                aux={"psi1": psi1, "psi2": psi2})
-
-
-class OscillatorOutputController(ControllerBase):
-    """Velocity-free oscillator law; k_phi (phi + p) stands in for v."""
-
-    variant = "oscillator_output"
-    internal_names = ("vhat", "sigma", "phi")
-
-    def __init__(self, gains, N, model: AgentModel):
-        super().__init__(gains, N)
-        if model.kind != "oscillator":
-            raise ValueError("oscillator variants require the oscillator model")
-        self.S1 = model.S1
-        self.S2 = model.S2
-        self.flow = OscillatorFlow(model.S1, model.S2)
-        ok, problems = check_gains(self.variant, gains, S2=model.S2)
-        if not ok:
-            raise GainError("; ".join(problems))
-
-    def _default_internals(self, p0, v0):
-        return {"vhat": np.zeros_like(v0), "sigma": np.zeros_like(v0),
-                "phi": np.zeros_like(p0)}
-
-    def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
-        g = self.gains
-        vhat = internals["vhat"]
-        sigma = internals["sigma"]
-        phi = internals["phi"]
-        psi = neigh.oscillator_psi(t, self.flow, vhat)
-        psi1, psi2 = psi[:, : self.N], psi[:, self.N:]
-        w = g.k_phi[:, None] * (phi + p) - vhat
+        if self.output_filter:
+            y = internals["phi"] + p
+            w = g.k_phi[:, None] * y - vhat
+        else:
+            w = v - vhat
         gamma = -(g.k_d[:, None] * w + w @ self.S2.T) \
             - g.k_p[:, None] * (p - psi1) + 2.0 * sigma
-        dsigma = -g.k_d[:, None] * sigma + sigma @ self.S2.T \
-            + w @ self.S1.T - g.k_p[:, None] * (vhat - psi2)
-        dvhat = p @ self.S1.T + vhat @ self.S2.T + sigma
-        dphi = -(g.k_phi[:, None] * (p + phi) - (p + phi) @ self.S2.T) \
-            + (gamma + p @ self.S1.T) / g.k_phi[:, None]
-        return ControllerOutput(
-            gamma=gamma,
-            d_internals={"vhat": dvhat, "sigma": dsigma, "phi": dphi},
-            aux={"psi1": psi1, "psi2": psi2})
+        d_int = {"vhat": p @ self.S1.T + vhat @ self.S2.T + sigma,
+                 "sigma": w @ self.S1.T + sigma @ self.S2.T
+                 - g.k_d[:, None] * sigma - g.k_p[:, None] * (vhat - psi2)}
+        if self.output_filter:
+            d_int["phi"] = -(g.k_phi[:, None] * y - y @ self.S2.T) \
+                + (gamma + p @ self.S1.T) / g.k_phi[:, None]
+        return ControllerOutput(gamma=gamma, d_internals=d_int)
+
+
+Controller = DoubleIntegratorLaw | NonlinearVSController | OscillatorLaw
 
 
 def make_controller(variant: str, gains: GainSet, N: int,
                     model: AgentModel | None = None,
                     psi_mode: str = "static",
-                    v_d=None, use_velocity: bool = True) -> ControllerBase:
-    if variant == "full_state":
-        return FullStateController(gains, N, psi_mode=psi_mode)
-    if variant == "output_feedback":
-        return OutputFeedbackController(gains, N, psi_mode=psi_mode)
-    if variant == "known_vd":
+                    v_d=None, use_velocity: bool = True) -> Controller:
+    """The law behind variant, its switches set from the settings; raises
+    GainError for gains that fail check_gains, ValueError for a variant,
+    model or setting the law cannot run with."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown controller variant {variant!r}")
+    if variant == "nonlinear_vs":
+        ctrl = NonlinearVSController(gains, N, model)
+    elif variant in ("oscillator_full", "oscillator_output"):
+        ctrl = OscillatorLaw(gains, N, model,
+                             output_filter=variant == "oscillator_output")
+    elif model is not None and model.kind == "oscillator":
+        raise ValueError(f"{variant} cannot drive the oscillator model")
+    elif variant == "known_vd":
         if v_d is None:
             raise ValueError("known_vd requires v_d")
-        return KnownVdController(gains, N, v_d, psi_mode=psi_mode,
-                                 use_velocity=use_velocity)
-    if variant == "nonlinear_vs":
-        return NonlinearVSController(gains, N, model)
-    if variant == "oscillator_full":
-        return OscillatorFullController(gains, N, model)
-    if variant == "oscillator_output":
-        return OscillatorOutputController(gains, N, model)
-    raise ValueError(f"unknown controller variant {variant!r}")
+        ctrl = DoubleIntegratorLaw(gains, N, psi_mode, v_d, use_velocity)
+    else:
+        ctrl = DoubleIntegratorLaw(gains, N, psi_mode,
+                                   use_velocity=variant == "full_state")
+    ok, problems = check_gains(
+        variant, gains, S2=model.S2 if isinstance(ctrl, OscillatorLaw) else None)
+    if not ok:
+        raise GainError("; ".join(problems))
+    return ctrl

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comm import CommConfig, LinkSchedule, generate_schedule, to_ticks
-from .control import GainSet, check_gains, make_controller
+from .control import Controller, GainSet, make_controller
 from .dynamics import AgentModel, LeaderTrajectory, follower_rhs, \
     leader_accels
 from .engine import Engine
@@ -70,13 +70,12 @@ class Scenario:
     psi_mode: str = "static"
     v_d: np.ndarray | None = None
     use_velocity: bool = True
-    ctrl_overrides: dict = field(default_factory=dict)
     label: str = "scenario"
 
-    def validate(self) -> None:
+    def validate(self) -> Controller:
+        """Check the scenario and return the controller it runs."""
         topo = self.topo
-        if self.variant != "oscillator_full" and \
-                self.variant != "oscillator_output" and \
+        if self.model.kind != "oscillator" and \
                 len(self.leader_trajs) != topo.n - topo.m:
             raise ScenarioError("need one trajectory per leader")
         if to_ticks(self.comm.T, self.dt, "the sampling period T",
@@ -86,14 +85,15 @@ class Scenario:
         if not ok:
             raise ScenarioError(f"followers unreachable from leaders: "
                                 f"{unreachable}")
-        model = self.model
-        ok, problems = check_gains(self.variant, self.gains,
-                                   S2=model.S2 if model.kind == "oscillator"
-                                   else None)
-        if not ok:
-            raise ScenarioError("; ".join(problems))
+        try:
+            ctrl = make_controller(self.variant, self.gains, self.N,
+                                   model=self.model, psi_mode=self.psi_mode,
+                                   v_d=self.v_d, use_velocity=self.use_velocity)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
         if self.p0.shape != (topo.n, self.N) or self.v0.shape != self.p0.shape:
             raise ScenarioError("p0/v0 must be (n, N)")
+        return ctrl
 
 
 @dataclass
@@ -251,7 +251,7 @@ def run(scen: Scenario, seed: int | None = None,
     comm config with the given seed override.  Injected delays must be whole
     ticks of dt.
     """
-    scen.validate()
+    ctrl = scen.validate()
     dt = scen.dt if dt is None else dt
     topo = scen.topo
     m, N = topo.m, scen.N
@@ -260,22 +260,18 @@ def run(scen: Scenario, seed: int | None = None,
         schedules = build_schedules(scen, seed)
 
     model = scen.model
-    ctrl = make_controller(scen.variant, scen.gains, N, model=model,
-                           psi_mode=scen.psi_mode, v_d=scen.v_d,
-                           use_velocity=scen.use_velocity)
     eng = Engine(schedules, topo.weights, scen.comm.T, dt, scen.t_end,
                  scen.p0[:m], ScenarioError)
     K = eng.K
-    internals = ctrl.init_internals(scen.p0[:m], scen.v0[:m],
-                                    scen.ctrl_overrides)
+    internals = ctrl.init_internals(scen.p0[:m], scen.v0[:m])
     names = list(internals)
     gamma = np.empty((K + 1, m, N))
 
     def payload(y):
         # Followers transmit their velocity estimate, leaders their velocity.
-        state = dict(zip(names, y[2:]))
-        vhat = [ctrl.transmitted_vhat(state, i) for i in range(m)]
-        return np.concatenate([y[0], np.vstack([*vhat, y[1][m:]])], axis=1)
+        vhat = ctrl.transmitted_vhat(dict(zip(names, y[2:])))
+        return np.concatenate([y[0], np.concatenate([vhat, y[1][m:]])],
+                              axis=1)
 
     def rhs(t, y, view):
         p, v, *ints = y

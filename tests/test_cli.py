@@ -55,6 +55,31 @@ class TestValidate:
         assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("variant, settings, message", [
+    ("pid", {}, "unknown variant 'pid'"),
+    ("full_state", {"psi_mode": "bogus"}, "bad psi_mode 'bogus'"),
+    ("known_vd", {}, "known_vd requires v_d"),
+    ("known_vd", {"v_d": [1.0, 0.1, 0.0]}, "v_d must have 2 entries"),
+    ("nonlinear_vs", {}, "nonlinear_vs requires the nonlinear model"),
+    ("oscillator_full", {}, "oscillator variants require the oscillator"),
+], ids=["pid", "bogus_psi_mode", "known_vd_no_v_d", "known_vd_v_d_3d",
+        "nonlinear_vs_on_double_integrator",
+        "oscillator_full_on_double_integrator"])
+def test_bad_controller_settings_exit_1(tmp_path, capsys, command, variant,
+                                        settings, message):
+    doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
+    doc["sim"]["t_end_seconds"] = 2.0
+    doc["controllers"].pop("psi_mode")
+    doc["controllers"].update(variant=variant, **settings)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", write_doc(tmp_path, doc)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert "Traceback" not in err
+
+
 class TestRun:
     def test_writes_outputs(self, tmp_path, capsys):
         path = short_doc(tmp_path, trace_csv="trace.csv",

@@ -51,6 +51,26 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="unknown keys"):
             config.validate_config(doc)
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("benchmark_fullstate", "use_velocity", False),
+        ("benchmark_fullstate", "v_d", [1.0, 0.1]),
+        ("benchmark_outputfb", "use_velocity", False),
+        ("oscillator_harmonic", "psi_mode", "static"),
+        ("benchmark_nonlinear", "psi_mode", "dynamic"),
+    ])
+    def test_setting_the_variant_ignores(self, name, key, value):
+        doc = load_scenario_doc(name)
+        doc["controllers"][key] = value
+        with pytest.raises(ConfigError, match=f"controllers.{key}"):
+            config.build_scenario(doc)
+
+    def test_use_velocity_must_be_a_bool(self):
+        doc = load_scenario_doc("benchmark_fullstate")
+        doc["controllers"].update(variant="known_vd", v_d=[1.0, 0.1],
+                                  use_velocity="false")
+        with pytest.raises(ConfigError, match="controllers.use_velocity"):
+            config.build_scenario(doc)
+
     def test_missing_required_key(self):
         doc = load_scenario_doc("benchmark_fullstate")
         del doc["sim"]["dt_seconds"]

@@ -1,3 +1,5 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,332 @@ from containsim.control import (
     vartheta,
 )
 from containsim.dynamics import AgentModel, OscillatorFlow
+
+
+# The six controller classes the three laws replaced, kept verbatim as the
+# reference the laws are checked against.
+
+@dataclass
+class ControllerOutput:
+    gamma: np.ndarray                       # (m, N)
+    d_internals: dict[str, np.ndarray]
+    aux: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+class ControllerBase:
+    variant: str = ""
+    internal_names: tuple[str, ...] = ()
+
+    def __init__(self, gains: GainSet, N: int):
+        self.gains = gains
+        self.N = N
+
+    def init_internals(self, p0: np.ndarray, v0: np.ndarray,
+                       overrides: dict | None = None) -> dict[str, np.ndarray]:
+        out = self._default_internals(p0, v0)
+        for name, value in (overrides or {}).items():
+            if name not in out:
+                raise ValueError(f"{self.variant} has no internal {name!r}")
+            out[name] = np.array(value, dtype=float).reshape(out[name].shape)
+        return out
+
+    def _default_internals(self, p0, v0) -> dict[str, np.ndarray]:
+        raise NotImplementedError
+
+    def transmitted_vhat(self, internals: dict, i: int) -> np.ndarray:
+        """The velocity estimate follower i puts on the wire."""
+        return internals["vhat"][i]
+
+    def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
+        raise NotImplementedError
+
+
+class FullStateController(ControllerBase):
+    """Input -k_d (v - vhat) - k_p (p - psi) with a distributed observer.
+
+    psi_mode "static" evaluates the reference position directly from the
+    extrapolated neighbor average; "dynamic" routes it through a first-order
+    filter so the input stays continuous across message arrivals.
+    """
+
+    variant = "full_state"
+
+    def __init__(self, gains, N, psi_mode="static"):
+        super().__init__(gains, N)
+        if psi_mode not in ("static", "dynamic"):
+            raise ValueError(f"bad psi_mode {psi_mode!r}")
+        self.psi_mode = psi_mode
+        self.internal_names = ("vhat", "psi") if psi_mode == "dynamic" \
+            else ("vhat",)
+
+    def _default_internals(self, p0, v0):
+        out = {"vhat": np.zeros_like(v0)}
+        if self.psi_mode == "dynamic":
+            out["psi"] = p0.copy()
+        return out
+
+    def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
+        g = self.gains
+        vhat = internals["vhat"]
+        dvhat = -g.L_p[:, None] * (vhat - neigh.vhat_avg(vhat))
+        theta = neigh.vartheta_avg(t)
+        d_int = {"vhat": dvhat}
+        if self.psi_mode == "dynamic":
+            psi = internals["psi"]
+            d_int["psi"] = -g.k_psi[:, None] * (psi - theta) + vhat
+        else:
+            psi = theta
+        gamma = -g.k_d[:, None] * (v - vhat) - g.k_p[:, None] * (p - psi)
+        return ControllerOutput(gamma=gamma, d_internals=d_int,
+                                aux={"psi": psi})
+
+
+class OutputFeedbackController(ControllerBase):
+    """Velocity-free law: phi + p replaces v in the damping term."""
+
+    variant = "output_feedback"
+    internal_names = ("vhat", "psi", "phi")
+
+    def __init__(self, gains, N, psi_mode="dynamic"):
+        super().__init__(gains, N)
+        if psi_mode not in ("static", "dynamic"):
+            raise ValueError(f"bad psi_mode {psi_mode!r}")
+        self.psi_mode = psi_mode
+        if psi_mode == "static":
+            self.internal_names = ("vhat", "phi")
+
+    def _default_internals(self, p0, v0):
+        out = {"vhat": np.zeros_like(v0), "phi": np.zeros_like(p0)}
+        if self.psi_mode == "dynamic":
+            out["psi"] = p0.copy()
+        return out
+
+    def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
+        g = self.gains
+        vhat = internals["vhat"]
+        phi = internals["phi"]
+        dvhat = -g.L_p[:, None] * (vhat - neigh.vhat_avg(vhat))
+        theta = neigh.vartheta_avg(t)
+        d_int = {"vhat": dvhat}
+        if self.psi_mode == "dynamic":
+            psi = internals["psi"]
+            d_int["psi"] = -g.k_psi[:, None] * (psi - theta) + vhat
+        else:
+            psi = theta
+        gamma = -g.k_d[:, None] * (phi + p - vhat) - g.k_p[:, None] * (p - psi)
+        d_int["phi"] = -(phi + p) + gamma
+        return ControllerOutput(gamma=gamma, d_internals=d_int,
+                                aux={"psi": psi})
+
+
+class KnownVdController(ControllerBase):
+    """Observer-free variant: the leaders' limit velocity v_d is broadcast."""
+
+    variant = "known_vd"
+
+    def __init__(self, gains, N, v_d, psi_mode="static", use_velocity=True):
+        super().__init__(gains, N)
+        if psi_mode not in ("static", "dynamic"):
+            raise ValueError(f"bad psi_mode {psi_mode!r}")
+        self.psi_mode = psi_mode
+        self.use_velocity = use_velocity
+        self.v_d = np.asarray(v_d, dtype=float)
+        names = []
+        if psi_mode == "dynamic":
+            names.append("psi")
+        if not use_velocity:
+            names.append("phi")
+        self.internal_names = tuple(names)
+
+    def _default_internals(self, p0, v0):
+        out = {}
+        if self.psi_mode == "dynamic":
+            out["psi"] = p0.copy()
+        if not self.use_velocity:
+            out["phi"] = np.zeros_like(p0)
+        return out
+
+    def transmitted_vhat(self, internals, i):
+        return self.v_d
+
+    def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
+        g = self.gains
+        vhat = np.broadcast_to(self.v_d, p.shape)
+        theta = neigh.vartheta_avg(t)
+        d_int = {}
+        if self.psi_mode == "dynamic":
+            psi = internals["psi"]
+            d_int["psi"] = -g.k_psi[:, None] * (psi - theta) + vhat
+        else:
+            psi = theta
+        if self.use_velocity:
+            gamma = -g.k_d[:, None] * (v - vhat) - g.k_p[:, None] * (p - psi)
+        else:
+            phi = internals["phi"]
+            gamma = -g.k_d[:, None] * (phi + p - vhat) \
+                - g.k_p[:, None] * (p - psi)
+            d_int["phi"] = -(phi + p) + gamma
+        return ControllerOutput(gamma=gamma, d_internals=d_int,
+                                aux={"psi": psi})
+
+
+class NonlinearVSController(ControllerBase):
+    """Reference-velocity tracking with a smoothed variable-structure term.
+
+    The discontinuous unit-vector term is replaced inside a boundary layer of
+    width eps by a linear ramp, which keeps the fixed-step integration free of
+    chattering at the cost of an O(eps) steady perturbation.
+    """
+
+    variant = "nonlinear_vs"
+    internal_names = ("vhat", "sigma1", "eta1", "eta2")
+
+    def __init__(self, gains, N, model: AgentModel):
+        super().__init__(gains, N)
+        if model.kind != "nonlinear":
+            raise ValueError("nonlinear_vs requires the nonlinear model")
+        self.model = model
+
+    def _default_internals(self, p0, v0):
+        return {"vhat": np.zeros_like(v0), "sigma1": np.zeros_like(v0),
+                "eta1": p0.copy(), "eta2": p0.copy()}
+
+    def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
+        g = self.gains
+        lam = g.lam_effective()[:, None]
+        vhat = internals["vhat"]
+        sigma1 = internals["sigma1"]
+        eta1 = internals["eta1"]
+        eta2 = internals["eta2"]
+        theta = neigh.vartheta_avg(t)
+        dvhat = -g.L_p[:, None] * (vhat - sigma1)
+        dsigma1 = -g.L_d[:, None] * (sigma1 - neigh.vhat_avg(vhat))
+        deta1 = -g.k_p[:, None] * (eta1 - eta2) + vhat
+        deta2 = -g.k_d[:, None] * (eta2 - theta) + vhat
+        v_r = -lam * (p - eta1) + vhat
+        dv_r = -lam * (v - deta1) + dvhat
+        e = v - v_r
+        gamma_bar = self.switching_term(e, p, v)
+        gamma = -g.k_r[:, None] * e + dv_r - gamma_bar
+        return ControllerOutput(
+            gamma=gamma,
+            d_internals={"vhat": dvhat, "sigma1": dsigma1,
+                         "eta1": deta1, "eta2": deta2},
+            aux={"v_r": v_r, "dv_r": dv_r, "e": e})
+
+    def drift_bound(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        fns = self.model.drift_fns
+        pn = np.linalg.norm(p, axis=-1)
+        vn = np.linalg.norm(v, axis=-1)
+        return np.vectorize(fns["delta_p"])(pn) + \
+            np.vectorize(fns["delta_v"])(vn)
+
+    def switching_term(self, e: np.ndarray, p: np.ndarray,
+                       v: np.ndarray) -> np.ndarray:
+        eps = self.gains.boundary_layer_eps
+        bound = self.drift_bound(p, v)
+        en = np.linalg.norm(e, axis=-1)
+        scale = np.where(en > eps, bound / np.maximum(en, 1e-300), bound / eps)
+        return scale[..., None] * e
+
+
+class OscillatorFullController(ControllerBase):
+    """Oscillator law: references propagated through the free flow e^{S dt}."""
+
+    variant = "oscillator_full"
+    internal_names = ("vhat", "sigma")
+
+    def __init__(self, gains, N, model: AgentModel):
+        super().__init__(gains, N)
+        if model.kind != "oscillator":
+            raise ValueError("oscillator variants require the oscillator model")
+        self.S1 = model.S1
+        self.S2 = model.S2
+        self.flow = OscillatorFlow(model.S1, model.S2)
+
+    def _default_internals(self, p0, v0):
+        return {"vhat": np.zeros_like(v0), "sigma": np.zeros_like(v0)}
+
+    def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
+        g = self.gains
+        vhat = internals["vhat"]
+        sigma = internals["sigma"]
+        psi = neigh.oscillator_psi(t, self.flow, vhat)
+        psi1, psi2 = psi[:, : self.N], psi[:, self.N:]
+        dv = v - vhat
+        gamma = -(g.k_d[:, None] * dv + dv @ self.S2.T) \
+            - g.k_p[:, None] * (p - psi1) + 2.0 * sigma
+        dsigma = dv @ self.S1.T + sigma @ self.S2.T \
+            - g.k_d[:, None] * sigma - g.k_p[:, None] * (vhat - psi2)
+        dvhat = p @ self.S1.T + vhat @ self.S2.T + sigma
+        return ControllerOutput(gamma=gamma,
+                                d_internals={"vhat": dvhat, "sigma": dsigma},
+                                aux={"psi1": psi1, "psi2": psi2})
+
+
+class OscillatorOutputController(ControllerBase):
+    """Velocity-free oscillator law; k_phi (phi + p) stands in for v."""
+
+    variant = "oscillator_output"
+    internal_names = ("vhat", "sigma", "phi")
+
+    def __init__(self, gains, N, model: AgentModel):
+        super().__init__(gains, N)
+        if model.kind != "oscillator":
+            raise ValueError("oscillator variants require the oscillator model")
+        self.S1 = model.S1
+        self.S2 = model.S2
+        self.flow = OscillatorFlow(model.S1, model.S2)
+        ok, problems = check_gains(self.variant, gains, S2=model.S2)
+        if not ok:
+            raise GainError("; ".join(problems))
+
+    def _default_internals(self, p0, v0):
+        return {"vhat": np.zeros_like(v0), "sigma": np.zeros_like(v0),
+                "phi": np.zeros_like(p0)}
+
+    def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
+        g = self.gains
+        vhat = internals["vhat"]
+        sigma = internals["sigma"]
+        phi = internals["phi"]
+        psi = neigh.oscillator_psi(t, self.flow, vhat)
+        psi1, psi2 = psi[:, : self.N], psi[:, self.N:]
+        w = g.k_phi[:, None] * (phi + p) - vhat
+        gamma = -(g.k_d[:, None] * w + w @ self.S2.T) \
+            - g.k_p[:, None] * (p - psi1) + 2.0 * sigma
+        dsigma = -g.k_d[:, None] * sigma + sigma @ self.S2.T \
+            + w @ self.S1.T - g.k_p[:, None] * (vhat - psi2)
+        dvhat = p @ self.S1.T + vhat @ self.S2.T + sigma
+        dphi = -(g.k_phi[:, None] * (p + phi) - (p + phi) @ self.S2.T) \
+            + (gamma + p @ self.S1.T) / g.k_phi[:, None]
+        return ControllerOutput(
+            gamma=gamma,
+            d_internals={"vhat": dvhat, "sigma": dsigma, "phi": dphi},
+            aux={"psi1": psi1, "psi2": psi2})
+
+
+def make_controller_oracle(variant: str, gains: GainSet, N: int,
+                           model: AgentModel | None = None,
+                           psi_mode: str = "static",
+                           v_d=None, use_velocity: bool = True
+                           ) -> ControllerBase:
+    if variant == "full_state":
+        return FullStateController(gains, N, psi_mode=psi_mode)
+    if variant == "output_feedback":
+        return OutputFeedbackController(gains, N, psi_mode=psi_mode)
+    if variant == "known_vd":
+        if v_d is None:
+            raise ValueError("known_vd requires v_d")
+        return KnownVdController(gains, N, v_d, psi_mode=psi_mode,
+                                 use_velocity=use_velocity)
+    if variant == "nonlinear_vs":
+        return NonlinearVSController(gains, N, model)
+    if variant == "oscillator_full":
+        return OscillatorFullController(gains, N, model)
+    if variant == "oscillator_output":
+        return OscillatorOutputController(gains, N, model)
+    raise ValueError(f"unknown controller variant {variant!r}")
 
 
 def simple_view(m=2, N=2, t=0.0):
@@ -210,7 +538,7 @@ class TestControllers:
         ctrl = make_controller("full_state", g, 2, psi_mode="dynamic")
         view = simple_view()
         p0 = np.zeros((2, 2))
-        internals = ctrl.init_internals(p0, p0, {})
+        internals = ctrl.init_internals(p0, p0)
         assert np.allclose(internals["psi"], p0)
         out = ctrl.deriv(0.0, p0, p0, internals, view)
         theta = view.vartheta_avg(0.0)
@@ -225,7 +553,8 @@ class TestControllers:
         rng = np.random.default_rng(5)
         p = rng.normal(size=(2, 2))
         v = rng.normal(size=(2, 2))
-        internals = ctrl.init_internals(p, v, {"phi": rng.normal(size=(2, 2))})
+        internals = ctrl.init_internals(p, v)
+        internals["phi"] = rng.normal(size=(2, 2))
         out = ctrl.deriv(0.5, p, v, internals, view)
         phi_tilde = internals["phi"] + p - v
         d_phi_tilde = out.d_internals["phi"] + v - out.gamma
@@ -235,9 +564,9 @@ class TestControllers:
         g = GainSet(m=2, k_p=4.0, k_d=4.0)
         v_d = np.array([1.0, 0.1])
         ctrl = make_controller("known_vd", g, 2, v_d=v_d)
-        internals = ctrl.init_internals(np.zeros((2, 2)), np.zeros((2, 2)), {})
-        assert np.allclose(ctrl.transmitted_vhat(internals, 0), v_d)
-        assert np.allclose(ctrl.transmitted_vhat(internals, 1), v_d)
+        internals = ctrl.init_internals(np.zeros((2, 2)), np.zeros((2, 2)))
+        assert np.array_equal(ctrl.transmitted_vhat(internals),
+                              np.vstack([v_d, v_d]))
 
     def test_switching_term_boundary_layer(self):
         g = GainSet(m=1, k_p=2.0, k_d=2.0, lam=2.0, boundary_layer_eps=0.1)
@@ -282,9 +611,93 @@ class TestControllers:
         with pytest.raises(ValueError):
             make_controller("pid", GainSet(m=1), 2)
 
-    def test_internal_override_shape_checked(self):
-        g = GainSet(m=2, k_p=4.0, k_d=4.0)
-        ctrl = make_controller("full_state", g, 2)
-        with pytest.raises(ValueError):
-            ctrl.init_internals(np.zeros((2, 2)), np.zeros((2, 2)),
-                                {"bogus": np.zeros((2, 2))})
+    def test_double_integrator_laws_reject_the_oscillator_model(self):
+        model = AgentModel(kind="oscillator", S1=-np.eye(2),
+                           S2=np.zeros((2, 2)))
+        for variant in ("full_state", "output_feedback", "known_vd"):
+            with pytest.raises(ValueError, match="oscillator model"):
+                make_controller(variant, GainSet(m=1), 2, model=model,
+                                v_d=np.zeros(2))
+
+
+LAW_CASES = [(variant, psi_mode, use_velocity)
+             for variant in ("full_state", "output_feedback", "known_vd",
+                             "nonlinear_vs", "oscillator_full",
+                             "oscillator_output")
+             for psi_mode in ("static", "dynamic")
+             for use_velocity in (True, False)]
+
+
+def random_gains(rng, m):
+    """Gains that pass check_gains for every variant (k_d^2 >= 4 k_p)."""
+    k_p = rng.uniform(0.1, 5.0, size=m)
+    return GainSet(m=m, k_p=k_p,
+                   k_d=2.0 * np.sqrt(k_p) * rng.uniform(1.0, 2.0, size=m),
+                   **{name: rng.uniform(0.1, 5.0, size=m)
+                      for name in ("L_p", "L_d", "k_psi", "k_phi", "k_r")},
+                   lam=rng.uniform(0.1, 5.0, size=m) if rng.random() < 0.5
+                   else None)
+
+
+def random_model(rng, variant, N, s2_zero):
+    if variant == "nonlinear_vs":
+        return AgentModel(kind="nonlinear", N=N, drift="square_velocity")
+    # S1 negative definite and S2 skew: a bounded oscillator, and
+    # -k_phi I + S2 is stable for every k_phi > 0.
+    B, C = rng.normal(size=(N, N)), rng.normal(size=(N, N))
+    S2 = np.zeros((N, N)) if s2_zero else C - C.T
+    return AgentModel(kind="oscillator", N=N, S1=-(B @ B.T + np.eye(N)),
+                      S2=S2)
+
+
+class TestLawsMatchOracle:
+    # The merged oscillator law sums dsigma as (w S1' + sigma S2') - k_d
+    # sigma, the order of oscillator_full; oscillator_output used to sum
+    # (-k_d sigma + sigma S2') + w S1'.  The two orders agree exactly when
+    # S2 = 0 and otherwise to rounding, well within this relative bound.
+    RTOL = 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(LAW_CASES), st.booleans(),
+           st.integers(1, 4), st.integers(1, 3), st.integers(0, 12),
+           st.integers(0, 400), st.integers(0, 2))
+    def test_gamma_and_derivatives_match(self, seed, case, s2_zero, m, N, E,
+                                         k, half):
+        variant, psi_mode, use_velocity = case
+        rng = np.random.default_rng(seed)
+        gains = random_gains(rng, m)
+        model = None if variant in ("full_state", "output_feedback",
+                                    "known_vd") \
+            else random_model(rng, variant, N, s2_zero)
+        settings_ = dict(model=model, psi_mode=psi_mode,
+                         v_d=rng.normal(size=N), use_velocity=use_velocity)
+        new = make_controller(variant, gains, N, **settings_)
+        old = make_controller_oracle(variant, gains, N, **settings_)
+
+        dt = 0.01
+        view = random_view(rng, m, N, E, dt, 10, k)
+        t = k * dt + half * dt / 2
+        p, v = rng.normal(size=(m, N)), rng.normal(size=(m, N))
+        init_new = new.init_internals(p, v)
+        init_old = old.init_internals(p, v)
+        assert sorted(init_new) == sorted(init_old)
+        for name in init_new:
+            assert np.array_equal(init_new[name], init_old[name])
+        internals = {name: rng.normal(size=(m, N)) for name in init_new}
+
+        assert np.array_equal(
+            new.transmitted_vhat(internals),
+            np.vstack([old.transmitted_vhat(internals, i)
+                       for i in range(m)]))
+        out_new = new.deriv(t, p, v, internals, view)
+        out_old = old.deriv(t, p, v, internals, view)
+        assert np.array_equal(out_new.gamma, out_old.gamma)
+        assert sorted(out_new.d_internals) == sorted(out_old.d_internals)
+        for name, got in out_new.d_internals.items():
+            want = out_old.d_internals[name]
+            if variant == "oscillator_output" and not s2_zero \
+                    and name == "sigma":
+                assert np.max(np.abs(got - want)) \
+                    <= self.RTOL * np.max(np.abs(want))
+            else:
+                assert np.array_equal(got, want), name

@@ -1,12 +1,15 @@
 """The sampled-data engine as it runs: staleness bound and the tick grid."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from containsim import analysis, config, sim
 from containsim.analysis import CascadeError
-from containsim.comm import LinkEvent, LinkSchedule, to_ticks
+from containsim.comm import CommConfig, LinkEvent, LinkSchedule, to_ticks
 from containsim.engine import Engine
 from containsim.sim import ScenarioError
 from conftest import load_scenario_doc
@@ -30,6 +33,30 @@ def test_used_message_never_older_than_blackout(name, seed, drop_prob):
     ticks = np.arange(t_star, trace.used_seq.shape[0])
     assert np.all(used >= 0)
     assert np.all(ticks[:, None] - used * steps_per_T <= t_star)
+
+
+_SHORT_FULLSTATE = load_scenario_doc("benchmark_fullstate")
+_SHORT_FULLSTATE["sim"]["t_end_seconds"] = 3.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(10, 30), st.integers(0, 120), st.floats(0.0, 0.95),
+       st.floats(0.0, 0.99), st.integers(0, 2**31))
+def test_staleness_bound_holds_for_any_comm_config(spT, extra, drop_prob,
+                                                    delay_frac, seed):
+    # Sampling period spT ticks, blackout bound T* = spT + extra ticks, and
+    # delays up to just under T*: from t = T* on, every edge holds a message
+    # sent at most T* ago, counted in whole ticks.
+    scen = config.build_scenario(_SHORT_FULLSTATE)
+    dt = scen.dt
+    t_star = spT + extra
+    comm = CommConfig(T=spT * dt, T_star=t_star * dt, drop_prob=drop_prob,
+                      delay_max=delay_frac * t_star * dt, seed=seed)
+    trace = sim.run(dataclasses.replace(scen, comm=comm))
+    used = trace.used_seq[t_star:]
+    ticks = np.arange(t_star, trace.used_seq.shape[0])
+    assert np.all(used >= 0)
+    assert np.all(ticks[:, None] - used * spT <= t_star)
 
 
 def _shift_first_delivery(schedules, shift):
