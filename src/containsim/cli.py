@@ -6,8 +6,17 @@ Commands:
   sweep     run the cascade gain and blackout sweeps from a config
   report    run a scenario and summarize the final errors
 
-Exit codes: 0 success, 1 validation or check failure (bad configuration,
-failed certificate, failed trend), 2 runtime divergence, 3 I/O failure.
+Each command returns its exit code; main alone turns exceptions into exit
+codes, with one line on stderr and no traceback:
+  0  success
+  1  "config error:" for any ValueError (every input-error class subclasses
+     it): a missing or invalid config file, a setting the scenario or the
+     cascade rejects (sweep included), a non-positive dt or horizon, an
+     oscillator spectrum off the imaginary axis or not semi-simple, a
+     follower no leader reaches.  A failed certificate or trend also gives 1.
+  2  "runtime error:" for a DivergenceError naming the agent and variable;
+     argparse also exits 2 on a malformed command line
+  3  "output error:" for an OSError while writing the outputs
 """
 from __future__ import annotations
 
@@ -20,7 +29,7 @@ import numpy as np
 
 from . import analysis, config, sim
 from .comm import export_schedule_csv
-from .sim import DivergenceError, ScenarioError
+from .sim import DivergenceError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -46,27 +55,14 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(path: str) -> dict:
-    try:
-        return config.load_config(path)
-    except (OSError, config.ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_CHECK_FAILED)
-
-
 def _scenario(doc: dict):
-    try:
-        scen = config.build_scenario(doc)
-        scen.validate()
-        return scen
-    except (config.ConfigError, ScenarioError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_CHECK_FAILED)
+    scen = config.build_scenario(doc)
+    scen.validate()
+    return scen
 
 
 def cmd_validate(args) -> int:
-    doc = _load(args.config)
-    scen = _scenario(doc)
+    scen = _scenario(config.load_config(args.config))
     report = analysis.containment_certificate(scen.topo)
     print(f"leader reachability: {report['leader_reachability']}")
     print(f"nonsingular M-matrix: {report['m_matrix']}")
@@ -82,28 +78,16 @@ def cmd_validate(args) -> int:
 
 
 def _run_trace(doc, args):
+    # Validated first: build_schedules assumes a positive dt and horizon.
     scen = _scenario(doc)
     schedules = sim.build_schedules(scen, args.seed)
-    try:
-        return scen, schedules, sim.run(scen, seed=args.seed,
-                                        schedules=schedules)
-    except DivergenceError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_RUNTIME)
+    return scen, schedules, sim.run(scen, seed=args.seed, schedules=schedules)
 
 
 def cmd_run(args) -> int:
-    doc = _load(args.config)
+    doc = config.load_config(args.config)
     scen, schedules, trace = _run_trace(doc, args)
     outputs = doc.get("outputs", {})
-    try:
-        return _write_outputs(scen, schedules, trace, outputs, args)
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-
-def _write_outputs(scen, schedules, trace, outputs, args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     def dest(name):
@@ -128,12 +112,7 @@ def _write_outputs(scen, schedules, trace, outputs, args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = _load(args.config)
-    try:
-        cas = config.build_cascade(doc)
-    except config.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    cas = config.build_cascade(config.load_config(args.config))
     seed = args.seed
     gains = analysis.run_gain_sweep(cas, seed=seed)
     print("gain sweep (x1, x2, x4):",
@@ -151,8 +130,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = _load(args.config)
-    scen, _, trace = _run_trace(doc, args)
+    scen, _, trace = _run_trace(config.load_config(args.config), args)
     os.makedirs(args.out, exist_ok=True)
     cert = analysis.containment_certificate(scen.topo)
     summary = {
@@ -181,7 +159,17 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     handler = {"validate": cmd_validate, "run": cmd_run,
                "sweep": cmd_sweep, "report": cmd_report}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ValueError as exc:       # every input-error class subclasses it
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except DivergenceError as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

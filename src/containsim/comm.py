@@ -71,6 +71,15 @@ def to_ticks(seconds, dt: float, what: str, error=ValueError) -> np.ndarray:
     return k.astype(int)
 
 
+def period_ticks(T: float, dt: float, t_end: float, error=ValueError) -> int:
+    """Ticks of dt per sampling period T; raises error unless dt and the
+    horizon t_end are positive and dt divides T."""
+    for key, val in (("sim.dt_seconds", dt), ("sim.t_end_seconds", t_end)):
+        if not val > 0:
+            raise error(f"{key} must be > 0, got {val!r}")
+    return int(to_ticks(T, dt, "the sampling period T", error))
+
+
 def _edge_rng(cfg: CommConfig, edge: tuple[int, int]) -> np.random.Generator:
     # Independent, reproducible stream per (seed, j, i).
     ss = np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, edge[0], edge[1]])

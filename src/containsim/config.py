@@ -54,11 +54,13 @@ def load_bundled(name: str) -> dict:
 
 
 def load_config(path: str) -> dict:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     validate_config(doc)
     return doc
 

@@ -170,7 +170,7 @@ class LeaderTrajectory:
                 _damped_osc_envelope_dot(t)
         return np.zeros(N)
 
-    def velocity(self, t: float, v0: np.ndarray | None = None) -> np.ndarray:
+    def velocity(self, t: float) -> np.ndarray:
         N = self.v_d.shape[0]
         if self.kind == "damped_oscillatory":
             return self.v_d + np.ones(N) * ((-1.0) ** self.index) * \

@@ -19,6 +19,37 @@ import numpy as np
 from .comm import LinkSchedule, to_ticks
 from .control import NeighborView
 
+DIVERGENCE_LIMIT = 1e9
+
+
+class DivergenceError(RuntimeError):
+    """A state left the finite range [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT].
+
+    agent is the row of the first offending agent, variable names the state
+    array, and last_norm is the norm of that agent's row of that array at the
+    last step where it was in range.
+    """
+
+    def __init__(self, t: float, agent: int, variable: str,
+                 last_norm: float):
+        super().__init__(f"non-finite or diverging {variable} of agent "
+                         f"{agent} at t={t:.6g} (last finite norm "
+                         f"{last_norm:.6g})")
+        self.t, self.agent, self.variable = t, agent, variable
+        self.last_norm = last_norm
+
+
+def _divergence(t: float, y: list, prev: list, names) -> DivergenceError:
+    """The error naming the first agent and variable out of range in y;
+    prev holds the same arrays one step earlier."""
+    for variable, a, b in zip(names, y, prev):
+        bad = ~np.all(np.abs(a) <= DIVERGENCE_LIMIT,
+                      axis=tuple(range(1, a.ndim)))
+        if bad.any():
+            agent = int(np.argmax(bad))
+            return DivergenceError(t, agent, variable,
+                                   float(np.linalg.norm(b[agent])))
+
 
 def rk4_step(rhs, t: float, h: float, y: list, u, k1: list) -> list:
     """One classical RK4 step of dy/dt = rhs(t, y, u)[0] with u held fixed.
@@ -94,15 +125,17 @@ class Engine:
         return NeighborView(m, N, self.dst[live], self.w[live], msg[:, :N],
                             msg[:, N:], seq * self.T, self.fallback, self.dt)
 
-    def run(self, y: list, payload, rhs, record, check, freeze=None):
+    def run(self, y: list, payload, rhs, record, watch, freeze=None):
         """Integrate from state list y over ticks 0..K.
 
         At each tick: capture payload(y) if it is a send tick, deliver the
         arrivals, build the view (turned into the held input by freeze, if
         given), evaluate rhs(t, y, u) -> (dy, out), call
-        record(k, y, u, out), then take one RK4 step and call
-        check(t + dt, y).  Returns the state history, one (K+1, ...) array
-        per state array, and the mailbox at every tick (K+1, E).
+        record(k, y, u, out), then take one RK4 step.  watch names the
+        leading state arrays that must stay in range; the first to leave it
+        raises DivergenceError against its step-start value.  Returns the
+        state history, one (K+1, ...) array per state array, and the
+        mailbox at every tick (K+1, E).
         """
         K, dt, spT = self.K, self.dt, self.steps_per_T
         states = [np.empty((K + 1,) + a.shape) for a in y]
@@ -125,6 +158,9 @@ class Engine:
             record(k, y, u, out)
             if k == K:
                 break
-            y = rk4_step(rhs, t, dt, y, u, dy)
-            check(t + dt, y)
+            start, y = y, rk4_step(rhs, t, dt, y, u, dy)
+            # abs(nan) <= limit is False, so this also catches non-finite y.
+            if not all(np.all(np.abs(a) <= DIVERGENCE_LIMIT)
+                       for a in y[:len(watch)]):
+                raise _divergence(t + dt, y, start, watch)
         return states, used_seq

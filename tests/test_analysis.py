@@ -14,6 +14,7 @@ from containsim.analysis import (
     simulate_cascade,
 )
 from containsim.comm import CommConfig
+from containsim.engine import DivergenceError
 from containsim.topology import DirectedTopology
 from conftest import bench_topology
 
@@ -133,6 +134,30 @@ class TestCascadeDynamics:
             single_follower_cfg(k_eta=-1.0).validate()
         with pytest.raises(CascadeError):
             simulate_cascade(single_follower_cfg(dt=0.003))
+
+    @pytest.mark.parametrize("value", [0.0, -0.025])
+    @pytest.mark.parametrize("field, key", [("dt", "sim.dt_seconds"),
+                                            ("t_end", "sim.t_end_seconds")])
+    def test_step_and_horizon_must_be_positive(self, field, key, value):
+        with pytest.raises(CascadeError, match=f"{key} must be > 0"):
+            single_follower_cfg(**{field: value}).validate()
+
+    @pytest.mark.parametrize("variable, gains", [
+        ("eta", {"k_eta": 5000.0}),
+        ("zeta", {"h": (5000.0,), "zeta0": np.ones((1, 1, 1))}),
+    ])
+    def test_divergence_names_agent_and_variable(self, variable, gains):
+        # A rate of 5000 with dt = 0.005 is far outside RK4's stable region.
+        with pytest.raises(DivergenceError) as exc:
+            simulate_cascade(single_follower_cfg(**gains))
+        err = exc.value
+        assert (err.agent, err.variable) == (0, variable)
+        # last_norm is the agent's row one step earlier, the last in range.
+        tr = simulate_cascade(single_follower_cfg(t_end=err.t - 0.005,
+                                                  **gains))
+        last = getattr(tr, variable)[-1, 0]
+        assert np.all(np.abs(last) <= 1e9)
+        assert err.last_norm == np.linalg.norm(last)
 
     def test_determinism(self):
         cfg = bench_cfg(t_end=5.0)

@@ -1,9 +1,13 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import containsim
 from containsim import cli, config, sim
 from containsim.comm import export_schedule_csv, generate_schedule
 from conftest import load_scenario_doc
@@ -23,6 +27,126 @@ def short_doc(tmp_path, **outputs):
     return write_doc(tmp_path, doc)
 
 
+def edit(section, **values):
+    """A document edit that updates the dotted section with values."""
+    def apply(doc):
+        node = doc
+        for key in section.split("."):
+            node = node[key]
+        node.update(values)
+    return apply
+
+
+S1_PLUS_I = edit("agents.model", S1=[[1.0, 0.0], [0.0, 1.0]])
+
+
+def exit_case_args(tmp_path, command, scenario, change, out_under_file):
+    """The argv of one exit-code case; scenario None names a missing file."""
+    if scenario is None:
+        return [command, "--config", str(tmp_path / "nope.json")]
+    doc = copy.deepcopy(load_scenario_doc(scenario))
+    doc["sim"]["t_end_seconds"] = 2.0
+    if out_under_file:
+        doc["outputs"] = {"trace_csv": "trace.csv"}
+    if change is not None:
+        change(doc)
+    argv = [command, "--config", write_doc(tmp_path, doc)]
+    if out_under_file:
+        (tmp_path / "a_file").write_text("")
+        argv += ["--out", str(tmp_path / "a_file" / "out")]
+    return argv
+
+
+EXIT_CASES = [
+    pytest.param("validate", None, None, False, 1, "config error:",
+                 r"No such file", id="validate-missing_config"),
+    pytest.param("sweep", "cascade_estimates", edit("cascade", alpha=2),
+                 False, 1, "config error:", r"alpha must be in \[0, 1\]",
+                 id="sweep-alpha_2"),
+    pytest.param("sweep", "cascade_estimates",
+                 edit("comm", T_star_seconds=0.2, delay_max_seconds=0.1),
+                 False, 1, "config error:", r"T_star must be >= T",
+                 id="sweep-T_star_below_T"),
+    pytest.param("sweep", "cascade_estimates", edit("cascade", h=[2.0]),
+                 False, 1, "config error:", r"one lag rate per chain layer",
+                 id="sweep-one_lag_rate_for_sigma_2"),
+    pytest.param("sweep", "cascade_estimates", edit("sim", dt_seconds=0.03),
+                 False, 1, "config error:", r"dt must divide",
+                 id="sweep-dt_0.03"),
+    pytest.param("sweep", "cascade_estimates",
+                 edit("cascade.phi1", kind="brownian"), False, 1,
+                 "config error:", r"unknown perturbation kind 'brownian'",
+                 id="sweep-unknown_perturbation"),
+    pytest.param("run", "cascade_estimates", edit("sim", t_end_seconds=-1),
+                 False, 1, "config error:", r"sim\.t_end_seconds must be > 0",
+                 id="run-negative_t_end"),
+    pytest.param("sweep", "cascade_estimates", edit("sim", t_end_seconds=-1),
+                 False, 1, "config error:", r"sim\.t_end_seconds must be > 0",
+                 id="sweep-negative_t_end"),
+    pytest.param("sweep", "cascade_estimates",
+                 edit("sim", dt_seconds=-0.025), False, 1, "config error:",
+                 r"sim\.dt_seconds must be > 0", id="sweep-negative_dt"),
+    pytest.param("validate", "oscillator_harmonic", S1_PLUS_I, False, 1,
+                 "config error:", r"pure-imaginary, semi-simple spectrum",
+                 id="validate-oscillator_S1_plus_I"),
+    pytest.param("run", "oscillator_harmonic", S1_PLUS_I, False, 1,
+                 "config error:", r"pure-imaginary, semi-simple spectrum",
+                 id="run-oscillator_S1_plus_I"),
+    pytest.param("sweep", "cascade_estimates", edit("cascade", k_eta=1000),
+                 False, 2, "runtime error:",
+                 r"diverging (eta|zeta) of agent \d+ at t=",
+                 id="sweep-k_eta_1000"),
+    pytest.param("run", "benchmark_fullstate", None, True, 3,
+                 "output error:", r"Not a directory",
+                 id="run-out_under_a_file"),
+    pytest.param("report", "benchmark_fullstate", None, True, 3,
+                 "output error:", r"Not a directory",
+                 id="report-out_under_a_file"),
+]
+
+
+@pytest.mark.parametrize("command, scenario, change, out_under_file, code, "
+                         "prefix, message", EXIT_CASES)
+def test_exit_code_matrix(tmp_path, capsys, command, scenario, change,
+                          out_under_file, code, prefix, message):
+    argv = exit_case_args(tmp_path, command, scenario, change, out_under_file)
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and re.search(message, err)
+    assert "Traceback" not in err
+
+
+def test_bundled_oscillator_passes_the_spectrum_check(tmp_path, capsys):
+    path = write_doc(tmp_path, load_scenario_doc("oscillator_harmonic"))
+    assert cli.main(["validate", "--config", path]) == 0
+    assert "certificate: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("code, command, scenario, change, out_under_file, "
+                         "prefix", [
+    (0, "validate", "benchmark_fullstate", None, False, ""),
+    (1, "validate", None, None, False, "config error:"),
+    (2, "run", "benchmark_fullstate",
+     edit("controllers.gains", k_p=4.0e6, k_d=4000.0), False,
+     "runtime error:"),
+    (3, "run", "benchmark_fullstate", None, True, "output error:"),
+])
+def test_module_entry_point_exits_with_mains_code(tmp_path, code, command,
+                                                  scenario, change,
+                                                  out_under_file, prefix):
+    argv = exit_case_args(tmp_path, command, scenario, change, out_under_file)
+    src = os.path.dirname(os.path.dirname(containsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "containsim.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(prefix)
+    assert (proc.stderr == "") == (code == 0)
+    assert "Traceback" not in proc.stderr
+
+
 class TestValidate:
     def test_good_config(self, tmp_path, capsys):
         rc = cli.main(["validate", "--config", short_doc(tmp_path)])
@@ -34,14 +158,11 @@ class TestValidate:
         doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
         doc["comm"]["bogus"] = 1
         path = write_doc(tmp_path, doc)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["validate", "--config", path])
-        assert exc.value.code == 1
+        assert cli.main(["validate", "--config", path]) == 1
 
     def test_missing_file_exit_code(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["validate", "--config", str(tmp_path / "nope.json")])
-        assert exc.value.code == 1
+        assert cli.main(["validate", "--config",
+                         str(tmp_path / "nope.json")]) == 1
 
     def test_failed_certificate(self, tmp_path):
         doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
@@ -50,9 +171,7 @@ class TestValidate:
             e for e in doc["topology"]["edges"]
             if not (e[1] in (5, 6) and e[0] > 6)]
         path = write_doc(tmp_path, doc)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["validate", "--config", path])
-        assert exc.value.code == 1
+        assert cli.main(["validate", "--config", path]) == 1
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -72,9 +191,7 @@ def test_bad_controller_settings_exit_1(tmp_path, capsys, command, variant,
     doc["sim"]["t_end_seconds"] = 2.0
     doc["controllers"].pop("psi_mode")
     doc["controllers"].update(variant=variant, **settings)
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--config", write_doc(tmp_path, doc)])
-    assert exc.value.code == 1
+    assert cli.main([command, "--config", write_doc(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert "Traceback" not in err
@@ -121,9 +238,7 @@ class TestRun:
         doc["controllers"]["gains"]["k_p"] = float("nan")
         path = write_doc(tmp_path, doc)
         for command in ("validate", "run"):
-            with pytest.raises(SystemExit) as exc:
-                cli.main([command, "--config", path])
-            assert exc.value.code == 1
+            assert cli.main([command, "--config", path]) == 1
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
@@ -131,9 +246,7 @@ class TestRun:
         doc["controllers"]["gains"] = {"k_p": 4.0e6, "k_d": 4000.0,
                                        "L_p": 4.0}
         path = write_doc(tmp_path, doc)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["run", "--config", path])
-        assert exc.value.code == 2
+        assert cli.main(["run", "--config", path]) == 2
         err = capsys.readouterr().err
         assert re.search(r"diverging [pv] of agent \d+ at t=\S+ "
                          r"\(last finite norm \S+\)", err)

@@ -83,6 +83,12 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="invalid JSON"):
             config.load_config(str(path))
 
+    def test_unreadable_file_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="No such file"):
+            config.load_config(str(tmp_path / "nope.json"))
+        with pytest.raises(ConfigError):
+            config.load_config(str(tmp_path))
+
     def test_load_roundtrip(self, tmp_path):
         doc = load_scenario_doc("benchmark_fullstate")
         path = tmp_path / "ok.json"

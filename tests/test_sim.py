@@ -258,6 +258,22 @@ class TestRunLoop:
         with pytest.raises(ScenarioError):
             sim.run(scen)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("field, key", [("dt", "sim.dt_seconds"),
+                                            ("t_end", "sim.t_end_seconds")])
+    def test_step_and_horizon_must_be_positive(self, field, key, value):
+        with pytest.raises(ScenarioError, match=f"{key} must be > 0"):
+            tiny_scenario(**{field: value}).validate()
+
+    @pytest.mark.parametrize("S1", [[[1.0, 0.0], [0.0, 1.0]],     # real
+                                    [[0.0, 0.0], [0.0, 0.0]]])    # Jordan
+    def test_oscillator_spectrum_checked(self, S1):
+        doc = load_scenario_doc("oscillator_harmonic")
+        config.build_scenario(doc).validate()
+        doc["agents"]["model"]["S1"] = S1
+        with pytest.raises(ScenarioError, match="semi-simple spectrum"):
+            config.build_scenario(doc).validate()
+
     def test_trace_grid_lookup(self):
         trace = sim.run(tiny_scenario(t_end=1.0))
         assert trace.index_of(0.5) == 50

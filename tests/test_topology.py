@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from containsim.topology import (
+    WEIGHT_NONNEG_TOL,
     DirectedTopology,
     TopologyError,
     containment_weights,
@@ -128,7 +131,43 @@ class TestBenchmarkGraph:
         assert np.array_equal(L[6:], np.zeros((4, 10)))
 
 
+@st.composite
+def reachable_topologies(draw):
+    """Random weighted digraphs in which leaders reach every follower.
+
+    Followers are wired in a random order, each with one in-edge from a
+    leader or an earlier follower, so every follower is reachable; extra
+    random follower in-edges then add cycles and parallel paths.
+    """
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, n - 1))
+    weight = st.floats(0.01, 100.0)
+    w = np.zeros((n, n))
+    order = draw(st.permutations(range(m)))
+    for pos, i in enumerate(order):
+        src = draw(st.sampled_from([*range(m, n), *order[:pos]]))
+        w[i, src] = draw(weight)
+    extra = draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                    st.integers(0, n - 1), weight),
+                          max_size=3 * n))
+    for i, j, x in extra:
+        if i != j:
+            w[i, j] = x
+    return DirectedTopology(n=n, m=m, weights=w)
+
+
 class TestRandomizedProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(reachable_topologies())
+    def test_containment_weights_property(self, topo):
+        assert validate_assumption1(topo)[0]
+        part = partition(topo)
+        W = containment_weights(part).W
+        # An exact zero weight can come out of the solve as -2.8e-17.
+        assert np.all(W >= -WEIGHT_NONNEG_TOL)
+        assert np.max(np.abs(W.sum(axis=1) - 1.0)) <= 1e-9
+        assert np.max(np.abs(W + np.linalg.inv(part.L1) @ part.L2)) <= 1e-9
+
     def test_random_topologies(self):
         rng = np.random.default_rng(1234)
         for _ in range(60):
