@@ -86,20 +86,23 @@ class CascadeConfig:
 
     def validate(self) -> None:
         topo = self.topo
-        if not (0.0 <= self.alpha <= 1.0):
-            raise CascadeError("alpha must be in [0, 1]")
-        if self.sigma < 1 or len(self.h) != self.sigma:
-            raise CascadeError("need one lag rate per chain layer")
-        if self.k_eta <= 0 or any(r <= 0 for r in self.h):
-            raise CascadeError("all rates must be strictly positive")
-        if len(self.leader_drive) != topo.n - topo.m:
-            raise CascadeError("need one drive per leader")
-        if self.phi2 and len(self.phi2) != self.sigma:
-            raise CascadeError("phi2 needs one perturbation per layer")
-        if self.eta0.shape != (topo.n, self.N):
-            raise CascadeError("eta0 must be (n, N)")
-        if self.zeta0.shape != (topo.m, self.sigma, self.N):
-            raise CascadeError("zeta0 must be (m, sigma, N)")
+        for bad, what in (
+                (not 0.0 <= self.alpha <= 1.0, "alpha must be in [0, 1]"),
+                (self.sigma < 1 or len(self.h) != self.sigma,
+                 "h: need one lag rate per chain layer"),
+                (self.k_eta <= 0, "k_eta: all rates must be strictly positive"),
+                (any(r <= 0 for r in self.h),
+                 "h: all rates must be strictly positive"),
+                (len(self.leader_drive) != topo.n - topo.m,
+                 "leader_drive: need one drive per leader"),
+                (self.phi2 and len(self.phi2) != self.sigma,
+                 "phi2 needs one perturbation per layer"),
+                (self.eta0.shape != (topo.n, self.N),
+                 "initial.eta: eta0 must be (n, N)"),
+                (self.zeta0.shape != (topo.m, self.sigma, self.N),
+                 "initial.zeta: zeta0 must be (m, sigma, N)")):
+            if bad:
+                raise CascadeError(f"cascade.{what}")
         ok, unreachable = validate_assumption1(topo)
         if not ok:
             raise CascadeError(f"unreachable followers: {unreachable}")

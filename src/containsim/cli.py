@@ -10,12 +10,12 @@ Each command returns its exit code; main alone turns exceptions into exit
 codes, with one line on stderr and no traceback:
   0  success
   1  "config error:" for any ValueError (every input-error class subclasses
-     it): a missing or invalid config file, a setting the scenario or the
-     cascade rejects (sweep included), a non-positive dt or horizon, an
-     oscillator spectrum off the imaginary axis or not semi-simple, a
+     it): a malformed command line, a missing or invalid config file, a
+     setting the scenario or the cascade rejects (sweep included), a
+     non-positive dt or horizon, a dt that does not divide T or the horizon,
+     an oscillator spectrum off the imaginary axis or not semi-simple, a
      follower no leader reaches.  A failed certificate or trend also gives 1.
-  2  "runtime error:" for a DivergenceError naming the agent and variable;
-     argparse also exits 2 on a malformed command line
+  2  "runtime error:" for a DivergenceError naming the agent and variable
   3  "output error:" for an OSError while writing the outputs
 """
 from __future__ import annotations
@@ -37,8 +37,13 @@ EXIT_RUNTIME = 2
 EXIT_IO = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):     # a usage error exits 1, like bad input
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="containsim",
         description="containment-control simulation toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -55,14 +60,9 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _scenario(doc: dict):
-    scen = config.build_scenario(doc)
-    scen.validate()
-    return scen
-
-
 def cmd_validate(args) -> int:
-    scen = _scenario(config.load_config(args.config))
+    scen = config.build_scenario(config.load_config(args.config))
+    scen.validate()
     report = analysis.containment_certificate(scen.topo)
     print(f"leader reachability: {report['leader_reachability']}")
     print(f"nonsingular M-matrix: {report['m_matrix']}")
@@ -77,16 +77,10 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
-def _run_trace(doc, args):
-    # Validated first: build_schedules assumes a positive dt and horizon.
-    scen = _scenario(doc)
-    schedules = sim.build_schedules(scen, args.seed)
-    return scen, schedules, sim.run(scen, seed=args.seed, schedules=schedules)
-
-
 def cmd_run(args) -> int:
     doc = config.load_config(args.config)
-    scen, schedules, trace = _run_trace(doc, args)
+    scen = config.build_scenario(doc)
+    trace = sim.run(scen, seed=args.seed)
     outputs = doc.get("outputs", {})
     os.makedirs(args.out, exist_ok=True)
 
@@ -98,7 +92,7 @@ def cmd_run(args) -> int:
     if "audit_csv" in outputs:
         sim.export_audit_csv(trace, dest(outputs["audit_csv"]))
     if "schedule_csv" in outputs:
-        export_schedule_csv(schedules, dest(outputs["schedule_csv"]))
+        export_schedule_csv(trace.schedules, dest(outputs["schedule_csv"]))
     if "sidecar_json" in outputs:
         sim.export_trace_sidecar(trace, scen, dest(outputs["sidecar_json"]))
     if "svg" in outputs:
@@ -130,7 +124,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    scen, _, trace = _run_trace(config.load_config(args.config), args)
+    scen = config.build_scenario(config.load_config(args.config))
+    trace = sim.run(scen, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     cert = analysis.containment_certificate(scen.topo)
     summary = {
@@ -156,11 +151,11 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    handler = {"validate": cmd_validate, "run": cmd_run,
-               "sweep": cmd_sweep, "report": cmd_report}[args.command]
+    handlers = {"validate": cmd_validate, "run": cmd_run,
+                "sweep": cmd_sweep, "report": cmd_report}
     try:
-        return handler(args)
+        args = _parser().parse_args(argv)
+        return handlers[args.command](args)
     except ValueError as exc:       # every input-error class subclasses it
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

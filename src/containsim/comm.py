@@ -73,10 +73,11 @@ def to_ticks(seconds, dt: float, what: str, error=ValueError) -> np.ndarray:
 
 def period_ticks(T: float, dt: float, t_end: float, error=ValueError) -> int:
     """Ticks of dt per sampling period T; raises error unless dt and the
-    horizon t_end are positive and dt divides T."""
+    horizon t_end are positive and dt divides both T and t_end."""
     for key, val in (("sim.dt_seconds", dt), ("sim.t_end_seconds", t_end)):
         if not val > 0:
             raise error(f"{key} must be > 0, got {val!r}")
+    to_ticks(t_end, dt, "sim.t_end_seconds", error)
     return int(to_ticks(T, dt, "the sampling period T", error))
 
 

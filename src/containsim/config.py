@@ -40,20 +40,19 @@ def _check_keys(doc: dict, where: str, required: set, optional: set = frozenset(
 
 
 def load_bundled(name: str) -> dict:
-    """Load and validate one of the scenario documents shipped with the
-    package (for example ``"benchmark_fullstate"``)."""
+    """Parse one of the scenario documents shipped with the package (for
+    example ``"benchmark_fullstate"``); the builders validate it."""
     resource = importlib.resources.files("containsim").joinpath(
         f"scenarios/{name}.json")
     try:
         text = resource.read_text()
     except FileNotFoundError as exc:
         raise ConfigError(f"no bundled scenario named {name!r}") from exc
-    doc = json.loads(text)
-    validate_config(doc)
-    return doc
+    return json.loads(text)
 
 
 def load_config(path: str) -> dict:
+    """Parse a JSON config file; the builders validate it."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -61,7 +60,6 @@ def load_config(path: str) -> dict:
         raise ConfigError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    validate_config(doc)
     return doc
 
 

@@ -95,6 +95,7 @@ class Trace:
     audit: list = field(default_factory=list)
     used_seq: np.ndarray | None = None       # (K+1, E) seq in mailbox per edge
     edges: list = field(default_factory=list)
+    schedules: dict = field(default_factory=dict)  # edge -> LinkSchedule used
     meta: dict = field(default_factory=dict)
 
     @property
@@ -226,18 +227,19 @@ def build_schedules(scen: Scenario, seed: int | None = None
 
 
 def run(scen: Scenario, seed: int | None = None,
-        schedules: dict[tuple[int, int], LinkSchedule] | None = None,
-        dt: float | None = None) -> Trace:
-    """Integrate the closed loop; deterministic given (scenario, seed).
+        schedules: dict[tuple[int, int], LinkSchedule] | None = None
+        ) -> Trace:
+    """Validate the scenario, then integrate the closed loop at its step
+    ``scen.dt``; deterministic given (scenario, seed).
 
-    A prebuilt schedule set may be injected (e.g. to rerun the same message
-    pattern at a finer step); otherwise schedules are generated from the
-    comm config with the given seed override.  Injected delays must be whole
-    ticks of dt.
+    A prebuilt schedule set may be injected, e.g. to rerun the same messages
+    at a finer step with ``dataclasses.replace(scen, dt=scen.dt / 2)``;
+    otherwise they are generated from the comm config with the given seed
+    override.  Injected delays must be whole ticks of dt.  The run's
+    schedules are on ``Trace.schedules``.
     """
     ctrl = scen.validate()
-    dt = scen.dt if dt is None else dt
-    topo = scen.topo
+    dt, topo = scen.dt, scen.topo
     m, N = topo.m, scen.N
     W = containment_weights(partition(topo)).W
     if schedules is None:
@@ -284,7 +286,7 @@ def run(scen: Scenario, seed: int | None = None,
                  gamma=gamma, internals=dict(zip(names, ints)),
                  err_pos=trace_p[:, :m] - W @ trace_p[:, m:],
                  err_vel=trace_v[:, :m] - W @ trace_v[:, m:],
-                 hull_dist=hull, W=W, m=m,
+                 hull_dist=hull, W=W, m=m, schedules=schedules,
                  audit=eng.audit(), used_seq=used_seq, edges=eng.edges,
                  meta={"label": scen.label, "dt": dt, "t_end": scen.t_end,
                        "seed": seed if seed is not None else scen.comm.seed,

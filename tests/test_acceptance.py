@@ -216,7 +216,8 @@ def test_criterion_8_determinism_and_convergence():
 
     schedules = sim.build_schedules(scen, seed=11)
     coarse = sim.run(scen, schedules=schedules)
-    fine = sim.run(scen, schedules=schedules, dt=scen.dt / 2)
+    fine = sim.run(dataclasses.replace(scen, dt=scen.dt / 2),
+                   schedules=schedules)
     delta = abs(float(coarse.err_pos_norm[-1]) - float(fine.err_pos_norm[-1]))
     ok = identical and delta < 1e-6
     _report(8, ok, f"identical-seed CSV byte-identical: {identical}; "

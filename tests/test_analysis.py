@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,21 @@ class TestCascadeDynamics:
             single_follower_cfg(k_eta=-1.0).validate()
         with pytest.raises(CascadeError):
             simulate_cascade(single_follower_cfg(dt=0.003))
+
+    @pytest.mark.parametrize("key, change", [
+        ("cascade.alpha", {"alpha": 1.5}),
+        ("cascade.h", {"h": (1.0, 2.0)}),
+        ("cascade.k_eta", {"k_eta": -1.0}),
+        ("cascade.h", {"h": (0.0,)}),
+        ("cascade.leader_drive", {"leader_drive": []}),
+        ("cascade.phi2", {"phi2": [Perturbation(), Perturbation()]}),
+        ("cascade.initial.eta", {"eta0": np.zeros((2, 2))}),
+        ("cascade.initial.zeta", {"zeta0": np.zeros((1, 2, 1))}),
+        ("sim.t_end_seconds", {"t_end": 10.0025}),
+    ])
+    def test_validation_errors_name_the_config_key(self, key, change):
+        with pytest.raises(CascadeError, match=re.escape(key)):
+            single_follower_cfg(**change).validate()
 
     @pytest.mark.parametrize("value", [0.0, -0.025])
     @pytest.mark.parametrize("field, key", [("dt", "sim.dt_seconds"),

@@ -1,3 +1,4 @@
+import collections
 import copy
 import json
 import os
@@ -40,8 +41,15 @@ def edit(section, **values):
 S1_PLUS_I = edit("agents.model", S1=[[1.0, 0.0], [0.0, 1.0]])
 
 
+NO_CONFIG = "no --config"
+OFF_GRID_HORIZON = edit("sim", t_end_seconds=2.005)
+
+
 def exit_case_args(tmp_path, command, scenario, change, out_under_file):
-    """The argv of one exit-code case; scenario None names a missing file."""
+    """The argv of one exit-code case; scenario None names a missing file,
+    and NO_CONFIG leaves out the required --config."""
+    if scenario == NO_CONFIG:
+        return [command]
     if scenario is None:
         return [command, "--config", str(tmp_path / "nope.json")]
     doc = copy.deepcopy(load_scenario_doc(scenario))
@@ -60,15 +68,18 @@ def exit_case_args(tmp_path, command, scenario, change, out_under_file):
 EXIT_CASES = [
     pytest.param("validate", None, None, False, 1, "config error:",
                  r"No such file", id="validate-missing_config"),
+    pytest.param("run", NO_CONFIG, None, False, 1, "config error:",
+                 r"required: --config", id="run-no_config_argument"),
     pytest.param("sweep", "cascade_estimates", edit("cascade", alpha=2),
-                 False, 1, "config error:", r"alpha must be in \[0, 1\]",
-                 id="sweep-alpha_2"),
+                 False, 1, "config error:",
+                 r"cascade\.alpha must be in \[0, 1\]", id="sweep-alpha_2"),
     pytest.param("sweep", "cascade_estimates",
                  edit("comm", T_star_seconds=0.2, delay_max_seconds=0.1),
                  False, 1, "config error:", r"T_star must be >= T",
                  id="sweep-T_star_below_T"),
     pytest.param("sweep", "cascade_estimates", edit("cascade", h=[2.0]),
-                 False, 1, "config error:", r"one lag rate per chain layer",
+                 False, 1, "config error:",
+                 r"cascade\.h: need one lag rate per chain layer",
                  id="sweep-one_lag_rate_for_sigma_2"),
     pytest.param("sweep", "cascade_estimates", edit("sim", dt_seconds=0.03),
                  False, 1, "config error:", r"dt must divide",
@@ -86,6 +97,12 @@ EXIT_CASES = [
     pytest.param("sweep", "cascade_estimates",
                  edit("sim", dt_seconds=-0.025), False, 1, "config error:",
                  r"sim\.dt_seconds must be > 0", id="sweep-negative_dt"),
+    *(pytest.param(command, scenario, OFF_GRID_HORIZON, False, 1,
+                   "config error:", r"dt must divide sim\.t_end_seconds",
+                   id=f"{command}-off_grid_horizon")
+      for command, scenario in (("validate", "benchmark_fullstate"),
+                                ("run", "benchmark_fullstate"),
+                                ("sweep", "cascade_estimates"))),
     pytest.param("validate", "oscillator_harmonic", S1_PLUS_I, False, 1,
                  "config error:", r"pure-imaginary, semi-simple spectrum",
                  id="validate-oscillator_S1_plus_I"),
@@ -114,6 +131,46 @@ def test_exit_code_matrix(tmp_path, capsys, command, scenario, change,
     err = capsys.readouterr().err
     assert err.startswith(prefix) and re.search(message, err)
     assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def counting(monkeypatch, owner, name, calls):
+    """Wrap owner.name so each call appends name to calls."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("command, scenario, expected", [
+    (command, "benchmark_fullstate",
+     {"validate_config": 1, "validate": 1, "make_controller": 1})
+    for command in ("validate", "run", "report")] + [
+    ("sweep", "cascade_estimates", {"validate_config": 1}),
+])
+def test_each_check_runs_once(tmp_path, capsys, monkeypatch, command,
+                              scenario, expected):
+    calls = []
+    counting(monkeypatch, config, "validate_config", calls)
+    counting(monkeypatch, sim.Scenario, "validate", calls)
+    counting(monkeypatch, sim, "make_controller", calls)
+    doc = copy.deepcopy(load_scenario_doc(scenario))
+    doc["sim"]["t_end_seconds"] = 2.0
+    rc = cli.main([command, "--config", write_doc(tmp_path, doc),
+                   "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    # A 2 s sweep may fail its trend check (exit 1) after running in full.
+    assert rc == 0 or (command == "sweep" and "monotone trends:" in out)
+    assert collections.Counter(calls) == expected
 
 
 def test_bundled_oscillator_passes_the_spectrum_check(tmp_path, capsys):

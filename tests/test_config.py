@@ -89,6 +89,15 @@ class TestStrictness:
         with pytest.raises(ConfigError):
             config.load_config(str(tmp_path))
 
+    def test_loading_leaves_validation_to_the_builders(self, tmp_path):
+        doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
+        doc["comm"]["bogus"] = 1
+        path = tmp_path / "bogus.json"
+        path.write_text(json.dumps(doc))
+        assert config.load_config(str(path)) == doc
+        with pytest.raises(ConfigError, match="unknown keys"):
+            config.build_scenario(doc)
+
     def test_load_roundtrip(self, tmp_path):
         doc = load_scenario_doc("benchmark_fullstate")
         path = tmp_path / "ok.json"

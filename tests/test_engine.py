@@ -74,7 +74,7 @@ def test_injected_delay_off_the_tick_grid_rejected():
     with pytest.raises(ScenarioError, match="delay"):
         sim.run(scen, schedules=schedules)
     # The same delay is a whole number of ticks of the halved step.
-    sim.run(scen, schedules=schedules, dt=scen.dt / 2)
+    sim.run(dataclasses.replace(scen, dt=scen.dt / 2), schedules=schedules)
 
 
 def test_cascade_rejects_delay_off_the_tick_grid():

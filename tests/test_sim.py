@@ -265,6 +265,11 @@ class TestRunLoop:
         with pytest.raises(ScenarioError, match=f"{key} must be > 0"):
             tiny_scenario(**{field: value}).validate()
 
+    def test_horizon_off_the_step_grid_rejected(self):
+        with pytest.raises(ScenarioError,
+                           match=r"dt must divide sim\.t_end_seconds"):
+            tiny_scenario(t_end=1.005).validate()
+
     @pytest.mark.parametrize("S1", [[[1.0, 0.0], [0.0, 1.0]],     # real
                                     [[0.0, 0.0], [0.0, 0.0]]])    # Jordan
     def test_oscillator_spectrum_checked(self, S1):
@@ -361,7 +366,8 @@ class TestConvergenceOrder:
         scen = config.build_scenario(doc)
         schedules = build_schedules(scen, seed=2)
         coarse = sim.run(scen, schedules=schedules)
-        fine = sim.run(scen, schedules=schedules, dt=scen.dt / 2)
+        fine = sim.run(dataclasses.replace(scen, dt=scen.dt / 2),
+                       schedules=schedules)
         assert abs(coarse.err_pos_norm[-1] - fine.err_pos_norm[-1]) < 1e-6
 
     def test_injected_schedules_override_seed(self):
@@ -373,3 +379,5 @@ class TestConvergenceOrder:
         a = sim.run(scen, schedules=schedules)
         b = sim.run(scen, seed=123)
         assert np.array_equal(a.p, b.p)
+        assert a.schedules is schedules
+        assert sorted(b.schedules) == sorted(schedules)
