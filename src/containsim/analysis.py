@@ -10,10 +10,19 @@ the transmitted eta, the cascade right-hand side and what it records.  It
 also evaluates explicit exponential-plus-sup bounds on the deviation from the
 leader convex combination, and runs the gain / blackout sweeps used to
 certify robustness trends.
+
+``simulate_cascades`` integrates a batch of configs that share their
+topology, signals and time grid as one engine run on the disjoint union of
+B copies of the topology (``topology.disjoint_union``), with per-row gains
+and per-copy schedules; every copy's trace equals its run alone, to the
+bit.  ``simulate_cascade`` is the batch of one, and each sweep is one batch.
+The exogenous signals are tabulated once per run, at the distinct times the
+engine evaluates the right-hand side (``engine.stage_times``).
 """
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,9 +30,9 @@ import numpy as np
 from .comm import CommConfig, LinkSchedule, generate_schedule, \
     period_ticks
 from .control import NeighborView
-from .engine import Engine
-from .topology import DirectedTopology, containment_weights, partition, \
-    validate_assumption1
+from .engine import DivergenceError, Engine, stage_times
+from .topology import DirectedTopology, containment_weights, \
+    disjoint_union, partition, union_rows, validate_assumption1
 
 ISS_REL_TOL = 1e-6
 
@@ -48,12 +57,15 @@ class Perturbation:
         object.__setattr__(self, "amplitude",
                            np.atleast_1d(np.asarray(self.amplitude, float)))
 
-    def value(self, t: float) -> np.ndarray:
+    def value(self, t) -> np.ndarray:
+        """The signal at time t, shaped like the amplitude; for an array of
+        times, one such row per time."""
         a = self.amplitude
+        t = np.asarray(t, float)[..., None]
         if self.kind == "zero":
-            return np.zeros_like(a)
+            return np.zeros(t.shape[:-1] + a.shape)
         if self.kind == "constant":
-            return a.copy()
+            return np.tile(a, t.shape)
         if self.kind == "sinusoid":
             return a * np.sin(self.omega * t + self.phase)
         return a * np.exp(-self.rate * t)
@@ -151,77 +163,178 @@ class CascadeTrace:
             err.reshape(err.shape[0], -1), axis=1)))
 
 
+# Fields in which the copies of one batch may differ; comm only outside T.
+BATCH_FIELDS = ("k_eta", "h", "comm", "eta0", "zeta0")
+
+
 def simulate_cascade(cfg: CascadeConfig, seed: int | None = None,
                      schedules: dict[tuple[int, int], LinkSchedule] | None
                      = None) -> CascadeTrace:
-    """Fixed-step RK4 integration of the cascade skeleton.
+    """Fixed-step RK4 integration of the cascade skeleton: the batch of one.
+
+    seed overrides the comm seed; a prebuilt schedule set, keyed by edge,
+    may be injected instead, with delays on the tick grid of cfg.dt.
+    """
+    return _integrate([cfg], seed, schedules)[0]
+
+
+def simulate_cascades(cfgs: list[CascadeConfig], seed: int | None = None
+                      ) -> list[CascadeTrace]:
+    """Integrate a batch of cascade configs as one run; one trace each.
+
+    The copies may differ in the fields BATCH_FIELDS names, except the
+    sampling period comm.T, and must be equal in every other field.  Each
+    trace equals, to the bit, the trace of its config run alone.  seed
+    overrides the comm seed of every copy.
+    """
+    return _integrate(cfgs, seed, None)
+
+
+def _equal(a, b) -> bool:
+    """Equality through dataclasses, sequences and arrays."""
+    if a is b:
+        return True
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _equal(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return isinstance(b, (list, tuple)) and len(a) == len(b) and \
+            all(map(_equal, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def _check_batch(cfgs: list[CascadeConfig]) -> None:
+    if not cfgs:
+        raise CascadeError("cascade batch: no configs")
+    for cfg in cfgs:
+        cfg.validate()
+    base = cfgs[0]
+    for cfg in cfgs[1:]:
+        if cfg.comm.T != base.comm.T:
+            raise CascadeError("cascade batch: comm.T differs")
+        for f in dataclasses.fields(CascadeConfig):
+            if f.name not in BATCH_FIELDS and not _equal(
+                    getattr(cfg, f.name), getattr(base, f.name)):
+                raise CascadeError(f"cascade batch: {f.name} differs")
+
+
+class _BatchSchedules(Mapping):
+    """The link schedules of a batch's disjoint union, keyed by union edge.
+
+    Each schedule is generated from its copy's comm config when it is read,
+    so the engine, which reads each edge once, never holds them all.
+    """
+
+    def __init__(self, cfg: CascadeConfig, comms: list[CommConfig]):
+        self.t_end, self.dt = cfg.t_end, cfg.dt
+        rows = union_rows(cfg.topo, len(comms))
+        self.links = {(int(r[j]), int(r[i])): (comm, (j, i))
+                      for r, comm in zip(rows, comms)
+                      for j, i in cfg.topo.edges()}
+
+    def __getitem__(self, edge):
+        comm, local = self.links[edge]
+        return generate_schedule(local, comm, self.t_end, self.dt)
+
+    def __iter__(self):
+        return iter(self.links)
+
+    def __len__(self):
+        return len(self.links)
+
+
+def _columns(vals: np.ndarray, N: int) -> np.ndarray:
+    """Signal rows (..., len(amplitude)) as (..., N): a vector amplitude of
+    length N as is, any other amplitude by its first entry."""
+    return np.broadcast_to(vals if vals.shape[-1] == N else vals[..., :1],
+                           vals.shape[:-1] + (N,))
+
+
+def _integrate(cfgs: list[CascadeConfig], seed: int | None,
+               schedules) -> list[CascadeTrace]:
+    """One engine run over the disjoint union of the batch's topology.
 
     Each agent transmits its eta at every sample instant; the sampled average
     eps is the engine's neighbor view averaged once per step and held for the
     step, so the right-hand side is smooth inside every integration step.
     Before the first delivery on all of a follower's in-edges the average
-    falls back to the follower's initial eta.  An eta or zeta row leaving
-    the engine's range raises ``engine.DivergenceError``.
+    falls back to the follower's initial eta.  The exogenous signals are
+    tabulated once at every time the engine evaluates the right-hand side.
+    An eta or zeta row leaving the engine's range raises
+    ``engine.DivergenceError`` naming the copy and its local agent.
     """
-    cfg.validate()
-    topo = cfg.topo
-    m, N = topo.m, cfg.N
-    W = containment_weights(partition(topo)).W
-    comm = cfg.comm if seed is None else dataclasses.replace(cfg.comm,
-                                                             seed=seed)
+    _check_batch(cfgs)
     if schedules is None:
-        schedules = {edge: generate_schedule(edge, comm, cfg.t_end, cfg.dt)
-                     for edge in topo.edges()}
-    eng = Engine(schedules, topo.weights, comm.T, cfg.dt, cfg.t_end,
-                 cfg.eta0[:m], CascadeError)
+        schedules = _BatchSchedules(cfgs[0], [
+            c.comm if seed is None else dataclasses.replace(c.comm, seed=seed)
+            for c in cfgs])
+    cfg, B = cfgs[0], len(cfgs)
+    topo, N, sigma = cfg.topo, cfg.N, cfg.sigma
+    m, n_lead = topo.m, topo.n - topo.m
+    Bm = B * m
+    W = containment_weights(partition(topo)).W
+    rows = union_rows(topo, B)
+    eta0 = np.empty((B * topo.n, N))
+    for r, c in zip(rows, cfgs):
+        eta0[r] = c.eta0
+    zeta0 = np.concatenate([c.zeta0 for c in cfgs])
+    neg_k = -np.repeat([c.k_eta for c in cfgs], m)[:, None]
+    neg_h = -np.repeat(np.array([c.h for c in cfgs], float), m, axis=0)
+    eng = Engine(schedules, disjoint_union(topo, B).weights, cfg.comm.T,
+                 cfg.dt, cfg.t_end, eta0[:Bm], CascadeError)
     K = eng.K
-    h = np.asarray(cfg.h, float)
-    phi2 = cfg.phi2 or [Perturbation() for _ in range(cfg.sigma)]
 
-    tr_eps = np.empty((K + 1, m, N))
-    tr_eta_c = np.empty((K + 1, m, N))
-    tr_deta_c = np.empty((K + 1, m, N))
-    tr_phi1 = np.empty((K + 1, m, N))
-    tr_phi2 = np.empty((K + 1, m, cfg.sigma, N))
-
-    def broadcast(vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(N)
-        out[:] = vec if vec.shape[0] == N else vec[0]
-        return out
-
-    def drives(t: float) -> np.ndarray:
-        return np.stack([broadcast(d.value(t)) for d in cfg.leader_drive])
+    times, inverse = np.unique(stage_times(K, cfg.dt), return_inverse=True)
+    row = dict(zip(times.tolist(), range(len(times))))
+    phi2 = cfg.phi2 or [Perturbation() for _ in range(sigma)]
+    phi1_tab = _columns(cfg.phi1.value(times), N)
+    phi2_tab = np.stack([_columns(p.value(times), N) for p in phi2], axis=1)
+    drive_tab = np.stack([_columns(d.value(times), N)
+                          for d in cfg.leader_drive], axis=1)
+    tr_eps = np.empty((K + 1, Bm, N))
 
     def rhs(t, y, eps):
         eta_s, zeta_s = y
-        phi1_v = broadcast(cfg.phi1.value(t))
+        r = row[t]
         delta = cfg.alpha * zeta_s[:, 0] + (1.0 - cfg.alpha) * eps
-        deta = np.empty_like(eta_s)
-        deta[:m] = -cfg.k_eta * (eta_s[:m] - delta) + phi1_v
-        deta[m:] = drives(t)
+        deta = np.empty(eta_s.shape)   # C order, so the reshape is a view
+        deta[:Bm] = neg_k * (eta_s[:Bm] - delta) + phi1_tab[r]
+        deta[Bm:].reshape(B, n_lead, N)[:] = drive_tab[r]
         dzeta = np.empty_like(zeta_s)
-        for ell in range(cfg.sigma):
-            feed = zeta_s[:, ell + 1] if ell + 1 < cfg.sigma else eps
-            dzeta[:, ell] = -h[ell] * (zeta_s[:, ell] - feed) \
-                + broadcast(phi2[ell].value(t))
+        for ell in range(sigma):
+            feed = zeta_s[:, ell + 1] if ell + 1 < sigma else eps
+            dzeta[:, ell] = neg_h[:, ell, None] * (zeta_s[:, ell] - feed) \
+                + phi2_tab[r, ell]
         return [deta, dzeta], None
 
     def record(k, y, eps, _):
-        t = k * cfg.dt
         tr_eps[k] = eps
-        tr_eta_c[k] = W @ y[0][m:]
-        tr_deta_c[k] = W @ drives(t)
-        tr_phi1[k] = broadcast(cfg.phi1.value(t))
-        for ell in range(cfg.sigma):
-            tr_phi2[k, :, ell] = broadcast(phi2[ell].value(t))
 
-    (tr_eta, tr_zeta), _ = eng.run(
-        [cfg.eta0.copy(), cfg.zeta0.copy()], lambda y: y[0], rhs, record,
-        ("eta", "zeta"), freeze=NeighborView.p_avg)
-    return CascadeTrace(times=np.arange(K + 1) * cfg.dt, eta=tr_eta,
-                        zeta=tr_zeta, eps=tr_eps, eta_c=tr_eta_c,
-                        deta_c=tr_deta_c, phi1_vals=tr_phi1,
-                        phi2_vals=tr_phi2, cfg=cfg)
+    try:
+        tr_eta, tr_zeta = eng.run([eta0, zeta0], lambda y: y[0], rhs,
+                                  record, ("eta", "zeta"),
+                                  freeze=NeighborView.p_avg)
+    except DivergenceError as exc:
+        copy, agent = np.argwhere(rows == exc.agent)[0].tolist()
+        raise DivergenceError(exc.t, agent, exc.variable, exc.last_norm,
+                              copy if B > 1 else None) from None
+
+    step = inverse[:K + 1]              # the table rows of the times k * dt
+    deta_c = W @ drive_tab[step]
+    deta_c.flags.writeable = False
+    phi1_vals = np.broadcast_to(phi1_tab[step][:, None], (K + 1, m, N))
+    phi2_vals = np.broadcast_to(phi2_tab[step][:, None],
+                                (K + 1, m, sigma, N))
+    eta_c = W @ tr_eta[:, Bm:].reshape(K + 1, B, n_lead, N)
+    return [CascadeTrace(times=np.arange(K + 1) * cfg.dt, eta=tr_eta[:, r],
+                         zeta=tr_zeta[:, b * m:(b + 1) * m],
+                         eps=tr_eps[:, b * m:(b + 1) * m], eta_c=eta_c[:, b],
+                         deta_c=deta_c, phi1_vals=phi1_vals,
+                         phi2_vals=phi2_vals, cfg=c)
+            for b, (r, c) in enumerate(zip(rows, cfgs))]
 
 
 # ---------------------------------------------------------------------------
@@ -310,23 +423,34 @@ def iss_estimate_check(trace: CascadeTrace,
 def run_gain_sweep(base: CascadeConfig, multipliers=(1.0, 2.0, 4.0),
                    seed: int | None = None) -> list[float]:
     """Steady deviation bound as all loop rates are scaled up together."""
-    out = []
-    for g in multipliers:
-        cfg = dataclasses.replace(
-            base, k_eta=base.k_eta * g, h=tuple(r * g for r in base.h))
-        out.append(simulate_cascade(cfg, seed=seed).steady_bound())
-    return out
+    return run_sweeps(base, multipliers, (), seed)[0]
 
 
 def run_blackout_sweep(base: CascadeConfig, t_stars=(0.5, 1.0, 1.5),
                        seed: int | None = None) -> list[float]:
     """Steady deviation bound as the blackout bound T_star is tightened."""
-    out = []
-    for ts in t_stars:
-        comm = dataclasses.replace(base.comm, T_star=ts)
-        cfg = dataclasses.replace(base, comm=comm)
-        out.append(simulate_cascade(cfg, seed=seed).steady_bound())
-    return out
+    return run_sweeps(base, (), t_stars, seed)[1]
+
+
+def run_sweeps(base: CascadeConfig, multipliers=(1.0, 2.0, 4.0),
+               t_stars=(0.5, 1.0, 1.5), seed: int | None = None
+               ) -> tuple[list[float], list[float]]:
+    """The gain and the blackout sweep, each config that appears in both
+    (such as the base itself) integrated once, all in one batch."""
+    cfgs = [dataclasses.replace(base, k_eta=base.k_eta * g,
+                                h=tuple(r * g for r in base.h))
+            for g in multipliers]
+    cfgs += [dataclasses.replace(base, comm=dataclasses.replace(
+        base.comm, T_star=ts)) for ts in t_stars]
+    distinct = []
+    for cfg in cfgs:
+        if not any(_equal(cfg, d) for d in distinct):
+            distinct.append(cfg)
+    bounds = [tr.steady_bound() for tr in simulate_cascades(distinct, seed)] \
+        if distinct else []
+    out = [next(b for d, b in zip(distinct, bounds) if _equal(cfg, d))
+           for cfg in cfgs]
+    return out[:len(multipliers)], out[len(multipliers):]
 
 
 # ---------------------------------------------------------------------------

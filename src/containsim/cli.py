@@ -16,6 +16,7 @@ codes, with one line on stderr and no traceback:
      an oscillator spectrum off the imaginary axis or not semi-simple, a
      follower no leader reaches.  A failed certificate or trend also gives 1.
   2  "runtime error:" for a DivergenceError naming the agent and variable
+     (for sweep, also the copy of its one batch of distinct configs)
   3  "output error:" for an OSError while writing the outputs
 """
 from __future__ import annotations
@@ -107,14 +108,12 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cas = config.build_cascade(config.load_config(args.config))
-    seed = args.seed
-    gains = analysis.run_gain_sweep(cas, seed=seed)
-    print("gain sweep (x1, x2, x4):",
-          " ".join(f"{g:.6e}" for g in gains))
     t_stars = (0.5, 1.0, 1.5)
     valid = [ts for ts in t_stars
              if ts >= cas.comm.T and cas.comm.delay_max < ts]
-    blackout = analysis.run_blackout_sweep(cas, t_stars=valid, seed=seed)
+    gains, blackout = analysis.run_sweeps(cas, t_stars=valid, seed=args.seed)
+    print("gain sweep (x1, x2, x4):",
+          " ".join(f"{g:.6e}" for g in gains))
     print("blackout sweep (" + ", ".join(f"T*={ts:g}" for ts in valid) + "):",
           " ".join(f"{b:.6e}" for b in blackout))
     ok = all(a >= b - 1e-12 for a, b in zip(gains, gains[1:])) and \

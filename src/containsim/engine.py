@@ -8,11 +8,13 @@ delay that is not a whole number of ticks is rejected.  The mailbox is one
 int array holding the freshest delivered seq per edge (-1 while nothing has
 arrived).  Payloads are captured once per sender at the send ticks, so the
 messages in use are one fancy index into that history.  The neighbor view
-they form is frozen for the four stages of a classical RK4 step.
+they form is frozen for the four stages of a classical RK4 step, and kept
+over the ticks where nothing arrives.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -27,16 +29,19 @@ class DivergenceError(RuntimeError):
 
     agent is the row of the first offending agent, variable names the state
     array, and last_norm is the norm of that agent's row of that array at the
-    last step where it was in range.
+    last step where it was in range.  In a batch of runs, copy is the index
+    of the run that diverged and agent its row in that run; copy is None
+    for a single run.
     """
 
     def __init__(self, t: float, agent: int, variable: str,
-                 last_norm: float):
+                 last_norm: float, copy: int | None = None):
+        where = "" if copy is None else f" in batch copy {copy}"
         super().__init__(f"non-finite or diverging {variable} of agent "
                          f"{agent} at t={t:.6g} (last finite norm "
-                         f"{last_norm:.6g})")
+                         f"{last_norm:.6g}){where}")
         self.t, self.agent, self.variable = t, agent, variable
-        self.last_norm = last_norm
+        self.last_norm, self.copy = last_norm, copy
 
 
 def _divergence(t: float, y: list, prev: list, names) -> DivergenceError:
@@ -49,6 +54,14 @@ def _divergence(t: float, y: list, prev: list, names) -> DivergenceError:
             agent = int(np.argmax(bad))
             return DivergenceError(t, agent, variable,
                                    float(np.linalg.norm(b[agent])))
+
+
+def stage_times(K: int, dt: float) -> np.ndarray:
+    """Every time Engine.run passes to rhs over ticks 0..K: each k * dt,
+    then rk4_step's stage times t + dt / 2 and t + dt for k < K, in the
+    same floating-point arithmetic (t + dt is not always (k + 1) * dt)."""
+    t = np.arange(K + 1) * dt
+    return np.concatenate((t, t[:-1] + dt / 2, t[:-1] + dt))
 
 
 def rk4_step(rhs, t: float, h: float, y: list, u, k1: list) -> list:
@@ -72,7 +85,7 @@ class Engine:
     not fit the tick grid.
     """
 
-    def __init__(self, schedules: dict[tuple[int, int], LinkSchedule],
+    def __init__(self, schedules: Mapping[tuple[int, int], LinkSchedule],
                  weights: np.ndarray, T: float, dt: float, t_end: float,
                  fallback: np.ndarray, error=ValueError):
         self.T, self.dt, self.fallback = T, dt, fallback
@@ -82,12 +95,18 @@ class Engine:
         self.edges = sorted(schedules)
         self.src, self.dst = np.array(self.edges, dtype=int).reshape(-1, 2).T
         self.w = weights[self.dst, self.src]
-        rows = np.array([(e, ev.seq, ev.send_time, ev.delay)
-                         for e, edge in enumerate(self.edges)
-                         for ev in schedules[edge].events
-                         if ev.delay != math.inf], dtype=float).reshape(-1, 4)
-        edge, seq = rows[:, 0].astype(int), rows[:, 1].astype(int)
-        send, delay = rows[:, 2], rows[:, 3]
+        # One edge's events at a time, so a schedules mapping that builds
+        # each schedule when it is read never holds them all.
+        edge, seq, send, delay = [], [], [], []
+        for e, key in enumerate(self.edges):
+            events = [ev for ev in schedules[key].events
+                      if ev.delay != math.inf]
+            edge += [e] * len(events)
+            seq += [ev.seq for ev in events]
+            send += [ev.send_time for ev in events]
+            delay += [ev.delay for ev in events]
+        edge, seq = np.array(edge, dtype=int), np.array(seq, dtype=int)
+        send, delay = np.array(send, dtype=float), np.array(delay, dtype=float)
         if np.any(to_ticks(send, dt, "every send time", error)
                   != seq * self.steps_per_T) or np.any(delay < 0):
             raise error("link messages must be sent at seq*T and have "
@@ -131,15 +150,16 @@ class Engine:
         At each tick: capture payload(y) if it is a send tick, deliver the
         arrivals, build the view (turned into the held input by freeze, if
         given), evaluate rhs(t, y, u) -> (dy, out), call
-        record(k, y, u, out), then take one RK4 step.  watch names the
-        leading state arrays that must stay in range; the first to leave it
-        raises DivergenceError against its step-start value.  Returns the
-        state history, one (K+1, ...) array per state array, and the
-        mailbox at every tick (K+1, E).
+        record(k, y, u, out), then take one RK4 step.  A tick with no
+        arrivals keeps the previous input: the mailbox is unchanged, and
+        the payload rows it points to were captured before they arrived.
+        watch names the leading state arrays that must stay in range; the
+        first to leave it raises DivergenceError against its step-start
+        value.  Returns the state history, one (K+1, ...) array per state
+        array.
         """
-        K, dt, spT = self.K, self.dt, self.steps_per_T
+        K, dt, spT, first = self.K, self.dt, self.steps_per_T, self.first
         states = [np.empty((K + 1,) + a.shape) for a in y]
-        used_seq = np.empty((K + 1, len(self.edges)), dtype=int)
         for k in range(K + 1):
             t = k * dt
             if k % spT == 0:
@@ -147,11 +167,11 @@ class Engine:
                 if k == 0:
                     hist = np.empty((K // spT + 1,) + sample.shape)
                 hist[k // spT] = sample
-            self.deliver(k)
-            used_seq[k] = self.box
-            u = self.view(hist)
-            if freeze is not None:
-                u = freeze(u)
+            if k == 0 or first[k] < first[k + 1]:
+                self.deliver(k)
+                u = self.view(hist)
+                if freeze is not None:
+                    u = freeze(u)
             dy, out = rhs(t, y, u)
             for rec, a in zip(states, y):
                 rec[k] = a
@@ -163,4 +183,4 @@ class Engine:
             if not all(np.all(np.abs(a) <= DIVERGENCE_LIMIT)
                        for a in y[:len(watch)]):
                 raise _divergence(t + dt, y, start, watch)
-        return states, used_seq
+        return states

@@ -252,6 +252,7 @@ def run(scen: Scenario, seed: int | None = None,
     internals = ctrl.init_internals(scen.p0[:m], scen.v0[:m])
     names = list(internals)
     gamma = np.empty((K + 1, m, N))
+    used_seq = np.empty((K + 1, len(eng.edges)), dtype=int)
 
     def payload(y):
         # Followers transmit their velocity estimate, leaders their velocity.
@@ -272,8 +273,9 @@ def run(scen: Scenario, seed: int | None = None,
 
     def record(k, y, view, out):
         gamma[k] = out.gamma
+        used_seq[k] = eng.box
 
-    (trace_p, trace_v, *ints), used_seq = eng.run(
+    trace_p, trace_v, *ints = eng.run(
         [scen.p0.copy(), scen.v0.copy(), *internals.values()],
         payload, rhs, record, ("p", "v"))
 

@@ -1,24 +1,113 @@
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from containsim.analysis import (
+    BATCH_FIELDS,
     CascadeConfig,
     CascadeError,
+    CascadeTrace,
     Perturbation,
     containment_certificate,
     iss_estimate_check,
     make_pair_grid,
     run_blackout_sweep,
     run_gain_sweep,
+    run_sweeps,
     simulate_cascade,
+    simulate_cascades,
 )
-from containsim.comm import CommConfig
-from containsim.engine import DivergenceError
-from containsim.topology import DirectedTopology
+from containsim.comm import CommConfig, generate_schedule
+from containsim.control import NeighborView
+from containsim.engine import DivergenceError, Engine, stage_times
+from containsim.topology import DirectedTopology, containment_weights, \
+    partition
 from conftest import bench_topology
+
+TRACE_FIELDS = ("eta", "zeta", "eps", "eta_c", "deta_c", "phi1_vals",
+                "phi2_vals")
+
+
+def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
+                            schedules=None) -> CascadeTrace:
+    """One cascade run, stepping every exogenous signal per stage: the
+    reference the batched, tabulated integration must equal to the bit."""
+    cfg.validate()
+    topo = cfg.topo
+    m, N = topo.m, cfg.N
+    W = containment_weights(partition(topo)).W
+    comm = cfg.comm if seed is None else dataclasses.replace(cfg.comm,
+                                                             seed=seed)
+    if schedules is None:
+        schedules = {edge: generate_schedule(edge, comm, cfg.t_end, cfg.dt)
+                     for edge in topo.edges()}
+    eng = Engine(schedules, topo.weights, comm.T, cfg.dt, cfg.t_end,
+                 cfg.eta0[:m], CascadeError)
+    K = eng.K
+    h = np.asarray(cfg.h, float)
+    phi2 = cfg.phi2 or [Perturbation() for _ in range(cfg.sigma)]
+
+    tr_eps = np.empty((K + 1, m, N))
+    tr_eta_c = np.empty((K + 1, m, N))
+    tr_deta_c = np.empty((K + 1, m, N))
+    tr_phi1 = np.empty((K + 1, m, N))
+    tr_phi2 = np.empty((K + 1, m, cfg.sigma, N))
+
+    def broadcast(vec: np.ndarray) -> np.ndarray:
+        out = np.zeros(N)
+        out[:] = vec if vec.shape[0] == N else vec[0]
+        return out
+
+    def drives(t: float) -> np.ndarray:
+        return np.stack([broadcast(d.value(t)) for d in cfg.leader_drive])
+
+    def rhs(t, y, eps):
+        eta_s, zeta_s = y
+        phi1_v = broadcast(cfg.phi1.value(t))
+        delta = cfg.alpha * zeta_s[:, 0] + (1.0 - cfg.alpha) * eps
+        deta = np.empty_like(eta_s)
+        deta[:m] = -cfg.k_eta * (eta_s[:m] - delta) + phi1_v
+        deta[m:] = drives(t)
+        dzeta = np.empty_like(zeta_s)
+        for ell in range(cfg.sigma):
+            feed = zeta_s[:, ell + 1] if ell + 1 < cfg.sigma else eps
+            dzeta[:, ell] = -h[ell] * (zeta_s[:, ell] - feed) \
+                + broadcast(phi2[ell].value(t))
+        return [deta, dzeta], None
+
+    def record(k, y, eps, _):
+        t = k * cfg.dt
+        tr_eps[k] = eps
+        tr_eta_c[k] = W @ y[0][m:]
+        tr_deta_c[k] = W @ drives(t)
+        tr_phi1[k] = broadcast(cfg.phi1.value(t))
+        for ell in range(cfg.sigma):
+            tr_phi2[k, :, ell] = broadcast(phi2[ell].value(t))
+
+    tr_eta, tr_zeta = eng.run(
+        [cfg.eta0.copy(), cfg.zeta0.copy()], lambda y: y[0], rhs, record,
+        ("eta", "zeta"), freeze=NeighborView.p_avg)
+    return CascadeTrace(times=np.arange(K + 1) * cfg.dt, eta=tr_eta,
+                        zeta=tr_zeta, eps=tr_eps, eta_c=tr_eta_c,
+                        deta_c=tr_deta_c, phi1_vals=tr_phi1,
+                        phi2_vals=tr_phi2, cfg=cfg)
+
+
+def perturbation_value_oracle(p: Perturbation, t: float) -> np.ndarray:
+    """Perturbation.value for one time, as it was before tabulation."""
+    a = p.amplitude
+    if p.kind == "zero":
+        return np.zeros_like(a)
+    if p.kind == "constant":
+        return a.copy()
+    if p.kind == "sinusoid":
+        return a * np.sin(p.omega * t + p.phase)
+    return a * np.exp(-p.rate * t)
 
 
 def perfect_comm(T=0.05):
@@ -91,6 +180,40 @@ class TestPerturbation:
     def test_unknown_kind(self):
         with pytest.raises(CascadeError):
             Perturbation(kind="brownian")
+
+    @pytest.mark.parametrize("p", [
+        Perturbation(), Perturbation(amplitude=[1.0, 2.0]),
+        Perturbation(kind="constant", amplitude=1.5),
+        Perturbation(kind="constant", amplitude=[1.5, -2.0]),
+        Perturbation(kind="sinusoid", amplitude=0.7, omega=1.3, phase=0.4),
+        Perturbation(kind="sinusoid", amplitude=[0.7, -0.2], omega=1.3,
+                     phase=0.4),
+        Perturbation(kind="decaying_exp", amplitude=2.0, rate=0.3),
+        Perturbation(kind="decaying_exp", amplitude=[2.0, 0.5], rate=0.3),
+    ], ids=lambda p: f"{p.kind}-{p.amplitude.size}")
+    def test_table_equals_value_at_every_stage_time(self, p):
+        times = stage_times(2400, 0.025)
+        table = p.value(times)
+        assert table.shape == times.shape + p.amplitude.shape
+        for t, row in zip(times.tolist(), table):
+            assert np.array_equal(row, perturbation_value_oracle(p, t))
+            assert np.array_equal(row, p.value(t))
+
+    def test_stage_times_are_the_times_rhs_sees(self):
+        # On this grid k*dt + dt differs from (k+1)*dt at 645 of 2400 ticks.
+        cfg = single_follower_cfg(dt=0.025, t_end=60.0)
+        eng = Engine({(1, 0): generate_schedule((1, 0), cfg.comm, cfg.t_end,
+                                                cfg.dt)},
+                     cfg.topo.weights, cfg.comm.T, cfg.dt, cfg.t_end,
+                     cfg.eta0[:1])
+        seen = []
+
+        def rhs(t, y, u):
+            seen.append(t)
+            return [np.zeros_like(y[0])], None
+
+        eng.run([cfg.eta0], lambda y: y[0], rhs, lambda *a: None, ())
+        assert set(seen) == set(stage_times(eng.K, cfg.dt).tolist())
 
 
 class TestCascadeDynamics:
@@ -184,6 +307,99 @@ class TestCascadeDynamics:
         assert np.array_equal(a.zeta, b.zeta)
 
 
+# Every kind of signal, with scalar and vector amplitudes.
+MIXED_SIGNALS = dict(
+    leader_drive=[Perturbation(kind="constant", amplitude=0.2),
+                  Perturbation(kind="sinusoid", amplitude=[0.1, 0.4],
+                               omega=2.0, phase=0.1),
+                  Perturbation(kind="decaying_exp", amplitude=[1.0, 2.0],
+                               rate=0.5),
+                  Perturbation()],
+    phi1=Perturbation(kind="decaying_exp", amplitude=0.3, rate=0.1),
+    phi2=[Perturbation(kind="constant", amplitude=[0.1, 0.2]),
+          Perturbation(kind="sinusoid", amplitude=-0.5, omega=0.7)])
+
+# k_eta and h multipliers, T*, delay_max / T*, drop probability, comm seed.
+COPY = st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0),
+                 st.floats(0.25, 2.0), st.floats(0.0, 0.95),
+                 st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+
+
+def _other_topology():
+    w = bench_topology().weights.copy()
+    w[0, 8] = 1.0
+    return DirectedTopology(n=10, m=6, weights=w)
+
+
+# One change per field the copies of a batch must share.
+SHARED_FIELD_CHANGES = {
+    "topo": lambda: {"topo": _other_topology()},
+    "N": lambda: {"N": 1, "eta0": np.zeros((10, 1)),
+                  "zeta0": np.zeros((6, 2, 1))},
+    "alpha": lambda: {"alpha": 0.25},
+    "sigma": lambda: {"sigma": 1, "h": (2.0,), "zeta0": np.zeros((6, 1, 2)),
+                      "phi2": [Perturbation()]},
+    "dt": lambda: {"dt": 0.0125},
+    "t_end": lambda: {"t_end": 1.0},
+    "leader_drive": lambda: {"leader_drive": [Perturbation()] * 4},
+    "phi1": lambda: {"phi1": Perturbation()},
+    "phi2": lambda: {"phi2": [Perturbation(), Perturbation()]},
+    "comm.T": lambda: {"comm": CommConfig(T=0.125, T_star=1.5,
+                                          drop_prob=0.85, delay_max=0.4)},
+}
+
+
+class TestBatch:
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(COPY, min_size=1, max_size=4), st.booleans(),
+           st.integers(0, 2**31))
+    def test_every_copy_equals_the_oracle(self, copies, mixed, seed):
+        base = bench_cfg(t_end=3.0, **(MIXED_SIGNALS if mixed else {}))
+        rng = np.random.default_rng(seed)
+        cfgs = [dataclasses.replace(
+            base, k_eta=base.k_eta * gk, h=tuple(r * gh for r in base.h),
+            comm=CommConfig(T=0.25, T_star=ts, drop_prob=drop,
+                            delay_max=frac * ts, seed=comm_seed),
+            eta0=rng.normal(size=(10, 2)), zeta0=rng.normal(size=(6, 2, 2)))
+            for gk, gh, ts, frac, drop, comm_seed in copies]
+        for cfg, tr in zip(cfgs, simulate_cascades(cfgs)):
+            ref = simulate_cascade_oracle(cfg)
+            for name in TRACE_FIELDS:
+                assert np.array_equal(getattr(tr, name), getattr(ref, name)), \
+                    name
+
+    def test_one_change_per_shared_field(self):
+        shared = {f.name for f in dataclasses.fields(CascadeConfig)} \
+            - set(BATCH_FIELDS) | {"comm.T"}
+        assert set(SHARED_FIELD_CHANGES) == shared
+
+    @pytest.mark.parametrize("name", list(SHARED_FIELD_CHANGES))
+    def test_copies_must_share_the_field(self, name):
+        base = bench_cfg(t_end=2.0)
+        other = dataclasses.replace(base, **SHARED_FIELD_CHANGES[name]())
+        other.validate()
+        with pytest.raises(CascadeError,
+                           match=re.escape(f"cascade batch: {name} differs")):
+            simulate_cascades([base, other])
+
+    def test_empty_batch(self):
+        with pytest.raises(CascadeError, match="cascade batch: no configs"):
+            simulate_cascades([])
+
+    def test_divergence_names_the_copy_and_its_agent(self):
+        ok = bench_cfg(t_end=2.0)
+        bad = dataclasses.replace(ok, k_eta=2000.0)
+        with pytest.raises(DivergenceError) as alone:
+            simulate_cascade(bad)
+        with pytest.raises(DivergenceError) as batch:
+            simulate_cascades([ok, bad, ok])
+        a, b = alone.value, batch.value
+        assert a.copy is None and b.copy == 1
+        assert (b.agent, b.variable, b.t, b.last_norm) == \
+            (a.agent, a.variable, a.t, a.last_norm)
+        assert str(b) == f"{a} in batch copy 1"
+
+
 class TestDeviationBounds:
     def test_pair_grid_shape(self):
         times = np.arange(0, 2401) * 0.025
@@ -214,6 +430,11 @@ class TestSweeps:
         vals = run_blackout_sweep(bench_cfg(t_end=30.0, alpha=1.0), seed=0)
         assert len(vals) == 3
         assert vals[0] <= vals[1] <= vals[2]
+
+    def test_both_sweeps_in_one_batch_equal_each_alone(self):
+        base = bench_cfg(t_end=5.0)
+        assert run_sweeps(base, seed=2) == (run_gain_sweep(base, seed=2),
+                                            run_blackout_sweep(base, seed=2))
 
 
 class TestCertificate:

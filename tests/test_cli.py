@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import containsim
-from containsim import cli, config, sim
+from containsim import analysis, cli, config, sim
 from containsim.comm import export_schedule_csv, generate_schedule
 from conftest import load_scenario_doc
 
@@ -322,6 +322,27 @@ class TestSweep:
     def test_requires_cascade_section(self, tmp_path):
         rc = cli.main(["sweep", "--config", short_doc(tmp_path)])
         assert rc == 1
+
+    def test_each_distinct_config_integrated_once(self, tmp_path,
+                                                  monkeypatch):
+        # Gains x1, x2, x4 and T* = 0.5, 1, 1.5: the x1 config is the
+        # T* = 1.5 config, so 5 copies of 16 edges.
+        calls = []
+        counting(monkeypatch, analysis, "generate_schedule", calls)
+        doc = copy.deepcopy(load_scenario_doc("cascade_estimates"))
+        doc["sim"]["t_end_seconds"] = 2.0
+        cli.main(["sweep", "--config", write_doc(tmp_path, doc)])
+        assert len(calls) == 5 * 16
+
+    def test_divergence_names_the_batch_copy(self, tmp_path, capsys):
+        # Of the five copies, x2 (copy 1) leaves the range first, as it
+        # does when run alone; x1 alone would last until t = 0.075.
+        doc = copy.deepcopy(load_scenario_doc("cascade_estimates"))
+        doc["cascade"]["k_eta"] = 1000
+        assert cli.main(["sweep", "--config", write_doc(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: non-finite or diverging eta of agent 0 at "
+            "t=0.05 (last finite norm 868157) in batch copy 1\n")
 
 
 class TestReport:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from containsim import analysis, config, sim
 from containsim.analysis import CascadeError
 from containsim.comm import CommConfig, LinkEvent, LinkSchedule, to_ticks
+from containsim.control import NeighborView
 from containsim.engine import Engine
 from containsim.sim import ScenarioError
 from conftest import load_scenario_doc
@@ -100,3 +101,23 @@ def test_engine_rejects_messages_off_the_schedule(send_shift, delay, match):
     with pytest.raises(ValueError, match=match):
         Engine({(1, 0): LinkSchedule((1, 0), events)}, np.ones((2, 2)),
                T=0.1, dt=0.01, t_end=1.0, fallback=np.zeros((1, 1)))
+
+
+def test_view_built_only_on_ticks_with_arrivals(monkeypatch):
+    # A tick with no arrivals leaves the mailbox, and so the view, as it
+    # was: views are built at tick 0 and at each tick something arrives.
+    doc = load_scenario_doc("benchmark_fullstate")
+    doc["sim"]["t_end_seconds"] = 3.0
+    scen = config.build_scenario(doc)
+    built = []
+    init = NeighborView.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NeighborView, "__init__", counting)
+    trace = sim.run(scen, seed=0)
+    arrivals = {0} | {int(to_ticks(a, scen.dt, "arrival"))
+                      for *_, a in trace.audit}
+    assert len(built) == len(arrivals) < len(trace.times)
