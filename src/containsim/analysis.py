@@ -12,17 +12,17 @@ leader convex combination, and runs the gain / blackout sweeps used to
 certify robustness trends.
 
 ``simulate_cascades`` integrates a batch of configs that share their
-topology, signals and time grid as one engine run on the disjoint union of
-B copies of the topology (``topology.disjoint_union``), with per-row gains
-and per-copy schedules; every copy's trace equals its run alone, to the
-bit.  ``simulate_cascade`` is the batch of one, and each sweep is one batch.
-The exogenous signals are tabulated once per run, at the distinct times the
-engine evaluates the right-hand side (``engine.stage_times``).
+topology, signals and time grid as one engine run over B disjoint copies
+of the topology, laid out by ``topology.union_rows``: the engine reads the
+copies' edges, weights and schedules as one edge list, with per-row gains;
+every copy's trace equals its run alone, to the bit.  ``simulate_cascade``
+is the batch of one, and each sweep is one batch.  The exogenous signals
+are tabulated once per run, at the distinct times the engine evaluates the
+right-hand side (``engine.stage_times``).
 """
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +31,8 @@ from .comm import CommConfig, LinkSchedule, generate_schedule, \
     period_ticks
 from .control import NeighborView
 from .engine import DivergenceError, Engine, stage_times
-from .topology import DirectedTopology, containment_weights, \
-    disjoint_union, partition, union_rows, validate_assumption1
+from .topology import DirectedTopology, containment_weights, partition, \
+    union_rows, validate_assumption1
 
 ISS_REL_TOL = 1e-6
 
@@ -43,7 +43,7 @@ class CascadeError(ValueError):
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Closed-form exogenous signal with an exact derivative."""
+    """Closed-form exogenous signal."""
 
     kind: str = "zero"           # zero | constant | sinusoid | decaying_exp
     amplitude: np.ndarray = 0.0  # scalar or shape-(N,) vector
@@ -69,14 +69,6 @@ class Perturbation:
         if self.kind == "sinusoid":
             return a * np.sin(self.omega * t + self.phase)
         return a * np.exp(-self.rate * t)
-
-    def derivative(self, t: float) -> np.ndarray:
-        a = self.amplitude
-        if self.kind in ("zero", "constant"):
-            return np.zeros_like(a)
-        if self.kind == "sinusoid":
-            return a * self.omega * np.cos(self.omega * t + self.phase)
-        return -self.rate * a * np.exp(-self.rate * t)
 
 
 @dataclass
@@ -115,6 +107,15 @@ class CascadeConfig:
                  "initial.zeta: zeta0 must be (m, sigma, N)")):
             if bad:
                 raise CascadeError(f"cascade.{what}")
+        signals = [("phi1", self.phi1),
+                   *((f"phi2[{i}]", p) for i, p in enumerate(self.phi2)),
+                   *((f"leader_drive[{i}]", d)
+                     for i, d in enumerate(self.leader_drive))]
+        for name, p in signals:
+            if p.amplitude.shape not in ((1,), (self.N,)):
+                raise CascadeError(
+                    f"cascade.{name}: amplitude must have 1 or N={self.N} "
+                    f"entries, got shape {p.amplitude.shape}")
         ok, unreachable = validate_assumption1(topo)
         if not ok:
             raise CascadeError(f"unreachable followers: {unreachable}")
@@ -221,41 +222,9 @@ def _check_batch(cfgs: list[CascadeConfig]) -> None:
                 raise CascadeError(f"cascade batch: {f.name} differs")
 
 
-class _BatchSchedules(Mapping):
-    """The link schedules of a batch's disjoint union, keyed by union edge.
-
-    Each schedule is generated from its copy's comm config when it is read,
-    so the engine, which reads each edge once, never holds them all.
-    """
-
-    def __init__(self, cfg: CascadeConfig, comms: list[CommConfig]):
-        self.t_end, self.dt = cfg.t_end, cfg.dt
-        rows = union_rows(cfg.topo, len(comms))
-        self.links = {(int(r[j]), int(r[i])): (comm, (j, i))
-                      for r, comm in zip(rows, comms)
-                      for j, i in cfg.topo.edges()}
-
-    def __getitem__(self, edge):
-        comm, local = self.links[edge]
-        return generate_schedule(local, comm, self.t_end, self.dt)
-
-    def __iter__(self):
-        return iter(self.links)
-
-    def __len__(self):
-        return len(self.links)
-
-
-def _columns(vals: np.ndarray, N: int) -> np.ndarray:
-    """Signal rows (..., len(amplitude)) as (..., N): a vector amplitude of
-    length N as is, any other amplitude by its first entry."""
-    return np.broadcast_to(vals if vals.shape[-1] == N else vals[..., :1],
-                           vals.shape[:-1] + (N,))
-
-
 def _integrate(cfgs: list[CascadeConfig], seed: int | None,
                schedules) -> list[CascadeTrace]:
-    """One engine run over the disjoint union of the batch's topology.
+    """One engine run over B disjoint copies of the batch's topology.
 
     Each agent transmits its eta at every sample instant; the sampled average
     eps is the engine's neighbor view averaged once per step and held for the
@@ -267,32 +236,44 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
     ``engine.DivergenceError`` naming the copy and its local agent.
     """
     _check_batch(cfgs)
-    if schedules is None:
-        schedules = _BatchSchedules(cfgs[0], [
-            c.comm if seed is None else dataclasses.replace(c.comm, seed=seed)
-            for c in cfgs])
     cfg, B = cfgs[0], len(cfgs)
     topo, N, sigma = cfg.topo, cfg.N, cfg.sigma
     m, n_lead = topo.m, topo.n - topo.m
     Bm = B * m
     W = containment_weights(partition(topo)).W
     rows = union_rows(topo, B)
+    if schedules is None:
+        # Edge (j, i) of copy b is (rows[b, j], rows[b, i]) in the union;
+        # each schedule is generated from its copy's comm when it is read.
+        comms = [c.comm if seed is None else
+                 dataclasses.replace(c.comm, seed=seed) for c in cfgs]
+        edges = topo.edges()
+        union = sorted(((int(r[j]), int(r[i])), (j, i), comm)
+                       for r, comm in zip(rows, comms) for j, i in edges)
+        links = ((edge, topo.weights[i, j],
+                  generate_schedule((j, i), comm, cfg.t_end, cfg.dt))
+                 for edge, (j, i), comm in union)
+    else:
+        links = (((j, i), topo.weights[i, j], s)
+                 for (j, i), s in sorted(schedules.items()))
     eta0 = np.empty((B * topo.n, N))
     for r, c in zip(rows, cfgs):
         eta0[r] = c.eta0
     zeta0 = np.concatenate([c.zeta0 for c in cfgs])
     neg_k = -np.repeat([c.k_eta for c in cfgs], m)[:, None]
     neg_h = -np.repeat(np.array([c.h for c in cfgs], float), m, axis=0)
-    eng = Engine(schedules, disjoint_union(topo, B).weights, cfg.comm.T,
-                 cfg.dt, cfg.t_end, eta0[:Bm], CascadeError)
+    eng = Engine(links, cfg.comm.T, cfg.dt, cfg.t_end, eta0[:Bm],
+                 CascadeError)
     K = eng.K
 
     times, inverse = np.unique(stage_times(K, cfg.dt), return_inverse=True)
     row = dict(zip(times.tolist(), range(len(times))))
     phi2 = cfg.phi2 or [Perturbation() for _ in range(sigma)]
-    phi1_tab = _columns(cfg.phi1.value(times), N)
-    phi2_tab = np.stack([_columns(p.value(times), N) for p in phi2], axis=1)
-    drive_tab = np.stack([_columns(d.value(times), N)
+    shape = (len(times), N)     # amplitudes have 1 or N entries
+    phi1_tab = np.broadcast_to(cfg.phi1.value(times), shape)
+    phi2_tab = np.stack([np.broadcast_to(p.value(times), shape)
+                         for p in phi2], axis=1)
+    drive_tab = np.stack([np.broadcast_to(d.value(times), shape)
                           for d in cfg.leader_drive], axis=1)
     tr_eps = np.empty((K + 1, Bm, N))
 

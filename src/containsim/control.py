@@ -94,7 +94,8 @@ def check_gains(variant: str, gains: GainSet,
             problems.append(f"{name} must be strictly positive")
     if not gains.boundary_layer_eps > 0:
         problems.append("boundary_layer_eps must be strictly positive")
-    if variant != "nonlinear_vs":
+    # nonlinear_vs needs real roots only to derive a lam it is not given.
+    if variant != "nonlinear_vs" or gains.lam is None:
         disc = gains.k_d ** 2 - 4.0 * gains.k_p
         if np.any(disc < 0):
             bad = np.nonzero(disc < 0)[0].tolist()

@@ -100,29 +100,23 @@ def check_oscillator_spectrum(S1: np.ndarray, S2: np.ndarray) -> bool:
 class OscillatorFlow:
     """Free flow e^{S tau} of the stacked oscillator matrix S.
 
-    ``flow(tau)`` caches e^{S tau} under tau rounded to 12 decimals, so expm
-    runs once per distinct lag.  ``at_half_steps(j, dt)`` gives the flows at
-    the lags j * dt/2 (j whole half steps, as in an RK4 step of dt) as one
-    (len(j), 2N, 2N) array taken from a table indexed by j.  The table grows
-    on demand and each row is filled once, through ``flow(j * dt/2)``, so its
-    entries are the cached matrices bit for bit.
+    ``flow(tau)`` is expm(S * tau), with tau rounded to 12 decimals.
+    ``at_half_steps(j, dt)`` gives the flows at the lags j * dt/2 (j whole
+    half steps, as in an RK4 step of dt) as one (len(j), 2N, 2N) array
+    taken from a table indexed by j.  The table grows on demand and each
+    row is filled once, through ``flow(j * dt/2)``, so expm runs once per
+    distinct lag.
     """
 
     def __init__(self, S1: np.ndarray, S2: np.ndarray):
         self.S = stacked_oscillator_matrix(np.asarray(S1, float),
                                            np.asarray(S2, float))
-        self._cache: dict[float, np.ndarray] = {}
         self._dt = None                 # the step the table's rows refer to
         self._table = np.empty((0,) + self.S.shape)
         self._filled = np.zeros(0, dtype=bool)
 
-    def __call__(self, dt: float) -> np.ndarray:
-        key = round(float(dt), 12)
-        mat = self._cache.get(key)
-        if mat is None:
-            mat = expm(self.S * key)
-            self._cache[key] = mat
-        return mat
+    def __call__(self, tau: float) -> np.ndarray:
+        return expm(self.S * round(float(tau), 12))
 
     def at_half_steps(self, j: np.ndarray, dt: float) -> np.ndarray:
         """e^{S j dt/2} for every entry of the int array j >= 0."""

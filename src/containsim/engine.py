@@ -1,5 +1,7 @@
 """Sampled-data engine on integer ticks, shared by sim.run and the cascade.
 
+The graph is an edge list: each link is an edge, its weight and its
+schedule, so a batch of disjoint copies needs no matrix of its own.
 Time is counted in ticks of the integration step dt, and seconds are
 converted once, when the link schedules are compiled: the message with
 sequence number seq is sent at tick seq * steps_per_T and arrives
@@ -14,11 +16,10 @@ over the ticks where nothing arrives.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 
 import numpy as np
 
-from .comm import LinkSchedule, to_ticks
+from .comm import to_ticks
 from .control import NeighborView
 
 DIVERGENCE_LIMIT = 1e9
@@ -80,31 +81,38 @@ def rk4_step(rhs, t: float, h: float, y: list, u, k1: list) -> list:
 class Engine:
     """Compiled link schedules, the seq mailbox and the frozen-input loop.
 
+    links is an iterable of ((src, dst), weight, LinkSchedule), one per
+    edge, read once, in strictly increasing edge order: the edge numbering
+    fixes the order of the neighbor sums, the columns of ``box`` and the
+    audit order, so links out of order or repeated raise ValueError.
     fallback is the (m, N) reference a follower uses before any in-edge has
     delivered; error is the exception type raised for an input that does
     not fit the tick grid.
     """
 
-    def __init__(self, schedules: Mapping[tuple[int, int], LinkSchedule],
-                 weights: np.ndarray, T: float, dt: float, t_end: float,
+    def __init__(self, links, T: float, dt: float, t_end: float,
                  fallback: np.ndarray, error=ValueError):
         self.T, self.dt, self.fallback = T, dt, fallback
         self.K = int(to_ticks(t_end, dt, "t_end", error))
         self.steps_per_T = int(to_ticks(T, dt, "the sampling period T",
                                         error))
-        self.edges = sorted(schedules)
-        self.src, self.dst = np.array(self.edges, dtype=int).reshape(-1, 2).T
-        self.w = weights[self.dst, self.src]
-        # One edge's events at a time, so a schedules mapping that builds
-        # each schedule when it is read never holds them all.
+        # One link at a time, so links that build each schedule when read
+        # never hold them all.
+        self.edges, w = [], []
         edge, seq, send, delay = [], [], [], []
-        for e, key in enumerate(self.edges):
-            events = [ev for ev in schedules[key].events
-                      if ev.delay != math.inf]
+        for e, (key, weight, schedule) in enumerate(links):
+            if self.edges and key <= self.edges[-1]:
+                raise ValueError(f"links must come in strictly increasing "
+                                 f"edge order: {key} after {self.edges[-1]}")
+            self.edges.append(key)
+            w.append(weight)
+            events = [ev for ev in schedule.events if ev.delay != math.inf]
             edge += [e] * len(events)
             seq += [ev.seq for ev in events]
             send += [ev.send_time for ev in events]
             delay += [ev.delay for ev in events]
+        self.src, self.dst = np.array(self.edges, dtype=int).reshape(-1, 2).T
+        self.w = np.array(w, dtype=float)
         edge, seq = np.array(edge, dtype=int), np.array(seq, dtype=int)
         send, delay = np.array(send, dtype=float), np.array(delay, dtype=float)
         if np.any(to_ticks(send, dt, "every send time", error)

@@ -246,8 +246,9 @@ def run(scen: Scenario, seed: int | None = None,
         schedules = build_schedules(scen, seed)
 
     model = scen.model
-    eng = Engine(schedules, topo.weights, scen.comm.T, dt, scen.t_end,
-                 scen.p0[:m], ScenarioError)
+    eng = Engine((((j, i), topo.weights[i, j], s)
+                  for (j, i), s in sorted(schedules.items())),
+                 scen.comm.T, dt, scen.t_end, scen.p0[:m], ScenarioError)
     K = eng.K
     internals = ctrl.init_internals(scen.p0[:m], scen.v0[:m])
     names = list(internals)

@@ -153,29 +153,12 @@ def small_gain_certificate(part: LaplacianPartition) -> dict:
 
 
 def union_rows(topo: DirectedTopology, copies: int) -> np.ndarray:
-    """(copies, n) row of agent i of copy b in ``disjoint_union``: the
-    followers of every copy, copy by copy, then the leaders the same way."""
+    """(copies, n) row of agent i of copy b in a batch of ``copies``
+    disjoint copies of topo: the followers of every copy, copy by copy,
+    then the leaders the same way.  Edge j -> i of copy b is the edge
+    rows[b, j] -> rows[b, i] of the batch, with topo's weight."""
     m, n_lead = topo.m, topo.n - topo.m
     b = np.arange(copies)[:, None]
     return np.concatenate((b * m + np.arange(m),
                            copies * m + b * n_lead + np.arange(n_lead)),
                           axis=1)
-
-
-def disjoint_union(topo: DirectedTopology, copies: int) -> DirectedTopology:
-    """The graph of ``copies`` disjoint copies of topo, its agents laid out
-    by ``union_rows``; with one copy it equals topo."""
-    rows = union_rows(topo, copies)
-    w = np.zeros((copies * topo.n,) * 2)
-    for r in rows:
-        w[np.ix_(r, r)] = topo.weights
-    return DirectedTopology(n=copies * topo.n, m=copies * topo.m, weights=w)
-
-
-def full_laplacian(topo: DirectedTopology) -> np.ndarray:
-    """Reassemble the n x n Laplacian (zero leader rows)."""
-    L = np.zeros((topo.n, topo.n))
-    part = partition(topo)
-    L[: topo.m, : topo.m] = part.L1
-    L[: topo.m, topo.m:] = part.L2
-    return L

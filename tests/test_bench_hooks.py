@@ -1,11 +1,18 @@
 """The functions the benchmark's traced mode wraps must keep their names.
 
 ``bench/tracing.py`` patches these attributes to time each layer; a rename
-would otherwise surface only inside a ``--trace 1`` run.
+would otherwise surface only inside a ``--trace 1`` run.  A short traced
+run then checks that the counters it reads from the wrapped calls' results
+still count.
 """
+import pathlib
+
 import pytest
 
-from containsim import analysis, control, dynamics, sim
+from containsim import analysis, config, control, dynamics, sim
+from conftest import load_scenario_doc
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 HOOKS = [
     (sim, "run"),
@@ -36,3 +43,26 @@ HOOKS = [
                          ids=[f"{o.__name__}.{n}" for o, n in HOOKS])
 def test_traced_attribute_exists(owner, name):
     assert callable(getattr(owner, name, None))
+
+
+def test_traced_run_counts(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    doc = load_scenario_doc("benchmark_fullstate")
+    doc["sim"]["t_end_seconds"] = 1.0
+    scen = config.build_scenario(doc)
+    doc = load_scenario_doc("cascade_estimates")
+    doc["sim"]["t_end_seconds"] = 2.0
+    cas = config.build_cascade(doc)
+    rec = tracing.Recorder()
+    patches = tracing.install(rec)
+    try:
+        sim.run(scen, seed=0)
+        analysis.iss_estimate_check(analysis.simulate_cascade(cas))
+        analysis.run_gain_sweep(cas)
+    finally:
+        tracing.uninstall(patches)
+    counts = {key: v for (_, key), v in rec.counts.items()}
+    for key in ("sends", "delivered", "views", "deliveries", "iss_checked"):
+        assert counts.get(key, 0) > 0, key

@@ -41,6 +41,14 @@ def edit(section, **values):
 S1_PLUS_I = edit("agents.model", S1=[[1.0, 0.0], [0.0, 1.0]])
 
 
+def complex_roots_no_lam(doc):
+    """nonlinear_vs without lam, so lam must come from real roots of
+    x^2 + k_d x + k_p, which k_d^2 = 1 < 4 k_p = 8 does not have."""
+    gains = doc["controllers"]["gains"]
+    del gains["lam"]
+    gains.update(k_p=2.0, k_d=1.0)
+
+
 NO_CONFIG = "no --config"
 OFF_GRID_HORIZON = edit("sim", t_end_seconds=2.005)
 
@@ -84,6 +92,14 @@ EXIT_CASES = [
     pytest.param("sweep", "cascade_estimates", edit("sim", dt_seconds=0.03),
                  False, 1, "config error:", r"dt must divide",
                  id="sweep-dt_0.03"),
+    pytest.param("sweep", "cascade_estimates",
+                 edit("cascade.phi1", amplitude=[0.2, 7.0, 9.0]), False, 1,
+                 "config error:", r"cascade\.phi1: amplitude must have 1 or N",
+                 id="sweep-phi1_amplitude_of_3_for_N_2"),
+    *(pytest.param(command, "benchmark_nonlinear", complex_roots_no_lam,
+                   False, 1, "config error:", r"k_d\^2 >= 4 k_p",
+                   id=f"{command}-nonlinear_vs_complex_roots_no_lam")
+      for command in ("validate", "run")),
     pytest.param("sweep", "cascade_estimates",
                  edit("cascade.phi1", kind="brownian"), False, 1,
                  "config error:", r"unknown perturbation kind 'brownian'",

@@ -200,9 +200,8 @@ def one_edge_engine(delays=OUT_OF_ORDER):
     """The engine's mailbox on edge leader 1 -> follower 0, T=0.1, dt=0.01."""
     events = [LinkEvent(seq=k, send_time=k * 0.1, delay=d)
               for k, d in enumerate(delays)]
-    w = np.array([[0.0, 1.0], [0.0, 0.0]])
-    return Engine({(1, 0): LinkSchedule((1, 0), events)}, w, T=0.1, dt=0.01,
-                  t_end=1.0, fallback=FALLBACK), events
+    return Engine([((1, 0), 1.0, LinkSchedule((1, 0), events))], T=0.1,
+                  dt=0.01, t_end=1.0, fallback=FALLBACK), events
 
 
 class TestMailbox:

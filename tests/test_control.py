@@ -417,7 +417,11 @@ class TestGains:
         g = GainSet(m=1, k_p=4.0, k_d=1.0)
         ok, problems = check_gains("full_state", g)
         assert not ok and any("real-roots" in p for p in problems)
-        ok, _ = check_gains("nonlinear_vs", g)   # explicit lam allowed instead
+        # nonlinear_vs derives lam from the real roots unless it is given.
+        ok, problems = check_gains("nonlinear_vs", g)
+        assert not ok and any("real-roots" in p for p in problems)
+        ok, _ = check_gains("nonlinear_vs", GainSet(m=1, k_p=4.0, k_d=1.0,
+                                                       lam=1.0))
         assert ok
 
     def test_oscillator_output_needs_stable_filter(self):

@@ -99,8 +99,16 @@ def test_engine_rejects_messages_off_the_schedule(send_shift, delay, match):
     events = [LinkEvent(seq=0, send_time=0.0, delay=0.0),
               LinkEvent(seq=1, send_time=0.1 + send_shift, delay=delay)]
     with pytest.raises(ValueError, match=match):
-        Engine({(1, 0): LinkSchedule((1, 0), events)}, np.ones((2, 2)),
+        Engine([((1, 0), 1.0, LinkSchedule((1, 0), events))],
                T=0.1, dt=0.01, t_end=1.0, fallback=np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("order", [[(2, 0), (1, 0)], [(1, 0), (1, 0)]],
+                         ids=["out_of_order", "repeated"])
+def test_engine_rejects_links_out_of_edge_order(order):
+    links = [(edge, 1.0, LinkSchedule(edge, [])) for edge in order]
+    with pytest.raises(ValueError, match="strictly increasing edge order"):
+        Engine(links, T=0.1, dt=0.01, t_end=1.0, fallback=np.zeros((1, 1)))
 
 
 def test_view_built_only_on_ticks_with_arrivals(monkeypatch):

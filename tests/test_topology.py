@@ -8,7 +8,6 @@ from containsim.topology import (
     DirectedTopology,
     TopologyError,
     containment_weights,
-    full_laplacian,
     is_nonsingular_m_matrix,
     partition,
     small_gain_certificate,
@@ -124,11 +123,6 @@ class TestBenchmarkGraph:
         assert W.shape == (6, 4)
         assert np.min(W) >= 0.0
         assert np.allclose(W.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_full_laplacian_row_sums(self):
-        L = full_laplacian(bench_topology())
-        assert np.allclose(L.sum(axis=1), 0.0, atol=1e-12)
-        assert np.array_equal(L[6:], np.zeros((4, 10)))
 
 
 @st.composite
