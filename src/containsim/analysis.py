@@ -18,7 +18,7 @@ copies' edges, weights and schedules as one edge list, with per-row gains;
 every copy's trace equals its run alone, to the bit.  ``simulate_cascade``
 is the batch of one, and each sweep is one batch.  The exogenous signals
 are tabulated once per run, at the distinct times the engine evaluates the
-right-hand side (``engine.stage_times``).
+right-hand side (``engine.stage_table``).
 """
 from __future__ import annotations
 
@@ -30,7 +30,8 @@ import numpy as np
 from .comm import CommConfig, LinkSchedule, generate_schedule, \
     period_ticks
 from .control import NeighborView
-from .engine import DivergenceError, Engine, stage_times
+from .engine import DivergenceError, Engine, check_schedule_edges, \
+    stage_table
 from .topology import DirectedTopology, containment_weights, partition, \
     union_rows, validate_assumption1
 
@@ -173,8 +174,9 @@ def simulate_cascade(cfg: CascadeConfig, seed: int | None = None,
                      = None) -> CascadeTrace:
     """Fixed-step RK4 integration of the cascade skeleton: the batch of one.
 
-    seed overrides the comm seed; a prebuilt schedule set, keyed by edge,
-    may be injected instead, with delays on the tick grid of cfg.dt.
+    seed overrides the comm seed; a prebuilt schedule set, keyed by exactly
+    the topology's edges, may be injected instead, with delays on the tick
+    grid of cfg.dt.
     """
     return _integrate([cfg], seed, schedules)[0]
 
@@ -254,6 +256,7 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
                   generate_schedule((j, i), comm, cfg.t_end, cfg.dt))
                  for edge, (j, i), comm in union)
     else:
+        check_schedule_edges(schedules, topo.edges(), CascadeError)
         links = (((j, i), topo.weights[i, j], s)
                  for (j, i), s in sorted(schedules.items()))
     eta0 = np.empty((B * topo.n, N))
@@ -266,8 +269,7 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
                  CascadeError)
     K = eng.K
 
-    times, inverse = np.unique(stage_times(K, cfg.dt), return_inverse=True)
-    row = dict(zip(times.tolist(), range(len(times))))
+    times, row = stage_table(K, cfg.dt)
     phi2 = cfg.phi2 or [Perturbation() for _ in range(sigma)]
     shape = (len(times), N)     # amplitudes have 1 or N entries
     phi1_tab = np.broadcast_to(cfg.phi1.value(times), shape)
@@ -303,7 +305,8 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
         raise DivergenceError(exc.t, agent, exc.variable, exc.last_norm,
                               copy if B > 1 else None) from None
 
-    step = inverse[:K + 1]              # the table rows of the times k * dt
+    # The table rows of the step times k * dt, each one of the times.
+    step = np.searchsorted(times, np.arange(K + 1) * cfg.dt)
     deta_c = W @ drive_tab[step]
     deta_c.flags.writeable = False
     phi1_vals = np.broadcast_to(phi1_tab[step][:, None], (K + 1, m, N))

@@ -132,6 +132,11 @@ class NeighborView:
     follower row.  kappa_delivered is the per-follower sum of delivered edge
     weights (0 during warm-up).  dt is the integration step: every message
     lag t - send_time at an RK4 stage is a whole number of half steps.
+
+    The messages are fixed for the view's life, which may span many steps,
+    so each average over them is computed once: vhat_avg's once per view,
+    vartheta_avg's and oscillator_psi's once per stage time (RK4 stages 2
+    and 3 share t + dt/2).  The fallback rows are applied on every call.
     """
 
     def __init__(self, m: int, N: int, dst: np.ndarray, w: np.ndarray,
@@ -149,24 +154,48 @@ class NeighborView:
         self.kappa_delivered = np.zeros(m)
         np.add.at(self.kappa_delivered, dst, w)
         self.live = self.kappa_delivered > 0
+        self._vhat = None                    # vhat_avg's live rows
+        self._theta_t = self._theta = None   # vartheta_avg at its last t
+        self._psi_key = self._psi = None     # oscillator_psi's live rows
 
-    def _average(self, contrib: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-        num = np.zeros((self.m, contrib.shape[1]))
-        np.add.at(num, self.dst, self.w[:, None] * contrib)
+    def _live_average(self, contrib: np.ndarray) -> np.ndarray:
+        """Weighted average of the rows of contrib (one per edge) over the
+        in-edges of each live follower, (live followers, columns)."""
+        cols = contrib.shape[1]
+        # One bincount over (follower, column) bins; like np.add.at, it
+        # adds each bin's terms in edge order.
+        num = np.bincount((self.dst[:, None] * cols + np.arange(cols)).ravel(),
+                          weights=(self.w[:, None] * contrib).ravel(),
+                          minlength=self.m * cols).reshape(self.m, cols)
+        return num[self.live] / self.kappa_delivered[self.live, None]
+
+    def _with_fallback(self, live_rows: np.ndarray,
+                       fallback: np.ndarray) -> np.ndarray:
         out = fallback.copy()
-        out[self.live] = num[self.live] / self.kappa_delivered[self.live, None]
+        out[self.live] = live_rows
         return out
 
     def p_avg(self) -> np.ndarray:
         """Weighted average of the delivered positions, not extrapolated."""
-        return self._average(self.p_msg, self.p_fallback)
+        return self._with_fallback(self._live_average(self.p_msg),
+                                   self.p_fallback)
 
     def vartheta_avg(self, t: float) -> np.ndarray:
-        theta = vartheta(self.p_msg, self.vhat_msg, self.send_time[:, None], t)
-        return self._average(theta, self.p_fallback)
+        """Weighted average of the extrapolated positions at t; read-only,
+        since a repeated t returns the same array."""
+        if t != self._theta_t:
+            theta = vartheta(self.p_msg, self.vhat_msg,
+                             self.send_time[:, None], t)
+            self._theta = self._with_fallback(self._live_average(theta),
+                                              self.p_fallback)
+            self._theta.flags.writeable = False
+            self._theta_t = t
+        return self._theta
 
     def vhat_avg(self, vhat_own: np.ndarray) -> np.ndarray:
-        return self._average(self.vhat_msg, vhat_own)
+        if self._vhat is None:
+            self._vhat = self._live_average(self.vhat_msg)
+        return self._with_fallback(self._vhat, vhat_own)
 
     def oscillator_psi(self, t: float, flow: OscillatorFlow,
                        vhat_own: np.ndarray) -> np.ndarray:
@@ -174,16 +203,19 @@ class NeighborView:
 
         The lags become whole half steps j, so the flows are one lookup in
         flow's integer-indexed table and the products one stacked matmul;
-        matmul and the sequential add.at keep every per-edge product and
+        matmul and the sequential bincount keep every per-edge product and
         the summation order, where einsum or grouping by lag would not.
         """
-        j = to_ticks(t - self.send_time, self.dt / 2, "every message lag")
-        if (j < 0).any():
-            raise ValueError("a message in the view is newer than t")
-        x = np.concatenate([self.p_msg, self.vhat_msg], axis=1)
-        y = np.matmul(flow.at_half_steps(j, self.dt), x[:, :, None])[:, :, 0]
-        return self._average(y, np.concatenate([self.p_fallback, vhat_own],
-                                               axis=1))
+        if (t, flow) != self._psi_key:
+            j = to_ticks(t - self.send_time, self.dt / 2, "every message lag")
+            if (j < 0).any():
+                raise ValueError("a message in the view is newer than t")
+            x = np.concatenate([self.p_msg, self.vhat_msg], axis=1)
+            y = np.matmul(flow.at_half_steps(j, self.dt),
+                          x[:, :, None])[:, :, 0]
+            self._psi_key, self._psi = (t, flow), self._live_average(y)
+        return self._with_fallback(
+            self._psi, np.concatenate([self.p_fallback, vhat_own], axis=1))
 
 
 @dataclass

@@ -180,17 +180,20 @@ class LeaderTrajectory:
         return self.velocity(0.0)
 
 
-def leader_accels(trajs: list[LeaderTrajectory], t: float) -> np.ndarray:
+def leader_accels(trajs: list[LeaderTrajectory], t) -> np.ndarray:
     """Every leader's ``accel(t)`` as one (L, N) array, equal to stacking
-    the per-leader calls bit for bit."""
+    the per-leader calls bit for bit; for an array of times, one such
+    array per time, (len(t), L, N)."""
     N = trajs[0].v_d.shape[0] if trajs else 0
-    out = np.zeros((len(trajs), N))
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape + (len(trajs), N))
     rows = [i for i, tr in enumerate(trajs) if tr.kind == "damped_oscillatory"]
     if rows:
         # accel rounds once, after the exact product sign * index.
         coef = np.array([(-1.0) ** trajs[i].index * trajs[i].index
                          for i in rows])
-        out[rows] = (coef[:, None] * np.ones(N)) * _damped_osc_envelope_dot(t)
+        env = _damped_osc_envelope_dot(t)[..., None, None]
+        out[..., rows, :] = (coef[:, None] * np.ones(N)) * env
     return out
 
 

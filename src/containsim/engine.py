@@ -65,6 +65,24 @@ def stage_times(K: int, dt: float) -> np.ndarray:
     return np.concatenate((t, t[:-1] + dt / 2, t[:-1] + dt))
 
 
+def stage_table(K: int, dt: float) -> tuple[np.ndarray, dict]:
+    """The distinct stage_times(K, dt), sorted, and a dict from each to its
+    index: a signal tabulated once at these times is read in rhs(t, ...)
+    as table[row[t]]."""
+    times = np.unique(stage_times(K, dt))
+    return times, dict(zip(times.tolist(), range(len(times))))
+
+
+def check_schedule_edges(schedules, edges, error) -> None:
+    """Raise error unless the injected schedules are keyed by exactly the
+    topology's edges, naming the edges missing and the keys extra."""
+    missing = sorted(set(edges) - set(schedules))
+    extra = sorted(set(schedules) - set(edges))
+    if missing or extra:
+        raise error(f"schedules must have one entry per edge of the "
+                    f"topology: missing edges {missing}, extra edges {extra}")
+
+
 def rk4_step(rhs, t: float, h: float, y: list, u, k1: list) -> list:
     """One classical RK4 step of dy/dt = rhs(t, y, u)[0] with u held fixed.
 

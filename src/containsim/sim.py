@@ -24,11 +24,13 @@ from .control import Controller, GainSet, make_controller
 from .dynamics import AgentModel, LeaderTrajectory, \
     check_oscillator_spectrum, follower_rhs, leader_accels
 from .engine import DIVERGENCE_LIMIT, DivergenceError, Engine  # noqa: F401
+from .engine import check_schedule_edges, stage_table
 from .topology import DirectedTopology, containment_weights, partition, \
     validate_assumption1
 
 HULL_TOL = 1e-8
 HULL_MAX_ITER = 500
+EXPORT_BLOCK_STEPS = 256        # steps per write of export_trace_csv
 
 
 class ScenarioError(ValueError):
@@ -235,8 +237,10 @@ def run(scen: Scenario, seed: int | None = None,
     A prebuilt schedule set may be injected, e.g. to rerun the same messages
     at a finer step with ``dataclasses.replace(scen, dt=scen.dt / 2)``;
     otherwise they are generated from the comm config with the given seed
-    override.  Injected delays must be whole ticks of dt.  The run's
-    schedules are on ``Trace.schedules``.
+    override.  Injected schedules must be keyed by exactly the topology's
+    edges, and their delays must be whole ticks of dt.  The run's
+    schedules are on ``Trace.schedules``.  The leader accelerations are
+    tabulated once, at every time the engine evaluates the right-hand side.
     """
     ctrl = scen.validate()
     dt, topo = scen.dt, scen.topo
@@ -244,6 +248,8 @@ def run(scen: Scenario, seed: int | None = None,
     W = containment_weights(partition(topo)).W
     if schedules is None:
         schedules = build_schedules(scen, seed)
+    else:
+        check_schedule_edges(schedules, topo.edges(), ScenarioError)
 
     model = scen.model
     eng = Engine((((j, i), topo.weights[i, j], s)
@@ -254,6 +260,10 @@ def run(scen: Scenario, seed: int | None = None,
     names = list(internals)
     gamma = np.empty((K + 1, m, N))
     used_seq = np.empty((K + 1, len(eng.edges)), dtype=int)
+    if model.kind != "oscillator":
+        # Every leader acceleration the run reads, read by stage time.
+        times, row = stage_table(K, dt)
+        accel_tab = leader_accels(scen.leader_trajs, times)
 
     def payload(y):
         # Followers transmit their velocity estimate, leaders their velocity.
@@ -269,7 +279,7 @@ def run(scen: Scenario, seed: int | None = None,
         if model.kind == "oscillator":    # free leader oscillation
             dv[m:] = p[m:] @ model.S1.T + v[m:] @ model.S2.T
         else:
-            dv[m:] = leader_accels(scen.leader_trajs, t)
+            dv[m:] = accel_tab[row[t]]
         return [v, dv, *(out.d_internals[nm] for nm in names)], out
 
     def record(k, y, view, out):
@@ -297,28 +307,33 @@ def run(scen: Scenario, seed: int | None = None,
 
 
 def export_trace_csv(trace: Trace, path: str) -> None:
-    n = trace.p.shape[1]
-    N = trace.p.shape[2]
+    """One CSV row per agent per step, in the csv module's default dialect
+    (comma separated, CRLF line ends); floats are written as their repr.
+    The rows are built from arrays and written EXPORT_BLOCK_STEPS steps at
+    a time, so the whole file is never held in memory."""
+    n, N = trace.p.shape[1:]
     m = trace.m
+    header = ["t", "agent_id", "role"]
+    header += [f"p_{d + 1}" for d in range(N)]
+    header += [f"v_{d + 1}" for d in range(N)]
+    header += ["err_norm", "hull_dist"]
+    agents = [f"{i + 1},{'follower' if i < m else 'leader'}"
+              for i in range(n)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["t", "agent_id", "role"]
-        header += [f"p_{d + 1}" for d in range(N)]
-        header += [f"v_{d + 1}" for d in range(N)]
-        header += ["err_norm", "hull_dist"]
-        w.writerow(header)
-        for k, t in enumerate(trace.times):
-            for i in range(n):
-                role = "follower" if i < m else "leader"
-                row = [repr(float(t)), i + 1, role]
-                row += [repr(float(x)) for x in trace.p[k, i]]
-                row += [repr(float(x)) for x in trace.v[k, i]]
-                if i < m:
-                    row.append(repr(float(np.linalg.norm(trace.err_pos[k, i]))))
-                    row.append(repr(float(trace.hull_dist[k, i])))
-                else:
-                    row += ["", ""]
-                w.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(trace.times), EXPORT_BLOCK_STEPS):
+            block = slice(start, start + EXPORT_BLOCK_STEPS)
+            state = np.concatenate((trace.p[block], trace.v[block]), axis=2)
+            lines = []
+            for t, rows, err, hull in zip(
+                    map(repr, trace.times[block].tolist()), state.tolist(),
+                    _norms(trace.err_pos[block]).tolist(),
+                    trace.hull_dist[block].tolist()):
+                tail = [f"{e!r},{h!r}" for e, h in zip(err, hull)]
+                tail += [","] * (n - m)
+                lines += [f"{t},{a},{','.join(map(repr, r))},{x}\r\n"
+                          for a, r, x in zip(agents, rows, tail)]
+            fh.write("".join(lines))
 
 
 def export_trace_sidecar(trace: Trace, scen: Scenario, path: str) -> None:

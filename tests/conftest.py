@@ -8,6 +8,10 @@ from containsim import config
 from containsim.topology import DirectedTopology
 
 
+SCENARIOS = ("benchmark_fullstate", "benchmark_outputfb", "benchmark_nonlinear",
+             "oscillator_harmonic", "cascade_estimates")
+
+
 def load_scenario_doc(name: str) -> dict:
     text = ir.files("containsim").joinpath(f"scenarios/{name}.json").read_text()
     return json.loads(text)

@@ -295,6 +295,21 @@ class TestCascadeDynamics:
         assert np.all(np.abs(last) <= 1e9)
         assert err.last_norm == np.linalg.norm(last)
 
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_injected_schedules_must_match_the_edges(self, change):
+        cfg = bench_cfg(t_end=1.0)
+        schedules = {edge: generate_schedule(edge, cfg.comm, cfg.t_end,
+                                             cfg.dt)
+                     for edge in cfg.topo.edges()}
+        if change == "missing":
+            del schedules[(2, 0)]
+            named = "missing edges [(2, 0)], extra edges []"
+        else:
+            schedules[(0, 5)] = schedules[(2, 0)]
+            named = "missing edges [], extra edges [(0, 5)]"
+        with pytest.raises(CascadeError, match=re.escape(named)):
+            simulate_cascade(cfg, schedules=schedules)
+
     def test_determinism(self):
         cfg = bench_cfg(t_end=5.0)
         a = simulate_cascade(cfg, seed=1)

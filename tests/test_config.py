@@ -6,10 +6,7 @@ import pytest
 
 from containsim import config
 from containsim.config import ConfigError
-from conftest import load_scenario_doc
-
-SCENARIOS = ("benchmark_fullstate", "benchmark_outputfb", "benchmark_nonlinear",
-             "oscillator_harmonic", "cascade_estimates")
+from conftest import SCENARIOS, load_scenario_doc
 
 
 class TestBundledScenarios:

@@ -13,6 +13,7 @@ from containsim.control import (
     make_controller,
     vartheta,
 )
+from containsim.comm import to_ticks
 from containsim.dynamics import AgentModel, OscillatorFlow
 
 
@@ -387,6 +388,37 @@ def random_view(rng, m, N, E, dt, spT, k, lag_max=None):
                         rng.normal(size=(m, N)), dt)
 
 
+def average_oracle(view, contrib, fallback):
+    """NeighborView's weighted average as np.add.at over the edges, computed
+    afresh on every call: the reference its sums and memos must equal."""
+    kappa = np.zeros(view.m)
+    np.add.at(kappa, view.dst, view.w)
+    live = kappa > 0
+    num = np.zeros((view.m, contrib.shape[1]))
+    np.add.at(num, view.dst, view.w[:, None] * contrib)
+    out = fallback.copy()
+    out[live] = num[live] / kappa[live, None]
+    return out
+
+
+def aggregation_view(rng, m, N, live, extra, dt, spT, k):
+    """A view where every follower ("all"), some ("some") or none ("none")
+    has a delivered in-edge; the extra edges go to followers that already
+    have one, so several edges share a follower, in random edge order."""
+    if live == "none":
+        dst = np.zeros(0, dtype=int)
+    else:
+        rows = np.arange(m) if live == "all" else \
+            rng.choice(m, size=int(rng.integers(1, max(m, 2))), replace=False)
+        dst = rng.permutation(np.concatenate(
+            [rows, rng.choice(rows, size=extra)]))
+    E = len(dst)
+    seq = k // spT - rng.integers(0, k // spT + 1, size=E)
+    return NeighborView(m, N, dst, rng.uniform(0.1, 3.0, size=E),
+                        rng.normal(size=(E, N)), rng.normal(size=(E, N)),
+                        seq * (spT * dt), rng.normal(size=(m, N)), dt)
+
+
 class TestGains:
     def test_broadcast_and_vector(self):
         g = GainSet(m=3, k_p=4.0, k_d=[4.0, 5.0, 6.0])
@@ -520,6 +552,56 @@ class TestBatchedPsi:
             view.oscillator_psi(0.0123, flow, own)
         with pytest.raises(ValueError):
             view.oscillator_psi(-0.01, flow, own)   # sent after t
+
+
+class TestAggregation:
+    """Every average equals the add.at oracle on every call, whatever was
+    computed for the view before; the RK4 stage times of one step repeat
+    t + dt/2, and a view outlives one step."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 5), st.integers(1, 3),
+           st.sampled_from(["all", "some", "none"]), st.integers(0, 12),
+           st.sampled_from([0.01, 0.005, 0.02]), st.integers(1, 20),
+           st.integers(0, 3000))
+    def test_every_call_equals_the_oracle(self, seed, m, N, live, extra, dt,
+                                          spT, k):
+        rng = np.random.default_rng(seed)
+        view = aggregation_view(rng, m, N, live, extra, dt, spT, k)
+        flow, oracle_flow = oscillator_flows(rng, N)
+        t0 = k * dt
+        times = [t0, t0 + dt / 2, t0 + dt / 2, t0 + dt, (k + 1) * dt,
+                 t0 + 3 * dt / 2, t0]
+        x = np.concatenate([view.p_msg, view.vhat_msg], axis=1)
+        for _ in range(2):
+            assert np.array_equal(view.p_avg(),
+                                  average_oracle(view, view.p_msg,
+                                                 view.p_fallback))
+        for t in times:
+            theta = vartheta(view.p_msg, view.vhat_msg,
+                             view.send_time[:, None], t)
+            assert np.array_equal(view.vartheta_avg(t),
+                                  average_oracle(view, theta,
+                                                 view.p_fallback))
+            own = rng.normal(size=(m, N))
+            assert np.array_equal(view.vhat_avg(own),
+                                  average_oracle(view, view.vhat_msg, own))
+            own = rng.normal(size=(m, N))
+            j = to_ticks(t - view.send_time, dt / 2, "lag")
+            y = np.matmul(oracle_flow.at_half_steps(j, dt),
+                          x[:, :, None])[:, :, 0]
+            assert np.array_equal(
+                view.oscillator_psi(t, flow, own),
+                average_oracle(view, y, np.concatenate(
+                    [view.p_fallback, own], axis=1)))
+
+    def test_repeated_time_returns_a_read_only_average(self):
+        view = simple_view()
+        theta = view.vartheta_avg(0.5)
+        assert view.vartheta_avg(0.5) is theta
+        with pytest.raises(ValueError):
+            theta[0, 0] = 1.0
+        assert not np.array_equal(view.vartheta_avg(0.6), theta)
 
 
 class TestControllers:

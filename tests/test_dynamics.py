@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from containsim import config
 from containsim.dynamics import (
     AgentModel,
     DRIFT_REGISTRY,
@@ -11,6 +12,8 @@ from containsim.dynamics import (
     follower_rhs,
     leader_accels,
 )
+from containsim.engine import stage_times
+from conftest import load_scenario_doc
 
 
 def damped_osc(i, v_d):
@@ -45,6 +48,16 @@ class TestLeaderTrajectories:
                 assert np.array_equal(batched, stacked)
                 assert np.array_equal(np.signbit(batched),
                                       np.signbit(stacked))
+        # The array form at every time sim.run reads, one row per time.
+        scen = config.build_scenario(load_scenario_doc("benchmark_fullstate"))
+        times = stage_times(int(round(scen.t_end / scen.dt)), scen.dt)
+        trajs = scen.leader_trajs
+        stacked = np.array([[tr.accel(t) for tr in trajs]
+                            for t in times.tolist()])
+        table = leader_accels(trajs, times)
+        assert table.shape == stacked.shape
+        assert np.array_equal(table, stacked)
+        assert np.array_equal(np.signbit(table), np.signbit(stacked))
 
     def test_accel_matches_velocity_derivative(self):
         # central finite difference of the closed-form velocity

@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from containsim.sim import (
     hull_distance,
 )
 from containsim.topology import DirectedTopology
-from conftest import load_scenario_doc
+from conftest import SCENARIOS, load_scenario_doc
 
 
 def tiny_scenario(**kw):
@@ -359,6 +361,76 @@ class TestDeterminism:
         assert len(audit) > 1
 
 
+def export_trace_csv_oracle(trace, path: str) -> None:
+    """The trace CSV written row by row through csv.writer: the reference
+    the array-built, block-streamed export must equal byte for byte."""
+    n = trace.p.shape[1]
+    N = trace.p.shape[2]
+    m = trace.m
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        header = ["t", "agent_id", "role"]
+        header += [f"p_{d + 1}" for d in range(N)]
+        header += [f"v_{d + 1}" for d in range(N)]
+        header += ["err_norm", "hull_dist"]
+        w.writerow(header)
+        for k, t in enumerate(trace.times):
+            for i in range(n):
+                role = "follower" if i < m else "leader"
+                row = [repr(float(t)), i + 1, role]
+                row += [repr(float(x)) for x in trace.p[k, i]]
+                row += [repr(float(x)) for x in trace.v[k, i]]
+                if i < m:
+                    row.append(repr(float(np.linalg.norm(trace.err_pos[k, i]))))
+                    row.append(repr(float(trace.hull_dist[k, i])))
+                else:
+                    row += ["", ""]
+                w.writerow(row)
+
+
+def assert_export_equals_oracle(trace, tmp_path) -> None:
+    sim.export_trace_csv(trace, str(tmp_path / "trace.csv"))
+    export_trace_csv_oracle(trace, str(tmp_path / "oracle.csv"))
+    assert (tmp_path / "trace.csv").read_bytes() == \
+        (tmp_path / "oracle.csv").read_bytes()
+
+
+def first_steps(trace, rows: int):
+    """The trace cut to its first rows steps."""
+    return dataclasses.replace(
+        trace, times=trace.times[:rows], p=trace.p[:rows], v=trace.v[:rows],
+        err_pos=trace.err_pos[:rows], hull_dist=trace.hull_dist[:rows])
+
+
+class TestExport:
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_bundled_scenario_equals_the_oracle(self, name, tmp_path):
+        doc = load_scenario_doc(name)
+        doc["sim"]["t_end_seconds"] = 1.0
+        assert_export_equals_oracle(sim.run(config.build_scenario(doc)),
+                                    tmp_path)
+
+    def test_three_dimensions_equal_the_oracle(self, tmp_path):
+        v_d = np.array([1.0, 0.0, -0.5])
+        scen = tiny_scenario(
+            N=3, t_end=1.0, v_d=v_d,
+            leader_trajs=[LeaderTrajectory(kind="constant_velocity",
+                                           v_d=v_d)],
+            p0=np.array([[1.0, 1.0, 0.5], [-1.0, 2.0, 0.0],
+                         [0.0, 0.0, 0.0]]),
+            v0=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                         [1.0, 0.0, -0.5]]))
+        assert_export_equals_oracle(sim.run(scen), tmp_path)
+
+    @pytest.mark.parametrize("rows", [1, sim.EXPORT_BLOCK_STEPS - 1,
+                                      sim.EXPORT_BLOCK_STEPS,
+                                      sim.EXPORT_BLOCK_STEPS + 1])
+    def test_block_boundary_equals_the_oracle(self, rows, tmp_path):
+        trace = sim.run(tiny_scenario(t_end=2.6))
+        assert len(trace.times) > rows
+        assert_export_equals_oracle(first_steps(trace, rows), tmp_path)
+
+
 class TestConvergenceOrder:
     def test_halving_dt_keeps_final_error(self):
         doc = load_scenario_doc("benchmark_fullstate")
@@ -381,3 +453,18 @@ class TestConvergenceOrder:
         assert np.array_equal(a.p, b.p)
         assert a.schedules is schedules
         assert sorted(b.schedules) == sorted(schedules)
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_injected_schedules_must_match_the_edges(self, change):
+        doc = load_scenario_doc("benchmark_fullstate")
+        doc["sim"]["t_end_seconds"] = 1.0
+        scen = config.build_scenario(doc)
+        schedules = build_schedules(scen)
+        if change == "missing":
+            del schedules[(2, 0)]
+            named = "missing edges [(2, 0)], extra edges []"
+        else:
+            schedules[(0, 5)] = schedules[(2, 0)]
+            named = "missing edges [], extra edges [(0, 5)]"
+        with pytest.raises(ScenarioError, match=re.escape(named)):
+            sim.run(scen, schedules=schedules)
