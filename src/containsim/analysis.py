@@ -30,8 +30,7 @@ import numpy as np
 from .comm import CommConfig, LinkSchedule, generate_schedule, \
     period_ticks
 from .control import NeighborView
-from .engine import DivergenceError, Engine, check_schedule_edges, \
-    stage_table
+from .engine import DivergenceError, Engine, stage_table, topology_links
 from .topology import DirectedTopology, containment_weights, partition, \
     union_rows, validate_assumption1
 
@@ -256,16 +255,16 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
                   generate_schedule((j, i), comm, cfg.t_end, cfg.dt))
                  for edge, (j, i), comm in union)
     else:
-        check_schedule_edges(schedules, topo.edges(), CascadeError)
-        links = (((j, i), topo.weights[i, j], s)
-                 for (j, i), s in sorted(schedules.items()))
-    eta0 = np.empty((B * topo.n, N))
+        links = topology_links(topo, schedules, CascadeError)
+    # The state: B * n rows of eta, then sigma rows of zeta per follower.
+    Bn = B * topo.n
+    y0 = np.empty((Bn + Bm * sigma, N))
     for r, c in zip(rows, cfgs):
-        eta0[r] = c.eta0
-    zeta0 = np.concatenate([c.zeta0 for c in cfgs])
+        y0[r] = c.eta0
+    y0[Bn:] = np.concatenate([c.zeta0 for c in cfgs]).reshape(-1, N)
     neg_k = -np.repeat([c.k_eta for c in cfgs], m)[:, None]
     neg_h = -np.repeat(np.array([c.h for c in cfgs], float), m, axis=0)
-    eng = Engine(links, cfg.comm.T, cfg.dt, cfg.t_end, eta0[:Bm],
+    eng = Engine(links, cfg.comm.T, cfg.dt, cfg.t_end, y0[:Bm],
                  CascadeError)
     K = eng.K
 
@@ -280,26 +279,25 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
     tr_eps = np.empty((K + 1, Bm, N))
 
     def rhs(t, y, eps):
-        eta_s, zeta_s = y
+        zeta_s = y[Bn:].reshape(Bm, sigma, N)
         r = row[t]
         delta = cfg.alpha * zeta_s[:, 0] + (1.0 - cfg.alpha) * eps
-        deta = np.empty(eta_s.shape)   # C order, so the reshape is a view
-        deta[:Bm] = neg_k * (eta_s[:Bm] - delta) + phi1_tab[r]
-        deta[Bm:].reshape(B, n_lead, N)[:] = drive_tab[r]
-        dzeta = np.empty_like(zeta_s)
-        for ell in range(sigma):
-            feed = zeta_s[:, ell + 1] if ell + 1 < sigma else eps
-            dzeta[:, ell] = neg_h[:, ell, None] * (zeta_s[:, ell] - feed) \
-                + phi2_tab[r, ell]
-        return [deta, dzeta], None
+        dy = np.empty_like(y)       # C order, so the reshapes are views
+        dy[:Bm] = neg_k * (y[:Bm] - delta) + phi1_tab[r]
+        dy[Bm:Bn].reshape(B, n_lead, N)[:] = drive_tab[r]
+        # Layer ell is fed by layer ell + 1, the last layer by eps.
+        feed = np.concatenate((zeta_s[:, 1:], eps[:, None]), axis=1)
+        dy[Bn:] = (neg_h[:, :, None] * (zeta_s - feed)
+                   + phi2_tab[r]).reshape(-1, N)
+        return dy, None
 
     def record(k, y, eps, _):
         tr_eps[k] = eps
 
     try:
-        tr_eta, tr_zeta = eng.run([eta0, zeta0], lambda y: y[0], rhs,
-                                  record, ("eta", "zeta"),
-                                  freeze=NeighborView.p_avg)
+        states = eng.run(y0, lambda y: y[:Bn], rhs, record,
+                         (("eta", Bn, 1), ("zeta", Bm, sigma)),
+                         freeze=NeighborView.p_avg)
     except DivergenceError as exc:
         copy, agent = np.argwhere(rows == exc.agent)[0].tolist()
         raise DivergenceError(exc.t, agent, exc.variable, exc.last_norm,
@@ -312,9 +310,10 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
     phi1_vals = np.broadcast_to(phi1_tab[step][:, None], (K + 1, m, N))
     phi2_vals = np.broadcast_to(phi2_tab[step][:, None],
                                 (K + 1, m, sigma, N))
-    eta_c = W @ tr_eta[:, Bm:].reshape(K + 1, B, n_lead, N)
-    return [CascadeTrace(times=np.arange(K + 1) * cfg.dt, eta=tr_eta[:, r],
-                         zeta=tr_zeta[:, b * m:(b + 1) * m],
+    zeta = states[:, Bn:].reshape(K + 1, Bm, sigma, N)
+    eta_c = W @ states[:, Bm:Bn].reshape(K + 1, B, n_lead, N)
+    return [CascadeTrace(times=np.arange(K + 1) * cfg.dt, eta=states[:, r],
+                         zeta=zeta[:, b * m:(b + 1) * m],
                          eps=tr_eps[:, b * m:(b + 1) * m], eta_c=eta_c[:, b],
                          deta_c=deta_c, phi1_vals=phi1_vals,
                          phi2_vals=phi2_vals, cfg=c)

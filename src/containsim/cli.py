@@ -98,8 +98,7 @@ def cmd_run(args) -> int:
         sim.export_trace_sidecar(trace, scen, dest(outputs["sidecar_json"]))
     if "svg" in outputs:
         from .svg import write_report_svg
-        snaps = tuple(t for t in (0.0, scen.t_end / 4, scen.t_end / 2,
-                                  scen.t_end))
+        snaps = (0.0, scen.t_end / 4, scen.t_end / 2, scen.t_end)
         write_report_svg(trace, dest(outputs["svg"]), snapshot_times=snaps)
     print(f"final containment error: {trace.err_pos_norm[-1]:.6e}")
     print(f"final velocity error: {trace.err_vel_norm[-1]:.6e}")

@@ -140,14 +140,19 @@ def build_topology(doc: dict) -> DirectedTopology:
     top = doc["topology"]
     n, m = int(top["n"]), int(top["m"])
     weights = np.zeros((n, n))
-    for entry in top["edges"]:
+    for idx, entry in enumerate(top["edges"]):
+        where = f"topology.edges[{idx}]"
         if len(entry) not in (2, 3):
-            raise ConfigError(f"topology.edges entry {entry!r} must be "
-                              "[src, dst] or [src, dst, weight]")
+            raise ConfigError(f"{where}: {entry!r} must be [src, dst] or "
+                              "[src, dst, weight]")
         src, dst = int(entry[0]), int(entry[1])
         w = float(entry[2]) if len(entry) == 3 else 1.0
         if not (1 <= src <= n and 1 <= dst <= n):
-            raise ConfigError(f"edge {entry!r}: agent ids are 1..{n}")
+            raise ConfigError(f"{where}: {entry!r}: agent ids are 1..{n}")
+        if not w > 0:
+            raise ConfigError(f"{where}: weight {w!r} must be > 0")
+        if weights[dst - 1, src - 1]:      # every weight set so far is > 0
+            raise ConfigError(f"{where}: repeats the edge [{src}, {dst}]")
         weights[dst - 1, src - 1] = w
     return DirectedTopology(n=n, m=m, weights=weights)
 

@@ -4,10 +4,10 @@ Six variants run on three laws, ``DoubleIntegratorLaw``, ``OscillatorLaw``
 and ``NonlinearVSController``; ``make_controller`` maps a variant and its
 settings to a law and its switches.  Every law is a stateless evaluator:
 given the physical state, the controller internals, and a frozen view of the
-delivered neighbor messages, it returns the control input and the time
-derivatives of its internals.
-Internals are stored as (m, N) arrays, one row per follower, so a whole
-follower group is evaluated with a handful of numpy operations.
+delivered neighbor messages, it writes the time derivatives of its internals
+in place and returns the control input.  The internals named by ``names``
+are one (k, m, N) array, one row per follower in each (m, N) block, so a
+whole follower group is evaluated with a handful of numpy operations.
 
 Neighbor information enters through weighted averages over the in-edges that
 have delivered at least one message; the averages are renormalized by the
@@ -218,12 +218,6 @@ class NeighborView:
             self._psi, np.concatenate([self.p_fallback, vhat_own], axis=1))
 
 
-@dataclass
-class ControllerOutput:
-    gamma: np.ndarray                       # (m, N)
-    d_internals: dict[str, np.ndarray]
-
-
 class DoubleIntegratorLaw:
     """gamma = -k_d (w - vhat) - k_p (p - psi) for double integrators.
 
@@ -244,43 +238,41 @@ class DoubleIntegratorLaw:
         self.gains, self.N = gains, N
         self.psi_mode, self.use_velocity = psi_mode, use_velocity
         self.v_d = None if v_d is None else np.asarray(v_d, dtype=float)
+        self.names = tuple(name for name, used in (
+            ("vhat", v_d is None), ("psi", psi_mode == "dynamic"),
+            ("phi", not use_velocity)) if used)
 
-    def init_internals(self, p0: np.ndarray,
-                       v0: np.ndarray) -> dict[str, np.ndarray]:
-        out = {}
-        if self.v_d is None:
-            out["vhat"] = np.zeros_like(v0)
+    def init_internals(self, p0: np.ndarray) -> np.ndarray:
+        x = np.zeros((len(self.names),) + p0.shape)
         if self.psi_mode == "dynamic":
-            out["psi"] = p0.copy()
-        if not self.use_velocity:
-            out["phi"] = np.zeros_like(p0)
-        return out
+            x[self.names.index("psi")] = p0
+        return x
 
-    def transmitted_vhat(self, internals: dict) -> np.ndarray:
+    def transmitted_vhat(self, x: np.ndarray) -> np.ndarray:
         """The (m, N) velocity estimates the followers put on the wire."""
         if self.v_d is None:
-            return internals["vhat"]
+            return x[0]
         return np.broadcast_to(self.v_d, (self.gains.m, self.N))
 
-    def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
+    def deriv(self, t, p, v, x, neigh, dx) -> np.ndarray:
         g = self.gains
-        d_int = {}
         if self.v_d is None:
-            vhat = internals["vhat"]
-            d_int["vhat"] = -g.L_p[:, None] * (vhat - neigh.vhat_avg(vhat))
+            vhat = x[0]
+            dx[0] = -g.L_p[:, None] * (vhat - neigh.vhat_avg(vhat))
         else:
             vhat = np.broadcast_to(self.v_d, p.shape)
         theta = neigh.vartheta_avg(t)
         if self.psi_mode == "dynamic":
-            psi = internals["psi"]
-            d_int["psi"] = -g.k_psi[:, None] * (psi - theta) + vhat
+            i = int(self.v_d is None)          # psi follows vhat
+            psi = x[i]
+            dx[i] = -g.k_psi[:, None] * (psi - theta) + vhat
         else:
             psi = theta
-        w = v if self.use_velocity else internals["phi"] + p
+        w = v if self.use_velocity else x[-1] + p      # phi is last
         gamma = -g.k_d[:, None] * (w - vhat) - g.k_p[:, None] * (p - psi)
         if not self.use_velocity:
-            d_int["phi"] = -w + gamma
-        return ControllerOutput(gamma=gamma, d_internals=d_int)
+            dx[-1] = -w + gamma
+        return gamma
 
 
 class NonlinearVSController:
@@ -291,39 +283,34 @@ class NonlinearVSController:
     chattering at the cost of an O(eps) steady perturbation.
     """
 
+    names = ("vhat", "sigma1", "eta1", "eta2")
+
     def __init__(self, gains, N, model: AgentModel):
         if model is None or model.kind != "nonlinear":
             raise ValueError("nonlinear_vs requires the nonlinear model")
         self.gains, self.N, self.model = gains, N, model
 
-    def init_internals(self, p0, v0):
-        return {"vhat": np.zeros_like(v0), "sigma1": np.zeros_like(v0),
-                "eta1": p0.copy(), "eta2": p0.copy()}
+    def init_internals(self, p0):
+        return np.stack([np.zeros_like(p0), np.zeros_like(p0), p0, p0])
 
-    def transmitted_vhat(self, internals):
-        return internals["vhat"]
+    def transmitted_vhat(self, x):
+        return x[0]
 
-    def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
+    def deriv(self, t, p, v, x, neigh, dx) -> np.ndarray:
         g = self.gains
         lam = g.lam_effective()[:, None]
-        vhat = internals["vhat"]
-        sigma1 = internals["sigma1"]
-        eta1 = internals["eta1"]
-        eta2 = internals["eta2"]
+        vhat, sigma1, eta1, eta2 = x
+        dvhat, dsigma1, deta1, deta2 = dx
         theta = neigh.vartheta_avg(t)
-        dvhat = -g.L_p[:, None] * (vhat - sigma1)
-        dsigma1 = -g.L_d[:, None] * (sigma1 - neigh.vhat_avg(vhat))
-        deta1 = -g.k_p[:, None] * (eta1 - eta2) + vhat
-        deta2 = -g.k_d[:, None] * (eta2 - theta) + vhat
+        dvhat[:] = -g.L_p[:, None] * (vhat - sigma1)
+        dsigma1[:] = -g.L_d[:, None] * (sigma1 - neigh.vhat_avg(vhat))
+        deta1[:] = -g.k_p[:, None] * (eta1 - eta2) + vhat
+        deta2[:] = -g.k_d[:, None] * (eta2 - theta) + vhat
         v_r = -lam * (p - eta1) + vhat
         dv_r = -lam * (v - deta1) + dvhat
         e = v - v_r
         gamma_bar = self.switching_term(e, p, v)
-        gamma = -g.k_r[:, None] * e + dv_r - gamma_bar
-        return ControllerOutput(
-            gamma=gamma,
-            d_internals={"vhat": dvhat, "sigma1": dsigma1,
-                         "eta1": deta1, "eta2": deta2})
+        return -g.k_r[:, None] * e + dv_r - gamma_bar
 
     def drift_bound(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         fns = self.model.drift_fns
@@ -356,36 +343,33 @@ class OscillatorLaw:
         self.gains, self.N, self.output_filter = gains, N, output_filter
         self.S1, self.S2 = model.S1, model.S2
         self.flow = OscillatorFlow(model.S1, model.S2)
+        self.names = ("vhat", "sigma") + (("phi",) if output_filter else ())
 
-    def init_internals(self, p0, v0):
-        out = {"vhat": np.zeros_like(v0), "sigma": np.zeros_like(v0)}
-        if self.output_filter:
-            out["phi"] = np.zeros_like(p0)
-        return out
+    def init_internals(self, p0):
+        return np.zeros((len(self.names),) + p0.shape)
 
-    def transmitted_vhat(self, internals):
-        return internals["vhat"]
+    def transmitted_vhat(self, x):
+        return x[0]
 
-    def deriv(self, t, p, v, internals, neigh) -> ControllerOutput:
+    def deriv(self, t, p, v, x, neigh, dx) -> np.ndarray:
         g = self.gains
-        vhat = internals["vhat"]
-        sigma = internals["sigma"]
+        vhat, sigma = x[0], x[1]
         psi = neigh.oscillator_psi(t, self.flow, vhat)
         psi1, psi2 = psi[:, : self.N], psi[:, self.N:]
         if self.output_filter:
-            y = internals["phi"] + p
+            y = x[2] + p
             w = g.k_phi[:, None] * y - vhat
         else:
             w = v - vhat
         gamma = -(g.k_d[:, None] * w + w @ self.S2.T) \
             - g.k_p[:, None] * (p - psi1) + 2.0 * sigma
-        d_int = {"vhat": p @ self.S1.T + vhat @ self.S2.T + sigma,
-                 "sigma": w @ self.S1.T + sigma @ self.S2.T
-                 - g.k_d[:, None] * sigma - g.k_p[:, None] * (vhat - psi2)}
+        dx[0] = p @ self.S1.T + vhat @ self.S2.T + sigma
+        dx[1] = w @ self.S1.T + sigma @ self.S2.T \
+            - g.k_d[:, None] * sigma - g.k_p[:, None] * (vhat - psi2)
         if self.output_filter:
-            d_int["phi"] = -(g.k_phi[:, None] * y - y @ self.S2.T) \
+            dx[2] = -(g.k_phi[:, None] * y - y @ self.S2.T) \
                 + (gamma + p @ self.S1.T) / g.k_phi[:, None]
-        return ControllerOutput(gamma=gamma, d_internals=d_int)
+        return gamma
 
 
 Controller = DoubleIntegratorLaw | NonlinearVSController | OscillatorLaw

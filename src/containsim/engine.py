@@ -12,6 +12,12 @@ arrived).  Payloads are captured once per sender at the send ticks, so the
 messages in use are one fancy index into that history.  The neighbor view
 they form is frozen for the four stages of a classical RK4 step, and kept
 over the ticks where nothing arrives.
+
+A run's state is one (rows, N) float array, a block of rows per variable
+(sim.run: p, v, then the law's internals, m rows each, whose derivative
+rows the law writes in place; the cascade: eta, then zeta, sigma rows per
+follower), so an RK4 step is four array expressions and the history is one
+(K + 1, rows, N) array whose slices are the trace fields.
 """
 from __future__ import annotations
 
@@ -45,16 +51,17 @@ class DivergenceError(RuntimeError):
         self.last_norm, self.copy = last_norm, copy
 
 
-def _divergence(t: float, y: list, prev: list, names) -> DivergenceError:
+def _divergence(t: float, y, prev, watch) -> DivergenceError:
     """The error naming the first agent and variable out of range in y;
-    prev holds the same arrays one step earlier."""
-    for variable, a, b in zip(names, y, prev):
-        bad = ~np.all(np.abs(a) <= DIVERGENCE_LIMIT,
-                      axis=tuple(range(1, a.ndim)))
+    prev is the state one step earlier, watch as in Engine.run."""
+    for variable, agents, rows in watch:
+        a, b = (z[:agents * rows].reshape(agents, -1) for z in (y, prev))
+        bad = ~np.all(np.abs(a) <= DIVERGENCE_LIMIT, axis=1)
         if bad.any():
             agent = int(np.argmax(bad))
             return DivergenceError(t, agent, variable,
                                    float(np.linalg.norm(b[agent])))
+        y, prev = y[agents * rows:], prev[agents * rows:]
 
 
 def stage_times(K: int, dt: float) -> np.ndarray:
@@ -73,27 +80,29 @@ def stage_table(K: int, dt: float) -> tuple[np.ndarray, dict]:
     return times, dict(zip(times.tolist(), range(len(times))))
 
 
-def check_schedule_edges(schedules, edges, error) -> None:
-    """Raise error unless the injected schedules are keyed by exactly the
-    topology's edges, naming the edges missing and the keys extra."""
-    missing = sorted(set(edges) - set(schedules))
-    extra = sorted(set(schedules) - set(edges))
+def topology_links(topo, schedules, error) -> list:
+    """The links ((j, i), weight, schedule) of the topology's edges, in edge
+    order; raises error unless the schedules are keyed by exactly those
+    edges, naming the edges missing and the keys extra."""
+    missing = sorted(set(topo.edges()) - set(schedules))
+    extra = sorted(set(schedules) - set(topo.edges()))
     if missing or extra:
         raise error(f"schedules must have one entry per edge of the "
                     f"topology: missing edges {missing}, extra edges {extra}")
+    return [((j, i), topo.weights[i, j], s)
+            for (j, i), s in sorted(schedules.items())]
 
 
-def rk4_step(rhs, t: float, h: float, y: list, u, k1: list) -> list:
+def rk4_step(rhs, t: float, h: float, y: np.ndarray, u, k1: np.ndarray):
     """One classical RK4 step of dy/dt = rhs(t, y, u)[0] with u held fixed.
 
-    y is a list of state arrays and k1 = rhs(t, y, u)[0] is passed in, since
-    the caller already evaluated it to record the step-start outputs.
+    y is the state array and k1 = rhs(t, y, u)[0] is passed in, since the
+    caller already evaluated it to record the step-start outputs.
     """
-    k2, _ = rhs(t + h / 2, [a + h / 2 * b for a, b in zip(y, k1)], u)
-    k3, _ = rhs(t + h / 2, [a + h / 2 * b for a, b in zip(y, k2)], u)
-    k4, _ = rhs(t + h, [a + h * b for a, b in zip(y, k3)], u)
-    return [a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    k2, _ = rhs(t + h / 2, y + h / 2 * k1, u)
+    k3, _ = rhs(t + h / 2, y + h / 2 * k2, u)
+    k4, _ = rhs(t + h, y + h * k3, u)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 class Engine:
@@ -170,8 +179,8 @@ class Engine:
         return NeighborView(m, N, self.dst[live], self.w[live], msg[:, :N],
                             msg[:, N:], seq * self.T, self.fallback, self.dt)
 
-    def run(self, y: list, payload, rhs, record, watch, freeze=None):
-        """Integrate from state list y over ticks 0..K.
+    def run(self, y: np.ndarray, payload, rhs, record, watch, freeze=None):
+        """Integrate from the (rows, N) state y over ticks 0..K.
 
         At each tick: capture payload(y) if it is a send tick, deliver the
         arrivals, build the view (turned into the held input by freeze, if
@@ -179,34 +188,33 @@ class Engine:
         record(k, y, u, out), then take one RK4 step.  A tick with no
         arrivals keeps the previous input: the mailbox is unchanged, and
         the payload rows it points to were captured before they arrived.
-        watch names the leading state arrays that must stay in range; the
-        first to leave it raises DivergenceError against its step-start
-        value.  Returns the state history, one (K+1, ...) array per state
-        array.
+        watch lists the leading row blocks that must stay in range as
+        (variable, agents, rows per agent); the first agent to leave it
+        raises DivergenceError against its step-start value.  Returns the
+        (K+1, rows, N) state history.
         """
         K, dt, spT, first = self.K, self.dt, self.steps_per_T, self.first
-        states = [np.empty((K + 1,) + a.shape) for a in y]
+        watched = sum(agents * rows for _, agents, rows in watch)
+        states = np.empty((K + 1,) + y.shape)
         for k in range(K + 1):
             t = k * dt
             if k % spT == 0:
                 sample = payload(y)
                 if k == 0:
-                    hist = np.empty((K // spT + 1,) + sample.shape)
-                hist[k // spT] = sample
+                    sent = np.empty((K // spT + 1,) + sample.shape)
+                sent[k // spT] = sample
             if k == 0 or first[k] < first[k + 1]:
                 self.deliver(k)
-                u = self.view(hist)
+                u = self.view(sent)
                 if freeze is not None:
                     u = freeze(u)
             dy, out = rhs(t, y, u)
-            for rec, a in zip(states, y):
-                rec[k] = a
+            states[k] = y
             record(k, y, u, out)
             if k == K:
                 break
-            start, y = y, rk4_step(rhs, t, dt, y, u, dy)
+            y = rk4_step(rhs, t, dt, y, u, dy)
             # abs(nan) <= limit is False, so this also catches non-finite y.
-            if not all(np.all(np.abs(a) <= DIVERGENCE_LIMIT)
-                       for a in y[:len(watch)]):
-                raise _divergence(t + dt, y, start, watch)
+            if not np.all(np.abs(y[:watched]) <= DIVERGENCE_LIMIT):
+                raise _divergence(t + dt, y, states[k], watch)
         return states

@@ -24,7 +24,7 @@ from .control import Controller, GainSet, make_controller
 from .dynamics import AgentModel, LeaderTrajectory, \
     check_oscillator_spectrum, follower_rhs, leader_accels
 from .engine import DIVERGENCE_LIMIT, DivergenceError, Engine  # noqa: F401
-from .engine import check_schedule_edges, stage_table
+from .engine import stage_table, topology_links
 from .topology import DirectedTopology, containment_weights, partition, \
     validate_assumption1
 
@@ -248,16 +248,13 @@ def run(scen: Scenario, seed: int | None = None,
     W = containment_weights(partition(topo)).W
     if schedules is None:
         schedules = build_schedules(scen, seed)
-    else:
-        check_schedule_edges(schedules, topo.edges(), ScenarioError)
 
-    model = scen.model
-    eng = Engine((((j, i), topo.weights[i, j], s)
-                  for (j, i), s in sorted(schedules.items())),
-                 scen.comm.T, dt, scen.t_end, scen.p0[:m], ScenarioError)
+    model, n = scen.model, topo.n
+    eng = Engine(topology_links(topo, schedules, ScenarioError), scen.comm.T,
+                 dt, scen.t_end, scen.p0[:m], ScenarioError)
     K = eng.K
-    internals = ctrl.init_internals(scen.p0[:m], scen.v0[:m])
-    names = list(internals)
+    # The state: rows p, v, then one m-row block per controller internal.
+    x0 = ctrl.init_internals(scen.p0[:m])
     gamma = np.empty((K + 1, m, N))
     used_seq = np.empty((K + 1, len(eng.edges)), dtype=int)
     if model.kind != "oscillator":
@@ -267,28 +264,31 @@ def run(scen: Scenario, seed: int | None = None,
 
     def payload(y):
         # Followers transmit their velocity estimate, leaders their velocity.
-        vhat = ctrl.transmitted_vhat(dict(zip(names, y[2:])))
-        return np.concatenate([y[0], np.concatenate([vhat, y[1][m:]])],
+        vhat = ctrl.transmitted_vhat(y[2 * n:].reshape(x0.shape))
+        return np.concatenate([y[:n], np.concatenate([vhat, y[n + m:2 * n]])],
                               axis=1)
 
     def rhs(t, y, view):
-        p, v, *ints = y
-        out = ctrl.deriv(t, p[:m], v[:m], dict(zip(names, ints)), view)
-        dv = np.empty_like(v)
-        dv[:m] = follower_rhs(model, p[:m], v[:m], out.gamma)[1]
+        p, v = y[:n], y[n:2 * n]
+        dy = np.empty_like(y)
+        dy[:n] = v
+        g = ctrl.deriv(t, p[:m], v[:m], y[2 * n:].reshape(x0.shape), view,
+                       dy[2 * n:].reshape(x0.shape))
+        dy[n:n + m] = follower_rhs(model, p[:m], v[:m], g)[1]
         if model.kind == "oscillator":    # free leader oscillation
-            dv[m:] = p[m:] @ model.S1.T + v[m:] @ model.S2.T
+            dy[n + m:2 * n] = p[m:] @ model.S1.T + v[m:] @ model.S2.T
         else:
-            dv[m:] = accel_tab[row[t]]
-        return [v, dv, *(out.d_internals[nm] for nm in names)], out
+            dy[n + m:2 * n] = accel_tab[row[t]]
+        return dy, g
 
-    def record(k, y, view, out):
-        gamma[k] = out.gamma
+    def record(k, y, view, g):
+        gamma[k] = g
         used_seq[k] = eng.box
 
-    trace_p, trace_v, *ints = eng.run(
-        [scen.p0.copy(), scen.v0.copy(), *internals.values()],
-        payload, rhs, record, ("p", "v"))
+    states = eng.run(np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]),
+                     payload, rhs, record, (("p", n, 1), ("v", n, 1)))
+    trace_p, trace_v = states[:, :n], states[:, n:2 * n]
+    internals = states[:, 2 * n:].reshape((K + 1,) + x0.shape)
 
     hull = np.empty((K + 1, m))
     for k in range(K + 1):
@@ -296,7 +296,8 @@ def run(scen: Scenario, seed: int | None = None,
 
     # x_F + (L1^{-1} L2 (x) I) x_L  ==  x_F - W x_L, for all steps at once.
     return Trace(times=np.arange(K + 1) * dt, p=trace_p, v=trace_v,
-                 gamma=gamma, internals=dict(zip(names, ints)),
+                 gamma=gamma, internals={name: internals[:, i] for i, name
+                                         in enumerate(ctrl.names)},
                  err_pos=trace_p[:, :m] - W @ trace_p[:, m:],
                  err_vel=trace_v[:, :m] - W @ trace_v[:, m:],
                  hull_dist=hull, W=W, m=m, schedules=schedules,

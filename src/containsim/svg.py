@@ -85,16 +85,18 @@ def render_trajectories(trace: Trace, snapshot_times=(0.0, 10.0, 20.0, 40.0),
     sx = _scaler(xs.min() - pad_x, xs.max() + pad_x, MARGIN, WIDTH - MARGIN)
     sy = _scaler(ys.min() - pad_y, ys.max() + pad_y, HEIGHT - MARGIN, 30)
 
-    snaps = [t for t in snapshot_times if t <= trace.times[-1] + 1e-9]
-    for si, t in enumerate(snaps):
-        k = trace.index_of(t)
+    # Each snapshot is drawn, and labelled, at the last step up to its time.
+    snaps = [int(np.searchsorted(trace.times, t + 1e-9, side="right")) - 1
+             for t in snapshot_times
+             if trace.times[0] - 1e-9 <= t <= trace.times[-1] + 1e-9]
+    for si, k in enumerate(snaps):
         hull = convex_hull_2d(trace.p[k, m:])
         pts = [(sx(q[0]), sy(q[1])) for q in hull]
         fade = 0.25 + 0.75 * si / max(1, len(snaps) - 1)
         c.polyline(pts, "#444", width=1.0, closed=len(pts) > 2,
                    fill="none", opacity=fade)
-        c.text(pts[0][0] + 3, pts[0][1] - 3, f"t={t:g}", size=9,
-               color="#444")
+        c.text(pts[0][0] + 3, pts[0][1] - 3, f"t={trace.times[k]:g}",
+               size=9, color="#444")
 
     for i in range(n):
         color = _COLORS[i % len(_COLORS)]

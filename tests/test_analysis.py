@@ -67,8 +67,12 @@ def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
     def drives(t: float) -> np.ndarray:
         return np.stack([broadcast(d.value(t)) for d in cfg.leader_drive])
 
+    # eta's n rows, then zeta's m * sigma rows, as the engine's one state.
+    def split(y):
+        return y[:topo.n], y[topo.n:].reshape(m, cfg.sigma, N)
+
     def rhs(t, y, eps):
-        eta_s, zeta_s = y
+        eta_s, zeta_s = split(y)
         phi1_v = broadcast(cfg.phi1.value(t))
         delta = cfg.alpha * zeta_s[:, 0] + (1.0 - cfg.alpha) * eps
         deta = np.empty_like(eta_s)
@@ -79,20 +83,24 @@ def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
             feed = zeta_s[:, ell + 1] if ell + 1 < cfg.sigma else eps
             dzeta[:, ell] = -h[ell] * (zeta_s[:, ell] - feed) \
                 + broadcast(phi2[ell].value(t))
-        return [deta, dzeta], None
+        return np.concatenate([deta, dzeta.reshape(-1, N)]), None
 
     def record(k, y, eps, _):
         t = k * cfg.dt
         tr_eps[k] = eps
-        tr_eta_c[k] = W @ y[0][m:]
+        tr_eta_c[k] = W @ split(y)[0][m:]
         tr_deta_c[k] = W @ drives(t)
         tr_phi1[k] = broadcast(cfg.phi1.value(t))
         for ell in range(cfg.sigma):
             tr_phi2[k, :, ell] = broadcast(phi2[ell].value(t))
 
-    tr_eta, tr_zeta = eng.run(
-        [cfg.eta0.copy(), cfg.zeta0.copy()], lambda y: y[0], rhs, record,
-        ("eta", "zeta"), freeze=NeighborView.p_avg)
+    states = eng.run(
+        np.concatenate([cfg.eta0, cfg.zeta0.reshape(-1, N)]),
+        lambda y: split(y)[0], rhs, record,
+        (("eta", topo.n, 1), ("zeta", m, cfg.sigma)),
+        freeze=NeighborView.p_avg)
+    tr_eta, tr_zeta = states[:, :topo.n], states[:, topo.n:].reshape(
+        K + 1, m, cfg.sigma, N)
     return CascadeTrace(times=np.arange(K + 1) * cfg.dt, eta=tr_eta,
                         zeta=tr_zeta, eps=tr_eps, eta_c=tr_eta_c,
                         deta_c=tr_deta_c, phi1_vals=tr_phi1,
@@ -200,9 +208,9 @@ class TestPerturbation:
 
         def rhs(t, y, u):
             seen.append(t)
-            return [np.zeros_like(y[0])], None
+            return np.zeros_like(y), None
 
-        eng.run([cfg.eta0], lambda y: y[0], rhs, lambda *a: None, ())
+        eng.run(cfg.eta0, lambda y: y, rhs, lambda *a: None, ())
         assert set(seen) == set(stage_times(eng.K, cfg.dt).tolist())
 
 

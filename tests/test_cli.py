@@ -49,6 +49,12 @@ def complex_roots_no_lam(doc):
     gains.update(k_p=2.0, k_d=1.0)
 
 
+def add_edge(*entry):
+    """A document edit that appends entry to topology.edges (16 entries in
+    every bundled scenario)."""
+    return lambda doc: doc["topology"]["edges"].append(list(entry))
+
+
 NO_CONFIG = "no --config"
 OFF_GRID_HORIZON = edit("sim", t_end_seconds=2.005)
 
@@ -129,6 +135,18 @@ EXIT_CASES = [
                  False, 2, "runtime error:",
                  r"diverging (eta|zeta) of agent \d+ at t=",
                  id="sweep-k_eta_1000"),
+    *(pytest.param(command, scenario, add_edge(3, 1, 5.0), False, 1,
+                   "config error:",
+                   r"topology\.edges\[16\]: repeats the edge \[3, 1\]",
+                   id=f"{command}-repeated_edge")
+      for command, scenario in (("run", "benchmark_fullstate"),
+                                ("sweep", "cascade_estimates"))),
+    *(pytest.param(command, scenario, add_edge(3, 1, 0.0), False, 1,
+                   "config error:",
+                   r"topology\.edges\[16\]: weight 0\.0 must be > 0",
+                   id=f"{command}-zero_weight_edge")
+      for command, scenario in (("run", "benchmark_fullstate"),
+                                ("sweep", "cascade_estimates"))),
     pytest.param("run", "benchmark_fullstate", None, True, 3,
                  "output error:", r"Not a directory",
                  id="run-out_under_a_file"),
@@ -285,6 +303,18 @@ class TestRun:
             assert (out_dir / name).exists(), name
         side = json.loads((out_dir / "side.json").read_text())
         assert side["seed"] == 7
+
+    def test_svg_snapshots_off_the_grid(self, tmp_path):
+        # t_end / 4 = 0.075 is not a multiple of dt = 0.01: that snapshot
+        # is drawn at the last step before it, and labelled with its time.
+        doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
+        doc["sim"]["t_end_seconds"] = 0.3
+        doc["outputs"] = {"svg": "x.svg"}
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", write_doc(tmp_path, doc),
+                         "--out", str(out_dir)]) == 0
+        labels = re.findall(r">t=([^<]*)<", (out_dir / "x.svg").read_text())
+        assert labels == ["0", "0.07", "0.15", "0.3"]
 
     def test_schedules_generated_once(self, tmp_path, monkeypatch):
         calls = []

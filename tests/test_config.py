@@ -110,6 +110,29 @@ class TestBuilding:
         with pytest.raises(ConfigError, match="agent ids"):
             config.build_topology(doc)
 
+    @pytest.mark.parametrize("entry, message", [
+        ([3, 1, 5.0], r"topology\.edges\[16\]: repeats the edge \[3, 1\]"),
+        ([3, 1], r"topology\.edges\[16\]: repeats the edge \[3, 1\]"),
+        ([3, 1, 0.0], r"topology\.edges\[16\]: weight 0\.0 must be > 0"),
+        ([2, 1, -1.0], r"topology\.edges\[16\]: weight -1\.0 must be > 0"),
+    ], ids=["repeated", "repeated_default_weight", "zero_weight",
+            "negative_weight"])
+    def test_repeated_or_non_positive_edge_rejected(self, entry, message):
+        # Before, a repeat silently replaced the weight and a zero weight
+        # silently deleted the edge.
+        doc = copy.deepcopy(load_scenario_doc("cascade_estimates"))
+        doc["topology"]["edges"].append(entry)
+        with pytest.raises(ConfigError, match=message):
+            config.build_scenario(doc)
+        with pytest.raises(ConfigError, match=message):
+            config.build_cascade(doc)
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_bundled_edges_all_kept(self, name):
+        doc = load_scenario_doc(name)
+        topo = config.build_topology(doc)
+        assert len(topo.edges()) == len(doc["topology"]["edges"]) == 16
+
     def test_edge_weight_default_and_explicit(self):
         doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
         doc["topology"]["edges"][0] = [3, 1, 2.5]

@@ -614,21 +614,24 @@ class TestControllers:
         t = 1.0
         theta = view.vartheta_avg(t)
         vbar = view.vhat_avg(np.zeros((2, 2)))
-        internals = {"vhat": view.vhat_avg(np.zeros((2, 2)))}
-        out = ctrl.deriv(t, theta, vbar, internals, view)
-        assert np.allclose(out.gamma, 0.0, atol=1e-12)
-        assert np.allclose(out.d_internals["vhat"], 0.0, atol=1e-12)
+        x = view.vhat_avg(np.zeros((2, 2)))[None]       # vhat
+        dx = np.empty_like(x)
+        gamma = ctrl.deriv(t, theta, vbar, x, view, dx)
+        assert np.allclose(gamma, 0.0, atol=1e-12)
+        assert np.allclose(dx[0], 0.0, atol=1e-12)
 
     def test_full_state_dynamic_psi_filter(self):
         g = GainSet(m=2, k_p=4.0, k_d=4.0, k_psi=2.0)
         ctrl = make_controller("full_state", g, 2, psi_mode="dynamic")
         view = simple_view()
         p0 = np.zeros((2, 2))
-        internals = ctrl.init_internals(p0, p0)
-        assert np.allclose(internals["psi"], p0)
-        out = ctrl.deriv(0.0, p0, p0, internals, view)
+        x = ctrl.init_internals(p0)
+        psi = ctrl.names.index("psi")
+        assert np.allclose(x[psi], p0)
+        dx = np.empty_like(x)
+        ctrl.deriv(0.0, p0, p0, x, view, dx)
         theta = view.vartheta_avg(0.0)
-        assert np.allclose(out.d_internals["psi"], -2.0 * (p0 - theta))
+        assert np.allclose(dx[psi], -2.0 * (p0 - theta))
 
     def test_output_feedback_filter_identity(self):
         # d(phi + p)/dt = -(phi + p) + gamma + v, so phi + p - v obeys a pure
@@ -639,19 +642,21 @@ class TestControllers:
         rng = np.random.default_rng(5)
         p = rng.normal(size=(2, 2))
         v = rng.normal(size=(2, 2))
-        internals = ctrl.init_internals(p, v)
-        internals["phi"] = rng.normal(size=(2, 2))
-        out = ctrl.deriv(0.5, p, v, internals, view)
-        phi_tilde = internals["phi"] + p - v
-        d_phi_tilde = out.d_internals["phi"] + v - out.gamma
+        x = ctrl.init_internals(p)
+        phi = ctrl.names.index("phi")
+        x[phi] = rng.normal(size=(2, 2))
+        dx = np.empty_like(x)
+        gamma = ctrl.deriv(0.5, p, v, x, view, dx)
+        phi_tilde = x[phi] + p - v
+        d_phi_tilde = dx[phi] + v - gamma
         assert np.allclose(d_phi_tilde, -phi_tilde, atol=1e-12)
 
     def test_known_vd_transmits_limit_velocity(self):
         g = GainSet(m=2, k_p=4.0, k_d=4.0)
         v_d = np.array([1.0, 0.1])
         ctrl = make_controller("known_vd", g, 2, v_d=v_d)
-        internals = ctrl.init_internals(np.zeros((2, 2)), np.zeros((2, 2)))
-        assert np.array_equal(ctrl.transmitted_vhat(internals),
+        x = ctrl.init_internals(np.zeros((2, 2)))
+        assert np.array_equal(ctrl.transmitted_vhat(x),
                               np.vstack([v_d, v_d]))
 
     def test_switching_term_boundary_layer(self):
@@ -764,22 +769,26 @@ class TestLawsMatchOracle:
         view = random_view(rng, m, N, E, dt, 10, k)
         t = k * dt + half * dt / 2
         p, v = rng.normal(size=(m, N)), rng.normal(size=(m, N))
-        init_new = new.init_internals(p, v)
+        # The law's internals are rows of one array, in the order of its
+        # names; the oracle takes and returns them by name.
+        init_new = dict(zip(new.names, new.init_internals(p)))
         init_old = old.init_internals(p, v)
         assert sorted(init_new) == sorted(init_old)
         for name in init_new:
             assert np.array_equal(init_new[name], init_old[name])
-        internals = {name: rng.normal(size=(m, N)) for name in init_new}
+        x = rng.normal(size=(len(new.names), m, N))
+        internals = dict(zip(new.names, x))
 
         assert np.array_equal(
-            new.transmitted_vhat(internals),
+            new.transmitted_vhat(x),
             np.vstack([old.transmitted_vhat(internals, i)
                        for i in range(m)]))
-        out_new = new.deriv(t, p, v, internals, view)
+        dx = np.full_like(x, np.nan)
+        gamma_new = new.deriv(t, p, v, x, view, dx)
         out_old = old.deriv(t, p, v, internals, view)
-        assert np.array_equal(out_new.gamma, out_old.gamma)
-        assert sorted(out_new.d_internals) == sorted(out_old.d_internals)
-        for name, got in out_new.d_internals.items():
+        assert np.array_equal(gamma_new, out_old.gamma)
+        assert sorted(new.names) == sorted(out_old.d_internals)
+        for name, got in zip(new.names, dx):
             want = out_old.d_internals[name]
             if variant == "oscillator_output" and not s2_zero \
                     and name == "sigma":

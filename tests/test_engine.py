@@ -11,9 +11,54 @@ from containsim import analysis, config, sim
 from containsim.analysis import CascadeError
 from containsim.comm import CommConfig, LinkEvent, LinkSchedule, to_ticks
 from containsim.control import NeighborView
-from containsim.engine import Engine
+from containsim.engine import Engine, rk4_step
 from containsim.sim import ScenarioError
 from conftest import load_scenario_doc
+
+
+def rk4_step_oracle(rhs, t: float, h: float, y: list, u, k1: list) -> list:
+    """One classical RK4 step of dy/dt = rhs(t, y, u)[0] with u held fixed.
+
+    y is a list of state arrays and k1 = rhs(t, y, u)[0] is passed in, since
+    the caller already evaluated it to record the step-start outputs.
+    """
+    k2, _ = rhs(t + h / 2, [a + h / 2 * b for a, b in zip(y, k1)], u)
+    k3, _ = rhs(t + h / 2, [a + h / 2 * b for a, b in zip(y, k2)], u)
+    k4, _ = rhs(t + h, [a + h * b for a, b in zip(y, k3)], u)
+    return [a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.integers(1, 5), min_size=1,
+                                       max_size=5),
+       st.integers(1, 3), st.one_of(st.just(0.025), st.floats(1e-4, 1.0)),
+       st.integers(0, 2400))
+def test_flat_step_equals_the_step_over_blocks(seed, rows, N, h, k):
+    # The same state as one (rows, N) array and as a list of row blocks:
+    # the flat step equals the list-form step to the bit, and both
+    # evaluate the right-hand side at the same stage times.  On the
+    # dt = 0.025 grid, k * dt + dt is not always (k + 1) * dt.
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(sum(rows), N))
+    u = rng.normal(size=(len(y), len(y)))
+    t = k * h
+    seen = {"flat": [], "blocks": []}
+
+    def rhs(t, y, u, who="flat"):
+        seen[who].append(t)
+        return u @ y + np.sin(t + y), None
+
+    def rhs_blocks(t, ys, u):
+        dy, _ = rhs(t, np.concatenate(ys), u, "blocks")
+        return np.split(dy, np.cumsum(rows)[:-1]), None
+
+    got = rk4_step(rhs, t, h, y, u, rhs(t, y, u)[0])
+    blocks = np.split(y, np.cumsum(rows)[:-1])
+    want = rk4_step_oracle(rhs_blocks, t, h, blocks, u,
+                           rhs_blocks(t, blocks, u)[0])
+    assert np.array_equal(got, np.concatenate(want))
+    assert seen["flat"] == seen["blocks"]
 
 
 @pytest.mark.parametrize("name", ["benchmark_fullstate",

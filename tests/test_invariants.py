@@ -137,15 +137,17 @@ class TestControllerStructure:
               "sigma": rng.normal(size=(2, 2))}),
         ]
         for name, ctrl, internals in cases:
+            x = np.stack([internals[key] for key in ctrl.names])
             A = (rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
             B = (rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
             Z = (np.zeros((3, 2)), np.zeros((3, 2)))
             AB = (A[0] + B[0], A[1] + B[1])
-            outs = {key: ctrl.deriv(0.7, p, v, internals, _view(*msgs))
+            outs = {key: ctrl.deriv(0.7, p, v, x, _view(*msgs),
+                                    np.empty_like(x))
                     for key, msgs in (("A", A), ("B", B), ("0", Z),
                                       ("AB", AB))}
-            lhs = outs["AB"].gamma + outs["0"].gamma
-            rhs = outs["A"].gamma + outs["B"].gamma
+            lhs = outs["AB"] + outs["0"]
+            rhs = outs["A"] + outs["B"]
             assert np.allclose(lhs, rhs, atol=1e-10), name
 
     def test_output_feedback_ignores_velocity(self):
@@ -158,12 +160,13 @@ class TestControllerStructure:
                      "psi": rng.normal(size=(2, 2)),
                      "phi": rng.normal(size=(2, 2))}
         view = _view(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
-        out1 = ctrl.deriv(0.3, p, rng.normal(size=(2, 2)), internals, view)
-        out2 = ctrl.deriv(0.3, p, rng.normal(size=(2, 2)), internals, view)
-        assert np.array_equal(out1.gamma, out2.gamma)
-        for name in out1.d_internals:
-            assert np.array_equal(out1.d_internals[name],
-                                  out2.d_internals[name])
+        x = np.stack([internals[key] for key in ctrl.names])
+        dx1, dx2 = np.empty_like(x), np.empty_like(x)
+        gamma1 = ctrl.deriv(0.3, p, rng.normal(size=(2, 2)), x, view, dx1)
+        gamma2 = ctrl.deriv(0.3, p, rng.normal(size=(2, 2)), x, view, dx2)
+        assert np.array_equal(gamma1, gamma2)
+        for d1, d2 in zip(dx1, dx2):
+            assert np.array_equal(d1, d2)
 
 
 class TestClosedLoopShape:
