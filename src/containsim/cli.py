@@ -137,6 +137,8 @@ def cmd_report(args) -> int:
         "final_err_vel_norm": float(trace.err_vel_norm[-1]),
         "max_hull_dist_final": float(np.max(trace.hull_dist[-1])),
         "messages_delivered": len(trace.audit),
+        "messages_forced": sum(int(s.forced.sum())
+                               for s in trace.schedules.values()),
     }
     path = os.path.join(args.out, f"{scen.label}_report.json")
     with open(path, "w") as fh:

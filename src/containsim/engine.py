@@ -2,11 +2,12 @@
 
 The graph is an edge list: each link is an edge, its weight and its
 schedule, so a batch of disjoint copies needs no matrix of its own.
-Time is counted in ticks of the integration step dt, and seconds are
-converted once, when the link schedules are compiled: the message with
-sequence number seq is sent at tick seq * steps_per_T and arrives
-delay / dt ticks later.  Dropped messages are removed, and a send time or a
-delay that is not a whole number of ticks is rejected.  The mailbox is one
+Time is counted in ticks of the integration step dt.  Link schedules hold
+their delays in ticks, so they are compiled by concatenating their arrays:
+the delivered message with sequence number seq is sent at tick
+seq * steps_per_T and arrives delay ticks later.  A schedule drawn at
+another step is converted to the run's ticks, and one whose sends or
+delays are off them is rejected.  The mailbox is one
 int array holding the freshest delivered seq per edge (-1 while nothing has
 arrived).  Payloads are captured once per sender at the send ticks, so the
 messages in use are one fancy index into that history.  The neighbor view
@@ -20,8 +21,6 @@ follower), so an RK4 step is four array expressions and the history is one
 (K + 1, rows, N) array whose slices are the trace fields.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -125,30 +124,33 @@ class Engine:
                                         error))
         # One link at a time, so links that build each schedule when read
         # never hold them all.
-        self.edges, w = [], []
-        edge, seq, send, delay = [], [], [], []
-        for e, (key, weight, schedule) in enumerate(links):
+        self.edges, w, seqs, delays, steps = [], [], [], [], []
+        for key, weight, s in links:
             if self.edges and key <= self.edges[-1]:
                 raise ValueError(f"links must come in strictly increasing "
                                  f"edge order: {key} after {self.edges[-1]}")
             self.edges.append(key)
             w.append(weight)
-            events = [ev for ev in schedule.events if ev.delay != math.inf]
-            edge += [e] * len(events)
-            seq += [ev.seq for ev in events]
-            send += [ev.send_time for ev in events]
-            delay += [ev.delay for ev in events]
+            seqs.append(np.flatnonzero(s.delivered))
+            delays.append(s.delay[seqs[-1]])
+            steps.append((s.T, s.dt))
         self.src, self.dst = np.array(self.edges, dtype=int).reshape(-1, 2).T
         self.w = np.array(w, dtype=float)
-        edge, seq = np.array(edge, dtype=int), np.array(seq, dtype=int)
-        send, delay = np.array(send, dtype=float), np.array(delay, dtype=float)
-        if np.any(to_ticks(send, dt, "every send time", error)
-                  != seq * self.steps_per_T) or np.any(delay < 0):
+        count = [len(seq) for seq in seqs]
+        edge = np.repeat(np.arange(len(count)), count)
+        seq, delay = (np.concatenate(a + [np.empty(0, dtype=int)])
+                      for a in (seqs, delays))
+        T_s, dt_s = np.repeat(np.reshape(steps, (-1, 2)), count, axis=0).T
+        if np.any(to_ticks(T_s, dt, "the period of every schedule", error)
+                  != self.steps_per_T) or np.any(delay < 0):
             raise error("link messages must be sent at seq*T and have "
                         "delays >= 0")
-        tick = seq * self.steps_per_T + to_ticks(delay, dt,
-                                                 "every link delay", error)
-        arrival = send + delay
+        # Seconds as the schedules print them, for the audit log.
+        send, delay_s = seq * T_s, delay * dt_s
+        arrival = send + delay_s
+        if np.any(dt_s != dt):      # drawn at another step
+            delay = to_ticks(delay_s, dt, "every link delay", error)
+        tick = seq * self.steps_per_T + delay
         # Deliveries in the audit log's order: tick, edge, arrival, seq.
         order = np.lexsort((seq, arrival, edge, tick))
         order = order[tick[order] <= self.K]

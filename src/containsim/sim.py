@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comm import CommConfig, LinkSchedule, generate_schedule, \
-    period_ticks
+    period_ticks, to_ticks
 from .control import Controller, GainSet, make_controller
 from .dynamics import AgentModel, LeaderTrajectory, \
     check_oscillator_spectrum, follower_rhs, leader_accels
@@ -111,10 +111,10 @@ class Trace:
                               axis=1)
 
     def index_of(self, t: float) -> int:
-        idx = int(round((t - self.times[0]) / (self.times[1] - self.times[0])))
-        if not (0 <= idx < len(self.times)) or \
-                abs(self.times[idx] - t) > 1e-9:
-            raise ValueError(f"t={t} is not on the trace grid")
+        off_grid = ValueError(f"t={t} is not on the trace grid")
+        idx = int(to_ticks(t, self.meta["dt"], "t", lambda _: off_grid))
+        if not 0 <= idx < len(self.times):
+            raise off_grid
         return idx
 
 

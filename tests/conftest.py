@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from containsim import config
+from containsim.comm import LinkSchedule
 from containsim.topology import DirectedTopology
 
 
@@ -15,6 +16,14 @@ SCENARIOS = ("benchmark_fullstate", "benchmark_outputfb", "benchmark_nonlinear",
 def load_scenario_doc(name: str) -> dict:
     text = ir.files("containsim").joinpath(f"scenarios/{name}.json").read_text()
     return json.loads(text)
+
+
+def link_schedule(ticks, T=0.1, dt=0.01) -> LinkSchedule:
+    """A schedule from per-seq delays in ticks of dt, None for a drop."""
+    delivered = np.array([d is not None for d in ticks], dtype=bool)
+    delay = np.array([d or 0 for d in ticks], dtype=int)
+    return LinkSchedule(T, dt, delay, delivered,
+                        np.zeros(len(delay), dtype=bool))
 
 
 # The ten-agent benchmark graph: six followers, four leaders, unit weights.

@@ -400,3 +400,20 @@ class TestReport:
             (tmp_path / "benchmark_fullstate_report.json").read_text())
         assert report["certificate_pass"] is True
         assert report["messages_delivered"] > 0
+
+    def test_counts_forced_sends(self, tmp_path):
+        # Nine drops in ten make the repair force sends through; they are
+        # a subset of the delivered ones.
+        doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
+        doc["sim"]["t_end_seconds"] = 2.0
+        doc["comm"]["drop_prob"] = 0.9
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["report", "--config", path, "--out", str(tmp_path),
+                         "--seed", "4"]) == 0
+        report = json.loads(
+            (tmp_path / "benchmark_fullstate_report.json").read_text())
+        schedules = sim.run(config.build_scenario(doc), seed=4).schedules
+        assert all((s.delivered >= s.forced).all()
+                   for s in schedules.values())
+        assert report["messages_forced"] == \
+            sum(int(s.forced.sum()) for s in schedules.values()) > 0

@@ -1,51 +1,121 @@
+import csv
+import dataclasses
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from containsim import comm
+from containsim import comm, config
 from containsim.comm import (
     INF,
+    TICK_TOL,
     CommConfig,
     CommConfigError,
-    LinkEvent,
-    LinkSchedule,
+    export_schedule_csv,
     generate_schedule,
     verify_blackout_bound,
 )
 from containsim.engine import Engine
+from conftest import SCENARIOS, link_schedule, load_scenario_doc
 
 
-def repair_blackouts_oracle(events: list[LinkEvent], cfg: CommConfig,
-                            t_end: float, dt: float) -> None:
-    """The repair pass scanning every event on every chain extension."""
-    if not events:
-        return
-    max_send = max(e.send_time for e in events)
-    chain_send = None
-    deadline = cfg.T_star
+def whole_ticks(seconds: float, dt: float) -> int:
+    """seconds / dt rounded down, a quotient within TICK_TOL of a whole
+    number counting as that number."""
+    x = seconds / dt
+    return round(x) if abs(x - round(x)) <= TICK_TOL else math.floor(x)
+
+
+def repair_blackouts_oracle(sched, T_star: float, delay_max: float) -> None:
+    """The repair pass on integer ticks, scanning every message on every
+    chain extension."""
+    spT = round(sched.T / sched.dt)
+    t_star = whole_ticks(T_star, sched.dt)
+    d_max = whole_ticks(delay_max, sched.dt)
+    n = len(sched.delay)
+    chain = None
+    deadline = t_star
     guard = 0
-    while chain_send is None or chain_send < max_send:
-        candidates = [e for e in events
-                      if e.delay != INF
-                      and (chain_send is None or e.send_time > chain_send)
-                      and e.arrival <= deadline]
+    while chain is None or chain < n - 1:
+        candidates = [s for s in range(n)
+                      if sched.delivered[s]
+                      and (chain is None or s > chain)
+                      and s * spT + sched.delay[s] <= deadline]
         if candidates:
-            chain_send = max(c.send_time for c in candidates)
+            chain = max(candidates)
         else:
-            later = [e for e in events
-                     if chain_send is None or e.send_time > chain_send]
-            forced = min(later, key=lambda e: e.send_time)
-            delay = min(cfg.delay_max, deadline - forced.send_time)
-            forced.delay = math.floor(delay / dt + 1e-9) * dt
-            chain_send = forced.send_time
-        deadline = chain_send + cfg.T_star
+            chain = 0 if chain is None else chain + 1
+            sched.delay[chain] = min(d_max, deadline - chain * spT)
+            sched.delivered[chain] = sched.forced[chain] = True
+        deadline = chain * spT + t_star
         guard += 1
-        if guard > 2 * len(events) + 4:
+        if guard > 2 * n + 4:
             raise RuntimeError("blackout repair failed to terminate")
+
+
+def repair_blackouts_float_oracle(sched, T_star: float,
+                                  delay_max: float) -> None:
+    """The repair pass on float seconds, scanning every message on every
+    chain extension, with its forced delays floored at dt plus 1e-9 slack.
+    It reads an arrival exactly at the deadline as late when rounding puts
+    it above, so it equals the tick repair only where no arrival can tie a
+    deadline."""
+    dt = sched.dt
+    send, delay = (a.tolist() for a in sched.seconds())
+    arrival = [s + d for s, d in zip(send, delay)]
+    max_send = max(send)
+    chain_send = None
+    deadline = T_star
+    while chain_send is None or chain_send < max_send:
+        candidates = [k for k in range(len(send))
+                      if delay[k] != INF
+                      and (chain_send is None or send[k] > chain_send)
+                      and arrival[k] <= deadline]
+        if candidates:
+            chain_send = max(send[k] for k in candidates)
+        else:
+            k = min(k for k in range(len(send))
+                    if chain_send is None or send[k] > chain_send)
+            ticks = math.floor(min(delay_max, deadline - send[k]) / dt + 1e-9)
+            sched.delay[k] = ticks
+            sched.delivered[k] = sched.forced[k] = True
+            delay[k] = ticks * dt
+            arrival[k] = send[k] + delay[k]
+            chain_send = send[k]
+        deadline = chain_send + T_star
+
+
+def export_schedule_csv_oracle(schedules, path: str) -> None:
+    """The schedule export one message at a time: its send time seq * T,
+    delay ticks * dt (inf when dropped) and arrival, in Python floats."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["src", "dst", "seq", "send_time", "delay", "arrival_time"])
+        for (j, i), sched in sorted(schedules.items()):
+            for seq, (ticks, ok) in enumerate(zip(sched.delay.tolist(),
+                                                  sched.delivered.tolist())):
+                send_time = seq * sched.T
+                delay_s = ticks * sched.dt if ok else INF
+                delay = "inf" if delay_s == INF else repr(delay_s)
+                arrival = "inf" if delay_s == INF else \
+                    repr(send_time + delay_s)
+                w.writerow([j, i, seq, repr(send_time), delay, arrival])
+
+
+def schedule_arrays(sched) -> tuple:
+    return (sched.delay.tolist(), sched.delivered.tolist(),
+            sched.forced.tolist())
+
+
+def arrivals(sched) -> np.ndarray:
+    """Arrival times in seconds of the delivered messages, with their
+    send times: (2, delivered) rows arrival, send."""
+    send, delay = sched.seconds()
+    ok = sched.delivered
+    return np.stack([send[ok] + delay[ok], send[ok]])
 
 
 @st.composite
@@ -87,26 +157,23 @@ class TestScheduleGeneration:
         a = generate_schedule((2, 5), cfg(), 20.0, 0.01)
         b = generate_schedule((2, 5), cfg(), 20.0, 0.01)
         c = generate_schedule((5, 2), cfg(), 20.0, 0.01)
-        assert [(e.seq, e.send_time, e.delay) for e in a.events] == \
-            [(e.seq, e.send_time, e.delay) for e in b.events]
-        assert [(e.seq, e.send_time, e.delay) for e in a.events] != \
-            [(e.seq, e.send_time, e.delay) for e in c.events]
+        assert schedule_arrays(a) == schedule_arrays(b)
+        assert schedule_arrays(a) != schedule_arrays(c)
 
     def test_sends_on_sampling_grid(self):
         sched = generate_schedule((0, 1), cfg(), 5.0, 0.01)
-        assert len(sched.events) == 51
-        for k, ev in enumerate(sched.events):
-            assert ev.seq == k
-            assert ev.send_time == pytest.approx(k * 0.1, abs=1e-12)
+        assert len(sched.delay) == 51
+        send, _ = sched.seconds()
+        for k, t in enumerate(send):
+            assert t == pytest.approx(k * 0.1, abs=1e-12)
 
     def test_delays_on_integration_grid(self):
         dt = 0.01
         sched = generate_schedule((0, 1), cfg(), 30.0, dt)
-        for ev in sched.events:
-            if ev.delay != math.inf:
-                steps = ev.delay / dt
-                assert abs(steps - round(steps)) < 1e-9
-                assert 0.0 <= ev.delay <= 1.0 + 1e-12
+        assert sched.delay.dtype.kind == "i"
+        _, delay = sched.seconds()
+        for d in delay[sched.delivered]:
+            assert 0.0 <= d <= 1.0 + 1e-12
 
     def test_blackout_bound_holds_in_bulk(self):
         ok = 0
@@ -122,12 +189,11 @@ class TestScheduleGeneration:
         # Near-certain drops: the repair pass must still guarantee at least
         # one delivery in every window of the blackout length.
         sched = generate_schedule((1, 2), cfg(drop_prob=0.999), 30.0, 0.01)
-        arrivals = sorted(ev.arrival for ev in sched.events
-                          if ev.delay != math.inf)
-        assert arrivals, "repair produced no deliveries"
+        arrival = np.sort(arrivals(sched)[0])
+        assert arrival.size, "repair produced no deliveries"
         t = 0.0
         while t + 1.5 <= 30.0 + 1e-9:
-            assert any(t <= a <= t + 1.5 + 1e-9 for a in arrivals), \
+            assert any(t <= a <= t + 1.5 + 1e-9 for a in arrival), \
                 f"window [{t}, {t + 1.5}] has no delivery"
             t += 0.1
         assert verify_blackout_bound(sched, 1.5)
@@ -135,38 +201,83 @@ class TestScheduleGeneration:
     def test_verifier_flags_long_blackout(self):
         sched = generate_schedule((1, 2), cfg(drop_prob=0.0), 20.0, 0.01)
         # kill every delivery in (5, 8): a 3 s blackout against T* = 1.5
-        for ev in sched.events:
-            if 5.0 < ev.arrival < 8.0:
-                ev.delay = math.inf
+        send, delay = sched.seconds()
+        sched.delivered[(5.0 < send + delay) & (send + delay < 8.0)] = False
         assert not verify_blackout_bound(sched, 1.5)
 
     def test_verifier_accepts_short_tail_gap(self):
         sched = generate_schedule((1, 2), cfg(drop_prob=0.0), 20.0, 0.01)
-        for ev in sched.events:
-            if ev.send_time > 19.0:
-                ev.delay = math.inf
+        send, _ = sched.seconds()
+        sched.delivered[send > 19.0] = False
         assert verify_blackout_bound(sched, 1.5)
 
     def test_zero_delay_zero_drop(self):
         sched = generate_schedule((1, 2),
                                   cfg(drop_prob=0.0, delay_max=0.0),
                                   5.0, 0.01)
-        for ev in sched.events:
-            assert ev.delay == 0.0
-            assert ev.arrival == ev.send_time
+        assert sched.delivered.all() and not sched.forced.any()
+        assert not sched.delay.any()
+        send, delay = sched.seconds()
+        assert np.array_equal(send + delay, send)
 
     def test_staleness_bounded_by_blackout(self):
         # At any time past the first bound, the freshest delivered sample is
         # never older than T* + delay_max.
         c = cfg(drop_prob=0.6, delay_max=0.4, T_star=1.0)
         sched = generate_schedule((0, 1), c, 40.0, 0.01)
-        arrivals = sorted((ev.arrival, ev.send_time) for ev in sched.events
-                          if ev.delay != math.inf)
+        arrival, send = arrivals(sched)
         for t in np.arange(1.0, 40.0, 0.13):
-            latest_send = max((s for a, s in arrivals if a <= t),
-                              default=None)
-            assert latest_send is not None
-            assert t - latest_send <= 1.0 + 0.4 + 1e-9
+            assert (arrival <= t).any()
+            assert t - send[arrival <= t].max() <= 1.0 + 0.4 + 1e-9
+
+    def test_arrival_at_the_deadline_is_on_time(self):
+        # T = 0.1, T* = 0.2, dt = 0.1 ticks: seqs 2-6 and 8 are dropped.
+        # From seq 5, seq 7 arrives at tick 7, exactly T* later, so seq 6
+        # need not be forced; in float seconds 7 * 0.1 = 0.7000000000000001
+        # exceeds 0.5 + 0.2 and read as late.
+        c = CommConfig(T=0.1, T_star=0.2, drop_prob=0.5, delay_max=0.0,
+                       seed=10)
+        sched = generate_schedule((0, 1), c, 1.0, 0.1)
+        assert np.flatnonzero(~sched.delivered).tolist() == [6, 8]
+        assert np.flatnonzero(sched.forced).tolist() == [2, 3, 4, 5, 10]
+        assert verify_blackout_bound(sched, 0.2)
+        assert not verify_blackout_bound(sched, 0.1)
+
+    def test_verifier_counts_ticks_not_rounded_seconds(self):
+        # Every other message delivered with no delay, against T* = 2T: each
+        # arrival meets its deadline exactly.  At these send times the
+        # float arrival exceeds the float deadline by more than 1e-12 s.
+        T = 1000.3
+        sched = link_schedule([0, None] * 10 + [0], T=T, dt=T)
+        assert verify_blackout_bound(sched, 2 * T)
+        assert not verify_blackout_bound(sched, T)
+
+    def test_tracer_event_view(self):
+        # The record view the benchmark tracer counts: one record per send,
+        # delay in seconds, inf when dropped.
+        sched = link_schedule([5, None, 0], T=0.1, dt=0.01)
+        ev = sched.events
+        assert ev.seq.tolist() == [0, 1, 2]
+        assert ev.send_time.tolist() == [0.0, 0.1, 0.2]
+        assert ev.delay.tolist() == [0.05, INF, 0.0]
+        assert sum(e.delay != float("inf") for e in ev) == 2
+
+
+class TestScheduleExport:
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_csv_bytes_equal_the_per_message_export(self, name, tmp_path):
+        doc = load_scenario_doc(name)
+        build = config.build_cascade if "cascade" in doc else \
+            config.build_scenario
+        run = build(doc)
+        for seed in range(5):
+            c = dataclasses.replace(run.comm, seed=seed)
+            schedules = {edge: generate_schedule(edge, c, run.t_end, run.dt)
+                         for edge in run.topo.edges()}
+            export_schedule_csv(schedules, str(tmp_path / "got.csv"))
+            export_schedule_csv_oracle(schedules, str(tmp_path / "want.csv"))
+            assert (tmp_path / "got.csv").read_bytes() == \
+                (tmp_path / "want.csv").read_bytes()
 
 
 class TestRepairProperties:
@@ -178,7 +289,21 @@ class TestRepairProperties:
         with mock.patch.object(comm, "_repair_blackouts",
                                repair_blackouts_oracle):
             oracle = generate_schedule((2, 5), c, t_end, dt)
-        assert sched == oracle
+        assert schedule_arrays(sched) == schedule_arrays(oracle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(comm_draws())
+    def test_repair_matches_float_oracle_off_ties(self, draw):
+        # Where T*/dt is no whole number, no arrival can tie a deadline, so
+        # the float repair and the tick repair agree.
+        c, t_end, dt = draw
+        x = c.T_star / dt
+        assume(abs(x - round(x)) > TICK_TOL)
+        sched = generate_schedule((2, 5), c, t_end, dt)
+        with mock.patch.object(comm, "_repair_blackouts",
+                               repair_blackouts_float_oracle):
+            oracle = generate_schedule((2, 5), c, t_end, dt)
+        assert schedule_arrays(sched) == schedule_arrays(oracle)
 
     @settings(max_examples=150, deadline=None)
     @given(comm_draws())
@@ -188,9 +313,10 @@ class TestRepairProperties:
                                      c.T_star)
 
 
-# Delays out of send order: seq 1 overtakes seq 0, seq 2 is dropped, seq 4
-# overtakes seq 3, and seq 5 would arrive after the 1 s horizon.
-OUT_OF_ORDER = (0.5, 0.05, math.inf, 0.3, 0.0, 0.7)
+# Delays in ticks of 0.01 s out of send order: seq 1 overtakes seq 0, seq 2
+# is dropped, seq 4 overtakes seq 3, and seq 5 would arrive after the 1 s
+# horizon.
+OUT_OF_ORDER = (50, 5, None, 30, 0, 70)
 FALLBACK = np.array([[7.0]])
 # Every sender's payload at sample seq is the number seq.
 HIST = np.repeat(np.arange(11.0)[:, None, None], 2, axis=1)
@@ -198,10 +324,9 @@ HIST = np.repeat(np.arange(11.0)[:, None, None], 2, axis=1)
 
 def one_edge_engine(delays=OUT_OF_ORDER):
     """The engine's mailbox on edge leader 1 -> follower 0, T=0.1, dt=0.01."""
-    events = [LinkEvent(seq=k, send_time=k * 0.1, delay=d)
-              for k, d in enumerate(delays)]
-    return Engine([((1, 0), 1.0, LinkSchedule((1, 0), events))], T=0.1,
-                  dt=0.01, t_end=1.0, fallback=FALLBACK), events
+    sched = link_schedule(delays)
+    return Engine([((1, 0), 1.0, sched)], T=0.1, dt=0.01, t_end=1.0,
+                  fallback=FALLBACK), sched
 
 
 class TestMailbox:
@@ -228,10 +353,11 @@ class TestMailbox:
     def test_advance_applies_window(self):
         # Each tick applies exactly the arrivals of its window, checked
         # against the float arrival times (1e-12 slack for rounding).
-        eng, events = one_edge_engine()
+        eng, sched = one_edge_engine()
+        arrival, send = arrivals(sched)
+        seq = np.flatnonzero(sched.delivered)
         for k in range(eng.K + 1):
             eng.deliver(k)
-            want = max((ev.seq for ev in events
-                        if ev.arrival <= k * 0.01 + 1e-12), default=-1)
+            want = max(seq[arrival <= k * 0.01 + 1e-12], default=-1)
             assert eng.box[0] == want
         assert [rec[2] for rec in eng.audit()] == [1, 4, 0, 3]

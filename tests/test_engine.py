@@ -1,6 +1,5 @@
 """The sampled-data engine as it runs: staleness bound and the tick grid."""
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -9,11 +8,11 @@ from hypothesis import strategies as st
 
 from containsim import analysis, config, sim
 from containsim.analysis import CascadeError
-from containsim.comm import CommConfig, LinkEvent, LinkSchedule, to_ticks
+from containsim.comm import CommConfig, to_ticks
 from containsim.control import NeighborView
 from containsim.engine import Engine, rk4_step
 from containsim.sim import ScenarioError
-from conftest import load_scenario_doc
+from conftest import link_schedule, load_scenario_doc
 
 
 def rk4_step_oracle(rhs, t: float, h: float, y: list, u, k1: list) -> list:
@@ -105,10 +104,14 @@ def test_staleness_bound_holds_for_any_comm_config(spT, extra, drop_prob,
     assert np.all(ticks[:, None] - used * spT <= t_star)
 
 
-def _shift_first_delivery(schedules, shift):
-    ev = next(ev for ev in schedules[min(schedules)].events
-              if ev.delay != math.inf)
-    ev.delay += shift
+def _shift_first_delivery(schedules, parts):
+    # The same messages on a tick grid parts times finer, with the first
+    # delivery of the first edge one fine tick later.
+    for sched in schedules.values():
+        sched.dt /= parts
+        sched.delay *= parts
+    sched = schedules[min(schedules)]
+    sched.delay[np.argmax(sched.delivered)] += 1
 
 
 def test_injected_delay_off_the_tick_grid_rejected():
@@ -116,7 +119,7 @@ def test_injected_delay_off_the_tick_grid_rejected():
     doc["sim"]["t_end_seconds"] = 1.0
     scen = config.build_scenario(doc)
     schedules = sim.build_schedules(scen, seed=0)
-    _shift_first_delivery(schedules, scen.dt / 2)
+    _shift_first_delivery(schedules, 2)
     with pytest.raises(ScenarioError, match="delay"):
         sim.run(scen, schedules=schedules)
     # The same delay is a whole number of ticks of the halved step.
@@ -130,7 +133,7 @@ def test_cascade_rejects_delay_off_the_tick_grid():
     schedules = {edge: analysis.generate_schedule(edge, cas.comm, cas.t_end,
                                                   cas.dt)
                  for edge in cas.topo.edges()}
-    _shift_first_delivery(schedules, cas.dt / 3)
+    _shift_first_delivery(schedules, 3)
     with pytest.raises(CascadeError, match="delay"):
         analysis.simulate_cascade(cas, schedules=schedules)
 
@@ -141,17 +144,19 @@ def test_cascade_rejects_delay_off_the_tick_grid():
     (0.0, -0.05, "delays >= 0"),    # arrives before it is sent
 ])
 def test_engine_rejects_messages_off_the_schedule(send_shift, delay, match):
-    events = [LinkEvent(seq=0, send_time=0.0, delay=0.0),
-              LinkEvent(seq=1, send_time=0.1 + send_shift, delay=delay)]
+    # seq 0 sent at 0 with no delay, seq 1 sent at 0.1 + send_shift with
+    # the given delay, on a tick of 0.005 s.
+    sched = link_schedule([0, round(delay / 0.005)], T=0.1 + send_shift,
+                          dt=0.005)
     with pytest.raises(ValueError, match=match):
-        Engine([((1, 0), 1.0, LinkSchedule((1, 0), events))],
+        Engine([((1, 0), 1.0, sched)],
                T=0.1, dt=0.01, t_end=1.0, fallback=np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("order", [[(2, 0), (1, 0)], [(1, 0), (1, 0)]],
                          ids=["out_of_order", "repeated"])
 def test_engine_rejects_links_out_of_edge_order(order):
-    links = [(edge, 1.0, LinkSchedule(edge, [])) for edge in order]
+    links = [(edge, 1.0, link_schedule([])) for edge in order]
     with pytest.raises(ValueError, match="strictly increasing edge order"):
         Engine(links, T=0.1, dt=0.01, t_end=1.0, fallback=np.zeros((1, 1)))
 
