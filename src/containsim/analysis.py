@@ -6,16 +6,17 @@ filter-chain output and the sampled neighbor average, and the filter chain is
 a string of first-order lags fed by that same average.  This module simulates
 that skeleton on the same sampled-data engine as ``sim.run`` (integer ticks,
 one seq mailbox, sender payload history, shared RK4 step), supplying only
-the transmitted eta, the cascade right-hand side and what it records.  It
-also evaluates explicit exponential-plus-sup bounds on the deviation from the
-leader convex combination, and runs the gain / blackout sweeps used to
-certify robustness trends.
+the transmitted eta and the cascade right-hand side, which returns the held
+neighbor average the engine stacks.  It also evaluates explicit
+exponential-plus-sup bounds on the deviation from the leader convex
+combination, and runs the gain / blackout sweeps used to certify robustness
+trends.
 
 ``simulate_cascades`` integrates a batch of configs that share their
 topology, signals and time grid as one engine run over B disjoint copies
-of the topology, laid out by ``topology.union_rows``: the engine reads the
-copies' edges, weights and schedules as one edge list, with per-row gains;
-every copy's trace equals its run alone, to the bit.  ``simulate_cascade``
+of the topology, one schedule set per copy, which the engine lays out;
+the gains are per row, every copy's trace equals its run alone, to the
+bit, and a divergence names the copy it happened in.  ``simulate_cascade``
 is the batch of one, and each sweep is one batch.  The exogenous signals
 are tabulated once per run, at the distinct times the engine evaluates the
 right-hand side (``engine.stage_table``).
@@ -29,10 +30,9 @@ import numpy as np
 
 from .comm import CommConfig, LinkSchedule, generate_schedule, \
     period_ticks
-from .control import NeighborView
-from .engine import DivergenceError, Engine, stage_table, topology_links
+from .engine import Engine, stage_table
 from .topology import DirectedTopology, containment_weights, partition, \
-    union_rows, validate_assumption1
+    validate_assumption1
 
 ISS_REL_TOL = 1e-6
 
@@ -241,32 +241,24 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
     topo, N, sigma = cfg.topo, cfg.N, cfg.sigma
     m, n_lead = topo.m, topo.n - topo.m
     Bm = B * m
-    W = containment_weights(partition(topo)).W
-    rows = union_rows(topo, B)
+    W = containment_weights(partition(topo))
     if schedules is None:
-        # Edge (j, i) of copy b is (rows[b, j], rows[b, i]) in the union;
-        # each schedule is generated from its copy's comm when it is read.
         comms = [c.comm if seed is None else
                  dataclasses.replace(c.comm, seed=seed) for c in cfgs]
-        edges = topo.edges()
-        union = sorted(((int(r[j]), int(r[i])), (j, i), comm)
-                       for r, comm in zip(rows, comms) for j, i in edges)
-        links = ((edge, topo.weights[i, j],
-                  generate_schedule((j, i), comm, cfg.t_end, cfg.dt))
-                 for edge, (j, i), comm in union)
+        schedules = [{edge: generate_schedule(edge, comm, cfg.t_end, cfg.dt)
+                      for edge in topo.edges()} for comm in comms]
     else:
-        links = topology_links(topo, schedules, CascadeError)
+        schedules = [schedules]
+    eng = Engine(topo, schedules, cfg.comm.T, cfg.dt, cfg.t_end,
+                 np.concatenate([c.eta0[:m] for c in cfgs]), CascadeError)
+    K, rows = eng.K, eng.rows
     # The state: B * n rows of eta, then sigma rows of zeta per follower.
     Bn = B * topo.n
     y0 = np.empty((Bn + Bm * sigma, N))
-    for r, c in zip(rows, cfgs):
-        y0[r] = c.eta0
+    y0[rows] = [c.eta0 for c in cfgs]
     y0[Bn:] = np.concatenate([c.zeta0 for c in cfgs]).reshape(-1, N)
     neg_k = -np.repeat([c.k_eta for c in cfgs], m)[:, None]
     neg_h = -np.repeat(np.array([c.h for c in cfgs], float), m, axis=0)
-    eng = Engine(links, cfg.comm.T, cfg.dt, cfg.t_end, y0[:Bm],
-                 CascadeError)
-    K = eng.K
 
     times, row = stage_table(K, cfg.dt)
     phi2 = cfg.phi2 or [Perturbation() for _ in range(sigma)]
@@ -276,9 +268,9 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
                          for p in phi2], axis=1)
     drive_tab = np.stack([np.broadcast_to(d.value(times), shape)
                           for d in cfg.leader_drive], axis=1)
-    tr_eps = np.empty((K + 1, Bm, N))
 
-    def rhs(t, y, eps):
+    def rhs(t, y, view):
+        eps = view.p_avg()
         zeta_s = y[Bn:].reshape(Bm, sigma, N)
         r = row[t]
         delta = cfg.alpha * zeta_s[:, 0] + (1.0 - cfg.alpha) * eps
@@ -289,19 +281,10 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
         feed = np.concatenate((zeta_s[:, 1:], eps[:, None]), axis=1)
         dy[Bn:] = (neg_h[:, :, None] * (zeta_s - feed)
                    + phi2_tab[r]).reshape(-1, N)
-        return dy, None
+        return dy, eps
 
-    def record(k, y, eps, _):
-        tr_eps[k] = eps
-
-    try:
-        states = eng.run(y0, lambda y: y[:Bn], rhs, record,
-                         (("eta", Bn, 1), ("zeta", Bm, sigma)),
-                         freeze=NeighborView.p_avg)
-    except DivergenceError as exc:
-        copy, agent = np.argwhere(rows == exc.agent)[0].tolist()
-        raise DivergenceError(exc.t, agent, exc.variable, exc.last_norm,
-                              copy if B > 1 else None) from None
+    states, eps = eng.run(y0, lambda y: y[:Bn], rhs,
+                          (("eta", Bn, 1), ("zeta", Bm, sigma)))
 
     # The table rows of the step times k * dt, each one of the times.
     step = np.searchsorted(times, np.arange(K + 1) * cfg.dt)
@@ -314,7 +297,7 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
     eta_c = W @ states[:, Bm:Bn].reshape(K + 1, B, n_lead, N)
     return [CascadeTrace(times=np.arange(K + 1) * cfg.dt, eta=states[:, r],
                          zeta=zeta[:, b * m:(b + 1) * m],
-                         eps=tr_eps[:, b * m:(b + 1) * m], eta_c=eta_c[:, b],
+                         eps=eps[:, b * m:(b + 1) * m], eta_c=eta_c[:, b],
                          deta_c=deta_c, phi1_vals=phi1_vals,
                          phi2_vals=phi2_vals, cfg=c)
             for b, (r, c) in enumerate(zip(rows, cfgs))]
@@ -452,12 +435,11 @@ def containment_certificate(topo: DirectedTopology) -> dict:
     part = partition(topo)
     report["m_matrix"] = is_nonsingular_m_matrix(part.L1)
     try:
-        weights = containment_weights(part)
+        W = containment_weights(part)
         report["weights_ok"] = True
-        report["W"] = weights.W
-        report["row_sum_error"] = float(
-            np.max(np.abs(weights.W.sum(axis=1) - 1.0)))
-        report["min_weight"] = float(np.min(weights.W))
+        report["W"] = W
+        report["row_sum_error"] = float(np.max(np.abs(W.sum(axis=1) - 1.0)))
+        report["min_weight"] = float(np.min(W))
     except Exception as exc:           # noqa: BLE001 - recorded, not raised
         report["weights_ok"] = False
         report["error"] = str(exc)

@@ -107,7 +107,9 @@ def generate_schedule(edge: tuple[int, int], cfg: CommConfig, t_end: float,
     # Independent, reproducible stream per (seed, j, i).
     rng = np.random.default_rng(np.random.SeedSequence(
         [cfg.seed & 0xFFFFFFFFFFFFFFFF, edge[0], edge[1]]))
-    n_sends = int(math.floor(t_end / cfg.T)) + 1
+    # One send per sample tick of the run, counted as the engine counts them.
+    n_sends = floor_ticks(t_end, dt) // int(to_ticks(
+        cfg.T, dt, "the sampling period T")) + 1
     delivered = rng.random(n_sends) >= cfg.drop_prob
     ticks = np.round(rng.uniform(0.0, cfg.delay_max, n_sends) / dt)
     sched = LinkSchedule(cfg.T, dt,

@@ -134,9 +134,9 @@ class NeighborView:
     lag t - send_time at an RK4 stage is a whole number of half steps.
 
     The messages are fixed for the view's life, which may span many steps,
-    so each average over them is computed once: vhat_avg's once per view,
-    vartheta_avg's and oscillator_psi's once per stage time (RK4 stages 2
-    and 3 share t + dt/2).  The fallback rows are applied on every call.
+    so each average over them is computed once: p_avg's and vhat_avg's once
+    per view, vartheta_avg's and oscillator_psi's once per stage time (RK4
+    stages 2 and 3 share t + dt/2).  Fallback rows are applied every call.
     """
 
     def __init__(self, m: int, N: int, dst: np.ndarray, w: np.ndarray,
@@ -154,7 +154,7 @@ class NeighborView:
         self.kappa_delivered = np.zeros(m)
         np.add.at(self.kappa_delivered, dst, w)
         self.live = self.kappa_delivered > 0
-        self._vhat = None                    # vhat_avg's live rows
+        self._p = self._vhat = None          # p_avg, vhat_avg's live rows
         self._theta_t = self._theta = None   # vartheta_avg at its last t
         self._psi_key = self._psi = None     # oscillator_psi's live rows
 
@@ -176,9 +176,13 @@ class NeighborView:
         return out
 
     def p_avg(self) -> np.ndarray:
-        """Weighted average of the delivered positions, not extrapolated."""
-        return self._with_fallback(self._live_average(self.p_msg),
-                                   self.p_fallback)
+        """Weighted average of the delivered positions, not extrapolated;
+        read-only, since every call returns the same array."""
+        if self._p is None:
+            self._p = self._with_fallback(self._live_average(self.p_msg),
+                                          self.p_fallback)
+            self._p.flags.writeable = False
+        return self._p
 
     def vartheta_avg(self, t: float) -> np.ndarray:
         """Weighted average of the extrapolated positions at t; read-only,

@@ -1,18 +1,22 @@
 """Sampled-data engine on integer ticks, shared by sim.run and the cascade.
 
-The graph is an edge list: each link is an edge, its weight and its
-schedule, so a batch of disjoint copies needs no matrix of its own.
-Time is counted in ticks of the integration step dt.  Link schedules hold
-their delays in ticks, so they are compiled by concatenating their arrays:
-the delivered message with sequence number seq is sent at tick
+The engine runs one or more disjoint copies of a topology, each with its
+own link schedules, laid out by ``topology.union_rows``: the union is an
+edge list of (edge, weight, schedule), so a batch needs no matrix of its
+own, and a diverging agent is named by its copy and its row in it.  Time
+is counted in ticks of the integration step dt.  Link schedules hold their
+delays in ticks, so they are compiled by concatenating their arrays: the
+delivered message with sequence number seq is sent at tick
 seq * steps_per_T and arrives delay ticks later.  A schedule drawn at
 another step is converted to the run's ticks, and one whose sends or
-delays are off them is rejected.  The mailbox is one
-int array holding the freshest delivered seq per edge (-1 while nothing has
-arrived).  Payloads are captured once per sender at the send ticks, so the
-messages in use are one fancy index into that history.  The neighbor view
-they form is frozen for the four stages of a classical RK4 step, and kept
-over the ticks where nothing arrives.
+delays are off them is rejected.  The mailbox is one int array holding the
+freshest delivered seq per edge (-1 while nothing has arrived).  Payloads
+are captured once per sender at the send ticks, so the messages in use are
+one fancy index into that history.  The neighbor view they form is frozen
+for the four stages of a classical RK4 step, and kept over the ticks where
+nothing arrives.  The right-hand side reads the view and returns, beside
+the derivative, what its caller keeps of each step (sim.run: the control
+input; the cascade: the held average), which the run stacks.
 
 A run's state is one (rows, N) float array, a block of rows per variable
 (sim.run: p, v, then the law's internals, m rows each, whose derivative
@@ -26,6 +30,7 @@ import numpy as np
 
 from .comm import to_ticks
 from .control import NeighborView
+from .topology import union_rows
 
 DIVERGENCE_LIMIT = 1e9
 
@@ -50,17 +55,20 @@ class DivergenceError(RuntimeError):
         self.last_norm, self.copy = last_norm, copy
 
 
-def _divergence(t: float, y, prev, watch) -> DivergenceError:
+def _divergence(t: float, y, prev, watch, rows) -> DivergenceError:
     """The error naming the first agent and variable out of range in y;
-    prev is the state one step earlier, watch as in Engine.run."""
-    for variable, agents, rows in watch:
-        a, b = (z[:agents * rows].reshape(agents, -1) for z in (y, prev))
+    prev is the state one step earlier, watch as in Engine.run, and rows
+    the layout that maps a union row to its copy and agent."""
+    for variable, agents, per_agent in watch:
+        a, b = (z[:agents * per_agent].reshape(agents, -1) for z in (y, prev))
         bad = ~np.all(np.abs(a) <= DIVERGENCE_LIMIT, axis=1)
         if bad.any():
-            agent = int(np.argmax(bad))
+            row = int(np.argmax(bad))
+            copy, agent = np.argwhere(rows == row)[0].tolist()
             return DivergenceError(t, agent, variable,
-                                   float(np.linalg.norm(b[agent])))
-        y, prev = y[agents * rows:], prev[agents * rows:]
+                                   float(np.linalg.norm(b[row])),
+                                   copy if len(rows) > 1 else None)
+        y, prev = y[agents * per_agent:], prev[agents * per_agent:]
 
 
 def stage_times(K: int, dt: float) -> np.ndarray:
@@ -79,19 +87,6 @@ def stage_table(K: int, dt: float) -> tuple[np.ndarray, dict]:
     return times, dict(zip(times.tolist(), range(len(times))))
 
 
-def topology_links(topo, schedules, error) -> list:
-    """The links ((j, i), weight, schedule) of the topology's edges, in edge
-    order; raises error unless the schedules are keyed by exactly those
-    edges, naming the edges missing and the keys extra."""
-    missing = sorted(set(topo.edges()) - set(schedules))
-    extra = sorted(set(schedules) - set(topo.edges()))
-    if missing or extra:
-        raise error(f"schedules must have one entry per edge of the "
-                    f"topology: missing edges {missing}, extra edges {extra}")
-    return [((j, i), topo.weights[i, j], s)
-            for (j, i), s in sorted(schedules.items())]
-
-
 def rk4_step(rhs, t: float, h: float, y: np.ndarray, u, k1: np.ndarray):
     """One classical RK4 step of dy/dt = rhs(t, y, u)[0] with u held fixed.
 
@@ -107,40 +102,45 @@ def rk4_step(rhs, t: float, h: float, y: np.ndarray, u, k1: np.ndarray):
 class Engine:
     """Compiled link schedules, the seq mailbox and the frozen-input loop.
 
-    links is an iterable of ((src, dst), weight, LinkSchedule), one per
-    edge, read once, in strictly increasing edge order: the edge numbering
-    fixes the order of the neighbor sums, the columns of ``box`` and the
-    audit order, so links out of order or repeated raise ValueError.
-    fallback is the (m, N) reference a follower uses before any in-edge has
-    delivered; error is the exception type raised for an input that does
+    schedules holds one {(j, i): LinkSchedule} dict per copy of topo, each
+    keyed by exactly topo's edges, else error is raised naming the edges
+    missing and the keys extra.  Copy b is laid out at the rows
+    ``self.rows[b]`` of the union (``topology.union_rows``): its edge
+    (j, i) is the union edge (rows[b, j], rows[b, i]), with topo's weight.
+    The union's edges are numbered in sorted order, which fixes the order
+    of the neighbor sums, the columns of ``box`` and the audit order.
+    fallback is the (followers, N) reference a follower uses before any
+    in-edge has delivered; error is also raised for a schedule that does
     not fit the tick grid.
     """
 
-    def __init__(self, links, T: float, dt: float, t_end: float,
-                 fallback: np.ndarray, error=ValueError):
+    def __init__(self, topo, schedules: list, T: float, dt: float,
+                 t_end: float, fallback: np.ndarray, error=ValueError):
         self.T, self.dt, self.fallback = T, dt, fallback
         self.K = int(to_ticks(t_end, dt, "t_end", error))
         self.steps_per_T = int(to_ticks(T, dt, "the sampling period T",
                                         error))
-        # One link at a time, so links that build each schedule when read
-        # never hold them all.
-        self.edges, w, seqs, delays, steps = [], [], [], [], []
-        for key, weight, s in links:
-            if self.edges and key <= self.edges[-1]:
-                raise ValueError(f"links must come in strictly increasing "
-                                 f"edge order: {key} after {self.edges[-1]}")
-            self.edges.append(key)
-            w.append(weight)
-            seqs.append(np.flatnonzero(s.delivered))
-            delays.append(s.delay[seqs[-1]])
-            steps.append((s.T, s.dt))
-        self.src, self.dst = np.array(self.edges, dtype=int).reshape(-1, 2).T
-        self.w = np.array(w, dtype=float)
+        self.rows = union_rows(topo, len(schedules))
+        edges = set(topo.edges())
+        for copy in schedules:
+            if set(copy) != edges:
+                raise error(f"schedules must have one entry per edge of the "
+                            f"topology: missing edges "
+                            f"{sorted(edges - set(copy))}, extra edges "
+                            f"{sorted(set(copy) - edges)}")
+        self.edges, w, scheds = map(list, zip(*sorted(
+            ((r[j], r[i]), topo.weights[i, j], s)
+            for r, copy in zip(self.rows.tolist(), schedules)
+            for (j, i), s in copy.items())))
+        self.src, self.dst = np.array(self.edges).T
+        self.w = np.array(w)
+        seqs = [np.flatnonzero(s.delivered) for s in scheds]
+        delays = [s.delay[seq] for s, seq in zip(scheds, seqs)]
+        steps = [(s.T, s.dt) for s in scheds]
         count = [len(seq) for seq in seqs]
         edge = np.repeat(np.arange(len(count)), count)
-        seq, delay = (np.concatenate(a + [np.empty(0, dtype=int)])
-                      for a in (seqs, delays))
-        T_s, dt_s = np.repeat(np.reshape(steps, (-1, 2)), count, axis=0).T
+        seq, delay = np.concatenate(seqs), np.concatenate(delays)
+        T_s, dt_s = np.repeat(np.array(steps), count, axis=0).T
         if np.any(to_ticks(T_s, dt, "the period of every schedule", error)
                   != self.steps_per_T) or np.any(delay < 0):
             raise error("link messages must be sent at seq*T and have "
@@ -158,6 +158,13 @@ class Engine:
         self.send, self.arrival = send[order], arrival[order]
         self.first = np.searchsorted(self.tick, np.arange(self.K + 2))
         self.box = np.full(len(self.edges), -1)
+
+    def used_seq(self) -> np.ndarray:
+        """(K + 1, E) seq in the mailbox of each edge after each tick's
+        deliveries, -1 before the first: the freshest seq delivered so far."""
+        used = np.full((self.K + 1, len(self.edges)), -1)
+        np.maximum.at(used, (self.tick, self.edge), self.seq)
+        return np.maximum.accumulate(used, axis=0)
 
     def audit(self) -> list[tuple]:
         """(src, dst, seq, send_time, arrival) of every delivery, in order."""
@@ -181,22 +188,22 @@ class Engine:
         return NeighborView(m, N, self.dst[live], self.w[live], msg[:, :N],
                             msg[:, N:], seq * self.T, self.fallback, self.dt)
 
-    def run(self, y: np.ndarray, payload, rhs, record, watch, freeze=None):
+    def run(self, y: np.ndarray, payload, rhs, watch):
         """Integrate from the (rows, N) state y over ticks 0..K.
 
         At each tick: capture payload(y) if it is a send tick, deliver the
-        arrivals, build the view (turned into the held input by freeze, if
-        given), evaluate rhs(t, y, u) -> (dy, out), call
-        record(k, y, u, out), then take one RK4 step.  A tick with no
-        arrivals keeps the previous input: the mailbox is unchanged, and
-        the payload rows it points to were captured before they arrived.
-        watch lists the leading row blocks that must stay in range as
-        (variable, agents, rows per agent); the first agent to leave it
-        raises DivergenceError against its step-start value.  Returns the
-        (K+1, rows, N) state history.
+        arrivals, build the view, evaluate rhs(t, y, view) -> (dy, out),
+        then take one RK4 step with the view held.  A tick with no arrivals
+        keeps the previous view: the mailbox is unchanged, and the payload
+        rows it points to were captured before they arrived.  watch lists
+        the leading row blocks that must stay in range as (variable, agents,
+        rows per agent), each block's agents in union row order; the first
+        agent to leave it raises DivergenceError against its step-start
+        value, naming its copy.  Returns the (K+1, rows, N) state history
+        and the (K+1, ...) stack of the step-start outs.
         """
         K, dt, spT, first = self.K, self.dt, self.steps_per_T, self.first
-        watched = sum(agents * rows for _, agents, rows in watch)
+        watched = sum(agents * per_agent for _, agents, per_agent in watch)
         states = np.empty((K + 1,) + y.shape)
         for k in range(K + 1):
             t = k * dt
@@ -207,16 +214,15 @@ class Engine:
                 sent[k // spT] = sample
             if k == 0 or first[k] < first[k + 1]:
                 self.deliver(k)
-                u = self.view(sent)
-                if freeze is not None:
-                    u = freeze(u)
-            dy, out = rhs(t, y, u)
-            states[k] = y
-            record(k, y, u, out)
+                view = self.view(sent)
+            dy, out = rhs(t, y, view)
+            if k == 0:
+                outs = np.empty((K + 1,) + np.shape(out))
+            states[k], outs[k] = y, out
             if k == K:
                 break
-            y = rk4_step(rhs, t, dt, y, u, dy)
+            y = rk4_step(rhs, t, dt, y, view, dy)
             # abs(nan) <= limit is False, so this also catches non-finite y.
             if not np.all(np.abs(y[:watched]) <= DIVERGENCE_LIMIT):
-                raise _divergence(t + dt, y, states[k], watch)
-        return states
+                raise _divergence(t + dt, y, states[k], watch, self.rows)
+        return states, outs

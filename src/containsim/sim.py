@@ -3,11 +3,11 @@
 ``run`` plugs the controller and the agent models into ``engine.Engine``,
 which counts time in integer ticks, keeps the freshest delivered seq per
 edge and holds the neighbor view fixed for each RK4 step.  It supplies the
-payload (position and velocity estimate), the closed-loop right-hand side
-and the recorded input.  The diagnostics follow the run: the containment
-errors of all steps come from one broadcast product with the weights, and
-each step builds the leader hull once and measures every follower's
-distance to it in one array pass.
+payload (position and velocity estimate) and the closed-loop right-hand
+side, which returns the control input the engine stacks.  The diagnostics
+follow the run: the containment errors of all steps come from one
+broadcast product with the weights, and each step builds the leader hull
+once and measures every follower's distance to it in one array pass.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .control import Controller, GainSet, make_controller
 from .dynamics import AgentModel, LeaderTrajectory, \
     check_oscillator_spectrum, follower_rhs, leader_accels
 from .engine import DIVERGENCE_LIMIT, DivergenceError, Engine  # noqa: F401
-from .engine import stage_table, topology_links
+from .engine import stage_table
 from .topology import DirectedTopology, containment_weights, partition, \
     validate_assumption1
 
@@ -243,20 +243,17 @@ def run(scen: Scenario, seed: int | None = None,
     tabulated once, at every time the engine evaluates the right-hand side.
     """
     ctrl = scen.validate()
-    dt, topo = scen.dt, scen.topo
-    m, N = topo.m, scen.N
-    W = containment_weights(partition(topo)).W
+    dt, topo, model = scen.dt, scen.topo, scen.model
+    m, n, N = topo.m, topo.n, scen.N
+    W = containment_weights(partition(topo))
     if schedules is None:
         schedules = build_schedules(scen, seed)
 
-    model, n = scen.model, topo.n
-    eng = Engine(topology_links(topo, schedules, ScenarioError), scen.comm.T,
-                 dt, scen.t_end, scen.p0[:m], ScenarioError)
+    eng = Engine(topo, [schedules], scen.comm.T, dt, scen.t_end, scen.p0[:m],
+                 ScenarioError)
     K = eng.K
     # The state: rows p, v, then one m-row block per controller internal.
     x0 = ctrl.init_internals(scen.p0[:m])
-    gamma = np.empty((K + 1, m, N))
-    used_seq = np.empty((K + 1, len(eng.edges)), dtype=int)
     if model.kind != "oscillator":
         # Every leader acceleration the run reads, read by stage time.
         times, row = stage_table(K, dt)
@@ -281,12 +278,9 @@ def run(scen: Scenario, seed: int | None = None,
             dy[n + m:2 * n] = accel_tab[row[t]]
         return dy, g
 
-    def record(k, y, view, g):
-        gamma[k] = g
-        used_seq[k] = eng.box
-
-    states = eng.run(np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]),
-                     payload, rhs, record, (("p", n, 1), ("v", n, 1)))
+    states, gamma = eng.run(
+        np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]), payload, rhs,
+        (("p", n, 1), ("v", n, 1)))
     trace_p, trace_v = states[:, :n], states[:, n:2 * n]
     internals = states[:, 2 * n:].reshape((K + 1,) + x0.shape)
 
@@ -301,7 +295,7 @@ def run(scen: Scenario, seed: int | None = None,
                  err_pos=trace_p[:, :m] - W @ trace_p[:, m:],
                  err_vel=trace_v[:, :m] - W @ trace_v[:, m:],
                  hull_dist=hull, W=W, m=m, schedules=schedules,
-                 audit=eng.audit(), used_seq=used_seq, edges=eng.edges,
+                 audit=eng.audit(), used_seq=eng.used_seq(), edges=eng.edges,
                  meta={"label": scen.label, "dt": dt, "t_end": scen.t_end,
                        "seed": seed if seed is not None else scen.comm.seed,
                        "variant": scen.variant})

@@ -74,13 +74,6 @@ class LaplacianPartition:
     A2: np.ndarray
 
 
-@dataclass(frozen=True)
-class ContainmentWeights:
-    """W = -L1^{-1} L2; row-stochastic, nonnegative map from leaders to targets."""
-
-    W: np.ndarray
-
-
 def validate_assumption1(topo: DirectedTopology) -> tuple[bool, list[int]]:
     """Every follower must be reachable from some leader along edge direction.
 
@@ -115,8 +108,9 @@ def partition(topo: DirectedTopology) -> LaplacianPartition:
     return LaplacianPartition(L1=D1 - A1, L2=-A2, D1=D1, A1=A1, A2=A2)
 
 
-def containment_weights(part: LaplacianPartition) -> ContainmentWeights:
-    """W = -L1^{-1} L2 via a linear solve; raises on singular L1."""
+def containment_weights(part: LaplacianPartition) -> np.ndarray:
+    """W = -L1^{-1} L2 via a linear solve: the row-stochastic, nonnegative
+    map from leaders to targets; raises on singular L1."""
     try:
         W = np.linalg.solve(part.L1, -part.L2)
     except np.linalg.LinAlgError as exc:
@@ -127,7 +121,7 @@ def containment_weights(part: LaplacianPartition) -> ContainmentWeights:
     rowsum_err = np.max(np.abs(W.sum(axis=1) - 1.0))
     if rowsum_err > ROW_SUM_TOL:
         raise TopologyError(f"containment weight row sums off by {rowsum_err:.3e}")
-    return ContainmentWeights(W=W)
+    return W
 
 
 def is_nonsingular_m_matrix(L1: np.ndarray) -> bool:

@@ -26,6 +26,11 @@ def link_schedule(ticks, T=0.1, dt=0.01) -> LinkSchedule:
                         np.zeros(len(delay), dtype=bool))
 
 
+def one_edge_topology() -> DirectedTopology:
+    """Leader 1 -> follower 0, with unit weight."""
+    return DirectedTopology(n=2, m=1, weights=[[0.0, 1.0], [0.0, 0.0]])
+
+
 # The ten-agent benchmark graph: six followers, four leaders, unit weights.
 BENCH_EDGES = [
     (3, 1), (7, 1),

@@ -120,7 +120,7 @@ def test_criterion_5_random_graph_suite():
     for _ in range(100):
         topo = random_reachable_topology(rng)
         part = partition(topo)
-        W = containment_weights(part).W
+        W = containment_weights(part)
         if np.min(W) < -1e-12 or \
                 np.max(np.abs(W.sum(axis=1) - 1.0)) > 1e-9 or \
                 not is_nonsingular_m_matrix(part.L1) or \

@@ -23,7 +23,6 @@ from containsim.analysis import (
     simulate_cascades,
 )
 from containsim.comm import CommConfig, generate_schedule
-from containsim.control import NeighborView
 from containsim.engine import DivergenceError, Engine, stage_times
 from containsim.topology import DirectedTopology, containment_weights, \
     partition
@@ -40,24 +39,17 @@ def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
     cfg.validate()
     topo = cfg.topo
     m, N = topo.m, cfg.N
-    W = containment_weights(partition(topo)).W
+    W = containment_weights(partition(topo))
     comm = cfg.comm if seed is None else dataclasses.replace(cfg.comm,
                                                              seed=seed)
     if schedules is None:
         schedules = {edge: generate_schedule(edge, comm, cfg.t_end, cfg.dt)
                      for edge in topo.edges()}
-    eng = Engine((((j, i), topo.weights[i, j], s)
-                  for (j, i), s in sorted(schedules.items())),
-                 comm.T, cfg.dt, cfg.t_end, cfg.eta0[:m], CascadeError)
+    eng = Engine(topo, [schedules], comm.T, cfg.dt, cfg.t_end, cfg.eta0[:m],
+                 CascadeError)
     K = eng.K
     h = np.asarray(cfg.h, float)
     phi2 = cfg.phi2 or [Perturbation() for _ in range(cfg.sigma)]
-
-    tr_eps = np.empty((K + 1, m, N))
-    tr_eta_c = np.empty((K + 1, m, N))
-    tr_deta_c = np.empty((K + 1, m, N))
-    tr_phi1 = np.empty((K + 1, m, N))
-    tr_phi2 = np.empty((K + 1, m, cfg.sigma, N))
 
     def broadcast(vec: np.ndarray) -> np.ndarray:
         out = np.zeros(N)
@@ -71,7 +63,8 @@ def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
     def split(y):
         return y[:topo.n], y[topo.n:].reshape(m, cfg.sigma, N)
 
-    def rhs(t, y, eps):
+    def rhs(t, y, view):
+        eps = view.p_avg()
         eta_s, zeta_s = split(y)
         phi1_v = broadcast(cfg.phi1.value(t))
         delta = cfg.alpha * zeta_s[:, 0] + (1.0 - cfg.alpha) * eps
@@ -83,24 +76,26 @@ def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
             feed = zeta_s[:, ell + 1] if ell + 1 < cfg.sigma else eps
             dzeta[:, ell] = -h[ell] * (zeta_s[:, ell] - feed) \
                 + broadcast(phi2[ell].value(t))
-        return np.concatenate([deta, dzeta.reshape(-1, N)]), None
+        return np.concatenate([deta, dzeta.reshape(-1, N)]), eps
 
-    def record(k, y, eps, _):
+    states, tr_eps = eng.run(
+        np.concatenate([cfg.eta0, cfg.zeta0.reshape(-1, N)]),
+        lambda y: split(y)[0], rhs,
+        (("eta", topo.n, 1), ("zeta", m, cfg.sigma)))
+    tr_eta, tr_zeta = states[:, :topo.n], states[:, topo.n:].reshape(
+        K + 1, m, cfg.sigma, N)
+    # The leader combination and the signals, step by step.
+    tr_eta_c = np.empty((K + 1, m, N))
+    tr_deta_c = np.empty((K + 1, m, N))
+    tr_phi1 = np.empty((K + 1, m, N))
+    tr_phi2 = np.empty((K + 1, m, cfg.sigma, N))
+    for k in range(K + 1):
         t = k * cfg.dt
-        tr_eps[k] = eps
-        tr_eta_c[k] = W @ split(y)[0][m:]
+        tr_eta_c[k] = W @ tr_eta[k, m:]
         tr_deta_c[k] = W @ drives(t)
         tr_phi1[k] = broadcast(cfg.phi1.value(t))
         for ell in range(cfg.sigma):
             tr_phi2[k, :, ell] = broadcast(phi2[ell].value(t))
-
-    states = eng.run(
-        np.concatenate([cfg.eta0, cfg.zeta0.reshape(-1, N)]),
-        lambda y: split(y)[0], rhs, record,
-        (("eta", topo.n, 1), ("zeta", m, cfg.sigma)),
-        freeze=NeighborView.p_avg)
-    tr_eta, tr_zeta = states[:, :topo.n], states[:, topo.n:].reshape(
-        K + 1, m, cfg.sigma, N)
     return CascadeTrace(times=np.arange(K + 1) * cfg.dt, eta=tr_eta,
                         zeta=tr_zeta, eps=tr_eps, eta_c=tr_eta_c,
                         deta_c=tr_deta_c, phi1_vals=tr_phi1,
@@ -200,17 +195,16 @@ class TestPerturbation:
     def test_stage_times_are_the_times_rhs_sees(self):
         # On this grid k*dt + dt differs from (k+1)*dt at 645 of 2400 ticks.
         cfg = single_follower_cfg(dt=0.025, t_end=60.0)
-        eng = Engine([((1, 0), cfg.topo.weights[0, 1],
-                       generate_schedule((1, 0), cfg.comm, cfg.t_end,
-                                         cfg.dt))],
-                     cfg.comm.T, cfg.dt, cfg.t_end, cfg.eta0[:1])
+        sched = generate_schedule((1, 0), cfg.comm, cfg.t_end, cfg.dt)
+        eng = Engine(cfg.topo, [{(1, 0): sched}], cfg.comm.T, cfg.dt,
+                     cfg.t_end, cfg.eta0[:1])
         seen = []
 
         def rhs(t, y, u):
             seen.append(t)
-            return np.zeros_like(y), None
+            return np.zeros_like(y), 0.0
 
-        eng.run(cfg.eta0, lambda y: y, rhs, lambda *a: None, ())
+        eng.run(cfg.eta0, lambda y: y, rhs, ())
         assert set(seen) == set(stage_times(eng.K, cfg.dt).tolist())
 
 

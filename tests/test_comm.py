@@ -19,7 +19,8 @@ from containsim.comm import (
     verify_blackout_bound,
 )
 from containsim.engine import Engine
-from conftest import SCENARIOS, link_schedule, load_scenario_doc
+from conftest import SCENARIOS, link_schedule, load_scenario_doc, \
+    one_edge_topology
 
 
 def whole_ticks(seconds: float, dt: float) -> int:
@@ -166,6 +167,14 @@ class TestScheduleGeneration:
         send, _ = sched.seconds()
         for k, t in enumerate(send):
             assert t == pytest.approx(k * 0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("t_end", [0.3, 0.6, 0.7])
+    def test_one_send_per_sample_tick(self, t_end):
+        # t_end / T is 2.9999999999999996 at 0.3 s (and just under 6 and 7
+        # at 0.6 and 0.7 s), yet the run has a sample tick at t_end: sends
+        # are counted on ticks, as the engine counts them.
+        sched = generate_schedule((0, 1), cfg(), t_end, 0.01)
+        assert len(sched.delay) == round(t_end / 0.01) // 10 + 1
 
     def test_delays_on_integration_grid(self):
         dt = 0.01
@@ -325,7 +334,8 @@ HIST = np.repeat(np.arange(11.0)[:, None, None], 2, axis=1)
 def one_edge_engine(delays=OUT_OF_ORDER):
     """The engine's mailbox on edge leader 1 -> follower 0, T=0.1, dt=0.01."""
     sched = link_schedule(delays)
-    return Engine([((1, 0), 1.0, sched)], T=0.1, dt=0.01, t_end=1.0,
+    return Engine(one_edge_topology(), [{(1, 0): sched}], T=0.1, dt=0.01,
+                  t_end=1.0,
                   fallback=FALLBACK), sched
 
 

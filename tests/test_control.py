@@ -577,6 +577,9 @@ class TestAggregation:
             assert np.array_equal(view.p_avg(),
                                   average_oracle(view, view.p_msg,
                                                  view.p_fallback))
+        # p_avg is computed once per view, and returned read-only.
+        assert view.p_avg() is view.p_avg()
+        assert not view.p_avg().flags.writeable
         for t in times:
             theta = vartheta(view.p_msg, view.vhat_msg,
                              view.send_time[:, None], t)

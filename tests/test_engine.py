@@ -1,5 +1,7 @@
-"""The sampled-data engine as it runs: staleness bound and the tick grid."""
+"""The sampled-data engine as it runs: the union layout, the staleness
+bound and the tick grid."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ from hypothesis import strategies as st
 
 from containsim import analysis, config, sim
 from containsim.analysis import CascadeError
-from containsim.comm import CommConfig, to_ticks
+from containsim.comm import CommConfig, generate_schedule, to_ticks
 from containsim.control import NeighborView
 from containsim.engine import Engine, rk4_step
 from containsim.sim import ScenarioError
-from conftest import link_schedule, load_scenario_doc
+from containsim.topology import union_rows
+from conftest import SCENARIOS, bench_topology, link_schedule, \
+    load_scenario_doc, one_edge_topology
 
 
 def rk4_step_oracle(rhs, t: float, h: float, y: list, u, k1: list) -> list:
@@ -149,16 +153,71 @@ def test_engine_rejects_messages_off_the_schedule(send_shift, delay, match):
     sched = link_schedule([0, round(delay / 0.005)], T=0.1 + send_shift,
                           dt=0.005)
     with pytest.raises(ValueError, match=match):
-        Engine([((1, 0), 1.0, sched)],
+        Engine(one_edge_topology(), [{(1, 0): sched}],
                T=0.1, dt=0.01, t_end=1.0, fallback=np.zeros((1, 1)))
 
 
-@pytest.mark.parametrize("order", [[(2, 0), (1, 0)], [(1, 0), (1, 0)]],
-                         ids=["out_of_order", "repeated"])
-def test_engine_rejects_links_out_of_edge_order(order):
-    links = [(edge, 1.0, link_schedule([])) for edge in order]
-    with pytest.raises(ValueError, match="strictly increasing edge order"):
-        Engine(links, T=0.1, dt=0.01, t_end=1.0, fallback=np.zeros((1, 1)))
+def union_oracle(topo, schedules, K: int, spT: int):
+    """The union of the copies laid out by hand: edge (j, i) of copy b is
+    (rows[b, j], rows[b, i]), the edges numbered in sorted order, and the
+    deliveries due by tick K sorted by tick, edge, arrival and seq."""
+    rows = union_rows(topo, len(schedules)).tolist()
+    links = sorted(((r[j], r[i]), topo.weights[i, j], s)
+                   for r, copy in zip(rows, schedules)
+                   for (j, i), s in copy.items())
+    due = sorted((seq * spT + delay, e, seq * s.T + delay * s.dt, seq)
+                 for e, (_, _, s) in enumerate(links)
+                 for seq, delay in enumerate(s.delay.tolist())
+                 if s.delivered[seq] and seq * spT + delay <= K)
+    tick, edge, _, seq = zip(*due)
+    return {"edges": [key for key, _, _ in links],
+            "w": [w for _, w, _ in links],
+            "tick": list(tick), "edge": list(edge), "seq": list(seq)}
+
+
+def test_engine_lays_out_copies_as_the_oracle():
+    # Three copies of the benchmark graph, each with its own lossy,
+    # delayed schedules, so deliveries overtake one another.
+    topo = bench_topology()
+    schedules = [{edge: generate_schedule(edge, CommConfig(
+        T=0.1, T_star=1.0, drop_prob=0.5, delay_max=0.6, seed=b), 5.0, 0.01)
+        for edge in topo.edges()} for b in range(3)]
+    eng = Engine(topo, schedules, T=0.1, dt=0.01, t_end=5.0,
+                 fallback=np.zeros((3 * topo.m, 2)))
+    got = {"edges": eng.edges, "w": eng.w.tolist(), "tick": eng.tick.tolist(),
+           "edge": eng.edge.tolist(), "seq": eng.seq.tolist()}
+    assert got == union_oracle(topo, schedules, eng.K, eng.steps_per_T)
+    assert len(eng.edges) == 3 * len(topo.edges())
+
+
+def test_engine_names_the_edge_one_copy_lacks():
+    topo = bench_topology()
+    full = {edge: link_schedule([0]) for edge in topo.edges()}
+    short = {edge: s for edge, s in full.items() if edge != (2, 0)}
+    with pytest.raises(ValueError, match=re.escape(
+            "missing edges [(2, 0)], extra edges []")):
+        Engine(topo, [full, short], T=0.1, dt=0.01, t_end=1.0,
+               fallback=np.zeros((2 * topo.m, 2)))
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_used_seq_equals_the_mailbox_at_every_tick(name):
+    # Engine.used_seq() against the mailbox recorded tick by tick.
+    doc = load_scenario_doc(name)
+    if name == "cascade_estimates":
+        run = config.build_cascade(doc)
+        topo, fallback = run.topo, run.eta0[:run.topo.m]
+    else:
+        run = config.build_scenario(doc)
+        topo, fallback = run.topo, run.p0[:run.topo.m]
+    schedules = {edge: generate_schedule(edge, run.comm, run.t_end, run.dt)
+                 for edge in topo.edges()}
+    eng = Engine(topo, [schedules], run.comm.T, run.dt, run.t_end, fallback)
+    box = []
+    for k in range(eng.K + 1):
+        eng.deliver(k)
+        box.append(eng.box.copy())
+    assert np.array_equal(eng.used_seq(), box)
 
 
 def test_view_built_only_on_ticks_with_arrivals(monkeypatch):

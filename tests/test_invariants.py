@@ -23,7 +23,7 @@ class TestTopologyAlgebra:
         for _ in range(25):
             topo = random_reachable_topology(rng, n_max=9)
             part = partition(topo)
-            W = containment_weights(part).W
+            W = containment_weights(part)
             W_direct = -np.linalg.inv(part.L1) @ part.L2
             assert np.max(np.abs(W - W_direct)) < 1e-9
 

@@ -72,7 +72,7 @@ class TestHandSolvedWeights:
         part = partition(chain_topology())
         assert np.allclose(part.L1, [[2.0, -1.0], [0.0, 2.0]])
         assert np.allclose(part.L2, [[-1.0], [-2.0]])
-        W = containment_weights(part).W
+        W = containment_weights(part)
         assert np.allclose(W, [[1.0], [1.0]])
 
     def test_split_leaders(self):
@@ -86,7 +86,7 @@ class TestHandSolvedWeights:
         w[1, 0] = 1.0
         w[1, 3] = 1.0
         topo = DirectedTopology(n=4, m=2, weights=w)
-        W = containment_weights(partition(topo)).W
+        W = containment_weights(partition(topo))
         assert np.allclose(W, [[0.5, 0.5], [0.25, 0.75]])
 
 
@@ -119,7 +119,7 @@ class TestBenchmarkGraph:
         assert sg["pass"] and sg["spectral_radius"] < 1.0
 
     def test_weights_row_stochastic(self):
-        W = containment_weights(partition(bench_topology())).W
+        W = containment_weights(partition(bench_topology()))
         assert W.shape == (6, 4)
         assert np.min(W) >= 0.0
         assert np.allclose(W.sum(axis=1), 1.0, atol=1e-12)
@@ -156,7 +156,7 @@ class TestRandomizedProperties:
     def test_containment_weights_property(self, topo):
         assert validate_assumption1(topo)[0]
         part = partition(topo)
-        W = containment_weights(part).W
+        W = containment_weights(part)
         # An exact zero weight can come out of the solve as -2.8e-17.
         assert np.all(W >= -WEIGHT_NONNEG_TOL)
         assert np.max(np.abs(W.sum(axis=1) - 1.0)) <= 1e-9
@@ -169,7 +169,7 @@ class TestRandomizedProperties:
             part = partition(topo)
             assert is_nonsingular_m_matrix(part.L1)
             assert small_gain_certificate(part)["pass"]
-            W = containment_weights(part).W
+            W = containment_weights(part)
             assert np.min(W) >= -1e-12
             assert np.max(np.abs(W.sum(axis=1) - 1.0)) <= 1e-9
 
