@@ -136,7 +136,9 @@ class NeighborView:
     The messages are fixed for the view's life, which may span many steps,
     so each average over them is computed once: p_avg's and vhat_avg's once
     per view, vartheta_avg's and oscillator_psi's once per stage time (RK4
-    stages 2 and 3 share t + dt/2).  Fallback rows are applied every call.
+    stages 2 and 3 share t + dt/2).  Until every follower is live (has a
+    delivered in-edge), each call merges in the fallback rows; then each
+    returns the cached average itself.  Every average is read-only.
     """
 
     def __init__(self, m: int, N: int, dst: np.ndarray, w: np.ndarray,
@@ -151,9 +153,11 @@ class NeighborView:
         self.send_time = send_time
         self.p_fallback = p_fallback
         self.dt = dt
-        self.kappa_delivered = np.zeros(m)
-        np.add.at(self.kappa_delivered, dst, w)
+        self.kappa_delivered = np.bincount(dst, w, minlength=m)
         self.live = self.kappa_delivered > 0
+        self.all_live = bool(self.live.all())
+        self._rows = slice(None) if self.all_live else self.live
+        self._bins = {}                      # columns -> bincount bin index
         self._p = self._vhat = None          # p_avg, vhat_avg's live rows
         self._theta_t = self._theta = None   # vartheta_avg at its last t
         self._psi_key = self._psi = None     # oscillator_psi's live rows
@@ -162,37 +166,40 @@ class NeighborView:
         """Weighted average of the rows of contrib (one per edge) over the
         in-edges of each live follower, (live followers, columns)."""
         cols = contrib.shape[1]
+        if cols not in self._bins:
+            self._bins[cols] = (self.dst[:, None] * cols
+                                + np.arange(cols)).ravel()
         # One bincount over (follower, column) bins; like np.add.at, it
         # adds each bin's terms in edge order.
-        num = np.bincount((self.dst[:, None] * cols + np.arange(cols)).ravel(),
+        num = np.bincount(self._bins[cols],
                           weights=(self.w[:, None] * contrib).ravel(),
                           minlength=self.m * cols).reshape(self.m, cols)
-        return num[self.live] / self.kappa_delivered[self.live, None]
+        avg = num[self._rows] / self.kappa_delivered[self._rows, None]
+        avg.flags.writeable = False
+        return avg
 
-    def _with_fallback(self, live_rows: np.ndarray,
-                       fallback: np.ndarray) -> np.ndarray:
-        out = fallback.copy()
+    def _with_fallback(self, live_rows: np.ndarray, *fallback) -> np.ndarray:
+        if self.all_live:
+            return live_rows
+        out = np.concatenate(fallback, axis=1)
         out[self.live] = live_rows
+        out.flags.writeable = False
         return out
 
     def p_avg(self) -> np.ndarray:
-        """Weighted average of the delivered positions, not extrapolated;
-        read-only, since every call returns the same array."""
+        """Weighted average of the delivered positions, not extrapolated."""
         if self._p is None:
             self._p = self._with_fallback(self._live_average(self.p_msg),
                                           self.p_fallback)
-            self._p.flags.writeable = False
         return self._p
 
     def vartheta_avg(self, t: float) -> np.ndarray:
-        """Weighted average of the extrapolated positions at t; read-only,
-        since a repeated t returns the same array."""
+        """Weighted average of the extrapolated positions at t."""
         if t != self._theta_t:
             theta = vartheta(self.p_msg, self.vhat_msg,
                              self.send_time[:, None], t)
             self._theta = self._with_fallback(self._live_average(theta),
                                               self.p_fallback)
-            self._theta.flags.writeable = False
             self._theta_t = t
         return self._theta
 
@@ -218,8 +225,7 @@ class NeighborView:
             y = np.matmul(flow.at_half_steps(j, self.dt),
                           x[:, :, None])[:, :, 0]
             self._psi_key, self._psi = (t, flow), self._live_average(y)
-        return self._with_fallback(
-            self._psi, np.concatenate([self.p_fallback, vhat_own], axis=1))
+        return self._with_fallback(self._psi, self.p_fallback, vhat_own)
 
 
 class DoubleIntegratorLaw:

@@ -84,16 +84,13 @@ def check_oscillator_spectrum(S1: np.ndarray, S2: np.ndarray) -> bool:
     if np.any(np.abs(eigvals.real) >= SPECTRUM_REAL_TOL):
         return False
     # Geometric multiplicity of each eigenvalue must match its algebraic one.
-    remaining = list(eigvals)
-    while remaining:
-        lam = remaining[0]
-        group = [mu for mu in remaining if abs(mu - lam) < 1e-7]
-        remaining = [mu for mu in remaining if abs(mu - lam) >= 1e-7]
-        alg = len(group)
+    while eigvals.size:
+        gap = np.abs(eigvals - eigvals[0])
         geo = S.shape[0] - np.linalg.matrix_rank(
-            S - lam * np.eye(S.shape[0]), tol=1e-9)
-        if geo != alg:
+            S - eigvals[0] * np.eye(S.shape[0]), tol=1e-9)
+        if geo != np.count_nonzero(gap < 1e-7):
             return False
+        eigvals = eigvals[gap >= 1e-7]
     return True
 
 

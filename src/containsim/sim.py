@@ -6,8 +6,8 @@ edge and holds the neighbor view fixed for each RK4 step.  It supplies the
 payload (position and velocity estimate) and the closed-loop right-hand
 side, which returns the control input the engine stacks.  The diagnostics
 follow the run: the containment errors of all steps come from one
-broadcast product with the weights, and each step builds the leader hull
-once and measures every follower's distance to it in one array pass.
+broadcast product with the weights, and their hull distances from one
+stacked ``hull_distance`` call, which builds each step's leader hull once.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from .topology import DirectedTopology, containment_weights, partition, \
 HULL_TOL = 1e-8
 HULL_MAX_ITER = 500
 EXPORT_BLOCK_STEPS = 256        # steps per write of export_trace_csv
+HULL_BLOCK_POINTS = 2048        # most points per array pass of hull_distance
 
 
 class ScenarioError(ValueError):
@@ -126,22 +127,30 @@ def containment_error(trace: Trace, t: float) -> tuple[np.ndarray, float]:
 
 
 def hull_distance(p: np.ndarray, leaders: np.ndarray) -> float | np.ndarray:
-    """Distance from p to the convex hull of the leader points.
+    """Distance from followers to the convex hull of the leader points.
 
-    ``p`` is one point of shape ``(N,)``, giving a float, or ``m`` points of
-    shape ``(m, N)``, giving an ``(m,)`` array; the hull is built once for
-    all of them.
+    ``p`` stacks S steps of m followers, ``(S, m, N)``, and ``leaders`` the
+    same steps' leaders, ``(S, L, N)``; the result is ``(S, m)``.  A planar
+    hull is built once per step; the steps with as many hull vertices are
+    measured together, at most HULL_BLOCK_POINTS followers per array pass.
+    One point ``(N,)`` (a float) or m points ``(m, N)`` are a stack of one.
     """
     p = np.asarray(p, dtype=float)
-    X = np.atleast_2d(np.asarray(leaders, dtype=float))
-    P = np.atleast_2d(p)
-    if P.shape[1] == 2:
-        dist = _planar_hull_distance(P, convex_hull_2d(X))
-    elif X.shape[0] == 1:
-        dist = _norms(P - X[0])
+    P = p[(None,) * (3 - p.ndim)]
+    X = np.array(leaders, dtype=float, ndmin=3)
+    if P.shape[2] == 2:
+        hulls = [convex_hull_2d(x) for x in X]
+        sizes = np.array([len(h) for h in hulls])
+        block = np.arange(len(P)) // max(1, HULL_BLOCK_POINTS // P.shape[1])
+        dist = np.empty(P.shape[:2])
+        for size, b in set(zip(sizes.tolist(), block.tolist())):
+            steps = np.flatnonzero((sizes == size) & (block == b))
+            dist[steps] = _planar_hull_distance(
+                P[steps], np.stack([hulls[s] for s in steps]))
     else:
-        dist = np.array([_hull_distance_fw(q, X) for q in P])
-    return float(dist[0]) if p.ndim == 1 else dist
+        dist = np.array([[_hull_distance_fw(q, x) for q in Q]
+                         for Q, x in zip(P, X)])
+    return float(dist[0, 0]) if p.ndim == 1 else dist.reshape(p.shape[:-1])
 
 
 def _norms(d: np.ndarray) -> np.ndarray:
@@ -151,22 +160,22 @@ def _norms(d: np.ndarray) -> np.ndarray:
 
 
 def _planar_hull_distance(P: np.ndarray, hull: np.ndarray) -> np.ndarray:
-    """Distances of the rows of P (m, 2) to the polygon hull (H, 2)."""
-    if len(hull) == 1:
-        return _norms(P - hull[0])
-    a = hull if len(hull) > 2 else hull[:1]        # a segment has one edge
-    edge = np.concatenate((hull[1:], hull[:1]))[:len(a)] - a
-    dist = np.zeros(len(P))
-    out = np.ones(len(P), dtype=bool)
-    if len(a) > 2:       # inside: left of every edge, within 1e-12
-        cross = (edge[:, 0] * (P[:, 1, None] - a[:, 1])
-                 - edge[:, 1] * (P[:, 0, None] - a[:, 0]))
-        out = ~(cross.min(axis=1) >= -1e-12)
+    """Distances of the rows of P (S, m, 2) to the polygons hull (S, H, 2),
+    one per step, all with H vertices."""
+    a = hull if hull.shape[1] > 2 else hull[:, :1]   # one edge, or a point
+    edge = np.roll(hull, -1, axis=1)[:, :a.shape[1]] - a
+    dist = np.zeros(P.shape[:2])
+    out = np.ones(P.shape[:2], dtype=bool)
+    if a.shape[1] > 2:   # inside: left of every edge, within 1e-12
+        cross = (edge[:, None, :, 0] * (P[..., 1, None] - a[:, None, :, 1])
+                 - edge[:, None, :, 1] * (P[..., 0, None] - a[:, None, :, 0]))
+        out = ~(cross.min(axis=2) >= -1e-12)
     if out.any():        # nearest point on each edge, then the nearest edge
-        Q = P[out][:, None, :]
-        denom = np.vecdot(edge, edge)
+        step = np.nonzero(out)[0]
+        denom = np.vecdot(edge, edge)[step]
+        Q, a, edge = P[out][:, None, :], a[step], edge[step]
         s = np.clip(np.divide(np.vecdot(Q - a, edge), denom,
-                              out=np.zeros((len(Q), len(a))),
+                              out=np.zeros(denom.shape),
                               where=denom != 0), 0.0, 1.0)
         dist[out] = _norms(Q - (a + s[..., None] * edge)).min(axis=1)
     return dist
@@ -284,17 +293,14 @@ def run(scen: Scenario, seed: int | None = None,
     trace_p, trace_v = states[:, :n], states[:, n:2 * n]
     internals = states[:, 2 * n:].reshape((K + 1,) + x0.shape)
 
-    hull = np.empty((K + 1, m))
-    for k in range(K + 1):
-        hull[k] = hull_distance(trace_p[k, :m], trace_p[k, m:])
-
     # x_F + (L1^{-1} L2 (x) I) x_L  ==  x_F - W x_L, for all steps at once.
     return Trace(times=np.arange(K + 1) * dt, p=trace_p, v=trace_v,
                  gamma=gamma, internals={name: internals[:, i] for i, name
                                          in enumerate(ctrl.names)},
                  err_pos=trace_p[:, :m] - W @ trace_p[:, m:],
                  err_vel=trace_v[:, :m] - W @ trace_v[:, m:],
-                 hull_dist=hull, W=W, m=m, schedules=schedules,
+                 hull_dist=hull_distance(trace_p[:, :m], trace_p[:, m:]),
+                 W=W, m=m, schedules=schedules,
                  audit=eng.audit(), used_seq=eng.used_seq(), edges=eng.edges,
                  meta={"label": scen.label, "dt": dt, "t_end": scen.t_end,
                        "seed": seed if seed is not None else scen.comm.seed,

@@ -47,14 +47,6 @@ class DirectedTopology:
             raise TopologyError("leader rows must be zero (leaders receive no edges)")
 
     @property
-    def followers(self) -> range:
-        return range(self.m)
-
-    @property
-    def leaders(self) -> range:
-        return range(self.m, self.n)
-
-    @property
     def kappa(self) -> np.ndarray:
         """Total in-weight of each follower."""
         return self.weights[: self.m].sum(axis=1)
@@ -71,7 +63,6 @@ class LaplacianPartition:
     L2: np.ndarray
     D1: np.ndarray
     A1: np.ndarray
-    A2: np.ndarray
 
 
 def validate_assumption1(topo: DirectedTopology) -> tuple[bool, list[int]]:
@@ -79,10 +70,8 @@ def validate_assumption1(topo: DirectedTopology) -> tuple[bool, list[int]]:
 
     Returns (ok, unreachable_followers); follower indices are 0-based.
     """
-    reached = [False] * topo.n
-    queue = deque(topo.leaders)
-    for i in topo.leaders:
-        reached[i] = True
+    reached = [i >= topo.m for i in range(topo.n)]      # the leaders
+    queue = deque(range(topo.m, topo.n))
     # weights[i, j] > 0 is an edge j -> i, so successors of j are rows with
     # a positive entry in column j.
     while queue:
@@ -91,7 +80,7 @@ def validate_assumption1(topo: DirectedTopology) -> tuple[bool, list[int]]:
             if not reached[i]:
                 reached[i] = True
                 queue.append(int(i))
-    unreachable = [i for i in topo.followers if not reached[i]]
+    unreachable = [i for i in range(topo.m) if not reached[i]]
     return (not unreachable), unreachable
 
 
@@ -103,9 +92,9 @@ def partition(topo: DirectedTopology) -> LaplacianPartition:
         raise TopologyError(f"followers with zero in-degree: {dead}")
     m = topo.m
     A1 = topo.weights[:m, :m].copy()
-    A2 = topo.weights[:m, m:].copy()
     D1 = np.diag(kappa)
-    return LaplacianPartition(L1=D1 - A1, L2=-A2, D1=D1, A1=A1, A2=A2)
+    return LaplacianPartition(L1=D1 - A1, L2=-topo.weights[:m, m:], D1=D1,
+                              A1=A1)
 
 
 def containment_weights(part: LaplacianPartition) -> np.ndarray:

@@ -598,6 +598,38 @@ class TestAggregation:
                 average_oracle(view, y, np.concatenate(
                     [view.p_fallback, own], axis=1)))
 
+    @pytest.mark.parametrize("live", ["some", "all"])
+    def test_warm_up_and_all_live_views(self, live):
+        rng = np.random.default_rng(8)
+        m, N, dt = 5, 2, 0.01
+        view = aggregation_view(rng, m, N, live, 6, dt, 10, 200)
+        assert view.all_live == (live == "all") == view.live.all()
+        flow, oracle_flow = oscillator_flows(rng, N)
+        x = np.concatenate([view.p_msg, view.vhat_msg], axis=1)
+        own = rng.normal(size=(m, N))
+        t = 200 * dt + dt / 2
+        theta = vartheta(view.p_msg, view.vhat_msg, view.send_time[:, None],
+                         t)
+        y = np.matmul(oracle_flow.at_half_steps(
+            to_ticks(t - view.send_time, dt / 2, "lag"), dt),
+            x[:, :, None])[:, :, 0]
+        fallback_psi = np.concatenate([view.p_fallback, own], axis=1)
+        for _ in range(2):                  # the first call, then the memo
+            got = [view.p_avg(), view.vartheta_avg(t), view.vhat_avg(own),
+                   view.oscillator_psi(t, flow, own)]
+            want = [average_oracle(view, view.p_msg, view.p_fallback),
+                    average_oracle(view, theta, view.p_fallback),
+                    average_oracle(view, view.vhat_msg, own),
+                    average_oracle(view, y, fallback_psi)]
+            for avg, ref in zip(got, want):
+                assert np.array_equal(avg, ref)
+                with pytest.raises(ValueError):
+                    avg[0, 0] = 1.0
+        # Once every follower is live, the cached averages are handed out.
+        assert (view.vhat_avg(own) is view.vhat_avg(-own)) == (live == "all")
+        assert (view.oscillator_psi(t, flow, own)
+                is view.oscillator_psi(t, flow, -own)) == (live == "all")
+
     def test_repeated_time_returns_a_read_only_average(self):
         view = simple_view()
         theta = view.vartheta_avg(0.5)

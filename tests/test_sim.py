@@ -204,6 +204,35 @@ class TestHullDistance:
             assert all(hull_distance(q, leaders) == d
                        for q, d in zip(followers, want))
 
+    @pytest.mark.parametrize("block", [sim.HULL_BLOCK_POINTS, 70, 1])
+    def test_stacked_matches_per_step_oracle(self, block, monkeypatch):
+        # Every case as one step of a stack: rows repeated cyclically up to
+        # a common count (repeats leave the hull as it is), so a single
+        # (S, L, 2) input mixes 1-, 2- and many-vertex hulls.
+        monkeypatch.setattr(sim, "HULL_BLOCK_POINTS", block)
+        cases = hull_cases()
+        L = max(len(leaders) for leaders, _ in cases)
+        m = max(len(followers) for _, followers in cases)
+        X = np.stack([np.resize(leaders, (L, 2)) for leaders, _ in cases])
+        P = np.stack([np.resize(followers, (m, 2)) for _, followers in cases])
+        sizes = {len(convex_hull_2d(x)) for x in X}
+        assert {1, 2} < sizes and max(sizes) >= 3
+        got = hull_distance(P, X)
+        want = np.array([[_hull_distance_2d(q, x) for q in ps]
+                         for ps, x in zip(P, X)])
+        assert got.shape == (len(cases), m)
+        assert np.array_equal(got, want)
+
+    def test_stacked_beyond_the_plane_matches_per_step_calls(self):
+        rng = np.random.default_rng(11)
+        P = rng.normal(size=(3, 5, 3)) * 2.0
+        for L in (4, 1):                    # the nnls path, one leader
+            X = rng.normal(size=(3, L, 3))
+            got = hull_distance(P, X)
+            assert got.shape == (3, 5)
+            assert np.array_equal(
+                got, np.array([hull_distance(ps, x) for ps, x in zip(P, X)]))
+
     def test_convex_hull_matches_oracle_order(self):
         for leaders, _ in hull_cases():
             got = convex_hull_2d(leaders)
