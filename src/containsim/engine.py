@@ -8,15 +8,17 @@ is counted in ticks of the integration step dt.  Link schedules hold their
 delays in ticks, so they are compiled by concatenating their arrays: the
 delivered message with sequence number seq is sent at tick
 seq * steps_per_T and arrives delay ticks later.  A schedule drawn at
-another step is converted to the run's ticks, and one whose sends or
-delays are off them is rejected.  The mailbox is one int array holding the
-freshest delivered seq per edge (-1 while nothing has arrived).  Payloads
-are captured once per sender at the send ticks, so the messages in use are
-one fancy index into that history.  The neighbor view they form is frozen
-for the four stages of a classical RK4 step, and kept over the ticks where
-nothing arrives.  The right-hand side reads the view and returns, beside
-the derivative, what its caller keeps of each step (sim.run: the control
-input; the cascade: the held average), which the run stacks.
+another step is converted to the run's ticks; one off them, or one that
+stops before the run ends, is rejected.  The mailbox is one (K + 1, E)
+int array, the freshest delivered seq per edge after each tick (-1 while
+nothing has arrived).  Payloads are captured once per sender at the send
+ticks, so the messages in use are one fancy index into that history.  The
+neighbor view they form is frozen for the four stages of a classical RK4
+step, and rebuilt only at the ticks where the mailbox row changes.  The
+right-hand side is called with a row of ``stage_times``, on which its
+caller tabulates its signals, and returns, beside the derivative, what its
+caller keeps of each step (sim.run: the control input; the cascade: the
+held average), which the run stacks.
 
 A run's state is one (rows, N) float array, a block of rows per variable
 (sim.run: p, v, then the law's internals, m rows each, whose derivative
@@ -72,30 +74,24 @@ def _divergence(t: float, y, prev, watch, rows) -> DivergenceError:
 
 
 def stage_times(K: int, dt: float) -> np.ndarray:
-    """Every time Engine.run passes to rhs over ticks 0..K: each k * dt,
-    then rk4_step's stage times t + dt / 2 and t + dt for k < K, in the
-    same floating-point arithmetic (t + dt is not always (k + 1) * dt)."""
+    """The time of every row Engine.run passes to rhs over ticks 0..K: row
+    k is k * dt, the start of step k; row K + 1 + k its midpoint
+    k * dt + dt / 2 and row 2K + 1 + k its end k * dt + dt, in that
+    floating-point arithmetic (k * dt + dt is not always (k + 1) * dt)."""
     t = np.arange(K + 1) * dt
     return np.concatenate((t, t[:-1] + dt / 2, t[:-1] + dt))
 
 
-def stage_table(K: int, dt: float) -> tuple[np.ndarray, dict]:
-    """The distinct stage_times(K, dt), sorted, and a dict from each to its
-    index: a signal tabulated once at these times is read in rhs(t, ...)
-    as table[row[t]]."""
-    times = np.unique(stage_times(K, dt))
-    return times, dict(zip(times.tolist(), range(len(times))))
+def rk4_step(rhs, mid, end, h: float, y: np.ndarray, u, k1: np.ndarray):
+    """One classical RK4 step of dy/dt = rhs(row, y, u)[0] with u held fixed.
 
-
-def rk4_step(rhs, t: float, h: float, y: np.ndarray, u, k1: np.ndarray):
-    """One classical RK4 step of dy/dt = rhs(t, y, u)[0] with u held fixed.
-
-    y is the state array and k1 = rhs(t, y, u)[0] is passed in, since the
-    caller already evaluated it to record the step-start outputs.
+    mid and end are the rows of the step's midpoint and end, y is the state
+    array and k1 = rhs(start, y, u)[0] is passed in, since the caller
+    already evaluated it to record the step-start outputs.
     """
-    k2, _ = rhs(t + h / 2, y + h / 2 * k1, u)
-    k3, _ = rhs(t + h / 2, y + h / 2 * k2, u)
-    k4, _ = rhs(t + h, y + h * k3, u)
+    k2, _ = rhs(mid, y + h / 2 * k1, u)
+    k3, _ = rhs(mid, y + h / 2 * k2, u)
+    k4, _ = rhs(end, y + h * k3, u)
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -108,10 +104,11 @@ class Engine:
     ``self.rows[b]`` of the union (``topology.union_rows``): its edge
     (j, i) is the union edge (rows[b, j], rows[b, i]), with topo's weight.
     The union's edges are numbered in sorted order, which fixes the order
-    of the neighbor sums, the columns of ``box`` and the audit order.
-    fallback is the (followers, N) reference a follower uses before any
-    in-edge has delivered; error is also raised for a schedule that does
-    not fit the tick grid.
+    of the neighbor sums, the columns of the mailbox and, with the tick and
+    the seq, the audit order.  fallback is the (followers, N) reference a
+    follower uses before any in-edge has delivered; error is also raised
+    for a schedule that does not fit the tick grid or has fewer sends than
+    the run has send ticks, naming those edges.
     """
 
     def __init__(self, topo, schedules: list, T: float, dt: float,
@@ -145,19 +142,18 @@ class Engine:
                   != self.steps_per_T) or np.any(delay < 0):
             raise error("link messages must be sent at seq*T and have "
                         "delays >= 0")
-        # Seconds as the schedules print them, for the audit log.
-        send, delay_s = seq * T_s, delay * dt_s
-        arrival = send + delay_s
         if np.any(dt_s != dt):      # drawn at another step
-            delay = to_ticks(delay_s, dt, "every link delay", error)
+            delay = to_ticks(delay * dt_s, dt, "every link delay", error)
+        sends = self.K // self.steps_per_T + 1
+        short = [e for e, s in zip(self.edges, scheds) if len(s.delay) < sends]
+        if short:
+            raise error(f"schedules must cover the run's {sends} sends: "
+                        f"those of edges {short} stop before it ends")
         tick = seq * self.steps_per_T + delay
-        # Deliveries in the audit log's order: tick, edge, arrival, seq.
-        order = np.lexsort((seq, arrival, edge, tick))
+        # Deliveries in the audit log's order: tick, edge, seq.
+        order = np.lexsort((seq, edge, tick))
         order = order[tick[order] <= self.K]
         self.tick, self.edge, self.seq = tick[order], edge[order], seq[order]
-        self.send, self.arrival = send[order], arrival[order]
-        self.first = np.searchsorted(self.tick, np.arange(self.K + 2))
-        self.box = np.full(len(self.edges), -1)
 
     def used_seq(self) -> np.ndarray:
         """(K + 1, E) seq in the mailbox of each edge after each tick's
@@ -167,22 +163,20 @@ class Engine:
         return np.maximum.accumulate(used, axis=0)
 
     def audit(self) -> list[tuple]:
-        """(src, dst, seq, send_time, arrival) of every delivery, in order."""
+        """(src, dst, seq, send_time, arrival) of every delivery, in order;
+        in seconds, sent at seq * T and arriving the delay ticks later."""
+        send = self.seq * self.T
+        arrival = send + (self.tick - self.seq * self.steps_per_T) * self.dt
         return list(zip(self.src[self.edge].tolist(),
                         self.dst[self.edge].tolist(), self.seq.tolist(),
-                        self.send.tolist(), self.arrival.tolist()))
+                        send.tolist(), arrival.tolist()))
 
-    def deliver(self, k: int) -> None:
-        """Apply the arrivals due at tick k to the mailbox."""
-        due = slice(self.first[k], self.first[k + 1])
-        np.maximum.at(self.box, self.edge[due], self.seq[due])
-
-    def view(self, hist: np.ndarray) -> NeighborView:
-        """View of the mailbox; hist[seq, j] is sender j's payload row, its
-        first N columns the position-like part, the rest a velocity estimate.
-        """
-        live = self.box >= 0
-        seq = self.box[live]
+    def view(self, box: np.ndarray, hist: np.ndarray) -> NeighborView:
+        """View of the mailbox row box; hist[seq, j] is sender j's payload
+        row, its first N columns the position-like part, the rest a
+        velocity estimate."""
+        live = box >= 0
+        seq = box[live]
         msg = hist[seq, self.src[live]]
         m, N = self.fallback.shape
         return NeighborView(m, N, self.dst[live], self.w[live], msg[:, :N],
@@ -191,38 +185,40 @@ class Engine:
     def run(self, y: np.ndarray, payload, rhs, watch):
         """Integrate from the (rows, N) state y over ticks 0..K.
 
-        At each tick: capture payload(y) if it is a send tick, deliver the
-        arrivals, build the view, evaluate rhs(t, y, view) -> (dy, out),
-        then take one RK4 step with the view held.  A tick with no arrivals
-        keeps the previous view: the mailbox is unchanged, and the payload
-        rows it points to were captured before they arrived.  watch lists
-        the leading row blocks that must stay in range as (variable, agents,
+        At each tick: capture payload(y) if it is a send tick, build the
+        view of the mailbox if its row changed, evaluate rhs(k, y, view) ->
+        (dy, out), then take one RK4 step with the view held, its stages at
+        rows K + 1 + k and 2K + 1 + k of stage_times.  The payload rows a
+        view points to were captured before they arrived.  watch lists the
+        leading row blocks that must stay in range as (variable, agents,
         rows per agent), each block's agents in union row order; the first
         agent to leave it raises DivergenceError against its step-start
-        value, naming its copy.  Returns the (K+1, rows, N) state history
-        and the (K+1, ...) stack of the step-start outs.
+        value, naming its copy.  Returns the (K+1, rows, N) state history,
+        the (K+1, ...) stack of the step-start outs and the mailbox
+        ``used_seq()``.
         """
-        K, dt, spT, first = self.K, self.dt, self.steps_per_T, self.first
+        K, dt, spT = self.K, self.dt, self.steps_per_T
+        used = self.used_seq()
+        changed = np.any(used[1:] != used[:-1], axis=1).tolist()
         watched = sum(agents * per_agent for _, agents, per_agent in watch)
         states = np.empty((K + 1,) + y.shape)
         for k in range(K + 1):
-            t = k * dt
             if k % spT == 0:
                 sample = payload(y)
                 if k == 0:
                     sent = np.empty((K // spT + 1,) + sample.shape)
                 sent[k // spT] = sample
-            if k == 0 or first[k] < first[k + 1]:
-                self.deliver(k)
-                view = self.view(sent)
-            dy, out = rhs(t, y, view)
+            if k == 0 or changed[k - 1]:
+                view = self.view(used[k], sent)
+            dy, out = rhs(k, y, view)
             if k == 0:
                 outs = np.empty((K + 1,) + np.shape(out))
             states[k], outs[k] = y, out
             if k == K:
                 break
-            y = rk4_step(rhs, t, dt, y, view, dy)
+            y = rk4_step(rhs, K + 1 + k, 2 * K + 1 + k, dt, y, view, dy)
             # abs(nan) <= limit is False, so this also catches non-finite y.
             if not np.all(np.abs(y[:watched]) <= DIVERGENCE_LIMIT):
-                raise _divergence(t + dt, y, states[k], watch, self.rows)
-        return states, outs
+                raise _divergence(k * dt + dt, y, states[k], watch,
+                                  self.rows)
+        return states, outs, used

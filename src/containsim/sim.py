@@ -1,12 +1,12 @@
 """Closed-loop containment runs on the shared sampled-data engine.
 
 ``run`` plugs the controller and the agent models into ``engine.Engine``,
-which counts time in integer ticks, keeps the freshest delivered seq per
-edge and holds the neighbor view fixed for each RK4 step.  It supplies the
-payload (position and velocity estimate) and the closed-loop right-hand
-side, which returns the control input the engine stacks.  The diagnostics
-follow the run: the containment errors of all steps come from one
-broadcast product with the weights, and their hull distances from one
+which counts time in integer ticks, returns the mailbox history
+(``Trace.used_seq``) and holds the neighbor view fixed for each RK4 step.
+It supplies the payload (position and velocity estimate) and the
+right-hand side, which returns the control input the engine stacks.  The
+diagnostics follow the run: the containment errors of all steps come from
+one broadcast product with the weights, and their hull distances from one
 stacked ``hull_distance`` call, which builds each step's leader hull once.
 """
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .control import Controller, GainSet, make_controller
 from .dynamics import AgentModel, LeaderTrajectory, \
     check_oscillator_spectrum, follower_rhs, leader_accels
 from .engine import DIVERGENCE_LIMIT, DivergenceError, Engine  # noqa: F401
-from .engine import stage_table
+from .engine import stage_times
 from .topology import DirectedTopology, containment_weights, partition, \
     validate_assumption1
 
@@ -249,7 +249,7 @@ def run(scen: Scenario, seed: int | None = None,
     override.  Injected schedules must be keyed by exactly the topology's
     edges, and their delays must be whole ticks of dt.  The run's
     schedules are on ``Trace.schedules``.  The leader accelerations are
-    tabulated once, at every time the engine evaluates the right-hand side.
+    tabulated once, on the engine's stage rows.
     """
     ctrl = scen.validate()
     dt, topo, model = scen.dt, scen.topo, scen.model
@@ -263,10 +263,10 @@ def run(scen: Scenario, seed: int | None = None,
     K = eng.K
     # The state: rows p, v, then one m-row block per controller internal.
     x0 = ctrl.init_internals(scen.p0[:m])
+    times = stage_times(K, dt)
     if model.kind != "oscillator":
-        # Every leader acceleration the run reads, read by stage time.
-        times, row = stage_table(K, dt)
         accel_tab = leader_accels(scen.leader_trajs, times)
+    times = times.tolist()
 
     def payload(y):
         # Followers transmit their velocity estimate, leaders their velocity.
@@ -274,20 +274,20 @@ def run(scen: Scenario, seed: int | None = None,
         return np.concatenate([y[:n], np.concatenate([vhat, y[n + m:2 * n]])],
                               axis=1)
 
-    def rhs(t, y, view):
+    def rhs(row, y, view):
         p, v = y[:n], y[n:2 * n]
         dy = np.empty_like(y)
         dy[:n] = v
-        g = ctrl.deriv(t, p[:m], v[:m], y[2 * n:].reshape(x0.shape), view,
-                       dy[2 * n:].reshape(x0.shape))
+        g = ctrl.deriv(times[row], p[:m], v[:m], y[2 * n:].reshape(x0.shape),
+                       view, dy[2 * n:].reshape(x0.shape))
         dy[n:n + m] = follower_rhs(model, p[:m], v[:m], g)[1]
         if model.kind == "oscillator":    # free leader oscillation
             dy[n + m:2 * n] = p[m:] @ model.S1.T + v[m:] @ model.S2.T
         else:
-            dy[n + m:2 * n] = accel_tab[row[t]]
+            dy[n + m:2 * n] = accel_tab[row]
         return dy, g
 
-    states, gamma = eng.run(
+    states, gamma, used_seq = eng.run(
         np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]), payload, rhs,
         (("p", n, 1), ("v", n, 1)))
     trace_p, trace_v = states[:, :n], states[:, n:2 * n]
@@ -301,7 +301,7 @@ def run(scen: Scenario, seed: int | None = None,
                  err_vel=trace_v[:, :m] - W @ trace_v[:, m:],
                  hull_dist=hull_distance(trace_p[:, :m], trace_p[:, m:]),
                  W=W, m=m, schedules=schedules,
-                 audit=eng.audit(), used_seq=eng.used_seq(), edges=eng.edges,
+                 audit=eng.audit(), used_seq=used_seq, edges=eng.edges,
                  meta={"label": scen.label, "dt": dt, "t_end": scen.t_end,
                        "seed": seed if seed is not None else scen.comm.seed,
                        "variant": scen.variant})

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from .comm import floor_ticks
 from .sim import Trace, convex_hull_2d
 
 _COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -85,10 +86,11 @@ def render_trajectories(trace: Trace, snapshot_times=(0.0, 10.0, 20.0, 40.0),
     sx = _scaler(xs.min() - pad_x, xs.max() + pad_x, MARGIN, WIDTH - MARGIN)
     sy = _scaler(ys.min() - pad_y, ys.max() + pad_y, HEIGHT - MARGIN, 30)
 
-    # Each snapshot is drawn, and labelled, at the last step up to its time.
-    snaps = [int(np.searchsorted(trace.times, t + 1e-9, side="right")) - 1
-             for t in snapshot_times
-             if trace.times[0] - 1e-9 <= t <= trace.times[-1] + 1e-9]
+    # Each snapshot is drawn, and labelled, at the last step up to its time;
+    # one before step 0 or after step K (its tick rounded up) is left out.
+    dt, K = trace.meta["dt"], len(trace.times) - 1
+    snaps = [floor_ticks(t, dt) for t in snapshot_times
+             if floor_ticks(t, dt) >= 0 and -floor_ticks(-t, dt) <= K]
     for si, k in enumerate(snaps):
         hull = convex_hull_2d(trace.p[k, m:])
         pts = [(sx(q[0]), sy(q[1])) for q in hull]

@@ -26,6 +26,19 @@ def link_schedule(ticks, T=0.1, dt=0.01) -> LinkSchedule:
                         np.zeros(len(delay), dtype=bool))
 
 
+def mailbox_oracle(eng) -> np.ndarray:
+    """The engine's mailbox updated tick by tick, (K + 1, E): at each tick
+    the deliveries due raise each edge's entry to the freshest seq."""
+    first = np.searchsorted(eng.tick, np.arange(eng.K + 2))
+    box = np.full(len(eng.edges), -1)
+    rows = []
+    for k in range(eng.K + 1):
+        due = slice(first[k], first[k + 1])
+        np.maximum.at(box, eng.edge[due], eng.seq[due])
+        rows.append(box.copy())
+    return np.array(rows)
+
+
 def one_edge_topology() -> DirectedTopology:
     """Leader 1 -> follower 0, with unit weight."""
     return DirectedTopology(n=2, m=1, weights=[[0.0, 1.0], [0.0, 0.0]])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from containsim.analysis import (
     BATCH_FIELDS,
+    ISS_REL_TOL,
     CascadeConfig,
     CascadeError,
     CascadeTrace,
@@ -48,6 +49,7 @@ def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
     eng = Engine(topo, [schedules], comm.T, cfg.dt, cfg.t_end, cfg.eta0[:m],
                  CascadeError)
     K = eng.K
+    times = stage_times(K, cfg.dt).tolist()
     h = np.asarray(cfg.h, float)
     phi2 = cfg.phi2 or [Perturbation() for _ in range(cfg.sigma)]
 
@@ -63,7 +65,8 @@ def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
     def split(y):
         return y[:topo.n], y[topo.n:].reshape(m, cfg.sigma, N)
 
-    def rhs(t, y, view):
+    def rhs(row, y, view):
+        t = times[row]
         eps = view.p_avg()
         eta_s, zeta_s = split(y)
         phi1_v = broadcast(cfg.phi1.value(t))
@@ -78,7 +81,7 @@ def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
                 + broadcast(phi2[ell].value(t))
         return np.concatenate([deta, dzeta.reshape(-1, N)]), eps
 
-    states, tr_eps = eng.run(
+    states, tr_eps, _ = eng.run(
         np.concatenate([cfg.eta0, cfg.zeta0.reshape(-1, N)]),
         lambda y: split(y)[0], rhs,
         (("eta", topo.n, 1), ("zeta", m, cfg.sigma)))
@@ -100,6 +103,48 @@ def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
                         zeta=tr_zeta, eps=tr_eps, eta_c=tr_eta_c,
                         deta_c=tr_deta_c, phi1_vals=tr_phi1,
                         phi2_vals=tr_phi2, cfg=cfg)
+
+
+def iss_estimate_check_oracle(trace: CascadeTrace, pairs=None,
+                              rel_tol: float = ISS_REL_TOL,
+                              eta_override=None) -> dict:
+    """iss_estimate_check one pair and one chain layer at a time: the
+    reference the grouped running-sup check must equal."""
+    cfg = trace.cfg
+    if pairs is None:
+        pairs = make_pair_grid(trace.times)
+    eta_t = eta_override if eta_override is not None else trace.eta_tilde()
+    n_eta = np.linalg.norm(eta_t, axis=2)
+    n_zeta = np.linalg.norm(trace.zeta_tilde(), axis=3)
+    n_u = np.linalg.norm(trace.u(), axis=2)
+    n_y = np.linalg.norm(trace.y_pert(), axis=2)
+    n_ups = np.linalg.norm(trace.ups_pert(), axis=3)
+    h = np.asarray(cfg.h, float)
+    checked = violations = 0
+    worst = -np.inf
+    for i0, i1 in pairs:
+        gap = trace.times[i1] - trace.times[i0]
+        sl = slice(i0, i1 + 1)
+        sup_u = np.max(n_u[sl], axis=0)
+        sup_y = np.max(n_y[sl], axis=0)
+        sup_z = np.max(n_zeta[sl], axis=0)
+        sup_ups = np.max(n_ups[sl], axis=0)
+        bound = np.exp(-cfg.k_eta * gap) * n_eta[i0] \
+            + cfg.alpha * sup_z[:, 0] + (1.0 - cfg.alpha) * sup_u \
+            + sup_y / cfg.k_eta
+        margins = [(n_eta[i1], bound)]
+        for ell in range(cfg.sigma):
+            feed = sup_z[:, ell + 1] if ell + 1 < cfg.sigma else sup_u
+            margins.append((n_zeta[i1, :, ell],
+                            np.exp(-h[ell] * gap) * n_zeta[i0, :, ell]
+                            + feed + sup_ups[:, ell] / h[ell]))
+        for dev, b in margins:
+            margin = dev - b - rel_tol * (1.0 + b)
+            checked += margin.size
+            violations += int(np.count_nonzero(margin > 0))
+            worst = max(worst, float(np.max(margin)))
+    return {"pairs": len(pairs), "checked": checked,
+            "violations": violations, "worst_margin": worst}
 
 
 def perturbation_value_oracle(p: Perturbation, t: float) -> np.ndarray:
@@ -193,19 +238,31 @@ class TestPerturbation:
             assert np.array_equal(row, p.value(t))
 
     def test_stage_times_are_the_times_rhs_sees(self):
-        # On this grid k*dt + dt differs from (k+1)*dt at 645 of 2400 ticks.
+        # rhs sees rows of stage_times: step k starts at row k, its
+        # midpoint (stages 2 and 3) is row K + 1 + k and its end row
+        # 2K + 1 + k, at k * dt + dt / 2 and k * dt + dt.  On this grid
+        # k*dt + dt differs from (k+1)*dt at 645 of 2400 ticks.
         cfg = single_follower_cfg(dt=0.025, t_end=60.0)
         sched = generate_schedule((1, 0), cfg.comm, cfg.t_end, cfg.dt)
         eng = Engine(cfg.topo, [{(1, 0): sched}], cfg.comm.T, cfg.dt,
                      cfg.t_end, cfg.eta0[:1])
         seen = []
 
-        def rhs(t, y, u):
-            seen.append(t)
+        def rhs(row, y, u):
+            seen.append(row)
             return np.zeros_like(y), 0.0
 
         eng.run(cfg.eta0, lambda y: y, rhs, ())
-        assert set(seen) == set(stage_times(eng.K, cfg.dt).tolist())
+        K = eng.K
+        assert seen == [r for k in range(K) for r in
+                        (k, K + 1 + k, K + 1 + k, 2 * K + 1 + k)] + [K]
+        times = stage_times(K, cfg.dt).tolist()
+        assert [times[r] for r in seen[:-1]] == [
+            t for t in (k * cfg.dt for k in range(K))
+            for t in (t, t + cfg.dt / 2, t + cfg.dt / 2, t + cfg.dt)]
+        assert times[K] == K * cfg.dt
+        assert sum(times[2 * K + 1 + k] != (k + 1) * cfg.dt
+                   for k in range(K)) == 645
 
 
 class TestCascadeDynamics:
@@ -433,6 +490,27 @@ class TestDeviationBounds:
         tr = simulate_cascade(bench_cfg(), seed=3)
         report = iss_estimate_check(tr, eta_override=2.0 * tr.eta_tilde())
         assert report["violations"] > 0
+
+    @pytest.mark.parametrize("sigma", [1, 2, 3])
+    def test_report_equals_the_per_pair_oracle(self, sigma):
+        # The default grid, corrupted histories (one with a NaN, whose
+        # pairs drop out of the worst margin), custom pairs in any order
+        # with repeats, and no pairs.
+        tr = simulate_cascade(bench_cfg(t_end=20.0, sigma=sigma), seed=sigma)
+        rng = np.random.default_rng(sigma)
+        i0 = rng.integers(0, 400, 60)
+        custom = list(zip(i0.tolist(), (i0 + rng.integers(0, 400, 60))
+                          .tolist())) * 2
+        with_nan = 2.0 * tr.eta_tilde()
+        with_nan[300, 1, 0] = np.nan
+        for kw in ({}, {"eta_override": 2.0 * tr.eta_tilde()},
+                   {"eta_override": with_nan}, {"pairs": custom},
+                   {"pairs": [], "rel_tol": 0.0}):
+            report = iss_estimate_check(tr, **kw)
+            assert repr(report) == repr(iss_estimate_check_oracle(tr, **kw))
+        for check in (iss_estimate_check, iss_estimate_check_oracle):
+            with pytest.raises(ValueError):
+                check(tr, pairs=[(10, 20), (5, 4)])
 
 
 class TestSweeps:

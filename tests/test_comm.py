@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from containsim.comm import (
 )
 from containsim.engine import Engine
 from conftest import SCENARIOS, link_schedule, load_scenario_doc, \
-    one_edge_topology
+    mailbox_oracle, one_edge_topology
 
 
 def whole_ticks(seconds: float, dt: float) -> int:
@@ -323,51 +324,52 @@ class TestRepairProperties:
 
 
 # Delays in ticks of 0.01 s out of send order: seq 1 overtakes seq 0, seq 2
-# is dropped, seq 4 overtakes seq 3, and seq 5 would arrive after the 1 s
-# horizon.
-OUT_OF_ORDER = (50, 5, None, 30, 0, 70)
+# is dropped, seq 4 overtakes seq 3, seq 5 would arrive after the 1 s
+# horizon, and the last five sends are dropped.
+OUT_OF_ORDER = (50, 5, None, 30, 0, 70) + (None,) * 5
 FALLBACK = np.array([[7.0]])
 # Every sender's payload at sample seq is the number seq.
 HIST = np.repeat(np.arange(11.0)[:, None, None], 2, axis=1)
 
 
 def one_edge_engine(delays=OUT_OF_ORDER):
-    """The engine's mailbox on edge leader 1 -> follower 0, T=0.1, dt=0.01."""
+    """The engine on edge leader 1 -> follower 0, T=0.1, dt=0.01, and the
+    mailbox history of its one edge."""
     sched = link_schedule(delays)
-    return Engine(one_edge_topology(), [{(1, 0): sched}], T=0.1, dt=0.01,
-                  t_end=1.0,
-                  fallback=FALLBACK), sched
+    eng = Engine(one_edge_topology(), [{(1, 0): sched}], T=0.1, dt=0.01,
+                 t_end=1.0, fallback=FALLBACK)
+    return eng, sched, eng.used_seq()
 
 
 class TestMailbox:
     def test_keeps_freshest_sequence(self):
-        eng, _ = one_edge_engine()
-        seen = []
-        for k in range(eng.K + 1):
-            eng.deliver(k)
-            seen.append(int(eng.box[0]))
-        assert seen == [-1] * 15 + [1] * 25 + [4] * 61
-        view = eng.view(HIST)
+        eng, _, used = one_edge_engine()
+        assert used[:, 0].tolist() == [-1] * 15 + [1] * 25 + [4] * 61
+        view = eng.view(used[-1], HIST)
         assert view.p_msg.tolist() == [[4.0]]
         assert view.send_time.tolist() == [0.4]
 
     def test_latest_message_none_before_first_arrival(self):
-        eng, _ = one_edge_engine()
-        for k in range(15):
-            eng.deliver(k)
-        assert eng.box.tolist() == [-1]
-        view = eng.view(HIST)
+        eng, _, used = one_edge_engine()
+        assert used[14].tolist() == [-1]
+        view = eng.view(used[14], HIST)
         assert view.dst.size == 0 and not view.live.any()
         assert view.p_avg().tolist() == FALLBACK.tolist()
 
     def test_advance_applies_window(self):
-        # Each tick applies exactly the arrivals of its window, checked
+        # Each row of the history holds exactly the arrivals up to its
+        # tick, checked against the mailbox updated tick by tick and
         # against the float arrival times (1e-12 slack for rounding).
-        eng, sched = one_edge_engine()
+        eng, sched, used = one_edge_engine()
+        assert np.array_equal(used, mailbox_oracle(eng))
         arrival, send = arrivals(sched)
         seq = np.flatnonzero(sched.delivered)
         for k in range(eng.K + 1):
-            eng.deliver(k)
             want = max(seq[arrival <= k * 0.01 + 1e-12], default=-1)
-            assert eng.box[0] == want
+            assert used[k, 0] == want
         assert [rec[2] for rec in eng.audit()] == [1, 4, 0, 3]
+
+    def test_schedule_that_stops_early_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "run's 11 sends: those of edges [(1, 0)] stop")):
+            one_edge_engine(OUT_OF_ORDER[:10])

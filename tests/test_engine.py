@@ -1,5 +1,5 @@
-"""The sampled-data engine as it runs: the union layout, the staleness
-bound and the tick grid."""
+"""The sampled-data engine as it runs: the union layout, the mailbox
+history, the staleness bound and the tick grid."""
 import dataclasses
 import re
 
@@ -16,7 +16,7 @@ from containsim.engine import Engine, rk4_step
 from containsim.sim import ScenarioError
 from containsim.topology import union_rows
 from conftest import SCENARIOS, bench_topology, link_schedule, \
-    load_scenario_doc, one_edge_topology
+    load_scenario_doc, mailbox_oracle, one_edge_topology
 
 
 def rk4_step_oracle(rhs, t: float, h: float, y: list, u, k1: list) -> list:
@@ -39,13 +39,15 @@ def rk4_step_oracle(rhs, t: float, h: float, y: list, u, k1: list) -> list:
        st.integers(0, 2400))
 def test_flat_step_equals_the_step_over_blocks(seed, rows, N, h, k):
     # The same state as one (rows, N) array and as a list of row blocks:
-    # the flat step equals the list-form step to the bit, and both
-    # evaluate the right-hand side at the same stage times.  On the
+    # the flat step, given the rows of its midpoint and end, equals the
+    # list-form step that computes t + h / 2 and t + h to the bit, and
+    # both evaluate the right-hand side at the same stage times.  On the
     # dt = 0.025 grid, k * dt + dt is not always (k + 1) * dt.
     rng = np.random.default_rng(seed)
     y = rng.normal(size=(sum(rows), N))
     u = rng.normal(size=(len(y), len(y)))
     t = k * h
+    times = {"start": t, "mid": t + h / 2, "end": t + h}
     seen = {"flat": [], "blocks": []}
 
     def rhs(t, y, u, who="flat"):
@@ -56,7 +58,11 @@ def test_flat_step_equals_the_step_over_blocks(seed, rows, N, h, k):
         dy, _ = rhs(t, np.concatenate(ys), u, "blocks")
         return np.split(dy, np.cumsum(rows)[:-1]), None
 
-    got = rk4_step(rhs, t, h, y, u, rhs(t, y, u)[0])
+    def rhs_rows(row, y, u):
+        return rhs(times[row], y, u)
+
+    got = rk4_step(rhs_rows, "mid", "end", h, y, u,
+                   rhs_rows("start", y, u)[0])
     blocks = np.split(y, np.cumsum(rows)[:-1])
     want = rk4_step_oracle(rhs_blocks, t, h, blocks, u,
                            rhs_blocks(t, blocks, u)[0])
@@ -160,19 +166,24 @@ def test_engine_rejects_messages_off_the_schedule(send_shift, delay, match):
 def union_oracle(topo, schedules, K: int, spT: int):
     """The union of the copies laid out by hand: edge (j, i) of copy b is
     (rows[b, j], rows[b, i]), the edges numbered in sorted order, and the
-    deliveries due by tick K sorted by tick, edge, arrival and seq."""
+    deliveries due by tick K sorted by tick, edge and seq.  The audit
+    records carry the seconds as each schedule states them: sent at
+    seq * T, arriving delay * dt later."""
     rows = union_rows(topo, len(schedules)).tolist()
     links = sorted(((r[j], r[i]), topo.weights[i, j], s)
                    for r, copy in zip(rows, schedules)
                    for (j, i), s in copy.items())
-    due = sorted((seq * spT + delay, e, seq * s.T + delay * s.dt, seq)
+    due = sorted((seq * spT + delay, e, seq, seq * s.T,
+                  seq * s.T + delay * s.dt)
                  for e, (_, _, s) in enumerate(links)
                  for seq, delay in enumerate(s.delay.tolist())
                  if s.delivered[seq] and seq * spT + delay <= K)
-    tick, edge, _, seq = zip(*due)
+    tick, edge, seq, _, _ = zip(*due)
     return {"edges": [key for key, _, _ in links],
             "w": [w for _, w, _ in links],
-            "tick": list(tick), "edge": list(edge), "seq": list(seq)}
+            "tick": list(tick), "edge": list(edge), "seq": list(seq),
+            "audit": [(*links[e][0], q, send, arrival)
+                      for _, e, q, send, arrival in due]}
 
 
 def test_engine_lays_out_copies_as_the_oracle():
@@ -185,9 +196,29 @@ def test_engine_lays_out_copies_as_the_oracle():
     eng = Engine(topo, schedules, T=0.1, dt=0.01, t_end=5.0,
                  fallback=np.zeros((3 * topo.m, 2)))
     got = {"edges": eng.edges, "w": eng.w.tolist(), "tick": eng.tick.tolist(),
-           "edge": eng.edge.tolist(), "seq": eng.seq.tolist()}
+           "edge": eng.edge.tolist(), "seq": eng.seq.tolist(),
+           "audit": eng.audit()}
     assert got == union_oracle(topo, schedules, eng.K, eng.steps_per_T)
     assert len(eng.edges) == 3 * len(topo.edges())
+
+
+def test_audit_in_tick_edge_seq_order_at_any_step():
+    # benchmark_fullstate at comm seed 0: on edge (2, 3) at tick 392, seq
+    # 35 arrives at 3.92 and seq 33 at 3.9200000000000004 s.  Ordered on
+    # ticks, seq 33 comes first.  The same schedules run at dt / 2 give
+    # the same audit: the ticks double, the seconds stay the schedules'.
+    scen = config.build_scenario(load_scenario_doc("benchmark_fullstate"))
+    schedules = sim.build_schedules(scen, seed=0)
+    want = union_oracle(scen.topo, [schedules], 4000, 10)["audit"]
+    eng = Engine(scen.topo, [schedules], scen.comm.T, scen.dt, scen.t_end,
+                 scen.p0[:scen.topo.m])
+    assert eng.audit() == want
+    tied = [(seq, arrival) for src, dst, seq, _, arrival in want
+            if (src, dst) == (2, 3) and seq in (33, 35)]
+    assert tied == [(33, 3.9200000000000004), (35, 3.92)]
+    half = Engine(scen.topo, [schedules], scen.comm.T, scen.dt / 2,
+                  scen.t_end, scen.p0[:scen.topo.m])
+    assert half.audit() == want
 
 
 def test_engine_names_the_edge_one_copy_lacks():
@@ -200,9 +231,49 @@ def test_engine_names_the_edge_one_copy_lacks():
                fallback=np.zeros((2 * topo.m, 2)))
 
 
+def _cut(schedules, sends: int, edges):
+    # The given edges' schedules keep only their first sends messages.
+    for edge in edges:
+        s = schedules[edge]
+        schedules[edge] = dataclasses.replace(
+            s, delay=s.delay[:sends], delivered=s.delivered[:sends],
+            forced=s.forced[:sends])
+
+
+def test_run_rejects_schedules_that_stop_before_it_ends():
+    # Schedules drawn for 2 s leave a 10 s run without messages for 8 s,
+    # far beyond T* = 1.5 s.
+    scen = config.build_scenario(load_scenario_doc("benchmark_fullstate"))
+    scen = dataclasses.replace(scen, t_end=10.0)
+    short = sim.build_schedules(dataclasses.replace(scen, t_end=2.0))
+    with pytest.raises(ScenarioError, match=re.escape(
+            f"run's 101 sends: those of edges {sorted(short)} stop")):
+        sim.run(scen, schedules=short)
+    schedules = sim.build_schedules(scen)
+    _cut(schedules, 100, [(2, 0), (5, 3)])
+    with pytest.raises(ScenarioError, match=re.escape(
+            "edges [(2, 0), (5, 3)] stop")):
+        sim.run(scen, schedules=schedules)
+
+
+def test_cascade_rejects_schedules_that_stop_before_it_ends():
+    doc = load_scenario_doc("cascade_estimates")
+    doc["sim"]["t_end_seconds"] = 4.0
+    cas = config.build_cascade(doc)
+    schedules = {edge: analysis.generate_schedule(edge, cas.comm, cas.t_end,
+                                                  cas.dt)
+                 for edge in cas.topo.edges()}
+    last = max(schedules)
+    _cut(schedules, len(schedules[last].delay) - 1, [last])
+    with pytest.raises(CascadeError, match=re.escape(
+            f"edges [{last}] stop before it ends")):
+        analysis.simulate_cascade(cas, schedules=schedules)
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_used_seq_equals_the_mailbox_at_every_tick(name):
-    # Engine.used_seq() against the mailbox recorded tick by tick.
+    # Engine.used_seq(), the history Engine.run returns, against the
+    # mailbox updated tick by tick.
     doc = load_scenario_doc(name)
     if name == "cascade_estimates":
         run = config.build_cascade(doc)
@@ -213,16 +284,14 @@ def test_used_seq_equals_the_mailbox_at_every_tick(name):
     schedules = {edge: generate_schedule(edge, run.comm, run.t_end, run.dt)
                  for edge in topo.edges()}
     eng = Engine(topo, [schedules], run.comm.T, run.dt, run.t_end, fallback)
-    box = []
-    for k in range(eng.K + 1):
-        eng.deliver(k)
-        box.append(eng.box.copy())
-    assert np.array_equal(eng.used_seq(), box)
+    assert np.array_equal(eng.used_seq(), mailbox_oracle(eng))
 
 
-def test_view_built_only_on_ticks_with_arrivals(monkeypatch):
-    # A tick with no arrivals leaves the mailbox, and so the view, as it
-    # was: views are built at tick 0 and at each tick something arrives.
+def test_view_built_at_tick_0_and_where_the_mailbox_changes(monkeypatch):
+    # A tick whose arrivals are all older than the messages in use leaves
+    # the mailbox row, and so the view, as it was: views are built at
+    # tick 0 and at each tick whose row of the history differs from the
+    # row before, fewer than the ticks with an arrival.
     doc = load_scenario_doc("benchmark_fullstate")
     doc["sim"]["t_end_seconds"] = 3.0
     scen = config.build_scenario(doc)
@@ -235,6 +304,7 @@ def test_view_built_only_on_ticks_with_arrivals(monkeypatch):
 
     monkeypatch.setattr(NeighborView, "__init__", counting)
     trace = sim.run(scen, seed=0)
+    changed = np.any(np.diff(trace.used_seq, axis=0) != 0, axis=1)
     arrivals = {0} | {int(to_ticks(a, scen.dt, "arrival"))
                       for *_, a in trace.audit}
-    assert len(built) == len(arrivals) < len(trace.times)
+    assert len(built) == 1 + changed.sum() < len(arrivals)

@@ -190,14 +190,15 @@ class TestClosedLoopShape:
         logged = {}
         for src, dst, seq, send, arrival in trace.audit:
             key = ((src, dst), seq)
-            logged[key] = min(arrival, logged.get(key, np.inf))
-        for k, t in enumerate(trace.times):
+            tick = trace.index_of(arrival)
+            logged[key] = min(tick, logged.get(key, tick))
+        for k in range(len(trace.times)):
             for e_idx, edge in enumerate(trace.edges):
                 seq = trace.used_seq[k, e_idx]
                 if seq < 0:
                     continue
                 assert (edge, seq) in logged
-                assert logged[(edge, seq)] <= t + 1e-9
+                assert logged[(edge, seq)] <= k
 
     def test_followers_end_near_hull(self):
         doc = load_scenario_doc("benchmark_fullstate")
