@@ -18,16 +18,17 @@ velocity-estimate average falls back to its own estimate.
 The oscillator law first pushes each delayed sample [p; vhat] forward through
 the free flow e^{S (t - t_send)}.  Sends and stage times sit on the
 half-step grid of the integration step, so each lag is a whole number of
-half steps: the flows come from one integer-indexed table and the whole
-average is one batched product over the live edges per RK4 stage.
+half steps, h - 2 steps_per_T seq at the stage's half tick h (each law is
+given h beside t): the flows come from one table, filled once per run,
+and the whole average is one batched product over the live edges.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .comm import to_ticks
 from .dynamics import AgentModel, OscillatorFlow
 
 BOUNDARY_LAYER_DEFAULT = 1e-4
@@ -84,6 +85,10 @@ class GainSet:
     def lam_effective(self) -> np.ndarray:
         return self.lam if self.lam is not None else self.lam_derived()
 
+    def columns(self, *names: str) -> tuple[np.ndarray, ...]:
+        """The named gains as (m, 1) columns, one row per follower."""
+        return tuple(getattr(self, name)[:, None] for name in names)
+
 
 def check_gains(variant: str, gains: GainSet,
                 S2: np.ndarray | None = None) -> tuple[bool, list[str]]:
@@ -129,30 +134,27 @@ class NeighborView:
     """Frozen per-step aggregation of delivered messages.
 
     Arrays are indexed by delivered in-edge; dst maps each edge to its
-    follower row.  kappa_delivered is the per-follower sum of delivered edge
-    weights (0 during warm-up).  dt is the integration step: every message
-    lag t - send_time at an RK4 stage is a whole number of half steps.
+    follower row and msg to its payload, [p_msg, vhat_msg], sent at
+    send_time = seq * T, which is send_half = 2 * steps_per_T * seq half
+    steps.  kappa_delivered is the per-follower sum of delivered edge
+    weights (0 during warm-up).
 
     The messages are fixed for the view's life, which may span many steps,
     so each average over them is computed once: p_avg's and vhat_avg's once
-    per view, vartheta_avg's and oscillator_psi's once per stage time (RK4
-    stages 2 and 3 share t + dt/2).  Until every follower is live (has a
+    per view, vartheta_avg's once per stage time t and oscillator_psi's
+    once per half tick h (RK4 stages 2 and 3 share one, and so do a step's
+    end and the next step's start).  Until every follower is live (has a
     delivered in-edge), each call merges in the fallback rows; then each
     returns the cached average itself.  Every average is read-only.
     """
 
     def __init__(self, m: int, N: int, dst: np.ndarray, w: np.ndarray,
-                 p_msg: np.ndarray, vhat_msg: np.ndarray,
-                 send_time: np.ndarray, p_fallback: np.ndarray, dt: float):
-        self.m = m
-        self.N = N
-        self.dst = dst
-        self.w = w
-        self.p_msg = p_msg
-        self.vhat_msg = vhat_msg
-        self.send_time = send_time
-        self.p_fallback = p_fallback
-        self.dt = dt
+                 msg: np.ndarray, seq: np.ndarray, T: float,
+                 steps_per_T: int, p_fallback: np.ndarray):
+        self.m, self.N, self.dst, self.w, self.p_fallback = \
+            m, N, dst, w, p_fallback
+        self.msg, self.p_msg, self.vhat_msg = msg, msg[:, :N], msg[:, N:]
+        self.send_time, self.send_half = seq * T, 2 * steps_per_T * seq
         self.kappa_delivered = np.bincount(dst, w, minlength=m)
         self.live = self.kappa_delivered > 0
         self.all_live = bool(self.live.all())
@@ -208,23 +210,20 @@ class NeighborView:
             self._vhat = self._live_average(self.vhat_msg)
         return self._with_fallback(self._vhat, vhat_own)
 
-    def oscillator_psi(self, t: float, flow: OscillatorFlow,
+    def oscillator_psi(self, h: int, flow: OscillatorFlow,
                        vhat_own: np.ndarray) -> np.ndarray:
-        """Weighted average of e^{S (t - t_send)} [p_msg; vhat_msg], (m, 2N).
+        """Weighted average of e^{S (t - t_send)} [p_msg; vhat_msg], (m, 2N),
+        at the time t of the half tick h.
 
-        The lags become whole half steps j, so the flows are one lookup in
-        flow's integer-indexed table and the products one stacked matmul;
+        The lags are the whole half steps h - send_half, so the flows are
+        one lookup in flow's table and the products one stacked matmul;
         matmul and the sequential bincount keep every per-edge product and
         the summation order, where einsum or grouping by lag would not.
         """
-        if (t, flow) != self._psi_key:
-            j = to_ticks(t - self.send_time, self.dt / 2, "every message lag")
-            if (j < 0).any():
-                raise ValueError("a message in the view is newer than t")
-            x = np.concatenate([self.p_msg, self.vhat_msg], axis=1)
-            y = np.matmul(flow.at_half_steps(j, self.dt),
-                          x[:, :, None])[:, :, 0]
-            self._psi_key, self._psi = (t, flow), self._live_average(y)
+        if (h, flow) != self._psi_key:
+            y = np.matmul(flow.table[h - self.send_half],
+                          self.msg[:, :, None])[:, :, 0]
+            self._psi_key, self._psi = (h, flow), self._live_average(y)
         return self._with_fallback(self._psi, self.p_fallback, vhat_own)
 
 
@@ -246,6 +245,8 @@ class DoubleIntegratorLaw:
             raise ValueError(f"v_d must have {N} entries, got shape "
                              f"{np.shape(v_d)}")
         self.gains, self.N = gains, N
+        self.L_p, self.k_psi, self.k_d, self.k_p = gains.columns(
+            "L_p", "k_psi", "k_d", "k_p")
         self.psi_mode, self.use_velocity = psi_mode, use_velocity
         self.v_d = None if v_d is None else np.asarray(v_d, dtype=float)
         self.names = tuple(name for name, used in (
@@ -264,22 +265,21 @@ class DoubleIntegratorLaw:
             return x[0]
         return np.broadcast_to(self.v_d, (self.gains.m, self.N))
 
-    def deriv(self, t, p, v, x, neigh, dx) -> np.ndarray:
-        g = self.gains
+    def deriv(self, t, h, p, v, x, neigh, dx) -> np.ndarray:
         if self.v_d is None:
             vhat = x[0]
-            dx[0] = -g.L_p[:, None] * (vhat - neigh.vhat_avg(vhat))
+            dx[0] = -self.L_p * (vhat - neigh.vhat_avg(vhat))
         else:
             vhat = np.broadcast_to(self.v_d, p.shape)
         theta = neigh.vartheta_avg(t)
         if self.psi_mode == "dynamic":
             i = int(self.v_d is None)          # psi follows vhat
             psi = x[i]
-            dx[i] = -g.k_psi[:, None] * (psi - theta) + vhat
+            dx[i] = -self.k_psi * (psi - theta) + vhat
         else:
             psi = theta
         w = v if self.use_velocity else x[-1] + p      # phi is last
-        gamma = -g.k_d[:, None] * (w - vhat) - g.k_p[:, None] * (p - psi)
+        gamma = -self.k_d * (w - vhat) - self.k_p * (p - psi)
         if not self.use_velocity:
             dx[-1] = -w + gamma
         return gamma
@@ -299,6 +299,16 @@ class NonlinearVSController:
         if model is None or model.kind != "nonlinear":
             raise ValueError("nonlinear_vs requires the nonlinear model")
         self.gains, self.N, self.model = gains, N, model
+        self.L_p, self.L_d, self.k_p, self.k_d, self.k_r = gains.columns(
+            "L_p", "L_d", "k_p", "k_d", "k_r")
+        self.delta_p, self.delta_v = (
+            np.vectorize(model.drift_fns[key], otypes=[float])
+            for key in ("delta_p", "delta_v"))
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """lam_effective as a column, derived after make_controller's check."""
+        return self.gains.lam_effective()[:, None]
 
     def init_internals(self, p0):
         return np.stack([np.zeros_like(p0), np.zeros_like(p0), p0, p0])
@@ -306,28 +316,23 @@ class NonlinearVSController:
     def transmitted_vhat(self, x):
         return x[0]
 
-    def deriv(self, t, p, v, x, neigh, dx) -> np.ndarray:
-        g = self.gains
-        lam = g.lam_effective()[:, None]
+    def deriv(self, t, h, p, v, x, neigh, dx) -> np.ndarray:
         vhat, sigma1, eta1, eta2 = x
         dvhat, dsigma1, deta1, deta2 = dx
         theta = neigh.vartheta_avg(t)
-        dvhat[:] = -g.L_p[:, None] * (vhat - sigma1)
-        dsigma1[:] = -g.L_d[:, None] * (sigma1 - neigh.vhat_avg(vhat))
-        deta1[:] = -g.k_p[:, None] * (eta1 - eta2) + vhat
-        deta2[:] = -g.k_d[:, None] * (eta2 - theta) + vhat
-        v_r = -lam * (p - eta1) + vhat
-        dv_r = -lam * (v - deta1) + dvhat
+        dvhat[:] = -self.L_p * (vhat - sigma1)
+        dsigma1[:] = -self.L_d * (sigma1 - neigh.vhat_avg(vhat))
+        deta1[:] = -self.k_p * (eta1 - eta2) + vhat
+        deta2[:] = -self.k_d * (eta2 - theta) + vhat
+        v_r = -self.lam * (p - eta1) + vhat
+        dv_r = -self.lam * (v - deta1) + dvhat
         e = v - v_r
         gamma_bar = self.switching_term(e, p, v)
-        return -g.k_r[:, None] * e + dv_r - gamma_bar
+        return -self.k_r * e + dv_r - gamma_bar
 
     def drift_bound(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        fns = self.model.drift_fns
-        pn = np.linalg.norm(p, axis=-1)
-        vn = np.linalg.norm(v, axis=-1)
-        return np.vectorize(fns["delta_p"])(pn) + \
-            np.vectorize(fns["delta_v"])(vn)
+        return self.delta_p(np.linalg.norm(p, axis=-1)) + \
+            self.delta_v(np.linalg.norm(v, axis=-1))
 
     def switching_term(self, e: np.ndarray, p: np.ndarray,
                        v: np.ndarray) -> np.ndarray:
@@ -351,7 +356,8 @@ class OscillatorLaw:
         if model is None or model.kind != "oscillator":
             raise ValueError("oscillator variants require the oscillator model")
         self.gains, self.N, self.output_filter = gains, N, output_filter
-        self.S1, self.S2 = model.S1, model.S2
+        self.k_p, self.k_d, self.k_phi = gains.columns("k_p", "k_d", "k_phi")
+        self.S1T, self.S2T = model.S1.T, model.S2.T
         self.flow = OscillatorFlow(model.S1, model.S2)
         self.names = ("vhat", "sigma") + (("phi",) if output_filter else ())
 
@@ -361,24 +367,22 @@ class OscillatorLaw:
     def transmitted_vhat(self, x):
         return x[0]
 
-    def deriv(self, t, p, v, x, neigh, dx) -> np.ndarray:
-        g = self.gains
+    def deriv(self, t, h, p, v, x, neigh, dx) -> np.ndarray:
+        k_p, k_d, S1T, S2T = self.k_p, self.k_d, self.S1T, self.S2T
         vhat, sigma = x[0], x[1]
-        psi = neigh.oscillator_psi(t, self.flow, vhat)
+        psi = neigh.oscillator_psi(h, self.flow, vhat)
         psi1, psi2 = psi[:, : self.N], psi[:, self.N:]
         if self.output_filter:
             y = x[2] + p
-            w = g.k_phi[:, None] * y - vhat
+            w = self.k_phi * y - vhat
         else:
             w = v - vhat
-        gamma = -(g.k_d[:, None] * w + w @ self.S2.T) \
-            - g.k_p[:, None] * (p - psi1) + 2.0 * sigma
-        dx[0] = p @ self.S1.T + vhat @ self.S2.T + sigma
-        dx[1] = w @ self.S1.T + sigma @ self.S2.T \
-            - g.k_d[:, None] * sigma - g.k_p[:, None] * (vhat - psi2)
+        gamma = -(k_d * w + w @ S2T) - k_p * (p - psi1) + 2.0 * sigma
+        dx[0] = p @ S1T + vhat @ S2T + sigma
+        dx[1] = w @ S1T + sigma @ S2T - k_d * sigma - k_p * (vhat - psi2)
         if self.output_filter:
-            dx[2] = -(g.k_phi[:, None] * y - y @ self.S2.T) \
-                + (gamma + p @ self.S1.T) / g.k_phi[:, None]
+            dx[2] = -(self.k_phi * y - y @ S2T) \
+                + (gamma + p @ S1T) / self.k_phi
         return gamma
 
 

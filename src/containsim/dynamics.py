@@ -97,42 +97,25 @@ def check_oscillator_spectrum(S1: np.ndarray, S2: np.ndarray) -> bool:
 class OscillatorFlow:
     """Free flow e^{S tau} of the stacked oscillator matrix S.
 
-    ``flow(tau)`` is expm(S * tau), with tau rounded to 12 decimals.
-    ``at_half_steps(j, dt)`` gives the flows at the lags j * dt/2 (j whole
-    half steps, as in an RK4 step of dt) as one (len(j), 2N, 2N) array
-    taken from a table indexed by j.  The table grows on demand and each
-    row is filled once, through ``flow(j * dt/2)``, so expm runs once per
-    distinct lag.
+    ``flow(tau)`` is expm(S * tau), with tau rounded to 12 decimals, and
+    ``table[j]`` is ``flow(j * dt/2)`` at each lag j given to ``tabulate``.
     """
 
     def __init__(self, S1: np.ndarray, S2: np.ndarray):
         self.S = stacked_oscillator_matrix(np.asarray(S1, float),
                                            np.asarray(S2, float))
-        self._dt = None                 # the step the table's rows refer to
-        self._table = np.empty((0,) + self.S.shape)
-        self._filled = np.zeros(0, dtype=bool)
+        self.table = np.empty((0,) + self.S.shape)
 
     def __call__(self, tau: float) -> np.ndarray:
         return expm(self.S * round(float(tau), 12))
 
-    def at_half_steps(self, j: np.ndarray, dt: float) -> np.ndarray:
-        """e^{S j dt/2} for every entry of the int array j >= 0."""
-        if dt != self._dt:
-            self._dt, self._table = dt, np.empty((0,) + self.S.shape)
-            self._filled = np.zeros(0, dtype=bool)
-        n = len(self._filled)
-        if j.size and j.max() >= n:
-            grow = max(n, int(j.max()) + 1 - n)       # at least double
-            self._table = np.concatenate(
-                [self._table, np.empty((grow,) + self.S.shape)])
-            self._filled = np.concatenate(
-                [self._filled, np.zeros(grow, dtype=bool)])
-        missing = j[~self._filled[j]]
-        if missing.size:
-            for i in np.unique(missing).tolist():
-                self._table[i] = self(i * dt / 2)
-            self._filled[missing] = True
-        return self._table[j]
+    def tabulate(self, j: np.ndarray, dt: float) -> None:
+        """Fill ``table`` at the int lags j >= 0, in half steps of dt, one
+        expm per distinct lag; the rows between them are NaN."""
+        j = np.unique(j).tolist()
+        self.table = np.full((j[-1] + 1 if j else 0,) + self.S.shape, np.nan)
+        for i in j:
+            self.table[i] = self(i * dt / 2)
 
 
 # ---------------------------------------------------------------------------

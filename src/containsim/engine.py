@@ -77,7 +77,8 @@ def stage_times(K: int, dt: float) -> np.ndarray:
     """The time of every row Engine.run passes to rhs over ticks 0..K: row
     k is k * dt, the start of step k; row K + 1 + k its midpoint
     k * dt + dt / 2 and row 2K + 1 + k its end k * dt + dt, in that
-    floating-point arithmetic (k * dt + dt is not always (k + 1) * dt)."""
+    floating-point arithmetic (k * dt + dt is not always (k + 1) * dt).
+    At dt = 2 the rows are in whole half steps, 2k, 2k + 1 and 2k + 2."""
     t = np.arange(K + 1) * dt
     return np.concatenate((t, t[:-1] + dt / 2, t[:-1] + dt))
 
@@ -154,13 +155,20 @@ class Engine:
         order = np.lexsort((seq, edge, tick))
         order = order[tick[order] <= self.K]
         self.tick, self.edge, self.seq = tick[order], edge[order], seq[order]
-
-    def used_seq(self) -> np.ndarray:
-        """(K + 1, E) seq in the mailbox of each edge after each tick's
-        deliveries, -1 before the first: the freshest seq delivered so far."""
+        # The mailbox: each edge's freshest seq delivered by each tick, or -1.
         used = np.full((self.K + 1, len(self.edges)), -1)
         np.maximum.at(used, (self.tick, self.edge), self.seq)
-        return np.maximum.accumulate(used, axis=0)
+        self.used_seq = np.maximum.accumulate(used, axis=0)
+
+    def stage_lags(self) -> np.ndarray:
+        """The distinct ages h - 2 steps_per_T seq, in half steps, of the
+        messages in use at the half tick h of every stage row: the view of
+        tick k serves 2k, 2k + 1 and 2k + 2 for k < K, and 2K."""
+        used, K = self.used_seq, self.K
+        age = 2 * (np.arange(K + 1)[:, None] - self.steps_per_T * used)
+        start = np.unique(age[:K][used[:K] >= 0])
+        return np.unique(np.concatenate((start, start + 1, start + 2,
+                                         age[K][used[K] >= 0])))
 
     def audit(self) -> list[tuple]:
         """(src, dst, seq, send_time, arrival) of every delivery, in order;
@@ -177,10 +185,10 @@ class Engine:
         velocity estimate."""
         live = box >= 0
         seq = box[live]
-        msg = hist[seq, self.src[live]]
         m, N = self.fallback.shape
-        return NeighborView(m, N, self.dst[live], self.w[live], msg[:, :N],
-                            msg[:, N:], seq * self.T, self.fallback, self.dt)
+        return NeighborView(m, N, self.dst[live], self.w[live],
+                            hist[seq, self.src[live]], seq, self.T,
+                            self.steps_per_T, self.fallback)
 
     def run(self, y: np.ndarray, payload, rhs, watch):
         """Integrate from the (rows, N) state y over ticks 0..K.
@@ -189,16 +197,17 @@ class Engine:
         view of the mailbox if its row changed, evaluate rhs(k, y, view) ->
         (dy, out), then take one RK4 step with the view held, its stages at
         rows K + 1 + k and 2K + 1 + k of stage_times.  The payload rows a
-        view points to were captured before they arrived.  watch lists the
+        view points to were captured before they arrived (stage_lags() are
+        >= 0).  watch lists the
         leading row blocks that must stay in range as (variable, agents,
         rows per agent), each block's agents in union row order; the first
         agent to leave it raises DivergenceError against its step-start
         value, naming its copy.  Returns the (K+1, rows, N) state history,
         the (K+1, ...) stack of the step-start outs and the mailbox
-        ``used_seq()``.
+        ``used_seq``.
         """
         K, dt, spT = self.K, self.dt, self.steps_per_T
-        used = self.used_seq()
+        used = self.used_seq
         changed = np.any(used[1:] != used[:-1], axis=1).tolist()
         watched = sum(agents * per_agent for _, agents, per_agent in watch)
         states = np.empty((K + 1,) + y.shape)

@@ -248,8 +248,8 @@ def run(scen: Scenario, seed: int | None = None,
     otherwise they are generated from the comm config with the given seed
     override.  Injected schedules must be keyed by exactly the topology's
     edges, and their delays must be whole ticks of dt.  The run's
-    schedules are on ``Trace.schedules``.  The leader accelerations are
-    tabulated once, on the engine's stage rows.
+    schedules are on ``Trace.schedules``.  The leader accelerations, or
+    an oscillator law's flows, are tabulated once, for the stage rows.
     """
     ctrl = scen.validate()
     dt, topo, model = scen.dt, scen.topo, scen.model
@@ -263,8 +263,11 @@ def run(scen: Scenario, seed: int | None = None,
     K = eng.K
     # The state: rows p, v, then one m-row block per controller internal.
     x0 = ctrl.init_internals(scen.p0[:m])
-    times = stage_times(K, dt)
-    if model.kind != "oscillator":
+    # Each stage row's time, and its half tick h: dt is two half steps.
+    times, halves = stage_times(K, dt), stage_times(K, 2).astype(int)
+    if model.kind == "oscillator":
+        ctrl.flow.tabulate(eng.stage_lags(), dt)
+    else:
         accel_tab = leader_accels(scen.leader_trajs, times)
     times = times.tolist()
 
@@ -278,8 +281,9 @@ def run(scen: Scenario, seed: int | None = None,
         p, v = y[:n], y[n:2 * n]
         dy = np.empty_like(y)
         dy[:n] = v
-        g = ctrl.deriv(times[row], p[:m], v[:m], y[2 * n:].reshape(x0.shape),
-                       view, dy[2 * n:].reshape(x0.shape))
+        g = ctrl.deriv(times[row], halves[row], p[:m], v[:m],
+                       y[2 * n:].reshape(x0.shape), view,
+                       dy[2 * n:].reshape(x0.shape))
         dy[n:n + m] = follower_rhs(model, p[:m], v[:m], g)[1]
         if model.kind == "oscillator":    # free leader oscillation
             dy[n + m:2 * n] = p[m:] @ model.S1.T + v[m:] @ model.S2.T

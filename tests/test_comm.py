@@ -338,7 +338,7 @@ def one_edge_engine(delays=OUT_OF_ORDER):
     sched = link_schedule(delays)
     eng = Engine(one_edge_topology(), [{(1, 0): sched}], T=0.1, dt=0.01,
                  t_end=1.0, fallback=FALLBACK)
-    return eng, sched, eng.used_seq()
+    return eng, sched, eng.used_seq
 
 
 class TestMailbox:

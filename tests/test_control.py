@@ -9,6 +9,7 @@ from containsim.control import (
     GainError,
     GainSet,
     NeighborView,
+    OscillatorLaw,
     check_gains,
     make_controller,
     vartheta,
@@ -265,7 +266,7 @@ class OscillatorFullController(ControllerBase):
         g = self.gains
         vhat = internals["vhat"]
         sigma = internals["sigma"]
-        psi = neigh.oscillator_psi(t, self.flow, vhat)
+        psi = psi_oracle(neigh, t, self.flow, vhat)
         psi1, psi2 = psi[:, : self.N], psi[:, self.N:]
         dv = v - vhat
         gamma = -(g.k_d[:, None] * dv + dv @ self.S2.T) \
@@ -304,7 +305,7 @@ class OscillatorOutputController(ControllerBase):
         vhat = internals["vhat"]
         sigma = internals["sigma"]
         phi = internals["phi"]
-        psi = neigh.oscillator_psi(t, self.flow, vhat)
+        psi = psi_oracle(neigh, t, self.flow, vhat)
         psi1, psi2 = psi[:, : self.N], psi[:, self.N:]
         w = g.k_phi[:, None] * (phi + p) - vhat
         gamma = -(g.k_d[:, None] * w + w @ self.S2.T) \
@@ -344,19 +345,19 @@ def make_controller_oracle(variant: str, gains: GainSet, N: int,
 
 
 def simple_view(m=2, N=2, t=0.0):
-    """Two followers; follower 0 has two delivered edges, follower 1 none."""
+    """Two followers; follower 0 has two delivered edges, follower 1 none.
+    Both messages are seq 0 of T = 0.1 s, ten steps of dt = 0.01 s."""
     dst = np.array([0, 0])
     w = np.array([1.0, 3.0])
-    p_msg = np.array([[1.0, 0.0], [5.0, 4.0]])
-    vhat_msg = np.array([[1.0, 1.0], [-1.0, 0.0]])
-    send_time = np.array([0.0, 0.0])
+    msg = np.array([[1.0, 0.0, 1.0, 1.0], [5.0, 4.0, -1.0, 0.0]])
     p_fallback = np.array([[9.0, 9.0], [7.0, 7.0]])
-    return NeighborView(m, N, dst, w, p_msg, vhat_msg, send_time, p_fallback,
-                        dt=0.01)
+    return NeighborView(m, N, dst, w, msg, np.array([0, 0]), 0.1, 10,
+                        p_fallback)
 
 
 def psi_oracle(view, t, flow, vhat_own):
-    """oscillator_psi as a loop over edges, one flow(lag) @ x each."""
+    """oscillator_psi as a loop over edges, one flow(lag) @ x each, with the
+    lag t - send_time in float seconds."""
     num = np.zeros((view.m, 2 * view.N))
     for e in range(view.dst.shape[0]):
         x = np.concatenate([view.p_msg[e], view.vhat_msg[e]])
@@ -383,9 +384,15 @@ def random_view(rng, m, N, E, dt, spT, k, lag_max=None):
     seq = k // spT - rng.integers(0, top + 1, size=E)
     return NeighborView(m, N, rng.integers(0, m, size=E),
                         rng.uniform(0.1, 3.0, size=E),
-                        rng.normal(size=(E, N)), rng.normal(size=(E, N)),
-                        np.maximum(seq, 0) * (spT * dt),
-                        rng.normal(size=(m, N)), dt)
+                        rng.normal(size=(E, 2 * N)), np.maximum(seq, 0),
+                        spT * dt, spT, rng.normal(size=(m, N)))
+
+
+def float_lags(view, times, dt):
+    """The lags t - send_time of the view's messages at each of the times,
+    turned into whole half steps of dt from the float seconds."""
+    return np.concatenate([to_ticks(t - view.send_time, dt / 2, "lag")
+                           for t in times])
 
 
 def average_oracle(view, contrib, fallback):
@@ -415,8 +422,8 @@ def aggregation_view(rng, m, N, live, extra, dt, spT, k):
     E = len(dst)
     seq = k // spT - rng.integers(0, k // spT + 1, size=E)
     return NeighborView(m, N, dst, rng.uniform(0.1, 3.0, size=E),
-                        rng.normal(size=(E, N)), rng.normal(size=(E, N)),
-                        seq * (spT * dt), rng.normal(size=(m, N)), dt)
+                        rng.normal(size=(E, 2 * N)), seq, spT * dt, spT,
+                        rng.normal(size=(m, N)))
 
 
 class TestGains:
@@ -493,8 +500,9 @@ class TestNeighborView:
     def test_oscillator_psi_matches_manual_flow(self):
         view = simple_view()
         flow = OscillatorFlow(-np.eye(2), np.zeros((2, 2)))
+        flow.tabulate(np.array([260]), 0.01)        # t = 1.3 s, 260 half steps
         own = np.array([[0.0, 0.0], [1.0, 1.0]])
-        psi = view.oscillator_psi(1.3, flow, own)
+        psi = view.oscillator_psi(260, flow, own)
         M = flow(1.3)
         x1 = M @ np.array([1.0, 0.0, 1.0, 1.0])
         x2 = M @ np.array([5.0, 4.0, -1.0, 0.0])
@@ -503,6 +511,9 @@ class TestNeighborView:
 
 
 class TestBatchedPsi:
+    """oscillator_psi at half tick h, from a table filled at the lags the
+    float seconds give, against flow(t - send_time) edge by edge."""
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 5), st.integers(1, 3),
            st.integers(0, 40), st.sampled_from([0.01, 0.005, 0.02, 0.001]),
@@ -513,7 +524,8 @@ class TestBatchedPsi:
         flow, oracle_flow = oscillator_flows(rng, N)
         own = rng.normal(size=(m, N))
         t = k * dt + half * dt / 2          # the three RK4 stage times
-        assert np.array_equal(view.oscillator_psi(t, flow, own),
+        flow.tabulate(float_lags(view, [t], dt), dt)
+        assert np.array_equal(view.oscillator_psi(2 * k + half, flow, own),
                               psi_oracle(view, t, oracle_flow, own))
 
     def test_cases(self):
@@ -522,36 +534,35 @@ class TestBatchedPsi:
         own = rng.normal(size=(4, 2))
         dt, spT = 0.01, 10
         cases = [
-            (random_view(rng, 4, 2, 0, dt, spT, 50), 0.5),     # nothing live
-            (random_view(rng, 4, 2, 30, dt, spT, 50, 0), 0.5),  # one lag
-            (random_view(rng, 4, 2, 30, dt, spT, 50, 0), 0.505),  # half step
-            (random_view(rng, 4, 2, 12, dt, spT, 40, 4), 0.4),
-            (random_view(rng, 4, 2, 12, dt, spT, 900), 9.005),  # table grows
-            (random_view(rng, 4, 2, 12, dt, spT, 30), 0.31),
+            (random_view(rng, 4, 2, 0, dt, spT, 50), 100),     # nothing live
+            (random_view(rng, 4, 2, 30, dt, spT, 50, 0), 100),  # one lag
+            (random_view(rng, 4, 2, 30, dt, spT, 50, 0), 101),  # half step
+            (random_view(rng, 4, 2, 12, dt, spT, 40, 4), 80),
+            (random_view(rng, 4, 2, 12, dt, spT, 900), 1801),  # long lags
+            (random_view(rng, 4, 2, 12, dt, spT, 30), 62),
         ]
-        for view, t in cases:
-            assert np.array_equal(view.oscillator_psi(t, flow, own),
+        for view, h in cases:
+            t = h // 2 * dt + h % 2 * dt / 2
+            flow.tabulate(float_lags(view, [t], dt), dt)
+            assert np.array_equal(view.oscillator_psi(h, flow, own),
                                   psi_oracle(view, t, oracle_flow, own))
-        assert np.array_equal(cases[0][0].oscillator_psi(0.5, flow, own),
+        assert np.array_equal(cases[0][0].oscillator_psi(100, flow, own),
                               np.concatenate([cases[0][0].p_fallback, own],
                                              axis=1))
 
     def test_flow_table_rows_are_the_cached_matrices(self):
         flow = OscillatorFlow(-np.eye(2), np.zeros((2, 2)))
-        for dt in (0.01, 0.003, 0.01):          # a new dt restarts the table
-            j = np.array([7, 0, 7, 130, 2])
-            F = flow.at_half_steps(j, dt)
-            for jj, mat in zip(j, F):
-                assert np.array_equal(mat, flow(jj * dt / 2))
-
-    def test_lag_off_the_half_step_grid_raises(self):
-        flow = OscillatorFlow(-np.eye(2), np.zeros((2, 2)))
-        view = simple_view()                        # sent at 0.0, dt = 0.01
-        own = np.zeros((2, 2))
-        with pytest.raises(ValueError):
-            view.oscillator_psi(0.0123, flow, own)
-        with pytest.raises(ValueError):
-            view.oscillator_psi(-0.01, flow, own)   # sent after t
+        j = np.array([7, 0, 7, 130, 2])
+        for dt in (0.01, 0.003):                # a new dt refills the table
+            flow.tabulate(j, dt)
+            assert flow.table.shape == (131, 4, 4)
+            for jj in range(131):
+                if jj in j:
+                    assert np.array_equal(flow.table[jj], flow(jj * dt / 2))
+                else:
+                    assert np.isnan(flow.table[jj]).all()
+        flow.tabulate(np.zeros(0, dtype=int), 0.01)
+        assert flow.table.shape == (0, 4, 4)
 
 
 class TestAggregation:
@@ -572,6 +583,10 @@ class TestAggregation:
         t0 = k * dt
         times = [t0, t0 + dt / 2, t0 + dt / 2, t0 + dt, (k + 1) * dt,
                  t0 + 3 * dt / 2, t0]
+        halves = [2 * k + j for j in (0, 1, 1, 2, 2, 3, 0)]
+        lags = float_lags(view, times, dt)
+        flow.tabulate(lags, dt)
+        oracle_flow.tabulate(lags, dt)
         x = np.concatenate([view.p_msg, view.vhat_msg], axis=1)
         for _ in range(2):
             assert np.array_equal(view.p_avg(),
@@ -580,7 +595,7 @@ class TestAggregation:
         # p_avg is computed once per view, and returned read-only.
         assert view.p_avg() is view.p_avg()
         assert not view.p_avg().flags.writeable
-        for t in times:
+        for t, h in zip(times, halves):
             theta = vartheta(view.p_msg, view.vhat_msg,
                              view.send_time[:, None], t)
             assert np.array_equal(view.vartheta_avg(t),
@@ -590,11 +605,10 @@ class TestAggregation:
             assert np.array_equal(view.vhat_avg(own),
                                   average_oracle(view, view.vhat_msg, own))
             own = rng.normal(size=(m, N))
-            j = to_ticks(t - view.send_time, dt / 2, "lag")
-            y = np.matmul(oracle_flow.at_half_steps(j, dt),
+            y = np.matmul(oracle_flow.table[float_lags(view, [t], dt)],
                           x[:, :, None])[:, :, 0]
             assert np.array_equal(
-                view.oscillator_psi(t, flow, own),
+                view.oscillator_psi(h, flow, own),
                 average_oracle(view, y, np.concatenate(
                     [view.p_fallback, own], axis=1)))
 
@@ -607,16 +621,17 @@ class TestAggregation:
         flow, oracle_flow = oscillator_flows(rng, N)
         x = np.concatenate([view.p_msg, view.vhat_msg], axis=1)
         own = rng.normal(size=(m, N))
-        t = 200 * dt + dt / 2
+        t, h = 200 * dt + dt / 2, 401
         theta = vartheta(view.p_msg, view.vhat_msg, view.send_time[:, None],
                          t)
-        y = np.matmul(oracle_flow.at_half_steps(
-            to_ticks(t - view.send_time, dt / 2, "lag"), dt),
-            x[:, :, None])[:, :, 0]
+        lags = float_lags(view, [t], dt)
+        flow.tabulate(lags, dt)
+        oracle_flow.tabulate(lags, dt)
+        y = np.matmul(oracle_flow.table[lags], x[:, :, None])[:, :, 0]
         fallback_psi = np.concatenate([view.p_fallback, own], axis=1)
         for _ in range(2):                  # the first call, then the memo
             got = [view.p_avg(), view.vartheta_avg(t), view.vhat_avg(own),
-                   view.oscillator_psi(t, flow, own)]
+                   view.oscillator_psi(h, flow, own)]
             want = [average_oracle(view, view.p_msg, view.p_fallback),
                     average_oracle(view, theta, view.p_fallback),
                     average_oracle(view, view.vhat_msg, own),
@@ -627,8 +642,8 @@ class TestAggregation:
                     avg[0, 0] = 1.0
         # Once every follower is live, the cached averages are handed out.
         assert (view.vhat_avg(own) is view.vhat_avg(-own)) == (live == "all")
-        assert (view.oscillator_psi(t, flow, own)
-                is view.oscillator_psi(t, flow, -own)) == (live == "all")
+        assert (view.oscillator_psi(h, flow, own)
+                is view.oscillator_psi(h, flow, -own)) == (live == "all")
 
     def test_repeated_time_returns_a_read_only_average(self):
         view = simple_view()
@@ -651,7 +666,7 @@ class TestControllers:
         vbar = view.vhat_avg(np.zeros((2, 2)))
         x = view.vhat_avg(np.zeros((2, 2)))[None]       # vhat
         dx = np.empty_like(x)
-        gamma = ctrl.deriv(t, theta, vbar, x, view, dx)
+        gamma = ctrl.deriv(t, 200, theta, vbar, x, view, dx)
         assert np.allclose(gamma, 0.0, atol=1e-12)
         assert np.allclose(dx[0], 0.0, atol=1e-12)
 
@@ -664,7 +679,7 @@ class TestControllers:
         psi = ctrl.names.index("psi")
         assert np.allclose(x[psi], p0)
         dx = np.empty_like(x)
-        ctrl.deriv(0.0, p0, p0, x, view, dx)
+        ctrl.deriv(0.0, 0, p0, p0, x, view, dx)
         theta = view.vartheta_avg(0.0)
         assert np.allclose(dx[psi], -2.0 * (p0 - theta))
 
@@ -681,7 +696,7 @@ class TestControllers:
         phi = ctrl.names.index("phi")
         x[phi] = rng.normal(size=(2, 2))
         dx = np.empty_like(x)
-        gamma = ctrl.deriv(0.5, p, v, x, view, dx)
+        gamma = ctrl.deriv(0.5, 100, p, v, x, view, dx)
         phi_tilde = x[phi] + p - v
         d_phi_tilde = dx[phi] + v - gamma
         assert np.allclose(d_phi_tilde, -phi_tilde, atol=1e-12)
@@ -819,7 +834,10 @@ class TestLawsMatchOracle:
             np.vstack([old.transmitted_vhat(internals, i)
                        for i in range(m)]))
         dx = np.full_like(x, np.nan)
-        gamma_new = new.deriv(t, p, v, x, view, dx)
+        h = 2 * k + half
+        if isinstance(new, OscillatorLaw):
+            new.flow.tabulate(float_lags(view, [t], dt), dt)
+        gamma_new = new.deriv(t, h, p, v, x, view, dx)
         out_old = old.deriv(t, p, v, internals, view)
         assert np.array_equal(gamma_new, out_old.gamma)
         assert sorted(new.names) == sorted(out_old.d_internals)

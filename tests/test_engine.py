@@ -2,6 +2,7 @@
 history, the staleness bound and the tick grid."""
 import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from containsim import analysis, config, sim
 from containsim.analysis import CascadeError
-from containsim.comm import CommConfig, generate_schedule, to_ticks
+from containsim.comm import CommConfig, floor_ticks, generate_schedule, \
+    to_ticks
 from containsim.control import NeighborView
 from containsim.engine import Engine, rk4_step
 from containsim.sim import ScenarioError
@@ -112,6 +114,50 @@ def test_staleness_bound_holds_for_any_comm_config(spT, extra, drop_prob,
     ticks = np.arange(t_star, trace.used_seq.shape[0])
     assert np.all(used >= 0)
     assert np.all(ticks[:, None] - used * spT <= t_star)
+
+
+_SHORT_OSCILLATOR = load_scenario_doc("oscillator_harmonic")
+_SHORT_OSCILLATOR["sim"]["t_end_seconds"] = 3.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(10, 30), st.integers(0, 120), st.floats(0.0, 0.99),
+       st.floats(0.0, 0.99), st.integers(0, 2**31))
+def test_stage_lags_stay_within_the_blackout_bound(spT, extra, drop_prob,
+                                                   delay_frac, seed):
+    # At every stage row of a run, each message in use is 0 to 2 T* half
+    # steps old: at half tick h a message of seq s is h - 2 spT s half
+    # steps old, and the view of tick k serves h = 2k, 2k + 1 and 2k + 2.
+    # These are exactly the lags oscillator_psi reads from the flow table
+    # and the lags the engine tabulates, so no table index is negative.
+    scen = config.build_scenario(_SHORT_OSCILLATOR)
+    dt = scen.dt
+    comm = CommConfig(T=spT * dt, T_star=(spT + extra) * dt,
+                      drop_prob=drop_prob,
+                      delay_max=delay_frac * (spT + extra) * dt, seed=seed)
+    scen = dataclasses.replace(scen, comm=comm)
+    read = set()
+    psi = NeighborView.oscillator_psi
+
+    def spy(view, h, flow, vhat_own):
+        read.update((h - view.send_half).tolist())
+        return psi(view, h, flow, vhat_own)
+
+    with mock.patch.object(NeighborView, "oscillator_psi", spy):
+        trace = sim.run(scen)
+    used = trace.used_seq
+    K = used.shape[0] - 1
+    half = 2 * np.arange(K + 1)[:, None] + np.arange(3)
+    lags = half[:, :, None] - 2 * spT * used[:, None, :]
+    live = np.broadcast_to(used[:, None, :] >= 0, lags.shape).copy()
+    live[K, 1:] = False                    # no step follows tick K
+    lags = lags[live]
+    assert lags.min() >= 0
+    assert lags.max() <= 2 * floor_ticks(comm.T_star, dt)
+    eng = Engine(scen.topo, [trace.schedules], comm.T, dt, scen.t_end,
+                 scen.p0[:scen.topo.m])
+    assert read == set(lags.tolist()) == set(eng.stage_lags().tolist())
+    assert np.all(np.isfinite(trace.p))
 
 
 def _shift_first_delivery(schedules, parts):
@@ -272,7 +318,7 @@ def test_cascade_rejects_schedules_that_stop_before_it_ends():
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_used_seq_equals_the_mailbox_at_every_tick(name):
-    # Engine.used_seq(), the history Engine.run returns, against the
+    # Engine.used_seq, the history Engine.run returns, against the
     # mailbox updated tick by tick.
     doc = load_scenario_doc(name)
     if name == "cascade_estimates":
@@ -284,7 +330,7 @@ def test_used_seq_equals_the_mailbox_at_every_tick(name):
     schedules = {edge: generate_schedule(edge, run.comm, run.t_end, run.dt)
                  for edge in topo.edges()}
     eng = Engine(topo, [schedules], run.comm.T, run.dt, run.t_end, fallback)
-    assert np.array_equal(eng.used_seq(), mailbox_oracle(eng))
+    assert np.array_equal(eng.used_seq, mailbox_oracle(eng))
 
 
 def test_view_built_at_tick_0_and_where_the_mailbox_changes(monkeypatch):

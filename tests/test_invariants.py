@@ -112,11 +112,11 @@ class TestModelLinearity:
 
 
 def _view(p_msg, vhat_msg):
+    # Sent at 0.1, 0.2 and 0 s: seqs 1, 2 and 0 of T = 0.1 s, dt = 0.01 s.
     dst = np.array([0, 0, 1])
     w = np.array([1.0, 2.0, 1.5])
-    send_time = np.array([0.1, 0.2, 0.0])
-    return NeighborView(2, 2, dst, w, p_msg, vhat_msg, send_time,
-                        np.zeros((2, 2)), dt=0.01)
+    return NeighborView(2, 2, dst, w, np.concatenate([p_msg, vhat_msg], 1),
+                        np.array([1, 2, 0]), 0.1, 10, np.zeros((2, 2)))
 
 
 class TestControllerStructure:
@@ -136,12 +136,14 @@ class TestControllerStructure:
               "sigma": rng.normal(size=(2, 2))}),
         ]
         for name, ctrl, internals in cases:
+            if name == "oscillator_full":   # t = 0.7 s is half tick 140
+                ctrl.flow.tabulate(np.array([120, 100, 140]), 0.01)
             x = np.stack([internals[key] for key in ctrl.names])
             A = (rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
             B = (rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
             Z = (np.zeros((3, 2)), np.zeros((3, 2)))
             AB = (A[0] + B[0], A[1] + B[1])
-            outs = {key: ctrl.deriv(0.7, p, v, x, _view(*msgs),
+            outs = {key: ctrl.deriv(0.7, 140, p, v, x, _view(*msgs),
                                     np.empty_like(x))
                     for key, msgs in (("A", A), ("B", B), ("0", Z),
                                       ("AB", AB))}
@@ -161,8 +163,8 @@ class TestControllerStructure:
         view = _view(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
         x = np.stack([internals[key] for key in ctrl.names])
         dx1, dx2 = np.empty_like(x), np.empty_like(x)
-        gamma1 = ctrl.deriv(0.3, p, rng.normal(size=(2, 2)), x, view, dx1)
-        gamma2 = ctrl.deriv(0.3, p, rng.normal(size=(2, 2)), x, view, dx2)
+        gamma1 = ctrl.deriv(0.3, 60, p, rng.normal(size=(2, 2)), x, view, dx1)
+        gamma2 = ctrl.deriv(0.3, 60, p, rng.normal(size=(2, 2)), x, view, dx2)
         assert np.array_equal(gamma1, gamma2)
         for d1, d2 in zip(dx1, dx2):
             assert np.array_equal(d1, d2)
