@@ -189,11 +189,9 @@ def build_scenario(doc: dict) -> Scenario:
 
     ldoc = ag.get("leaders", {"kind": "oscillator_free"})
     v_d = np.asarray(ldoc.get("v_d", [0.0] * N), float)
-    leader_trajs = []
-    if model.kind != "oscillator":
-        leader_trajs = [LeaderTrajectory(kind=ldoc["kind"], v_d=v_d,
-                                         index=topo.m + 1 + li)
-                        for li in range(topo.n - topo.m)]
+    leader_trajs = [] if model.kind == "oscillator" else [
+        LeaderTrajectory(kind=ldoc["kind"], v_d=v_d, index=topo.m + 1 + li)
+        for li in range(topo.n - topo.m)]
 
     p0 = np.asarray(ag["initial"]["p"], float)
     if p0.shape != (topo.n, N):
@@ -231,16 +229,11 @@ def build_cascade(doc: dict) -> CascadeConfig:
     cas = doc["cascade"]
     sigma = int(cas["sigma"])
     init = cas.get("initial", {})
-    eta_spec = init.get("eta", "from_p")
-    if eta_spec == "from_p":
-        eta0 = np.asarray(doc["agents"]["initial"]["p"], float)
-    else:
-        eta0 = np.asarray(eta_spec, float)
-    zeta_spec = init.get("zeta", "zero")
-    if zeta_spec == "zero":
-        zeta0 = np.zeros((topo.m, sigma, N))
-    else:
-        zeta0 = np.asarray(zeta_spec, float)
+    eta, zeta = init.get("eta", "from_p"), init.get("zeta", "zero")
+    eta0 = np.asarray(doc["agents"]["initial"]["p"] if eta == "from_p"
+                      else eta, float)
+    zeta0 = np.zeros((topo.m, sigma, N)) if zeta == "zero" \
+        else np.asarray(zeta, float)
     sdoc = doc["sim"]
     phi2 = [build_perturbation(p) for p in cas.get("phi2", [])]
     return CascadeConfig(

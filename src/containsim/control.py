@@ -20,7 +20,9 @@ the free flow e^{S (t - t_send)}.  Sends and stage times sit on the
 half-step grid of the integration step, so each lag is a whole number of
 half steps, h - 2 steps_per_T seq at the stage's half tick h (each law is
 given h beside t): the flows come from one table, filled once per run,
-and the whole average is one batched product over the live edges.
+and a view's averages at all its half ticks are one batched product.  S
+products stack on a new leading axis, never as rows of one operand: numpy
+computes one row with gemv and more with gemm, which round differently.
 """
 from __future__ import annotations
 
@@ -45,8 +47,7 @@ class GainError(ValueError):
 
 def _as_follower_array(value, m: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(m, float(arr))
+    arr = np.full(m, float(arr)) if arr.ndim == 0 else arr
     if arr.shape != (m,):
         raise GainError(f"gain must be scalar or length-{m}, got {arr.shape}")
     return arr
@@ -85,9 +86,9 @@ class GainSet:
     def lam_effective(self) -> np.ndarray:
         return self.lam if self.lam is not None else self.lam_derived()
 
-    def columns(self, *names: str) -> tuple[np.ndarray, ...]:
-        """The named gains as (m, 1) columns, one row per follower."""
-        return tuple(getattr(self, name)[:, None] for name in names)
+    def blocks(self, N: int, *names: str) -> tuple[np.ndarray, ...]:
+        """The named gains as (m, N) blocks, row i follower i's gain."""
+        return tuple(np.outer(getattr(self, n), np.ones(N)) for n in names)
 
 
 def check_gains(variant: str, gains: GainSet,
@@ -101,25 +102,22 @@ def check_gains(variant: str, gains: GainSet,
         problems.append("boundary_layer_eps must be strictly positive")
     # nonlinear_vs needs real roots only to derive a lam it is not given.
     if variant != "nonlinear_vs" or gains.lam is None:
-        disc = gains.k_d ** 2 - 4.0 * gains.k_p
-        if np.any(disc < 0):
-            bad = np.nonzero(disc < 0)[0].tolist()
+        bad = np.flatnonzero(gains.k_d ** 2 - 4.0 * gains.k_p < 0).tolist()
+        if bad:
             problems.append(
                 f"real-roots condition k_d^2 >= 4 k_p fails for followers {bad}")
-    if variant == "nonlinear_vs":
-        if gains.lam is not None and not np.all(gains.lam > 0):
-            problems.append("lam must be strictly positive")
+    if variant == "nonlinear_vs" and gains.lam is not None \
+            and not np.all(gains.lam > 0):
+        problems.append("lam must be strictly positive")
     if variant == "oscillator_output":
         if S2 is None:
             problems.append("oscillator_output requires S2")
-        else:
-            for i in range(gains.m):
-                eigs = np.linalg.eigvals(-gains.k_phi[i] * np.eye(S2.shape[0])
-                                         + S2)
-                if np.any(eigs.real >= 0):
-                    problems.append(
-                        f"-k_phi I + S2 unstable for follower {i}")
-                    break
+        else:       # the first follower whose filter is unstable
+            eigs = np.linalg.eigvals(-gains.k_phi[:, None, None]
+                                     * np.eye(S2.shape[0]) + S2)
+            bad = np.flatnonzero(np.any(eigs.real >= 0, axis=1))[:1].tolist()
+            problems += [f"-k_phi I + S2 unstable for follower {i}"
+                         for i in bad]
     return (not problems), problems
 
 
@@ -135,24 +133,24 @@ class NeighborView:
 
     Arrays are indexed by delivered in-edge; dst maps each edge to its
     follower row and msg to its payload, [p_msg, vhat_msg], sent at
-    send_time = seq * T, which is send_half = 2 * steps_per_T * seq half
-    steps.  kappa_delivered is the per-follower sum of delivered edge
-    weights (0 during warm-up).
+    send_time = seq * T, or send_half = 2 steps_per_T seq half steps.
+    kappa_delivered is the per-follower sum of delivered edge weights (0
+    during warm-up).  The view serves up to the half tick last_half.
 
     The messages are fixed for the view's life, which may span many steps,
     so each average over them is computed once: p_avg's and vhat_avg's once
     per view, vartheta_avg's once per stage time t and oscillator_psi's
-    once per half tick h (RK4 stages 2 and 3 share one, and so do a step's
-    end and the next step's start).  Until every follower is live (has a
-    delivered in-edge), each call merges in the fallback rows; then each
-    returns the cached average itself.  Every average is read-only.
+    once per span, from the half tick of its first call to last_half.
+    Until every follower is live (has a delivered in-edge), each call merges
+    in the fallback rows; then each returns the cached average itself.
+    Every average is read-only.
     """
 
     def __init__(self, m: int, N: int, dst: np.ndarray, w: np.ndarray,
                  msg: np.ndarray, seq: np.ndarray, T: float,
-                 steps_per_T: int, p_fallback: np.ndarray):
-        self.m, self.N, self.dst, self.w, self.p_fallback = \
-            m, N, dst, w, p_fallback
+                 steps_per_T: int, p_fallback: np.ndarray, last_half: int = 0):
+        self.m, self.N, self.dst, self.w, self.p_fallback, self.last_half = \
+            m, N, dst, w, p_fallback, last_half
         self.msg, self.p_msg, self.vhat_msg = msg, msg[:, :N], msg[:, N:]
         self.send_time, self.send_half = seq * T, 2 * steps_per_T * seq
         self.kappa_delivered = np.bincount(dst, w, minlength=m)
@@ -162,7 +160,7 @@ class NeighborView:
         self._bins = {}                      # columns -> bincount bin index
         self._p = self._vhat = None          # p_avg, vhat_avg's live rows
         self._theta_t = self._theta = None   # vartheta_avg at its last t
-        self._psi_key = self._psi = None     # oscillator_psi's live rows
+        self._psi_flow, self._psi = None, {}  # oscillator_psi by half tick
 
     def _live_average(self, contrib: np.ndarray) -> np.ndarray:
         """Weighted average of the rows of contrib (one per edge) over the
@@ -215,16 +213,19 @@ class NeighborView:
         """Weighted average of e^{S (t - t_send)} [p_msg; vhat_msg], (m, 2N),
         at the time t of the half tick h.
 
-        The lags are the whole half steps h - send_half, so the flows are
-        one lookup in flow's table and the products one stacked matmul;
-        matmul and the sequential bincount keep every per-edge product and
-        the summation order, where einsum or grouping by lag would not.
+        The lags are the whole half steps h - send_half; a miss computes h
+        to last_half by one lookup in flow's table, one stacked matmul and
+        one bincount over rows of all those half ticks per edge, which keep
+        each edge's product and the summation order (einsum would not).
         """
-        if (h, flow) != self._psi_key:
-            y = np.matmul(flow.table[h - self.send_half],
-                          self.msg[:, :, None])[:, :, 0]
-            self._psi_key, self._psi = (h, flow), self._live_average(y)
-        return self._with_fallback(self._psi, self.p_fallback, vhat_own)
+        if flow is not self._psi_flow or h not in self._psi:
+            half = np.arange(h, max(h, self.last_half) + 1)
+            y = np.matmul(flow.table[half - self.send_half[:, None]],
+                          self.msg[:, None, :, None])     # (E, H, 2N, 1)
+            avg = self._live_average(y.reshape(-1, np.prod(y.shape[1:])))
+            avg = avg.reshape(-1, len(half), 2 * self.N).transpose(1, 0, 2)
+            self._psi_flow, self._psi = flow, dict(zip(half.tolist(), avg))
+        return self._with_fallback(self._psi[h], self.p_fallback, vhat_own)
 
 
 class DoubleIntegratorLaw:
@@ -245,8 +246,8 @@ class DoubleIntegratorLaw:
             raise ValueError(f"v_d must have {N} entries, got shape "
                              f"{np.shape(v_d)}")
         self.gains, self.N = gains, N
-        self.L_p, self.k_psi, self.k_d, self.k_p = gains.columns(
-            "L_p", "k_psi", "k_d", "k_p")
+        self.L_p, self.k_psi, self.k_d, self.k_p = gains.blocks(
+            N, "L_p", "k_psi", "k_d", "k_p")
         self.psi_mode, self.use_velocity = psi_mode, use_velocity
         self.v_d = None if v_d is None else np.asarray(v_d, dtype=float)
         self.names = tuple(name for name, used in (
@@ -261,9 +262,8 @@ class DoubleIntegratorLaw:
 
     def transmitted_vhat(self, x: np.ndarray) -> np.ndarray:
         """The (m, N) velocity estimates the followers put on the wire."""
-        if self.v_d is None:
-            return x[0]
-        return np.broadcast_to(self.v_d, (self.gains.m, self.N))
+        return x[0] if self.v_d is None else \
+            np.broadcast_to(self.v_d, (self.gains.m, self.N))
 
     def deriv(self, t, h, p, v, x, neigh, dx) -> np.ndarray:
         if self.v_d is None:
@@ -299,16 +299,16 @@ class NonlinearVSController:
         if model is None or model.kind != "nonlinear":
             raise ValueError("nonlinear_vs requires the nonlinear model")
         self.gains, self.N, self.model = gains, N, model
-        self.L_p, self.L_d, self.k_p, self.k_d, self.k_r = gains.columns(
-            "L_p", "L_d", "k_p", "k_d", "k_r")
+        self.L_p, self.L_d, self.k_p, self.k_d, self.k_r = gains.blocks(
+            N, "L_p", "L_d", "k_p", "k_d", "k_r")
         self.delta_p, self.delta_v = (
             np.vectorize(model.drift_fns[key], otypes=[float])
             for key in ("delta_p", "delta_v"))
 
     @cached_property
     def lam(self) -> np.ndarray:
-        """lam_effective as a column, derived after make_controller's check."""
-        return self.gains.lam_effective()[:, None]
+        """lam_effective as an (m, N) block, after make_controller's check."""
+        return np.outer(self.gains.lam_effective(), np.ones(self.N))
 
     def init_internals(self, p0):
         return np.stack([np.zeros_like(p0), np.zeros_like(p0), p0, p0])
@@ -348,7 +348,9 @@ class OscillatorLaw:
 
     The one switch is the output filter: without it (oscillator_full) the
     law damps w = v - vhat; with it (oscillator_output) k_phi (phi + p)
-    stands in for v, so w = k_phi (phi + p) - vhat.
+    stands in for v, so w = k_phi (phi + p) - vhat.  Three S products,
+    four with the filter, each stacked on a leading axis: [vhat, sigma] S2',
+    w [S1', S2'], and p S1' used twice.
     """
 
     def __init__(self, gains: GainSet, N: int, model: AgentModel,
@@ -356,8 +358,10 @@ class OscillatorLaw:
         if model is None or model.kind != "oscillator":
             raise ValueError("oscillator variants require the oscillator model")
         self.gains, self.N, self.output_filter = gains, N, output_filter
-        self.k_p, self.k_d, self.k_phi = gains.columns("k_p", "k_d", "k_phi")
-        self.S1T, self.S2T = model.S1.T, model.S2.T
+        self.k_p, self.k_d, self.k_phi = gains.blocks(N, "k_p", "k_d",
+                                                      "k_phi")
+        self.S = np.stack([model.S1, model.S2]).transpose(0, 2, 1)  # S1', S2'
+        self.S1T, self.S2T = self.S
         self.flow = OscillatorFlow(model.S1, model.S2)
         self.names = ("vhat", "sigma") + (("phi",) if output_filter else ())
 
@@ -368,21 +372,21 @@ class OscillatorLaw:
         return x[0]
 
     def deriv(self, t, h, p, v, x, neigh, dx) -> np.ndarray:
-        k_p, k_d, S1T, S2T = self.k_p, self.k_d, self.S1T, self.S2T
+        k_p, k_d, N = self.k_p, self.k_d, self.N
         vhat, sigma = x[0], x[1]
         psi = neigh.oscillator_psi(h, self.flow, vhat)
-        psi1, psi2 = psi[:, : self.N], psi[:, self.N:]
         if self.output_filter:
             y = x[2] + p
             w = self.k_phi * y - vhat
         else:
             w = v - vhat
-        gamma = -(k_d * w + w @ S2T) - k_p * (p - psi1) + 2.0 * sigma
-        dx[0] = p @ S1T + vhat @ S2T + sigma
-        dx[1] = w @ S1T + sigma @ S2T - k_d * sigma - k_p * (vhat - psi2)
+        wS, xS2, pS1 = w @ self.S, x[:2] @ self.S2T, p @ self.S1T
+        gamma = -(k_d * w + wS[1]) - k_p * (p - psi[:, :N]) + 2.0 * sigma
+        dx[0] = pS1 + xS2[0] + sigma
+        dx[1] = wS[0] + xS2[1] - k_d * sigma - k_p * (vhat - psi[:, N:])
         if self.output_filter:
-            dx[2] = -(self.k_phi * y - y @ S2T) \
-                + (gamma + p @ S1T) / self.k_phi
+            dx[2] = -(self.k_phi * y - y @ self.S2T) \
+                + (gamma + pS1) / self.k_phi
         return gamma
 
 

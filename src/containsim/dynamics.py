@@ -60,16 +60,21 @@ class AgentModel:
         return DRIFT_REGISTRY[self.drift]
 
 
-def follower_rhs(model: AgentModel, p: np.ndarray, v: np.ndarray,
-                 gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dp, dv) under input gamma; p, v, gamma hold one agent per row."""
-    if gamma.shape != v.shape:
-        raise ValueError("gamma dimension mismatch")
+def plant(model: AgentModel, m: int):
+    """Picked once per run: plant(pv, gamma, lead) returns the followers'
+    and leaders' accelerations for the (2, n, N) stack pv of (p, v), the
+    first m under the input gamma, the rest lead (the oscillator's: free)."""
     if model.kind == "double_integrator":
-        return v, gamma
+        return lambda pv, gamma, lead: (gamma, lead)
     if model.kind == "nonlinear":
-        return v, model.drift_fns["f"](p, v) + gamma
-    return v, p @ model.S1.T + v @ model.S2.T + gamma
+        f = model.drift_fns["f"]
+        return lambda pv, gamma, lead: (f(pv[0, :m], pv[1, :m]) + gamma, lead)
+    S = np.stack([model.S1, model.S2]).transpose(0, 2, 1)      # S1', S2'
+
+    def accel(pv, gamma, lead):         # one matmul per agent group
+        a, b = pv[:, :m] @ S, pv[:, m:] @ S
+        return a[0] + a[1] + gamma, b[0] + b[1]
+    return accel
 
 
 def stacked_oscillator_matrix(S1: np.ndarray, S2: np.ndarray) -> np.ndarray:

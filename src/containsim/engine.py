@@ -179,26 +179,27 @@ class Engine:
                         self.dst[self.edge].tolist(), self.seq.tolist(),
                         send.tolist(), arrival.tolist()))
 
-    def view(self, box: np.ndarray, hist: np.ndarray) -> NeighborView:
-        """View of the mailbox row box; hist[seq, j] is sender j's payload
-        row, its first N columns the position-like part, the rest a
-        velocity estimate."""
+    def view(self, box: np.ndarray, hist: np.ndarray, last_half: int):
+        """View of the mailbox row box, serving up to the half tick
+        last_half; hist[seq, j] is sender j's payload row, its first N
+        columns the position-like part, the rest a velocity estimate."""
         live = box >= 0
         seq = box[live]
         m, N = self.fallback.shape
         return NeighborView(m, N, self.dst[live], self.w[live],
                             hist[seq, self.src[live]], seq, self.T,
-                            self.steps_per_T, self.fallback)
+                            self.steps_per_T, self.fallback, last_half)
 
     def run(self, y: np.ndarray, payload, rhs, watch):
         """Integrate from the (rows, N) state y over ticks 0..K.
 
         At each tick: capture payload(y) if it is a send tick, build the
-        view of the mailbox if its row changed, evaluate rhs(k, y, view) ->
-        (dy, out), then take one RK4 step with the view held, its stages at
-        rows K + 1 + k and 2K + 1 + k of stage_times.  The payload rows a
-        view points to were captured before they arrived (stage_lags() are
-        >= 0).  watch lists the
+        view of the mailbox if its row changed (or k = 0), serving up to
+        the half tick 2e at the next tick e where it changes (or e = K),
+        evaluate rhs(k, y, view) -> (dy, out), then take one RK4 step with
+        the view held, its stages at rows K + 1 + k and 2K + 1 + k of
+        stage_times.  The payload rows a view points to were captured
+        before they arrived (stage_lags() are >= 0).  watch lists the
         leading row blocks that must stay in range as (variable, agents,
         rows per agent), each block's agents in union row order; the first
         agent to leave it raises DivergenceError against its step-start
@@ -208,7 +209,8 @@ class Engine:
         """
         K, dt, spT = self.K, self.dt, self.steps_per_T
         used = self.used_seq
-        changed = np.any(used[1:] != used[:-1], axis=1).tolist()
+        start = np.flatnonzero(np.r_[True, np.any(used[1:] != used[:-1], 1)])
+        next_build = dict(zip(start.tolist(), start[1:].tolist() + [K]))
         watched = sum(agents * per_agent for _, agents, per_agent in watch)
         states = np.empty((K + 1,) + y.shape)
         for k in range(K + 1):
@@ -217,8 +219,8 @@ class Engine:
                 if k == 0:
                     sent = np.empty((K // spT + 1,) + sample.shape)
                 sent[k // spT] = sample
-            if k == 0 or changed[k - 1]:
-                view = self.view(used[k], sent)
+            if k in next_build:
+                view = self.view(used[k], sent, 2 * next_build[k])
             dy, out = rhs(k, y, view)
             if k == 0:
                 outs = np.empty((K + 1,) + np.shape(out))

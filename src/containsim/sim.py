@@ -22,7 +22,7 @@ from .comm import CommConfig, LinkSchedule, generate_schedule, \
     period_ticks, to_ticks
 from .control import Controller, GainSet, make_controller
 from .dynamics import AgentModel, LeaderTrajectory, \
-    check_oscillator_spectrum, follower_rhs, leader_accels
+    check_oscillator_spectrum, leader_accels, plant
 from .engine import DIVERGENCE_LIMIT, DivergenceError, Engine  # noqa: F401
 from .engine import stage_times
 from .topology import DirectedTopology, containment_weights, partition, \
@@ -248,8 +248,8 @@ def run(scen: Scenario, seed: int | None = None,
     otherwise they are generated from the comm config with the given seed
     override.  Injected schedules must be keyed by exactly the topology's
     edges, and their delays must be whole ticks of dt.  The run's
-    schedules are on ``Trace.schedules``.  The leader accelerations, or
-    an oscillator law's flows, are tabulated once, for the stage rows.
+    schedules are on ``Trace.schedules``.  The model's plant is picked, and
+    the leader accelerations or an oscillator law's flows tabulated, once.
     """
     ctrl = scen.validate()
     dt, topo, model = scen.dt, scen.topo, scen.model
@@ -264,11 +264,11 @@ def run(scen: Scenario, seed: int | None = None,
     # The state: rows p, v, then one m-row block per controller internal.
     x0 = ctrl.init_internals(scen.p0[:m])
     # Each stage row's time, and its half tick h: dt is two half steps.
-    times, halves = stage_times(K, dt), stage_times(K, 2).astype(int)
+    times, halves = stage_times(K, dt), stage_times(K, 2).astype(int).tolist()
+    accel = plant(model, m)
     if model.kind == "oscillator":
         ctrl.flow.tabulate(eng.stage_lags(), dt)
-    else:
-        accel_tab = leader_accels(scen.leader_trajs, times)
+    leaders = leader_accels(scen.leader_trajs, times)  # (rows, 0, 0) if none
     times = times.tolist()
 
     def payload(y):
@@ -278,17 +278,13 @@ def run(scen: Scenario, seed: int | None = None,
                               axis=1)
 
     def rhs(row, y, view):
-        p, v = y[:n], y[n:2 * n]
+        p, v = pv = y[:2 * n].reshape(2, n, N)
         dy = np.empty_like(y)
         dy[:n] = v
         g = ctrl.deriv(times[row], halves[row], p[:m], v[:m],
                        y[2 * n:].reshape(x0.shape), view,
                        dy[2 * n:].reshape(x0.shape))
-        dy[n:n + m] = follower_rhs(model, p[:m], v[:m], g)[1]
-        if model.kind == "oscillator":    # free leader oscillation
-            dy[n + m:2 * n] = p[m:] @ model.S1.T + v[m:] @ model.S2.T
-        else:
-            dy[n + m:2 * n] = accel_tab[row]
+        dy[n:n + m], dy[n + m:2 * n] = accel(pv, g, leaders[row])
         return dy, g
 
     states, gamma, used_seq = eng.run(

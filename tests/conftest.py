@@ -39,6 +39,34 @@ def mailbox_oracle(eng) -> np.ndarray:
     return np.array(rows)
 
 
+def follower_rhs(model, p: np.ndarray, v: np.ndarray,
+                 gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dp, dv) under input gamma; p, v, gamma hold one agent per row: the
+    oracle for dynamics.plant, one product per matrix and a dispatch on
+    the model kind at every call."""
+    if gamma.shape != v.shape:
+        raise ValueError("gamma dimension mismatch")
+    if model.kind == "double_integrator":
+        return v, gamma
+    if model.kind == "nonlinear":
+        return v, model.drift_fns["f"](p, v) + gamma
+    return v, p @ model.S1.T + v @ model.S2.T + gamma
+
+
+def view_spans_oracle(used: np.ndarray) -> tuple[list, list]:
+    """The ticks where a view of the mailbox history used is built (0 and
+    each change of its row) and the last half tick each view serves: the
+    view of ticks k0..k1 serves 2k, 2k + 1 and 2k + 2 of each tick k < K,
+    and 2K if it holds at K."""
+    K = len(used) - 1
+    built = [k for k in range(K + 1)
+             if k == 0 or not np.array_equal(used[k], used[k - 1])]
+    served = [max([2 * k + 2 for k in range(k0, min(k1, K))]
+                  + [2 * K] * (k1 > K))
+              for k0, k1 in zip(built, built[1:] + [K + 1])]
+    return built, served
+
+
 def one_edge_topology() -> DirectedTopology:
     """Leader 1 -> follower 0, with unit weight."""
     return DirectedTopology(n=2, m=1, weights=[[0.0, 1.0], [0.0, 0.0]])

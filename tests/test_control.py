@@ -2,7 +2,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from containsim.control import (
@@ -14,8 +14,10 @@ from containsim.control import (
     make_controller,
     vartheta,
 )
-from containsim.comm import to_ticks
+from containsim.comm import CommConfig, generate_schedule, to_ticks
 from containsim.dynamics import AgentModel, OscillatorFlow
+from containsim.engine import Engine
+from conftest import bench_topology, view_spans_oracle
 
 
 # The six controller classes the three laws replaced, kept verbatim as the
@@ -565,6 +567,66 @@ class TestBatchedPsi:
         assert flow.table.shape == (0, 4, 4)
 
 
+class TestSpanPsi:
+    """oscillator_psi over whole view spans of an engine on random
+    schedules, in the order a run asks: the start, midpoint (twice) and
+    end of each step, the end again as the next step's start."""
+
+    def views(self, seed, K=300, N=2):
+        rng = np.random.default_rng(seed)
+        topo, dt = bench_topology(), 0.01
+        comm = CommConfig(T=0.1, T_star=0.6, drop_prob=0.3, delay_max=0.5,
+                          seed=seed)
+        eng = Engine(topo, [{e: generate_schedule(e, comm, K * dt, dt)
+                             for e in topo.edges()}], comm.T, dt, K * dt,
+                     rng.normal(size=(topo.m, N)))
+        hist = rng.normal(size=(K // 10 + 1, topo.n, 2 * N))
+        flow, oracle_flow = oscillator_flows(rng, N)
+        flow.tabulate(eng.stage_lags(), dt)
+        start, end = view_spans_oracle(eng.used_seq)
+        views = [eng.view(eng.used_seq[k], hist, e)
+                 for k, e in zip(start, end)]
+        return eng, views, start, flow, oracle_flow, rng
+
+    def check_span(self, view, k0, flow, oracle_flow, rng, dt=0.01):
+        halves = [2 * k + j for k in range(k0, view.last_half // 2)
+                  for j in (0, 1, 1, 2, 2)] or [view.last_half]
+        own = rng.normal(size=(view.m, view.N))
+        first = {}
+        for _ in range(2):          # the first pass fills the memo
+            for h in halves:
+                psi = view.oscillator_psi(h, flow, own)
+                t = h // 2 * dt + h % 2 * dt / 2
+                assert np.array_equal(psi, psi_oracle(view, t, oracle_flow,
+                                                      own))
+                assert not psi.flags.writeable
+                # Once every follower is live, each half tick of the span
+                # has one average, computed at the span's start.
+                if h in first:
+                    assert (first[h] is psi) == view.all_live
+                first[h] = psi
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_warm_up_all_live_and_last_views(self, seed):
+        eng, views, start, flow, oracle_flow, rng = self.views(seed)
+        warm = next(i for i, v in enumerate(views)
+                    if v.live.any() and not v.all_live)
+        live = next(i for i, v in enumerate(views)
+                    if v.all_live and v.last_half - 2 * start[i] >= 4)
+        assert views[-1].last_half == 2 * eng.K
+        for i in (warm, live, len(views) - 1):
+            self.check_span(views[i], start[i], flow, oracle_flow, rng)
+
+    def test_last_view_at_the_last_tick(self):
+        # A view built at tick K serves the one half tick 2K.
+        for seed in range(40):
+            eng, views, start, flow, oracle_flow, rng = self.views(seed, 60)
+            if start[-1] == eng.K:
+                break
+        assert start[-1] == eng.K and views[-1].last_half == 2 * eng.K
+        self.check_span(views[-1], eng.K, flow, oracle_flow, rng)
+
+
 class TestAggregation:
     """Every average equals the add.at oracle on every call, whatever was
     computed for the view before; the RK4 stage times of one step repeat
@@ -791,6 +853,21 @@ def random_model(rng, variant, N, s2_zero):
                       S2=S2)
 
 
+def blas_path_examples(test):
+    """m = 1 for both oscillator variants at N = 1, 2, 3: numpy sends a
+    one-row product through gemv and a product of more rows through gemm,
+    so stacking [vhat; sigma] as rows of one operand changes the bits.
+    The law stacks them on a leading axis, which keeps each gemv.  With
+    the skew S2 of random_model, a row of an N <= 2 product has one
+    nonzero term, so the N = 3 cases are the ones such rows would fail."""
+    for variant in ("oscillator_full", "oscillator_output"):
+        for N in (1, 2, 3):
+            test = example(seed=19, case=(variant, "static", True),
+                           s2_zero=False, m=1, N=N, E=4, k=200,
+                           half=1)(test)
+    return test
+
+
 class TestLawsMatchOracle:
     # The merged oscillator law sums dsigma as (w S1' + sigma S2') - k_d
     # sigma, the order of oscillator_full; oscillator_output used to sum
@@ -802,6 +879,7 @@ class TestLawsMatchOracle:
     @given(st.integers(0, 2**32), st.sampled_from(LAW_CASES), st.booleans(),
            st.integers(1, 4), st.integers(1, 3), st.integers(0, 12),
            st.integers(0, 400), st.integers(0, 2))
+    @blas_path_examples
     def test_gamma_and_derivatives_match(self, seed, case, s2_zero, m, N, E,
                                          k, half):
         variant, psi_mode, use_velocity = case

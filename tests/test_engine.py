@@ -18,7 +18,7 @@ from containsim.engine import Engine, rk4_step
 from containsim.sim import ScenarioError
 from containsim.topology import union_rows
 from conftest import SCENARIOS, bench_topology, link_schedule, \
-    load_scenario_doc, mailbox_oracle, one_edge_topology
+    load_scenario_doc, mailbox_oracle, one_edge_topology, view_spans_oracle
 
 
 def rk4_step_oracle(rhs, t: float, h: float, y: list, u, k1: list) -> list:
@@ -158,6 +158,36 @@ def test_stage_lags_stay_within_the_blackout_bound(spT, extra, drop_prob,
                  scen.p0[:scen.topo.m])
     assert read == set(lags.tolist()) == set(eng.stage_lags().tolist())
     assert np.all(np.isfinite(trace.p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 60), st.floats(0.0, 0.95),
+       st.floats(0.0, 0.99), st.integers(0, 2**31))
+def test_each_view_serves_up_to_the_next_mailbox_change(K, extra, drop_prob,
+                                                         delay_frac, seed):
+    # The run builds a view at tick 0 and wherever the mailbox row
+    # changes, and tells each the last half tick it serves.
+    dt, spT = 0.01, 10
+    comm = CommConfig(T=spT * dt, T_star=(spT + extra) * dt,
+                      drop_prob=drop_prob,
+                      delay_max=delay_frac * (spT + extra) * dt, seed=seed)
+    topo = bench_topology()
+    eng = Engine(topo, [{e: generate_schedule(e, comm, K * dt, dt)
+                         for e in topo.edges()}], comm.T, dt, K * dt,
+                 np.zeros((topo.m, 2)))
+    built, ends = [], []
+    view = Engine.view
+
+    def spy(self, box, hist, last_half):
+        built.append(next(k for k in range(K + 1)
+                          if np.array_equal(self.used_seq[k], box)))
+        ends.append(last_half)
+        return view(self, box, hist, last_half)
+
+    with mock.patch.object(Engine, "view", spy):
+        eng.run(np.zeros((2 * topo.n, 2)), lambda y: np.zeros((topo.n, 4)),
+                lambda row, y, v: (np.zeros_like(y), 0.0), ())
+    assert (built, ends) == view_spans_oracle(eng.used_seq)
 
 
 def _shift_first_delivery(schedules, parts):

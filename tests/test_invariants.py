@@ -10,11 +10,11 @@ from containsim.dynamics import (
     AgentModel,
     LeaderTrajectory,
     OscillatorFlow,
-    follower_rhs,
 )
 from containsim.topology import containment_weights, is_nonsingular_m_matrix, \
     partition
-from conftest import load_scenario_doc, random_reachable_topology
+from conftest import follower_rhs, load_scenario_doc, \
+    random_reachable_topology
 
 
 class TestTopologyAlgebra:
