@@ -257,8 +257,9 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
     y0 = np.empty((Bn + Bm * sigma, N))
     y0[rows] = [c.eta0 for c in cfgs]
     y0[Bn:] = np.concatenate([c.zeta0 for c in cfgs]).reshape(-1, N)
-    neg_k = -np.repeat([c.k_eta for c in cfgs], m)[:, None]
-    neg_h = -np.repeat(np.array([c.h for c in cfgs], float), m, axis=0)
+    # Gains in blocks of the shapes they multiply: (B m, N), (B m, sigma, N).
+    neg_k = -np.repeat([np.full(N, c.k_eta) for c in cfgs], m, axis=0)
+    neg_h = -np.repeat([np.outer(c.h, np.ones(N)) for c in cfgs], m, axis=0)
 
     times = stage_times(K, cfg.dt)
     phi2 = cfg.phi2 or [Perturbation() for _ in range(sigma)]
@@ -268,18 +269,20 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
                          for p in phi2], axis=1)
     drive_tab = np.stack([np.broadcast_to(d.value(times), shape)
                           for d in cfg.leader_drive], axis=1)
+    held = [None, None]         # the last view, and (1 - alpha) * its eps
 
     def rhs(r, y, view):
         eps = view.p_avg()
+        if held[0] is not view:
+            held[:] = view, (1.0 - cfg.alpha) * eps
         zeta_s = y[Bn:].reshape(Bm, sigma, N)
-        delta = cfg.alpha * zeta_s[:, 0] + (1.0 - cfg.alpha) * eps
+        delta = cfg.alpha * zeta_s[:, 0] + held[1]
         dy = np.empty_like(y)       # C order, so the reshapes are views
         dy[:Bm] = neg_k * (y[:Bm] - delta) + phi1_tab[r]
         dy[Bm:Bn].reshape(B, n_lead, N)[:] = drive_tab[r]
         # Layer ell is fed by layer ell + 1, the last layer by eps.
         feed = np.concatenate((zeta_s[:, 1:], eps[:, None]), axis=1)
-        dy[Bn:] = (neg_h[:, :, None] * (zeta_s - feed)
-                   + phi2_tab[r]).reshape(-1, N)
+        dy[Bn:] = (neg_h * (zeta_s - feed) + phi2_tab[r]).reshape(-1, N)
         return dy, eps
 
     states, eps, _ = eng.run(y0, lambda y: y[:Bn], rhs,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .comm import to_ticks
+from .comm import TICK_TOL, to_ticks
 from .control import NeighborView
 from .topology import union_rows
 
@@ -115,9 +115,8 @@ class Engine:
     def __init__(self, topo, schedules: list, T: float, dt: float,
                  t_end: float, fallback: np.ndarray, error=ValueError):
         self.T, self.dt, self.fallback = T, dt, fallback
-        self.K = int(to_ticks(t_end, dt, "t_end", error))
-        self.steps_per_T = int(to_ticks(T, dt, "the sampling period T",
-                                        error))
+        self.K = to_ticks(t_end, dt, "t_end", error)
+        self.steps_per_T = to_ticks(T, dt, "the sampling period T", error)
         self.rows = union_rows(topo, len(schedules))
         edges = set(topo.edges())
         for copy in schedules:
@@ -132,21 +131,23 @@ class Engine:
             for (j, i), s in copy.items())))
         self.src, self.dst = np.array(self.edges).T
         self.w = np.array(w)
-        seqs = [np.flatnonzero(s.delivered) for s in scheds]
-        delays = [s.delay[seq] for s, seq in zip(scheds, seqs)]
-        steps = [(s.T, s.dt) for s in scheds]
-        count = [len(seq) for seq in seqs]
-        edge = np.repeat(np.arange(len(count)), count)
-        seq, delay = np.concatenate(seqs), np.concatenate(delays)
-        T_s, dt_s = np.repeat(np.array(steps), count, axis=0).T
-        if np.any(to_ticks(T_s, dt, "the period of every schedule", error)
-                  != self.steps_per_T) or np.any(delay < 0):
+        lens = [len(s.delay) for s in scheds]
+        ok = np.flatnonzero(np.concatenate([s.delivered for s in scheds]))
+        edge = np.repeat(np.arange(len(lens)), lens)[ok]
+        seq = ok - (np.cumsum(lens) - lens)[edge]
+        delay = np.concatenate([s.delay for s in scheds])[ok]
+        steps = {(s.T, s.dt) for s in scheds}
+        if any(to_ticks(T_s, dt, "the period of every schedule", error)
+               != self.steps_per_T for T_s, _ in steps) or np.any(delay < 0):
             raise error("link messages must be sent at seq*T and have "
                         "delays >= 0")
-        if np.any(dt_s != dt):      # drawn at another step
-            delay = to_ticks(delay * dt_s, dt, "every link delay", error)
+        if any(dt_s != dt for _, dt_s in steps):     # drawn at another step
+            x = delay * np.repeat([s.dt for s in scheds], lens)[ok] / dt
+            delay = np.round(x).astype(int)
+            if not np.all(np.abs(x - delay) <= TICK_TOL):
+                raise error("dt must divide every link delay")
         sends = self.K // self.steps_per_T + 1
-        short = [e for e, s in zip(self.edges, scheds) if len(s.delay) < sends]
+        short = [e for e, n in zip(self.edges, lens) if n < sends]
         if short:
             raise error(f"schedules must cover the run's {sends} sends: "
                         f"those of edges {short} stop before it ends")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from containsim import config
-from containsim.comm import LinkSchedule
+from containsim.comm import TICK_TOL, LinkSchedule, floor_ticks
 from containsim.topology import DirectedTopology
 
 
@@ -24,6 +24,60 @@ def link_schedule(ticks, T=0.1, dt=0.01) -> LinkSchedule:
     delay = np.array([d or 0 for d in ticks], dtype=int)
     return LinkSchedule(T, dt, delay, delivered,
                         np.zeros(len(delay), dtype=bool))
+
+
+def to_ticks_oracle(seconds, dt: float, what: str,
+                    error=ValueError) -> np.ndarray:
+    """seconds / dt as an int array of whole ticks, through NumPy; raises
+    error unless dt divides them all."""
+    x = np.asarray(seconds, dtype=float) / dt
+    k = np.round(x)
+    if not (np.abs(x - k) <= TICK_TOL).all():
+        raise error(f"dt must divide {what}")
+    return k.astype(int)
+
+
+def repair_blackouts_chain_oracle(sched: LinkSchedule, T_star: float,
+                                  delay_max: float) -> None:
+    """The repair pass as a greedy Assumption-2 chain walk, converting T,
+    T_star and delay_max to ticks itself: from each deadline's last send
+    it scans down for a delivered message on time, and where none is, it
+    forces the next message through, its delay capped at delay_max and at
+    the deadline."""
+    spT = int(to_ticks_oracle(sched.T, sched.dt, "the sampling period T"))
+    t_star = floor_ticks(T_star, sched.dt)
+    d_max = floor_ticks(delay_max, sched.dt)
+    delay, ok = sched.delay.tolist(), sched.delivered.tolist()
+    chain, deadline = -1, t_star
+    while chain < len(delay) - 1:
+        s = next((k for k in range(min(len(delay) - 1, deadline // spT),
+                                   chain, -1)
+                  if ok[k] and k * spT + delay[k] <= deadline), None)
+        if s is None:
+            s = chain + 1
+            sched.delay[s] = min(d_max, deadline - s * spT)
+            sched.delivered[s] = sched.forced[s] = True
+        chain, deadline = s, s * spT + t_star
+
+
+def generate_schedule_oracle(edge, cfg, t_end: float, dt: float,
+                             repair=repair_blackouts_chain_oracle
+                             ) -> LinkSchedule:
+    """comm.generate_schedule with two draws from the edge's stream, drops
+    by random(n) and then delays by uniform(0.0, delay_max, n), and the
+    period converted to ticks through NumPy; repair(sched, T_star,
+    delay_max) then repairs the schedule in place."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [cfg.seed & 0xFFFFFFFFFFFFFFFF, edge[0], edge[1]]))
+    n_sends = floor_ticks(t_end, dt) // int(to_ticks_oracle(
+        cfg.T, dt, "the sampling period T")) + 1
+    delivered = rng.random(n_sends) >= cfg.drop_prob
+    ticks = np.round(rng.uniform(0.0, cfg.delay_max, n_sends) / dt)
+    sched = LinkSchedule(cfg.T, dt,
+                         np.where(delivered, ticks.astype(int), 0),
+                         delivered, np.zeros(n_sends, dtype=bool))
+    repair(sched, cfg.T_star, cfg.delay_max)
+    return sched
 
 
 def mailbox_oracle(eng) -> np.ndarray:

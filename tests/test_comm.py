@@ -2,14 +2,13 @@ import csv
 import dataclasses
 import math
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from containsim import comm, config
+from containsim import config
 from containsim.comm import (
     INF,
     TICK_TOL,
@@ -20,8 +19,8 @@ from containsim.comm import (
     verify_blackout_bound,
 )
 from containsim.engine import Engine
-from conftest import SCENARIOS, link_schedule, load_scenario_doc, \
-    mailbox_oracle, one_edge_topology
+from conftest import SCENARIOS, generate_schedule_oracle, link_schedule, \
+    load_scenario_doc, mailbox_oracle, one_edge_topology
 
 
 def whole_ticks(seconds: float, dt: float) -> int:
@@ -296,9 +295,8 @@ class TestRepairProperties:
     def test_windowed_repair_matches_oracle(self, draw):
         c, t_end, dt = draw
         sched = generate_schedule((2, 5), c, t_end, dt)
-        with mock.patch.object(comm, "_repair_blackouts",
-                               repair_blackouts_oracle):
-            oracle = generate_schedule((2, 5), c, t_end, dt)
+        oracle = generate_schedule_oracle((2, 5), c, t_end, dt,
+                                          repair_blackouts_oracle)
         assert schedule_arrays(sched) == schedule_arrays(oracle)
 
     @settings(max_examples=150, deadline=None)
@@ -310,10 +308,41 @@ class TestRepairProperties:
         x = c.T_star / dt
         assume(abs(x - round(x)) > TICK_TOL)
         sched = generate_schedule((2, 5), c, t_end, dt)
-        with mock.patch.object(comm, "_repair_blackouts",
-                               repair_blackouts_float_oracle):
-            oracle = generate_schedule((2, 5), c, t_end, dt)
+        oracle = generate_schedule_oracle((2, 5), c, t_end, dt,
+                                          repair_blackouts_float_oracle)
         assert schedule_arrays(sched) == schedule_arrays(oracle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(comm_draws(), st.booleans(), st.booleans())
+    # T / dt just under a whole number: 0.3 / 0.1 is 2.9999999999999996,
+    # 0.7 / 0.1 is 6.999999999999999.
+    @example((cfg(T=0.3, T_star=0.9, delay_max=0.5, seed=3), 6.0, 0.1),
+             False, False)
+    @example((cfg(T=0.7, T_star=1.5, drop_prob=0.6, delay_max=1.4, seed=8),
+              7.0, 0.1), False, False)
+    def test_one_draw_equals_the_stream_oracle(self, draw, no_delay,
+                                               no_drop):
+        # One random(2n) draw gives the drops and delays of random(n) then
+        # uniform(0.0, delay_max, n) from the same stream, and the chain
+        # walk on ticks converted once forces the same messages.
+        c, t_end, dt = draw
+        c = dataclasses.replace(c, delay_max=0.0 if no_delay else c.delay_max,
+                                drop_prob=0.0 if no_drop else c.drop_prob)
+        assert schedule_arrays(generate_schedule((2, 5), c, t_end, dt)) == \
+            schedule_arrays(generate_schedule_oracle((2, 5), c, t_end, dt))
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_bundled_schedules_equal_the_stream_oracle(self, name):
+        doc = load_scenario_doc(name)
+        build = config.build_cascade if "cascade" in doc else \
+            config.build_scenario
+        run = build(doc)
+        for seed in range(5):
+            c = dataclasses.replace(run.comm, seed=seed)
+            for edge in run.topo.edges():
+                assert schedule_arrays(generate_schedule(
+                    edge, c, run.t_end, run.dt)) == schedule_arrays(
+                    generate_schedule_oracle(edge, c, run.t_end, run.dt))
 
     @settings(max_examples=150, deadline=None)
     @given(comm_draws())

@@ -14,10 +14,10 @@ from containsim.control import (
     make_controller,
     vartheta,
 )
-from containsim.comm import CommConfig, generate_schedule, to_ticks
+from containsim.comm import CommConfig, generate_schedule
 from containsim.dynamics import AgentModel, OscillatorFlow
 from containsim.engine import Engine
-from conftest import bench_topology, view_spans_oracle
+from conftest import bench_topology, to_ticks_oracle, view_spans_oracle
 
 
 # The six controller classes the three laws replaced, kept verbatim as the
@@ -393,7 +393,7 @@ def random_view(rng, m, N, E, dt, spT, k, lag_max=None):
 def float_lags(view, times, dt):
     """The lags t - send_time of the view's messages at each of the times,
     turned into whole half steps of dt from the float seconds."""
-    return np.concatenate([to_ticks(t - view.send_time, dt / 2, "lag")
+    return np.concatenate([to_ticks_oracle(t - view.send_time, dt / 2, "lag")
                            for t in times])
 
 
@@ -842,29 +842,35 @@ def random_gains(rng, m):
                    else None)
 
 
-def random_model(rng, variant, N, s2_zero):
+def random_model(rng, variant, N, s2):
+    """A model for the law tests.  S1 is negative definite, and S2 is zero,
+    skew (a bounded oscillator) or damped: skew minus a positive
+    semidefinite part, so not skew.  -k_phi I + S2 is stable for every
+    k_phi > 0 with each of them."""
     if variant == "nonlinear_vs":
         return AgentModel(kind="nonlinear", N=N, drift="square_velocity")
-    # S1 negative definite and S2 skew: a bounded oscillator, and
-    # -k_phi I + S2 is stable for every k_phi > 0.
     B, C = rng.normal(size=(N, N)), rng.normal(size=(N, N))
-    S2 = np.zeros((N, N)) if s2_zero else C - C.T
+    S2 = np.zeros((N, N)) if s2 == "zero" else C - C.T
+    if s2 == "damped":
+        D = rng.normal(size=(N, N))
+        S2 -= D @ D.T
     return AgentModel(kind="oscillator", N=N, S1=-(B @ B.T + np.eye(N)),
                       S2=S2)
 
 
 def blas_path_examples(test):
-    """m = 1 for both oscillator variants at N = 1, 2, 3: numpy sends a
-    one-row product through gemv and a product of more rows through gemm,
-    so stacking [vhat; sigma] as rows of one operand changes the bits.
-    The law stacks them on a leading axis, which keeps each gemv.  With
-    the skew S2 of random_model, a row of an N <= 2 product has one
-    nonzero term, so the N = 3 cases are the ones such rows would fail."""
+    """m = 1 for both oscillator variants: numpy sends a one-row product
+    through gemv and a product of more rows through gemm, so stacking
+    [vhat; sigma] as rows of one operand changes the bits.  The law stacks
+    them on a leading axis, which keeps each gemv.  With a skew S2, a row
+    of an N <= 2 product has one nonzero term, so the skew cases such rows
+    would fail are at N = 3; a damped S2 has full rows, and shows it at
+    N = 2 as well."""
     for variant in ("oscillator_full", "oscillator_output"):
-        for N in (1, 2, 3):
-            test = example(seed=19, case=(variant, "static", True),
-                           s2_zero=False, m=1, N=N, E=4, k=200,
-                           half=1)(test)
+        for seed, s2, N in ((19, "skew", 1), (19, "skew", 2),
+                            (19, "skew", 3), (5, "damped", 2)):
+            test = example(seed=seed, case=(variant, "static", True),
+                           s2=s2, m=1, N=N, E=4, k=200, half=1)(test)
     return test
 
 
@@ -876,18 +882,19 @@ class TestLawsMatchOracle:
     RTOL = 1e-12
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 2**32), st.sampled_from(LAW_CASES), st.booleans(),
+    @given(st.integers(0, 2**32), st.sampled_from(LAW_CASES),
+           st.sampled_from(("zero", "skew", "damped")),
            st.integers(1, 4), st.integers(1, 3), st.integers(0, 12),
            st.integers(0, 400), st.integers(0, 2))
     @blas_path_examples
-    def test_gamma_and_derivatives_match(self, seed, case, s2_zero, m, N, E,
+    def test_gamma_and_derivatives_match(self, seed, case, s2, m, N, E,
                                          k, half):
         variant, psi_mode, use_velocity = case
         rng = np.random.default_rng(seed)
         gains = random_gains(rng, m)
         model = None if variant in ("full_state", "output_feedback",
                                     "known_vd") \
-            else random_model(rng, variant, N, s2_zero)
+            else random_model(rng, variant, N, s2)
         settings_ = dict(model=model, psi_mode=psi_mode,
                          v_d=rng.normal(size=N), use_velocity=use_velocity)
         new = make_controller(variant, gains, N, **settings_)
@@ -921,7 +928,7 @@ class TestLawsMatchOracle:
         assert sorted(new.names) == sorted(out_old.d_internals)
         for name, got in zip(new.names, dx):
             want = out_old.d_internals[name]
-            if variant == "oscillator_output" and not s2_zero \
+            if variant == "oscillator_output" and s2 != "zero" \
                     and name == "sigma":
                 assert np.max(np.abs(got - want)) \
                     <= self.RTOL * np.max(np.abs(want))

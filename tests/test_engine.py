@@ -239,21 +239,26 @@ def test_engine_rejects_messages_off_the_schedule(send_shift, delay, match):
                T=0.1, dt=0.01, t_end=1.0, fallback=np.zeros((1, 1)))
 
 
-def union_oracle(topo, schedules, K: int, spT: int):
+def union_oracle(topo, schedules, K: int, spT: int, dt: float | None = None):
     """The union of the copies laid out by hand: edge (j, i) of copy b is
     (rows[b, j], rows[b, i]), the edges numbered in sorted order, and the
-    deliveries due by tick K sorted by tick, edge and seq.  The audit
-    records carry the seconds as each schedule states them: sent at
-    seq * T, arriving delay * dt later."""
+    deliveries due by tick K sorted by tick, edge and seq.  Given the run's
+    step dt, each delay is converted from its schedule's step one message
+    at a time.  The audit records carry the seconds as each schedule
+    states them: sent at seq * T, arriving delay * dt later."""
     rows = union_rows(topo, len(schedules)).tolist()
     links = sorted(((r[j], r[i]), topo.weights[i, j], s)
                    for r, copy in zip(rows, schedules)
                    for (j, i), s in copy.items())
-    due = sorted((seq * spT + delay, e, seq, seq * s.T,
+
+    def ticks(s, delay):
+        return delay if dt is None else to_ticks(delay * s.dt, dt, "delay")
+
+    due = sorted((seq * spT + ticks(s, delay), e, seq, seq * s.T,
                   seq * s.T + delay * s.dt)
                  for e, (_, _, s) in enumerate(links)
                  for seq, delay in enumerate(s.delay.tolist())
-                 if s.delivered[seq] and seq * spT + delay <= K)
+                 if s.delivered[seq] and seq * spT + ticks(s, delay) <= K)
     tick, edge, seq, _, _ = zip(*due)
     return {"edges": [key for key, _, _ in links],
             "w": [w for _, w, _ in links],
@@ -262,20 +267,87 @@ def union_oracle(topo, schedules, K: int, spT: int):
                       for _, e, q, send, arrival in due]}
 
 
+def _copies(steps=(0.01, 0.01), t_end=5.0):
+    # Copies of the benchmark graph, copy b drawn at steps[b] with seed b.
+    topo = bench_topology()
+    return topo, [{edge: generate_schedule(edge, CommConfig(
+        T=0.1, T_star=1.0, drop_prob=0.5, delay_max=0.6, seed=b), t_end, dt)
+        for edge in topo.edges()} for b, dt in enumerate(steps)]
+
+
+def _compile(topo, schedules, dt=0.01, t_end=5.0) -> Engine:
+    return Engine(topo, schedules, T=0.1, dt=dt, t_end=t_end,
+                  fallback=np.zeros((len(schedules) * topo.m, 2)))
+
+
 def test_engine_lays_out_copies_as_the_oracle():
     # Three copies of the benchmark graph, each with its own lossy,
     # delayed schedules, so deliveries overtake one another.
-    topo = bench_topology()
-    schedules = [{edge: generate_schedule(edge, CommConfig(
-        T=0.1, T_star=1.0, drop_prob=0.5, delay_max=0.6, seed=b), 5.0, 0.01)
-        for edge in topo.edges()} for b in range(3)]
-    eng = Engine(topo, schedules, T=0.1, dt=0.01, t_end=5.0,
-                 fallback=np.zeros((3 * topo.m, 2)))
+    topo, schedules = _copies(steps=(0.01,) * 3)
+    eng = _compile(topo, schedules)
     got = {"edges": eng.edges, "w": eng.w.tolist(), "tick": eng.tick.tolist(),
            "edge": eng.edge.tolist(), "seq": eng.seq.tolist(),
            "audit": eng.audit()}
     assert got == union_oracle(topo, schedules, eng.K, eng.steps_per_T)
     assert len(eng.edges) == 3 * len(topo.edges())
+
+
+def assert_compiles_as_the_oracle(topo, schedules, dt=0.01, t_end=5.0):
+    # The deliveries and the mailbox history, the latter built from the
+    # oracle's deliveries one at a time.
+    eng = _compile(topo, schedules, dt, t_end)
+    want = union_oracle(topo, schedules, eng.K, eng.steps_per_T, dt)
+    assert (eng.tick.tolist(), eng.edge.tolist(), eng.seq.tolist()) == \
+        (want["tick"], want["edge"], want["seq"])
+    used = np.full((eng.K + 1, len(want["edges"])), -1)
+    for tick, e, seq in zip(want["tick"], want["edge"], want["seq"]):
+        used[tick:, e] = np.maximum(used[tick:, e], seq)
+    assert np.array_equal(eng.used_seq, used)
+
+
+def test_compile_copies_of_different_lengths():
+    # One edge of the second copy drawn for 8 s in a 5 s run: its messages
+    # past the run are never due.
+    topo, schedules = _copies()
+    edge = sorted(topo.edges())[3]
+    schedules[1][edge] = generate_schedule(edge, CommConfig(
+        T=0.1, T_star=1.0, drop_prob=0.5, delay_max=0.6, seed=1), 8.0, 0.01)
+    assert len(schedules[1][edge].delay) == 81 > 51
+    assert_compiles_as_the_oracle(topo, schedules)
+
+
+def test_compile_copies_drawn_at_two_steps():
+    # Run at dt / 2: the first copy's delays are in its ticks, the
+    # second's are doubled.
+    topo, schedules = _copies(steps=(0.005, 0.01))
+    assert_compiles_as_the_oracle(topo, schedules, dt=0.005)
+
+
+@pytest.mark.parametrize("delivered", [True, False])
+def test_compile_rejects_a_schedule_of_another_period(delivered):
+    # One schedule of the second copy claims T = 0.2 s, whether or not any
+    # of its messages is delivered.
+    topo, schedules = _copies()
+    edge = sorted(topo.edges())[3]
+    s = schedules[1][edge]
+    schedules[1][edge] = dataclasses.replace(
+        s, T=0.2, delivered=s.delivered & delivered)
+    with pytest.raises(ValueError, match=re.escape(
+            "link messages must be sent at seq*T")):
+        _compile(topo, schedules)
+
+
+def test_compile_names_the_union_edges_that_stop_early():
+    # Two schedules of the second copy keep 50 of the run's 51 sends; the
+    # error names them as edges of the union.
+    topo, schedules = _copies()
+    cut = sorted(topo.edges())[:2]
+    _cut(schedules[1], 50, cut)
+    rows = union_rows(topo, 2).tolist()
+    want = sorted((rows[1][j], rows[1][i]) for j, i in cut)
+    with pytest.raises(ValueError, match=re.escape(
+            f"run's 51 sends: those of edges {want} stop before it ends")):
+        _compile(topo, schedules)
 
 
 def test_audit_in_tick_edge_seq_order_at_any_step():
