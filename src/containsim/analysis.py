@@ -17,9 +17,9 @@ topology, signals and time grid as one engine run over B disjoint copies
 of the topology, one schedule set per copy, which the engine lays out;
 the gains are per row, every copy's trace equals its run alone, to the
 bit, and a divergence names the copy it happened in.  ``simulate_cascade``
-is the batch of one, and each sweep is one batch.  The exogenous signals
-are tabulated once per run, on the rows of ``engine.stage_times`` that the
-engine passes to the right-hand side; rows 0..K are the step starts.
+is the batch of one, and each sweep is one batch.  Each RK4 stage is one
+affine update of the whole state, dy = G (y - F) + P: per-row gains, one
+target buffer, and the signals gathered FORCING_BLOCK steps at a time.
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ from .topology import DirectedTopology, containment_weights, partition, \
     validate_assumption1
 
 ISS_REL_TOL = 1e-6
+FORCING_BLOCK = 32      # steps of forcing a cascade run tabulates at once
 
 
 class CascadeError(ValueError):
@@ -231,10 +232,8 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
     eps is the engine's neighbor view averaged once per step and held for the
     step, so the right-hand side is smooth inside every integration step.
     Before the first delivery on all of a follower's in-edges the average
-    falls back to the follower's initial eta.  The exogenous signals are
-    tabulated once, on the engine's stage rows.
-    An eta or zeta row leaving the engine's range raises
-    ``engine.DivergenceError`` naming the copy and its local agent.
+    falls back to the follower's initial eta.  A diverging eta or zeta row
+    raises ``engine.DivergenceError`` naming its copy and local agent.
     """
     _check_batch(cfgs)
     cfg, B = cfgs[0], len(cfgs)
@@ -257,41 +256,41 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
     y0 = np.empty((Bn + Bm * sigma, N))
     y0[rows] = [c.eta0 for c in cfgs]
     y0[Bn:] = np.concatenate([c.zeta0 for c in cfgs]).reshape(-1, N)
-    # Gains in blocks of the shapes they multiply: (B m, N), (B m, sigma, N).
-    neg_k = -np.repeat([np.full(N, c.k_eta) for c in cfgs], m, axis=0)
-    neg_h = -np.repeat([np.outer(c.h, np.ones(N)) for c in cfgs], m, axis=0)
-
+    G, F = np.zeros((2,) + y0.shape)
+    G[:Bm] = -np.repeat([c.k_eta for c in cfgs], m)[:, None]
+    G[Bn:] = -np.repeat([c.h for c in cfgs], m, axis=0).reshape(-1, 1)
+    F_zeta = F[Bn:].reshape(Bm, sigma, N)
+    # P: each signal on every stage row, and the signal of each state row.
     times = stage_times(K, cfg.dt)
-    phi2 = cfg.phi2 or [Perturbation() for _ in range(sigma)]
-    shape = (len(times), N)     # amplitudes have 1 or N entries
-    phi1_tab = np.broadcast_to(cfg.phi1.value(times), shape)
-    phi2_tab = np.stack([np.broadcast_to(p.value(times), shape)
-                         for p in phi2], axis=1)
-    drive_tab = np.stack([np.broadcast_to(d.value(times), shape)
-                          for d in cfg.leader_drive], axis=1)
-    held = [None, None]         # the last view, and (1 - alpha) * its eps
+    sig = np.stack([np.broadcast_to(p.value(times), (len(times), N)) for p in
+                    (cfg.phi1, *cfg.leader_drive,
+                     *(cfg.phi2 or [Perturbation()] * sigma))], axis=1)
+    of_row = np.concatenate((np.zeros(Bm, int), np.tile(np.arange(n_lead), B)
+                             + 1, np.tile(np.arange(sigma), Bm) + n_lead + 1))
+    memo = [None, None, {}]     # last view, (1 - alpha) * its eps, row -> P
 
     def rhs(r, y, view):
         eps = view.p_avg()
-        if held[0] is not view:
-            held[:] = view, (1.0 - cfg.alpha) * eps
-        zeta_s = y[Bn:].reshape(Bm, sigma, N)
-        delta = cfg.alpha * zeta_s[:, 0] + held[1]
-        dy = np.empty_like(y)       # C order, so the reshapes are views
-        dy[:Bm] = neg_k * (y[:Bm] - delta) + phi1_tab[r]
-        dy[Bm:Bn].reshape(B, n_lead, N)[:] = drive_tab[r]
-        # Layer ell is fed by layer ell + 1, the last layer by eps.
-        feed = np.concatenate((zeta_s[:, 1:], eps[:, None]), axis=1)
-        dy[Bn:] = (neg_h * (zeta_s - feed) + phi2_tab[r]).reshape(-1, N)
+        if memo[0] is not view:
+            memo[:2] = view, (1.0 - cfg.alpha) * eps
+            F_zeta[:, -1] = eps
+        if r not in memo[2]:    # a step start: tabulate FORCING_BLOCK steps
+            at = np.minimum(np.arange(r, r + FORCING_BLOCK)
+                            + [[0], [K + 1], [2 * K + 1]], 3 * K).ravel()
+            memo[2] = dict(zip(at.tolist(), sig[at].take(of_row, 1)))
+        F[:Bm] = cfg.alpha * y[Bn::sigma] + memo[1]
+        F_zeta[:, :-1] = y[Bn:].reshape(Bm, sigma, N)[:, 1:]
+        dy = G * (y - F) + memo[2][r]
+        dy[Bm:Bn] = memo[2][r][Bm:Bn]   # 0 * (y - F) + -0.0 would be +0.0
         return dy, eps
 
     states, eps, _ = eng.run(y0, lambda y: y[:Bn], rhs,
                              (("eta", Bn, 1), ("zeta", Bm, sigma)))
 
-    deta_c = W @ drive_tab[:K + 1]
+    deta_c = W @ sig[:K + 1, 1:n_lead + 1]
     deta_c.flags.writeable = False
-    phi1_vals = np.broadcast_to(phi1_tab[:K + 1, None], (K + 1, m, N))
-    phi2_vals = np.broadcast_to(phi2_tab[:K + 1, None],
+    phi1_vals = np.broadcast_to(sig[:K + 1, None, 0].copy(), (K + 1, m, N))
+    phi2_vals = np.broadcast_to(sig[:K + 1, None, n_lead + 1:].copy(),
                                 (K + 1, m, sigma, N))
     zeta = states[:, Bn:].reshape(K + 1, Bm, sigma, N)
     eta_c = W @ states[:, Bm:Bn].reshape(K + 1, B, n_lead, N)

@@ -178,11 +178,11 @@ class NeighborView:
         avg.flags.writeable = False
         return avg
 
-    def _with_fallback(self, live_rows: np.ndarray, *fallback) -> np.ndarray:
+    def _with_fallback(self, live_rows: np.ndarray, fallback) -> np.ndarray:
         if self.all_live:
             return live_rows
-        out = np.concatenate(fallback, axis=1)
-        out[self.live] = live_rows
+        out = np.array(fallback)        # one (m, N) array, or a stack of them
+        out[..., self.live, :] = live_rows
         out.flags.writeable = False
         return out
 
@@ -210,8 +210,8 @@ class NeighborView:
 
     def oscillator_psi(self, h: int, flow: OscillatorFlow,
                        vhat_own: np.ndarray) -> np.ndarray:
-        """Weighted average of e^{S (t - t_send)} [p_msg; vhat_msg], (m, 2N),
-        at the time t of the half tick h.
+        """Weighted average of e^{S (t - t_send)} [p_msg; vhat_msg] at the
+        time t of the half tick h, as its two halves: (2, m, N), C order.
 
         The lags are the whole half steps h - send_half; a miss computes h
         to last_half by one lookup in flow's table, one stacked matmul and
@@ -223,9 +223,11 @@ class NeighborView:
             y = np.matmul(flow.table[half - self.send_half[:, None]],
                           self.msg[:, None, :, None])     # (E, H, 2N, 1)
             avg = self._live_average(y.reshape(-1, np.prod(y.shape[1:])))
-            avg = avg.reshape(-1, len(half), 2 * self.N).transpose(1, 0, 2)
+            avg = np.ascontiguousarray(avg.reshape(  # (H, 2, live rows, N)
+                -1, len(half), 2, self.N).transpose(1, 2, 0, 3))
+            avg.flags.writeable = False
             self._psi_flow, self._psi = flow, dict(zip(half.tolist(), avg))
-        return self._with_fallback(self._psi[h], self.p_fallback, vhat_own)
+        return self._with_fallback(self._psi[h], (self.p_fallback, vhat_own))
 
 
 class DoubleIntegratorLaw:
@@ -372,18 +374,17 @@ class OscillatorLaw:
         return x[0]
 
     def deriv(self, t, h, p, v, x, neigh, dx) -> np.ndarray:
-        k_p, k_d, N = self.k_p, self.k_d, self.N
         vhat, sigma = x[0], x[1]
-        psi = neigh.oscillator_psi(h, self.flow, vhat)
+        psi_p, psi_v = neigh.oscillator_psi(h, self.flow, vhat)
         if self.output_filter:
             y = x[2] + p
             w = self.k_phi * y - vhat
         else:
             w = v - vhat
         wS, xS2, pS1 = w @ self.S, x[:2] @ self.S2T, p @ self.S1T
-        gamma = -(k_d * w + wS[1]) - k_p * (p - psi[:, :N]) + 2.0 * sigma
+        gamma = -(self.k_d * w + wS[1]) - self.k_p * (p - psi_p) + 2.0 * sigma
         dx[0] = pS1 + xS2[0] + sigma
-        dx[1] = wS[0] + xS2[1] - k_d * sigma - k_p * (vhat - psi[:, N:])
+        dx[1] = wS[0] + xS2[1] - self.k_d * sigma - self.k_p * (vhat - psi_v)
         if self.output_filter:
             dx[2] = -(self.k_phi * y - y @ self.S2T) \
                 + (gamma + pS1) / self.k_phi

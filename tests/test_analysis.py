@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from containsim.analysis import (
     BATCH_FIELDS,
+    FORCING_BLOCK,
     ISS_REL_TOL,
     CascadeConfig,
     CascadeError,
@@ -26,7 +27,7 @@ from containsim.analysis import (
 from containsim.comm import CommConfig, generate_schedule
 from containsim.engine import DivergenceError, Engine, stage_times
 from containsim.topology import DirectedTopology, containment_weights, \
-    partition
+    partition, union_rows
 from conftest import bench_topology
 
 TRACE_FIELDS = ("eta", "zeta", "eps", "eta_c", "deta_c", "phi1_vals",
@@ -377,22 +378,63 @@ class TestCascadeDynamics:
         assert np.array_equal(a.zeta, b.zeta)
 
 
-# Every kind of signal, with scalar and vector amplitudes.
-MIXED_SIGNALS = dict(
-    leader_drive=[Perturbation(kind="constant", amplitude=0.2),
-                  Perturbation(kind="sinusoid", amplitude=[0.1, 0.4],
-                               omega=2.0, phase=0.1),
-                  Perturbation(kind="decaying_exp", amplitude=[1.0, 2.0],
-                               rate=0.5),
-                  Perturbation()],
-    phi1=Perturbation(kind="decaying_exp", amplitude=0.3, rate=0.1),
-    phi2=[Perturbation(kind="constant", amplitude=[0.1, 0.2]),
-          Perturbation(kind="sinusoid", amplitude=-0.5, omega=0.7)])
+def mixed_signals(sigma: int) -> dict:
+    """Every kind of signal, with scalar and vector amplitudes, phi2 for
+    sigma layers.  A sinusoid of negative amplitude and phase 0 is exactly
+    -0.0 at t = 0: so are the drive of leader 1 and phi2 of layer 0 there,
+    and a sign lost on the way shows in a bit-level comparison."""
+    layers = [Perturbation(kind="sinusoid", amplitude=-0.5, omega=0.7),
+              Perturbation(kind="constant", amplitude=[0.1, 0.2]),
+              Perturbation(kind="decaying_exp", amplitude=[0.3, -0.1],
+                           rate=0.2)]
+    return dict(
+        leader_drive=[Perturbation(kind="constant", amplitude=0.2),
+                      Perturbation(kind="sinusoid", amplitude=[-0.1, -0.4],
+                                   omega=2.0),
+                      Perturbation(kind="decaying_exp", amplitude=[1.0, 2.0],
+                                   rate=0.5),
+                      Perturbation()],
+        phi1=Perturbation(kind="decaying_exp", amplitude=0.3, rate=0.1),
+        phi2=[layers[ell % 3] for ell in range(sigma)])
+
+
+def assert_bits_equal(got, want, name=""):
+    """Equal to the bit: unlike np.array_equal, -0.0 differs from 0.0."""
+    got, want = (np.ascontiguousarray(a, dtype=np.float64)
+                 for a in (got, want))
+    assert got.shape == want.shape, name
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
+def assert_traces_bits_equal(tr, ref):
+    for name in TRACE_FIELDS:
+        assert_bits_equal(getattr(tr, name), getattr(ref, name), name)
+
+
+def record_stages(monkeypatch) -> list:
+    """Make every Engine.run record each (row, derivative) its right-hand
+    side returns, one list per run, in the order of the runs."""
+    runs, run = [], Engine.run
+
+    def spy(self, y, payload, rhs, watch):
+        calls = []
+        runs.append(calls)
+
+        def recording(r, y, view):
+            dy, out = rhs(r, y, view)
+            calls.append((r, dy.copy()))
+            return dy, out
+        return run(self, y, payload, recording, watch)
+    monkeypatch.setattr(Engine, "run", spy)
+    return runs
+
 
 # k_eta and h multipliers, T*, delay_max / T*, drop probability, comm seed.
 COPY = st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0),
                  st.floats(0.25, 2.0), st.floats(0.0, 0.95),
                  st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+# The blend: each end of [0, 1], or inside it.
+ALPHA = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 def _other_topology():
@@ -422,23 +464,64 @@ SHARED_FIELD_CHANGES = {
 
 
 class TestBatch:
-    @settings(max_examples=20, deadline=None)
-    @given(st.lists(COPY, min_size=1, max_size=4), st.booleans(),
-           st.integers(0, 2**31))
-    def test_every_copy_equals_the_oracle(self, copies, mixed, seed):
-        base = bench_cfg(t_end=3.0, **(MIXED_SIGNALS if mixed else {}))
+    @staticmethod
+    def copies(base, copies, seed):
         rng = np.random.default_rng(seed)
-        cfgs = [dataclasses.replace(
+        return [dataclasses.replace(
             base, k_eta=base.k_eta * gk, h=tuple(r * gh for r in base.h),
             comm=CommConfig(T=0.25, T_star=ts, drop_prob=drop,
                             delay_max=frac * ts, seed=comm_seed),
-            eta0=rng.normal(size=(10, 2)), zeta0=rng.normal(size=(6, 2, 2)))
+            eta0=rng.normal(size=(10, 2)),
+            zeta0=rng.normal(size=(6, base.sigma, 2)))
             for gk, gh, ts, frac, drop, comm_seed in copies]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(COPY, min_size=1, max_size=4), st.booleans(), ALPHA,
+           st.integers(1, 3), st.integers(0, 2**31))
+    def test_every_copy_equals_the_oracle(self, copies, mixed, alpha, sigma,
+                                          seed):
+        base = bench_cfg(t_end=3.0, alpha=alpha, sigma=sigma,
+                         **(mixed_signals(sigma) if mixed else {}))
+        cfgs = self.copies(base, copies, seed)
         for cfg, tr in zip(cfgs, simulate_cascades(cfgs)):
+            assert_traces_bits_equal(tr, simulate_cascade_oracle(cfg))
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_across_forcing_blocks(self, monkeypatch, batch):
+        # K spans four forcing blocks and part of a fifth.  Each copy
+        # equals the oracle to the bit in every trace field and in the
+        # derivative of every stage: among them the last and first rows of
+        # the start, midpoint and end ranges of stage_times (K, K + 1, 2K,
+        # 2K + 1, 3K) and the three rows of each block's first step.
+        dt, sigma = 0.025, 3
+        K = 4 * FORCING_BLOCK + 12
+        assert K % 10 == 0                   # T = 10 dt divides the horizon
+        base = bench_cfg(dt=dt, t_end=K * dt, alpha=0.3, sigma=sigma,
+                         **mixed_signals(sigma))
+        cfgs = self.copies(base, [(1.0, 1.0, 1.5, 0.3, 0.85, 0),
+                                  (2.0, 0.5, 0.5, 0.9, 0.5, 1),
+                                  (0.5, 3.0, 1.0, 0.0, 0.0, 2)][:batch], 7)
+        runs = record_stages(monkeypatch)
+        traces = simulate_cascades(cfgs)
+        (got,) = runs
+        assert [r for r, _ in got] == [
+            r for k in range(K) for r in
+            (k, K + 1 + k, K + 1 + k, 2 * K + 1 + k)] + [K]
+        assert {K, K + 1, 2 * K, 2 * K + 1, 3 * K} <= {r for r, _ in got}
+        n, m = 10, 6
+        rows = union_rows(cfgs[0].topo, batch)
+        for b, (cfg, tr) in enumerate(zip(cfgs, traces)):
             ref = simulate_cascade_oracle(cfg)
-            for name in TRACE_FIELDS:
-                assert np.array_equal(getattr(tr, name), getattr(ref, name)), \
-                    name
+            assert_traces_bits_equal(tr, ref)
+            zeta = slice(batch * n + b * m * sigma,
+                         batch * n + (b + 1) * m * sigma)
+            assert len(runs[-1]) == len(got)
+            for (r, dy), (r_ref, dy_ref) in zip(got, runs[-1]):
+                assert r == r_ref
+                assert_bits_equal(np.concatenate((dy[rows[b]], dy[zeta])),
+                                  dy_ref, f"stage row {r}, copy {b}")
+        # A drive exactly -0.0 at t = 0 keeps its sign in the derivative.
+        assert np.signbit(got[0][1][rows[0][m + 1]]).all()
 
     def test_one_change_per_shared_field(self):
         shared = {f.name for f in dataclasses.fields(CascadeConfig)} \

@@ -14,7 +14,8 @@ from containsim.analysis import CascadeError
 from containsim.comm import CommConfig, floor_ticks, generate_schedule, \
     to_ticks
 from containsim.control import NeighborView
-from containsim.engine import Engine, rk4_step
+from containsim.engine import DIVERGENCE_LIMIT, DivergenceError, Engine, \
+    rk4_step
 from containsim.sim import ScenarioError
 from containsim.topology import union_rows
 from conftest import SCENARIOS, bench_topology, link_schedule, \
@@ -456,3 +457,65 @@ def test_view_built_at_tick_0_and_where_the_mailbox_changes(monkeypatch):
     arrivals = {0} | {int(to_ticks(a, scen.dt, "arrival"))
                       for *_, a in trace.audit}
     assert len(built) == 1 + changed.sum() < len(arrivals)
+
+
+# The divergence guard, on a toy right-hand side.  At dt = 6 a step adds
+# dt / 6 * (k1 + 2 k2 + 2 k3 + k4) = k1 exactly when the later stages are
+# 0, so a value the start stage of step j puts into a state entry that is 0
+# lands in it unrounded at tick j + 1.  The state is sim.run's layout: p
+# and v of two agents, watched, then a row of unwatched internals.
+GUARD_WATCH = (("p", 2, 1), ("v", 2, 1))
+GUARD_STEP, GUARD_DT = 3, 6.0
+
+
+def guard_run(row: int, value: float, watch=GUARD_WATCH):
+    """Run six steps from a state whose column 0 is 0 and column 1 is not;
+    step GUARD_STEP adds value to entry (row, 0).  Returns y0 and the
+    engine's state history."""
+    K, dt = 6, GUARD_DT
+    eng = Engine(one_edge_topology(),
+                 [{(1, 0): link_schedule([0] * (K + 1), T=dt, dt=dt)}],
+                 T=dt, dt=dt, t_end=K * dt, fallback=np.zeros((1, 2)))
+    y0 = np.zeros((5, 2))
+    y0[:, 1] = np.arange(1.0, 6.0)
+
+    def rhs(r, y, view):
+        dy = np.zeros_like(y)
+        if r == GUARD_STEP:                 # the start of step GUARD_STEP
+            dy[row, 0] = value
+        return dy, 0.0
+    states, _, _ = eng.run(y0, lambda y: y[:2], rhs, watch)
+    return y0, states
+
+
+OVER = np.nextafter(DIVERGENCE_LIMIT, np.inf)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, OVER, -OVER])
+@pytest.mark.parametrize("row, variable, agent", [(0, "p", 0), (1, "p", 1),
+                                                  (3, "v", 1)])
+def test_guard_raises_past_the_limit(value, row, variable, agent):
+    y0, _ = guard_run(row, 0.0)             # the run without the value
+    with pytest.raises(DivergenceError) as exc:
+        guard_run(row, value)
+    err = exc.value
+    assert (err.t, err.agent, err.variable, err.copy) == \
+        ((GUARD_STEP + 1) * GUARD_DT, agent, variable, None)
+    assert err.last_norm == np.linalg.norm(y0[row])
+
+
+@pytest.mark.parametrize("value", [DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT])
+def test_guard_passes_the_limit_itself(value):
+    _, states = guard_run(3, value)
+    assert states[GUARD_STEP + 1:, 3, 0].tolist() == [value] * 3
+
+
+def test_guard_ignores_unwatched_rows():
+    _, states = guard_run(4, np.nan)        # a law internal
+    assert np.isnan(states[GUARD_STEP + 1:, 4, 0]).all()
+
+
+def test_guard_with_an_empty_watch():
+    _, states = guard_run(0, np.nan, watch=())
+    assert np.isnan(states[-1, 0, 0])
+    assert not np.isnan(states[:, 1:]).any()
