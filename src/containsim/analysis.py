@@ -36,6 +36,8 @@ from .topology import DirectedTopology, containment_weights, partition, \
 
 ISS_REL_TOL = 1e-6
 FORCING_BLOCK = 32      # steps of forcing a cascade run tabulates at once
+STEADY_FRAC = 0.2       # final share of a run that steady_bound reads
+PAIR_T0S, PAIR_GAPS, PAIR_MIN_GAP = 20, 20, 0.5     # make_pair_grid's grid
 
 
 class CascadeError(ValueError):
@@ -157,9 +159,10 @@ class CascadeTrace:
         """Effective chain-level perturbations phi2 - d eta_c / dt."""
         return self.phi2_vals - self.deta_c[:, :, None, :]
 
-    def steady_bound(self, frac: float = 0.2) -> float:
-        """Sup of the stacked follower deviation norm over the final stretch."""
-        tail = max(1, int(round(frac * self.times.shape[0])))
+    def steady_bound(self) -> float:
+        """Sup of the stacked follower deviation norm over the final
+        STEADY_FRAC of the run."""
+        tail = max(1, int(round(STEADY_FRAC * self.times.shape[0])))
         err = self.eta_tilde()[-tail:]
         return float(np.max(np.linalg.norm(
             err.reshape(err.shape[0], -1), axis=1)))
@@ -169,28 +172,12 @@ class CascadeTrace:
 BATCH_FIELDS = ("k_eta", "h", "comm", "eta0", "zeta0")
 
 
-def simulate_cascade(cfg: CascadeConfig, seed: int | None = None,
+def simulate_cascade(cfg: CascadeConfig,
                      schedules: dict[tuple[int, int], LinkSchedule] | None
                      = None) -> CascadeTrace:
-    """Fixed-step RK4 integration of the cascade skeleton: the batch of one.
-
-    seed overrides the comm seed; a prebuilt schedule set, keyed by exactly
-    the topology's edges, may be injected instead, with delays on the tick
-    grid of cfg.dt.
-    """
-    return _integrate([cfg], seed, schedules)[0]
-
-
-def simulate_cascades(cfgs: list[CascadeConfig], seed: int | None = None
-                      ) -> list[CascadeTrace]:
-    """Integrate a batch of cascade configs as one run; one trace each.
-
-    The copies may differ in the fields BATCH_FIELDS names, except the
-    sampling period comm.T, and must be equal in every other field.  Each
-    trace equals, to the bit, the trace of its config run alone.  seed
-    overrides the comm seed of every copy.
-    """
-    return _integrate(cfgs, seed, None)
+    """Fixed-step RK4 integration of the cascade skeleton: the batch of one."""
+    return simulate_cascades([cfg], None if schedules is None
+                             else [schedules])[0]
 
 
 def _equal(a, b) -> bool:
@@ -224,16 +211,17 @@ def _check_batch(cfgs: list[CascadeConfig]) -> None:
                 raise CascadeError(f"cascade batch: {f.name} differs")
 
 
-def _integrate(cfgs: list[CascadeConfig], seed: int | None,
-               schedules) -> list[CascadeTrace]:
-    """One engine run over B disjoint copies of the batch's topology.
+def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
+                      ) -> list[CascadeTrace]:
+    """Integrate a batch of cascade configs as one run; one trace each.
 
-    Each agent transmits its eta at every sample instant; the sampled average
-    eps is the engine's neighbor view averaged once per step and held for the
-    step, so the right-hand side is smooth inside every integration step.
-    Before the first delivery on all of a follower's in-edges the average
-    falls back to the follower's initial eta.  A diverging eta or zeta row
-    raises ``engine.DivergenceError`` naming its copy and local agent.
+    The copies may differ in the fields BATCH_FIELDS names, except the
+    sampling period comm.T.  Each copy's schedules are drawn from its comm
+    config, or given as one prebuilt set per copy, keyed by exactly the
+    topology's edges, with delays on the tick grid of dt.  Each agent sends
+    its eta at every sample instant; the sampled average eps, held for each
+    step, falls back to the follower's initial eta until an in-edge
+    delivers.  A diverging row raises ``engine.DivergenceError``.
     """
     _check_batch(cfgs)
     cfg, B = cfgs[0], len(cfgs)
@@ -242,12 +230,11 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
     Bm = B * m
     W = containment_weights(partition(topo))
     if schedules is None:
-        comms = [c.comm if seed is None else
-                 dataclasses.replace(c.comm, seed=seed) for c in cfgs]
-        schedules = [{edge: generate_schedule(edge, comm, cfg.t_end, cfg.dt)
-                      for edge in topo.edges()} for comm in comms]
-    else:
-        schedules = [schedules]
+        schedules = [{edge: generate_schedule(edge, c.comm, cfg.t_end, cfg.dt)
+                      for edge in topo.edges()} for c in cfgs]
+    elif len(schedules) != B:
+        raise CascadeError(f"cascade batch: {len(schedules)} schedule sets "
+                           f"for {B} configs")
     eng = Engine(topo, schedules, cfg.comm.T, cfg.dt, cfg.t_end,
                  np.concatenate([c.eta0[:m] for c in cfgs]), CascadeError)
     K, rows = eng.K, eng.rows
@@ -306,19 +293,19 @@ def _integrate(cfgs: list[CascadeConfig], seed: int | None,
 # Exponential-plus-sup deviation bounds
 
 
-def make_pair_grid(times: np.ndarray, n_t0: int = 20, n_gap: int = 20,
-                   min_gap: float = 0.5) -> list[tuple[int, int]]:
-    """(t0, t) index pairs: n_t0 start times x n_gap log-spaced separations."""
+def make_pair_grid(times: np.ndarray) -> list[tuple[int, int]]:
+    """(t0, t) index pairs: PAIR_T0S start times in the first half of the
+    run x PAIR_GAPS log-spaced separations from PAIR_MIN_GAP seconds."""
     K = times.shape[0] - 1
     t_end = float(times[-1])
     dt = float(times[1] - times[0])
     pairs = []
-    for t0 in np.linspace(0.0, 0.5 * t_end, n_t0):
+    for t0 in np.linspace(0.0, 0.5 * t_end, PAIR_T0S):
         i0 = int(round(t0 / dt))
         max_gap = t_end - times[i0]
-        if max_gap <= min_gap:
+        if max_gap <= PAIR_MIN_GAP:
             continue
-        for gap in np.geomspace(min_gap, max_gap, n_gap):
+        for gap in np.geomspace(PAIR_MIN_GAP, max_gap, PAIR_GAPS):
             i1 = min(K, i0 + max(1, int(round(gap / dt))))
             pairs.append((i0, i1))
     return sorted(set(pairs))
@@ -382,21 +369,20 @@ def iss_estimate_check(trace: CascadeTrace,
 # Robustness sweeps
 
 
-def run_gain_sweep(base: CascadeConfig, multipliers=(1.0, 2.0, 4.0),
-                   seed: int | None = None) -> list[float]:
+def run_gain_sweep(base: CascadeConfig, multipliers=(1.0, 2.0, 4.0)
+                   ) -> list[float]:
     """Steady deviation bound as all loop rates are scaled up together."""
-    return run_sweeps(base, multipliers, (), seed)[0]
+    return run_sweeps(base, multipliers, ())[0]
 
 
-def run_blackout_sweep(base: CascadeConfig, t_stars=(0.5, 1.0, 1.5),
-                       seed: int | None = None) -> list[float]:
+def run_blackout_sweep(base: CascadeConfig, t_stars=(0.5, 1.0, 1.5)
+                       ) -> list[float]:
     """Steady deviation bound as the blackout bound T_star is tightened."""
-    return run_sweeps(base, (), t_stars, seed)[1]
+    return run_sweeps(base, (), t_stars)[1]
 
 
 def run_sweeps(base: CascadeConfig, multipliers=(1.0, 2.0, 4.0),
-               t_stars=(0.5, 1.0, 1.5), seed: int | None = None
-               ) -> tuple[list[float], list[float]]:
+               t_stars=(0.5, 1.0, 1.5)) -> tuple[list[float], list[float]]:
     """The gain and the blackout sweep, each config that appears in both
     (such as the base itself) integrated once, all in one batch."""
     cfgs = [dataclasses.replace(base, k_eta=base.k_eta * g,
@@ -408,7 +394,7 @@ def run_sweeps(base: CascadeConfig, multipliers=(1.0, 2.0, 4.0),
     for cfg in cfgs:
         if not any(_equal(cfg, d) for d in distinct):
             distinct.append(cfg)
-    bounds = [tr.steady_bound() for tr in simulate_cascades(distinct, seed)] \
+    bounds = [tr.steady_bound() for tr in simulate_cascades(distinct)] \
         if distinct else []
     out = [next(b for d, b in zip(distinct, bounds) if _equal(cfg, d))
            for cfg in cfgs]

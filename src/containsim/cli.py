@@ -22,6 +22,7 @@ codes, with one line on stderr and no traceback:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -55,10 +56,16 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=desc)
         sp.add_argument("--config", required=True, help="JSON scenario file")
         sp.add_argument("--seed", type=int, default=None,
-                        help="override the communication seed")
+                        help="the communication seed (comm.seed)")
         sp.add_argument("--out", default=".",
                         help="directory for generated files")
     return p
+
+
+def _seeded(built, seed: int | None):
+    """The built scenario or cascade config, its comm seed set to seed."""
+    return built if seed is None else dataclasses.replace(
+        built, comm=dataclasses.replace(built.comm, seed=seed))
 
 
 def cmd_validate(args) -> int:
@@ -80,8 +87,8 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     doc = config.load_config(args.config)
-    scen = config.build_scenario(doc)
-    trace = sim.run(scen, seed=args.seed)
+    scen = _seeded(config.build_scenario(doc), args.seed)
+    trace = sim.run(scen)
     outputs = doc.get("outputs", {})
     os.makedirs(args.out, exist_ok=True)
 
@@ -106,11 +113,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cas = config.build_cascade(config.load_config(args.config))
+    cas = _seeded(config.build_cascade(config.load_config(args.config)),
+                  args.seed)
     t_stars = (0.5, 1.0, 1.5)
     valid = [ts for ts in t_stars
              if ts >= cas.comm.T and cas.comm.delay_max < ts]
-    gains, blackout = analysis.run_sweeps(cas, t_stars=valid, seed=args.seed)
+    gains, blackout = analysis.run_sweeps(cas, t_stars=valid)
     print("gain sweep (x1, x2, x4):",
           " ".join(f"{g:.6e}" for g in gains))
     print("blackout sweep (" + ", ".join(f"T*={ts:g}" for ts in valid) + "):",
@@ -122,8 +130,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    scen = config.build_scenario(config.load_config(args.config))
-    trace = sim.run(scen, seed=args.seed)
+    scen = _seeded(config.build_scenario(config.load_config(args.config)),
+                   args.seed)
+    trace = sim.run(scen)
     os.makedirs(args.out, exist_ok=True)
     cert = analysis.containment_certificate(scen.topo)
     summary = {

@@ -39,6 +39,14 @@ def _check_keys(doc: dict, where: str, required: set, optional: set = frozenset(
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _expect(value, kind: type, where: str):
+    """value as kind (int, float or list; float takes an int too)."""
+    ok = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, ok):   # bool is int
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def load_bundled(name: str) -> dict:
     """Parse one of the scenario documents shipped with the package (for
     example ``"benchmark_fullstate"``); the builders validate it."""
@@ -87,6 +95,9 @@ def validate_config(doc: dict) -> None:
         _check_keys(doc["outputs"], "outputs", set(),
                     {"trace_csv", "audit_csv", "schedule_csv", "sidecar_json",
                      "svg"})
+        if "svg" in doc["outputs"] and doc["agents"]["N"] != 2:
+            raise ConfigError("outputs.svg: trajectory rendering needs "
+                              "planar agents (agents.N = 2)")
     if "agents" in doc and "leaders" in doc["agents"]:
         _check_keys(doc["agents"]["leaders"], "agents.leaders", {"kind"},
                     {"v_d"})
@@ -94,12 +105,12 @@ def validate_config(doc: dict) -> None:
         _check_keys(doc["cascade"], "cascade",
                     {"alpha", "sigma", "k_eta", "h", "leader_drive"},
                     {"phi1", "phi2", "initial"})
-        for idx, pert in enumerate(doc["cascade"]["leader_drive"]):
-            _check_pert(pert, f"cascade.leader_drive[{idx}]")
+        for key in ("leader_drive", "phi2"):
+            for idx, pert in enumerate(_expect(doc["cascade"].get(key, []),
+                                               list, f"cascade.{key}")):
+                _check_pert(pert, f"cascade.{key}[{idx}]")
         if "phi1" in doc["cascade"]:
             _check_pert(doc["cascade"]["phi1"], "cascade.phi1")
-        for idx, pert in enumerate(doc["cascade"].get("phi2", [])):
-            _check_pert(pert, f"cascade.phi2[{idx}]")
         if "initial" in doc["cascade"]:
             _check_keys(doc["cascade"]["initial"], "cascade.initial", set(),
                         {"eta", "zeta"})
@@ -134,19 +145,23 @@ def _check_finite(node, where: str) -> None:
 def _check_pert(doc: dict, where: str) -> None:
     _check_keys(doc, where, {"kind"},
                 {"amplitude", "omega", "phase", "rate"})
+    for key in sorted({"omega", "phase", "rate"} & set(doc)):
+        _expect(doc[key], float, f"{where}.{key}")
 
 
 def build_topology(doc: dict) -> DirectedTopology:
     top = doc["topology"]
-    n, m = int(top["n"]), int(top["m"])
+    n, m = (_expect(top[key], int, f"topology.{key}") for key in "nm")
     weights = np.zeros((n, n))
-    for idx, entry in enumerate(top["edges"]):
+    edges = _expect(top["edges"], list, "topology.edges")
+    for idx, entry in enumerate(edges):
         where = f"topology.edges[{idx}]"
-        if len(entry) not in (2, 3):
+        if len(_expect(entry, list, where)) not in (2, 3):
             raise ConfigError(f"{where}: {entry!r} must be [src, dst] or "
                               "[src, dst, weight]")
-        src, dst = int(entry[0]), int(entry[1])
-        w = float(entry[2]) if len(entry) == 3 else 1.0
+        src, dst = (_expect(i, int, f"{where}: agent id") for i in entry[:2])
+        w = 1.0 if len(entry) == 2 else \
+            _expect(entry[2], float, f"{where}: weight")
         if not (1 <= src <= n and 1 <= dst <= n):
             raise ConfigError(f"{where}: {entry!r}: agent ids are 1..{n}")
         if not w > 0:
@@ -167,18 +182,19 @@ def build_perturbation(doc: dict) -> Perturbation:
 
 def build_comm(doc: dict) -> CommConfig:
     cdoc = doc["comm"]
-    return CommConfig(T=float(cdoc["T_seconds"]),
-                      T_star=float(cdoc["T_star_seconds"]),
-                      drop_prob=float(cdoc.get("drop_prob", 0.0)),
-                      delay_max=float(cdoc.get("delay_max_seconds", 0.0)),
-                      seed=int(cdoc.get("seed", 0)))
+    return CommConfig(
+        **{name: _expect(cdoc.get(key, 0.0), float, f"comm.{key}")
+           for name, key in (("T", "T_seconds"), ("T_star", "T_star_seconds"),
+                             ("drop_prob", "drop_prob"),
+                             ("delay_max", "delay_max_seconds"))},
+        seed=_expect(cdoc.get("seed", 0), int, "comm.seed"))
 
 
 def build_scenario(doc: dict) -> Scenario:
     validate_config(doc)
     topo = build_topology(doc)
     ag = doc["agents"]
-    N = int(ag["N"])
+    N = _expect(ag["N"], int, "agents.N")
     mdoc = ag["model"]
     model = AgentModel(kind=mdoc["kind"], N=N,
                        drift=mdoc.get("drift", "zero"),
@@ -188,6 +204,9 @@ def build_scenario(doc: dict) -> Scenario:
                        if "S2" in mdoc else None)
 
     ldoc = ag.get("leaders", {"kind": "oscillator_free"})
+    if (ldoc["kind"] == "oscillator_free") != (model.kind == "oscillator"):
+        raise ConfigError(f"agents.leaders.kind: {ldoc['kind']!r} does not "
+                          f"fit the {model.kind} model")
     v_d = np.asarray(ldoc.get("v_d", [0.0] * N), float)
     leader_trajs = [] if model.kind == "oscillator" else [
         LeaderTrajectory(kind=ldoc["kind"], v_d=v_d, index=topo.m + 1 + li)
@@ -211,8 +230,9 @@ def build_scenario(doc: dict) -> Scenario:
     sdoc = doc["sim"]
     return Scenario(topo=topo, model=model, leader_trajs=leader_trajs,
                     variant=ctl["variant"], gains=gains, comm=build_comm(doc),
-                    dt=float(sdoc["dt_seconds"]),
-                    t_end=float(sdoc["t_end_seconds"]), N=N, p0=p0, v0=v0,
+                    dt=_expect(sdoc["dt_seconds"], float, "sim.dt_seconds"),
+                    t_end=_expect(sdoc["t_end_seconds"], float,
+                                  "sim.t_end_seconds"), N=N, p0=p0, v0=v0,
                     psi_mode=ctl.get("psi_mode", "static"),
                     v_d=np.asarray(ctl["v_d"], float)
                     if "v_d" in ctl else None,
@@ -225,9 +245,9 @@ def build_cascade(doc: dict) -> CascadeConfig:
     if "cascade" not in doc:
         raise ConfigError("document has no cascade section")
     topo = build_topology(doc)
-    N = int(doc["agents"]["N"])
+    N = _expect(doc["agents"]["N"], int, "agents.N")
     cas = doc["cascade"]
-    sigma = int(cas["sigma"])
+    sigma = _expect(cas["sigma"], int, "cascade.sigma")
     init = cas.get("initial", {})
     eta, zeta = init.get("eta", "from_p"), init.get("zeta", "zero")
     eta0 = np.asarray(doc["agents"]["initial"]["p"] if eta == "from_p"
@@ -237,10 +257,13 @@ def build_cascade(doc: dict) -> CascadeConfig:
     sdoc = doc["sim"]
     phi2 = [build_perturbation(p) for p in cas.get("phi2", [])]
     return CascadeConfig(
-        topo=topo, N=N, alpha=float(cas["alpha"]), sigma=sigma,
-        k_eta=float(cas["k_eta"]), h=tuple(float(r) for r in cas["h"]),
-        comm=build_comm(doc), dt=float(sdoc["dt_seconds"]),
-        t_end=float(sdoc["t_end_seconds"]), eta0=eta0, zeta0=zeta0,
+        topo=topo, N=N, alpha=_expect(cas["alpha"], float, "cascade.alpha"),
+        sigma=sigma, k_eta=_expect(cas["k_eta"], float, "cascade.k_eta"),
+        h=tuple(_expect(r, float, f"cascade.h[{i}]")
+                for i, r in enumerate(_expect(cas["h"], list, "cascade.h"))),
+        comm=build_comm(doc), eta0=eta0, zeta0=zeta0,
+        dt=_expect(sdoc["dt_seconds"], float, "sim.dt_seconds"),
+        t_end=_expect(sdoc["t_end_seconds"], float, "sim.t_end_seconds"),
         leader_drive=[build_perturbation(p) for p in cas["leader_drive"]],
         phi1=build_perturbation(cas["phi1"]) if "phi1" in cas
         else Perturbation(), phi2=phi2)

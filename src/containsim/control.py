@@ -8,6 +8,7 @@ delivered neighbor messages, it writes the time derivatives of its internals
 in place and returns the control input.  The internals named by ``names``
 are one (k, m, N) array, one row per follower in each (m, N) block, so a
 whole follower group is evaluated with a handful of numpy operations.
+Block 0 is always vhat, the velocity estimate each follower sends.
 
 Neighbor information enters through weighted averages over the in-edges that
 have delivered at least one message; the averages are renormalized by the
@@ -233,8 +234,8 @@ class NeighborView:
 class DoubleIntegratorLaw:
     """gamma = -k_d (w - vhat) - k_p (p - psi) for double integrators.
 
-    vhat is the distributed observer's state, or the broadcast limit
-    velocity v_d when one is given; w is v, or phi + p from a first-order
+    vhat is the distributed observer's state, or the limit velocity v_d,
+    held constant, when one is given; w is v, or phi + p from a first-order
     output filter when use_velocity is off; psi is the extrapolated
     neighbor average ("static"), or that average through a first-order
     filter ("dynamic") so the input stays continuous across arrivals.
@@ -247,37 +248,31 @@ class DoubleIntegratorLaw:
         if v_d is not None and np.shape(v_d) != (N,):
             raise ValueError(f"v_d must have {N} entries, got shape "
                              f"{np.shape(v_d)}")
-        self.gains, self.N = gains, N
         self.L_p, self.k_psi, self.k_d, self.k_p = gains.blocks(
             N, "L_p", "k_psi", "k_d", "k_p")
         self.psi_mode, self.use_velocity = psi_mode, use_velocity
         self.v_d = None if v_d is None else np.asarray(v_d, dtype=float)
-        self.names = tuple(name for name, used in (
-            ("vhat", v_d is None), ("psi", psi_mode == "dynamic"),
-            ("phi", not use_velocity)) if used)
+        self.names = ("vhat",) + (("psi",) if psi_mode == "dynamic" else ()) \
+            + (("phi",) if not use_velocity else ())
 
     def init_internals(self, p0: np.ndarray) -> np.ndarray:
         x = np.zeros((len(self.names),) + p0.shape)
+        if self.v_d is not None:
+            x[0] = self.v_d
         if self.psi_mode == "dynamic":
-            x[self.names.index("psi")] = p0
+            x[1] = p0
         return x
 
-    def transmitted_vhat(self, x: np.ndarray) -> np.ndarray:
-        """The (m, N) velocity estimates the followers put on the wire."""
-        return x[0] if self.v_d is None else \
-            np.broadcast_to(self.v_d, (self.gains.m, self.N))
-
     def deriv(self, t, h, p, v, x, neigh, dx) -> np.ndarray:
+        vhat = x[0]
         if self.v_d is None:
-            vhat = x[0]
             dx[0] = -self.L_p * (vhat - neigh.vhat_avg(vhat))
         else:
-            vhat = np.broadcast_to(self.v_d, p.shape)
+            dx[0] = 0.0
         theta = neigh.vartheta_avg(t)
         if self.psi_mode == "dynamic":
-            i = int(self.v_d is None)          # psi follows vhat
-            psi = x[i]
-            dx[i] = -self.k_psi * (psi - theta) + vhat
+            psi = x[1]
+            dx[1] = -self.k_psi * (psi - theta) + vhat
         else:
             psi = theta
         w = v if self.use_velocity else x[-1] + p      # phi is last
@@ -303,9 +298,6 @@ class NonlinearVSController:
         self.gains, self.N, self.model = gains, N, model
         self.L_p, self.L_d, self.k_p, self.k_d, self.k_r = gains.blocks(
             N, "L_p", "L_d", "k_p", "k_d", "k_r")
-        self.delta_p, self.delta_v = (
-            np.vectorize(model.drift_fns[key], otypes=[float])
-            for key in ("delta_p", "delta_v"))
 
     @cached_property
     def lam(self) -> np.ndarray:
@@ -314,9 +306,6 @@ class NonlinearVSController:
 
     def init_internals(self, p0):
         return np.stack([np.zeros_like(p0), np.zeros_like(p0), p0, p0])
-
-    def transmitted_vhat(self, x):
-        return x[0]
 
     def deriv(self, t, h, p, v, x, neigh, dx) -> np.ndarray:
         vhat, sigma1, eta1, eta2 = x
@@ -333,8 +322,9 @@ class NonlinearVSController:
         return -self.k_r * e + dv_r - gamma_bar
 
     def drift_bound(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.delta_p(np.linalg.norm(p, axis=-1)) + \
-            self.delta_v(np.linalg.norm(v, axis=-1))
+        fns = self.model.drift_fns        # each maps an array of norms
+        return fns["delta_p"](np.linalg.norm(p, axis=-1)) + \
+            fns["delta_v"](np.linalg.norm(v, axis=-1))
 
     def switching_term(self, e: np.ndarray, p: np.ndarray,
                        v: np.ndarray) -> np.ndarray:
@@ -369,9 +359,6 @@ class OscillatorLaw:
 
     def init_internals(self, p0):
         return np.zeros((len(self.names),) + p0.shape)
-
-    def transmitted_vhat(self, x):
-        return x[0]
 
     def deriv(self, t, h, p, v, x, neigh, dx) -> np.ndarray:
         vhat, sigma = x[0], x[1]

@@ -12,7 +12,6 @@ stacked ``hull_distance`` call, which builds each step's leader hull once.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -229,26 +228,23 @@ def _hull_distance_fw(p: np.ndarray, X: np.ndarray) -> float:
 # Integration
 
 
-def build_schedules(scen: Scenario, seed: int | None = None
-                    ) -> dict[tuple[int, int], LinkSchedule]:
-    cfg = scen.comm if seed is None else \
-        dataclasses.replace(scen.comm, seed=seed)
-    return {edge: generate_schedule(edge, cfg, scen.t_end, scen.dt)
+def build_schedules(scen: Scenario) -> dict[tuple[int, int], LinkSchedule]:
+    return {edge: generate_schedule(edge, scen.comm, scen.t_end, scen.dt)
             for edge in scen.topo.edges()}
 
 
-def run(scen: Scenario, seed: int | None = None,
+def run(scen: Scenario,
         schedules: dict[tuple[int, int], LinkSchedule] | None = None
         ) -> Trace:
     """Validate the scenario, then integrate the closed loop at its step
-    ``scen.dt``; deterministic given (scenario, seed).
+    ``scen.dt``; deterministic given the scenario.
 
     A prebuilt schedule set may be injected, e.g. to rerun the same messages
     at a finer step with ``dataclasses.replace(scen, dt=scen.dt / 2)``;
-    otherwise they are generated from the comm config with the given seed
-    override.  Injected schedules must be keyed by exactly the topology's
-    edges, and their delays must be whole ticks of dt.  The run's
-    schedules are on ``Trace.schedules``.  The model's plant is picked, and
+    otherwise they are generated from the comm config, seed included.
+    Injected schedules must be keyed by exactly the topology's edges, and
+    their delays must be whole ticks of dt.  The run's schedules are on
+    ``Trace.schedules``.  The model's plant is picked, and
     the leader accelerations or an oscillator law's flows tabulated, once.
     """
     ctrl = scen.validate()
@@ -256,7 +252,7 @@ def run(scen: Scenario, seed: int | None = None,
     m, n, N = topo.m, topo.n, scen.N
     W = containment_weights(partition(topo))
     if schedules is None:
-        schedules = build_schedules(scen, seed)
+        schedules = build_schedules(scen)
 
     eng = Engine(topo, [schedules], scen.comm.T, dt, scen.t_end, scen.p0[:m],
                  ScenarioError)
@@ -271,11 +267,9 @@ def run(scen: Scenario, seed: int | None = None,
     leaders = leader_accels(scen.leader_trajs, times)  # (rows, 0, 0) if none
     times = times.tolist()
 
-    def payload(y):
-        # Followers transmit their velocity estimate, leaders their velocity.
-        vhat = ctrl.transmitted_vhat(y[2 * n:].reshape(x0.shape))
-        return np.concatenate([y[:n], np.concatenate([vhat, y[n + m:2 * n]])],
-                              axis=1)
+    # Each agent sends its position beside a velocity: a follower its law's
+    # internal row 0, a leader its own.
+    send = np.c_[np.arange(n), np.r_[2 * n:2 * n + m, n + m:2 * n]]
 
     def rhs(row, y, view):
         p, v = pv = y[:2 * n].reshape(2, n, N)
@@ -288,7 +282,8 @@ def run(scen: Scenario, seed: int | None = None,
         return dy, g
 
     states, gamma, used_seq = eng.run(
-        np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]), payload, rhs,
+        np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]),
+        lambda y: y[send].reshape(n, 2 * N), rhs,
         (("p", n, 1), ("v", n, 1)))
     trace_p, trace_v = states[:, :n], states[:, n:2 * n]
     internals = states[:, 2 * n:].reshape((K + 1,) + x0.shape)
@@ -303,7 +298,7 @@ def run(scen: Scenario, seed: int | None = None,
                  W=W, m=m, schedules=schedules,
                  audit=eng.audit(), used_seq=used_seq, edges=eng.edges,
                  meta={"label": scen.label, "dt": dt, "t_end": scen.t_end,
-                       "seed": seed if seed is not None else scen.comm.seed,
+                       "seed": scen.comm.seed,
                        "variant": scen.variant})
 
 

@@ -18,21 +18,18 @@ _COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
 WIDTH = 560
 HEIGHT = 420
 MARGIN = 50
+TRAJECTORY_TITLE = "trajectories"
+ERROR_TITLE = "containment error"
 
 
 class _Canvas:
-    def __init__(self, width=WIDTH, height=HEIGHT, title=""):
-        self.width = width
-        self.height = height
+    def __init__(self, title: str):
         self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">',
-            f'<rect width="{width}" height="{height}" fill="white"/>',
-        ]
-        if title:
-            self.parts.append(
-                f'<text x="{width / 2}" y="20" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="14">{title}</text>')
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+            f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="14">{title}</text>']
 
     def line(self, x1, y1, x2, y2, color="#000", width=1.0, dash=None):
         d = f' stroke-dasharray="{dash}"' if dash else ""
@@ -73,11 +70,11 @@ def _scaler(lo, hi, out_lo, out_hi):
     return f
 
 
-def render_trajectories(trace: Trace, snapshot_times=(0.0, 10.0, 20.0, 40.0),
-                        title="trajectories") -> str:
+def render_trajectories(trace: Trace, snapshot_times=(0.0, 10.0, 20.0, 40.0)
+                        ) -> str:
     if trace.p.shape[2] != 2:
         raise ValueError("trajectory rendering needs planar agents")
-    c = _Canvas(title=title)
+    c = _Canvas(title=TRAJECTORY_TITLE)
     n, m = trace.p.shape[1], trace.m
     xs = trace.p[:, :, 0]
     ys = trace.p[:, :, 1]
@@ -117,8 +114,8 @@ def render_trajectories(trace: Trace, snapshot_times=(0.0, 10.0, 20.0, 40.0),
     return c.render()
 
 
-def render_error(trace: Trace, title="containment error") -> str:
-    c = _Canvas(title=title)
+def render_error(trace: Trace) -> str:
+    c = _Canvas(title=ERROR_TITLE)
     err = np.maximum(trace.err_pos_norm, 1e-16)
     logs = np.log10(err)
     lo = math.floor(logs.min())

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources as ir
 import json
 
@@ -16,6 +17,13 @@ SCENARIOS = ("benchmark_fullstate", "benchmark_outputfb", "benchmark_nonlinear",
 def load_scenario_doc(name: str) -> dict:
     text = ir.files("containsim").joinpath(f"scenarios/{name}.json").read_text()
     return json.loads(text)
+
+
+def seeded(obj, seed: int):
+    """A Scenario or CascadeConfig with its comm seed set to seed, the one
+    input that draws its link schedules."""
+    return dataclasses.replace(obj, comm=dataclasses.replace(obj.comm,
+                                                             seed=seed))
 
 
 def link_schedule(ticks, T=0.1, dt=0.01) -> LinkSchedule:

@@ -28,7 +28,7 @@ from containsim.comm import CommConfig, generate_schedule
 from containsim.engine import DivergenceError, Engine, stage_times
 from containsim.topology import DirectedTopology, containment_weights, \
     partition, union_rows
-from conftest import bench_topology
+from conftest import bench_topology, seeded
 
 TRACE_FIELDS = ("eta", "zeta", "eps", "eta_c", "deta_c", "phi1_vals",
                 "phi2_vals")
@@ -372,8 +372,8 @@ class TestCascadeDynamics:
 
     def test_determinism(self):
         cfg = bench_cfg(t_end=5.0)
-        a = simulate_cascade(cfg, seed=1)
-        b = simulate_cascade(cfg, seed=1)
+        a = simulate_cascade(seeded(cfg, 1))
+        b = simulate_cascade(seeded(cfg, 1))
         assert np.array_equal(a.eta, b.eta)
         assert np.array_equal(a.zeta, b.zeta)
 
@@ -564,13 +564,13 @@ class TestDeviationBounds:
             assert 0 <= i0 < i1 <= 2400
 
     def test_clean_run_has_no_violations(self):
-        tr = simulate_cascade(bench_cfg(), seed=3)
+        tr = simulate_cascade(seeded(bench_cfg(), 3))
         report = iss_estimate_check(tr)
         assert report["violations"] == 0
         assert report["worst_margin"] < 0
 
     def test_corrupted_run_flags_violations(self):
-        tr = simulate_cascade(bench_cfg(), seed=3)
+        tr = simulate_cascade(seeded(bench_cfg(), 3))
         report = iss_estimate_check(tr, eta_override=2.0 * tr.eta_tilde())
         assert report["violations"] > 0
 
@@ -579,7 +579,8 @@ class TestDeviationBounds:
         # The default grid, corrupted histories (one with a NaN, whose
         # pairs drop out of the worst margin), custom pairs in any order
         # with repeats, and no pairs.
-        tr = simulate_cascade(bench_cfg(t_end=20.0, sigma=sigma), seed=sigma)
+        tr = simulate_cascade(seeded(bench_cfg(t_end=20.0, sigma=sigma),
+                                     sigma))
         rng = np.random.default_rng(sigma)
         i0 = rng.integers(0, 400, 60)
         custom = list(zip(i0.tolist(), (i0 + rng.integers(0, 400, 60))
@@ -598,19 +599,21 @@ class TestDeviationBounds:
 
 class TestSweeps:
     def test_gain_sweep_monotone(self):
-        vals = run_gain_sweep(bench_cfg(t_end=30.0, alpha=1.0), seed=0)
+        vals = run_gain_sweep(seeded(bench_cfg(t_end=30.0, alpha=1.0), 0))
         assert len(vals) == 3
         assert vals[0] >= vals[1] >= vals[2]
 
     def test_blackout_sweep_monotone(self):
-        vals = run_blackout_sweep(bench_cfg(t_end=30.0, alpha=1.0), seed=0)
+        vals = run_blackout_sweep(seeded(bench_cfg(t_end=30.0, alpha=1.0),
+                                         0))
         assert len(vals) == 3
         assert vals[0] <= vals[1] <= vals[2]
 
     def test_both_sweeps_in_one_batch_equal_each_alone(self):
         base = bench_cfg(t_end=5.0)
-        assert run_sweeps(base, seed=2) == (run_gain_sweep(base, seed=2),
-                                            run_blackout_sweep(base, seed=2))
+        base = seeded(base, 2)
+        assert run_sweeps(base) == (run_gain_sweep(base),
+                                    run_blackout_sweep(base))
 
 
 class TestCertificate:

@@ -10,7 +10,7 @@ import pathlib
 import pytest
 
 from containsim import analysis, config, control, dynamics, sim
-from conftest import load_scenario_doc
+from conftest import load_scenario_doc, seeded
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -58,7 +58,7 @@ def test_traced_run_counts(monkeypatch):
     rec = tracing.Recorder()
     patches = tracing.install(rec)
     try:
-        sim.run(scen, seed=0)
+        sim.run(seeded(scen, 0))
         analysis.iss_estimate_check(analysis.simulate_cascade(cas))
         analysis.run_gain_sweep(cas)
     finally:

@@ -11,7 +11,7 @@ import pytest
 import containsim
 from containsim import analysis, cli, config, sim
 from containsim.comm import export_schedule_csv, generate_schedule
-from conftest import load_scenario_doc
+from conftest import load_scenario_doc, seeded
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -147,6 +147,15 @@ EXIT_CASES = [
                    id=f"{command}-zero_weight_edge")
       for command, scenario in (("run", "benchmark_fullstate"),
                                 ("sweep", "cascade_estimates"))),
+    pytest.param("run", "benchmark_fullstate",
+                 lambda doc: doc["topology"]["edges"].append(5), False, 1,
+                 "config error:",
+                 r"topology\.edges\[16\]: expected list, got 5",
+                 id="run-edge_not_a_list"),
+    pytest.param("sweep", "cascade_estimates", edit("cascade", leader_drive=3),
+                 False, 1, "config error:",
+                 r"cascade\.leader_drive: expected list, got 3",
+                 id="sweep-leader_drive_not_a_list"),
     pytest.param("run", "benchmark_fullstate", None, True, 3,
                  "output error:", r"Not a directory",
                  id="run-out_under_a_file"),
@@ -331,10 +340,45 @@ class TestRun:
         assert rc == 0
         assert len(calls) == len(set(calls)) == 16
         scen = config.build_scenario(config.load_config(path))
-        export_schedule_csv(sim.build_schedules(scen, 3),
+        export_schedule_csv(sim.build_schedules(seeded(scen, 3)),
                             str(tmp_path / "fresh.csv"))
         assert (out_dir / "sched.csv").read_bytes() == \
             (tmp_path / "fresh.csv").read_bytes()
+
+    def test_seed_flag_is_the_comm_seed(self, tmp_path):
+        # --seed 3 runs the document with comm.seed 3: the same files,
+        # and a sidecar whose two seed fields agree.
+        outputs = {"trace_csv": "trace.csv", "audit_csv": "audit.csv",
+                   "schedule_csv": "sched.csv", "sidecar_json": "side.json"}
+        doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
+        doc["sim"]["t_end_seconds"] = 2.0
+        doc["outputs"] = outputs
+        flag, key = tmp_path / "flag", tmp_path / "key"
+        assert cli.main(["run", "--config", write_doc(tmp_path, doc),
+                         "--out", str(flag), "--seed", "3"]) == 0
+        doc["comm"]["seed"] = 3
+        assert cli.main(["run", "--config", write_doc(tmp_path, doc, "k.json"),
+                         "--out", str(key)]) == 0
+        for name in ("trace.csv", "audit.csv", "sched.csv", "side.json"):
+            assert (flag / name).read_bytes() == (key / name).read_bytes()
+        side = json.loads((flag / "side.json").read_text())
+        assert side["seed"] == side["comm"]["seed"] == 3
+
+    def test_svg_of_non_planar_agents_rejected_before_the_run(
+            self, tmp_path, capsys):
+        doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
+        doc["sim"]["t_end_seconds"] = 0.5
+        doc["agents"]["N"] = 3
+        doc["agents"]["initial"]["p"] = [
+            row + [0.0] for row in doc["agents"]["initial"]["p"]]
+        doc["agents"]["leaders"]["v_d"] = [1.0, 0.1, 0.0]
+        doc["outputs"] = {"trace_csv": "trace.csv", "svg": "plot.svg"}
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", write_doc(tmp_path, doc),
+                         "--out", str(out_dir)]) == 1
+        assert re.search(r"config error: outputs\.svg: .*agents\.N = 2",
+                         capsys.readouterr().err)
+        assert not (out_dir / "trace.csv").exists()
 
     def test_nan_gain_exit_code(self, tmp_path):
         doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
@@ -412,7 +456,7 @@ class TestReport:
                          "--seed", "4"]) == 0
         report = json.loads(
             (tmp_path / "benchmark_fullstate_report.json").read_text())
-        schedules = sim.run(config.build_scenario(doc), seed=4).schedules
+        schedules = sim.run(seeded(config.build_scenario(doc), 4)).schedules
         assert all((s.delivered >= s.forced).all()
                    for s in schedules.values())
         assert report["messages_forced"] == \

@@ -182,6 +182,57 @@ class TestBuilding:
         with pytest.raises(ConfigError, match=r"agents\.initial\.p\[2\]\[1\]"):
             config.build_scenario(doc)
 
+    @pytest.mark.parametrize("build, path, value, message", [
+        ("scenario", "topology.m", 6.7,
+         r"topology\.m: expected int, got 6\.7"),
+        ("scenario", "topology.edges.0", [3.9, 1],
+         r"topology\.edges\[0\]: agent id: expected int, got 3\.9"),
+        ("cascade", "cascade.sigma", 2.5,
+         r"cascade\.sigma: expected int, got 2\.5"),
+        ("scenario", "comm.seed", 1.5,
+         r"comm\.seed: expected int, got 1\.5"),
+        ("scenario", "comm.seed", True,
+         r"comm\.seed: expected int, got True"),
+        ("scenario", "comm.T_seconds", True,
+         r"comm\.T_seconds: expected float, got True"),
+        ("scenario", "comm.drop_prob", "0.2",
+         r"comm\.drop_prob: expected float, got '0\.2'"),
+        ("scenario", "sim.dt_seconds", "0.01",
+         r"sim\.dt_seconds: expected float, got '0\.01'"),
+        ("cascade", "cascade.h", 2.0,
+         r"cascade\.h: expected list, got 2\.0"),
+        ("cascade", "cascade.phi1.omega", "1",
+         r"cascade\.phi1\.omega: expected float, got '1'"),
+    ], ids=["m_6.7", "edge_3.9", "sigma_2.5", "seed_1.5", "seed_true",
+            "T_true", "drop_prob_string", "dt_string", "h_not_a_list",
+            "omega_string"])
+    def test_wrongly_typed_value_rejected(self, build, path, value, message):
+        # Before, each was converted (6.7 to 6, true to 1, "0.2" to 0.2)
+        # and the run went on.
+        doc = copy.deepcopy(load_scenario_doc("cascade_estimates"))
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[int(key) if key.isdigit() else key] = value
+        with pytest.raises(ConfigError, match=message):
+            getattr(config, f"build_{build}")(doc)
+
+    @pytest.mark.parametrize("name, leaders", [
+        ("oscillator_harmonic", {"kind": "damped_oscillatory",
+                                 "v_d": [5.0, 5.0]}),
+        ("benchmark_fullstate", {"kind": "oscillator_free"}),
+    ], ids=["oscillator_model_damped_leaders",
+            "double_integrator_oscillator_free_leaders"])
+    def test_leader_kind_must_fit_the_model(self, name, leaders):
+        # Before, the oscillator model dropped such leaders silently, and
+        # a double integrator ran oscillator_free leaders as coasting ones.
+        doc = copy.deepcopy(load_scenario_doc(name))
+        doc["agents"]["leaders"] = leaders
+        doc["agents"]["initial"]["v"] = [[0.0, 0.0]] * 10
+        with pytest.raises(ConfigError, match=r"agents\.leaders\.kind"):
+            config.build_scenario(doc)
+
     def test_perturbation_builder(self):
         pert = config.build_perturbation(
             {"kind": "sinusoid", "amplitude": [1.0, 2.0], "omega": 0.5})

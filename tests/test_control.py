@@ -14,10 +14,12 @@ from containsim.control import (
     make_controller,
     vartheta,
 )
+from containsim import config, sim
 from containsim.comm import CommConfig, generate_schedule
 from containsim.dynamics import AgentModel, OscillatorFlow
 from containsim.engine import Engine
-from conftest import bench_topology, to_ticks_oracle, view_spans_oracle
+from conftest import bench_topology, load_scenario_doc, to_ticks_oracle, \
+    view_spans_oracle
 
 
 # The six controller classes the three laws replaced, kept verbatim as the
@@ -774,13 +776,24 @@ class TestControllers:
         d_phi_tilde = dx[phi] + v - gamma
         assert np.allclose(d_phi_tilde, -phi_tilde, atol=1e-12)
 
-    def test_known_vd_transmits_limit_velocity(self):
-        g = GainSet(m=2, k_p=4.0, k_d=4.0)
-        v_d = np.array([1.0, 0.1])
-        ctrl = make_controller("known_vd", g, 2, v_d=v_d)
-        x = ctrl.init_internals(np.zeros((2, 2)))
-        assert np.array_equal(ctrl.transmitted_vhat(x),
-                              np.vstack([v_d, v_d]))
+    @pytest.mark.parametrize("psi_mode", ["static", "dynamic"])
+    @pytest.mark.parametrize("use_velocity", [True, False])
+    def test_known_vd_holds_and_sends_limit_velocity(self, monkeypatch,
+                                                     psi_mode, use_velocity):
+        # vhat is v_d at every step, and every follower sends it.
+        doc = load_scenario_doc("benchmark_fullstate")
+        doc["sim"]["t_end_seconds"] = 1.0
+        doc["controllers"].update(variant="known_vd", v_d=[1.0, 0.1],
+                                  psi_mode=psi_mode, use_velocity=use_velocity)
+        sent = []
+        view = Engine.view
+        monkeypatch.setattr(Engine, "view", lambda self, box, hist, last:
+                            sent.append(hist) or view(self, box, hist, last))
+        trace = sim.run(config.build_scenario(doc))
+        v_d = np.broadcast_to([1.0, 0.1], (len(trace.times), 6, 2))
+        assert np.array_equal(trace.internals["vhat"], v_d)
+        # The payload history is filled in place: at the end, every send.
+        assert np.array_equal(sent[-1][:, :6, 2:], v_d[:len(sent[-1])])
 
     def test_switching_term_boundary_layer(self):
         g = GainSet(m=1, k_p=2.0, k_d=2.0, lam=2.0, boundary_layer_eps=0.1)
@@ -916,17 +929,22 @@ class TestLawsMatchOracle:
         t = k * dt + half * dt / 2
         p, v = rng.normal(size=(m, N)), rng.normal(size=(m, N))
         # The law's internals are rows of one array, in the order of its
-        # names; the oracle takes and returns them by name.
+        # names; the oracle takes and returns them by name.  known_vd
+        # holds the v_d the oracle broadcasts as a constant internal vhat.
+        held = {"vhat": np.tile(settings_["v_d"], (m, 1))} \
+            if variant == "known_vd" else {}
         init_new = dict(zip(new.names, new.init_internals(p)))
-        init_old = old.init_internals(p, v)
+        init_old = {**held, **old.init_internals(p, v)}
         assert sorted(init_new) == sorted(init_old)
         for name in init_new:
             assert np.array_equal(init_new[name], init_old[name])
         x = rng.normal(size=(len(new.names), m, N))
+        if held:
+            x[0] = held["vhat"]
         internals = dict(zip(new.names, x))
 
         assert np.array_equal(
-            new.transmitted_vhat(x),
+            x[0],
             np.vstack([old.transmitted_vhat(internals, i)
                        for i in range(m)]))
         dx = np.full_like(x, np.nan)
@@ -935,10 +953,12 @@ class TestLawsMatchOracle:
             new.flow.tabulate(float_lags(view, [t], dt), dt)
         gamma_new = new.deriv(t, h, p, v, x, view, dx)
         out_old = old.deriv(t, p, v, internals, view)
+        d_old = {**{name: np.zeros_like(a) for name, a in held.items()},
+                 **out_old.d_internals}
         assert np.array_equal(gamma_new, out_old.gamma)
-        assert sorted(new.names) == sorted(out_old.d_internals)
+        assert sorted(new.names) == sorted(d_old)
         for name, got in zip(new.names, dx):
-            want = out_old.d_internals[name]
+            want = d_old[name]
             if variant == "oscillator_output" and s2 != "zero" \
                     and name == "sigma":
                 assert np.max(np.abs(got - want)) \

@@ -19,7 +19,8 @@ from containsim.engine import DIVERGENCE_LIMIT, DivergenceError, Engine, \
 from containsim.sim import ScenarioError
 from containsim.topology import union_rows
 from conftest import SCENARIOS, bench_topology, link_schedule, \
-    load_scenario_doc, mailbox_oracle, one_edge_topology, view_spans_oracle
+    load_scenario_doc, mailbox_oracle, one_edge_topology, seeded, \
+    view_spans_oracle
 
 
 def rk4_step_oracle(rhs, t: float, h: float, y: list, u, k1: list) -> list:
@@ -84,7 +85,7 @@ def test_used_message_never_older_than_blackout(name, seed, drop_prob):
     doc["comm"]["drop_prob"] = drop_prob
     scen = config.build_scenario(doc)
     assert scen.comm.delay_max > 0
-    trace = sim.run(scen, seed=seed)
+    trace = sim.run(seeded(scen, seed))
     steps_per_T = int(to_ticks(scen.comm.T, scen.dt, "T"))
     t_star = int(to_ticks(scen.comm.T_star, scen.dt, "T*"))
     used = trace.used_seq[t_star:]
@@ -205,7 +206,7 @@ def test_injected_delay_off_the_tick_grid_rejected():
     doc = load_scenario_doc("benchmark_fullstate")
     doc["sim"]["t_end_seconds"] = 1.0
     scen = config.build_scenario(doc)
-    schedules = sim.build_schedules(scen, seed=0)
+    schedules = sim.build_schedules(seeded(scen, 0))
     _shift_first_delivery(schedules, 2)
     with pytest.raises(ScenarioError, match="delay"):
         sim.run(scen, schedules=schedules)
@@ -357,7 +358,7 @@ def test_audit_in_tick_edge_seq_order_at_any_step():
     # ticks, seq 33 comes first.  The same schedules run at dt / 2 give
     # the same audit: the ticks double, the seconds stay the schedules'.
     scen = config.build_scenario(load_scenario_doc("benchmark_fullstate"))
-    schedules = sim.build_schedules(scen, seed=0)
+    schedules = sim.build_schedules(seeded(scen, 0))
     want = union_oracle(scen.topo, [schedules], 4000, 10)["audit"]
     eng = Engine(scen.topo, [schedules], scen.comm.T, scen.dt, scen.t_end,
                  scen.p0[:scen.topo.m])
@@ -452,7 +453,7 @@ def test_view_built_at_tick_0_and_where_the_mailbox_changes(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(NeighborView, "__init__", counting)
-    trace = sim.run(scen, seed=0)
+    trace = sim.run(seeded(scen, 0))
     changed = np.any(np.diff(trace.used_seq, axis=0) != 0, axis=1)
     arrivals = {0} | {int(to_ticks(a, scen.dt, "arrival"))
                       for *_, a in trace.audit}

@@ -14,7 +14,7 @@ from containsim.dynamics import (
 from containsim.topology import containment_weights, is_nonsingular_m_matrix, \
     partition
 from conftest import follower_rhs, load_scenario_doc, \
-    random_reachable_topology
+    random_reachable_topology, seeded
 
 
 class TestTopologyAlgebra:
@@ -63,7 +63,7 @@ class TestCommStaleness:
     def test_used_sequence_nondecreasing(self):
         doc = load_scenario_doc("benchmark_fullstate")
         doc["sim"]["t_end_seconds"] = 4.0
-        trace = sim.run(config.build_scenario(doc), seed=6)
+        trace = sim.run(seeded(config.build_scenario(doc), 6))
         assert np.all(np.diff(trace.used_seq, axis=0) >= 0)
 
 
@@ -188,7 +188,7 @@ class TestClosedLoopShape:
     def test_audit_log_covers_used_payloads(self):
         doc = load_scenario_doc("benchmark_fullstate")
         doc["sim"]["t_end_seconds"] = 3.0
-        trace = sim.run(config.build_scenario(doc), seed=8)
+        trace = sim.run(seeded(config.build_scenario(doc), 8))
         logged = {}
         for src, dst, seq, send, arrival in trace.audit:
             key = ((src, dst), seq)

@@ -21,7 +21,7 @@ from containsim.sim import (
     hull_distance,
 )
 from containsim.topology import DirectedTopology
-from conftest import SCENARIOS, load_scenario_doc
+from conftest import SCENARIOS, load_scenario_doc, seeded
 
 
 def tiny_scenario(**kw):
@@ -337,8 +337,8 @@ class TestDeterminism:
         doc = load_scenario_doc("benchmark_fullstate")
         doc["sim"]["t_end_seconds"] = 4.0
         scen = config.build_scenario(doc)
-        a = sim.run(scen, seed=9)
-        b = sim.run(scen, seed=9)
+        a = sim.run(seeded(scen, 9))
+        b = sim.run(seeded(scen, 9))
         assert np.array_equal(a.p, b.p)
         assert np.array_equal(a.v, b.v)
         assert np.array_equal(a.gamma, b.gamma)
@@ -347,8 +347,8 @@ class TestDeterminism:
         doc = load_scenario_doc("benchmark_fullstate")
         doc["sim"]["t_end_seconds"] = 4.0
         scen = config.build_scenario(doc)
-        a = sim.run(scen, seed=9)
-        b = sim.run(scen, seed=10)
+        a = sim.run(seeded(scen, 9))
+        b = sim.run(seeded(scen, 10))
         assert not np.array_equal(a.p, b.p)
 
     def test_csv_bytes_identical(self, tmp_path):
@@ -357,7 +357,7 @@ class TestDeterminism:
         scen = config.build_scenario(doc)
         digests = []
         for name in ("a.csv", "b.csv"):
-            trace = sim.run(scen, seed=4)
+            trace = sim.run(seeded(scen, 4))
             path = tmp_path / name
             sim.export_trace_csv(trace, str(path))
             digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
@@ -465,7 +465,7 @@ class TestConvergenceOrder:
         doc = load_scenario_doc("benchmark_fullstate")
         doc["sim"]["t_end_seconds"] = 4.0
         scen = config.build_scenario(doc)
-        schedules = build_schedules(scen, seed=2)
+        schedules = build_schedules(seeded(scen, 2))
         coarse = sim.run(scen, schedules=schedules)
         fine = sim.run(dataclasses.replace(scen, dt=scen.dt / 2),
                        schedules=schedules)
@@ -476,9 +476,9 @@ class TestConvergenceOrder:
             comm=CommConfig(T=0.1, T_star=1.5, drop_prob=0.3, delay_max=0.5,
                             seed=0),
             t_end=2.0)
-        schedules = build_schedules(scen, seed=123)
+        schedules = build_schedules(seeded(scen, 123))
         a = sim.run(scen, schedules=schedules)
-        b = sim.run(scen, seed=123)
+        b = sim.run(seeded(scen, 123))
         assert np.array_equal(a.p, b.p)
         assert a.schedules is schedules
         assert sorted(b.schedules) == sorted(schedules)
