@@ -5,12 +5,12 @@ states drift under an exogenous input, each follower tracks a blend of a
 filter-chain output and the sampled neighbor average, and the filter chain is
 a string of first-order lags fed by that same average.  This module simulates
 that skeleton on the same sampled-data engine as ``sim.run`` (integer ticks,
-one seq mailbox, sender payload history, shared RK4 step), supplying only
-the transmitted eta and the cascade right-hand side, which returns the held
-neighbor average the engine stacks.  It also evaluates explicit
-exponential-plus-sup bounds on the deviation from the leader convex
-combination, and runs the gain / blackout sweeps used to certify robustness
-trends.
+one seq mailbox, messages read from the state history, shared RK4 step),
+supplying only the state row each agent sends, its eta, and the cascade
+right-hand side, which returns the held neighbor average the engine stacks.
+It also evaluates explicit exponential-plus-sup bounds on the deviation
+from the leader convex combination, and runs the gain / blackout sweeps
+used to certify robustness trends.
 
 ``simulate_cascades`` integrates a batch of configs that share their
 topology, signals and time grid as one engine run over B disjoint copies
@@ -235,11 +235,12 @@ def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
     elif len(schedules) != B:
         raise CascadeError(f"cascade batch: {len(schedules)} schedule sets "
                            f"for {B} configs")
-    eng = Engine(topo, schedules, cfg.comm.T, cfg.dt, cfg.t_end,
-                 np.concatenate([c.eta0[:m] for c in cfgs]), CascadeError)
-    K, rows = eng.K, eng.rows
-    # The state: B * n rows of eta, then sigma rows of zeta per follower.
+    # The state: B * n rows of eta, then sigma rows of zeta per follower;
+    # each agent sends its eta row.
     Bn = B * topo.n
+    eng = Engine(topo, schedules, cfg.comm.T, cfg.dt, cfg.t_end,
+                 np.arange(Bn)[:, None], CascadeError)
+    K, rows = eng.K, eng.rows
     y0 = np.empty((Bn + Bm * sigma, N))
     y0[rows] = [c.eta0 for c in cfgs]
     y0[Bn:] = np.concatenate([c.zeta0 for c in cfgs]).reshape(-1, N)
@@ -271,8 +272,7 @@ def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
         dy[Bm:Bn] = memo[2][r][Bm:Bn]   # 0 * (y - F) + -0.0 would be +0.0
         return dy, eps
 
-    states, eps, _ = eng.run(y0, lambda y: y[:Bn], rhs,
-                             (("eta", Bn, 1), ("zeta", Bm, sigma)))
+    states, eps = eng.run(y0, rhs, (("eta", Bn, 1), ("zeta", Bm, sigma)))
 
     deta_c = W @ sig[:K + 1, 1:n_lead + 1]
     deta_c.flags.writeable = False

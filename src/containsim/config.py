@@ -47,6 +47,15 @@ def _expect(value, kind: type, where: str):
     return kind(value)
 
 
+def _array(value, where: str) -> np.ndarray:
+    """value, a number or nested lists of numbers, as a float array."""
+    if not isinstance(value, list):
+        return np.asarray(_expect(value, float, where))
+    for idx, item in enumerate(value):
+        _array(item, f"{where}[{idx}]")
+    return np.asarray(value, float)
+
+
 def load_bundled(name: str) -> dict:
     """Parse one of the scenario documents shipped with the package (for
     example ``"benchmark_fullstate"``); the builders validate it."""
@@ -98,9 +107,17 @@ def validate_config(doc: dict) -> None:
         if "svg" in doc["outputs"] and doc["agents"]["N"] != 2:
             raise ConfigError("outputs.svg: trajectory rendering needs "
                               "planar agents (agents.N = 2)")
-    if "agents" in doc and "leaders" in doc["agents"]:
-        _check_keys(doc["agents"]["leaders"], "agents.leaders", {"kind"},
-                    {"v_d"})
+    # Leaders that fit the model; only non-oscillator leaders read v_d.
+    ag = doc["agents"]
+    oscillator = ag["model"]["kind"] == "oscillator"
+    leaders = ag.get("leaders", {"kind": "oscillator_free"})
+    _check_keys(leaders, "agents.leaders", {"kind"}, {"v_d"})
+    if (leaders["kind"] == "oscillator_free") != oscillator:
+        raise ConfigError(f"agents.leaders.kind: {leaders['kind']!r} does "
+                          f"not fit the {ag['model']['kind']} model")
+    if oscillator and "v_d" in leaders:
+        raise ConfigError("agents.leaders.v_d: the oscillator model's "
+                          "leaders move freely and do not read it")
     if "cascade" in doc:
         _check_keys(doc["cascade"], "cascade",
                     {"alpha", "sigma", "k_eta", "h", "leader_drive"},
@@ -147,6 +164,7 @@ def _check_pert(doc: dict, where: str) -> None:
                 {"amplitude", "omega", "phase", "rate"})
     for key in sorted({"omega", "phase", "rate"} & set(doc)):
         _expect(doc[key], float, f"{where}.{key}")
+    _array(doc.get("amplitude", 0.0), f"{where}.amplitude")
 
 
 def build_topology(doc: dict) -> DirectedTopology:
@@ -173,11 +191,7 @@ def build_topology(doc: dict) -> DirectedTopology:
 
 
 def build_perturbation(doc: dict) -> Perturbation:
-    return Perturbation(kind=doc["kind"],
-                        amplitude=doc.get("amplitude", 0.0),
-                        omega=float(doc.get("omega", 1.0)),
-                        phase=float(doc.get("phase", 0.0)),
-                        rate=float(doc.get("rate", 1.0)))
+    return Perturbation(**doc)         # the keys are its fields
 
 
 def build_comm(doc: dict) -> CommConfig:
@@ -198,35 +212,30 @@ def build_scenario(doc: dict) -> Scenario:
     mdoc = ag["model"]
     model = AgentModel(kind=mdoc["kind"], N=N,
                        drift=mdoc.get("drift", "zero"),
-                       S1=np.asarray(mdoc["S1"], float)
-                       if "S1" in mdoc else None,
-                       S2=np.asarray(mdoc["S2"], float)
-                       if "S2" in mdoc else None)
+                       **{S: _array(mdoc[S], f"agents.model.{S}")
+                          for S in ("S1", "S2") if S in mdoc})
 
     ldoc = ag.get("leaders", {"kind": "oscillator_free"})
-    if (ldoc["kind"] == "oscillator_free") != (model.kind == "oscillator"):
-        raise ConfigError(f"agents.leaders.kind: {ldoc['kind']!r} does not "
-                          f"fit the {model.kind} model")
-    v_d = np.asarray(ldoc.get("v_d", [0.0] * N), float)
+    v_d = _array(ldoc.get("v_d", [0.0] * N), "agents.leaders.v_d")
     leader_trajs = [] if model.kind == "oscillator" else [
         LeaderTrajectory(kind=ldoc["kind"], v_d=v_d, index=topo.m + 1 + li)
         for li in range(topo.n - topo.m)]
 
-    p0 = np.asarray(ag["initial"]["p"], float)
-    if p0.shape != (topo.n, N):
-        raise ConfigError(f"agents.initial.p must be {topo.n} x {N}")
+    p0 = _array(ag["initial"]["p"], "agents.initial.p")
     vspec = ag["initial"]["v"]
     if vspec == "auto":
         v0 = np.zeros((topo.n, N))
         for li, traj in enumerate(leader_trajs):
             v0[topo.m + li] = traj.initial_velocity()
     else:
-        v0 = np.asarray(vspec, float)
-        if v0.shape != (topo.n, N):
-            raise ConfigError(f"agents.initial.v must be {topo.n} x {N}")
+        v0 = _array(vspec, "agents.initial.v")
+    for key, x in (("p", p0), ("v", v0)):
+        if x.shape != (topo.n, N):
+            raise ConfigError(f"agents.initial.{key} must be {topo.n} x {N}")
 
     ctl = doc["controllers"]
-    gains = GainSet(m=topo.m, **{k: v for k, v in ctl["gains"].items()})
+    gains = GainSet(m=topo.m, **{k: _array(v, f"controllers.gains.{k}")
+                                 for k, v in ctl["gains"].items()})
     sdoc = doc["sim"]
     return Scenario(topo=topo, model=model, leader_trajs=leader_trajs,
                     variant=ctl["variant"], gains=gains, comm=build_comm(doc),
@@ -234,7 +243,7 @@ def build_scenario(doc: dict) -> Scenario:
                     t_end=_expect(sdoc["t_end_seconds"], float,
                                   "sim.t_end_seconds"), N=N, p0=p0, v0=v0,
                     psi_mode=ctl.get("psi_mode", "static"),
-                    v_d=np.asarray(ctl["v_d"], float)
+                    v_d=_array(ctl["v_d"], "controllers.v_d")
                     if "v_d" in ctl else None,
                     use_velocity=ctl.get("use_velocity", True),
                     label=doc.get("label", "scenario"))
@@ -250,10 +259,10 @@ def build_cascade(doc: dict) -> CascadeConfig:
     sigma = _expect(cas["sigma"], int, "cascade.sigma")
     init = cas.get("initial", {})
     eta, zeta = init.get("eta", "from_p"), init.get("zeta", "zero")
-    eta0 = np.asarray(doc["agents"]["initial"]["p"] if eta == "from_p"
-                      else eta, float)
+    eta0 = _array(doc["agents"]["initial"]["p"], "agents.initial.p") \
+        if eta == "from_p" else _array(eta, "cascade.initial.eta")
     zeta0 = np.zeros((topo.m, sigma, N)) if zeta == "zero" \
-        else np.asarray(zeta, float)
+        else _array(zeta, "cascade.initial.zeta")
     sdoc = doc["sim"]
     phi2 = [build_perturbation(p) for p in cas.get("phi2", [])]
     return CascadeConfig(

@@ -133,7 +133,7 @@ class NeighborView:
     """Frozen per-step aggregation of delivered messages.
 
     Arrays are indexed by delivered in-edge; dst maps each edge to its
-    follower row and msg to its payload, [p_msg, vhat_msg], sent at
+    follower row and msg to its message, [p_msg, vhat_msg], sent at
     send_time = seq * T, or send_half = 2 steps_per_T seq half steps.
     kappa_delivered is the per-follower sum of delivered edge weights (0
     during warm-up).  The view serves up to the half tick last_half.

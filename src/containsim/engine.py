@@ -1,24 +1,16 @@
 """Sampled-data engine on integer ticks, shared by sim.run and the cascade.
 
 The engine runs one or more disjoint copies of a topology, each with its
-own link schedules, laid out by ``topology.union_rows``: the union is an
-edge list of (edge, weight, schedule), so a batch needs no matrix of its
-own, and a diverging agent is named by its copy and its row in it.  Time
-is counted in ticks of the integration step dt.  Link schedules hold their
-delays in ticks, so they are compiled by concatenating their arrays: the
-delivered message with sequence number seq is sent at tick
-seq * steps_per_T and arrives delay ticks later.  A schedule drawn at
-another step is converted to the run's ticks; one off them, or one that
-stops before the run ends, is rejected.  The mailbox is one (K + 1, E)
-int array, the freshest delivered seq per edge after each tick (-1 while
-nothing has arrived).  Payloads are captured once per sender at the send
-ticks, so the messages in use are one fancy index into that history.  The
+own link schedules, as one union edge list (``topology.union_rows``), so a
+batch needs no matrix of its own and a diverging agent is named by its
+copy and its row in it.  Time is counted in ticks of the integration step
+dt: the delivered message seq is sent at tick seq * steps_per_T and
+arrives its delay ticks later.  The mailbox is one (K + 1, E) int array,
+the freshest delivered seq per edge after each tick (-1 while nothing has
+arrived).  A message is some of its sender's state rows at its send tick,
+so the messages in use are one gather from the state history; the
 neighbor view they form is frozen for the four stages of a classical RK4
-step, and rebuilt only at the ticks where the mailbox row changes.  The
-right-hand side is called with a row of ``stage_times``, on which its
-caller tabulates its signals, and returns, beside the derivative, what its
-caller keeps of each step (sim.run: the control input; the cascade: the
-held average), which the run stacks.
+step, and rebuilt only at the ticks where the mailbox row changes.
 
 A run's state is one (rows, N) float array, a block of rows per variable
 (sim.run: p, v, then the law's internals, m rows each, whose derivative
@@ -106,18 +98,20 @@ class Engine:
     (j, i) is the union edge (rows[b, j], rows[b, i]), with topo's weight.
     The union's edges are numbered in sorted order, which fixes the order
     of the neighbor sums, the columns of the mailbox and, with the tick and
-    the seq, the audit order.  fallback is the (followers, N) reference a
-    follower uses before any in-edge has delivered; error is also raised
-    for a schedule that does not fit the tick grid or has fewer sends than
-    the run has send ticks, naming those edges.
+    the seq, the audit order.  send is a (senders, r) int array: row j
+    lists the state rows that union agent j transmits, position-like row
+    first.  A schedule drawn at another step is converted to the run's
+    ticks; error is also raised for one that does not fit them or has fewer
+    sends than the run has send ticks, naming those edges.
     """
 
     def __init__(self, topo, schedules: list, T: float, dt: float,
-                 t_end: float, fallback: np.ndarray, error=ValueError):
-        self.T, self.dt, self.fallback = T, dt, fallback
+                 t_end: float, send: np.ndarray, error=ValueError):
+        self.T, self.dt = T, dt
         self.K = to_ticks(t_end, dt, "t_end", error)
         self.steps_per_T = to_ticks(T, dt, "the sampling period T", error)
         self.rows = union_rows(topo, len(schedules))
+        self.m = len(schedules) * topo.m
         edges = set(topo.edges())
         for copy in schedules:
             if set(copy) != edges:
@@ -130,6 +124,7 @@ class Engine:
             for r, copy in zip(self.rows.tolist(), schedules)
             for (j, i), s in copy.items())))
         self.src, self.dst = np.array(self.edges).T
+        self.send_rows = np.asarray(send)[self.src]
         self.w = np.array(w)
         lens = [len(s.delay) for s in scheds]
         ok = np.flatnonzero(np.concatenate([s.delivered for s in scheds]))
@@ -180,52 +175,48 @@ class Engine:
                         self.dst[self.edge].tolist(), self.seq.tolist(),
                         send.tolist(), arrival.tolist()))
 
-    def view(self, box: np.ndarray, hist: np.ndarray, last_half: int):
+    def view(self, box: np.ndarray, states: np.ndarray, last_half: int):
         """View of the mailbox row box, serving up to the half tick
-        last_half; hist[seq, j] is sender j's payload row, its first N
-        columns the position-like part, the rest a velocity estimate."""
+        last_half: message seq of edge e is states[seq * steps_per_T,
+        send[src[e]]], and a follower's fallback its row of states[0]."""
         live = box >= 0
         seq = box[live]
-        m, N = self.fallback.shape
-        return NeighborView(m, N, self.dst[live], self.w[live],
-                            hist[seq, self.src[live]], seq, self.T,
-                            self.steps_per_T, self.fallback, last_half)
+        rows, N = states.shape[1:]
+        at = self.send_rows.compress(live, axis=0)
+        at += (self.steps_per_T * rows) * seq[:, None]
+        msg = states.reshape(-1, N).take(at, axis=0)
+        return NeighborView(self.m, N, self.dst[live], self.w[live],
+                            msg.reshape(-1, at.shape[1] * N), seq, self.T,
+                            self.steps_per_T, states[0, :self.m], last_half)
 
-    def run(self, y: np.ndarray, payload, rhs, watch):
+    def run(self, y: np.ndarray, rhs, watch):
         """Integrate from the (rows, N) state y over ticks 0..K.
 
-        At each tick: capture payload(y) if it is a send tick, build the
-        view of the mailbox if its row changed (or k = 0), serving up to
-        the half tick 2e at the next tick e where it changes (or e = K),
-        evaluate rhs(k, y, view) -> (dy, out), then take one RK4 step with
-        the view held, its stages at rows K + 1 + k and 2K + 1 + k of
-        stage_times.  The payload rows a view points to were captured
-        before they arrived (stage_lags() are >= 0).  watch lists the
-        leading row blocks that must stay in range as (variable, agents,
-        rows per agent), each block's agents in union row order; the first
-        agent to leave it raises DivergenceError against its step-start
-        value, naming its copy.  Returns the (K+1, rows, N) state history,
-        the (K+1, ...) stack of the step-start outs and the mailbox
-        ``used_seq``.
+        At each tick: record y (a delay-0 message is read at its send
+        tick), build the view of the mailbox if its row changed (or k = 0),
+        serving up to the half tick 2e at the next tick e where it changes
+        (or e = K), evaluate rhs(k, y, view) -> (dy, out), then take one
+        RK4 step with the view held, its stages at rows K + 1 + k and
+        2K + 1 + k of stage_times.  watch lists the leading row blocks that
+        must stay in range as (variable, agents, rows per agent), each
+        block's agents in union row order; the first agent to leave it
+        raises DivergenceError against its step-start value, naming its
+        copy.  Returns the (K+1, rows, N) state history and the (K+1, ...)
+        stack of the step-start outs.
         """
-        K, dt, spT = self.K, self.dt, self.steps_per_T
-        used = self.used_seq
+        K, dt, used = self.K, self.dt, self.used_seq
         start = np.flatnonzero(np.r_[True, np.any(used[1:] != used[:-1], 1)])
         next_build = dict(zip(start.tolist(), start[1:].tolist() + [K]))
         watched = sum(agents * per_agent for _, agents, per_agent in watch)
         states = np.empty((K + 1,) + y.shape)
         for k in range(K + 1):
-            if k % spT == 0:
-                sample = payload(y)
-                if k == 0:
-                    sent = np.empty((K // spT + 1,) + sample.shape)
-                sent[k // spT] = sample
+            states[k] = y
             if k in next_build:
-                view = self.view(used[k], sent, 2 * next_build[k])
+                view = self.view(used[k], states, 2 * next_build[k])
             dy, out = rhs(k, y, view)
             if k == 0:
                 outs = np.empty((K + 1,) + np.shape(out))
-            states[k], outs[k] = y, out
+            outs[k] = out
             if k == K:
                 break
             y = rk4_step(rhs, K + 1 + k, 2 * K + 1 + k, dt, y, view, dy)
@@ -233,4 +224,4 @@ class Engine:
             if not np.abs(y[:watched]).max(initial=0.0) <= DIVERGENCE_LIMIT:
                 raise _divergence(k * dt + dt, y, states[k], watch,
                                   self.rows)
-        return states, outs, used
+        return states, outs

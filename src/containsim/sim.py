@@ -1,13 +1,14 @@
 """Closed-loop containment runs on the shared sampled-data engine.
 
 ``run`` plugs the controller and the agent models into ``engine.Engine``,
-which counts time in integer ticks, returns the mailbox history
+which counts time in integer ticks, holds the mailbox history
 (``Trace.used_seq``) and holds the neighbor view fixed for each RK4 step.
-It supplies the payload (position and velocity estimate) and the
-right-hand side, which returns the control input the engine stacks.  The
-diagnostics follow the run: the containment errors of all steps come from
-one broadcast product with the weights, and their hull distances from one
-stacked ``hull_distance`` call, which builds each step's leader hull once.
+It names the state rows each agent sends (position, velocity estimate)
+and the right-hand side, which returns the control input the engine
+stacks.  The diagnostics follow the run: the containment errors of all
+steps come from one broadcast product with the weights, and their hull
+distances from one stacked ``hull_distance`` call, which builds each
+step's leader hull once.
 """
 from __future__ import annotations
 
@@ -254,7 +255,10 @@ def run(scen: Scenario,
     if schedules is None:
         schedules = build_schedules(scen)
 
-    eng = Engine(topo, [schedules], scen.comm.T, dt, scen.t_end, scen.p0[:m],
+    # Each agent sends its position beside a velocity: a follower its law's
+    # internal row 0, a leader its own.
+    send = np.c_[np.arange(n), np.r_[2 * n:2 * n + m, n + m:2 * n]]
+    eng = Engine(topo, [schedules], scen.comm.T, dt, scen.t_end, send,
                  ScenarioError)
     K = eng.K
     # The state: rows p, v, then one m-row block per controller internal.
@@ -267,10 +271,6 @@ def run(scen: Scenario,
     leaders = leader_accels(scen.leader_trajs, times)  # (rows, 0, 0) if none
     times = times.tolist()
 
-    # Each agent sends its position beside a velocity: a follower its law's
-    # internal row 0, a leader its own.
-    send = np.c_[np.arange(n), np.r_[2 * n:2 * n + m, n + m:2 * n]]
-
     def rhs(row, y, view):
         p, v = pv = y[:2 * n].reshape(2, n, N)
         dy = np.empty_like(y)
@@ -281,9 +281,8 @@ def run(scen: Scenario,
         dy[n:n + m], dy[n + m:2 * n] = accel(pv, g, leaders[row])
         return dy, g
 
-    states, gamma, used_seq = eng.run(
-        np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]),
-        lambda y: y[send].reshape(n, 2 * N), rhs,
+    states, gamma = eng.run(
+        np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]), rhs,
         (("p", n, 1), ("v", n, 1)))
     trace_p, trace_v = states[:, :n], states[:, n:2 * n]
     internals = states[:, 2 * n:].reshape((K + 1,) + x0.shape)
@@ -296,7 +295,7 @@ def run(scen: Scenario,
                  err_vel=trace_v[:, :m] - W @ trace_v[:, m:],
                  hull_dist=hull_distance(trace_p[:, :m], trace_p[:, m:]),
                  W=W, m=m, schedules=schedules,
-                 audit=eng.audit(), used_seq=used_seq, edges=eng.edges,
+                 audit=eng.audit(), used_seq=eng.used_seq, edges=eng.edges,
                  meta={"label": scen.label, "dt": dt, "t_end": scen.t_end,
                        "seed": scen.comm.seed,
                        "variant": scen.variant})

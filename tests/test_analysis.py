@@ -47,8 +47,8 @@ def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
     if schedules is None:
         schedules = {edge: generate_schedule(edge, comm, cfg.t_end, cfg.dt)
                      for edge in topo.edges()}
-    eng = Engine(topo, [schedules], comm.T, cfg.dt, cfg.t_end, cfg.eta0[:m],
-                 CascadeError)
+    eng = Engine(topo, [schedules], comm.T, cfg.dt, cfg.t_end,
+                 np.arange(topo.n)[:, None], CascadeError)
     K = eng.K
     times = stage_times(K, cfg.dt).tolist()
     h = np.asarray(cfg.h, float)
@@ -82,9 +82,8 @@ def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
                 + broadcast(phi2[ell].value(t))
         return np.concatenate([deta, dzeta.reshape(-1, N)]), eps
 
-    states, tr_eps, _ = eng.run(
-        np.concatenate([cfg.eta0, cfg.zeta0.reshape(-1, N)]),
-        lambda y: split(y)[0], rhs,
+    states, tr_eps = eng.run(
+        np.concatenate([cfg.eta0, cfg.zeta0.reshape(-1, N)]), rhs,
         (("eta", topo.n, 1), ("zeta", m, cfg.sigma)))
     tr_eta, tr_zeta = states[:, :topo.n], states[:, topo.n:].reshape(
         K + 1, m, cfg.sigma, N)
@@ -246,14 +245,14 @@ class TestPerturbation:
         cfg = single_follower_cfg(dt=0.025, t_end=60.0)
         sched = generate_schedule((1, 0), cfg.comm, cfg.t_end, cfg.dt)
         eng = Engine(cfg.topo, [{(1, 0): sched}], cfg.comm.T, cfg.dt,
-                     cfg.t_end, cfg.eta0[:1])
+                     cfg.t_end, np.arange(2)[:, None])
         seen = []
 
         def rhs(row, y, u):
             seen.append(row)
             return np.zeros_like(y), 0.0
 
-        eng.run(cfg.eta0, lambda y: y, rhs, ())
+        eng.run(cfg.eta0, rhs, ())
         K = eng.K
         assert seen == [r for k in range(K) for r in
                         (k, K + 1 + k, K + 1 + k, 2 * K + 1 + k)] + [K]
@@ -416,7 +415,7 @@ def record_stages(monkeypatch) -> list:
     side returns, one list per run, in the order of the runs."""
     runs, run = [], Engine.run
 
-    def spy(self, y, payload, rhs, watch):
+    def spy(self, y, rhs, watch):
         calls = []
         runs.append(calls)
 
@@ -424,7 +423,7 @@ def record_stages(monkeypatch) -> list:
             dy, out = rhs(r, y, view)
             calls.append((r, dy.copy()))
             return dy, out
-        return run(self, y, payload, recording, watch)
+        return run(self, y, recording, watch)
     monkeypatch.setattr(Engine, "run", spy)
     return runs
 

@@ -357,8 +357,10 @@ class TestRepairProperties:
 # horizon, and the last five sends are dropped.
 OUT_OF_ORDER = (50, 5, None, 30, 0, 70) + (None,) * 5
 FALLBACK = np.array([[7.0]])
-# Every sender's payload at sample seq is the number seq.
-HIST = np.repeat(np.arange(11.0)[:, None, None], 2, axis=1)
+# The state history of ticks 0..100 on one column: the follower (row 0)
+# stays at FALLBACK, and the leader (row 1) is at seq at the send tick of
+# its sample seq, so its message seq is the number seq.
+HIST = np.stack([np.full(101, 7.0), np.arange(101) / 10], axis=1)[:, :, None]
 
 
 def one_edge_engine(delays=OUT_OF_ORDER):
@@ -366,7 +368,7 @@ def one_edge_engine(delays=OUT_OF_ORDER):
     mailbox history of its one edge."""
     sched = link_schedule(delays)
     eng = Engine(one_edge_topology(), [{(1, 0): sched}], T=0.1, dt=0.01,
-                 t_end=1.0, fallback=FALLBACK)
+                 t_end=1.0, send=np.arange(2)[:, None])
     return eng, sched, eng.used_seq
 
 

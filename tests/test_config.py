@@ -233,6 +233,62 @@ class TestBuilding:
         with pytest.raises(ConfigError, match=r"agents\.leaders\.kind"):
             config.build_scenario(doc)
 
+    @pytest.mark.parametrize("build, name, path, value, message", [
+        ("scenario", "benchmark_fullstate", "controllers.gains.k_p", True,
+         r"controllers\.gains\.k_p: expected float, got True"),
+        ("scenario", "benchmark_fullstate", "controllers.gains.k_d", "4",
+         r"controllers\.gains\.k_d: expected float, got '4'"),
+        ("scenario", "benchmark_nonlinear",
+         "controllers.gains.boundary_layer_eps", True,
+         r"controllers\.gains\.boundary_layer_eps: expected float, "
+         r"got True"),
+        ("scenario", "benchmark_fullstate", "agents.initial.p.0",
+         ["-2", True], r"agents\.initial\.p\[0\]\[0\]: expected float, "
+         r"got '-2'"),
+        ("scenario", "benchmark_fullstate", "agents.initial.v",
+         [[0.0, 0.0]] * 9 + [[0.0, False]],
+         r"agents\.initial\.v\[9\]\[1\]: expected float, got False"),
+        ("scenario", "benchmark_fullstate", "agents.leaders.v_d",
+         [True, 0.1], r"agents\.leaders\.v_d\[0\]: expected float, "
+         r"got True"),
+        ("scenario", "oscillator_harmonic", "agents.model.S1.1",
+         [0.0, "-1"], r"agents\.model\.S1\[1\]\[1\]: expected float, "
+         r"got '-1'"),
+        ("scenario", "oscillator_harmonic", "agents.model.S2", True,
+         r"agents\.model\.S2: expected float, got True"),
+        ("cascade", "cascade_estimates", "cascade.leader_drive.0.amplitude",
+         [True, "1"], r"cascade\.leader_drive\[0\]\.amplitude\[0\]: "
+         r"expected float, got True"),
+        ("cascade", "cascade_estimates", "cascade.phi1.amplitude", "1",
+         r"cascade\.phi1\.amplitude: expected float, got '1'"),
+    ], ids=["k_p_true", "k_d_string", "eps_true", "p_row_string_and_true",
+            "v_row_false", "leader_v_d_true", "S1_string",
+            "S2_true", "drive_amplitude_true_and_string",
+            "phi1_amplitude_string"])
+    def test_boolean_or_string_in_an_array_rejected(self, build, name, path,
+                                                    value, message):
+        # Before, np.asarray(..., float) converted each (true to 1.0, "4"
+        # to 4.0) and the run went on.
+        doc = copy.deepcopy(load_scenario_doc(name))
+        *parents, key = path.split(".")
+        node = doc
+        for part in parents:
+            node = node[int(part) if part.isdigit() else part]
+        node[int(key) if key.isdigit() else key] = value
+        with pytest.raises(ConfigError, match=message):
+            getattr(config, f"build_{build}")(doc)
+
+    def test_oscillator_leaders_reject_v_d(self):
+        # Before, the key built and was ignored: no leader trajectory reads
+        # it under the oscillator model.
+        doc = copy.deepcopy(load_scenario_doc("oscillator_harmonic"))
+        doc["agents"]["leaders"] = {"kind": "oscillator_free",
+                                    "v_d": [5.0, 5.0]}
+        with pytest.raises(ConfigError, match=r"agents\.leaders\.v_d"):
+            config.build_scenario(doc)
+        del doc["agents"]["leaders"]["v_d"]
+        assert config.build_scenario(doc).leader_trajs == []
+
     def test_perturbation_builder(self):
         pert = config.build_perturbation(
             {"kind": "sinusoid", "amplitude": [1.0, 2.0], "omega": 0.5})

@@ -591,14 +591,17 @@ class TestSpanPsi:
         topo, dt = bench_topology(), 0.01
         comm = CommConfig(T=0.1, T_star=0.6, drop_prob=0.3, delay_max=0.5,
                           seed=seed)
+        # Agent j sends its state rows j and n + j: a position and a
+        # velocity estimate.
+        send = np.c_[np.arange(topo.n), topo.n + np.arange(topo.n)]
         eng = Engine(topo, [{e: generate_schedule(e, comm, K * dt, dt)
                              for e in topo.edges()}], comm.T, dt, K * dt,
-                     rng.normal(size=(topo.m, N)))
-        hist = rng.normal(size=(K // 10 + 1, topo.n, 2 * N))
+                     send)
+        states = rng.normal(size=(K + 1, 2 * topo.n, N))
         flow, oracle_flow = oscillator_flows(rng, N)
         flow.tabulate(eng.stage_lags(), dt)
         start, end = view_spans_oracle(eng.used_seq)
-        views = [eng.view(eng.used_seq[k], hist, e)
+        views = [eng.view(eng.used_seq[k], states, e)
                  for k, e in zip(start, end)]
         return eng, views, start, flow, oracle_flow, rng
 
@@ -785,15 +788,20 @@ class TestControllers:
         doc["sim"]["t_end_seconds"] = 1.0
         doc["controllers"].update(variant="known_vd", v_d=[1.0, 0.1],
                                   psi_mode=psi_mode, use_velocity=use_velocity)
-        sent = []
+        views = []
         view = Engine.view
-        monkeypatch.setattr(Engine, "view", lambda self, box, hist, last:
-                            sent.append(hist) or view(self, box, hist, last))
+
+        def spy(self, box, states, last):
+            views.append((self.src[box >= 0], view(self, box, states, last)))
+            return views[-1][1]
+
+        monkeypatch.setattr(Engine, "view", spy)
         trace = sim.run(config.build_scenario(doc))
         v_d = np.broadcast_to([1.0, 0.1], (len(trace.times), 6, 2))
         assert np.array_equal(trace.internals["vhat"], v_d)
-        # The payload history is filled in place: at the end, every send.
-        assert np.array_equal(sent[-1][:, :6, 2:], v_d[:len(sent[-1])])
+        # The vhat columns of every follower's message in every view.
+        got = np.concatenate([v.vhat_msg[src < 6] for src, v in views])
+        assert len(got) > 0 and np.all(got == [1.0, 0.1])
 
     def test_switching_term_boundary_layer(self):
         g = GainSet(m=1, k_p=2.0, k_d=2.0, lam=2.0, boundary_layer_eps=0.1)

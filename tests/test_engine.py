@@ -157,7 +157,7 @@ def test_stage_lags_stay_within_the_blackout_bound(spT, extra, drop_prob,
     assert lags.min() >= 0
     assert lags.max() <= 2 * floor_ticks(comm.T_star, dt)
     eng = Engine(scen.topo, [trace.schedules], comm.T, dt, scen.t_end,
-                 scen.p0[:scen.topo.m])
+                 np.arange(scen.topo.n)[:, None])
     assert read == set(lags.tolist()) == set(eng.stage_lags().tolist())
     assert np.all(np.isfinite(trace.p))
 
@@ -176,18 +176,18 @@ def test_each_view_serves_up_to_the_next_mailbox_change(K, extra, drop_prob,
     topo = bench_topology()
     eng = Engine(topo, [{e: generate_schedule(e, comm, K * dt, dt)
                          for e in topo.edges()}], comm.T, dt, K * dt,
-                 np.zeros((topo.m, 2)))
+                 np.arange(topo.n)[:, None])
     built, ends = [], []
     view = Engine.view
 
-    def spy(self, box, hist, last_half):
+    def spy(self, box, states, last_half):
         built.append(next(k for k in range(K + 1)
                           if np.array_equal(self.used_seq[k], box)))
         ends.append(last_half)
-        return view(self, box, hist, last_half)
+        return view(self, box, states, last_half)
 
     with mock.patch.object(Engine, "view", spy):
-        eng.run(np.zeros((2 * topo.n, 2)), lambda y: np.zeros((topo.n, 4)),
+        eng.run(np.zeros((2 * topo.n, 2)),
                 lambda row, y, v: (np.zeros_like(y), 0.0), ())
     assert (built, ends) == view_spans_oracle(eng.used_seq)
 
@@ -238,7 +238,7 @@ def test_engine_rejects_messages_off_the_schedule(send_shift, delay, match):
                           dt=0.005)
     with pytest.raises(ValueError, match=match):
         Engine(one_edge_topology(), [{(1, 0): sched}],
-               T=0.1, dt=0.01, t_end=1.0, fallback=np.zeros((1, 1)))
+               T=0.1, dt=0.01, t_end=1.0, send=np.arange(2)[:, None])
 
 
 def union_oracle(topo, schedules, K: int, spT: int, dt: float | None = None):
@@ -279,7 +279,7 @@ def _copies(steps=(0.01, 0.01), t_end=5.0):
 
 def _compile(topo, schedules, dt=0.01, t_end=5.0) -> Engine:
     return Engine(topo, schedules, T=0.1, dt=dt, t_end=t_end,
-                  fallback=np.zeros((len(schedules) * topo.m, 2)))
+                  send=np.arange(len(schedules) * topo.n)[:, None])
 
 
 def test_engine_lays_out_copies_as_the_oracle():
@@ -361,13 +361,13 @@ def test_audit_in_tick_edge_seq_order_at_any_step():
     schedules = sim.build_schedules(seeded(scen, 0))
     want = union_oracle(scen.topo, [schedules], 4000, 10)["audit"]
     eng = Engine(scen.topo, [schedules], scen.comm.T, scen.dt, scen.t_end,
-                 scen.p0[:scen.topo.m])
+                 np.arange(scen.topo.n)[:, None])
     assert eng.audit() == want
     tied = [(seq, arrival) for src, dst, seq, _, arrival in want
             if (src, dst) == (2, 3) and seq in (33, 35)]
     assert tied == [(33, 3.9200000000000004), (35, 3.92)]
     half = Engine(scen.topo, [schedules], scen.comm.T, scen.dt / 2,
-                  scen.t_end, scen.p0[:scen.topo.m])
+                  scen.t_end, np.arange(scen.topo.n)[:, None])
     assert half.audit() == want
 
 
@@ -378,7 +378,7 @@ def test_engine_names_the_edge_one_copy_lacks():
     with pytest.raises(ValueError, match=re.escape(
             "missing edges [(2, 0)], extra edges []")):
         Engine(topo, [full, short], T=0.1, dt=0.01, t_end=1.0,
-               fallback=np.zeros((2 * topo.m, 2)))
+               send=np.arange(2 * topo.n)[:, None])
 
 
 def _cut(schedules, sends: int, edges):
@@ -422,18 +422,18 @@ def test_cascade_rejects_schedules_that_stop_before_it_ends():
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_used_seq_equals_the_mailbox_at_every_tick(name):
-    # Engine.used_seq, the history Engine.run returns, against the
+    # Engine.used_seq, the history Engine.run reads, against the
     # mailbox updated tick by tick.
     doc = load_scenario_doc(name)
     if name == "cascade_estimates":
         run = config.build_cascade(doc)
-        topo, fallback = run.topo, run.eta0[:run.topo.m]
     else:
         run = config.build_scenario(doc)
-        topo, fallback = run.topo, run.p0[:run.topo.m]
+    topo = run.topo
     schedules = {edge: generate_schedule(edge, run.comm, run.t_end, run.dt)
                  for edge in topo.edges()}
-    eng = Engine(topo, [schedules], run.comm.T, run.dt, run.t_end, fallback)
+    eng = Engine(topo, [schedules], run.comm.T, run.dt, run.t_end,
+                 np.arange(topo.n)[:, None])
     assert np.array_equal(eng.used_seq, mailbox_oracle(eng))
 
 
@@ -460,6 +460,70 @@ def test_view_built_at_tick_0_and_where_the_mailbox_changes(monkeypatch):
     assert len(built) == 1 + changed.sum() < len(arrivals)
 
 
+def traced_views(monkeypatch) -> list:
+    """Make every Engine.view record (engine, box, states, view)."""
+    views, view = [], Engine.view
+
+    def spy(self, box, states, last_half):
+        views.append((self, box, states, view(self, box, states, last_half)))
+        return views[-1][-1]
+    monkeypatch.setattr(Engine, "view", spy)
+    return views
+
+
+def assert_views_read_states(views, message, fallback, width):
+    """Each view's message rows equal message(tick, sender), its fallback
+    equals fallback, and the view of an empty mailbox row has no messages
+    but width columns."""
+    eng, _, states, _ = views[-1]
+    for _, box, _, view in views:
+        live = box >= 0
+        assert np.array_equal(view.msg, [
+            message(eng.steps_per_T * seq, src)
+            for seq, src in zip(box[live], eng.src[live])] or
+            np.empty((0, width)))
+        assert np.array_equal(view.p_fallback, fallback)
+    empty = eng.view(np.full(len(eng.edges), -1), states, 0)
+    assert empty.msg.shape == (0, width) and not empty.live.any()
+
+
+@pytest.mark.parametrize("name", ["benchmark_fullstate",
+                                  "oscillator_harmonic"])
+def test_scenario_messages_are_state_rows(monkeypatch, name):
+    # A follower sends its position and its law's vhat, a leader its
+    # position and velocity, both as they were at the send tick.
+    doc = load_scenario_doc(name)
+    doc["sim"]["t_end_seconds"] = 2.0
+    scen = config.build_scenario(doc)
+    views = traced_views(monkeypatch)
+    trace = sim.run(seeded(scen, 3))
+    m, N = trace.m, scen.N
+    vhat = np.concatenate((trace.internals["vhat"], trace.v[:, m:]), axis=1)
+    assert len(views) > 1
+    assert_views_read_states(
+        views, lambda k, j: np.r_[trace.p[k, j], vhat[k, j]], scen.p0[:m],
+        2 * N)
+
+
+def test_cascade_messages_are_state_rows(monkeypatch):
+    # Each agent of each copy sends its eta at the send tick.
+    doc = load_scenario_doc("cascade_estimates")
+    doc["sim"]["t_end_seconds"] = 4.0
+    cas = config.build_cascade(doc)
+    cfgs = [seeded(cas, 0), dataclasses.replace(
+        seeded(cas, 1), eta0=cas.eta0 + 1.0)]
+    views = traced_views(monkeypatch)
+    traces = analysis.simulate_cascades(cfgs)
+    rows, m = views[-1][0].rows, cas.topo.m
+
+    def message(k, j):
+        b, i = np.argwhere(rows == j)[0]
+        return traces[b].eta[k, i]
+    assert len(views) > 1
+    assert_views_read_states(views, message,
+                             np.concatenate([c.eta0[:m] for c in cfgs]), cas.N)
+
+
 # The divergence guard, on a toy right-hand side.  At dt = 6 a step adds
 # dt / 6 * (k1 + 2 k2 + 2 k3 + k4) = k1 exactly when the later stages are
 # 0, so a value the start stage of step j puts into a state entry that is 0
@@ -476,7 +540,7 @@ def guard_run(row: int, value: float, watch=GUARD_WATCH):
     K, dt = 6, GUARD_DT
     eng = Engine(one_edge_topology(),
                  [{(1, 0): link_schedule([0] * (K + 1), T=dt, dt=dt)}],
-                 T=dt, dt=dt, t_end=K * dt, fallback=np.zeros((1, 2)))
+                 T=dt, dt=dt, t_end=K * dt, send=np.arange(2)[:, None])
     y0 = np.zeros((5, 2))
     y0[:, 1] = np.arange(1.0, 6.0)
 
@@ -485,7 +549,7 @@ def guard_run(row: int, value: float, watch=GUARD_WATCH):
         if r == GUARD_STEP:                 # the start of step GUARD_STEP
             dy[row, 0] = value
         return dy, 0.0
-    states, _, _ = eng.run(y0, lambda y: y[:2], rhs, watch)
+    states, _ = eng.run(y0, rhs, watch)
     return y0, states
 
 
