@@ -45,8 +45,6 @@ class CommConfig:
             raise CommConfigError("drop_prob must be in [0, 1)")
         if self.delay_max < 0:
             raise CommConfigError("delay_max must be >= 0")
-        if self.delay_max >= self.T_star:
-            raise CommConfigError("delay_max must be < T_star")
 
 
 @dataclass(eq=False)
@@ -153,22 +151,21 @@ def _chain_gaps(sched: LinkSchedule, spT: int, t_star: int):
         chain, deadline = s, s * spT + t_star
 
 
-def verify_blackout_bound(sched: LinkSchedule, T_star: float) -> bool:
-    """Does a delivered subsequence cover the schedule with bounded blackouts?
+def verify_blackout_bound(sched: LinkSchedule, T_star: float,
+                          t_end: float) -> bool:
+    """Is the message in use never older than T_star up to the horizon t_end?
 
-    True iff there is a chain of delivered messages whose first arrival is
-    within T_star of t = 0, whose consecutive arrival-to-previous-send gaps
-    are all <= T_star, and whose last element is the final scheduled send:
-    the greedy chain of ``_chain_gaps`` has no gap, except in a trailing
-    stretch of undelivered sends shorter than T_star, which cannot witness
-    a blackout violation on a finite horizon.
+    True iff a chain of delivered messages covers the horizon: its first
+    arrival is within T_star of t = 0, each next within T_star of the
+    previous chain send, and the last send's T_star reaches t_end.  So the
+    greedy chain of ``_chain_gaps`` may have a gap only where its deadline
+    is at or past the horizon tick, and a schedule whose sends stop more
+    than T_star before the horizon fails.
     """
-    n = len(sched.delay)
-    if not sched.delivered.any():
-        return n == 0
     spT = to_ticks(sched.T, sched.dt, "the sampling period T")
-    return all((n - 1 - s) * spT <= latest for s, latest in
-               _chain_gaps(sched, spT, floor_ticks(T_star, sched.dt)))
+    t_star, K = floor_ticks(T_star, sched.dt), floor_ticks(t_end, sched.dt)
+    return (len(sched.delay) - 1) * spT + t_star >= K and all(
+        s * spT + latest >= K for s, latest in _chain_gaps(sched, spT, t_star))
 
 
 def export_schedule_csv(schedules: dict[tuple[int, int], LinkSchedule],

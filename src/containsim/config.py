@@ -17,8 +17,9 @@ import numpy as np
 
 from .analysis import CascadeConfig, Perturbation
 from .comm import CommConfig
-from .control import VARIANTS, GainSet
-from .dynamics import AgentModel, LeaderTrajectory
+from .control import PSI_MODES, VARIANTS, GainSet
+from .dynamics import DRIFT_REGISTRY, LEADER_KINDS, MODEL_KINDS, AgentModel, \
+    LeaderTrajectory
 from .sim import Scenario
 from .topology import DirectedTopology
 
@@ -47,13 +48,24 @@ def _expect(value, kind: type, where: str):
     return kind(value)
 
 
+def _choice(value, choices, where: str) -> str:
+    """value, a string that is one of choices."""
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"{where}: unknown {where.split('.')[-1]} "
+                          f"{value!r}; expected one of {sorted(choices)}")
+    return value
+
+
 def _array(value, where: str) -> np.ndarray:
     """value, a number or nested lists of numbers, as a float array."""
     if not isinstance(value, list):
         return np.asarray(_expect(value, float, where))
     for idx, item in enumerate(value):
         _array(item, f"{where}[{idx}]")
-    return np.asarray(value, float)
+    try:            # every leaf is a number, so only the nesting can fail
+        return np.asarray(value, float)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: rows of unequal length") from exc
 
 
 def load_bundled(name: str) -> dict:
@@ -107,14 +119,19 @@ def validate_config(doc: dict) -> None:
         if "svg" in doc["outputs"] and doc["agents"]["N"] != 2:
             raise ConfigError("outputs.svg: trajectory rendering needs "
                               "planar agents (agents.N = 2)")
-    # Leaders that fit the model; only non-oscillator leaders read v_d.
+    # A known model and leaders that fit it; oscillator leaders read no v_d.
     ag = doc["agents"]
-    oscillator = ag["model"]["kind"] == "oscillator"
+    oscillator = _choice(ag["model"]["kind"], MODEL_KINDS,
+                         "agents.model.kind") == "oscillator"
+    _choice(ag["model"].get("drift", "zero"), DRIFT_REGISTRY,
+            "agents.model.drift")
     leaders = ag.get("leaders", {"kind": "oscillator_free"})
     _check_keys(leaders, "agents.leaders", {"kind"}, {"v_d"})
-    if (leaders["kind"] == "oscillator_free") != oscillator:
-        raise ConfigError(f"agents.leaders.kind: {leaders['kind']!r} does "
-                          f"not fit the {ag['model']['kind']} model")
+    kind = _choice(leaders["kind"], LEADER_KINDS + ("oscillator_free",),
+                   "agents.leaders.kind")
+    if (kind == "oscillator_free") != oscillator:
+        raise ConfigError(f"agents.leaders.kind: {kind!r} does not fit the "
+                          f"{ag['model']['kind']} model")
     if oscillator and "v_d" in leaders:
         raise ConfigError("agents.leaders.v_d: the oscillator model's "
                           "leaders move freely and do not read it")
@@ -136,16 +153,14 @@ def validate_config(doc: dict) -> None:
 
 def _check_controller_settings(ctl: dict) -> None:
     """A known variant, and no setting that variant would ignore."""
-    variant = ctl["variant"]
-    if not isinstance(variant, str) or variant not in VARIANTS:
-        raise ConfigError(f"controllers.variant: unknown variant {variant!r}; "
-                          f"expected one of {sorted(VARIANTS)}")
+    variant = _choice(ctl["variant"], VARIANTS, "controllers.variant")
     unused = sorted(set(ctl) - {"variant", "gains"} - set(VARIANTS[variant]))
     if unused:
         raise ConfigError(f"controllers: variant {variant!r} does not read "
                           + ", ".join(f"controllers.{key}" for key in unused))
     if not isinstance(ctl.get("use_velocity", True), bool):
         raise ConfigError("controllers.use_velocity: expected true or false")
+    _choice(ctl.get("psi_mode", "static"), PSI_MODES, "controllers.psi_mode")
 
 
 def _check_finite(node, where: str) -> None:
@@ -217,16 +232,17 @@ def build_scenario(doc: dict) -> Scenario:
 
     ldoc = ag.get("leaders", {"kind": "oscillator_free"})
     v_d = _array(ldoc.get("v_d", [0.0] * N), "agents.leaders.v_d")
-    leader_trajs = [] if model.kind == "oscillator" else [
-        LeaderTrajectory(kind=ldoc["kind"], v_d=v_d, index=topo.m + 1 + li)
-        for li in range(topo.n - topo.m)]
+    if v_d.shape != (N,):
+        raise ConfigError(f"agents.leaders.v_d must have {N} entries")
+    leaders = None if model.kind == "oscillator" else LeaderTrajectory(
+        ldoc["kind"], v_d, np.arange(topo.m + 1, topo.n + 1))
 
     p0 = _array(ag["initial"]["p"], "agents.initial.p")
     vspec = ag["initial"]["v"]
     if vspec == "auto":
         v0 = np.zeros((topo.n, N))
-        for li, traj in enumerate(leader_trajs):
-            v0[topo.m + li] = traj.initial_velocity()
+        if leaders is not None:
+            v0[topo.m:] = leaders.velocity(0.0)
     else:
         v0 = _array(vspec, "agents.initial.v")
     for key, x in (("p", p0), ("v", v0)):
@@ -237,7 +253,7 @@ def build_scenario(doc: dict) -> Scenario:
     gains = GainSet(m=topo.m, **{k: _array(v, f"controllers.gains.{k}")
                                  for k, v in ctl["gains"].items()})
     sdoc = doc["sim"]
-    return Scenario(topo=topo, model=model, leader_trajs=leader_trajs,
+    return Scenario(topo=topo, model=model, leaders=leaders,
                     variant=ctl["variant"], gains=gains, comm=build_comm(doc),
                     dt=_expect(sdoc["dt_seconds"], float, "sim.dt_seconds"),
                     t_end=_expect(sdoc["t_end_seconds"], float,

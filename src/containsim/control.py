@@ -40,6 +40,7 @@ BOUNDARY_LAYER_DEFAULT = 1e-4
 VARIANTS = {"full_state": ("psi_mode",), "output_feedback": ("psi_mode",),
             "known_vd": ("psi_mode", "v_d", "use_velocity"),
             "nonlinear_vs": (), "oscillator_full": (), "oscillator_output": ()}
+PSI_MODES = ("static", "dynamic")
 
 
 class GainError(ValueError):
@@ -243,7 +244,7 @@ class DoubleIntegratorLaw:
 
     def __init__(self, gains: GainSet, N: int, psi_mode: str = "static",
                  v_d=None, use_velocity: bool = True):
-        if psi_mode not in ("static", "dynamic"):
+        if psi_mode not in PSI_MODES:
             raise ValueError(f"bad psi_mode {psi_mode!r}")
         if v_d is not None and np.shape(v_d) != (N,):
             raise ValueError(f"v_d must have {N} entries, got shape "

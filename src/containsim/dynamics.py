@@ -9,13 +9,14 @@ bounded, vanishing acceleration and a common limit velocity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 SPECTRUM_REAL_TOL = 1e-9
+MODEL_KINDS = ("double_integrator", "nonlinear", "oscillator")
+LEADER_KINDS = ("damped_oscillatory", "constant_velocity", "stationary")
 
 # Named drift functions so scenario files stay declarative.  Each entry maps
 # (p, v) -> acceleration drift, plus the class-Kinfty bound pair
@@ -43,7 +44,7 @@ class AgentModel:
     S2: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("double_integrator", "nonlinear", "oscillator"):
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "nonlinear" and self.drift not in DRIFT_REGISTRY:
             raise ValueError(f"unknown drift {self.drift!r}")
@@ -129,57 +130,38 @@ class OscillatorFlow:
 
 @dataclass(frozen=True)
 class LeaderTrajectory:
-    """Closed-form leader motion; supplies acceleration, velocity, position."""
+    """All of a scenario's leaders, one closed-form law; index holds their
+    1-based agent indices m+1..n.  ``accel(t)`` and ``velocity(t)`` give
+    one (L, N) block per time, (len(t), L, N) for an array of times."""
 
-    kind: str                        # damped_oscillatory | constant_velocity | stationary
-                                     # | oscillator_free
-    v_d: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    index: int = 0                   # 1-based agent index (enters damped_oscillatory)
+    kind: str                # one of LEADER_KINDS
+    v_d: np.ndarray          # (N,) common limit velocity
+    index: np.ndarray        # (L,) 1-based agent indices
 
     def __post_init__(self):
         object.__setattr__(self, "v_d", np.asarray(self.v_d, dtype=float))
-        if self.kind not in ("damped_oscillatory", "constant_velocity", "stationary",
-                             "oscillator_free"):
+        object.__setattr__(self, "index", np.asarray(self.index, dtype=int))
+        if self.kind not in LEADER_KINDS:
             raise ValueError(f"unknown leader trajectory {self.kind!r}")
 
-    def accel(self, t: float) -> np.ndarray:
-        N = self.v_d.shape[0]
-        if self.kind == "damped_oscillatory":
-            return np.ones(N) * ((-1.0) ** self.index) * self.index * \
-                _damped_osc_envelope_dot(t)
-        return np.zeros(N)
+    def _offset(self, t, envelope) -> np.ndarray:
+        """(-1)^i i envelope(t) per axis of leader i; (-1)^i i is exact."""
+        coef = (-1.0) ** self.index * self.index
+        return (coef[:, None] * np.ones(len(self.v_d))) * \
+            envelope(np.asarray(t, dtype=float))[..., None, None]
 
-    def velocity(self, t: float) -> np.ndarray:
-        N = self.v_d.shape[0]
+    def accel(self, t) -> np.ndarray:
         if self.kind == "damped_oscillatory":
-            return self.v_d + np.ones(N) * ((-1.0) ** self.index) * \
-                self.index * _damped_osc_envelope(t)
+            return self._offset(t, _damped_osc_envelope_dot)
+        return np.zeros(np.shape(t) + (len(self.index), len(self.v_d)))
+
+    def velocity(self, t) -> np.ndarray:
+        if self.kind == "damped_oscillatory":
+            return self.v_d + self._offset(t, _damped_osc_envelope)
+        out = np.zeros(np.shape(t) + (len(self.index), len(self.v_d)))
         if self.kind == "constant_velocity":
-            return self.v_d.copy()
-        if self.kind == "stationary":
-            return np.zeros(N)
-        raise ValueError("oscillator_free velocity depends on the model state")
-
-    def initial_velocity(self) -> np.ndarray:
-        """v(0) consistent with velocity(t) -> v_d."""
-        return self.velocity(0.0)
-
-
-def leader_accels(trajs: list[LeaderTrajectory], t) -> np.ndarray:
-    """Every leader's ``accel(t)`` as one (L, N) array, equal to stacking
-    the per-leader calls bit for bit; for an array of times, one such
-    array per time, (len(t), L, N)."""
-    N = trajs[0].v_d.shape[0] if trajs else 0
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape + (len(trajs), N))
-    rows = [i for i, tr in enumerate(trajs) if tr.kind == "damped_oscillatory"]
-    if rows:
-        # accel rounds once, after the exact product sign * index.
-        coef = np.array([(-1.0) ** trajs[i].index * trajs[i].index
-                         for i in rows])
-        env = _damped_osc_envelope_dot(t)[..., None, None]
-        out[..., rows, :] = (coef[:, None] * np.ones(N)) * env
-    return out
+            out[...] = self.v_d             # v_d's bits, -0.0 included
+        return out
 
 
 def _damped_osc_envelope(t: float) -> float:

@@ -22,7 +22,7 @@ from .comm import CommConfig, LinkSchedule, generate_schedule, \
     period_ticks, to_ticks
 from .control import Controller, GainSet, make_controller
 from .dynamics import AgentModel, LeaderTrajectory, \
-    check_oscillator_spectrum, leader_accels, plant
+    check_oscillator_spectrum, plant
 from .engine import DIVERGENCE_LIMIT, DivergenceError, Engine  # noqa: F401
 from .engine import stage_times
 from .topology import DirectedTopology, containment_weights, partition, \
@@ -42,7 +42,7 @@ class ScenarioError(ValueError):
 class Scenario:
     topo: DirectedTopology
     model: AgentModel                        # shared by all agents
-    leader_trajs: list[LeaderTrajectory]     # one per leader, [] for oscillator
+    leaders: LeaderTrajectory | None         # None for the oscillator model
     variant: str
     gains: GainSet
     comm: CommConfig
@@ -64,8 +64,8 @@ class Scenario:
                 raise ScenarioError(
                     "agents.model: the oscillator matrix [[0, I], [S1, S2]] "
                     "needs a pure-imaginary, semi-simple spectrum")
-        elif len(self.leader_trajs) != topo.n - topo.m:
-            raise ScenarioError("need one trajectory per leader")
+        elif len(getattr(self.leaders, "index", ())) != topo.n - topo.m:
+            raise ScenarioError("need one leader index per leader")
         if period_ticks(self.comm.T, self.dt, self.t_end, ScenarioError) < 10:
             raise ScenarioError("dt must be at most T/10")
         ok, unreachable = validate_assumption1(topo)
@@ -268,7 +268,8 @@ def run(scen: Scenario,
     accel = plant(model, m)
     if model.kind == "oscillator":
         ctrl.flow.tabulate(eng.stage_lags(), dt)
-    leaders = leader_accels(scen.leader_trajs, times)  # (rows, 0, 0) if none
+    leaders = np.empty((len(times), 0, N)) if scen.leaders is None \
+        else scen.leaders.accel(times)   # the oscillator's move freely
     times = times.tolist()
 
     def rhs(row, y, view):

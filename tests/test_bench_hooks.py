@@ -66,3 +66,7 @@ def test_traced_run_counts(monkeypatch):
     counts = {key: v for (_, key), v in rec.counts.items()}
     for key in ("sends", "delivered", "views", "deliveries", "iss_checked"):
         assert counts.get(key, 0) > 0, key
+    # The leader layer: sim.run tabulates every leader's acceleration
+    # through the wrapped LeaderTrajectory.accel, once.
+    spans = [rec.names[i] for i in rec.name]
+    assert spans.count("dynamics.leader_accel") == 1

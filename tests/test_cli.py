@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import containsim
@@ -277,7 +278,8 @@ class TestValidate:
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("variant, settings, message", [
     ("pid", {}, "unknown variant 'pid'"),
-    ("full_state", {"psi_mode": "bogus"}, "bad psi_mode 'bogus'"),
+    ("full_state", {"psi_mode": "bogus"},
+     "controllers.psi_mode: unknown psi_mode 'bogus'"),
     ("known_vd", {}, "known_vd requires v_d"),
     ("known_vd", {"v_d": [1.0, 0.1, 0.0]}, "v_d must have 2 entries"),
     ("nonlinear_vs", {}, "nonlinear_vs requires the nonlinear model"),
@@ -447,7 +449,9 @@ class TestReport:
 
     def test_counts_forced_sends(self, tmp_path):
         # Nine drops in ten make the repair force sends through; they are
-        # a subset of the delivered ones.
+        # a subset of the delivered ones.  Like messages_delivered, the
+        # count takes those that arrive by t_end (tick 200, 10 ticks a
+        # send); before, it also took the 96 forced after the horizon.
         doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
         doc["sim"]["t_end_seconds"] = 2.0
         doc["comm"]["drop_prob"] = 0.9
@@ -459,5 +463,7 @@ class TestReport:
         schedules = sim.run(seeded(config.build_scenario(doc), 4)).schedules
         assert all((s.delivered >= s.forced).all()
                    for s in schedules.values())
-        assert report["messages_forced"] == \
-            sum(int(s.forced.sum()) for s in schedules.values()) > 0
+        arrived = [s.forced & (np.arange(len(s.delay)) * 10 + s.delay <= 200)
+                   for s in schedules.values()]
+        assert report["messages_forced"] == sum(map(np.sum, arrived)) == 54
+        assert sum(int(s.forced.sum()) for s in schedules.values()) == 150

@@ -121,12 +121,13 @@ def arrivals(sched) -> np.ndarray:
 
 @st.composite
 def comm_draws(draw):
-    """A CommConfig with at most a few hundred sends, a horizon and a step."""
+    """A CommConfig with at most a few hundred sends, a horizon and a step;
+    delays reach up to 3 T*."""
     T = draw(st.floats(0.01, 1.0))
     T_star = T * draw(st.floats(1.0, 20.0))
     c = CommConfig(T=T, T_star=T_star,
                    drop_prob=draw(st.floats(0.0, 0.99)),
-                   delay_max=T_star * draw(st.floats(0.0, 0.999)),
+                   delay_max=T_star * draw(st.floats(0.0, 3.0)),
                    seed=draw(st.integers(0, 2**32)))
     t_end = T * draw(st.floats(0.0, 300.0))
     dt = T / draw(st.integers(1, 50))
@@ -148,9 +149,12 @@ class TestConfig:
         with pytest.raises(CommConfigError):
             CommConfig(T=0.1, T_star=1.0, drop_prob=1.0)
         with pytest.raises(CommConfigError):
-            CommConfig(T=0.1, T_star=1.0, delay_max=1.0)
-        with pytest.raises(CommConfigError):
             CommConfig(T=0.1, T_star=1.0, delay_max=-0.1)
+
+    def test_delays_past_the_blackout_bound_accepted(self):
+        # The abstract's delays are "possibly unbounded": a message may
+        # arrive later than T* after its send.
+        assert CommConfig(T=0.1, T_star=1.0, delay_max=3.0).delay_max == 3.0
 
 
 class TestScheduleGeneration:
@@ -190,7 +194,7 @@ class TestScheduleGeneration:
             for edge in ((0, 1), (3, 7), (11, 2), (4, 4 + seed % 3 + 1)):
                 sched = generate_schedule(
                     edge, cfg(seed=seed, drop_prob=0.5), 20.0, 0.01)
-                assert verify_blackout_bound(sched, 1.5)
+                assert verify_blackout_bound(sched, 1.5, 20.0)
                 ok += 1
         assert ok == 1000
 
@@ -205,20 +209,37 @@ class TestScheduleGeneration:
             assert any(t <= a <= t + 1.5 + 1e-9 for a in arrival), \
                 f"window [{t}, {t + 1.5}] has no delivery"
             t += 0.1
-        assert verify_blackout_bound(sched, 1.5)
+        assert verify_blackout_bound(sched, 1.5, 30.0)
 
     def test_verifier_flags_long_blackout(self):
         sched = generate_schedule((1, 2), cfg(drop_prob=0.0), 20.0, 0.01)
         # kill every delivery in (5, 8): a 3 s blackout against T* = 1.5
         send, delay = sched.seconds()
         sched.delivered[(5.0 < send + delay) & (send + delay < 8.0)] = False
-        assert not verify_blackout_bound(sched, 1.5)
+        assert not verify_blackout_bound(sched, 1.5, 20.0)
 
     def test_verifier_accepts_short_tail_gap(self):
         sched = generate_schedule((1, 2), cfg(drop_prob=0.0), 20.0, 0.01)
         send, _ = sched.seconds()
         sched.delivered[send > 19.0] = False
-        assert verify_blackout_bound(sched, 1.5)
+        assert verify_blackout_bound(sched, 1.5, 20.0)
+
+    @pytest.mark.parametrize("t_end, ok", [(0.49, False), (0.45, True),
+                                           (0.40, True)])
+    def test_verifier_reads_the_horizon(self, t_end, ok):
+        # T = 0.1, T* = 0.15: sends at ticks 0-40, the last one dropped.
+        # Over 0.49 s the message in use (seq 3, tick 30) is 16-19 ticks
+        # old at ticks 46-49, past the 15-tick bound.  Before, a gap
+        # counted only against the last send, so all three passed.
+        sched = link_schedule([0, 0, 0, 0, None])
+        assert verify_blackout_bound(sched, 0.15, t_end) is ok
+
+    def test_verifier_rejects_sends_that_stop_early(self):
+        # Every message delivered at once, but the last is sent at 0.4 s:
+        # past 0.55 s nothing fresher than T* = 0.15 can be in use.
+        sched = link_schedule([0] * 5)
+        assert verify_blackout_bound(sched, 0.15, 0.55)
+        assert not verify_blackout_bound(sched, 0.15, 0.56)
 
     def test_zero_delay_zero_drop(self):
         sched = generate_schedule((1, 2),
@@ -249,8 +270,8 @@ class TestScheduleGeneration:
         sched = generate_schedule((0, 1), c, 1.0, 0.1)
         assert np.flatnonzero(~sched.delivered).tolist() == [6, 8]
         assert np.flatnonzero(sched.forced).tolist() == [2, 3, 4, 5, 10]
-        assert verify_blackout_bound(sched, 0.2)
-        assert not verify_blackout_bound(sched, 0.1)
+        assert verify_blackout_bound(sched, 0.2, 1.0)
+        assert not verify_blackout_bound(sched, 0.1, 1.0)
 
     def test_verifier_counts_ticks_not_rounded_seconds(self):
         # Every other message delivered with no delay, against T* = 2T: each
@@ -258,8 +279,8 @@ class TestScheduleGeneration:
         # float arrival exceeds the float deadline by more than 1e-12 s.
         T = 1000.3
         sched = link_schedule([0, None] * 10 + [0], T=T, dt=T)
-        assert verify_blackout_bound(sched, 2 * T)
-        assert not verify_blackout_bound(sched, T)
+        assert verify_blackout_bound(sched, 2 * T, 20 * T)
+        assert not verify_blackout_bound(sched, T, 20 * T)
 
     def test_tracer_event_view(self):
         # The record view the benchmark tracer counts: one record per send,
@@ -349,7 +370,7 @@ class TestRepairProperties:
     def test_every_schedule_passes_the_verifier(self, draw):
         c, t_end, dt = draw
         assert verify_blackout_bound(generate_schedule((0, 1), c, t_end, dt),
-                                     c.T_star)
+                                     c.T_star, t_end)
 
 
 # Delays in ticks of 0.01 s out of send order: seq 1 overtakes seq 0, seq 2

@@ -148,6 +148,21 @@ class TestBuilding:
         assert np.allclose(scen.v0[6], [1.0 - 7.0, 0.1 - 7.0])
         assert np.allclose(scen.v0[7], [1.0 + 8.0, 0.1 + 8.0])
 
+    @pytest.mark.parametrize("kind", ["constant_velocity",
+                                      "damped_oscillatory"])
+    def test_auto_initial_velocity_keeps_v_d_bits(self, kind):
+        # The leaders' rows are their velocity at t = 0, written in one
+        # assignment: a constant velocity keeps the sign of a -0.0 entry.
+        doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
+        doc["agents"]["leaders"] = {"kind": kind, "v_d": [-0.0, 0.5]}
+        v0 = config.build_scenario(doc).v0
+        v_d = np.array([-0.0, 0.5])
+        want = np.tile(v_d, (4, 1)) if kind == "constant_velocity" \
+            else v_d + np.array([[-7.0], [8.0], [-9.0], [10.0]])
+        assert np.array_equal(v0[6:], want)
+        assert np.array_equal(np.signbit(v0[6:]), np.signbit(want))
+        assert not np.signbit(v0[:6]).any()
+
     def test_explicit_initial_velocity_shape(self):
         doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
         doc["agents"]["initial"]["v"] = [[0.0, 0.0]] * 9
@@ -287,7 +302,37 @@ class TestBuilding:
         with pytest.raises(ConfigError, match=r"agents\.leaders\.v_d"):
             config.build_scenario(doc)
         del doc["agents"]["leaders"]["v_d"]
-        assert config.build_scenario(doc).leader_trajs == []
+        assert config.build_scenario(doc).leaders is None
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("benchmark_fullstate", "agents.initial.p",
+         [[0.0, 0.0]] * 9 + [[1.0]],
+         r"agents\.initial\.p: rows of unequal length"),
+        ("benchmark_fullstate", "agents.model.kind", "warp",
+         r"agents\.model\.kind: unknown kind 'warp'"),
+        ("benchmark_nonlinear", "agents.model.drift", "cubic",
+         r"agents\.model\.drift: unknown drift 'cubic'"),
+        ("benchmark_fullstate", "agents.leaders.kind", "warp",
+         r"agents\.leaders\.kind: unknown kind 'warp'"),
+        ("benchmark_fullstate", "controllers.psi_mode", "bogus",
+         r"controllers\.psi_mode: unknown psi_mode 'bogus'"),
+        ("benchmark_fullstate", "agents.leaders.v_d", [1.0, 0.1, 0.0],
+         r"agents\.leaders\.v_d must have 2 entries"),
+    ], ids=["ragged_p", "model_kind", "drift", "leaders_kind", "psi_mode",
+            "leaders_v_d_3d"])
+    def test_error_names_its_key(self, name, path, value, message):
+        # Before, all but psi_mode raised a ValueError that named no key
+        # (the ragged p NumPy's "inhomogeneous shape", the 3-entry v_d a
+        # broadcast error), and psi_mode built and failed only in
+        # Scenario.validate, naming no key either.
+        doc = copy.deepcopy(load_scenario_doc(name))
+        *parents, key = path.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ConfigError, match=message):
+            config.build_scenario(doc)
 
     def test_perturbation_builder(self):
         pert = config.build_perturbation(

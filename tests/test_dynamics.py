@@ -9,15 +9,41 @@ from containsim.dynamics import (
     LeaderTrajectory,
     OscillatorFlow,
     check_oscillator_spectrum,
-    leader_accels,
     plant,
 )
 from containsim.engine import stage_times
 from conftest import follower_rhs, load_scenario_doc
 
+KINDS = ("damped_oscillatory", "constant_velocity", "stationary")
 
-def damped_osc(i, v_d):
-    return LeaderTrajectory(kind="damped_oscillatory", v_d=v_d, index=i)
+
+def damped_osc(index, v_d):
+    return LeaderTrajectory("damped_oscillatory", v_d, index)
+
+
+def leader_accel_oracle(kind: str, v_d: np.ndarray, i: int,
+                        t: float) -> np.ndarray:
+    """One leader's acceleration at one time, agent index i (oracle): the
+    derivative of the damped envelope times (-1)^i i on every axis."""
+    if kind != "damped_oscillatory":
+        return np.zeros(len(v_d))
+    return np.ones(len(v_d)) * ((-1.0) ** i) * i * \
+        ((-0.96 * np.sin(t) - 0.4 * np.cos(t)) * np.exp(-0.2 * t))
+
+
+def leader_velocity_oracle(kind: str, v_d: np.ndarray, i: int,
+                           t: float) -> np.ndarray:
+    """One leader's velocity at one time, agent index i (oracle)."""
+    if kind == "damped_oscillatory":
+        return v_d + np.ones(len(v_d)) * ((-1.0) ** i) * i * \
+            ((np.cos(t) - 0.2 * np.sin(t)) * np.exp(-0.2 * t))
+    return v_d.copy() if kind == "constant_velocity" else np.zeros(len(v_d))
+
+
+def assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def leader_position_damped_osc(i: int, t: float, p0: np.ndarray,
@@ -31,62 +57,60 @@ def leader_position_damped_osc(i: int, t: float, p0: np.ndarray,
 
 
 class TestLeaderTrajectories:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("v_d, index", [
+        ([1.0, 0.1], [1, 2, 3, 4]),
+        ([-0.0, 0.1], range(11)),               # index 0 and a -0.0 too
+        ([0.0, -2.5, 0.0], [3]),
+    ], ids=["four", "eleven_signed_zero", "one_in_3d"])
+    def test_blocks_equal_the_per_leader_oracle(self, kind, v_d, index):
+        v_d, index = np.array(v_d), list(index)
+        traj = LeaderTrajectory(kind, v_d, index)
+        times = (0.0, 0.37, 1.0, 2.7, 4.0, 10.0, 33.3)
+        for method, oracle in (("accel", leader_accel_oracle),
+                               ("velocity", leader_velocity_oracle)):
+            want = np.array([[oracle(kind, v_d, i, t) for i in index]
+                             for t in times])
+            for row, t in enumerate(times):
+                assert_bits_equal(getattr(traj, method)(t), want[row])
+            assert_bits_equal(getattr(traj, method)(np.array(times)), want)
+
     def test_batched_accel_equals_stacked_per_leader_accel(self):
-        v_d = np.array([1.0, 0.1])
-        kinds = ("damped_oscillatory", "constant_velocity", "stationary",
-                 "oscillator_free")
-        groups = [[LeaderTrajectory(kind=k, v_d=v_d, index=i)
-                   for i in range(1, 5)] for k in kinds]
-        groups.append([LeaderTrajectory(kind=kinds[i % 4], v_d=v_d, index=i)
-                       for i in range(11)])          # mixed, index 0 too
-        groups.append([damped_osc(3, np.zeros(3)),
-                       LeaderTrajectory(kind="stationary", v_d=np.zeros(3))])
-        for trajs in groups:
-            for t in (0.0, 0.37, 1.0, 2.7, 4.0, 10.0, 33.3):
-                stacked = np.array([tr.accel(t) for tr in trajs])
-                batched = leader_accels(trajs, t)
-                assert np.array_equal(batched, stacked)
-                assert np.array_equal(np.signbit(batched),
-                                      np.signbit(stacked))
-        # The array form at every time sim.run reads, one row per time.
+        # The accel table sim.run reads, every leader at every stage time,
+        # against the per-leader oracle stacked.
         scen = config.build_scenario(load_scenario_doc("benchmark_fullstate"))
         times = stage_times(int(round(scen.t_end / scen.dt)), scen.dt)
-        trajs = scen.leader_trajs
-        stacked = np.array([[tr.accel(t) for tr in trajs]
-                            for t in times.tolist()])
-        table = leader_accels(trajs, times)
-        assert table.shape == stacked.shape
-        assert np.array_equal(table, stacked)
-        assert np.array_equal(np.signbit(table), np.signbit(stacked))
+        lead = scen.leaders
+        assert lead.index.tolist() == [7, 8, 9, 10]
+        want = np.array([[leader_accel_oracle(lead.kind, lead.v_d, i, t)
+                          for i in lead.index.tolist()]
+                         for t in times.tolist()])
+        assert_bits_equal(lead.accel(times), want)
 
     def test_accel_matches_velocity_derivative(self):
         # central finite difference of the closed-form velocity
-        v_d = np.array([1.0, 0.1])
-        h = 1e-6
-        for i in (7, 8, 9, 10):
-            for t in (0.0, 1.0, 2.7, 10.0):
-                num = (damped_osc(i, v_d).velocity(t + h)
-                       - damped_osc(i, v_d).velocity(t - h)) / (2 * h)
-                ana = damped_osc(i, v_d).accel(t)
-                assert np.allclose(num, ana, atol=1e-6)
+        traj = damped_osc([7, 8, 9, 10], np.array([1.0, 0.1]))
+        h, t = 1e-6, np.array([0.0, 1.0, 2.7, 10.0])
+        num = (traj.velocity(t + h) - traj.velocity(t - h)) / (2 * h)
+        assert np.allclose(num, traj.accel(t), atol=1e-6)
 
     def test_velocity_matches_position_derivative(self):
         v_d = np.array([1.0, 0.1])
         p0 = np.array([2.0, -3.0])
         h = 1e-6
-        for i in (7, 10):
+        traj = damped_osc([7, 10], v_d)
+        for row, i in enumerate((7, 10)):
             for t in (0.5, 4.0):
                 num = (leader_position_damped_osc(i, t + h, p0, v_d)
                        - leader_position_damped_osc(i, t - h, p0, v_d)) / (2 * h)
-                ana = damped_osc(i, v_d).velocity(t)
-                assert np.allclose(num, ana, atol=1e-6)
+                assert np.allclose(num, traj.velocity(t)[row], atol=1e-6)
 
     def test_position_matches_velocity_integral(self):
         v_d = np.array([1.0, 0.1])
         p0 = np.zeros(2)
         i, t = 9, 6.0
         integral = np.array([
-            quad(lambda s: damped_osc(i, v_d).velocity(s)[d], 0, t,
+            quad(lambda s: damped_osc([i], v_d).velocity(s)[0, d], 0, t,
                  limit=200)[0]
             for d in range(2)])
         assert np.allclose(leader_position_damped_osc(i, t, p0, v_d) - p0,
@@ -95,28 +119,27 @@ class TestLeaderTrajectories:
     def test_initial_velocity_offsets(self):
         # envelope equals 1 at t = 0, so v_i(0) = v_d + (-1)^i * i * ones
         v_d = np.array([1.0, 0.1])
-        traj = LeaderTrajectory(kind="damped_oscillatory", v_d=v_d, index=7)
-        assert np.allclose(traj.initial_velocity(), v_d - 7.0)
-        traj = LeaderTrajectory(kind="damped_oscillatory", v_d=v_d, index=8)
-        assert np.allclose(traj.initial_velocity(), v_d + 8.0)
+        assert np.allclose(damped_osc([7, 8], v_d).velocity(0.0),
+                           [v_d - 7.0, v_d + 8.0])
 
     def test_velocity_converges_to_limit(self):
         v_d = np.array([1.0, 0.1])
-        for i in (7, 8, 9, 10):
-            assert np.allclose(damped_osc(i, v_d).velocity(80.0), v_d,
-                               atol=1e-5)
+        assert np.allclose(damped_osc([7, 8, 9, 10], v_d).velocity(80.0), v_d,
+                           atol=1e-5)
 
     def test_constant_and_stationary(self):
         v_d = np.array([2.0, -1.0])
-        cv = LeaderTrajectory(kind="constant_velocity", v_d=v_d)
-        assert np.allclose(cv.velocity(3.0), v_d)
-        assert np.allclose(cv.accel(3.0), 0.0)
-        st = LeaderTrajectory(kind="stationary", v_d=v_d)
-        assert np.allclose(st.velocity(3.0), 0.0)
+        cv = LeaderTrajectory("constant_velocity", v_d, [3, 4])
+        assert np.array_equal(cv.velocity(3.0), [v_d, v_d])
+        assert np.array_equal(cv.accel([3.0, 4.0]), np.zeros((2, 2, 2)))
+        st = LeaderTrajectory("stationary", v_d, [3, 4])
+        assert np.array_equal(st.velocity(3.0), np.zeros((2, 2)))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            LeaderTrajectory(kind="warp_drive")
+        # oscillator_free is a config leaders kind that builds no trajectory.
+        for kind in ("warp_drive", "oscillator_free"):
+            with pytest.raises(ValueError, match="unknown leader trajectory"):
+                LeaderTrajectory(kind, np.zeros(2), [1])
 
 
 class TestModels:

@@ -94,18 +94,39 @@ def test_used_message_never_older_than_blackout(name, seed, drop_prob):
     assert np.all(ticks[:, None] - used * steps_per_T <= t_star)
 
 
+@pytest.mark.parametrize("delay_max", [3.0, 10.0])
+def test_deliveries_older_than_the_bound_are_discarded(delay_max):
+    # Delays of 2 and 6.7 T*: some messages arrive more than T* after
+    # their send, and the mailbox discards each of them, since a fresher
+    # message is in use by then.  The bound still holds from t = T* on.
+    doc = load_scenario_doc("benchmark_fullstate")
+    doc["sim"]["t_end_seconds"] = 6.0
+    doc["comm"]["delay_max_seconds"] = delay_max
+    scen = config.build_scenario(doc)
+    trace = sim.run(scen)
+    eng = Engine(scen.topo, [trace.schedules], scen.comm.T, scen.dt,
+                 scen.t_end, np.arange(scen.topo.n)[:, None])
+    assert np.array_equal(eng.used_seq, trace.used_seq)
+    t_star, spT = floor_ticks(scen.comm.T_star, scen.dt), eng.steps_per_T
+    discarded = eng.seq < eng.used_seq[eng.tick, eng.edge]
+    late = eng.tick - eng.seq * spT > t_star
+    assert late.any() and discarded[late].all()
+    ticks = np.arange(t_star, eng.K + 1)[:, None]
+    assert np.all(ticks - trace.used_seq[t_star:] * spT <= t_star)
+
+
 _SHORT_FULLSTATE = load_scenario_doc("benchmark_fullstate")
 _SHORT_FULLSTATE["sim"]["t_end_seconds"] = 3.0
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(10, 30), st.integers(0, 120), st.floats(0.0, 0.95),
-       st.floats(0.0, 0.99), st.integers(0, 2**31))
+       st.floats(0.0, 3.0), st.integers(0, 2**31))
 def test_staleness_bound_holds_for_any_comm_config(spT, extra, drop_prob,
                                                     delay_frac, seed):
     # Sampling period spT ticks, blackout bound T* = spT + extra ticks, and
-    # delays up to just under T*: from t = T* on, every edge holds a message
-    # sent at most T* ago, counted in whole ticks.
+    # delays up to 3 T*: from t = T* on, every edge holds a message sent at
+    # most T* ago, counted in whole ticks.
     scen = config.build_scenario(_SHORT_FULLSTATE)
     dt = scen.dt
     t_star = spT + extra
@@ -124,7 +145,7 @@ _SHORT_OSCILLATOR["sim"]["t_end_seconds"] = 3.0
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(10, 30), st.integers(0, 120), st.floats(0.0, 0.99),
-       st.floats(0.0, 0.99), st.integers(0, 2**31))
+       st.floats(0.0, 3.0), st.integers(0, 2**31))
 def test_stage_lags_stay_within_the_blackout_bound(spT, extra, drop_prob,
                                                    delay_frac, seed):
     # At every stage row of a run, each message in use is 0 to 2 T* half

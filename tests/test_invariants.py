@@ -72,12 +72,10 @@ class TestLeaderConvergence:
         # The oscillatory envelope decays like e^{-0.2 t}; past 48 s every
         # leader velocity is within 1e-3 of the common limit.
         v_d = np.array([1.0, 0.1])
-        for i in (7, 8, 9, 10):
-            for t in np.arange(48.0, 80.0, 0.5):
-                traj = LeaderTrajectory(kind="damped_oscillatory", v_d=v_d,
-                                        index=i)
-                dev = np.linalg.norm(traj.velocity(t) - v_d)
-                assert dev < 1e-3
+        traj = LeaderTrajectory("damped_oscillatory", v_d, [7, 8, 9, 10])
+        dev = np.linalg.norm(traj.velocity(np.arange(48.0, 80.0, 0.5)) - v_d,
+                             axis=-1)
+        assert dev.shape == (64, 4) and dev.max() < 1e-3
 
 
 class TestModelLinearity:

@@ -35,7 +35,7 @@ def tiny_scenario(**kw):
     v_d = np.array([1.0, 0.0])
     base = dict(
         topo=topo, model=model,
-        leader_trajs=[LeaderTrajectory(kind="constant_velocity", v_d=v_d)],
+        leaders=LeaderTrajectory("constant_velocity", v_d, [3]),
         variant="known_vd", gains=GainSet(m=2, k_p=4.0, k_d=4.0),
         comm=CommConfig(T=0.1, T_star=1.5), dt=0.01, t_end=5.0, N=2,
         p0=np.array([[1.0, 1.0], [-1.0, 2.0], [0.0, 0.0]]),
@@ -252,7 +252,7 @@ class TestRunLoop:
         v_d = np.zeros(2)
         scen = Scenario(
             topo=topo, model=AgentModel(kind="double_integrator"),
-            leader_trajs=[LeaderTrajectory(kind="stationary")],
+            leaders=LeaderTrajectory("stationary", np.zeros(2), [2]),
             variant="known_vd", gains=GainSet(m=1, k_p=4.0, k_d=4.0),
             comm=CommConfig(T=0.01, T_star=1.5), dt=0.001, t_end=3.0, N=2,
             p0=np.array([[1.0, -2.0], [0.0, 0.0]]),
@@ -295,6 +295,14 @@ class TestRunLoop:
     def test_step_and_horizon_must_be_positive(self, field, key, value):
         with pytest.raises(ScenarioError, match=f"{key} must be > 0"):
             tiny_scenario(**{field: value}).validate()
+
+    @pytest.mark.parametrize("index", [None, [], [2, 3]])
+    def test_one_leader_index_per_leader(self, index):
+        # One leader (agent 3): no trajectory, or one for 0 or 2 leaders.
+        leaders = None if index is None else \
+            LeaderTrajectory("constant_velocity", np.ones(2), index)
+        with pytest.raises(ScenarioError, match="one leader index per leader"):
+            tiny_scenario(leaders=leaders).validate()
 
     def test_horizon_off_the_step_grid_rejected(self):
         with pytest.raises(ScenarioError,
@@ -443,8 +451,7 @@ class TestExport:
         v_d = np.array([1.0, 0.0, -0.5])
         scen = tiny_scenario(
             N=3, t_end=1.0, v_d=v_d,
-            leader_trajs=[LeaderTrajectory(kind="constant_velocity",
-                                           v_d=v_d)],
+            leaders=LeaderTrajectory("constant_velocity", v_d, [3]),
             p0=np.array([[1.0, 1.0, 0.5], [-1.0, 2.0, 0.0],
                          [0.0, 0.0, 0.0]]),
             v0=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
