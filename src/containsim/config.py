@@ -119,10 +119,16 @@ def validate_config(doc: dict) -> None:
         if "svg" in doc["outputs"] and doc["agents"]["N"] != 2:
             raise ConfigError("outputs.svg: trajectory rendering needs "
                               "planar agents (agents.N = 2)")
-    # A known model and leaders that fit it; oscillator leaders read no v_d.
+    # A known model, only the keys its kind reads, and leaders that fit it;
+    # oscillator leaders read no v_d.
     ag = doc["agents"]
-    oscillator = _choice(ag["model"]["kind"], MODEL_KINDS,
-                         "agents.model.kind") == "oscillator"
+    model = _choice(ag["model"]["kind"], MODEL_KINDS, "agents.model.kind")
+    oscillator = model == "oscillator"
+    reads = {"nonlinear": {"drift"}, "oscillator": {"S1", "S2"}}.get(model, ())
+    unread = sorted(set(ag["model"]) - {"kind", *reads})
+    if unread:
+        raise ConfigError(f"agents.model.{unread[0]}: the {model} model "
+                          "does not read it")
     _choice(ag["model"].get("drift", "zero"), DRIFT_REGISTRY,
             "agents.model.drift")
     leaders = ag.get("leaders", {"kind": "oscillator_free"})

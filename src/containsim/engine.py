@@ -80,12 +80,23 @@ def rk4_step(rhs, mid, end, h: float, y: np.ndarray, u, k1: np.ndarray):
 
     mid and end are the rows of the step's midpoint and end, y is the state
     array and k1 = rhs(start, y, u)[0] is passed in, since the caller
-    already evaluated it to record the step-start outputs.
+    already evaluated it to record the step-start outputs.  The sums
+    accumulate in place, into one stage buffer and k2, in the order of
+    y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4): rhs must return a fresh
+    array and keep no reference to its input.
     """
-    k2, _ = rhs(mid, y + h / 2 * k1, u)
-    k3, _ = rhs(mid, y + h / 2 * k2, u)
-    k4, _ = rhs(end, y + h * k3, u)
-    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    z = np.multiply(k1, h / 2)
+    k2, _ = rhs(mid, np.add(z, y, out=z), u)
+    k3, _ = rhs(mid, np.add(np.multiply(k2, h / 2, out=z), y, out=z), u)
+    k4, _ = rhs(end, np.add(np.multiply(k3, h, out=z), y, out=z), u)
+    k2 *= 2
+    k2 += k1
+    k3 *= 2
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6
+    k2 += y
+    return k2
 
 
 class Engine:

@@ -313,23 +313,23 @@ def export_trace_csv(trace: Trace, path: str) -> None:
     header += [f"p_{d + 1}" for d in range(N)]
     header += [f"v_{d + 1}" for d in range(N)]
     header += ["err_norm", "hull_dist"]
-    agents = [f"{i + 1},{'follower' if i < m else 'leader'}"
-              for i in range(n)]
+    # One format string per step: field 0 is t, then each agent's p and v,
+    # then the followers' errors and hull distances.
+    step = "".join(
+        f"{{0!r}},{i + 1},{'follower' if i < m else 'leader'},"
+        + ",".join(f"{{{1 + 2 * N * i + c}!r}}" for c in range(2 * N))
+        + (f",{{{1 + 2 * N * n + i}!r}},{{{1 + 2 * N * n + m + i}!r}}"
+           if i < m else ",,") + "\r\n" for i in range(n))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(trace.times), EXPORT_BLOCK_STEPS):
             block = slice(start, start + EXPORT_BLOCK_STEPS)
-            state = np.concatenate((trace.p[block], trace.v[block]), axis=2)
-            lines = []
-            for t, rows, err, hull in zip(
-                    map(repr, trace.times[block].tolist()), state.tolist(),
-                    _norms(trace.err_pos[block]).tolist(),
-                    trace.hull_dist[block].tolist()):
-                tail = [f"{e!r},{h!r}" for e, h in zip(err, hull)]
-                tail += [","] * (n - m)
-                lines += [f"{t},{a},{','.join(map(repr, r))},{x}\r\n"
-                          for a, r, x in zip(agents, rows, tail)]
-            fh.write("".join(lines))
+            rows = np.concatenate((
+                trace.times[block, None],
+                np.concatenate((trace.p[block], trace.v[block]), axis=2)
+                .reshape(len(trace.times[block]), -1),
+                _norms(trace.err_pos[block]), trace.hull_dist[block]), axis=1)
+            fh.write("".join([step.format(*row) for row in rows.tolist()]))
 
 
 def export_trace_sidecar(trace: Trace, scen: Scenario, path: str) -> None:

@@ -126,6 +126,23 @@ EXIT_CASES = [
       for command, scenario in (("validate", "benchmark_fullstate"),
                                 ("run", "benchmark_fullstate"),
                                 ("sweep", "cascade_estimates"))),
+    *(pytest.param(command, "benchmark_fullstate", change, False, 1,
+                   "config error:", rf"agents\.model\.{key}: the "
+                   r"double_integrator model does not read it",
+                   id=f"{command}-double_integrator_with_{key}")
+      for command in ("validate", "run")
+      for key, change in (("S1", S1_PLUS_I),
+                          ("drift", edit("agents.model",
+                                         drift="square_velocity")))),
+    pytest.param("run", "oscillator_harmonic", edit("agents.model",
+                                                    drift="zero"),
+                 False, 1, "config error:",
+                 r"agents\.model\.drift: the oscillator model does not",
+                 id="run-oscillator_with_drift"),
+    pytest.param("run", "benchmark_nonlinear", S1_PLUS_I, False, 1,
+                 "config error:",
+                 r"agents\.model\.S1: the nonlinear model does not",
+                 id="run-nonlinear_with_S1"),
     pytest.param("validate", "oscillator_harmonic", S1_PLUS_I, False, 1,
                  "config error:", r"pure-imaginary, semi-simple spectrum",
                  id="validate-oscillator_S1_plus_I"),

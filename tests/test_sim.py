@@ -425,11 +425,42 @@ def export_trace_csv_oracle(trace, path: str) -> None:
                 w.writerow(row)
 
 
+def export_trace_csv_lines_oracle(trace, path: str) -> None:
+    """The trace CSV built one f-string per agent and step from the arrays,
+    EXPORT_BLOCK_STEPS steps per write: the writer that one format string
+    per step replaced."""
+    n, N = trace.p.shape[1:]
+    m = trace.m
+    header = ["t", "agent_id", "role"]
+    header += [f"p_{d + 1}" for d in range(N)]
+    header += [f"v_{d + 1}" for d in range(N)]
+    header += ["err_norm", "hull_dist"]
+    agents = [f"{i + 1},{'follower' if i < m else 'leader'}"
+              for i in range(n)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(trace.times), sim.EXPORT_BLOCK_STEPS):
+            block = slice(start, start + sim.EXPORT_BLOCK_STEPS)
+            state = np.concatenate((trace.p[block], trace.v[block]), axis=2)
+            err = trace.err_pos[block]
+            lines = []
+            for t, rows, err, hull in zip(
+                    map(repr, trace.times[block].tolist()), state.tolist(),
+                    np.sqrt(np.vecdot(err, err)).tolist(),
+                    trace.hull_dist[block].tolist()):
+                tail = [f"{e!r},{h!r}" for e, h in zip(err, hull)]
+                tail += [","] * (n - m)
+                lines += [f"{t},{a},{','.join(map(repr, r))},{x}\r\n"
+                          for a, r, x in zip(agents, rows, tail)]
+            fh.write("".join(lines))
+
+
 def assert_export_equals_oracle(trace, tmp_path) -> None:
     sim.export_trace_csv(trace, str(tmp_path / "trace.csv"))
-    export_trace_csv_oracle(trace, str(tmp_path / "oracle.csv"))
-    assert (tmp_path / "trace.csv").read_bytes() == \
-        (tmp_path / "oracle.csv").read_bytes()
+    for oracle in (export_trace_csv_oracle, export_trace_csv_lines_oracle):
+        oracle(trace, str(tmp_path / "oracle.csv"))
+        assert (tmp_path / "trace.csv").read_bytes() == \
+            (tmp_path / "oracle.csv").read_bytes(), oracle.__name__
 
 
 def first_steps(trace, rows: int):
