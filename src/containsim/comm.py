@@ -6,11 +6,7 @@ integration step dt; a repair pass then guarantees that consecutive
 delivered messages are never further apart than the blackout bound T_star.
 The repair and ``verify_blackout_bound`` compare integer ticks only, with
 T, T_star and delay_max turned into whole ticks once per call; seconds are
-recomputed (seq * T, ticks * dt) only for output.  Per edge, on the
-bench/digraph.py edges, a schedule takes 21 us at n = 100 and 26 us at
-n = 800 (37 and 40 us before it was one draw with its ticks converted
-once), against 13 us for the edge's Generator alone (timeit minimum;
-2-core Xeon, Python 3.11, NumPy 2.4).
+recomputed (seq * T, ticks * dt) only for output.
 """
 from __future__ import annotations
 

@@ -124,11 +124,9 @@ def validate_config(doc: dict) -> None:
     ag = doc["agents"]
     model = _choice(ag["model"]["kind"], MODEL_KINDS, "agents.model.kind")
     oscillator = model == "oscillator"
-    reads = {"nonlinear": {"drift"}, "oscillator": {"S1", "S2"}}.get(model, ())
-    unread = sorted(set(ag["model"]) - {"kind", *reads})
-    if unread:
-        raise ConfigError(f"agents.model.{unread[0]}: the {model} model "
-                          "does not read it")
+    _check_keys(ag["model"], f"agents.model ({model})", {"kind"},
+                {"nonlinear": {"drift"}, "oscillator": {"S1", "S2"}}.get(
+                    model, set()))
     _choice(ag["model"].get("drift", "zero"), DRIFT_REGISTRY,
             "agents.model.drift")
     leaders = ag.get("leaders", {"kind": "oscillator_free"})

@@ -2,37 +2,26 @@
 
 Six variants run on three laws, ``DoubleIntegratorLaw``, ``OscillatorLaw``
 and ``NonlinearVSController``; ``make_controller`` maps a variant and its
-settings to a law and its switches.  Every law is a stateless evaluator:
-given the physical state, the controller internals, and a frozen view of the
-delivered neighbor messages, it writes the time derivatives of its internals
-in place and returns the control input.  The internals named by ``names``
-are one (k, m, N) array, one row per follower in each (m, N) block, so a
-whole follower group is evaluated with a handful of numpy operations.
-Block 0 is always vhat, the velocity estimate each follower sends.
+settings to a law and its switches.  ``start`` binds a law to a run, and
+its ``deriv(row, y, view)`` is then the run's right-hand side: the
+derivative of the whole flat state at a stage row, and the control input
+at a step start.  The internals named by ``names`` are m-row blocks of the
+state after the agents' p and v; block 0 is vhat, the velocity estimate
+each follower sends.
 
 Neighbor information enters through weighted averages over the in-edges that
 have delivered at least one message; the averages are renormalized by the
 delivered weight sum.  Before anything is delivered on any in-edge the
 position reference falls back to the follower's initial position and the
 velocity-estimate average falls back to its own estimate.
-
-The oscillator law first pushes each delayed sample [p; vhat] forward through
-the free flow e^{S (t - t_send)}.  Sends and stage times sit on the
-half-step grid of the integration step, so each lag is a whole number of
-half steps, h - 2 steps_per_T seq at the stage's half tick h (each law is
-given h beside t): the flows come from one table, filled once per run,
-and a view's averages at all its half ticks are one batched product.  S
-products stack on a new leading axis, never as rows of one operand: numpy
-computes one row with gemv and more with gemm, which round differently.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .dynamics import AgentModel, OscillatorFlow
+from .dynamics import AgentModel, OscillatorFlow, plant
 
 BOUNDARY_LAYER_DEFAULT = 1e-4
 
@@ -71,12 +60,11 @@ class GainSet:
     boundary_layer_eps: float = BOUNDARY_LAYER_DEFAULT
 
     def __post_init__(self):
-        for name in ("k_p", "k_d", "L_p", "L_d", "k_psi", "k_phi", "k_r"):
-            object.__setattr__(self, name,
-                               _as_follower_array(getattr(self, name), self.m))
-        if self.lam is not None:
-            object.__setattr__(self, "lam",
-                               _as_follower_array(self.lam, self.m))
+        for name in ("k_p", "k_d", "L_p", "L_d", "k_psi", "k_phi", "k_r",
+                     "lam"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _as_follower_array(
+                    getattr(self, name), self.m))
 
     def lam_derived(self) -> np.ndarray:
         """Larger real root of x^2 + k_d x + k_p = 0 (faster position pole)."""
@@ -87,10 +75,6 @@ class GainSet:
 
     def lam_effective(self) -> np.ndarray:
         return self.lam if self.lam is not None else self.lam_derived()
-
-    def blocks(self, N: int, *names: str) -> tuple[np.ndarray, ...]:
-        """The named gains as (m, N) blocks, row i follower i's gain."""
-        return tuple(np.outer(getattr(self, n), np.ones(N)) for n in names)
 
 
 def check_gains(variant: str, gains: GainSet,
@@ -138,14 +122,10 @@ class NeighborView:
     send_time = seq * T, or send_half = 2 steps_per_T seq half steps.
     kappa_delivered is the per-follower sum of delivered edge weights (0
     during warm-up).  The view serves up to the half tick last_half.
-
-    The messages are fixed for the view's life, which may span many steps,
-    so each average over them is computed once: p_avg's and vhat_avg's once
-    per view, vartheta_avg's once per stage time t and oscillator_psi's
-    once per span, from the half tick of its first call to last_half.
-    Until every follower is live (has a delivered in-edge), each call merges
-    in the fallback rows; then each returns the cached average itself.
-    Every average is read-only.
+    Its messages are fixed, so each average is computed once: p_avg's,
+    vartheta's and vhat's (c0 + t c1 and c1) per view, oscillator_psi's per
+    span.  Until every follower is live (has a delivered in-edge), each
+    call merges in the fallback rows.  Every average is read-only.
     """
 
     def __init__(self, m: int, N: int, dst: np.ndarray, w: np.ndarray,
@@ -159,21 +139,18 @@ class NeighborView:
         self.live = self.kappa_delivered > 0
         self.all_live = bool(self.live.all())
         self._rows = slice(None) if self.all_live else self.live
-        self._bins = {}                      # columns -> bincount bin index
-        self._p = self._vhat = None          # p_avg, vhat_avg's live rows
-        self._theta_t = self._theta = None   # vartheta_avg at its last t
-        self._psi_flow, self._psi = None, {}  # oscillator_psi by half tick
+        # p_avg; c0 and c1; vartheta_avg at its last t; oscillator_psi's flow
+        # and its averages by half tick.
+        self._p = self._c = self._theta_t = self._theta = self._psi_flow = None
+        self._psi = {}
 
     def _live_average(self, contrib: np.ndarray) -> np.ndarray:
         """Weighted average of the rows of contrib (one per edge) over the
         in-edges of each live follower, (live followers, columns)."""
         cols = contrib.shape[1]
-        if cols not in self._bins:
-            self._bins[cols] = (self.dst[:, None] * cols
-                                + np.arange(cols)).ravel()
         # One bincount over (follower, column) bins; like np.add.at, it
         # adds each bin's terms in edge order.
-        num = np.bincount(self._bins[cols],
+        num = np.bincount((self.dst[:, None] * cols + np.arange(cols)).ravel(),
                           weights=(self.w[:, None] * contrib).ravel(),
                           minlength=self.m * cols).reshape(self.m, cols)
         avg = num[self._rows] / self.kappa_delivered[self._rows, None]
@@ -195,20 +172,29 @@ class NeighborView:
                                           self.p_fallback)
         return self._p
 
+    def _affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """c0 and c1 on the live rows: the averages of vartheta at t = 0
+        and of vhat_msg, from one bincount per view."""
+        if self._c is None:
+            c = self._live_average(np.concatenate((vartheta(
+                self.p_msg, self.vhat_msg, self.send_time[:, None], 0.0),
+                self.vhat_msg), axis=1))
+            self._c = c[:, :self.N], c[:, self.N:]
+        return self._c
+
     def vartheta_avg(self, t: float) -> np.ndarray:
-        """Weighted average of the extrapolated positions at t."""
+        """Weighted average of the extrapolated positions at t, c0 + t c1:
+        vartheta is affine in t."""
         if t != self._theta_t:
-            theta = vartheta(self.p_msg, self.vhat_msg,
-                             self.send_time[:, None], t)
-            self._theta = self._with_fallback(self._live_average(theta),
-                                              self.p_fallback)
+            c0, c1 = self._affine()
+            theta = c0 + t * c1
+            theta.flags.writeable = False
+            self._theta = self._with_fallback(theta, self.p_fallback)
             self._theta_t = t
         return self._theta
 
     def vhat_avg(self, vhat_own: np.ndarray) -> np.ndarray:
-        if self._vhat is None:
-            self._vhat = self._live_average(self.vhat_msg)
-        return self._with_fallback(self._vhat, vhat_own)
+        return self._with_fallback(self._affine()[1], vhat_own)
 
     def oscillator_psi(self, h: int, flow: OscillatorFlow,
                        vhat_own: np.ndarray) -> np.ndarray:
@@ -232,15 +218,80 @@ class NeighborView:
         return self._with_fallback(self._psi[h], (self.p_fallback, vhat_own))
 
 
-class DoubleIntegratorLaw:
+class Law:
+    """Internals start at zero, but for the references psi, eta1 and eta2
+    (p0) and a given v_d (vhat).  ``start`` binds the law to a run of n
+    agents: the time and half tick of every stage row (engine.stage_times)
+    and the leaders' accelerations there."""
+
+    def init_internals(self, p0: np.ndarray) -> np.ndarray:
+        x = np.zeros((len(self.names),) + p0.shape)
+        x[[k in ("psi", "eta1", "eta2") for k in self.names]] = p0
+        if getattr(self, "v_d", None) is not None:
+            x[0] = self.v_d
+        return x
+
+    def start(self, model: AgentModel, n: int, times: list, halves: list,
+              leaders: np.ndarray) -> None:
+        self.n, self.times, self.halves, self.leaders = n, times, halves, \
+            leaders
+        self.K, self.accel = len(times) // 3, plant(model, self.gains.m)
+
+
+class LinearLaw(Law):
+    """A law whose closed loop is linear while the mailbox holds still.
+
+    ``start`` builds its generator once per run: a sparse operator A on
+    [y; u], the flat state y, (rows * N), then the sources u, two (m, N)
+    blocks of neighbour averages and the leaders' accelerations.  A holds
+    the plant, leader rows included, so a stage is dy = A [y; u]: one take,
+    one product and one np.bincount.  A's entries are sorted by row, each
+    row's in the fixed order of the law's terms, so every row sums in one
+    order whatever else the state holds, and a row without one is 0 (which
+    np.add.reduceat would not give).  No entry depends on which followers
+    hold a message: the views' fallback for a follower without one is its
+    own velocity estimate, so its consensus terms cancel.
+    """
+
+    def start(self, model: AgentModel, n: int, times: list, halves: list,
+              leaders: np.ndarray) -> None:
+        super().start(model, n, times, halves, leaders)
+        m, N = self.gains.m, self.N
+        rows = 2 * n + len(self.names) * m
+        at = dict(p=0, v=n, vL=n + m, u0=rows, u1=rows + m, lead=rows + 2 * m,
+                  **{x: 2 * n + i * m for i, x in enumerate(self.names)})
+        parts = []
+        for o, i, count, scale, M in [("p", "v", n, 1.0, np.eye(N))] \
+                + self.terms(n, m):
+            (c, d), a = np.nonzero(M), np.arange(count)[:, None]
+            parts.append(np.broadcast_arrays((at[o] + a) * N + c, (
+                at[i] + a) * N + d, np.reshape(scale, (-1, 1)) * M[c, d]))
+        out, cols, coef = (np.concatenate([x.ravel() for x in part])
+                           for part in zip(*parts))
+        order = np.argsort(out, kind="stable")
+        self.out, self.cols, self.coef = out[order], cols[order], coef[order]
+        self.leaders = leaders.reshape(len(leaders), -1)
+
+    def deriv(self, row: int, y: np.ndarray, view: NeighborView):
+        """(dy, gamma) at the stage row; gamma, dy's follower velocity rows
+        less the plant's term, only at a step start (row <= K)."""
+        n, m = self.n, self.gains.m
+        prod = np.concatenate((y.ravel(), *self.sources(
+            row, view, y[2 * n:2 * n + m]))).take(self.cols)
+        prod *= self.coef
+        dy = np.bincount(self.out, prod, y.size).reshape(y.shape)
+        return dy, None if row > self.K else dy[n:n + m] - self.accel(
+            y[:2 * n].reshape(2, n, -1), 0.0, None)[0]
+
+
+class DoubleIntegratorLaw(LinearLaw):
     """gamma = -k_d (w - vhat) - k_p (p - psi) for double integrators.
 
     vhat is the distributed observer's state, or the limit velocity v_d,
     held constant, when one is given; w is v, or phi + p from a first-order
     output filter when use_velocity is off; psi is the extrapolated
-    neighbor average ("static"), or that average through a first-order
-    filter ("dynamic") so the input stays continuous across arrivals.
-    """
+    neighbor average u0 = vartheta_avg(t) ("static"), or u0 through a
+    first-order filter ("dynamic"); u1 = vhat_avg."""
 
     def __init__(self, gains: GainSet, N: int, psi_mode: str = "static",
                  v_d=None, use_velocity: bool = True):
@@ -249,41 +300,33 @@ class DoubleIntegratorLaw:
         if v_d is not None and np.shape(v_d) != (N,):
             raise ValueError(f"v_d must have {N} entries, got shape "
                              f"{np.shape(v_d)}")
-        self.L_p, self.k_psi, self.k_d, self.k_p = gains.blocks(
-            N, "L_p", "k_psi", "k_d", "k_p")
+        self.gains, self.N = gains, N
         self.psi_mode, self.use_velocity = psi_mode, use_velocity
         self.v_d = None if v_d is None else np.asarray(v_d, dtype=float)
         self.names = ("vhat",) + (("psi",) if psi_mode == "dynamic" else ()) \
             + (("phi",) if not use_velocity else ())
 
-    def init_internals(self, p0: np.ndarray) -> np.ndarray:
-        x = np.zeros((len(self.names),) + p0.shape)
-        if self.v_d is not None:
-            x[0] = self.v_d
-        if self.psi_mode == "dynamic":
-            x[1] = p0
-        return x
+    def terms(self, n: int, m: int) -> list:
+        """A's terms besides p' = v: (out, in, agents, scale, M) adds scale
+        M x_in to the rows out of each of the first agents."""
+        g, I = self.gains, np.eye(self.N)
+        w = [("v", 1.0)] if self.use_velocity else [("phi", 1.0), ("p", 1.0)]
+        gamma = [(i, -g.k_d * s) for i, s in w] + [
+            ("vhat", g.k_d), ("p", -g.k_p),
+            ("psi" if self.psi_mode == "dynamic" else "u0", g.k_p)]
+        rows = {"v": gamma, "phi": [(i, -s) for i, s in w] + gamma,
+                "vhat": [("vhat", -g.L_p), ("u1", g.L_p)] * (self.v_d is None),
+                "psi": [("psi", -g.k_psi), ("u0", g.k_psi), ("vhat", 1.0)]}
+        return [("vL", "lead", n - m, 1.0, I)] + [
+            (o, i, m, s, I) for o, terms in rows.items()
+            if o in self.names + ("v",) for i, s in terms]
 
-    def deriv(self, t, h, p, v, x, neigh, dx) -> np.ndarray:
-        vhat = x[0]
-        if self.v_d is None:
-            dx[0] = -self.L_p * (vhat - neigh.vhat_avg(vhat))
-        else:
-            dx[0] = 0.0
-        theta = neigh.vartheta_avg(t)
-        if self.psi_mode == "dynamic":
-            psi = x[1]
-            dx[1] = -self.k_psi * (psi - theta) + vhat
-        else:
-            psi = theta
-        w = v if self.use_velocity else x[-1] + p      # phi is last
-        gamma = -self.k_d * (w - vhat) - self.k_p * (p - psi)
-        if not self.use_velocity:
-            dx[-1] = -w + gamma
-        return gamma
+    def sources(self, row: int, view: NeighborView, vhat: np.ndarray):
+        return (view.vartheta_avg(self.times[row]).ravel(),
+                view.vhat_avg(vhat).ravel(), self.leaders[row])
 
 
-class NonlinearVSController:
+class NonlinearVSController(Law):
     """Reference-velocity tracking with a smoothed variable-structure term.
 
     The discontinuous unit-vector term is replaced inside a boundary layer of
@@ -297,53 +340,56 @@ class NonlinearVSController:
         if model is None or model.kind != "nonlinear":
             raise ValueError("nonlinear_vs requires the nonlinear model")
         self.gains, self.N, self.model = gains, N, model
-        self.L_p, self.L_d, self.k_p, self.k_d, self.k_r = gains.blocks(
-            N, "L_p", "L_d", "k_p", "k_d", "k_r")
+        self.L_p, self.L_d, self.k_p, self.k_d, self.k_r = (
+            getattr(gains, k)[:, None] for k in ("L_p", "L_d", "k_p", "k_d",
+                                                 "k_r"))
 
-    @cached_property
-    def lam(self) -> np.ndarray:
-        """lam_effective as an (m, N) block, after make_controller's check."""
-        return np.outer(self.gains.lam_effective(), np.ones(self.N))
+    def start(self, model: AgentModel, n: int, times: list, halves: list,
+              leaders: np.ndarray) -> None:
+        super().start(model, n, times, halves, leaders)
+        self.lam = self.gains.lam_effective()[:, None]   # gains now checked
 
-    def init_internals(self, p0):
-        return np.stack([np.zeros_like(p0), np.zeros_like(p0), p0, p0])
-
-    def deriv(self, t, h, p, v, x, neigh, dx) -> np.ndarray:
-        vhat, sigma1, eta1, eta2 = x
-        dvhat, dsigma1, deta1, deta2 = dx
-        theta = neigh.vartheta_avg(t)
+    def deriv(self, row: int, y: np.ndarray, view: NeighborView):
+        n, m, dy = self.n, self.gains.m, np.empty_like(y)
+        pv = y[:2 * n].reshape(2, n, self.N)
+        (p, v), (vhat, sigma1, eta1, eta2) = pv[:, :m], y[2 * n:].reshape(
+            4, m, self.N)
+        dy[:n] = pv[1]
+        dvhat, dsigma1, deta1, deta2 = dy[2 * n:].reshape(4, m, self.N)
+        theta = view.vartheta_avg(self.times[row])
         dvhat[:] = -self.L_p * (vhat - sigma1)
-        dsigma1[:] = -self.L_d * (sigma1 - neigh.vhat_avg(vhat))
+        dsigma1[:] = -self.L_d * (sigma1 - view.vhat_avg(vhat))
         deta1[:] = -self.k_p * (eta1 - eta2) + vhat
         deta2[:] = -self.k_d * (eta2 - theta) + vhat
         v_r = -self.lam * (p - eta1) + vhat
         dv_r = -self.lam * (v - deta1) + dvhat
         e = v - v_r
-        gamma_bar = self.switching_term(e, p, v)
-        return -self.k_r * e + dv_r - gamma_bar
-
-    def drift_bound(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        fns = self.model.drift_fns        # each maps an array of norms
-        return fns["delta_p"](np.linalg.norm(p, axis=-1)) + \
-            fns["delta_v"](np.linalg.norm(v, axis=-1))
+        gamma = -self.k_r * e + dv_r - self.switching_term(e, p, v)
+        dy[n:n + m], dy[n + m:2 * n] = self.accel(pv, gamma,
+                                                  self.leaders[row])
+        return dy, gamma
 
     def switching_term(self, e: np.ndarray, p: np.ndarray,
                        v: np.ndarray) -> np.ndarray:
-        eps = self.gains.boundary_layer_eps
-        bound = self.drift_bound(p, v)
+        eps, fns = self.gains.boundary_layer_eps, self.model.drift_fns
+        bound = fns["delta_p"](np.linalg.norm(p, axis=-1)) + \
+            fns["delta_v"](np.linalg.norm(v, axis=-1))   # the drift's bound
         en = np.linalg.norm(e, axis=-1)
         scale = np.where(en > eps, bound / np.maximum(en, 1e-300), bound / eps)
         return scale[..., None] * e
 
 
-class OscillatorLaw:
+class OscillatorLaw(LinearLaw):
     """Oscillator law: references propagated through the free flow e^{S dt}.
 
     The one switch is the output filter: without it (oscillator_full) the
     law damps w = v - vhat; with it (oscillator_output) k_phi (phi + p)
-    stands in for v, so w = k_phi (phi + p) - vhat.  Three S products,
-    four with the filter, each stacked on a leading axis: [vhat, sigma] S2',
-    w [S1', S2'], and p S1' used twice.
+    stands in for v, so w = k_phi (phi + p) - vhat.  With the sources
+    [u0; u1] = oscillator_psi at the stage's half tick:
+        gamma  = -(k_d w + S2 w) - k_p (p - u0) + 2 sigma
+        vhat'  = S1 p + S2 vhat + sigma
+        sigma' = S1 w + S2 sigma - k_d sigma - k_p (vhat - u1)
+        phi'   = -(k_phi y - S2 y) + (gamma + S1 p) / k_phi,  y = phi + p.
     """
 
     def __init__(self, gains: GainSet, N: int, model: AgentModel,
@@ -351,60 +397,57 @@ class OscillatorLaw:
         if model is None or model.kind != "oscillator":
             raise ValueError("oscillator variants require the oscillator model")
         self.gains, self.N, self.output_filter = gains, N, output_filter
-        self.k_p, self.k_d, self.k_phi = gains.blocks(N, "k_p", "k_d",
-                                                      "k_phi")
-        self.S = np.stack([model.S1, model.S2]).transpose(0, 2, 1)  # S1', S2'
-        self.S1T, self.S2T = self.S
+        self.S1, self.S2 = model.S1, model.S2
         self.flow = OscillatorFlow(model.S1, model.S2)
         self.names = ("vhat", "sigma") + (("phi",) if output_filter else ())
 
-    def init_internals(self, p0):
-        return np.zeros((len(self.names),) + p0.shape)
+    def terms(self, n: int, m: int) -> list:
+        """As DoubleIntegratorLaw.terms; the plant v' = S1 p + S2 v + gamma
+        holds for every agent, the leaders' with gamma = 0."""
+        g, I, S1, S2 = self.gains, np.eye(self.N), self.S1, self.S2
+        w = [("phi", g.k_phi), ("p", g.k_phi)] if self.output_filter \
+            else [("v", 1.0)]
+        w.append(("vhat", -1.0))
+        gamma = [t for i, s in w for t in ((i, -g.k_d * s, I), (i, -s, S2))]
+        gamma += [("p", -g.k_p, I), ("u0", g.k_p, I), ("sigma", 2.0, I)]
+        rows = {"v": gamma,
+                "vhat": [("p", 1.0, S1), ("vhat", 1.0, S2), ("sigma", 1.0, I)],
+                "sigma": [(i, s, S1) for i, s in w] + [
+                    ("sigma", 1.0, S2), ("sigma", -g.k_d, I),
+                    ("vhat", -g.k_p, I), ("u1", g.k_p, I)],
+                "phi": [(i, s, M) for i in ("phi", "p")
+                        for s, M in ((-g.k_phi, I), (1.0, S2))] + [
+                    (i, s / g.k_phi, M) for i, s, M in gamma + [
+                        ("p", 1.0, S1)]]}
+        return [("v", "p", n, 1.0, S1), ("v", "v", n, 1.0, S2)] + [
+            (o, i, m, s, M) for o, terms in rows.items()
+            if o in self.names + ("v",) for i, s, M in terms]
 
-    def deriv(self, t, h, p, v, x, neigh, dx) -> np.ndarray:
-        vhat, sigma = x[0], x[1]
-        psi_p, psi_v = neigh.oscillator_psi(h, self.flow, vhat)
-        if self.output_filter:
-            y = x[2] + p
-            w = self.k_phi * y - vhat
-        else:
-            w = v - vhat
-        wS, xS2, pS1 = w @ self.S, x[:2] @ self.S2T, p @ self.S1T
-        gamma = -(self.k_d * w + wS[1]) - self.k_p * (p - psi_p) + 2.0 * sigma
-        dx[0] = pS1 + xS2[0] + sigma
-        dx[1] = wS[0] + xS2[1] - self.k_d * sigma - self.k_p * (vhat - psi_v)
-        if self.output_filter:
-            dx[2] = -(self.k_phi * y - y @ self.S2T) \
-                + (gamma + pS1) / self.k_phi
-        return gamma
-
-
-Controller = DoubleIntegratorLaw | NonlinearVSController | OscillatorLaw
+    def sources(self, row: int, view: NeighborView, vhat: np.ndarray):
+        return view.oscillator_psi(self.halves[row], self.flow, vhat).ravel(),
 
 
 def make_controller(variant: str, gains: GainSet, N: int,
-                    model: AgentModel | None = None,
-                    psi_mode: str = "static",
-                    v_d=None, use_velocity: bool = True) -> Controller:
+                    model: AgentModel | None = None, psi_mode: str = "static",
+                    v_d=None, use_velocity: bool = True) -> Law:
     """The law behind variant, its switches set from the settings; raises
     GainError for gains that fail check_gains, ValueError for a variant,
     model or setting the law cannot run with."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown controller variant {variant!r}")
+    known = variant == "known_vd"
     if variant == "nonlinear_vs":
         ctrl = NonlinearVSController(gains, N, model)
-    elif variant in ("oscillator_full", "oscillator_output"):
-        ctrl = OscillatorLaw(gains, N, model,
-                             output_filter=variant == "oscillator_output")
-    elif model is not None and model.kind == "oscillator":
-        raise ValueError(f"{variant} cannot drive the oscillator model")
-    elif variant == "known_vd":
-        if v_d is None:
-            raise ValueError("known_vd requires v_d")
-        ctrl = DoubleIntegratorLaw(gains, N, psi_mode, v_d, use_velocity)
+    elif variant.startswith("oscillator"):
+        ctrl = OscillatorLaw(gains, N, model, variant == "oscillator_output")
+    elif model is not None and model.kind != "double_integrator":
+        raise ValueError(f"{variant} cannot drive the {model.kind} model")
+    elif known and v_d is None:
+        raise ValueError("known_vd requires v_d")
     else:
-        ctrl = DoubleIntegratorLaw(gains, N, psi_mode,
-                                   use_velocity=variant == "full_state")
+        ctrl = DoubleIntegratorLaw(gains, N, psi_mode, v_d if known else None,
+                                   use_velocity if known
+                                   else variant == "full_state")
     ok, problems = check_gains(
         variant, gains, S2=model.S2 if isinstance(ctrl, OscillatorLaw) else None)
     if not ok:

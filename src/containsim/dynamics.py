@@ -4,8 +4,8 @@ Three follower models are supported: plain double integrators, double
 integrators with a locally Lipschitz drift on the acceleration channel, and
 linear oscillators dv = S1 p + S2 v + u whose free motion is bounded
 (spectrum of the stacked matrix S on the imaginary axis, semi-simple).
-Leader inputs come from closed-form trajectory generators with uniformly
-bounded, vanishing acceleration and a common limit velocity.
+Closed-form leader trajectories have bounded, vanishing acceleration and
+a common limit velocity.
 """
 from __future__ import annotations
 
@@ -22,16 +22,10 @@ LEADER_KINDS = ("damped_oscillatory", "constant_velocity", "stationary")
 # (p, v) -> acceleration drift, plus the class-Kinfty bound pair
 # (delta_p(|p|), delta_v(|v|)) dominating its magnitude.
 DRIFT_REGISTRY: dict[str, dict] = {
-    "zero": {
-        "f": lambda p, v: np.zeros_like(p),
-        "delta_p": lambda r: 0.0,
-        "delta_v": lambda r: 0.0,
-    },
-    "square_velocity": {
-        "f": lambda p, v: v * v,
-        "delta_p": lambda r: 0.0,
-        "delta_v": lambda r: r * r,
-    },
+    "zero": {"f": lambda p, v: np.zeros_like(p),
+             "delta_p": lambda r: 0.0, "delta_v": lambda r: 0.0},
+    "square_velocity": {"f": lambda p, v: v * v,
+                        "delta_p": lambda r: 0.0, "delta_v": lambda r: r * r},
 }
 
 

@@ -13,10 +13,9 @@ neighbor view they form is frozen for the four stages of a classical RK4
 step, and rebuilt only at the ticks where the mailbox row changes.
 
 A run's state is one (rows, N) float array, a block of rows per variable
-(sim.run: p, v, then the law's internals, m rows each, whose derivative
-rows the law writes in place; the cascade: eta, then zeta, sigma rows per
-follower), so an RK4 step is four array expressions and the history is one
-(K + 1, rows, N) array whose slices are the trace fields.
+(sim.run: p, v, then the law's internals, m rows each; the cascade: eta,
+then zeta, sigma rows per follower), so the history is one (K + 1, rows,
+N) array whose slices are the trace fields.
 """
 from __future__ import annotations
 
@@ -35,8 +34,7 @@ class DivergenceError(RuntimeError):
     agent is the row of the first offending agent, variable names the state
     array, and last_norm is the norm of that agent's row of that array at the
     last step where it was in range.  In a batch of runs, copy is the index
-    of the run that diverged and agent its row in that run; copy is None
-    for a single run.
+    of the run that diverged and agent its row in it (None for one run).
     """
 
     def __init__(self, t: float, agent: int, variable: str,
@@ -81,22 +79,17 @@ def rk4_step(rhs, mid, end, h: float, y: np.ndarray, u, k1: np.ndarray):
     mid and end are the rows of the step's midpoint and end, y is the state
     array and k1 = rhs(start, y, u)[0] is passed in, since the caller
     already evaluated it to record the step-start outputs.  The sums
-    accumulate in place, into one stage buffer and k2, in the order of
-    y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4): rhs must return a fresh
-    array and keep no reference to its input.
+    accumulate in place, in the order of y + h / 6 * (k1 + 2 k2 + 2 k3 +
+    k4), so rhs must return fresh arrays and keep none of its inputs.
     """
     z = np.multiply(k1, h / 2)
     k2, _ = rhs(mid, np.add(z, y, out=z), u)
     k3, _ = rhs(mid, np.add(np.multiply(k2, h / 2, out=z), y, out=z), u)
     k4, _ = rhs(end, np.add(np.multiply(k3, h, out=z), y, out=z), u)
     k2 *= 2
-    k2 += k1
-    k3 *= 2
-    k2 += k3
-    k2 += k4
-    k2 *= h / 6
-    k2 += y
-    return k2
+    for term in (k1, np.multiply(k3, 2, out=k3), k4):
+        k2 += term
+    return np.add(np.multiply(k2, h / 6, out=k2), y, out=k2)
 
 
 class Engine:

@@ -1,14 +1,12 @@
 """Closed-loop containment runs on the shared sampled-data engine.
 
-``run`` plugs the controller and the agent models into ``engine.Engine``,
-which counts time in integer ticks, holds the mailbox history
-(``Trace.used_seq``) and holds the neighbor view fixed for each RK4 step.
-It names the state rows each agent sends (position, velocity estimate)
-and the right-hand side, which returns the control input the engine
-stacks.  The diagnostics follow the run: the containment errors of all
-steps come from one broadcast product with the weights, and their hull
-distances from one stacked ``hull_distance`` call, which builds each
-step's leader hull once.
+``run`` plugs the controller into ``engine.Engine``, which counts time in
+integer ticks, holds the mailbox history (``Trace.used_seq``) and holds
+the neighbor view fixed for each RK4 step.  It names the state rows each
+agent sends (position, velocity estimate); the law's ``deriv`` is the
+right-hand side, plant included.  The containment errors of all steps
+come from one broadcast product with the weights, and their hull
+distances from one stacked ``hull_distance`` call.
 """
 from __future__ import annotations
 
@@ -20,11 +18,11 @@ import numpy as np
 
 from .comm import CommConfig, LinkSchedule, generate_schedule, \
     period_ticks, to_ticks
-from .control import Controller, GainSet, make_controller
+from .control import GainSet, Law, make_controller
 from .dynamics import AgentModel, LeaderTrajectory, \
-    check_oscillator_spectrum, plant
-from .engine import DIVERGENCE_LIMIT, DivergenceError, Engine  # noqa: F401
-from .engine import stage_times
+    check_oscillator_spectrum
+from .engine import DIVERGENCE_LIMIT, DivergenceError, Engine, \
+    stage_times  # noqa: F401
 from .topology import DirectedTopology, containment_weights, partition, \
     validate_assumption1
 
@@ -56,7 +54,7 @@ class Scenario:
     use_velocity: bool = True
     label: str = "scenario"
 
-    def validate(self) -> Controller:
+    def validate(self) -> Law:
         """Check the scenario and return the controller it runs."""
         topo = self.topo
         if self.model.kind == "oscillator":
@@ -245,8 +243,7 @@ def run(scen: Scenario,
     otherwise they are generated from the comm config, seed included.
     Injected schedules must be keyed by exactly the topology's edges, and
     their delays must be whole ticks of dt.  The run's schedules are on
-    ``Trace.schedules``.  The model's plant is picked, and
-    the leader accelerations or an oscillator law's flows tabulated, once.
+    ``Trace.schedules``.
     """
     ctrl = scen.validate()
     dt, topo, model = scen.dt, scen.topo, scen.model
@@ -265,25 +262,13 @@ def run(scen: Scenario,
     x0 = ctrl.init_internals(scen.p0[:m])
     # Each stage row's time, and its half tick h: dt is two half steps.
     times, halves = stage_times(K, dt), stage_times(K, 2).astype(int).tolist()
-    accel = plant(model, m)
     if model.kind == "oscillator":
         ctrl.flow.tabulate(eng.stage_lags(), dt)
     leaders = np.empty((len(times), 0, N)) if scen.leaders is None \
         else scen.leaders.accel(times)   # the oscillator's move freely
-    times = times.tolist()
-
-    def rhs(row, y, view):
-        p, v = pv = y[:2 * n].reshape(2, n, N)
-        dy = np.empty_like(y)
-        dy[:n] = v
-        g = ctrl.deriv(times[row], halves[row], p[:m], v[:m],
-                       y[2 * n:].reshape(x0.shape), view,
-                       dy[2 * n:].reshape(x0.shape))
-        dy[n:n + m], dy[n + m:2 * n] = accel(pv, g, leaders[row])
-        return dy, g
-
+    ctrl.start(model, n, times.tolist(), halves, leaders)
     states, gamma = eng.run(
-        np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]), rhs,
+        np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]), ctrl.deriv,
         (("p", n, 1), ("v", n, 1)))
     trace_p, trace_v = states[:, :n], states[:, n:2 * n]
     internals = states[:, 2 * n:].reshape((K + 1,) + x0.shape)
@@ -309,26 +294,24 @@ def export_trace_csv(trace: Trace, path: str) -> None:
     a time, so the whole file is never held in memory."""
     n, N = trace.p.shape[1:]
     m = trace.m
-    header = ["t", "agent_id", "role"]
-    header += [f"p_{d + 1}" for d in range(N)]
-    header += [f"v_{d + 1}" for d in range(N)]
-    header += ["err_norm", "hull_dist"]
-    # One format string per step: field 0 is t, then each agent's p and v,
-    # then the followers' errors and hull distances.
+    header = ["t", "agent_id", "role", *(f"{x}_{d + 1}" for x in "pv"
+                                         for d in range(N)),
+              "err_norm", "hull_dist"]
+    # One format string per step: field 0 is t, then every agent's p, every
+    # agent's v, the followers' errors and their hull distances.
     step = "".join(
         f"{{0!r}},{i + 1},{'follower' if i < m else 'leader'},"
-        + ",".join(f"{{{1 + 2 * N * i + c}!r}}" for c in range(2 * N))
+        + ",".join(f"{{{1 + N * (i + n * k) + c}!r}}" for k in (0, 1)
+                   for c in range(N))
         + (f",{{{1 + 2 * N * n + i}!r}},{{{1 + 2 * N * n + m + i}!r}}"
            if i < m else ",,") + "\r\n" for i in range(n))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(trace.times), EXPORT_BLOCK_STEPS):
-            block = slice(start, start + EXPORT_BLOCK_STEPS)
-            rows = np.concatenate((
-                trace.times[block, None],
-                np.concatenate((trace.p[block], trace.v[block]), axis=2)
-                .reshape(len(trace.times[block]), -1),
-                _norms(trace.err_pos[block]), trace.hull_dist[block]), axis=1)
+            b = slice(start, start + EXPORT_BLOCK_STEPS)
+            rows = np.concatenate([trace.times[b, None], *(x[b].reshape(
+                len(x[b]), -1) for x in (trace.p, trace.v)),
+                _norms(trace.err_pos[b]), trace.hull_dist[b]], axis=1)
             fh.write("".join([step.format(*row) for row in rows.tolist()]))
 
 

@@ -127,8 +127,8 @@ EXIT_CASES = [
                                 ("run", "benchmark_fullstate"),
                                 ("sweep", "cascade_estimates"))),
     *(pytest.param(command, "benchmark_fullstate", change, False, 1,
-                   "config error:", rf"agents\.model\.{key}: the "
-                   r"double_integrator model does not read it",
+                   "config error:", r"agents\.model \(double_integrator\): "
+                   rf"unknown keys \['{key}'\]",
                    id=f"{command}-double_integrator_with_{key}")
       for command in ("validate", "run")
       for key, change in (("S1", S1_PLUS_I),
@@ -137,11 +137,11 @@ EXIT_CASES = [
     pytest.param("run", "oscillator_harmonic", edit("agents.model",
                                                     drift="zero"),
                  False, 1, "config error:",
-                 r"agents\.model\.drift: the oscillator model does not",
+                 r"agents\.model \(oscillator\): unknown keys \['drift'\]",
                  id="run-oscillator_with_drift"),
     pytest.param("run", "benchmark_nonlinear", S1_PLUS_I, False, 1,
                  "config error:",
-                 r"agents\.model\.S1: the nonlinear model does not",
+                 r"agents\.model \(nonlinear\): unknown keys \['S1'\]",
                  id="run-nonlinear_with_S1"),
     pytest.param("validate", "oscillator_harmonic", S1_PLUS_I, False, 1,
                  "config error:", r"pure-imaginary, semi-simple spectrum",

@@ -20,6 +20,7 @@ from containsim.dynamics import AgentModel, OscillatorFlow
 from containsim.engine import Engine
 from conftest import bench_topology, load_scenario_doc, to_ticks_oracle, \
     view_spans_oracle
+from law_oracle import closed_loop_oracle, law_oracle, stage
 
 
 # The six controller classes the three laws replaced, kept verbatim as the
@@ -424,6 +425,23 @@ def average_oracle(view, contrib, fallback):
     return out
 
 
+def assert_vartheta_avg(view, t):
+    """vartheta_avg(t) is c0 + t c1, the averages of the positions
+    extrapolated to t = 0 and of the velocity estimates, so it rounds
+    unlike the average of the positions extrapolated to t: it must match
+    that within 1e-14 of the size of the terms, and a follower's fallback
+    exactly.  Returns vartheta_avg(t)."""
+    got = view.vartheta_avg(t)
+    want = average_oracle(view, vartheta(view.p_msg, view.vhat_msg,
+                                         view.send_time[:, None], t),
+                          view.p_fallback)
+    size = np.abs(view.p_msg).max(initial=0.0) + np.abs(
+        view.vhat_msg).max(initial=0.0) * (t + view.send_time.max(initial=0))
+    assert np.array_equal(got[~view.live], want[~view.live])
+    assert np.abs(got - want).max() <= 1e-14 * size
+    return got
+
+
 def aggregation_view(rng, m, N, live, extra, dt, spT, k):
     """A view where every follower ("all"), some ("some") or none ("none")
     has a delivered in-edge; the extra edges go to followers that already
@@ -674,11 +692,7 @@ class TestAggregation:
         assert view.p_avg() is view.p_avg()
         assert not view.p_avg().flags.writeable
         for t, h in zip(times, halves):
-            theta = vartheta(view.p_msg, view.vhat_msg,
-                             view.send_time[:, None], t)
-            assert np.array_equal(view.vartheta_avg(t),
-                                  average_oracle(view, theta,
-                                                 view.p_fallback))
+            assert_vartheta_avg(view, t)
             own = rng.normal(size=(m, N))
             assert np.array_equal(view.vhat_avg(own),
                                   average_oracle(view, view.vhat_msg, own))
@@ -700,8 +714,6 @@ class TestAggregation:
         x = np.concatenate([view.p_msg, view.vhat_msg], axis=1)
         own = rng.normal(size=(m, N))
         t, h = 200 * dt + dt / 2, 401
-        theta = vartheta(view.p_msg, view.vhat_msg, view.send_time[:, None],
-                         t)
         lags = float_lags(view, [t], dt)
         flow.tabulate(lags, dt)
         oracle_flow.tabulate(lags, dt)
@@ -711,7 +723,7 @@ class TestAggregation:
             got = [view.p_avg(), view.vartheta_avg(t), view.vhat_avg(own),
                    *view.oscillator_psi(h, flow, own)]
             want = [average_oracle(view, view.p_msg, view.p_fallback),
-                    average_oracle(view, theta, view.p_fallback),
+                    assert_vartheta_avg(view, t),
                     average_oracle(view, view.vhat_msg, own),
                     *np.split(average_oracle(view, y, fallback_psi), 2, 1)]
             for avg, ref in zip(got, want):
@@ -742,11 +754,10 @@ class TestControllers:
         t = 1.0
         theta = view.vartheta_avg(t)
         vbar = view.vhat_avg(np.zeros((2, 2)))
-        x = view.vhat_avg(np.zeros((2, 2)))[None]       # vhat
-        dx = np.empty_like(x)
-        gamma = ctrl.deriv(t, 200, theta, vbar, x, view, dx)
+        dy, gamma = stage(ctrl, view, t, 200, np.concatenate([theta, vbar,
+                                                              vbar]))
         assert np.allclose(gamma, 0.0, atol=1e-12)
-        assert np.allclose(dx[0], 0.0, atol=1e-12)
+        assert np.allclose(dy[4:], 0.0, atol=1e-12)          # vhat'
 
     def test_full_state_dynamic_psi_filter(self):
         g = GainSet(m=2, k_p=4.0, k_d=4.0, k_psi=2.0)
@@ -756,8 +767,9 @@ class TestControllers:
         x = ctrl.init_internals(p0)
         psi = ctrl.names.index("psi")
         assert np.allclose(x[psi], p0)
-        dx = np.empty_like(x)
-        ctrl.deriv(0.0, 0, p0, p0, x, view, dx)
+        dy, _ = stage(ctrl, view, 0.0, 0,
+                      np.concatenate([p0, p0, x.reshape(-1, 2)]))
+        dx = dy[4:].reshape(x.shape)
         theta = view.vartheta_avg(0.0)
         assert np.allclose(dx[psi], -2.0 * (p0 - theta))
 
@@ -773,8 +785,9 @@ class TestControllers:
         x = ctrl.init_internals(p)
         phi = ctrl.names.index("phi")
         x[phi] = rng.normal(size=(2, 2))
-        dx = np.empty_like(x)
-        gamma = ctrl.deriv(0.5, 100, p, v, x, view, dx)
+        dy, gamma = stage(ctrl, view, 0.5, 100,
+                          np.concatenate([p, v, x.reshape(-1, 2)]))
+        dx = dy[4:].reshape(x.shape)
         phi_tilde = x[phi] + p - v
         d_phi_tilde = dx[phi] + v - gamma
         assert np.allclose(d_phi_tilde, -phi_tilde, atol=1e-12)
@@ -847,12 +860,45 @@ class TestControllers:
             make_controller("pid", GainSet(m=1), 2)
 
     def test_double_integrator_laws_reject_the_oscillator_model(self):
-        model = AgentModel(kind="oscillator", S1=-np.eye(2),
-                           S2=np.zeros((2, 2)))
-        for variant in ("full_state", "output_feedback", "known_vd"):
-            with pytest.raises(ValueError, match="oscillator model"):
-                make_controller(variant, GainSet(m=1), 2, model=model,
-                                v_d=np.zeros(2))
+        # ... and the nonlinear one: their generator holds a linear plant.
+        for model in (AgentModel(kind="oscillator", S1=-np.eye(2),
+                                 S2=np.zeros((2, 2))),
+                      AgentModel(kind="nonlinear", drift="square_velocity")):
+            for variant in ("full_state", "output_feedback", "known_vd"):
+                with pytest.raises(ValueError,
+                                   match=f"{model.kind} model"):
+                    make_controller(variant, GainSet(m=1), 2, model=model,
+                                    v_d=np.zeros(2))
+
+
+class TestGenerator:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 3),
+           st.sampled_from(["all", "some"]), st.integers(0, 400))
+    def test_full_state_blocks_have_the_closed_loop_poles(self, seed, m, N,
+                                                          live, k):
+        # Probing dy(y) - dy(0) with unit states reads A off the generator.
+        # Follower i's (p, v, vhat) block in each coordinate has the roots
+        # of s^2 + k_d s + k_p and -L_p once it holds a message, and 0 for
+        # the velocity estimate it holds until then.
+        rng = np.random.default_rng(seed)
+        gains = random_gains(rng, m)
+        ctrl = make_controller("full_state", gains, N)
+        view = aggregation_view(rng, m, N, live, 3, 0.01, 10, k)
+        t, size = k * 0.01, 3 * m * N
+        base = stage(ctrl, view, t, 2 * k, np.zeros((3 * m, N)))[0].ravel()
+        A = np.stack([stage(ctrl, view, t, 2 * k, e.reshape(3 * m, N))[0]
+                      .ravel() - base for e in np.eye(size)], axis=1)
+        for i in range(m):
+            L_p = gains.L_p[i] if view.live[i] else 0.0
+            want = np.polymul([1.0, gains.k_d[i], gains.k_p[i]], [1.0, L_p])
+            for c in range(N):
+                at = np.array([i, m + i, 2 * m + i]) * N + c
+                block = A[np.ix_(at, at)]
+                assert np.allclose(np.poly(block), want, rtol=1e-9,
+                                   atol=1e-9)
+                assert (np.linalg.eigvals(block).real < 0).all() \
+                    == bool(view.live[i])
 
 
 LAW_CASES = [(variant, psi_mode, use_velocity)
@@ -902,7 +948,8 @@ def blas_path_examples(test):
         for seed, s2, N in ((19, "skew", 1), (19, "skew", 2),
                             (19, "skew", 3), (5, "damped", 2)):
             test = example(seed=seed, case=(variant, "static", True),
-                           s2=s2, m=1, N=N, E=4, k=200, half=1)(test)
+                           s2=s2, m=1, N=N, E=4, k=200, half=1,
+                           leaders=1)(test)
     return test
 
 
@@ -912,15 +959,31 @@ class TestLawsMatchOracle:
     # (-k_d sigma + sigma S2') + w S1'.  The two orders agree exactly when
     # S2 = 0 and otherwise to rounding, well within this relative bound.
     RTOL = 1e-12
+    # The generator sums each row of A [y; u] in column order, and
+    # vartheta_avg forms c0 + t c1: both round differently from the
+    # elementwise oracle.  Its dy and gamma must match within GEN_TOL
+    # times scale(), a bound on the magnitude of the terms; a pilot of
+    # 3000 draws (see CHANGES.md) gave at most 6.2e-16.
+    GEN_TOL = 1e-13
+
+    @staticmethod
+    def scale(y, view, t, lead, gains, model):
+        size = max(1.0, np.abs(y).max(), np.abs(lead).max(initial=0.0),
+                   (1.0 + t) * np.abs(view.msg).max(initial=0.0))
+        gain = max([1.0] + [np.abs(getattr(gains, k)).max() for k in
+                            ("k_p", "k_d", "L_p", "k_psi", "k_phi")])
+        if model is not None and model.kind == "oscillator":
+            gain = max(gain, np.abs(model.S1).max(), np.abs(model.S2).max())
+        return size * gain ** 3
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32), st.sampled_from(LAW_CASES),
            st.sampled_from(("zero", "skew", "damped")),
            st.integers(1, 4), st.integers(1, 3), st.integers(0, 12),
-           st.integers(0, 400), st.integers(0, 2))
+           st.integers(0, 400), st.integers(0, 2), st.integers(0, 3))
     @blas_path_examples
     def test_gamma_and_derivatives_match(self, seed, case, s2, m, N, E,
-                                         k, half):
+                                         k, half, leaders):
         variant, psi_mode, use_velocity = case
         rng = np.random.default_rng(seed)
         gains = random_gains(rng, m)
@@ -955,16 +1018,34 @@ class TestLawsMatchOracle:
             x[0],
             np.vstack([old.transmitted_vhat(internals, i)
                        for i in range(m)]))
-        dx = np.full_like(x, np.nan)
         h = 2 * k + half
         if isinstance(new, OscillatorLaw):
             new.flow.tabulate(float_lags(view, [t], dt), dt)
-        gamma_new = new.deriv(t, h, p, v, x, view, dx)
+        # The whole closed loop: m followers and some leaders, whose
+        # accelerations are given for double integrators.
+        n = m + leaders
+        plant_model = model or AgentModel("double_integrator", N)
+        y = np.concatenate([p, rng.normal(size=(leaders, N)), v,
+                            rng.normal(size=(leaders, N)),
+                            x.reshape(-1, N)])
+        lead = rng.normal(size=(leaders, N))
+        dy, gamma_new = stage(new, view, t, h, y, plant_model, lead)
         out_old = old.deriv(t, p, v, internals, view)
         d_old = {**{name: np.zeros_like(a) for name, a in held.items()},
                  **out_old.d_internals}
-        assert np.array_equal(gamma_new, out_old.gamma)
         assert sorted(new.names) == sorted(d_old)
+        if variant == "nonlinear_vs":
+            assert np.array_equal(gamma_new, out_old.gamma)
+            for name, got in zip(new.names, dy[2 * n:].reshape(x.shape)):
+                assert np.array_equal(got, d_old[name]), name
+            return
+        # The oracle law is the one the generator replaced: it equals the
+        # six controllers' equations as before.
+        law = law_oracle(variant, gains, N, flow=getattr(new, "flow", None),
+                         **settings_)
+        dx = np.full_like(x, np.nan)
+        gamma_law = law.deriv(t, h, p, v, x, view, dx)
+        assert np.array_equal(gamma_law, out_old.gamma)
         for name, got in zip(new.names, dx):
             want = d_old[name]
             if variant == "oscillator_output" and s2 != "zero" \
@@ -973,3 +1054,8 @@ class TestLawsMatchOracle:
                     <= self.RTOL * np.max(np.abs(want))
             else:
                 assert np.array_equal(got, want), name
+        want, gamma_want = closed_loop_oracle(law, plant_model, n, t, h, y,
+                                              view, lead)
+        tol = self.GEN_TOL * self.scale(y, view, t, lead, gains, model)
+        assert np.abs(dy - want).max() <= tol
+        assert np.abs(gamma_new - gamma_want).max() <= tol

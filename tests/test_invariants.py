@@ -13,6 +13,7 @@ from containsim.dynamics import (
 )
 from containsim.topology import containment_weights, is_nonsingular_m_matrix, \
     partition
+from law_oracle import stage
 from conftest import follower_rhs, load_scenario_doc, \
     random_reachable_topology, seeded
 
@@ -141,8 +142,10 @@ class TestControllerStructure:
             B = (rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
             Z = (np.zeros((3, 2)), np.zeros((3, 2)))
             AB = (A[0] + B[0], A[1] + B[1])
-            outs = {key: ctrl.deriv(0.7, 140, p, v, x, _view(*msgs),
-                                    np.empty_like(x))
+            y = np.concatenate([p, v, x.reshape(-1, 2)])
+            model = AgentModel(kind="oscillator", S1=ctrl.S1, S2=ctrl.S2) \
+                if name == "oscillator_full" else None
+            outs = {key: stage(ctrl, _view(*msgs), 0.7, 140, y, model)[1]
                     for key, msgs in (("A", A), ("B", B), ("0", Z),
                                       ("AB", AB))}
             lhs = outs["AB"] + outs["0"]
@@ -159,13 +162,13 @@ class TestControllerStructure:
                      "psi": rng.normal(size=(2, 2)),
                      "phi": rng.normal(size=(2, 2))}
         view = _view(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
-        x = np.stack([internals[key] for key in ctrl.names])
-        dx1, dx2 = np.empty_like(x), np.empty_like(x)
-        gamma1 = ctrl.deriv(0.3, 60, p, rng.normal(size=(2, 2)), x, view, dx1)
-        gamma2 = ctrl.deriv(0.3, 60, p, rng.normal(size=(2, 2)), x, view, dx2)
+        x = np.stack([internals[key] for key in ctrl.names]).reshape(-1, 2)
+        dy1, gamma1 = stage(ctrl, view, 0.3, 60, np.concatenate(
+            [p, rng.normal(size=(2, 2)), x]))
+        dy2, gamma2 = stage(ctrl, view, 0.3, 60, np.concatenate(
+            [p, rng.normal(size=(2, 2)), x]))
         assert np.array_equal(gamma1, gamma2)
-        for d1, d2 in zip(dx1, dx2):
-            assert np.array_equal(d1, d2)
+        assert np.array_equal(dy1[4:], dy2[4:])
 
 
 class TestClosedLoopShape:
