@@ -13,13 +13,12 @@ from the leader convex combination, and runs the gain / blackout sweeps
 used to certify robustness trends.
 
 ``simulate_cascades`` integrates a batch of configs that share their
-topology, signals and time grid as one engine run over B disjoint copies
-of the topology, one schedule set per copy, which the engine lays out;
-the gains are per row, every copy's trace equals its run alone, to the
-bit, and a divergence names the copy it happened in.  ``simulate_cascade``
-is the batch of one, and each sweep is one batch.  Each RK4 stage is one
-affine update of the whole state, dy = G (y - F) + P: per-row gains, one
-target buffer, and the signals gathered FORCING_BLOCK steps at a time.
+topology, signals and time grid as one engine run over disjoint copies of
+the topology; every copy's trace equals its run alone, to the bit.
+``simulate_cascade`` is the batch of one, and each sweep is one batch.
+Each RK4 stage is one affine update of the whole state, dy = G (y - F) +
+P: per-row gains, one target buffer, and the signals gathered
+FORCING_BLOCK steps at a time.
 """
 from __future__ import annotations
 

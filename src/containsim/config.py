@@ -2,10 +2,10 @@
 
 A configuration file fully determines a run: topology, agent model, leader
 motion, controller variant and gains, communication statistics, and the
-integration window.  Unknown keys anywhere in the document are rejected so a
-typo cannot silently fall back to a default, and so are NaN and infinite
-numbers, which JSON parsers accept.  Time-valued keys carry a _seconds
-suffix.
+integration window.  Unknown keys anywhere in the document, and keys the
+model or the variant would ignore, are rejected so a typo cannot silently
+fall back to a default, and so are NaN and infinite numbers, which JSON
+parsers accept.  Time-valued keys carry a _seconds suffix.
 """
 from __future__ import annotations
 

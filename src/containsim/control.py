@@ -2,12 +2,11 @@
 
 Six variants run on three laws, ``DoubleIntegratorLaw``, ``OscillatorLaw``
 and ``NonlinearVSController``; ``make_controller`` maps a variant and its
-settings to a law and its switches.  ``start`` binds a law to a run, and
-its ``deriv(row, y, view)`` is then the run's right-hand side: the
-derivative of the whole flat state at a stage row, and the control input
-at a step start.  The internals named by ``names`` are m-row blocks of the
-state after the agents' p and v; block 0 is vhat, the velocity estimate
-each follower sends.
+settings to a law and its switches.  ``start`` binds a law to a run; its
+``deriv(row, y, view)`` is then the run's right-hand side, the derivative
+of the whole flat state at a stage row (and the control input at a step
+start).  The internals ``names`` are m-row blocks of the state after the
+agents' p and v; block 0 is vhat, the velocity estimate a follower sends.
 
 Neighbor information enters through weighted averages over the in-edges that
 have delivered at least one message; the averages are renormalized by the
@@ -30,6 +29,7 @@ VARIANTS = {"full_state": ("psi_mode",), "output_feedback": ("psi_mode",),
             "known_vd": ("psi_mode", "v_d", "use_velocity"),
             "nonlinear_vs": (), "oscillator_full": (), "oscillator_output": ()}
 PSI_MODES = ("static", "dynamic")
+GAINS = ("k_p", "k_d", "L_p", "L_d", "k_psi", "k_phi", "k_r")
 
 
 class GainError(ValueError):
@@ -60,8 +60,7 @@ class GainSet:
     boundary_layer_eps: float = BOUNDARY_LAYER_DEFAULT
 
     def __post_init__(self):
-        for name in ("k_p", "k_d", "L_p", "L_d", "k_psi", "k_phi", "k_r",
-                     "lam"):
+        for name in GAINS + ("lam",):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _as_follower_array(
                     getattr(self, name), self.m))
@@ -81,7 +80,7 @@ def check_gains(variant: str, gains: GainSet,
                 S2: np.ndarray | None = None) -> tuple[bool, list[str]]:
     """Validate positivity plus the variant-specific structural conditions."""
     problems = []
-    for name in ("k_p", "k_d", "L_p", "L_d", "k_psi", "k_phi", "k_r"):
+    for name in GAINS:
         if not np.all(getattr(gains, name) > 0):      # NaN fails too
             problems.append(f"{name} must be strictly positive")
     if not gains.boundary_layer_eps > 0:
@@ -121,11 +120,10 @@ class NeighborView:
     follower row and msg to its message, [p_msg, vhat_msg], sent at
     send_time = seq * T, or send_half = 2 steps_per_T seq half steps.
     kappa_delivered is the per-follower sum of delivered edge weights (0
-    during warm-up).  The view serves up to the half tick last_half.
-    Its messages are fixed, so each average is computed once: p_avg's,
-    vartheta's and vhat's (c0 + t c1 and c1) per view, oscillator_psi's per
-    span.  Until every follower is live (has a delivered in-edge), each
-    call merges in the fallback rows.  Every average is read-only.
+    during warm-up).  The view serves up to the half tick last_half.  Each
+    average is computed once, read-only: p_avg's, vartheta's and vhat's
+    (c0 + t c1, c1) per view, oscillator_psi's per span.  Until every
+    follower is live (has a delivered in-edge), calls merge in fallbacks.
     """
 
     def __init__(self, m: int, N: int, dst: np.ndarray, w: np.ndarray,
@@ -139,17 +137,14 @@ class NeighborView:
         self.live = self.kappa_delivered > 0
         self.all_live = bool(self.live.all())
         self._rows = slice(None) if self.all_live else self.live
-        # p_avg; c0 and c1; vartheta_avg at its last t; oscillator_psi's flow
-        # and its averages by half tick.
+        # Memos: p_avg, c0 and c1, vartheta_avg at its last t, psi's flow.
         self._p = self._c = self._theta_t = self._theta = self._psi_flow = None
         self._psi = {}
 
     def _live_average(self, contrib: np.ndarray) -> np.ndarray:
         """Weighted average of the rows of contrib (one per edge) over the
         in-edges of each live follower, (live followers, columns)."""
-        cols = contrib.shape[1]
-        # One bincount over (follower, column) bins; like np.add.at, it
-        # adds each bin's terms in edge order.
+        cols = contrib.shape[1]     # one bincount adds each bin in edge order
         num = np.bincount((self.dst[:, None] * cols + np.arange(cols)).ravel(),
                           weights=(self.w[:, None] * contrib).ravel(),
                           minlength=self.m * cols).reshape(self.m, cols)
@@ -203,8 +198,7 @@ class NeighborView:
 
         The lags are the whole half steps h - send_half; a miss computes h
         to last_half by one lookup in flow's table, one stacked matmul and
-        one bincount over rows of all those half ticks per edge, which keep
-        each edge's product and the summation order (einsum would not).
+        one bincount, which keep each edge's product and summation order.
         """
         if flow is not self._psi_flow or h not in self._psi:
             half = np.arange(h, max(h, self.last_half) + 1)
@@ -219,10 +213,9 @@ class NeighborView:
 
 
 class Law:
-    """Internals start at zero, but for the references psi, eta1 and eta2
-    (p0) and a given v_d (vhat).  ``start`` binds the law to a run of n
-    agents: the time and half tick of every stage row (engine.stage_times)
-    and the leaders' accelerations there."""
+    """Internals start at zero but for psi, eta1, eta2 (p0) and a given v_d
+    (vhat).  ``start`` binds the law to a run of n agents: every stage row's
+    time and half tick (engine.stage_times) and leader accelerations."""
 
     def init_internals(self, p0: np.ndarray) -> np.ndarray:
         x = np.zeros((len(self.names),) + p0.shape)
@@ -233,25 +226,23 @@ class Law:
 
     def start(self, model: AgentModel, n: int, times: list, halves: list,
               leaders: np.ndarray) -> None:
-        self.n, self.times, self.halves, self.leaders = n, times, halves, \
-            leaders
+        self.n, self.times, self.halves, self.leaders = n, times, halves, leaders
         self.K, self.accel = len(times) // 3, plant(model, self.gains.m)
 
 
 class LinearLaw(Law):
     """A law whose closed loop is linear while the mailbox holds still.
 
-    ``start`` builds its generator once per run: a sparse operator A on
-    [y; u], the flat state y, (rows * N), then the sources u, two (m, N)
-    blocks of neighbour averages and the leaders' accelerations.  A holds
-    the plant, leader rows included, so a stage is dy = A [y; u]: one take,
-    one product and one np.bincount.  A's entries are sorted by row, each
-    row's in the fixed order of the law's terms, so every row sums in one
-    order whatever else the state holds, and a row without one is 0 (which
-    np.add.reduceat would not give).  No entry depends on which followers
-    hold a message: the views' fallback for a follower without one is its
-    own velocity estimate, so its consensus terms cancel.
-    """
+    ``start`` builds its generator once per run: a sparse operator A, plant
+    and leader rows included, on [y; u], the flat state y (rows * N) then
+    the sources u, two (m, N) blocks of neighbour averages and the leaders'
+    accelerations; a stage is dy = A [y; u], one take, product and
+    np.bincount.  A's entries are sorted by row, each row's in the fixed
+    order of the law's terms, so a row sums in one order whatever else the
+    state holds, and a row without entries is 0 (np.add.reduceat would give
+    it the next row's first).  No entry depends on which followers hold a
+    message: a follower without one averages its own velocity estimate
+    (the views' fallback), so its consensus terms cancel."""
 
     def start(self, model: AgentModel, n: int, times: list, halves: list,
               leaders: np.ndarray) -> None:
@@ -382,10 +373,9 @@ class NonlinearVSController(Law):
 class OscillatorLaw(LinearLaw):
     """Oscillator law: references propagated through the free flow e^{S dt}.
 
-    The one switch is the output filter: without it (oscillator_full) the
-    law damps w = v - vhat; with it (oscillator_output) k_phi (phi + p)
-    stands in for v, so w = k_phi (phi + p) - vhat.  With the sources
-    [u0; u1] = oscillator_psi at the stage's half tick:
+    w = v - vhat (oscillator_full), or w = k_phi (phi + p) - vhat with the
+    output filter (oscillator_output); with the sources [u0; u1] =
+    oscillator_psi at the stage's half tick:
         gamma  = -(k_d w + S2 w) - k_p (p - u0) + 2 sigma
         vhat'  = S1 p + S2 vhat + sigma
         sigma' = S1 w + S2 sigma - k_d sigma - k_p (vhat - u1)
@@ -402,23 +392,22 @@ class OscillatorLaw(LinearLaw):
         self.names = ("vhat", "sigma") + (("phi",) if output_filter else ())
 
     def terms(self, n: int, m: int) -> list:
-        """As DoubleIntegratorLaw.terms; the plant v' = S1 p + S2 v + gamma
-        holds for every agent, the leaders' with gamma = 0."""
+        """As DoubleIntegratorLaw.terms; every agent's v' is S1 p + S2 v,
+        plus gamma for a follower."""
         g, I, S1, S2 = self.gains, np.eye(self.N), self.S1, self.S2
-        w = [("phi", g.k_phi), ("p", g.k_phi)] if self.output_filter \
-            else [("v", 1.0)]
-        w.append(("vhat", -1.0))
+        w = ([("phi", g.k_phi), ("p", g.k_phi)] if self.output_filter
+             else [("v", 1.0)]) + [("vhat", -1.0)]
         gamma = [t for i, s in w for t in ((i, -g.k_d * s, I), (i, -s, S2))]
         gamma += [("p", -g.k_p, I), ("u0", g.k_p, I), ("sigma", 2.0, I)]
+        filt = [(i, s, M) for i in ("phi", "p")         # -(k_phi y - S2 y)
+                for s, M in ((-g.k_phi, I), (1.0, S2))]
         rows = {"v": gamma,
                 "vhat": [("p", 1.0, S1), ("vhat", 1.0, S2), ("sigma", 1.0, I)],
                 "sigma": [(i, s, S1) for i, s in w] + [
                     ("sigma", 1.0, S2), ("sigma", -g.k_d, I),
                     ("vhat", -g.k_p, I), ("u1", g.k_p, I)],
-                "phi": [(i, s, M) for i in ("phi", "p")
-                        for s, M in ((-g.k_phi, I), (1.0, S2))] + [
-                    (i, s / g.k_phi, M) for i, s, M in gamma + [
-                        ("p", 1.0, S1)]]}
+                "phi": filt + [(i, s / g.k_phi, M)
+                               for i, s, M in gamma + [("p", 1.0, S1)]]}
         return [("v", "p", n, 1.0, S1), ("v", "v", n, 1.0, S2)] + [
             (o, i, m, s, M) for o, terms in rows.items()
             if o in self.names + ("v",) for i, s, M in terms]

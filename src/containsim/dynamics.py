@@ -42,13 +42,11 @@ class AgentModel:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "nonlinear" and self.drift not in DRIFT_REGISTRY:
             raise ValueError(f"unknown drift {self.drift!r}")
-        if self.kind == "oscillator":
-            S1 = np.asarray(self.S1, dtype=float)
-            S2 = np.asarray(self.S2, dtype=float)
-            if S1.shape != (self.N, self.N) or S2.shape != (self.N, self.N):
+        for name in ("S1", "S2") if self.kind == "oscillator" else ():
+            S = np.asarray(getattr(self, name), dtype=float)
+            if S.shape != (self.N, self.N):
                 raise ValueError("S1, S2 must be NxN")
-            object.__setattr__(self, "S1", S1)
-            object.__setattr__(self, "S2", S2)
+            object.__setattr__(self, name, S)
 
     @property
     def drift_fns(self) -> dict:
@@ -95,11 +93,9 @@ def check_oscillator_spectrum(S1: np.ndarray, S2: np.ndarray) -> bool:
 
 
 class OscillatorFlow:
-    """Free flow e^{S tau} of the stacked oscillator matrix S.
-
-    ``flow(tau)`` is expm(S * tau), with tau rounded to 12 decimals, and
-    ``table[j]`` is ``flow(j * dt/2)`` at each lag j given to ``tabulate``.
-    """
+    """Free flow e^{S tau} of the stacked oscillator matrix S: ``flow(tau)``
+    is expm(S * tau), with tau rounded to 12 decimals, and ``table[j]`` is
+    ``flow(j * dt/2)`` at each lag j given to ``tabulate``."""
 
     def __init__(self, S1: np.ndarray, S2: np.ndarray):
         self.S = stacked_oscillator_matrix(np.asarray(S1, float),

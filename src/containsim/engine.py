@@ -1,21 +1,18 @@
 """Sampled-data engine on integer ticks, shared by sim.run and the cascade.
 
 The engine runs one or more disjoint copies of a topology, each with its
-own link schedules, as one union edge list (``topology.union_rows``), so a
-batch needs no matrix of its own and a diverging agent is named by its
-copy and its row in it.  Time is counted in ticks of the integration step
-dt: the delivered message seq is sent at tick seq * steps_per_T and
-arrives its delay ticks later.  The mailbox is one (K + 1, E) int array,
-the freshest delivered seq per edge after each tick (-1 while nothing has
-arrived).  A message is some of its sender's state rows at its send tick,
-so the messages in use are one gather from the state history; the
-neighbor view they form is frozen for the four stages of a classical RK4
-step, and rebuilt only at the ticks where the mailbox row changes.
-
-A run's state is one (rows, N) float array, a block of rows per variable
+own link schedules, as one union edge list (``topology.union_rows``).  Time
+is counted in ticks of the integration step dt: the delivered message seq
+is sent at tick seq * steps_per_T and arrives its delay ticks later.  The
+mailbox is one (K + 1, E) int array, the freshest delivered seq per edge
+after each tick (-1 while nothing has arrived).  A message is some of its
+sender's state rows at its send tick, one gather from the state history;
+the neighbor view they form is frozen for the four stages of a classical
+RK4 step, and rebuilt only at the ticks where the mailbox row changes.  A
+run's state is one (rows, N) float array, a block of rows per variable
 (sim.run: p, v, then the law's internals, m rows each; the cascade: eta,
-then zeta, sigma rows per follower), so the history is one (K + 1, rows,
-N) array whose slices are the trace fields.
+then zeta, sigma rows per follower), and its history one (K + 1, rows, N)
+array whose slices are the trace fields.
 """
 from __future__ import annotations
 
@@ -77,10 +74,9 @@ def rk4_step(rhs, mid, end, h: float, y: np.ndarray, u, k1: np.ndarray):
     """One classical RK4 step of dy/dt = rhs(row, y, u)[0] with u held fixed.
 
     mid and end are the rows of the step's midpoint and end, y is the state
-    array and k1 = rhs(start, y, u)[0] is passed in, since the caller
-    already evaluated it to record the step-start outputs.  The sums
-    accumulate in place, in the order of y + h / 6 * (k1 + 2 k2 + 2 k3 +
-    k4), so rhs must return fresh arrays and keep none of its inputs.
+    array and k1 = rhs(start, y, u)[0] is passed in, as the caller records
+    the step-start outputs.  Sums accumulate in place in the order of y +
+    h / 6 * (k1 + 2 k2 + 2 k3 + k4); rhs keeps no input, returns new arrays.
     """
     z = np.multiply(k1, h / 2)
     k2, _ = rhs(mid, np.add(z, y, out=z), u)
@@ -97,16 +93,15 @@ class Engine:
 
     schedules holds one {(j, i): LinkSchedule} dict per copy of topo, each
     keyed by exactly topo's edges, else error is raised naming the edges
-    missing and the keys extra.  Copy b is laid out at the rows
-    ``self.rows[b]`` of the union (``topology.union_rows``): its edge
-    (j, i) is the union edge (rows[b, j], rows[b, i]), with topo's weight.
-    The union's edges are numbered in sorted order, which fixes the order
-    of the neighbor sums, the columns of the mailbox and, with the tick and
-    the seq, the audit order.  send is a (senders, r) int array: row j
-    lists the state rows that union agent j transmits, position-like row
-    first.  A schedule drawn at another step is converted to the run's
-    ticks; error is also raised for one that does not fit them or has fewer
-    sends than the run has send ticks, naming those edges.
+    missing and the keys extra.  Copy b's edge (j, i) is the union edge
+    (rows[b, j], rows[b, i]) of ``self.rows`` (``topology.union_rows``),
+    with topo's weight.  The union's edges are numbered in sorted order,
+    which fixes the order of the neighbor sums, the mailbox columns and,
+    with the tick and the seq, the audit order.  Row j of the (senders, r)
+    int array send lists the state rows union agent j transmits, its
+    position first.  A schedule drawn at another step is converted to the
+    run's ticks; error is raised for one that does not fit them or has
+    fewer sends than the run has send ticks, naming those edges.
     """
 
     def __init__(self, topo, schedules: list, T: float, dt: float,
@@ -202,11 +197,10 @@ class Engine:
         (or e = K), evaluate rhs(k, y, view) -> (dy, out), then take one
         RK4 step with the view held, its stages at rows K + 1 + k and
         2K + 1 + k of stage_times.  watch lists the leading row blocks that
-        must stay in range as (variable, agents, rows per agent), each
-        block's agents in union row order; the first agent to leave it
-        raises DivergenceError against its step-start value, naming its
-        copy.  Returns the (K+1, rows, N) state history and the (K+1, ...)
-        stack of the step-start outs.
+        must stay in range as (variable, agents, rows per agent), agents in
+        union row order; the first agent out raises DivergenceError against
+        its step-start value.  Returns the (K+1, rows, N) state history and
+        the (K+1, ...) stack of the step-start outs.
         """
         K, dt, used = self.K, self.dt, self.used_seq
         start = np.flatnonzero(np.r_[True, np.any(used[1:] != used[:-1], 1)])

@@ -2,11 +2,10 @@
 
 ``run`` plugs the controller into ``engine.Engine``, which counts time in
 integer ticks, holds the mailbox history (``Trace.used_seq``) and holds
-the neighbor view fixed for each RK4 step.  It names the state rows each
-agent sends (position, velocity estimate); the law's ``deriv`` is the
-right-hand side, plant included.  The containment errors of all steps
-come from one broadcast product with the weights, and their hull
-distances from one stacked ``hull_distance`` call.
+the neighbor view fixed for each RK4 step; it names the state rows each
+agent sends, and the law's ``deriv`` is the right-hand side, plant
+included.  The containment errors of all steps come from one product
+with the weights, their hull distances from one ``hull_distance`` call.
 """
 from __future__ import annotations
 

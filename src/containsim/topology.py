@@ -1,10 +1,9 @@
 """Directed leader/follower interconnection graphs and their Laplacian algebra.
 
-Agents 1..m are followers, m+1..n are leaders.  Leaders receive no edges, so
-the weighted adjacency matrix has zero leader rows and the Laplacian splits
-into the follower block L1, the leader coupling block L2, and zero rows for
-the leaders.  All containment machinery (weights, M-matrix certificate,
-small-gain certificate) is derived from this partition.
+Agents 1..m are followers, m+1..n are leaders, who receive no edges, so
+the Laplacian splits into the follower block L1, the leader coupling block
+L2 and zero leader rows.  The containment weights, the M-matrix and the
+small-gain certificates are derived from this partition.
 """
 from __future__ import annotations
 
