@@ -20,8 +20,8 @@ from .comm import CommConfig, LinkSchedule, generate_schedule, \
 from .control import GainSet, Law, make_controller
 from .dynamics import AgentModel, LeaderTrajectory, \
     check_oscillator_spectrum
-from .engine import DIVERGENCE_LIMIT, DivergenceError, Engine, \
-    stage_times  # noqa: F401
+from .engine import DIVERGENCE_LIMIT, DivergenceError, Engine  # noqa: F401
+from .engine import stage_times
 from .topology import DirectedTopology, containment_weights, partition, \
     validate_assumption1
 

@@ -959,12 +959,12 @@ class TestLawsMatchOracle:
     # (-k_d sigma + sigma S2') + w S1'.  The two orders agree exactly when
     # S2 = 0 and otherwise to rounding, well within this relative bound.
     RTOL = 1e-12
-    # The generator sums each row of A [y; u] in column order, and
+    # The generator sums each row of A [y; u] in its own order, and
     # vartheta_avg forms c0 + t c1: both round differently from the
     # elementwise oracle.  Its dy and gamma must match within GEN_TOL
     # times scale(), a bound on the magnitude of the terms; a pilot of
-    # 3000 draws (see CHANGES.md) gave at most 6.2e-16.
-    GEN_TOL = 1e-13
+    # 3000 random draws gave at most 1.1e-16.
+    GEN_TOL = 1e-14
 
     @staticmethod
     def scale(y, view, t, lead, gains, model):
