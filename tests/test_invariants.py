@@ -13,9 +13,9 @@ from containsim.dynamics import (
 )
 from containsim.topology import containment_weights, is_nonsingular_m_matrix, \
     partition
-from law_oracle import stage
 from conftest import follower_rhs, load_scenario_doc, \
     random_reachable_topology, seeded
+from law_oracle import stage
 
 
 class TestTopologyAlgebra:

@@ -442,11 +442,11 @@ def export_trace_csv_lines_oracle(trace, path: str) -> None:
         for start in range(0, len(trace.times), sim.EXPORT_BLOCK_STEPS):
             block = slice(start, start + sim.EXPORT_BLOCK_STEPS)
             state = np.concatenate((trace.p[block], trace.v[block]), axis=2)
-            err = trace.err_pos[block]
+            gap = trace.err_pos[block]
             lines = []
             for t, rows, err, hull in zip(
                     map(repr, trace.times[block].tolist()), state.tolist(),
-                    np.sqrt(np.vecdot(err, err)).tolist(),
+                    np.sqrt(np.vecdot(gap, gap)).tolist(),
                     trace.hull_dist[block].tolist()):
                 tail = [f"{e!r},{h!r}" for e, h in zip(err, hull)]
                 tail += [","] * (n - m)
