@@ -1,24 +1,17 @@
 """Reduced cascade model, input-to-state bounds, and robustness sweeps.
 
-The closed loops in this package all reduce to the same skeleton: leader
-states drift under an exogenous input, each follower tracks a blend of a
-filter-chain output and the sampled neighbor average, and the filter chain is
-a string of first-order lags fed by that same average.  This module simulates
-that skeleton on the same sampled-data engine as ``sim.run`` (integer ticks,
-one seq mailbox, messages read from the state history, shared RK4 step),
-supplying only the state row each agent sends, its eta, and the cascade
-right-hand side, which returns the held neighbor average the engine stacks.
-It also evaluates explicit exponential-plus-sup bounds on the deviation
-from the leader convex combination, and runs the gain / blackout sweeps
-used to certify robustness trends.
-
-``simulate_cascades`` integrates a batch of configs that share their
-topology, signals and time grid as one engine run over disjoint copies of
-the topology; every copy's trace equals its run alone, to the bit.
-``simulate_cascade`` is the batch of one, and each sweep is one batch.
-Each RK4 stage is one affine update of the whole state, dy = G (y - F) +
-P: per-row gains, one target buffer, and the signals gathered
-FORCING_BLOCK steps at a time.
+The closed loops here all reduce to one skeleton: leaders drift under an
+exogenous input, each follower tracks a blend of a filter-chain output and
+the sampled neighbour average, and the chain is a string of first-order
+lags fed by that average.  It runs on the engine of ``sim.run`` (RK4 by
+default), each agent sending its eta and the right-hand side returning
+the held average.  ``simulate_cascades`` runs configs that share topology,
+signals and time grid as one run over disjoint copies, each copy's trace
+equal to its run alone; ``simulate_cascade`` and each sweep are one batch.
+A stage is one affine update of the state, dy = G (y - F) + P: per-row
+gains, one target buffer, signals gathered FORCING_BLOCK steps at a time.
+Exponential-plus-sup bounds on the deviation from the leader convex
+combination and the gain / blackout sweeps certify robustness trends.
 """
 from __future__ import annotations
 
@@ -214,12 +207,11 @@ def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
                       ) -> list[CascadeTrace]:
     """Integrate a batch of cascade configs as one run; one trace each.
 
-    The copies may differ in the fields BATCH_FIELDS names, except the
-    sampling period comm.T.  Each copy's schedules are drawn from its comm
-    config, or given as one prebuilt set per copy, keyed by exactly the
-    topology's edges, with delays on the tick grid of dt.  Each agent sends
-    its eta at every sample instant; the sampled average eps, held for each
-    step, falls back to the follower's initial eta until an in-edge
+    The copies may differ in the fields BATCH_FIELDS names but comm.T.
+    Schedules are drawn from each comm config, or given as one prebuilt set
+    per copy (keyed by exactly the topology's edges, delays on dt's ticks).
+    Each agent sends its eta at every sample instant; the sampled average
+    eps, held for each step, is the follower's initial eta until an in-edge
     delivers.  A diverging row raises ``engine.DivergenceError``.
     """
     _check_batch(cfgs)
@@ -288,10 +280,6 @@ def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
             for b, (r, c) in enumerate(zip(rows, cfgs))]
 
 
-# ---------------------------------------------------------------------------
-# Exponential-plus-sup deviation bounds
-
-
 def make_pair_grid(times: np.ndarray) -> list[tuple[int, int]]:
     """(t0, t) index pairs: PAIR_T0S start times in the first half of the
     run x PAIR_GAPS log-spaced separations from PAIR_MIN_GAP seconds."""
@@ -314,14 +302,11 @@ def iss_estimate_check(trace: CascadeTrace,
                        pairs: list[tuple[int, int]] | None = None,
                        rel_tol: float = ISS_REL_TOL,
                        eta_override: np.ndarray | None = None) -> dict:
-    """Verify the per-follower deviation bounds on a grid of (t0, t) pairs.
-
-    For each pair, each follower, and each chain layer the recorded deviation
-    at t must not exceed the exponential decay of its value at t0 plus the
-    running sups of the feeding terms, within rel_tol * (1 + bound).
-    eta_override substitutes a corrupted follower-deviation history (same
-    shape as trace.eta_tilde()) for negative-control checks.
-    """
+    """Verify the per-follower deviation bounds on a grid of (t0, t) pairs:
+    for each pair, follower and chain layer, the deviation at t must not
+    exceed the decay of its value at t0 plus the running sups of the
+    feeding terms, within rel_tol * (1 + bound).  eta_override replaces
+    trace.eta_tilde() (a corrupted history, for negative controls)."""
     cfg = trace.cfg
     if pairs is None:
         pairs = make_pair_grid(trace.times)
@@ -364,10 +349,6 @@ def iss_estimate_check(trace: CascadeTrace,
             "violations": violations, "worst_margin": worst}
 
 
-# ---------------------------------------------------------------------------
-# Robustness sweeps
-
-
 def run_gain_sweep(base: CascadeConfig, multipliers=(1.0, 2.0, 4.0)
                    ) -> list[float]:
     """Steady deviation bound as all loop rates are scaled up together."""
@@ -398,10 +379,6 @@ def run_sweeps(base: CascadeConfig, multipliers=(1.0, 2.0, 4.0),
     out = [next(b for d, b in zip(distinct, bounds) if _equal(cfg, d))
            for cfg in cfgs]
     return out[:len(multipliers)], out[len(multipliers):]
-
-
-# ---------------------------------------------------------------------------
-# Certificates
 
 
 def containment_certificate(topo: DirectedTopology) -> dict:

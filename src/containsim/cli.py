@@ -1,20 +1,16 @@
 """Command-line front end.
 
-Commands:
-  validate  check a config file and print the topology certificates
-  run       integrate a scenario and write the requested outputs
-  sweep     run the cascade gain and blackout sweeps from a config
-  report    run a scenario and summarize the final errors
-
-Each command returns its exit code; main alone turns exceptions into exit
-codes, with one line on stderr and no traceback:
+Commands: validate (check a config, print the topology certificates), run
+(integrate a scenario, write the requested outputs), sweep (the cascade
+gain and blackout sweeps), report (run a scenario, summarize its errors).
+Each returns its exit code; main alone turns exceptions into codes, with
+one line on stderr and no traceback:
   0  success
   1  "config error:" for any ValueError (every input-error class subclasses
-     it): a malformed command line, a missing or invalid config file, a
-     setting the scenario or the cascade rejects (sweep included), a
-     non-positive dt or horizon, a dt that does not divide T or the horizon,
-     an oscillator spectrum off the imaginary axis or not semi-simple, a
-     follower no leader reaches.  A failed certificate or trend also gives 1.
+     it): a bad command line, config file or setting (sweep included), a dt
+     or horizon not positive or not dividing T and the horizon, an
+     oscillator spectrum off the imaginary axis or not semi-simple, a
+     follower no leader reaches; also a failed certificate or trend
   2  "runtime error:" for a DivergenceError naming the agent and variable
      (for sweep, also the copy of its one batch of distinct configs)
   3  "output error:" for an OSError while writing the outputs

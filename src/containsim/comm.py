@@ -1,12 +1,10 @@
 """Sampled, delayed, lossy per-edge message transport, on integer ticks.
 
-Each edge (j, i) transmits at every sample instant seq * T.  A transmission
-is either dropped or delivered after a whole number of ticks of the
-integration step dt; a repair pass then guarantees that consecutive
-delivered messages are never further apart than the blackout bound T_star.
-The repair and ``verify_blackout_bound`` compare integer ticks only, with
-T, T_star and delay_max turned into whole ticks once per call; seconds are
-recomputed (seq * T, ticks * dt) only for output.
+Each edge (j, i) transmits at every sample instant seq * T; a message is
+dropped or delivered after whole ticks of the integration step dt, and a
+repair pass keeps consecutive deliveries within the blackout bound T_star.
+The repair and ``verify_blackout_bound`` compare integer ticks only;
+seconds (seq * T, ticks * dt) are recomputed only for output.
 """
 from __future__ import annotations
 
@@ -95,12 +93,10 @@ def generate_schedule(edge: tuple[int, int], cfg: CommConfig, t_end: float,
                       dt: float) -> LinkSchedule:
     """Bernoulli drops + uniform delays on the kT grid, then a repair pass.
 
-    Delays are rounded to whole ticks of dt, so every arrival lands on the
-    integration grid; dt must divide T.  The repair pass walks an
-    Assumption-2 chain: when no delivered message can arrive within T_star
-    of the previous chain send, the earliest following message is forced
-    through, its delay capped at delay_max and at the chain's deadline, so
-    every window of length T_star inside the horizon sees a delivery.
+    Delays are rounded to whole ticks of dt (which must divide T).  The
+    repair walks an Assumption-2 chain: where no delivery arrives within
+    T_star of the previous chain send, the next message is forced through,
+    its delay capped at delay_max and at the chain's deadline.
     """
     # Independent, reproducible stream per (seed, j, i).
     rng = np.random.default_rng(np.random.SeedSequence(
@@ -125,14 +121,12 @@ def _chain_gaps(sched: LinkSchedule, spT: int, t_star: int):
     """The gaps of the greedy Assumption-2 chain over sched's messages, sent
     every spT ticks, against the blackout bound of t_star ticks.
 
-    The chain is anchored at tick 0: the first delivery must arrive by
-    t_star, and each next one within t_star of the previous chain send.  It
-    is extended with the delivered message of greatest seq that arrives by
-    the deadline, which dominates every other choice; delays are >= 0, so
-    only the sends up to the deadline are read.  Where none arrives in
-    time, this yields (seq, latest) for the next message seq, which must be
-    forced through with a delay of at most latest ticks, and the chain goes
-    on from it.  Every comparison is on integer ticks.
+    The first delivery must arrive by t_star, each next one within t_star
+    of the previous chain send.  The chain takes the delivered message of
+    greatest seq arriving by the deadline (it dominates every other
+    choice; only sends up to the deadline can arrive by it).  Where none
+    does, this yields (seq, latest) for the next message, to be forced
+    through with a delay of at most latest ticks, and goes on from it.
     """
     delay, ok = sched.delay.tolist(), sched.delivered.tolist()
     last = len(delay) - 1
@@ -149,15 +143,11 @@ def _chain_gaps(sched: LinkSchedule, spT: int, t_star: int):
 
 def verify_blackout_bound(sched: LinkSchedule, T_star: float,
                           t_end: float) -> bool:
-    """Is the message in use never older than T_star up to the horizon t_end?
-
-    True iff a chain of delivered messages covers the horizon: its first
-    arrival is within T_star of t = 0, each next within T_star of the
-    previous chain send, and the last send's T_star reaches t_end.  So the
-    greedy chain of ``_chain_gaps`` may have a gap only where its deadline
-    is at or past the horizon tick, and a schedule whose sends stop more
-    than T_star before the horizon fails.
-    """
+    """Is the message in use never older than T_star up to the horizon
+    t_end?  True iff a chain of deliveries covers it: the first within
+    T_star of t = 0, each next within T_star of the previous chain send,
+    the last send's T_star reaching t_end; so ``_chain_gaps`` may leave a
+    gap only at or past the horizon tick."""
     spT = to_ticks(sched.T, sched.dt, "the sampling period T")
     t_star, K = floor_ticks(T_star, sched.dt), floor_ticks(t_end, sched.dt)
     return (len(sched.delay) - 1) * spT + t_star >= K and all(

@@ -1,11 +1,9 @@
 """Strict JSON scenario configuration.
 
-A configuration file fully determines a run: topology, agent model, leader
-motion, controller variant and gains, communication statistics, and the
-integration window.  Unknown keys anywhere in the document, and keys the
-model or the variant would ignore, are rejected so a typo cannot silently
-fall back to a default, and so are NaN and infinite numbers, which JSON
-parsers accept.  Time-valued keys carry a _seconds suffix.
+A configuration file fully determines a run.  Unknown keys anywhere, keys
+the model or the variant would ignore, and NaN or infinite numbers (which
+JSON parsers accept) are rejected, so a typo cannot silently fall back to
+a default.  Time-valued keys carry a _seconds suffix.
 """
 from __future__ import annotations
 

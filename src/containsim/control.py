@@ -1,18 +1,15 @@
 """Follower control laws and their auxiliary dynamic systems.
 
 Six variants run on three laws, ``DoubleIntegratorLaw``, ``OscillatorLaw``
-and ``NonlinearVSController``; ``make_controller`` maps a variant and its
-settings to a law and its switches.  ``start`` binds a law to a run; its
-``deriv(row, y, view)`` is then the run's right-hand side, the derivative
-of the whole flat state at a stage row (and the control input at a step
-start).  The internals ``names`` are m-row blocks of the state after the
-agents' p and v; block 0 is vhat, the velocity estimate a follower sends.
-
-Neighbor information enters through weighted averages over the in-edges that
-have delivered at least one message; the averages are renormalized by the
-delivered weight sum.  Before anything is delivered on any in-edge the
-position reference falls back to the follower's initial position and the
-velocity-estimate average falls back to its own estimate.
+and ``NonlinearVSController``, picked by ``make_controller``.  ``start``
+binds a law to a run; ``deriv(row, y, view)`` is then the derivative of
+the whole flat state at a stage row (and the control input at a step
+start), and ``step(k, y, view)`` the engine's step.  The internals
+``names`` are m-row blocks of the state after the agents' p and v; block 0
+is vhat, the velocity estimate a follower sends.  Neighbours enter through
+averages over the in-edges that have delivered, weighted by the delivered
+weights; until one has, a follower's position reference is its initial
+position and its velocity-estimate average its own estimate.
 """
 from __future__ import annotations
 
@@ -114,17 +111,16 @@ def vartheta(p_msg: np.ndarray, vhat_msg: np.ndarray,
 
 
 class NeighborView:
-    """Frozen per-step aggregation of delivered messages.
+    """The delivered messages of one mailbox row and their averages.
 
-    Arrays are indexed by delivered in-edge; dst maps each edge to its
-    follower row and msg to its message, [p_msg, vhat_msg], sent at
-    send_time = seq * T, or send_half = 2 steps_per_T seq half steps.
-    kappa_delivered is the per-follower sum of delivered edge weights (0
-    during warm-up).  The view serves up to the half tick last_half.  Each
-    average is computed once, read-only: p_avg's, vartheta's and vhat's
-    (c0 + t c1, c1) per view, oscillator_psi's per span.  Until every
-    follower is live (has a delivered in-edge), calls merge in fallbacks.
-    """
+    Arrays are indexed by delivered in-edge: dst is its follower row, msg
+    its message [p_msg, vhat_msg], sent at seq * T = send_time, or
+    send_half = 2 steps_per_T seq half steps; kappa_delivered sums each
+    follower's delivered weights.  The view serves up to the half tick
+    last_half.  Averages are read-only, computed once per view (p_avg; c0,
+    c1 of vartheta_avg = c0 + t c1; vhat_avg = c1) or per span (psi).
+    Until every follower is live (has a delivered in-edge), calls merge in
+    the fallbacks."""
 
     def __init__(self, m: int, N: int, dst: np.ndarray, w: np.ndarray,
                  msg: np.ndarray, seq: np.ndarray, T: float,
@@ -137,9 +133,8 @@ class NeighborView:
         self.live = self.kappa_delivered > 0
         self.all_live = bool(self.live.all())
         self._rows = slice(None) if self.all_live else self.live
-        # Memos: p_avg, c0 and c1, vartheta_avg at its last t, psi's flow.
-        self._p = self._c = self._theta_t = self._theta = self._psi_flow = None
-        self._psi = {}
+        # Memos: p_avg, c0 and c1, and psi's flow, first half tick and table.
+        self._p = self._c = self._psi_flow = self._psi_h = self._psi = None
 
     def _live_average(self, contrib: np.ndarray) -> np.ndarray:
         """Weighted average of the rows of contrib (one per edge) over the
@@ -155,7 +150,8 @@ class NeighborView:
     def _with_fallback(self, live_rows: np.ndarray, fallback) -> np.ndarray:
         if self.all_live:
             return live_rows
-        out = np.array(fallback)        # one (m, N) array, or a stack of them
+        out = np.empty(live_rows.shape[:-2] + (self.m, self.N))
+        out[...] = fallback             # one (m, N) array, or a stack of them
         out[..., self.live, :] = live_rows
         out.flags.writeable = False
         return out
@@ -177,30 +173,24 @@ class NeighborView:
             self._c = c[:, :self.N], c[:, self.N:]
         return self._c
 
-    def vartheta_avg(self, t: float) -> np.ndarray:
+    def vartheta_avg(self, t) -> np.ndarray:
         """Weighted average of the extrapolated positions at t, c0 + t c1:
-        vartheta is affine in t."""
-        if t != self._theta_t:
-            c0, c1 = self._affine()
-            theta = c0 + t * c1
-            theta.flags.writeable = False
-            self._theta = self._with_fallback(theta, self.p_fallback)
-            self._theta_t = t
-        return self._theta
+        vartheta is affine in t.  A (S, 1, 1) array of times gives the
+        (S, m, N) stack, one average per time."""
+        c0, c1 = self._affine()
+        theta = c0 + t * c1
+        theta.flags.writeable = False
+        return self._with_fallback(theta, self.p_fallback)
 
     def vhat_avg(self, vhat_own: np.ndarray) -> np.ndarray:
         return self._with_fallback(self._affine()[1], vhat_own)
 
-    def oscillator_psi(self, h: int, flow: OscillatorFlow,
-                       vhat_own: np.ndarray) -> np.ndarray:
-        """Weighted average of e^{S (t - t_send)} [p_msg; vhat_msg] at the
-        time t of the half tick h, as its two halves: (2, m, N), C order.
-
-        The lags are the whole half steps h - send_half; a miss computes h
-        to last_half by one lookup in flow's table, one stacked matmul and
-        one bincount, which keep each edge's product and summation order.
-        """
-        if flow is not self._psi_flow or h not in self._psi:
+    def _psi_span(self, h: int, flow: OscillatorFlow) -> np.ndarray:
+        """The span's psi table from the half tick h on, (H, 2, live rows,
+        N); a miss computes h to last_half by one lookup in flow's table,
+        one stacked matmul and one bincount."""
+        if flow is not self._psi_flow \
+                or not 0 <= h - self._psi_h < len(self._psi):
             half = np.arange(h, max(h, self.last_half) + 1)
             y = np.matmul(flow.table[half - self.send_half[:, None]],
                           self.msg[:, None, :, None])     # (E, H, 2N, 1)
@@ -208,14 +198,52 @@ class NeighborView:
             avg = np.ascontiguousarray(avg.reshape(  # (H, 2, live rows, N)
                 -1, len(half), 2, self.N).transpose(1, 2, 0, 3))
             avg.flags.writeable = False
-            self._psi_flow, self._psi = flow, dict(zip(half.tolist(), avg))
-        return self._with_fallback(self._psi[h], (self.p_fallback, vhat_own))
+            self._psi_flow, self._psi_h, self._psi = flow, h, avg
+        return self._psi[h - self._psi_h:]
+
+    def oscillator_psi(self, h: int, flow: OscillatorFlow,
+                       vhat_own: np.ndarray) -> np.ndarray:
+        """Weighted average of e^{S (t - t_send)} [p_msg; vhat_msg] at the
+        time t of the half tick h, as its two halves: (2, m, N), C order.
+        The lags are the whole half steps h - send_half."""
+        return self._with_fallback(self._psi_span(h, flow)[0],
+                                   (self.p_fallback, vhat_own))
+
+    def stage_psi(self, h: int, flow: OscillatorFlow) -> np.ndarray:
+        """oscillator_psi at the half ticks h to h + 2 of an all-live view,
+        (3, 2, m, N): one slice of the span's table."""
+        return self._psi_span(h, flow)[:3]
+
+
+def rk4_step(rhs, mid, end, h: float, y: np.ndarray, u, k1: np.ndarray):
+    """One classical RK4 step of dy/dt = rhs(row, y, u)[0] with u held, its
+    midpoint and end at the rows mid and end, k1 = rhs(start, y, u)[0]
+    given.  Sums accumulate in place in the order of y + h / 6 * (k1 + 2 k2
+    + 2 k3 + k4); rhs keeps no input, returns new arrays."""
+    z = np.multiply(k1, h / 2)
+    k2, _ = rhs(mid, np.add(z, y, out=z), u)
+    k3, _ = rhs(mid, np.add(np.multiply(k2, h / 2, out=z), y, out=z), u)
+    k4, _ = rhs(end, np.add(np.multiply(k3, h, out=z), y, out=z), u)
+    k2 *= 2
+    for term in (k1, np.multiply(k3, 2, out=k3), k4):
+        k2 += term
+    return np.add(np.multiply(k2, h / 6, out=k2), y, out=k2)
+
+
+def rk4(rhs, K: int, h: float):
+    """step(k, y, u) -> (y at tick k + 1, None at K; out at tick k): RK4
+    over rhs(row, y, u) -> (dy, out) on engine.stage_times(K, h), u held."""
+    def step(k: int, y: np.ndarray, u):
+        dy, out = rhs(k, y, u)
+        return None if k == K else rk4_step(
+            rhs, K + 1 + k, 2 * K + 1 + k, h, y, u, dy), out
+    return step
 
 
 class Law:
-    """Internals start at zero but for psi, eta1, eta2 (p0) and a given v_d
-    (vhat).  ``start`` binds the law to a run of n agents: every stage row's
-    time and half tick (engine.stage_times) and leader accelerations."""
+    """Internals start at zero but psi, eta1, eta2 (p0) and a given v_d
+    (vhat).  ``start`` binds the law to a run of n agents at the step dt,
+    with each stage row's time, half tick and leader accelerations."""
 
     def init_internals(self, p0: np.ndarray) -> np.ndarray:
         x = np.zeros((len(self.names),) + p0.shape)
@@ -224,65 +252,123 @@ class Law:
             x[0] = self.v_d
         return x
 
-    def start(self, model: AgentModel, n: int, times: list, halves: list,
-              leaders: np.ndarray) -> None:
-        self.n, self.times, self.halves, self.leaders = n, times, halves, leaders
-        self.K, self.accel = len(times) // 3, plant(model, self.gains.m)
+    def start(self, model: AgentModel, n: int, dt: float, times: list,
+              halves: list, leaders: np.ndarray) -> None:
+        self.n, self.dt, self.times, self.halves, self.leaders = \
+            n, dt, times, halves, leaders
+        self.K = len(times) // 3
+
+    def step(self, k: int, y: np.ndarray, view: NeighborView):
+        """(y at tick k + 1, gamma at tick k), as control.rk4 over deriv."""
+        return rk4(self.deriv, self.K, self.dt)(k, y, view)
 
 
 class LinearLaw(Law):
     """A law whose closed loop is linear while the mailbox holds still.
 
-    ``start`` builds its generator once per run: a sparse operator A, plant
-    and leader rows included, on [y; u], the flat state y (rows * N) then
-    the sources u, two (m, N) blocks of neighbour averages and the leaders'
-    accelerations; a stage is dy = A [y; u], one take, product and
-    np.bincount.  A's entries are sorted by row, each row's in the fixed
-    order of the law's terms, so a row sums in one order whatever else the
-    state holds, and a row without entries is 0 (np.add.reduceat would give
-    it the next row's first).  No entry depends on which followers hold a
-    message: a follower without one averages its own velocity estimate
-    (the views' fallback), so its consensus terms cancel."""
+    ``start`` builds the generator A on [y; u], the flat state then the
+    sources (two (m, N) blocks of neighbour averages and the leaders'
+    accelerations), plant and leader rows included: a stage is dy = A [y;
+    u], one take, product and np.bincount over A's entries, sorted by row
+    and each row's in the order of the law's terms (a row without entries
+    is 0).  No entry depends on liveness: a follower without a message
+    averages its own velocity estimate, so its consensus terms cancel.
+    gamma sums the terms listed under "gamma".
 
-    def start(self, model: AgentModel, n: int, times: list, halves: list,
-              leaders: np.ndarray) -> None:
-        super().start(model, n, times, halves, leaders)
-        m, N = self.gains.m, self.N
-        rows = 2 * n + len(self.names) * m
-        at = dict(p=0, v=n, vL=n + m, u0=rows, u1=rows + m, lead=rows + 2 * m,
-                  **{x: 2 * n + i * m for i, x in enumerate(self.names)})
+    RK4 on y' = A y + B u(t) is y+ = P y + Q0 u(t) + Qm u(t + h/2) + Q1
+    u(t + h): M = hA, P = I + M + M^2/2 + M^3/6 + M^4/24, Q0 = h/6 (I + M
+    + M^2/2 + M^3/4) B, Qm = h/6 (4I + 2M + M^2/2) B, Q1 = h/6 B.  ``start``
+    builds this step operator too, gamma's rows included, from per-agent
+    dense blocks (A links no two agents' rows).  While every follower is
+    live a step is one product with it; on a warm-up view the fallback
+    moves with the state, so ``step`` is RK4 over deriv there."""
+
+    def start(self, model: AgentModel, n: int, dt: float, times: list,
+              halves: list, leaders: np.ndarray) -> None:
+        super().start(model, n, dt, times, halves, leaders)
+        m, N, K, nb = self.gains.m, self.N, self.K, len(self.names) + 2
+        rows = 2 * n + (nb - 2) * m
+        at = dict(p=0, v=n, gamma=n, vL=n + m, u0=rows, u1=rows + m,
+                  lead=rows + 2 * m, **{x: 2 * n + i * m
+                                        for i, x in enumerate(self.names)})
         parts = []
         for o, i, count, scale, M in [("p", "v", n, 1.0, np.eye(N))] \
                 + self.terms(n, m):
             (c, d), a = np.nonzero(M), np.arange(count)[:, None]
             parts.append(np.broadcast_arrays((at[o] + a) * N + c, (
-                at[i] + a) * N + d, np.reshape(scale, (-1, 1)) * M[c, d]))
-        out, cols, coef = (np.concatenate([x.ravel() for x in part])
-                           for part in zip(*parts))
+                at[i] + a) * N + d, np.reshape(scale, (-1, 1)) * M[c, d],
+                o == "gamma"))
+        out, cols, coef, gamma = (np.concatenate([x.ravel() for x in part])
+                                  for part in zip(*parts))
         order = np.argsort(out, kind="stable")
         self.out, self.cols, self.coef = out[order], cols[order], coef[order]
+        self.gamma = np.flatnonzero(gamma[order])
+        self.gamma_out = self.out[self.gamma] - n * N
         self.leaders = leaders.reshape(len(leaders), -1)
+        R, D, mN, LN = rows * N, nb * N, m * N, self.leaders.shape[1]
+        three = np.add.outer(np.arange(K), [0, K + 1, 2 * K + 1])
+        self.t3 = np.asarray(times)[three][..., None, None]   # (K, 3, 1, 1)
+        self.lead3 = self.leaders[three].reshape(K, 3 * LN)
+        # The step operator on x = [y; u0, u1, lead, each at the start,
+        # midpoint, end]: per-agent blocks [p, v, internals | sources].
+        size = rows + 2 * m + LN // N
+        agent = np.r_[np.arange(n), np.arange(n), np.tile(
+            np.arange(m), nb), np.arange(m, n)][:size].repeat(N)
+        place = (np.repeat([0, 1, *range(2, nb + 2), nb], [n, n] + [m] * nb
+                           + [n - m])[:size] * N).repeat(N) + np.tile(
+            np.arange(N), size)
+        AB = np.zeros((n, D, D + 2 * N))
+        np.add.at(AB, (agent[self.out], place[self.out], place[self.cols]),
+                  self.coef)
+        M, I, B = dt * AB[..., :D], np.eye(D), dt / 6 * AB[..., D:]
+        M2, M3 = M @ M, M @ M @ M
+        T = np.concatenate([I + M + M2 / 2 + M3 / 6 + M3 @ M / 24] + [
+            W @ B for W in (I + M + M2 / 2 + M3 / 4, 4 * I + 2 * M + M2 / 2,
+                            I)], axis=2)         # [P | Q0 | Qm | Q1]
+        # Element e of [y; u] at stage s is x[pos[s][e]]; pos[s][-1] = -1.
+        e = np.arange(size * N)
+        b = np.minimum((e - R) // mN, 2)
+        pos = [np.r_[np.where(e < R, e, e + 2 * b * mN + s * np.where(
+            b < 2, mN, LN)), -1] for s in range(3)]
+        at = np.full((n, D + 2 * N), -1)
+        at[agent, place] = e
+        x_at = np.concatenate([at[:, :D]] + [p[at[:, D:]] for p in pos], 1)
+        a, i, q = np.nonzero(T)
+        a, i, q = (x[(at[a, i] >= 0) & (x_at[a, q] >= 0)] for x in (a, i, q))
+        out = np.r_[at[a, i], R + self.gamma_out]
+        order = np.argsort(out, kind="stable")
+        self.step_out, self.step_cols, self.step_coef = out[order], np.r_[
+            x_at[a, q], pos[0][self.cols[self.gamma]]][order], np.r_[
+            T[a, i, q], self.coef[self.gamma]][order]
 
     def deriv(self, row: int, y: np.ndarray, view: NeighborView):
-        """(dy, gamma) at the stage row; gamma, dy's follower velocity rows
-        less the plant's term, only at a step start (row <= K)."""
+        """(dy, gamma) at the stage row; gamma only at a step start."""
         n, m = self.n, self.gains.m
         prod = np.concatenate((y.ravel(), *self.sources(
             row, view, y[2 * n:2 * n + m]))).take(self.cols)
         prod *= self.coef
         dy = np.bincount(self.out, prod, y.size).reshape(y.shape)
-        return dy, None if row > self.K else dy[n:n + m] - self.accel(
-            y[:2 * n].reshape(2, n, -1), 0.0, None)[0]
+        return dy, None if row > self.K else np.bincount(
+            self.gamma_out, prod[self.gamma], m * self.N).reshape(m, -1)
+
+    def step(self, k: int, y: np.ndarray, view: NeighborView):
+        """As Law.step; one product with the step operator if all live."""
+        if k == self.K or not view.all_live:
+            return super().step(k, y, view)
+        n, m = self.n, self.gains.m
+        x = np.concatenate((y.ravel(), *self.stage_sources(
+            k, view, y[2 * n:2 * n + m]))).take(self.step_cols)
+        x *= self.step_coef
+        z = np.bincount(self.step_out, x, y.size + m * self.N)
+        return z[:y.size].reshape(y.shape), z[y.size:].reshape(m, -1)
 
 
 class DoubleIntegratorLaw(LinearLaw):
-    """gamma = -k_d (w - vhat) - k_p (p - psi) for double integrators.
-
-    vhat is the distributed observer's state, or the limit velocity v_d,
-    held constant, when one is given; w is v, or phi + p from a first-order
-    output filter when use_velocity is off; psi is the extrapolated
-    neighbor average u0 = vartheta_avg(t) ("static"), or u0 through a
-    first-order filter ("dynamic"); u1 = vhat_avg."""
+    """gamma = -k_d (w - vhat) - k_p (p - psi) for double integrators:
+    vhat is the observer's state, or a given v_d held constant; w is v, or
+    phi + p from a first-order output filter (use_velocity off); psi is u0
+    = vartheta_avg(t) ("static") or u0 through a first-order filter
+    ("dynamic"); u1 = vhat_avg."""
 
     def __init__(self, gains: GainSet, N: int, psi_mode: str = "static",
                  v_d=None, use_velocity: bool = True):
@@ -305,25 +391,28 @@ class DoubleIntegratorLaw(LinearLaw):
         gamma = [(i, -g.k_d * s) for i, s in w] + [
             ("vhat", g.k_d), ("p", -g.k_p),
             ("psi" if self.psi_mode == "dynamic" else "u0", g.k_p)]
-        rows = {"v": gamma, "phi": [(i, -s) for i, s in w] + gamma,
+        rows = {"gamma": gamma, "phi": [(i, -s) for i, s in w] + gamma,
                 "vhat": [("vhat", -g.L_p), ("u1", g.L_p)] * (self.v_d is None),
                 "psi": [("psi", -g.k_psi), ("u0", g.k_psi), ("vhat", 1.0)]}
         return [("vL", "lead", n - m, 1.0, I)] + [
             (o, i, m, s, I) for o, terms in rows.items()
-            if o in self.names + ("v",) for i, s in terms]
+            if o in self.names + ("gamma",) for i, s in terms]
 
     def sources(self, row: int, view: NeighborView, vhat: np.ndarray):
         return (view.vartheta_avg(self.times[row]).ravel(),
                 view.vhat_avg(vhat).ravel(), self.leaders[row])
 
+    def stage_sources(self, k: int, view: NeighborView, vhat: np.ndarray):
+        """u0, u1 and lead, each at step k's start, midpoint and end."""
+        c1 = view.vhat_avg(vhat).ravel()
+        return view.vartheta_avg(self.t3[k]).ravel(), c1, c1, c1, \
+            self.lead3[k]
+
 
 class NonlinearVSController(Law):
-    """Reference-velocity tracking with a smoothed variable-structure term.
-
-    The discontinuous unit-vector term is replaced inside a boundary layer of
-    width eps by a linear ramp, which keeps the fixed-step integration free of
-    chattering at the cost of an O(eps) steady perturbation.
-    """
+    """Reference-velocity tracking with a smoothed variable-structure term:
+    inside a boundary layer of width eps the unit-vector term is a linear
+    ramp, so the fixed step does not chatter, at an O(eps) steady cost."""
 
     names = ("vhat", "sigma1", "eta1", "eta2")
 
@@ -335,10 +424,11 @@ class NonlinearVSController(Law):
             getattr(gains, k)[:, None] for k in ("L_p", "L_d", "k_p", "k_d",
                                                  "k_r"))
 
-    def start(self, model: AgentModel, n: int, times: list, halves: list,
-              leaders: np.ndarray) -> None:
-        super().start(model, n, times, halves, leaders)
+    def start(self, model: AgentModel, n: int, dt: float, times: list,
+              halves: list, leaders: np.ndarray) -> None:
+        super().start(model, n, dt, times, halves, leaders)
         self.lam = self.gains.lam_effective()[:, None]   # gains now checked
+        self.accel = plant(model, self.gains.m)
 
     def deriv(self, row: int, y: np.ndarray, view: NeighborView):
         n, m, dy = self.n, self.gains.m, np.empty_like(y)
@@ -373,9 +463,8 @@ class NonlinearVSController(Law):
 class OscillatorLaw(LinearLaw):
     """Oscillator law: references propagated through the free flow e^{S dt}.
 
-    w = v - vhat (oscillator_full), or w = k_phi (phi + p) - vhat with the
-    output filter (oscillator_output); with the sources [u0; u1] =
-    oscillator_psi at the stage's half tick:
+    w = v - vhat (oscillator_full), or k_phi (phi + p) - vhat with the
+    output filter (oscillator_output); [u0; u1] = oscillator_psi(h):
         gamma  = -(k_d w + S2 w) - k_p (p - u0) + 2 sigma
         vhat'  = S1 p + S2 vhat + sigma
         sigma' = S1 w + S2 sigma - k_d sigma - k_p (vhat - u1)
@@ -401,7 +490,7 @@ class OscillatorLaw(LinearLaw):
         gamma += [("p", -g.k_p, I), ("u0", g.k_p, I), ("sigma", 2.0, I)]
         filt = [(i, s, M) for i in ("phi", "p")         # -(k_phi y - S2 y)
                 for s, M in ((-g.k_phi, I), (1.0, S2))]
-        rows = {"v": gamma,
+        rows = {"gamma": gamma,
                 "vhat": [("p", 1.0, S1), ("vhat", 1.0, S2), ("sigma", 1.0, I)],
                 "sigma": [(i, s, S1) for i, s in w] + [
                     ("sigma", 1.0, S2), ("sigma", -g.k_d, I),
@@ -410,10 +499,14 @@ class OscillatorLaw(LinearLaw):
                                for i, s, M in gamma + [("p", 1.0, S1)]]}
         return [("v", "p", n, 1.0, S1), ("v", "v", n, 1.0, S2)] + [
             (o, i, m, s, M) for o, terms in rows.items()
-            if o in self.names + ("v",) for i, s, M in terms]
+            if o in self.names + ("gamma",) for i, s, M in terms]
 
     def sources(self, row: int, view: NeighborView, vhat: np.ndarray):
         return view.oscillator_psi(self.halves[row], self.flow, vhat).ravel(),
+
+    def stage_sources(self, k: int, view: NeighborView, vhat: np.ndarray):
+        return view.stage_psi(self.halves[k], self.flow).transpose(
+            1, 0, 2, 3).ravel(),
 
 
 def make_controller(variant: str, gains: GainSet, N: int,

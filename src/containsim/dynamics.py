@@ -1,11 +1,10 @@
 """Agent physical models and leader motion profiles.
 
-Three follower models are supported: plain double integrators, double
-integrators with a locally Lipschitz drift on the acceleration channel, and
-linear oscillators dv = S1 p + S2 v + u whose free motion is bounded
-(spectrum of the stacked matrix S on the imaginary axis, semi-simple).
-Closed-form leader trajectories have bounded, vanishing acceleration and
-a common limit velocity.
+Follower models: double integrators, with or without a locally Lipschitz
+drift on the acceleration, and linear oscillators dv = S1 p + S2 v + u
+with bounded free motion (the stacked S has a semi-simple, imaginary
+spectrum).  Closed-form leader trajectories have bounded, vanishing
+acceleration and a common limit velocity.
 """
 from __future__ import annotations
 
@@ -112,10 +111,6 @@ class OscillatorFlow:
         self.table = np.full((j[-1] + 1 if j else 0,) + self.S.shape, np.nan)
         for i in j:
             self.table[i] = self(i * dt / 2)
-
-
-# ---------------------------------------------------------------------------
-# Leader trajectory generators
 
 
 @dataclass(frozen=True)

@@ -1,38 +1,31 @@
 """Sampled-data engine on integer ticks, shared by sim.run and the cascade.
 
-The engine runs one or more disjoint copies of a topology, each with its
-own link schedules, as one union edge list (``topology.union_rows``).  Time
-is counted in ticks of the integration step dt: the delivered message seq
-is sent at tick seq * steps_per_T and arrives its delay ticks later.  The
-mailbox is one (K + 1, E) int array, the freshest delivered seq per edge
-after each tick (-1 while nothing has arrived).  A message is some of its
-sender's state rows at its send tick, one gather from the state history;
-the neighbor view they form is frozen for the four stages of a classical
-RK4 step, and rebuilt only at the ticks where the mailbox row changes.  A
-run's state is one (rows, N) float array, a block of rows per variable
-(sim.run: p, v, then the law's internals, m rows each; the cascade: eta,
-then zeta, sigma rows per follower), and its history one (K + 1, rows, N)
-array whose slices are the trace fields.
+It runs disjoint copies of a topology, each with its own link schedules,
+as one union edge list (``topology.union_rows``).  Message seq is sent at
+tick seq * steps_per_T and arrives its delay ticks later; the mailbox is
+one (K + 1, E) int array, the freshest delivered seq per edge after each
+tick (-1 before any).  A message is some of its sender's state rows at its
+send tick, gathered from the state history; the view they form is held
+for each step and rebuilt where the mailbox row changes.  The state is one
+(rows, N) array, a block of rows per variable, and its history one (K + 1,
+rows, N) array whose slices are the trace fields.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .comm import TICK_TOL, to_ticks
-from .control import NeighborView
+from .control import NeighborView, rk4
 from .topology import union_rows
 
 DIVERGENCE_LIMIT = 1e9
 
 
 class DivergenceError(RuntimeError):
-    """A state left the finite range [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT].
-
-    agent is the row of the first offending agent, variable names the state
-    array, and last_norm is the norm of that agent's row of that array at the
-    last step where it was in range.  In a batch of runs, copy is the index
-    of the run that diverged and agent its row in it (None for one run).
-    """
+    """A state left the finite range [-DIVERGENCE_LIMIT, DIVERGENCE_LIMIT]:
+    the first offending agent's row, the state array's name, and that row's
+    norm at the last step it was in range; in a batch, the copy that
+    diverged and the agent's row in it (copy None for one run)."""
 
     def __init__(self, t: float, agent: int, variable: str,
                  last_norm: float, copy: int | None = None):
@@ -45,9 +38,8 @@ class DivergenceError(RuntimeError):
 
 
 def _divergence(t: float, y, prev, watch, rows) -> DivergenceError:
-    """The error naming the first agent and variable out of range in y;
-    prev is the state one step earlier, watch as in Engine.run, and rows
-    the layout that maps a union row to its copy and agent."""
+    """The error naming the first agent and variable out of range in y (prev
+    one step earlier; watch as in Engine.run; rows from union_rows)."""
     for variable, agents, per_agent in watch:
         a, b = (z[:agents * per_agent].reshape(agents, -1) for z in (y, prev))
         bad = ~np.all(np.abs(a) <= DIVERGENCE_LIMIT, axis=1)
@@ -61,47 +53,26 @@ def _divergence(t: float, y, prev, watch, rows) -> DivergenceError:
 
 
 def stage_times(K: int, dt: float) -> np.ndarray:
-    """The time of every row Engine.run passes to rhs over ticks 0..K: row
-    k is k * dt, the start of step k; row K + 1 + k its midpoint
-    k * dt + dt / 2 and row 2K + 1 + k its end k * dt + dt, in that
-    floating-point arithmetic (k * dt + dt is not always (k + 1) * dt).
-    At dt = 2 the rows are in whole half steps, 2k, 2k + 1 and 2k + 2."""
+    """The time of every stage row over ticks 0..K: row k is k * dt, step
+    k's start; rows K + 1 + k and 2K + 1 + k its midpoint k * dt + dt / 2
+    and end k * dt + dt (not always (k + 1) * dt).  At dt = 2 the rows are
+    in whole half steps, 2k, 2k + 1 and 2k + 2."""
     t = np.arange(K + 1) * dt
     return np.concatenate((t, t[:-1] + dt / 2, t[:-1] + dt))
 
 
-def rk4_step(rhs, mid, end, h: float, y: np.ndarray, u, k1: np.ndarray):
-    """One classical RK4 step of dy/dt = rhs(row, y, u)[0] with u held fixed.
-
-    mid and end are the rows of the step's midpoint and end, y is the state
-    array and k1 = rhs(start, y, u)[0] is passed in, as the caller records
-    the step-start outputs.  Sums accumulate in place in the order of y +
-    h / 6 * (k1 + 2 k2 + 2 k3 + k4); rhs keeps no input, returns new arrays.
-    """
-    z = np.multiply(k1, h / 2)
-    k2, _ = rhs(mid, np.add(z, y, out=z), u)
-    k3, _ = rhs(mid, np.add(np.multiply(k2, h / 2, out=z), y, out=z), u)
-    k4, _ = rhs(end, np.add(np.multiply(k3, h, out=z), y, out=z), u)
-    k2 *= 2
-    for term in (k1, np.multiply(k3, 2, out=k3), k4):
-        k2 += term
-    return np.add(np.multiply(k2, h / 6, out=k2), y, out=k2)
-
-
 class Engine:
-    """Compiled link schedules, the seq mailbox and the frozen-input loop.
+    """Compiled link schedules, the seq mailbox and the held-view loop.
 
-    schedules holds one {(j, i): LinkSchedule} dict per copy of topo, each
-    keyed by exactly topo's edges, else error is raised naming the edges
-    missing and the keys extra.  Copy b's edge (j, i) is the union edge
-    (rows[b, j], rows[b, i]) of ``self.rows`` (``topology.union_rows``),
-    with topo's weight.  The union's edges are numbered in sorted order,
-    which fixes the order of the neighbor sums, the mailbox columns and,
-    with the tick and the seq, the audit order.  Row j of the (senders, r)
-    int array send lists the state rows union agent j transmits, its
+    schedules holds one {(j, i): LinkSchedule} dict per copy of topo, keyed
+    by exactly topo's edges (else error names the missing and extra ones).
+    Copy b's edge (j, i) is the union edge (rows[b, j], rows[b, i]); union
+    edges are numbered in sorted order, which fixes the order of the
+    neighbour sums, the mailbox columns and, with tick and seq, the audit.
+    Row j of the int array send lists the state rows union agent j sends,
     position first.  A schedule drawn at another step is converted to the
-    run's ticks; error is raised for one that does not fit them or has
-    fewer sends than the run has send ticks, naming those edges.
+    run's ticks; error names the edges whose schedules do not fit them or
+    stop before the run's last send.
     """
 
     def __init__(self, topo, schedules: list, T: float, dt: float,
@@ -157,8 +128,7 @@ class Engine:
 
     def stage_lags(self) -> np.ndarray:
         """The distinct ages h - 2 steps_per_T seq, in half steps, of the
-        messages in use at the half tick h of every stage row: the view of
-        tick k serves 2k, 2k + 1 and 2k + 2 for k < K, and 2K."""
+        messages in use at every stage row's half tick h (2k to 2k + 2)."""
         used, K = self.used_seq, self.K
         age = 2 * (np.arange(K + 1)[:, None] - self.steps_per_T * used)
         start = np.unique(age[:K][used[:K] >= 0])
@@ -175,9 +145,8 @@ class Engine:
                         send.tolist(), arrival.tolist()))
 
     def view(self, box: np.ndarray, states: np.ndarray, last_half: int):
-        """View of the mailbox row box, serving up to the half tick
-        last_half: message seq of edge e is states[seq * steps_per_T,
-        send[src[e]]], and a follower's fallback its row of states[0]."""
+        """View of the mailbox row box up to the half tick last_half: message
+        seq of edge e is states[seq * steps_per_T, send[src[e]]]."""
         live = box >= 0
         seq = box[live]
         rows, N = states.shape[1:]
@@ -188,21 +157,20 @@ class Engine:
                             msg.reshape(-1, at.shape[1] * N), seq, self.T,
                             self.steps_per_T, states[0, :self.m], last_half)
 
-    def run(self, y: np.ndarray, rhs, watch):
+    def run(self, y: np.ndarray, rhs, watch, step=None):
         """Integrate from the (rows, N) state y over ticks 0..K.
 
         At each tick: record y (a delay-0 message is read at its send
-        tick), build the view of the mailbox if its row changed (or k = 0),
-        serving up to the half tick 2e at the next tick e where it changes
-        (or e = K), evaluate rhs(k, y, view) -> (dy, out), then take one
-        RK4 step with the view held, its stages at rows K + 1 + k and
-        2K + 1 + k of stage_times.  watch lists the leading row blocks that
-        must stay in range as (variable, agents, rows per agent), agents in
-        union row order; the first agent out raises DivergenceError against
-        its step-start value.  Returns the (K+1, rows, N) state history and
-        the (K+1, ...) stack of the step-start outs.
+        tick), build the view if the mailbox row changed (or k = 0), serving
+        up to the half tick 2e of the next change e (or K), then step(k, y,
+        view) -> (y at tick k + 1, out at tick k), by default classical RK4
+        over rhs(row, y, view) -> (dy, out) on the rows of stage_times
+        (control.rk4).  watch lists the leading row blocks that must stay in
+        range as (variable, agents, rows per agent), agents in union row
+        order.  Returns the (K+1, rows, N) states and the stacked outs.
         """
         K, dt, used = self.K, self.dt, self.used_seq
+        step = step or rk4(rhs, K, dt)
         start = np.flatnonzero(np.r_[True, np.any(used[1:] != used[:-1], 1)])
         next_build = dict(zip(start.tolist(), start[1:].tolist() + [K]))
         watched = sum(agents * per_agent for _, agents, per_agent in watch)
@@ -211,13 +179,12 @@ class Engine:
             states[k] = y
             if k in next_build:
                 view = self.view(used[k], states, 2 * next_build[k])
-            dy, out = rhs(k, y, view)
+            y, out = step(k, y, view)
             if k == 0:
                 outs = np.empty((K + 1,) + np.shape(out))
             outs[k] = out
             if k == K:
                 break
-            y = rk4_step(rhs, K + 1 + k, 2 * K + 1 + k, dt, y, view, dy)
             # A nan max fails the test too; initial=0 passes an empty watch.
             if not np.abs(y[:watched]).max(initial=0.0) <= DIVERGENCE_LIMIT:
                 raise _divergence(k * dt + dt, y, states[k], watch,

@@ -1,10 +1,9 @@
 """Closed-loop containment runs on the shared sampled-data engine.
 
-``run`` plugs the controller into ``engine.Engine``, which counts time in
-integer ticks, holds the mailbox history (``Trace.used_seq``) and holds
-the neighbor view fixed for each RK4 step; it names the state rows each
-agent sends, and the law's ``deriv`` is the right-hand side, plant
-included.  The containment errors of all steps come from one product
+``run`` plugs the controller into ``engine.Engine`` (integer ticks, the
+mailbox history ``Trace.used_seq``, a neighbour view held for each step):
+it names the state rows each agent sends, and the law's ``step`` is the
+engine's step.  The containment errors of all steps come from one product
 with the weights, their hull distances from one ``hull_distance`` call.
 """
 from __future__ import annotations
@@ -124,14 +123,11 @@ def containment_error(trace: Trace, t: float) -> tuple[np.ndarray, float]:
 
 
 def hull_distance(p: np.ndarray, leaders: np.ndarray) -> float | np.ndarray:
-    """Distance from followers to the convex hull of the leader points.
-
-    ``p`` stacks S steps of m followers, ``(S, m, N)``, and ``leaders`` the
-    same steps' leaders, ``(S, L, N)``; the result is ``(S, m)``.  A planar
-    hull is built once per step; the steps with as many hull vertices are
-    measured together, at most HULL_BLOCK_POINTS followers per array pass.
-    One point ``(N,)`` (a float) or m points ``(m, N)`` are a stack of one.
-    """
+    """Distances ``(S, m)`` of S steps of m followers ``p`` ``(S, m, N)``
+    to the hulls of the same steps' leaders ``(S, L, N)``; one point
+    ``(N,)`` (a float) or ``(m, N)`` is a stack of one.  A planar hull is
+    built once per step, and the steps with as many vertices are measured
+    together, at most HULL_BLOCK_POINTS followers per array pass."""
     p = np.asarray(p, dtype=float)
     P = p[(None,) * (3 - p.ndim)]
     X = np.array(leaders, dtype=float, ndmin=3)
@@ -168,21 +164,22 @@ def _planar_hull_distance(P: np.ndarray, hull: np.ndarray) -> np.ndarray:
                  - edge[:, None, :, 1] * (P[..., 0, None] - a[:, None, :, 0]))
         out = ~(cross.min(axis=2) >= -1e-12)
     if out.any():        # nearest point on each edge, then the nearest edge
-        step = np.nonzero(out)[0]
-        denom = np.vecdot(edge, edge)[step]
+        step = np.nonzero(out)[0]    # dot products as two-term sums
+        denom = (edge[..., 0] * edge[..., 0] + edge[..., 1] * edge[..., 1])[
+            step]
         Q, a, edge = P[out][:, None, :], a[step], edge[step]
-        s = np.clip(np.divide(np.vecdot(Q - a, edge), denom,
-                              out=np.zeros(denom.shape),
-                              where=denom != 0), 0.0, 1.0)
+        d = Q - a
+        s = np.clip(np.divide(d[..., 0] * edge[..., 0] + d[..., 1]
+                              * edge[..., 1], denom, out=np.zeros(
+                                  denom.shape), where=denom != 0), 0.0, 1.0)
         dist[out] = _norms(Q - (a + s[..., None] * edge)).min(axis=1)
     return dist
 
 
 def convex_hull_2d(X: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull (Andrew 1979) of the rows of X, as an (H, 2)
-    array: counterclockwise from the lowest-leftmost point, duplicates
-    merged, a single point for coincident input and the two end points for
-    collinear input."""
+    """Monotone-chain hull (Andrew 1979) of the rows of X, (H, 2),
+    counterclockwise from the lowest-leftmost point, duplicates merged; one
+    point for coincident input, the two end points for collinear input."""
     pts = sorted(set(map(tuple, np.asarray(X, dtype=float).tolist())))
     if len(pts) > 2:
         hull = _half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1]
@@ -204,12 +201,9 @@ def _half_hull(points: list[tuple[float, float]]) -> list:
 
 
 def _hull_distance_fw(p: np.ndarray, X: np.ndarray) -> float:
-    """Simplex-constrained least squares via a penalized nonnegative solve.
-
-    min_a |p - X^T a| subject to a >= 0, sum a = 1; the sum constraint is
-    enforced by a large quadratic penalty row, and the returned point is
-    rebuilt from the normalized coefficients so it is exactly feasible.
-    """
+    """min |p - X^T a| over a >= 0, sum a = 1, by a nonnegative solve with
+    the sum as a heavy penalty row; the point is rebuilt from the
+    normalized coefficients, so it is exactly feasible."""
     from scipy.optimize import nnls
     mu = 1.0 / HULL_TOL
     A = np.vstack([X.T, mu * np.ones((1, X.shape[0]))])
@@ -222,10 +216,6 @@ def _hull_distance_fw(p: np.ndarray, X: np.ndarray) -> float:
     return float(np.linalg.norm(p - y))
 
 
-# ---------------------------------------------------------------------------
-# Integration
-
-
 def build_schedules(scen: Scenario) -> dict[tuple[int, int], LinkSchedule]:
     return {edge: generate_schedule(edge, scen.comm, scen.t_end, scen.dt)
             for edge in scen.topo.edges()}
@@ -235,15 +225,11 @@ def run(scen: Scenario,
         schedules: dict[tuple[int, int], LinkSchedule] | None = None
         ) -> Trace:
     """Validate the scenario, then integrate the closed loop at its step
-    ``scen.dt``; deterministic given the scenario.
-
-    A prebuilt schedule set may be injected, e.g. to rerun the same messages
-    at a finer step with ``dataclasses.replace(scen, dt=scen.dt / 2)``;
-    otherwise they are generated from the comm config, seed included.
-    Injected schedules must be keyed by exactly the topology's edges, and
-    their delays must be whole ticks of dt.  The run's schedules are on
-    ``Trace.schedules``.
-    """
+    ``scen.dt``; deterministic given the scenario.  Schedules are drawn
+    from the comm config unless given (keyed by exactly the topology's
+    edges, delays in whole ticks of dt), e.g. to rerun the same messages at
+    ``dataclasses.replace(scen, dt=scen.dt / 2)``; they are returned on
+    ``Trace.schedules``."""
     ctrl = scen.validate()
     dt, topo, model = scen.dt, scen.topo, scen.model
     m, n, N = topo.m, topo.n, scen.N
@@ -265,10 +251,10 @@ def run(scen: Scenario,
         ctrl.flow.tabulate(eng.stage_lags(), dt)
     leaders = np.empty((len(times), 0, N)) if scen.leaders is None \
         else scen.leaders.accel(times)   # the oscillator's move freely
-    ctrl.start(model, n, times.tolist(), halves, leaders)
+    ctrl.start(model, n, dt, times.tolist(), halves, leaders)
     states, gamma = eng.run(
         np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]), ctrl.deriv,
-        (("p", n, 1), ("v", n, 1)))
+        (("p", n, 1), ("v", n, 1)), ctrl.step)
     trace_p, trace_v = states[:, :n], states[:, n:2 * n]
     internals = states[:, 2 * n:].reshape((K + 1,) + x0.shape)
 
@@ -288,9 +274,8 @@ def run(scen: Scenario,
 
 def export_trace_csv(trace: Trace, path: str) -> None:
     """One CSV row per agent per step, in the csv module's default dialect
-    (comma separated, CRLF line ends); floats are written as their repr.
-    The rows are built from arrays and written EXPORT_BLOCK_STEPS steps at
-    a time, so the whole file is never held in memory."""
+    (comma separated, CRLF line ends), floats as their repr; written
+    EXPORT_BLOCK_STEPS steps at a time, never held in memory whole."""
     n, N = trace.p.shape[1:]
     m = trace.m
     header = ["t", "agent_id", "role", *(f"{x}_{d + 1}" for x in "pv"

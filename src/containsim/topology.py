@@ -1,9 +1,8 @@
 """Directed leader/follower interconnection graphs and their Laplacian algebra.
 
-Agents 1..m are followers, m+1..n are leaders, who receive no edges, so
-the Laplacian splits into the follower block L1, the leader coupling block
-L2 and zero leader rows.  The containment weights, the M-matrix and the
-small-gain certificates are derived from this partition.
+Agents 1..m are followers, m+1..n leaders, who receive no edges, so the
+Laplacian splits into the follower block L1, the leader coupling block L2
+and zero rows; the containment weights and certificates come from these.
 """
 from __future__ import annotations
 

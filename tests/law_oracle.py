@@ -119,6 +119,6 @@ def stage(ctrl, view, t: float, h: int, y: np.ndarray, model=None,
     model = model or AgentModel("double_integrator", N)
     n = (len(y) - len(ctrl.names) * m) // 2
     lead = np.zeros((n - m, N)) if lead is None else lead
-    ctrl.start(model, n, [t], [h], lead[None, :0 if model.kind ==
-                                           "oscillator" else None])
+    ctrl.start(model, n, 0.01, [t], [h], lead[None, :0 if model.kind ==
+                                                 "oscillator" else None])
     return ctrl.deriv(0, y, view)

@@ -13,9 +13,8 @@ from containsim import analysis, config, sim
 from containsim.analysis import CascadeError
 from containsim.comm import CommConfig, floor_ticks, generate_schedule, \
     to_ticks
-from containsim.control import NeighborView
-from containsim.engine import DIVERGENCE_LIMIT, DivergenceError, Engine, \
-    rk4_step
+from containsim.control import NeighborView, rk4_step
+from containsim.engine import DIVERGENCE_LIMIT, DivergenceError, Engine
 from containsim.sim import ScenarioError
 from containsim.topology import union_rows
 from conftest import SCENARIOS, bench_topology, link_schedule, \
@@ -151,8 +150,9 @@ def test_stage_lags_stay_within_the_blackout_bound(spT, extra, drop_prob,
     # At every stage row of a run, each message in use is 0 to 2 T* half
     # steps old: at half tick h a message of seq s is h - 2 spT s half
     # steps old, and the view of tick k serves h = 2k, 2k + 1 and 2k + 2.
-    # These are exactly the lags oscillator_psi reads from the flow table
-    # and the lags the engine tabulates, so no table index is negative.
+    # These are exactly the lags oscillator_psi and stage_psi read from the
+    # flow table and the lags the engine tabulates, so no table index is
+    # negative.
     scen = config.build_scenario(_SHORT_OSCILLATOR)
     dt = scen.dt
     comm = CommConfig(T=spT * dt, T_star=(spT + extra) * dt,
@@ -160,13 +160,19 @@ def test_stage_lags_stay_within_the_blackout_bound(spT, extra, drop_prob,
                       delay_max=delay_frac * (spT + extra) * dt, seed=seed)
     scen = dataclasses.replace(scen, comm=comm)
     read = set()
-    psi = NeighborView.oscillator_psi
+    psi, stage_psi = NeighborView.oscillator_psi, NeighborView.stage_psi
 
     def spy(view, h, flow, vhat_own):
         read.update((h - view.send_half).tolist())
         return psi(view, h, flow, vhat_own)
 
-    with mock.patch.object(NeighborView, "oscillator_psi", spy):
+    def stage_spy(view, h, flow):       # the half ticks h, h + 1 and h + 2
+        read.update((h + np.arange(3)[:, None] - view.send_half).ravel()
+                    .tolist())
+        return stage_psi(view, h, flow)
+
+    with mock.patch.object(NeighborView, "oscillator_psi", spy), \
+            mock.patch.object(NeighborView, "stage_psi", stage_spy):
         trace = sim.run(scen)
     used = trace.used_seq
     K = used.shape[0] - 1

@@ -91,10 +91,17 @@ def _convex_hull_2d(X: np.ndarray) -> list[np.ndarray]:
     return [np.array(q) for q in hull]
 
 
+def _dot2(x, y) -> float:
+    # x0 y0 + x1 y1, rounded after each operation, as the batched distance
+    # sums it (a BLAS dot of two terms fuses the second product and add).
+    return float(x[0] * y[0] + x[1] * y[1])
+
+
 def _segment_distance(p, a, b) -> float:
     ab = np.subtract(b, a)
-    denom = float(ab @ ab)
-    s = 0.0 if denom == 0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+    denom = _dot2(ab, ab)
+    s = 0.0 if denom == 0 else float(np.clip(_dot2(p - a, ab) / denom,
+                                             0.0, 1.0))
     return float(np.linalg.norm(p - (a + s * ab)))
 
 
