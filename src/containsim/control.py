@@ -286,7 +286,7 @@ class LinearLaw(Law):
     def start(self, model: AgentModel, n: int, dt: float, times: list,
               halves: list, leaders: np.ndarray) -> None:
         super().start(model, n, dt, times, halves, leaders)
-        m, N, K, nb = self.gains.m, self.N, self.K, len(self.names) + 2
+        m, N, nb = self.gains.m, self.N, len(self.names) + 2
         rows = 2 * n + (nb - 2) * m
         at = dict(p=0, v=n, gamma=n, vL=n + m, u0=rows, u1=rows + m,
                   lead=rows + 2 * m, **{x: 2 * n + i * m
@@ -306,9 +306,6 @@ class LinearLaw(Law):
         self.gamma_out = self.out[self.gamma] - n * N
         self.leaders = leaders.reshape(len(leaders), -1)
         R, D, mN, LN = rows * N, nb * N, m * N, self.leaders.shape[1]
-        three = np.add.outer(np.arange(K), [0, K + 1, 2 * K + 1])
-        self.t3 = np.asarray(times)[three][..., None, None]   # (K, 3, 1, 1)
-        self.lead3 = self.leaders[three].reshape(K, 3 * LN)
         # The step operator on x = [y; u0, u1, lead, each at the start,
         # midpoint, end]: per-agent blocks [p, v, internals | sources].
         size = rows + 2 * m + LN // N
@@ -404,9 +401,11 @@ class DoubleIntegratorLaw(LinearLaw):
 
     def stage_sources(self, k: int, view: NeighborView, vhat: np.ndarray):
         """u0, u1 and lead, each at step k's start, midpoint and end."""
+        rows = k, k + self.K + 1, k + 2 * self.K + 1
+        t = np.array([self.times[r] for r in rows])[:, None, None]
         c1 = view.vhat_avg(vhat).ravel()
-        return view.vartheta_avg(self.t3[k]).ravel(), c1, c1, c1, \
-            self.lead3[k]
+        return view.vartheta_avg(t).ravel(), c1, c1, c1, \
+            self.leaders.take(rows, 0).ravel()
 
 
 class NonlinearVSController(Law):
