@@ -186,9 +186,8 @@ class NeighborView:
         return self._with_fallback(self._affine()[1], vhat_own)
 
     def _psi_span(self, h: int, flow: OscillatorFlow) -> np.ndarray:
-        """The span's psi table from the half tick h on, (H, 2, live rows,
-        N); a miss computes h to last_half by one lookup in flow's table,
-        one stacked matmul and one bincount."""
+        """The span's psi table from the half tick h on, (H, 2, live, N); a
+        miss fills h to last_half (one lookup, stacked matmul, bincount)."""
         if flow is not self._psi_flow \
                 or not 0 <= h - self._psi_h < len(self._psi):
             half = np.arange(h, max(h, self.last_half) + 1)
@@ -327,12 +326,12 @@ class LinearLaw(Law):
         b = np.minimum((e - R) // mN, 2)
         pos = [np.r_[np.where(e < R, e, e + 2 * b * mN + s * np.where(
             b < 2, mN, LN)), -1] for s in range(3)]
-        at = np.full((n, D + 2 * N), -1)
-        at[agent, place] = e
-        x_at = np.concatenate([at[:, :D]] + [p[at[:, D:]] for p in pos], 1)
+        idx = np.full((n, D + 2 * N), -1)      # agent, place -> e, or -1
+        idx[agent, place] = e
+        x_at = np.concatenate([idx[:, :D]] + [p[idx[:, D:]] for p in pos], 1)
         a, i, q = np.nonzero(T)
-        a, i, q = (x[(at[a, i] >= 0) & (x_at[a, q] >= 0)] for x in (a, i, q))
-        out = np.r_[at[a, i], R + self.gamma_out]
+        a, i, q = (x[(idx[a, i] >= 0) & (x_at[a, q] >= 0)] for x in (a, i, q))
+        out = np.r_[idx[a, i], R + self.gamma_out]
         order = np.argsort(out, kind="stable")
         self.step_out, self.step_cols, self.step_coef = out[order], np.r_[
             x_at[a, q], pos[0][self.cols[self.gamma]]][order], np.r_[
@@ -352,12 +351,11 @@ class LinearLaw(Law):
         """As Law.step; one product with the step operator if all live."""
         if k == self.K or not view.all_live:
             return super().step(k, y, view)
-        n, m = self.n, self.gains.m
-        x = np.concatenate((y.ravel(), *self.stage_sources(
-            k, view, y[2 * n:2 * n + m]))).take(self.step_cols)
+        x = np.concatenate((y.ravel(), *self.stage_sources(k, view))).take(
+            self.step_cols)
         x *= self.step_coef
-        z = np.bincount(self.step_out, x, y.size + m * self.N)
-        return z[:y.size].reshape(y.shape), z[y.size:].reshape(m, -1)
+        z = np.bincount(self.step_out, x, y.size + self.gains.m * self.N)
+        return z[:y.size].reshape(y.shape), z[y.size:].reshape(-1, self.N)
 
 
 class DoubleIntegratorLaw(LinearLaw):
@@ -399,11 +397,12 @@ class DoubleIntegratorLaw(LinearLaw):
         return (view.vartheta_avg(self.times[row]).ravel(),
                 view.vhat_avg(vhat).ravel(), self.leaders[row])
 
-    def stage_sources(self, k: int, view: NeighborView, vhat: np.ndarray):
-        """u0, u1 and lead, each at step k's start, midpoint and end."""
+    def stage_sources(self, k: int, view: NeighborView):
+        """u0, u1 and lead, each at step k's start, midpoint and end, of an
+        all-live view (so no fallback)."""
         rows = k, k + self.K + 1, k + 2 * self.K + 1
         t = np.array([self.times[r] for r in rows])[:, None, None]
-        c1 = view.vhat_avg(vhat).ravel()
+        c1 = view.vhat_avg(None).ravel()
         return view.vartheta_avg(t).ravel(), c1, c1, c1, \
             self.leaders.take(rows, 0).ravel()
 
@@ -503,7 +502,7 @@ class OscillatorLaw(LinearLaw):
     def sources(self, row: int, view: NeighborView, vhat: np.ndarray):
         return view.oscillator_psi(self.halves[row], self.flow, vhat).ravel(),
 
-    def stage_sources(self, k: int, view: NeighborView, vhat: np.ndarray):
+    def stage_sources(self, k: int, view: NeighborView):
         return view.stage_psi(self.halves[k], self.flow).transpose(
             1, 0, 2, 3).ravel(),
 

@@ -145,8 +145,9 @@ class Engine:
                         send.tolist(), arrival.tolist()))
 
     def view(self, box: np.ndarray, states: np.ndarray, last_half: int):
-        """View of the mailbox row box up to the half tick last_half: message
-        seq of edge e is states[seq * steps_per_T, send[src[e]]]."""
+        """View of the mailbox row box up to the half tick last_half: edge
+        e's message seq is states[seq * steps_per_T, send[src[e]]], and a
+        follower's fallback its row of states[0]."""
         live = box >= 0
         seq = box[live]
         rows, N = states.shape[1:]
@@ -163,11 +164,11 @@ class Engine:
         At each tick: record y (a delay-0 message is read at its send
         tick), build the view if the mailbox row changed (or k = 0), serving
         up to the half tick 2e of the next change e (or K), then step(k, y,
-        view) -> (y at tick k + 1, out at tick k), by default classical RK4
-        over rhs(row, y, view) -> (dy, out) on the rows of stage_times
-        (control.rk4).  watch lists the leading row blocks that must stay in
-        range as (variable, agents, rows per agent), agents in union row
-        order.  Returns the (K+1, rows, N) states and the stacked outs.
+        view) -> (y at tick k + 1, out at tick k), by default RK4 over
+        rhs(row, y, view) -> (dy, out) (control.rk4).  watch lists the row
+        blocks that must stay in range as (variable, agents, rows per
+        agent); the first agent out raises DivergenceError against its
+        step-start value.  Returns the (K+1, rows, N) states and the outs.
         """
         K, dt, used = self.K, self.dt, self.used_seq
         step = step or rk4(rhs, K, dt)

@@ -168,10 +168,9 @@ def _planar_hull_distance(P: np.ndarray, hull: np.ndarray) -> np.ndarray:
         denom = (edge[..., 0] * edge[..., 0] + edge[..., 1] * edge[..., 1])[
             step]
         Q, a, edge = P[out][:, None, :], a[step], edge[step]
-        d = Q - a
-        s = np.clip(np.divide(d[..., 0] * edge[..., 0] + d[..., 1]
-                              * edge[..., 1], denom, out=np.zeros(
-                                  denom.shape), where=denom != 0), 0.0, 1.0)
+        s = np.clip(np.divide((Q[..., 0] - a[..., 0]) * edge[..., 0] + (
+            Q[..., 1] - a[..., 1]) * edge[..., 1], denom, out=np.zeros(
+                denom.shape), where=denom != 0), 0.0, 1.0)
         dist[out] = _norms(Q - (a + s[..., None] * edge)).min(axis=1)
     return dist
 

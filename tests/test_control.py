@@ -1101,10 +1101,9 @@ class TestStepOperator:
         view = aggregation_view(rng, m, N, live, extra, dt, spT, k)
         view.last_half = 2 * min(k + 1, K)
         times = stage_times(K, dt)
+        rows = [k, K + 1 + k, 2 * K + 1 + k] if k < K else [K]
         if model is not None:
-            law.flow.tabulate(float_lags(view, times[[k, K + 1 + k, 2 * K + 1
-                                                      + k] if k < K else [K]],
-                                         dt), dt)
+            law.flow.tabulate(float_lags(view, times[rows], dt), dt)
         lead = rng.normal(size=(3 * K + 1, 0 if model else leaders, N))
         law.start(model or AgentModel("double_integrator", N), n, dt,
                   times.tolist(), stage_times(K, 2).astype(int).tolist(),
