@@ -313,9 +313,9 @@ class LinearLaw(Law):
         place = (np.repeat([0, 1, *range(2, nb + 2), nb], [n, n] + [m] * nb
                            + [n - m])[:size] * N).repeat(N) + np.tile(
             np.arange(N), size)
-        AB = np.zeros((n, D, D + 2 * N))
-        np.add.at(AB, (agent[self.out], place[self.out], place[self.cols]),
-                  self.coef)
+        AB = np.bincount((agent[self.out] * D + place[self.out]) * (
+            D + 2 * N) + place[self.cols], self.coef, n * D * (D + 2 * N))
+        AB = AB.reshape(n, D, D + 2 * N)
         M, I, B = dt * AB[..., :D], np.eye(D), dt / 6 * AB[..., D:]
         M2, M3 = M @ M, M @ M @ M
         T = np.concatenate([I + M + M2 / 2 + M3 / 6 + M3 @ M / 24] + [
@@ -329,13 +329,14 @@ class LinearLaw(Law):
         idx = np.full((n, D + 2 * N), -1)      # agent, place -> e, or -1
         idx[agent, place] = e
         x_at = np.concatenate([idx[:, :D]] + [p[idx[:, D:]] for p in pos], 1)
-        a, i, q = np.nonzero(T)
-        a, i, q = (x[(idx[a, i] >= 0) & (x_at[a, q] >= 0)] for x in (a, i, q))
-        out = np.r_[idx[a, i], R + self.gamma_out]
-        order = np.argsort(out, kind="stable")
-        self.step_out, self.step_cols, self.step_coef = out[order], np.r_[
-            x_at[a, q], pos[0][self.cols[self.gamma]]][order], np.r_[
-            T[a, i, q], self.coef[self.gamma]][order]
+        # T's rows as (slot, agent, coordinate) are y's rows in order.
+        T = T.reshape(n, nb, N, -1).transpose(1, 0, 2, 3).reshape(D * n, -1)
+        out = idx[:, :D].reshape(n, nb, N).transpose(1, 0, 2).ravel()
+        cols = np.tile(x_at, (nb, N)).reshape(T.shape)
+        keep = (T != 0) & (out[:, None] >= 0) & (cols >= 0)
+        self.step_out = np.r_[out.repeat(keep.sum(1)), R + self.gamma_out]
+        self.step_cols = np.r_[cols[keep], pos[0][self.cols[self.gamma]]]
+        self.step_coef = np.r_[T[keep], self.coef[self.gamma]]
 
     def deriv(self, row: int, y: np.ndarray, view: NeighborView):
         """(dy, gamma) at the stage row; gamma only at a step start."""
