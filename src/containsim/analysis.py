@@ -3,15 +3,12 @@
 The closed loops here all reduce to one skeleton: leaders drift under an
 exogenous input, each follower tracks a blend of a filter-chain output and
 the sampled neighbour average, and the chain is a string of first-order
-lags fed by that average.  It runs on the engine of ``sim.run`` (RK4 by
-default), each agent sending its eta and the right-hand side returning
-the held average.  ``simulate_cascades`` runs configs that share topology,
-signals and time grid as one run over disjoint copies, each copy's trace
-equal to its run alone; ``simulate_cascade`` and each sweep are one batch.
-A stage is one affine update of the state, dy = G (y - F) + P: per-row
-gains, one target buffer, signals gathered FORCING_BLOCK steps at a time.
-Exponential-plus-sup bounds on the deviation from the leader convex
-combination and the gain / blackout sweeps certify robustness trends.
+lags fed by that average.  ``simulate_cascades`` runs configs that share
+topology, signals and time grid as one run of the engine of ``sim.run``
+over disjoint copies, each copy's trace equal to its run alone; a step is
+one product with RK4's step operator (``control.rk4_operator``).  Bounds
+of exponential-plus-sup form on the deviation from the leader convex
+combination, and the gain / blackout sweeps, certify robustness trends.
 """
 from __future__ import annotations
 
@@ -20,14 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import CommConfig, LinkSchedule, generate_schedule, \
-    period_ticks
+from .comm import CommConfig, LinkSchedule, generate_schedule, period_ticks
+from .control import rk4_operator
 from .engine import Engine, stage_times
 from .topology import DirectedTopology, containment_weights, partition, \
     validate_assumption1
 
 ISS_REL_TOL = 1e-6
-FORCING_BLOCK = 32      # steps of forcing a cascade run tabulates at once
 STEADY_FRAC = 0.2       # final share of a run that steady_bound reads
 PAIR_T0S, PAIR_GAPS, PAIR_MIN_GAP = 20, 20, 0.5     # make_pair_grid's grid
 
@@ -210,15 +206,14 @@ def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
     The copies may differ in the fields BATCH_FIELDS names but comm.T.
     Schedules are drawn from each comm config, or given as one prebuilt set
     per copy (keyed by exactly the topology's edges, delays on dt's ticks).
-    Each agent sends its eta at every sample instant; the sampled average
-    eps, held for each step, is the follower's initial eta until an in-edge
-    delivers.  A diverging row raises ``engine.DivergenceError``.
-    """
+    The sampled average eps, held for each step, is the follower's initial
+    eta until an in-edge delivers.  A diverging row raises
+    ``engine.DivergenceError``."""
     _check_batch(cfgs)
     cfg, B = cfgs[0], len(cfgs)
     topo, N, sigma = cfg.topo, cfg.N, cfg.sigma
     m, n_lead = topo.m, topo.n - topo.m
-    Bm = B * m
+    Bm, Bn = B * m, B * topo.n
     W = containment_weights(partition(topo))
     if schedules is None:
         schedules = [{edge: generate_schedule(edge, c.comm, cfg.t_end, cfg.dt)
@@ -228,42 +223,49 @@ def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
                            f"for {B} configs")
     # The state: B * n rows of eta, then sigma rows of zeta per follower;
     # each agent sends its eta row.
-    Bn = B * topo.n
     eng = Engine(topo, schedules, cfg.comm.T, cfg.dt, cfg.t_end,
                  np.arange(Bn)[:, None], CascadeError)
     K, rows = eng.K, eng.rows
     y0 = np.empty((Bn + Bm * sigma, N))
     y0[rows] = [c.eta0 for c in cfgs]
     y0[Bn:] = np.concatenate([c.zeta0 for c in cfgs]).reshape(-1, N)
-    G, F = np.zeros((2,) + y0.shape)
-    G[:Bm] = -np.repeat([c.k_eta for c in cfgs], m)[:, None]
-    G[Bn:] = -np.repeat([c.h for c in cfgs], m, axis=0).reshape(-1, 1)
-    F_zeta = F[Bn:].reshape(Bm, sigma, N)
-    # P: each signal on every stage row, and the signal of each state row.
+    # The generator on [y; u], u = [eps; phi1, drives, phi2], as terms
+    # (out, in, rate) over their entries: a follower's eta' = -k_eta (eta -
+    # alpha zeta_1 - (1 - alpha) eps) + phi1, a leader's its drive, and
+    # zeta_l' = -h_l (zeta_l - zeta_{l+1}, or eps for the last) + phi2_l.
+    width = (Bm + 1 + n_lead + sigma) * N
+    e = np.arange(y0.size + width).reshape(-1, N)     # [y; u] by row
+    eta, lead, zeta = e[:Bm], e[Bm:Bn], e[Bn:len(y0)].reshape(Bm, sigma, N)
+    eps, phi1, drive, phi2 = np.split(e[len(y0):], np.cumsum([Bm, 1, n_lead]))
+    k_eta = np.repeat([c.k_eta for c in cfgs], m)[:, None]
+    h = np.repeat([c.h for c in cfgs], m, axis=0)[..., None]
+    terms = [(eta, eta, -k_eta), (eta, zeta[:, 0], cfg.alpha * k_eta),
+             (eta, eps, (1.0 - cfg.alpha) * k_eta), (eta, phi1, 1.0),
+             (lead, np.tile(drive, (B, 1)), 1.0), (zeta, zeta, -h),
+             (zeta[:, :-1], zeta[:, 1:], h[:, :-1]),
+             (zeta[:, -1], eps, h[:, -1]), (zeta, phi2, 1.0)]
+    out, cols, coef = (np.concatenate([a.ravel() for a in part]) for part
+                       in zip(*(np.broadcast_arrays(*t) for t in terms)))
+    # A links no two agents' rows, nor two coordinates.
+    agent = np.r_[np.arange(Bn), np.arange(Bm).repeat(sigma)][:, None] * N
+    out, cols, coef = rk4_operator(out, cols, coef, (agent + np.arange(
+        N)).ravel(), width, cfg.dt)
+    # The signals on every stage row: phi1, the drives, phi2.
     times = stage_times(K, cfg.dt)
     sig = np.stack([np.broadcast_to(p.value(times), (len(times), N)) for p in
                     (cfg.phi1, *cfg.leader_drive,
                      *(cfg.phi2 or [Perturbation()] * sigma))], axis=1)
-    of_row = np.concatenate((np.zeros(Bm, int), np.tile(np.arange(n_lead), B)
-                             + 1, np.tile(np.arange(sigma), Bm) + n_lead + 1))
-    memo = [None, None, {}]     # last view, (1 - alpha) * its eps, row -> P
 
-    def rhs(r, y, view):
+    def step(k, y, view):       # y at tick k + 1 (k < K), eps at tick k
         eps = view.p_avg()
-        if memo[0] is not view:
-            memo[:2] = view, (1.0 - cfg.alpha) * eps
-            F_zeta[:, -1] = eps
-        if r not in memo[2]:    # a step start: tabulate FORCING_BLOCK steps
-            at = np.minimum(np.arange(r, r + FORCING_BLOCK)
-                            + [[0], [K + 1], [2 * K + 1]], 3 * K).ravel()
-            memo[2] = dict(zip(at.tolist(), sig[at].take(of_row, 1)))
-        F[:Bm] = cfg.alpha * y[Bn::sigma] + memo[1]
-        F_zeta[:, :-1] = y[Bn:].reshape(Bm, sigma, N)[:, 1:]
-        dy = G * (y - F) + memo[2][r]
-        dy[Bm:Bn] = memo[2][r][Bm:Bn]   # 0 * (y - F) + -0.0 would be +0.0
-        return dy, eps
+        if k < K:
+            u = np.concatenate((np.tile(eps.ravel(), (3, 1)), sig[
+                [k, K + 1 + k, 2 * K + 1 + k]].reshape(3, -1)), axis=1)
+            x = np.concatenate((y.ravel(), u.ravel())).take(cols) * coef
+            y = np.bincount(out, x, y.size).reshape(y.shape)
+        return y, eps
 
-    states, eps = eng.run(y0, rhs, (("eta", Bn, 1), ("zeta", Bm, sigma)))
+    states, eps = eng.run(y0, step, (("eta", Bn, 1), ("zeta", Bm, sigma)))
 
     deta_c = W @ sig[:K + 1, 1:n_lead + 1]
     deta_c.flags.writeable = False

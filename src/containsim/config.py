@@ -39,7 +39,7 @@ def _check_keys(doc: dict, where: str, required: set, optional: set = frozenset(
 
 
 def _expect(value, kind: type, where: str):
-    """value as kind (int, float or list; float takes an int too)."""
+    """value as kind (int, float, str or list; float takes an int too)."""
     ok = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, ok):   # bool is int
         raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
@@ -110,13 +110,18 @@ def validate_config(doc: dict) -> None:
                 {"T_seconds", "T_star_seconds"},
                 {"drop_prob", "delay_max_seconds", "seed"})
     _check_keys(doc["sim"], "sim", {"dt_seconds", "t_end_seconds"})
-    if "outputs" in doc:
-        _check_keys(doc["outputs"], "outputs", set(),
-                    {"trace_csv", "audit_csv", "schedule_csv", "sidecar_json",
-                     "svg"})
-        if "svg" in doc["outputs"] and doc["agents"]["N"] != 2:
-            raise ConfigError("outputs.svg: trajectory rendering needs "
-                              "planar agents (agents.N = 2)")
+    N = _expect(doc["agents"]["N"], int, "agents.N")
+    if N < 1:
+        raise ConfigError(f"agents.N: must be at least 1, got {N}")
+    outputs = doc.get("outputs", {})
+    _check_keys(outputs, "outputs", set(), {
+        "trace_csv", "audit_csv", "schedule_csv", "sidecar_json", "svg"})
+    if "svg" in outputs and N != 2:
+        raise ConfigError("outputs.svg: trajectory rendering needs "
+                          "planar agents (agents.N = 2)")
+    for where, name in [("label", doc.get("label", "")), *(
+            (f"outputs.{key}", val) for key, val in outputs.items())]:
+        _expect(name, str, where)
     # A known model, only the keys its kind reads, and leaders that fit it;
     # oscillator leaders read no v_d.
     ag = doc["agents"]
@@ -177,8 +182,7 @@ def _check_finite(node, where: str) -> None:
 
 
 def _check_pert(doc: dict, where: str) -> None:
-    _check_keys(doc, where, {"kind"},
-                {"amplitude", "omega", "phase", "rate"})
+    _check_keys(doc, where, {"kind"}, {"amplitude", "omega", "phase", "rate"})
     for key in sorted({"omega", "phase", "rate"} & set(doc)):
         _expect(doc[key], float, f"{where}.{key}")
     _array(doc.get("amplitude", 0.0), f"{where}.amplitude")

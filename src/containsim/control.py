@@ -2,14 +2,13 @@
 
 Six variants run on three laws, ``DoubleIntegratorLaw``, ``OscillatorLaw``
 and ``NonlinearVSController``, picked by ``make_controller``.  ``start``
-binds a law to a run; ``deriv(row, y, view)`` is then the derivative of
-the whole flat state at a stage row (and the control input at a step
-start), and ``step(k, y, view)`` the engine's step.  The internals
-``names`` are m-row blocks of the state after the agents' p and v; block 0
-is vhat, the velocity estimate a follower sends.  Neighbours enter through
-averages over the in-edges that have delivered, weighted by the delivered
-weights; until one has, a follower's position reference is its initial
-position and its velocity-estimate average its own estimate.
+binds a law to a run; then ``deriv(row, y, view)`` is the flat state's
+derivative at a stage row (with the control input at a step start) and
+``step(k, y, view)`` the engine's step.  The internals ``names`` are m-row
+blocks after p and v; block 0 is vhat, the velocity estimate a follower
+sends.  Neighbours enter through weighted averages over the delivered
+in-edges; until one has delivered, a follower's position reference is its
+initial position and its velocity-estimate average its own estimate.
 """
 from __future__ import annotations
 
@@ -118,9 +117,8 @@ class NeighborView:
     send_half = 2 steps_per_T seq half steps; kappa_delivered sums each
     follower's delivered weights.  The view serves up to the half tick
     last_half.  Averages are read-only, computed once per view (p_avg; c0,
-    c1 of vartheta_avg = c0 + t c1; vhat_avg = c1) or per span (psi).
-    Until every follower is live (has a delivered in-edge), calls merge in
-    the fallbacks."""
+    c1 of vartheta_avg = c0 + t c1; vhat_avg = c1) or per span (psi), the
+    fallbacks merged in until every follower is live (has delivered)."""
 
     def __init__(self, m: int, N: int, dst: np.ndarray, w: np.ndarray,
                  msg: np.ndarray, seq: np.ndarray, T: float,
@@ -209,8 +207,7 @@ class NeighborView:
                                    (self.p_fallback, vhat_own))
 
     def stage_psi(self, h: int, flow: OscillatorFlow) -> np.ndarray:
-        """oscillator_psi at the half ticks h to h + 2 of an all-live view,
-        (3, 2, m, N): one slice of the span's table."""
+        """oscillator_psi at half ticks h to h + 2, all live: (3, 2, m, N)."""
         return self._psi_span(h, flow)[:3]
 
 
@@ -239,6 +236,41 @@ def rk4(rhs, K: int, h: float):
     return step
 
 
+def rk4_operator(out, cols, coef, agent: np.ndarray, width: int, h: float):
+    """RK4's step y+ = P y + Q0 u(t) + Qm u(t + h/2) + Q1 u(t + h) of y' =
+    A y + B u(t), [A | B] given by its entries (out, cols, coef) over [y;
+    u], u of width entries: M = hA, P = I + M + M^2/2 + M^3/6 + M^4/24, Q0
+    = h/6 (I + M + M^2/2 + M^3/4) B, Qm = h/6 (4I + 2M + M^2/2) B, Q1 = h/6
+    B.  A links no two agents (agent[e] is entry e's of y), so the powers
+    are taken on per-agent dense blocks.  Returns the nonzero entries over
+    x = [y; u(t); u(t + h/2); u(t + h)], by row and in a row by column."""
+    R, order = len(agent), np.argsort(agent, kind="stable")
+    local = np.empty(R, int)        # each entry's place in its agent's block
+    local[order] = np.arange(R) - np.searchsorted(agent[order], agent[order])
+    src = cols >= R                 # each agent's columns of u, in order
+    key, inv = np.unique(agent[out[src]] * width + cols[src] - R,
+                         return_inverse=True)
+    owner, col = np.divmod(key, width)
+    slot = np.arange(len(key)) - np.searchsorted(owner, owner)
+    n, D, W = agent.max() + 1, local.max() + 1, slot.max(initial=-1) + 1
+    c = local[np.minimum(cols, R - 1)]
+    c[src] = D + slot[inv]
+    AB = np.bincount((agent[out] * D + local[out]) * (D + W) + c, coef,
+                     n * D * (D + W)).reshape(n, D, D + W)
+    M, I, B = h * AB[..., :D], np.eye(D), h / 6 * AB[..., D:]
+    M2 = M @ M
+    C, M3 = I + M + M2 / 2, M2 @ M
+    T = np.concatenate([C + M3 / 6 + M3 @ M / 24, (C + M3 / 4) @ B, (
+        4 * I + 2 * M + M2 / 2) @ B, B], axis=2)      # [P | Q0 | Qm | Q1]
+    at = np.full((n, D + 3 * W), -1)        # T's columns as x's entries
+    at[agent, local] = np.arange(R)
+    for s in range(3):
+        at[owner, D + s * W + slot] = R + s * width + col
+    T, at = T.reshape(n * D, -1).take(agent * D + local, 0), at[agent]
+    keep = np.flatnonzero((T != 0) & (at >= 0))
+    return keep // (D + 3 * W), at.take(keep), T.take(keep)
+
+
 class Law:
     """Internals start at zero but psi, eta1, eta2 (p0) and a given v_d
     (vhat).  ``start`` binds the law to a run of n agents at the step dt,
@@ -265,22 +297,14 @@ class Law:
 class LinearLaw(Law):
     """A law whose closed loop is linear while the mailbox holds still.
 
-    ``start`` builds the generator A on [y; u], the flat state then the
-    sources (two (m, N) blocks of neighbour averages and the leaders'
-    accelerations), plant and leader rows included: a stage is dy = A [y;
-    u], one take, product and np.bincount over A's entries, sorted by row
-    and each row's in the order of the law's terms (a row without entries
-    is 0).  No entry depends on liveness: a follower without a message
-    averages its own velocity estimate, so its consensus terms cancel.
-    gamma sums the terms listed under "gamma".
-
-    RK4 on y' = A y + B u(t) is y+ = P y + Q0 u(t) + Qm u(t + h/2) + Q1
-    u(t + h): M = hA, P = I + M + M^2/2 + M^3/6 + M^4/24, Q0 = h/6 (I + M
-    + M^2/2 + M^3/4) B, Qm = h/6 (4I + 2M + M^2/2) B, Q1 = h/6 B.  ``start``
-    builds this step operator too, gamma's rows included, from per-agent
-    dense blocks (A links no two agents' rows).  While every follower is
-    live a step is one product with it; on a warm-up view the fallback
-    moves with the state, so ``step`` is RK4 over deriv there."""
+    ``start`` builds the generator [A | B] on [y; u], the flat state then
+    the sources (two (m, N) blocks of neighbour averages and the leaders'
+    accelerations).  No entry depends on liveness: a follower without a
+    message averages its own velocity estimate.  deriv is one take,
+    product and np.bincount over the entries, gamma the terms listed under
+    "gamma"; an all-live view's step is one such product with
+    ``rk4_operator``'s step and gamma's rows, a warm-up view's RK4 over
+    deriv (its fallback moves with the state)."""
 
     def start(self, model: AgentModel, n: int, dt: float, times: list,
               halves: list, leaders: np.ndarray) -> None:
@@ -297,46 +321,19 @@ class LinearLaw(Law):
             parts.append(np.broadcast_arrays((at[o] + a) * N + c, (
                 at[i] + a) * N + d, np.reshape(scale, (-1, 1)) * M[c, d],
                 o == "gamma"))
-        out, cols, coef, gamma = (np.concatenate([x.ravel() for x in part])
-                                  for part in zip(*parts))
-        order = np.argsort(out, kind="stable")
-        self.out, self.cols, self.coef = out[order], cols[order], coef[order]
-        self.gamma = np.flatnonzero(gamma[order])
+        self.out, self.cols, self.coef, gamma = (np.concatenate(
+            [x.ravel() for x in part]) for part in zip(*parts))
+        self.gamma = np.flatnonzero(gamma)
         self.gamma_out = self.out[self.gamma] - n * N
-        self.leaders = leaders.reshape(len(leaders), -1)
-        R, D, mN, LN = rows * N, nb * N, m * N, self.leaders.shape[1]
-        # The step operator on x = [y; u0, u1, lead, each at the start,
-        # midpoint, end]: per-agent blocks [p, v, internals | sources].
-        size = rows + 2 * m + LN // N
-        agent = np.r_[np.arange(n), np.arange(n), np.tile(
-            np.arange(m), nb), np.arange(m, n)][:size].repeat(N)
-        place = (np.repeat([0, 1, *range(2, nb + 2), nb], [n, n] + [m] * nb
-                           + [n - m])[:size] * N).repeat(N) + np.tile(
-            np.arange(N), size)
-        AB = np.bincount((agent[self.out] * D + place[self.out]) * (
-            D + 2 * N) + place[self.cols], self.coef, n * D * (D + 2 * N))
-        AB = AB.reshape(n, D, D + 2 * N)
-        M, I, B = dt * AB[..., :D], np.eye(D), dt / 6 * AB[..., D:]
-        M2, M3 = M @ M, M @ M @ M
-        T = np.concatenate([I + M + M2 / 2 + M3 / 6 + M3 @ M / 24] + [
-            W @ B for W in (I + M + M2 / 2 + M3 / 4, 4 * I + 2 * M + M2 / 2,
-                            I)], axis=2)         # [P | Q0 | Qm | Q1]
-        # Element e of [y; u] at stage s is x[pos[s][e]]; pos[s][-1] = -1.
-        e = np.arange(size * N)
-        b = np.minimum((e - R) // mN, 2)
-        pos = [np.r_[np.where(e < R, e, e + 2 * b * mN + s * np.where(
-            b < 2, mN, LN)), -1] for s in range(3)]
-        idx = np.full((n, D + 2 * N), -1)      # agent, place -> e, or -1
-        idx[agent, place] = e
-        x_at = np.concatenate([idx[:, :D]] + [p[idx[:, D:]] for p in pos], 1)
-        # T's rows as (slot, agent, coordinate) are y's rows in order.
-        T = T.reshape(n, nb, N, -1).transpose(1, 0, 2, 3).reshape(D * n, -1)
-        out = idx[:, :D].reshape(n, nb, N).transpose(1, 0, 2).ravel()
-        cols = np.tile(x_at, (nb, N)).reshape(T.shape)
-        keep = (T != 0) & (out[:, None] >= 0) & (cols >= 0)
-        self.step_out = np.r_[out.repeat(keep.sum(1)), R + self.gamma_out]
-        self.step_cols = np.r_[cols[keep], pos[0][self.cols[self.gamma]]]
-        self.step_coef = np.r_[T[keep], self.coef[self.gamma]]
+        self.leaders, self.size = leaders.reshape(len(leaders), -1), rows * N
+        # The step operator, then gamma's rows: gamma reads u at the start.
+        agent = np.r_[np.tile(np.arange(n), 2), np.tile(np.arange(m), nb - 2)]
+        out, cols, coef = rk4_operator(
+            self.out, self.cols, self.coef, agent.repeat(N),
+            2 * m * N + self.leaders.shape[1], dt)
+        self.step_out = np.r_[out, self.size + self.gamma_out]
+        self.step_cols = np.r_[cols, self.cols[self.gamma]]
+        self.step_coef = np.r_[coef, self.coef[self.gamma]]
 
     def deriv(self, row: int, y: np.ndarray, view: NeighborView):
         """(dy, gamma) at the stage row; gamma only at a step start."""
@@ -398,13 +395,19 @@ class DoubleIntegratorLaw(LinearLaw):
         return (view.vartheta_avg(self.times[row]).ravel(),
                 view.vhat_avg(vhat).ravel(), self.leaders[row])
 
+    def start(self, *run) -> None:
+        """As LinearLaw.start, x = [y; u0 at each stage, u1, lead at each]."""
+        super().start(*run)
+        R, mN, L = self.size, self.gains.m * self.N, self.leaders.shape[1]
+        u0, u1, ld = np.split(R + np.arange(4 * mN + 3 * L), (3 * mN, 4 * mN))
+        at = np.c_[u0.reshape(3, -1), np.tile(u1, (3, 1)), ld.reshape(3, -1)]
+        self.step_cols = np.r_[np.arange(R), at.ravel()].take(self.step_cols)
+
     def stage_sources(self, k: int, view: NeighborView):
-        """u0, u1 and lead, each at step k's start, midpoint and end, of an
-        all-live view (so no fallback)."""
+        """x's sources at step k of an all-live view; u1 is held (start)."""
         rows = k, k + self.K + 1, k + 2 * self.K + 1
         t = np.array([self.times[r] for r in rows])[:, None, None]
-        c1 = view.vhat_avg(None).ravel()
-        return view.vartheta_avg(t).ravel(), c1, c1, c1, \
+        return view.vartheta_avg(t).ravel(), view.vhat_avg(None).ravel(), \
             self.leaders.take(rows, 0).ravel()
 
 
@@ -445,8 +448,7 @@ class NonlinearVSController(Law):
         dv_r = -self.lam * (v - deta1) + dvhat
         e = v - v_r
         gamma = -self.k_r * e + dv_r - self.switching_term(e, p, v)
-        dy[n:n + m], dy[n + m:2 * n] = self.accel(pv, gamma,
-                                                  self.leaders[row])
+        dy[n:n + m], dy[n + m:2 * n] = self.accel(pv, gamma, self.leaders[row])
         return dy, gamma
 
     def switching_term(self, e: np.ndarray, p: np.ndarray,
@@ -467,8 +469,7 @@ class OscillatorLaw(LinearLaw):
         gamma  = -(k_d w + S2 w) - k_p (p - u0) + 2 sigma
         vhat'  = S1 p + S2 vhat + sigma
         sigma' = S1 w + S2 sigma - k_d sigma - k_p (vhat - u1)
-        phi'   = -(k_phi y - S2 y) + (gamma + S1 p) / k_phi,  y = phi + p.
-    """
+        phi'   = -(k_phi y - S2 y) + (gamma + S1 p) / k_phi,  y = phi + p."""
 
     def __init__(self, gains: GainSet, N: int, model: AgentModel,
                  output_filter: bool = False):
@@ -504,8 +505,7 @@ class OscillatorLaw(LinearLaw):
         return view.oscillator_psi(self.halves[row], self.flow, vhat).ravel(),
 
     def stage_sources(self, k: int, view: NeighborView):
-        return view.stage_psi(self.halves[k], self.flow).transpose(
-            1, 0, 2, 3).ravel(),
+        return view.stage_psi(self.halves[k], self.flow).ravel(),
 
 
 def make_controller(variant: str, gains: GainSet, N: int,

@@ -5,17 +5,18 @@ as one union edge list (``topology.union_rows``).  Message seq is sent at
 tick seq * steps_per_T and arrives its delay ticks later; the mailbox is
 one (K + 1, E) int array, the freshest delivered seq per edge after each
 tick (-1 before any).  A message is some of its sender's state rows at its
-send tick, gathered from the state history; the view they form is held
-for each step and rebuilt where the mailbox row changes.  The state is one
-(rows, N) array, a block of rows per variable, and its history one (K + 1,
-rows, N) array whose slices are the trace fields.
+send tick, read from the state history (one (K + 1, rows, N) array whose
+slices are the trace fields).  The view they form is held for each step,
+and the caller's step advances the (rows, N) state by a tick: RK4 over a
+right-hand side (``control.rk4``) or one product with RK4's step
+operator (``control.rk4_operator``).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .comm import TICK_TOL, to_ticks
-from .control import NeighborView, rk4
+from .control import NeighborView
 from .topology import union_rows
 
 DIVERGENCE_LIMIT = 1e9
@@ -72,8 +73,7 @@ class Engine:
     Row j of the int array send lists the state rows union agent j sends,
     position first.  A schedule drawn at another step is converted to the
     run's ticks; error names the edges whose schedules do not fit them or
-    stop before the run's last send.
-    """
+    stop before the run's last send."""
 
     def __init__(self, topo, schedules: list, T: float, dt: float,
                  t_end: float, send: np.ndarray, error=ValueError):
@@ -158,20 +158,16 @@ class Engine:
                             msg.reshape(-1, at.shape[1] * N), seq, self.T,
                             self.steps_per_T, states[0, :self.m], last_half)
 
-    def run(self, y: np.ndarray, rhs, watch, step=None):
-        """Integrate from the (rows, N) state y over ticks 0..K.
-
-        At each tick: record y (a delay-0 message is read at its send
-        tick), build the view if the mailbox row changed (or k = 0), serving
-        up to the half tick 2e of the next change e (or K), then step(k, y,
-        view) -> (y at tick k + 1, out at tick k), by default RK4 over
-        rhs(row, y, view) -> (dy, out) (control.rk4).  watch lists the row
-        blocks that must stay in range as (variable, agents, rows per
-        agent); the first agent out raises DivergenceError against its
-        step-start value.  Returns the (K+1, rows, N) states and the outs.
-        """
+    def run(self, y: np.ndarray, step, watch):
+        """Integrate from the (rows, N) state y over ticks 0..K: at each
+        tick, record y (a delay-0 message is read at its send tick), build
+        the view if the mailbox row changed (or k = 0), serving up to the
+        half tick 2e of the next change e (or K), then step(k, y, view) ->
+        (y at tick k + 1, out at tick k).  watch lists the row blocks that
+        must stay in range as (variable, agents, rows per agent); the first
+        agent out raises DivergenceError against its step-start value.
+        Returns the (K+1, rows, N) states and the outs."""
         K, dt, used = self.K, self.dt, self.used_seq
-        step = step or rk4(rhs, K, dt)
         start = np.flatnonzero(np.r_[True, np.any(used[1:] != used[:-1], 1)])
         next_build = dict(zip(start.tolist(), start[1:].tolist() + [K]))
         watched = sum(agents * per_agent for _, agents, per_agent in watch)
@@ -188,6 +184,5 @@ class Engine:
                 break
             # A nan max fails the test too; initial=0 passes an empty watch.
             if not np.abs(y[:watched]).max(initial=0.0) <= DIVERGENCE_LIMIT:
-                raise _divergence(k * dt + dt, y, states[k], watch,
-                                  self.rows)
+                raise _divergence(k * dt + dt, y, states[k], watch, self.rows)
         return states, outs

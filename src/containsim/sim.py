@@ -17,8 +17,7 @@ import numpy as np
 from .comm import CommConfig, LinkSchedule, generate_schedule, \
     period_ticks, to_ticks
 from .control import GainSet, Law, make_controller
-from .dynamics import AgentModel, LeaderTrajectory, \
-    check_oscillator_spectrum
+from .dynamics import AgentModel, LeaderTrajectory, check_oscillator_spectrum
 from .engine import DIVERGENCE_LIMIT, DivergenceError, Engine  # noqa: F401
 from .engine import stage_times
 from .topology import DirectedTopology, containment_weights, partition, \
@@ -252,8 +251,8 @@ def run(scen: Scenario,
         else scen.leaders.accel(times)   # the oscillator's move freely
     ctrl.start(model, n, dt, times.tolist(), halves, leaders)
     states, gamma = eng.run(
-        np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]), ctrl.deriv,
-        (("p", n, 1), ("v", n, 1)), ctrl.step)
+        np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]), ctrl.step,
+        (("p", n, 1), ("v", n, 1)))
     trace_p, trace_v = states[:, :n], states[:, n:2 * n]
     internals = states[:, 2 * n:].reshape((K + 1,) + x0.shape)
 
@@ -267,8 +266,7 @@ def run(scen: Scenario,
                  W=W, m=m, schedules=schedules,
                  audit=eng.audit(), used_seq=eng.used_seq, edges=eng.edges,
                  meta={"label": scen.label, "dt": dt, "t_end": scen.t_end,
-                       "seed": scen.comm.seed,
-                       "variant": scen.variant})
+                       "seed": scen.comm.seed, "variant": scen.variant})
 
 
 def export_trace_csv(trace: Trace, path: str) -> None:

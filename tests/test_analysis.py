@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from containsim.analysis import (
     BATCH_FIELDS,
-    FORCING_BLOCK,
     ISS_REL_TOL,
     CascadeConfig,
     CascadeError,
@@ -25,9 +24,10 @@ from containsim.analysis import (
     simulate_cascades,
 )
 from containsim.comm import CommConfig, generate_schedule
+from containsim.control import rk4
 from containsim.engine import DivergenceError, Engine, stage_times
 from containsim.topology import DirectedTopology, containment_weights, \
-    partition, union_rows
+    partition
 from conftest import bench_topology, seeded
 
 TRACE_FIELDS = ("eta", "zeta", "eps", "eta_c", "deta_c", "phi1_vals",
@@ -36,8 +36,9 @@ TRACE_FIELDS = ("eta", "zeta", "eps", "eta_c", "deta_c", "phi1_vals",
 
 def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
                             schedules=None) -> CascadeTrace:
-    """One cascade run, stepping every exogenous signal per stage: the
-    reference the batched, tabulated integration must equal to the bit."""
+    """One cascade run, classical RK4 over the equations written out per
+    layer, every exogenous signal evaluated per stage: the reference the
+    step operator of simulate_cascades must match."""
     cfg.validate()
     topo = cfg.topo
     m, N = topo.m, cfg.N
@@ -83,8 +84,8 @@ def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
         return np.concatenate([deta, dzeta.reshape(-1, N)]), eps
 
     states, tr_eps = eng.run(
-        np.concatenate([cfg.eta0, cfg.zeta0.reshape(-1, N)]), rhs,
-        (("eta", topo.n, 1), ("zeta", m, cfg.sigma)))
+        np.concatenate([cfg.eta0, cfg.zeta0.reshape(-1, N)]),
+        rk4(rhs, K, cfg.dt), (("eta", topo.n, 1), ("zeta", m, cfg.sigma)))
     tr_eta, tr_zeta = states[:, :topo.n], states[:, topo.n:].reshape(
         K + 1, m, cfg.sigma, N)
     # The leader combination and the signals, step by step.
@@ -252,8 +253,8 @@ class TestPerturbation:
             seen.append(row)
             return np.zeros_like(y), 0.0
 
-        eng.run(cfg.eta0, rhs, ())
         K = eng.K
+        eng.run(cfg.eta0, rk4(rhs, K, cfg.dt), ())
         assert seen == [r for k in range(K) for r in
                         (k, K + 1 + k, K + 1 + k, 2 * K + 1 + k)] + [K]
         times = stage_times(K, cfg.dt).tolist()
@@ -379,9 +380,7 @@ class TestCascadeDynamics:
 
 def mixed_signals(sigma: int) -> dict:
     """Every kind of signal, with scalar and vector amplitudes, phi2 for
-    sigma layers.  A sinusoid of negative amplitude and phase 0 is exactly
-    -0.0 at t = 0: so are the drive of leader 1 and phi2 of layer 0 there,
-    and a sign lost on the way shows in a bit-level comparison."""
+    sigma layers."""
     layers = [Perturbation(kind="sinusoid", amplitude=-0.5, omega=0.7),
               Perturbation(kind="constant", amplitude=[0.1, 0.2]),
               Perturbation(kind="decaying_exp", amplitude=[0.3, -0.1],
@@ -408,24 +407,6 @@ def assert_bits_equal(got, want, name=""):
 def assert_traces_bits_equal(tr, ref):
     for name in TRACE_FIELDS:
         assert_bits_equal(getattr(tr, name), getattr(ref, name), name)
-
-
-def record_stages(monkeypatch) -> list:
-    """Make every Engine.run record each (row, derivative) its right-hand
-    side returns, one list per run, in the order of the runs."""
-    runs, run = [], Engine.run
-
-    def spy(self, y, rhs, watch):
-        calls = []
-        runs.append(calls)
-
-        def recording(r, y, view):
-            dy, out = rhs(r, y, view)
-            calls.append((r, dy.copy()))
-            return dy, out
-        return run(self, y, recording, watch)
-    monkeypatch.setattr(Engine, "run", spy)
-    return runs
 
 
 # k_eta and h multipliers, T*, delay_max / T*, drop probability, comm seed.
@@ -474,53 +455,47 @@ class TestBatch:
             zeta0=rng.normal(size=(6, base.sigma, 2)))
             for gk, gh, ts, frac, drop, comm_seed in copies]
 
+    # The step operator sums each step in another order than the oracle's
+    # four stages do.  A pilot of 200 draws from these strategies (numpy
+    # seeds 1000-1199, so other draws than the test's) gave at most 2.0e-14
+    # times a field's largest magnitude.
+    ORACLE_TOL = 1e-13
+
     @settings(max_examples=20, deadline=None)
     @given(st.lists(COPY, min_size=1, max_size=4), st.booleans(), ALPHA,
            st.integers(1, 3), st.integers(0, 2**31))
     def test_every_copy_equals_the_oracle(self, copies, mixed, alpha, sigma,
                                           seed):
+        # Within ORACLE_TOL of the oracle, and to the bit the copy run alone.
         base = bench_cfg(t_end=3.0, alpha=alpha, sigma=sigma,
                          **(mixed_signals(sigma) if mixed else {}))
         cfgs = self.copies(base, copies, seed)
         for cfg, tr in zip(cfgs, simulate_cascades(cfgs)):
-            assert_traces_bits_equal(tr, simulate_cascade_oracle(cfg))
-
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_across_forcing_blocks(self, monkeypatch, batch):
-        # K spans four forcing blocks and part of a fifth.  Each copy
-        # equals the oracle to the bit in every trace field and in the
-        # derivative of every stage: among them the last and first rows of
-        # the start, midpoint and end ranges of stage_times (K, K + 1, 2K,
-        # 2K + 1, 3K) and the three rows of each block's first step.
-        dt, sigma = 0.025, 3
-        K = 4 * FORCING_BLOCK + 12
-        assert K % 10 == 0                   # T = 10 dt divides the horizon
-        base = bench_cfg(dt=dt, t_end=K * dt, alpha=0.3, sigma=sigma,
-                         **mixed_signals(sigma))
-        cfgs = self.copies(base, [(1.0, 1.0, 1.5, 0.3, 0.85, 0),
-                                  (2.0, 0.5, 0.5, 0.9, 0.5, 1),
-                                  (0.5, 3.0, 1.0, 0.0, 0.0, 2)][:batch], 7)
-        runs = record_stages(monkeypatch)
-        traces = simulate_cascades(cfgs)
-        (got,) = runs
-        assert [r for r, _ in got] == [
-            r for k in range(K) for r in
-            (k, K + 1 + k, K + 1 + k, 2 * K + 1 + k)] + [K]
-        assert {K, K + 1, 2 * K, 2 * K + 1, 3 * K} <= {r for r, _ in got}
-        n, m = 10, 6
-        rows = union_rows(cfgs[0].topo, batch)
-        for b, (cfg, tr) in enumerate(zip(cfgs, traces)):
+            assert_traces_bits_equal(tr, simulate_cascade(cfg))
             ref = simulate_cascade_oracle(cfg)
-            assert_traces_bits_equal(tr, ref)
-            zeta = slice(batch * n + b * m * sigma,
-                         batch * n + (b + 1) * m * sigma)
-            assert len(runs[-1]) == len(got)
-            for (r, dy), (r_ref, dy_ref) in zip(got, runs[-1]):
-                assert r == r_ref
-                assert_bits_equal(np.concatenate((dy[rows[b]], dy[zeta])),
-                                  dy_ref, f"stage row {r}, copy {b}")
-        # A drive exactly -0.0 at t = 0 keeps its sign in the derivative.
-        assert np.signbit(got[0][1][rows[0][m + 1]]).all()
+            for name in TRACE_FIELDS:
+                got, want = getattr(tr, name), getattr(ref, name)
+                assert np.abs(got - want).max() <= \
+                    self.ORACLE_TOL * np.abs(want).max(), name
+
+    def test_a_step_reads_the_signal_rows_of_its_stages(self):
+        # A leader's eta' is its drive d alone, so step k moves it by
+        # dt / 6 (d0 + 4 dm + d1), the drive at the stage rows k, K + 1 + k
+        # and 2K + 1 + k of stage_times.  Reading any of them one row off
+        # moves a leader by about dt^2 / 6 |d'| ~ 1e-4 in some step.
+        base = bench_cfg(t_end=3.0, **mixed_signals(2))
+        cfgs = self.copies(base, [(1.0, 1.0, 1.5, 0.3, 0.85, 0),
+                                  (2.0, 0.5, 0.5, 0.9, 0.5, 1)], 7)
+        dt, m, N = base.dt, base.topo.m, base.N
+        K = round(base.t_end / dt)
+        times = stage_times(K, dt)
+        d = np.stack([np.broadcast_to(p.value(times), (len(times), N))
+                      for p in base.leader_drive], axis=1)
+        want = dt / 6 * (d[:K] + 4 * d[K + 1:2 * K + 1] + d[2 * K + 1:])
+        for tr in simulate_cascades(cfgs):
+            lead = tr.eta[:, m:]
+            assert np.abs(np.diff(lead, axis=0) - want).max() <= \
+                1e-13 * np.abs(lead).max()
 
     def test_one_change_per_shared_field(self):
         shared = {f.name for f in dataclasses.fields(CascadeConfig)} \

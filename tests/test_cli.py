@@ -399,6 +399,18 @@ class TestRun:
                          capsys.readouterr().err)
         assert not (out_dir / "trace.csv").exists()
 
+    def test_non_string_output_name_rejected_before_the_run(
+            self, tmp_path, capsys, monkeypatch):
+        # Before, the whole 40 s run went ahead, and then os.path.join
+        # raised a TypeError traceback.
+        doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
+        doc["outputs"] = {"trace_csv": 5}
+        monkeypatch.setattr(sim, "run", lambda *a, **k: pytest.fail("ran"))
+        assert cli.main(["run", "--config", write_doc(tmp_path, doc),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: outputs.trace_csv: expected str, got 5")
+
     def test_nan_gain_exit_code(self, tmp_path):
         doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
         doc["controllers"]["gains"]["k_p"] = float("nan")

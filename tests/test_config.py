@@ -334,6 +334,27 @@ class TestBuilding:
         with pytest.raises(ConfigError, match=message):
             config.build_scenario(doc)
 
+    @pytest.mark.parametrize("path, value, message", [
+        ("agents.N", 0, r"agents\.N: must be at least 1, got 0"),
+        ("agents.N", -1, r"agents\.N: must be at least 1, got -1"),
+        ("label", 7, r"label: expected str, got 7"),
+        ("outputs.trace_csv", 5,
+         r"outputs\.trace_csv: expected str, got 5"),
+        ("outputs.svg", None, r"outputs\.svg: expected str, got None"),
+    ], ids=["N_0", "N_minus_1", "label_int", "trace_csv_int", "svg_null"])
+    def test_validation_names_the_key(self, path, value, message):
+        # Before, N = 0 and N = -1 were reported as "agents.leaders.v_d
+        # must have 0 (-1) entries", and a name that is not a string passed
+        # validation.
+        doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
+        *parents, key = path.split(".")
+        node = doc
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[key] = value
+        with pytest.raises(ConfigError, match=message):
+            config.validate_config(doc)
+
     def test_perturbation_builder(self):
         pert = config.build_perturbation(
             {"kind": "sinusoid", "amplitude": [1.0, 2.0], "omega": 0.5})

@@ -13,7 +13,7 @@ from containsim import analysis, config, sim
 from containsim.analysis import CascadeError
 from containsim.comm import CommConfig, floor_ticks, generate_schedule, \
     to_ticks
-from containsim.control import NeighborView, rk4_step
+from containsim.control import NeighborView, rk4, rk4_step
 from containsim.engine import DIVERGENCE_LIMIT, DivergenceError, Engine
 from containsim.sim import ScenarioError
 from containsim.topology import union_rows
@@ -215,7 +215,7 @@ def test_each_view_serves_up_to_the_next_mailbox_change(K, extra, drop_prob,
 
     with mock.patch.object(Engine, "view", spy):
         eng.run(np.zeros((2 * topo.n, 2)),
-                lambda row, y, v: (np.zeros_like(y), 0.0), ())
+                rk4(lambda row, y, v: (np.zeros_like(y), 0.0), K, dt), ())
     assert (built, ends) == view_spans_oracle(eng.used_seq)
 
 
@@ -576,7 +576,7 @@ def guard_run(row: int, value: float, watch=GUARD_WATCH):
         if r == GUARD_STEP:                 # the start of step GUARD_STEP
             dy[row, 0] = value
         return dy, 0.0
-    states, _ = eng.run(y0, rhs, watch)
+    states, _ = eng.run(y0, rk4(rhs, K, dt), watch)
     return y0, states
 
 
