@@ -6,7 +6,8 @@ the sampled neighbour average, and the chain is a string of first-order
 lags fed by that average.  ``simulate_cascades`` runs configs that share
 topology, signals and time grid as one run of the engine of ``sim.run``
 over disjoint copies, each copy's trace equal to its run alone; a step is
-one product with RK4's step operator (``control.rk4_operator``).  Bounds
+one product with RK4's step operator (``control.rk4_operator``), on the
+held neighbour average from its period's block or its tick's view.  Bounds
 of exponential-plus-sup form on the deviation from the leader convex
 combination, and the gain / blackout sweeps, certify robustness trends.
 """
@@ -85,8 +86,9 @@ class CascadeConfig:
                 (not 0.0 <= self.alpha <= 1.0, "alpha must be in [0, 1]"),
                 (self.sigma < 1 or len(self.h) != self.sigma,
                  "h: need one lag rate per chain layer"),
-                (self.k_eta <= 0, "k_eta: all rates must be strictly positive"),
-                (any(r <= 0 for r in self.h),
+                (not self.k_eta > 0,            # NaN fails too
+                 "k_eta: all rates must be strictly positive"),
+                (not all(r > 0 for r in self.h),
                  "h: all rates must be strictly positive"),
                 (len(self.leader_drive) != topo.n - topo.m,
                  "leader_drive: need one drive per leader"),
@@ -256,8 +258,8 @@ def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
                     (cfg.phi1, *cfg.leader_drive,
                      *(cfg.phi2 or [Perturbation()] * sigma))], axis=1)
 
-    def step(k, y, view):       # y at tick k + 1 (k < K), eps at tick k
-        eps = view.p_avg()
+    def step(k, y, eps, view):  # y at tick k + 1 (k < K), eps at tick k
+        eps = view.p_avg() if eps is None else eps
         if k < K:
             u = np.concatenate((np.tile(eps.ravel(), (3, 1)), sig[
                 [k, K + 1 + k, 2 * K + 1 + k]].reshape(3, -1)), axis=1)
@@ -265,7 +267,8 @@ def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
             y = np.bincount(out, x, y.size).reshape(y.shape)
         return y, eps
 
-    states, eps = eng.run(y0, step, (("eta", Bn, 1), ("zeta", Bm, sigma)))
+    states, eps = eng.run(y0, step, (("eta", Bn, 1), ("zeta", Bm, sigma)),
+                          lambda lo, g: g.p_avg().reshape(-1, Bm, N))
 
     deta_c = W @ sig[:K + 1, 1:n_lead + 1]
     deta_c.flags.writeable = False

@@ -3,12 +3,13 @@
 Six variants run on three laws, ``DoubleIntegratorLaw``, ``OscillatorLaw``
 and ``NonlinearVSController``, picked by ``make_controller``.  ``start``
 binds a law to a run; then ``deriv(row, y, view)`` is the flat state's
-derivative at a stage row (with the control input at a step start) and
-``step(k, y, view)`` the engine's step.  The internals ``names`` are m-row
-blocks after p and v; block 0 is vhat, the velocity estimate a follower
-sends.  Neighbours enter through weighted averages over the delivered
-in-edges; until one has delivered, a follower's position reference is its
-initial position and its velocity-estimate average its own estimate.
+derivative at a stage row (with the control input at a step start),
+``block(lo, view)`` a linear law's step sources at each tick of a period
+and ``step(k, y, row, view)`` the engine's step.  The internals ``names``
+are m-row blocks after p and v; block 0 is vhat, the velocity estimate a
+follower sends.  Neighbours enter through weighted averages over the
+delivered in-edges; until one has delivered, a follower's position
+reference is its initial position and its velocity average its own.
 """
 from __future__ import annotations
 
@@ -115,24 +116,22 @@ class NeighborView:
     Arrays are indexed by delivered in-edge: dst is its follower row, msg
     its message [p_msg, vhat_msg], sent at seq * T = send_time, or
     send_half = 2 steps_per_T seq half steps; kappa_delivered sums each
-    follower's delivered weights.  The view serves up to the half tick
-    last_half.  Averages are read-only, computed once per view (p_avg; c0,
-    c1 of vartheta_avg = c0 + t c1; vhat_avg = c1) or per span (psi), the
-    fallbacks merged in until every follower is live (has delivered)."""
+    follower's delivered weights.  Averages are read-only, memoized (p_avg;
+    c0, c1 of vartheta_avg = c0 + t c1; vhat_avg = c1; psi at the last half
+    tick), fallbacks merged in until every follower is live."""
 
     def __init__(self, m: int, N: int, dst: np.ndarray, w: np.ndarray,
                  msg: np.ndarray, seq: np.ndarray, T: float,
-                 steps_per_T: int, p_fallback: np.ndarray, last_half: int = 0):
-        self.m, self.N, self.dst, self.w, self.p_fallback, self.last_half = \
-            m, N, dst, w, p_fallback, last_half
+                 steps_per_T: int, p_fallback: np.ndarray):
+        self.m, self.N, self.dst, self.w, self.p_fallback = \
+            m, N, dst, w, p_fallback
         self.msg, self.p_msg, self.vhat_msg = msg, msg[:, :N], msg[:, N:]
         self.send_time, self.send_half = seq * T, 2 * steps_per_T * seq
         self.kappa_delivered = np.bincount(dst, w, minlength=m)
         self.live = self.kappa_delivered > 0
         self.all_live = bool(self.live.all())
         self._rows = slice(None) if self.all_live else self.live
-        # Memos: p_avg, c0 and c1, and psi's flow, first half tick and table.
-        self._p = self._c = self._psi_flow = self._psi_h = self._psi = None
+        self._p = self._c = self._psi_at = self._psi = None     # the memos
 
     def _live_average(self, contrib: np.ndarray) -> np.ndarray:
         """Weighted average of the rows of contrib (one per edge) over the
@@ -173,8 +172,7 @@ class NeighborView:
 
     def vartheta_avg(self, t) -> np.ndarray:
         """Weighted average of the extrapolated positions at t, c0 + t c1:
-        vartheta is affine in t.  A (S, 1, 1) array of times gives the
-        (S, m, N) stack, one average per time."""
+        vartheta is affine in t."""
         c0, c1 = self._affine()
         theta = c0 + t * c1
         theta.flags.writeable = False
@@ -183,32 +181,19 @@ class NeighborView:
     def vhat_avg(self, vhat_own: np.ndarray) -> np.ndarray:
         return self._with_fallback(self._affine()[1], vhat_own)
 
-    def _psi_span(self, h: int, flow: OscillatorFlow) -> np.ndarray:
-        """The span's psi table from the half tick h on, (H, 2, live, N); a
-        miss fills h to last_half (one lookup, stacked matmul, bincount)."""
-        if flow is not self._psi_flow \
-                or not 0 <= h - self._psi_h < len(self._psi):
-            half = np.arange(h, max(h, self.last_half) + 1)
-            y = np.matmul(flow.table[half - self.send_half[:, None]],
-                          self.msg[:, None, :, None])     # (E, H, 2N, 1)
-            avg = self._live_average(y.reshape(-1, np.prod(y.shape[1:])))
-            avg = np.ascontiguousarray(avg.reshape(  # (H, 2, live rows, N)
-                -1, len(half), 2, self.N).transpose(1, 2, 0, 3))
-            avg.flags.writeable = False
-            self._psi_flow, self._psi_h, self._psi = flow, h, avg
-        return self._psi[h - self._psi_h:]
-
     def oscillator_psi(self, h: int, flow: OscillatorFlow,
                        vhat_own: np.ndarray) -> np.ndarray:
         """Weighted average of e^{S (t - t_send)} [p_msg; vhat_msg] at the
         time t of the half tick h, as its two halves: (2, m, N), C order.
         The lags are the whole half steps h - send_half."""
-        return self._with_fallback(self._psi_span(h, flow)[0],
-                                   (self.p_fallback, vhat_own))
-
-    def stage_psi(self, h: int, flow: OscillatorFlow) -> np.ndarray:
-        """oscillator_psi at half ticks h to h + 2, all live: (3, 2, m, N)."""
-        return self._psi_span(h, flow)[:3]
+        if (flow, h) != self._psi_at:
+            y = np.matmul(flow.table[h - self.send_half], self.msg[..., None])
+            avg = self._live_average(y.reshape(-1, 2 * self.N))
+            self._psi = np.ascontiguousarray(avg.reshape(
+                -1, 2, self.N).transpose(1, 0, 2))      # (2, live rows, N)
+            self._psi.flags.writeable = False
+            self._psi_at = flow, h
+        return self._with_fallback(self._psi, (self.p_fallback, vhat_own))
 
 
 def rk4_step(rhs, mid, end, h: float, y: np.ndarray, u, k1: np.ndarray):
@@ -224,16 +209,6 @@ def rk4_step(rhs, mid, end, h: float, y: np.ndarray, u, k1: np.ndarray):
     for term in (k1, np.multiply(k3, 2, out=k3), k4):
         k2 += term
     return np.add(np.multiply(k2, h / 6, out=k2), y, out=k2)
-
-
-def rk4(rhs, K: int, h: float):
-    """step(k, y, u) -> (y at tick k + 1, None at K; out at tick k): RK4
-    over rhs(row, y, u) -> (dy, out) on engine.stage_times(K, h), u held."""
-    def step(k: int, y: np.ndarray, u):
-        dy, out = rhs(k, y, u)
-        return None if k == K else rk4_step(
-            rhs, K + 1 + k, 2 * K + 1 + k, h, y, u, dy), out
-    return step
 
 
 def rk4_operator(out, cols, coef, agent: np.ndarray, width: int, h: float):
@@ -283,15 +258,23 @@ class Law:
             x[0] = self.v_d
         return x
 
-    def start(self, model: AgentModel, n: int, dt: float, times: list,
+    def start(self, model: AgentModel, n: int, dt: float, times: np.ndarray,
               halves: list, leaders: np.ndarray) -> None:
         self.n, self.dt, self.times, self.halves, self.leaders = \
             n, dt, times, halves, leaders
         self.K = len(times) // 3
 
-    def step(self, k: int, y: np.ndarray, view: NeighborView):
-        """(y at tick k + 1, gamma at tick k), as control.rk4 over deriv."""
-        return rk4(self.deriv, self.K, self.dt)(k, y, view)
+    def block(self, lo: int, view: NeighborView) -> list:
+        """Step sources per tick of the view of ticks lo..: none here."""
+        return [None] * (view.m // self.gains.m)
+
+    def step(self, k: int, y: np.ndarray, row, view: NeighborView):
+        """(y at tick k + 1, None at K; gamma at tick k): RK4 over deriv on
+        engine.stage_times' rows, the view held."""
+        dy, out = self.deriv(k, y, view)
+        return None if k == self.K else rk4_step(
+            self.deriv, self.K + 1 + k, 2 * self.K + 1 + k, self.dt, y, view,
+            dy), out
 
 
 class LinearLaw(Law):
@@ -302,11 +285,10 @@ class LinearLaw(Law):
     accelerations).  No entry depends on liveness: a follower without a
     message averages its own velocity estimate.  deriv is one take,
     product and np.bincount over the entries, gamma the terms listed under
-    "gamma"; an all-live view's step is one such product with
-    ``rk4_operator``'s step and gamma's rows, a warm-up view's RK4 over
-    deriv (its fallback moves with the state)."""
+    "gamma"; a step on a block row is one such product with the step of
+    ``rk4_operator`` and gamma's rows, else RK4 over deriv on the view."""
 
-    def start(self, model: AgentModel, n: int, dt: float, times: list,
+    def start(self, model: AgentModel, n: int, dt: float, times: np.ndarray,
               halves: list, leaders: np.ndarray) -> None:
         super().start(model, n, dt, times, halves, leaders)
         m, N, nb = self.gains.m, self.N, len(self.names) + 2
@@ -345,12 +327,11 @@ class LinearLaw(Law):
         return dy, None if row > self.K else np.bincount(
             self.gamma_out, prod[self.gamma], m * self.N).reshape(m, -1)
 
-    def step(self, k: int, y: np.ndarray, view: NeighborView):
-        """As Law.step; one product with the step operator if all live."""
-        if k == self.K or not view.all_live:
-            return super().step(k, y, view)
-        x = np.concatenate((y.ravel(), *self.stage_sources(k, view))).take(
-            self.step_cols)
+    def step(self, k: int, y: np.ndarray, row, view: NeighborView):
+        """As Law.step; one product with the step operator on a block row."""
+        if row is None:
+            return super().step(k, y, row, view)
+        x = np.concatenate((y.ravel(), row)).take(self.step_cols)
         x *= self.step_coef
         z = np.bincount(self.step_out, x, y.size + self.gains.m * self.N)
         return z[:y.size].reshape(y.shape), z[y.size:].reshape(-1, self.N)
@@ -395,20 +376,16 @@ class DoubleIntegratorLaw(LinearLaw):
         return (view.vartheta_avg(self.times[row]).ravel(),
                 view.vhat_avg(vhat).ravel(), self.leaders[row])
 
-    def start(self, *run) -> None:
-        """As LinearLaw.start, x = [y; u0 at each stage, u1, lead at each]."""
-        super().start(*run)
-        R, mN, L = self.size, self.gains.m * self.N, self.leaders.shape[1]
-        u0, u1, ld = np.split(R + np.arange(4 * mN + 3 * L), (3 * mN, 4 * mN))
-        at = np.c_[u0.reshape(3, -1), np.tile(u1, (3, 1)), ld.reshape(3, -1)]
-        self.step_cols = np.r_[np.arange(R), at.ravel()].take(self.step_cols)
-
-    def stage_sources(self, k: int, view: NeighborView):
-        """x's sources at step k of an all-live view; u1 is held (start)."""
-        rows = k, k + self.K + 1, k + 2 * self.K + 1
-        t = np.array([self.times[r] for r in rows])[:, None, None]
-        return view.vartheta_avg(t).ravel(), view.vhat_avg(None).ravel(), \
-            self.leaders.take(rows, 0).ravel()
+    def block(self, lo: int, view: NeighborView) -> np.ndarray:
+        """x's sources at each tick: at each stage row, vartheta_avg = c0 +
+        t c1 at its time, c1 = vhat_avg (held) and the leader row."""
+        c0, c1 = (c.reshape(-1, 1, self.gains.m * self.N)
+                  for c in view._affine())
+        H, K = len(c0), self.K      # each tick's start, midpoint, end rows
+        rows = np.arange(lo, lo + H)[:, None] + [0, K + 1, 2 * K + 1]
+        return np.concatenate((c0 + self.times[rows][..., None] * c1,
+                               np.broadcast_to(c1, (H, 3, c1.shape[2])),
+                               self.leaders[rows]), axis=2).reshape(H, -1)
 
 
 class NonlinearVSController(Law):
@@ -426,7 +403,7 @@ class NonlinearVSController(Law):
             getattr(gains, k)[:, None] for k in ("L_p", "L_d", "k_p", "k_d",
                                                  "k_r"))
 
-    def start(self, model: AgentModel, n: int, dt: float, times: list,
+    def start(self, model: AgentModel, n: int, dt: float, times: np.ndarray,
               halves: list, leaders: np.ndarray) -> None:
         super().start(model, n, dt, times, halves, leaders)
         self.lam = self.gains.lam_effective()[:, None]   # gains now checked
@@ -504,8 +481,15 @@ class OscillatorLaw(LinearLaw):
     def sources(self, row: int, view: NeighborView, vhat: np.ndarray):
         return view.oscillator_psi(self.halves[row], self.flow, vhat).ravel(),
 
-    def stage_sources(self, k: int, view: NeighborView):
-        return view.stage_psi(self.halves[k], self.flow).ravel(),
+    def block(self, lo: int, view: NeighborView) -> np.ndarray:
+        """x's sources at each tick: psi at its half ticks 2k to 2k + 2,
+        (3, 2, m, N), from one stacked matmul and one average."""
+        m, N = self.gains.m, self.N
+        half = 2 * (lo + view.dst // m)[:, None] + np.arange(3)
+        y = np.matmul(self.flow.table[half - view.send_half[:, None]],
+                      view.msg[:, None, :, None])      # (pairs, 3, 2N, 1)
+        psi = view._live_average(y.reshape(len(y), -1)).reshape(-1, m, 6, N)
+        return psi.transpose(0, 2, 1, 3).reshape(len(psi), -1)
 
 
 def make_controller(variant: str, gains: GainSet, N: int,

@@ -6,9 +6,10 @@ tick seq * steps_per_T and arrives its delay ticks later; the mailbox is
 one (K + 1, E) int array, the freshest delivered seq per edge after each
 tick (-1 before any).  A message is some of its sender's state rows at its
 send tick, read from the state history (one (K + 1, rows, N) array whose
-slices are the trace fields).  The view they form is held for each step,
-and the caller's step advances the (rows, N) state by a tick: RK4 over a
-right-hand side (``control.rk4``) or one product with RK4's step
+slices are the trace fields).  Sends are periodic, so every message in use
+during a sampling period was sent by its first tick, when one view of them
+all feeds the caller's sources.  The caller's step advances the (rows, N)
+state a tick: RK4 (``control.rk4_step``) or one product with RK4's step
 operator (``control.rk4_operator``).
 """
 from __future__ import annotations
@@ -63,7 +64,7 @@ def stage_times(K: int, dt: float) -> np.ndarray:
 
 
 class Engine:
-    """Compiled link schedules, the seq mailbox and the held-view loop.
+    """Compiled link schedules, the seq mailbox and the tick loop.
 
     schedules holds one {(j, i): LinkSchedule} dict per copy of topo, keyed
     by exactly topo's edges (else error names the missing and extra ones).
@@ -125,6 +126,10 @@ class Engine:
         used = np.full((self.K + 1, len(self.edges)), -1)
         np.maximum.at(used, (self.tick, self.edge), self.seq)
         self.used_seq = np.maximum.accumulate(used, axis=0)
+        # The first tick each follower, then every one, holds a message.
+        first = np.full(self.m, self.K + 1)
+        np.minimum.at(first, self.dst[self.edge], self.tick)
+        self.live_from = int(first.max())
 
     def stage_lags(self) -> np.ndarray:
         """The distinct ages h - 2 steps_per_T seq, in half steps, of the
@@ -144,39 +149,47 @@ class Engine:
                         self.dst[self.edge].tolist(), self.seq.tolist(),
                         send.tolist(), arrival.tolist()))
 
-    def view(self, box: np.ndarray, states: np.ndarray, last_half: int):
-        """View of the mailbox row box up to the half tick last_half: edge
-        e's message seq is states[seq * steps_per_T, send[src[e]]], and a
-        follower's fallback its row of states[0]."""
-        live = box >= 0
-        seq = box[live]
+    def view(self, lo: int, hi: int, states: np.ndarray) -> NeighborView:
+        """The messages in use at ticks lo..hi - 1, one take, as the view of
+        a row of (hi - lo) m followers (tick k's follower i is row (k - lo)
+        m + i, in tick, then edge order); edge e's seq is states[seq *
+        steps_per_T, send[src[e]]], a fallback its row of states[0]."""
+        box = self.used_seq[lo:hi]
+        (t, e), seq = np.nonzero(box >= 0), box[box >= 0]
         rows, N = states.shape[1:]
-        at = self.send_rows.compress(live, axis=0)
-        at += (self.steps_per_T * rows) * seq[:, None]
+        at = self.send_rows.take(e, axis=0)
+        at += (self.steps_per_T * rows * seq)[:, None]
         msg = states.reshape(-1, N).take(at, axis=0)
-        return NeighborView(self.m, N, self.dst[live], self.w[live],
-                            msg.reshape(-1, at.shape[1] * N), seq, self.T,
-                            self.steps_per_T, states[0, :self.m], last_half)
+        return NeighborView((hi - lo) * self.m, N, t * self.m + self.dst[e],
+                            self.w[e], msg.reshape(-1, at.shape[1] * N), seq,
+                            self.T, self.steps_per_T, states[0, :self.m])
 
-    def run(self, y: np.ndarray, step, watch):
+    def run(self, y: np.ndarray, step, watch, block):
         """Integrate from the (rows, N) state y over ticks 0..K: at each
-        tick, record y (a delay-0 message is read at its send tick), build
-        the view if the mailbox row changed (or k = 0), serving up to the
-        half tick 2e of the next change e (or K), then step(k, y, view) ->
-        (y at tick k + 1, out at tick k).  watch lists the row blocks that
-        must stay in range as (variable, agents, rows per agent); the first
-        agent out raises DivergenceError against its step-start value.
-        Returns the (K+1, rows, N) states and the outs."""
-        K, dt, used = self.K, self.dt, self.used_seq
-        start = np.flatnonzero(np.r_[True, np.any(used[1:] != used[:-1], 1)])
-        next_build = dict(zip(start.tolist(), start[1:].tolist() + [K]))
+        tick k, record y (a delay-0 message is read at its send tick), then
+        step(k, y, row, view) -> (y at tick k + 1, out at tick k).  At a
+        period's first tick k0, block(lo, view) turns the view of its ticks
+        lo.. below K from live_from on into one row per tick: all were sent
+        by k0, so their rows of states are recorded.  Other ticks get row
+        None and view, the view of tick k (one per mailbox row).  watch
+        lists the row blocks that must stay in range as (variable, agents,
+        rows per agent); the first agent out raises DivergenceError against
+        its step-start value.  Returns the (K+1, rows, N) states and outs."""
+        K, dt, spT, used = self.K, self.dt, self.steps_per_T, self.used_seq
+        changed = np.r_[True, np.any(used[1:] != used[:-1], 1)]
         watched = sum(agents * per_agent for _, agents, per_agent in watch)
         states = np.empty((K + 1,) + y.shape)
         for k in range(K + 1):
             states[k] = y
-            if k in next_build:
-                view = self.view(used[k], states, 2 * next_build[k])
-            y, out = step(k, y, view)
+            if k % spT == 0:
+                lo, hi = max(k, self.live_from), min(k + spT, K)
+                if lo < hi:
+                    period = block(lo, self.view(lo, hi, states))
+            row = period[k - lo] if lo <= k < hi else None
+            view = None if changed[k] else view
+            if row is None:             # built once per mailbox row
+                view = view or self.view(k, k + 1, states)
+            y, out = step(k, y, row, view)
             if k == 0:
                 outs = np.empty((K + 1,) + np.shape(out))
             outs[k] = out

@@ -1,10 +1,10 @@
 """Closed-loop containment runs on the shared sampled-data engine.
 
 ``run`` plugs the controller into ``engine.Engine`` (integer ticks, the
-mailbox history ``Trace.used_seq``, a neighbour view held for each step):
-it names the state rows each agent sends, and the law's ``step`` is the
-engine's step.  The containment errors of all steps come from one product
-with the weights, their hull distances from one ``hull_distance`` call.
+mailbox history ``Trace.used_seq``, period sources, tick views): it names
+the state rows each agent sends; the law's ``block`` and ``step`` are the
+engine's.  The containment errors of all steps come from one product with
+the weights, their hull distances from one ``hull_distance`` call.
 """
 from __future__ import annotations
 
@@ -249,10 +249,10 @@ def run(scen: Scenario,
         ctrl.flow.tabulate(eng.stage_lags(), dt)
     leaders = np.empty((len(times), 0, N)) if scen.leaders is None \
         else scen.leaders.accel(times)   # the oscillator's move freely
-    ctrl.start(model, n, dt, times.tolist(), halves, leaders)
+    ctrl.start(model, n, dt, times, halves, leaders)
     states, gamma = eng.run(
         np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]), ctrl.step,
-        (("p", n, 1), ("v", n, 1)))
+        (("p", n, 1), ("v", n, 1)), ctrl.block)
     trace_p, trace_v = states[:, :n], states[:, n:2 * n]
     internals = states[:, 2 * n:].reshape((K + 1,) + x0.shape)
 

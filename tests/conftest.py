@@ -7,6 +7,7 @@ import pytest
 
 from containsim import config
 from containsim.comm import TICK_TOL, LinkSchedule, floor_ticks
+from containsim.control import rk4_step
 from containsim.topology import DirectedTopology
 
 
@@ -115,18 +116,38 @@ def follower_rhs(model, p: np.ndarray, v: np.ndarray,
     return v, p @ model.S1.T + v @ model.S2.T + gamma
 
 
-def view_spans_oracle(used: np.ndarray) -> tuple[list, list]:
-    """The ticks where a view of the mailbox history used is built (0 and
-    each change of its row) and the last half tick each view serves: the
-    view of ticks k0..k1 serves 2k, 2k + 1 and 2k + 2 of each tick k < K,
-    and 2K if it holds at K."""
+def rk4(rhs, K: int, h: float):
+    """step(k, y, u) -> (y at tick k + 1, None at K; out at tick k): RK4
+    over rhs(row, y, u) -> (dy, out) on engine.stage_times(K, h), u held,
+    as a law's step on a view."""
+    def step(k: int, y: np.ndarray, u):
+        dy, out = rhs(k, y, u)
+        return None if k == K else rk4_step(
+            rhs, K + 1 + k, 2 * K + 1 + k, h, y, u, dy), out
+    return step
+
+
+def run_on_views(eng, y: np.ndarray, rhs, watch=()):
+    """eng.run with classical RK4 over rhs(row, y, view) at every tick: the
+    block of every period has no rows, so each step reads the view."""
+    step = rk4(rhs, eng.K, eng.dt)
+    return eng.run(y, lambda k, y, row, view: step(k, y, view), watch,
+                   lambda lo, view: [None] * (view.m // eng.m))
+
+
+def periods_oracle(used: np.ndarray, spT: int, in_edges) -> list:
+    """(k0, lo, hi) of every period whose block has rows: ticks lo..hi - 1,
+    those of k0..k0 + spT - 1 below K at which every follower holds a
+    message; in_edges lists each follower's in-edges."""
     K = len(used) - 1
-    built = [k for k in range(K + 1)
-             if k == 0 or not np.array_equal(used[k], used[k - 1])]
-    served = [max([2 * k + 2 for k in range(k0, min(k1, K))]
-                  + [2 * K] * (k1 > K))
-              for k0, k1 in zip(built, built[1:] + [K + 1])]
-    return built, served
+    live = [all((used[k, e] >= 0).any() for e in in_edges)
+            for k in range(K + 1)]
+    out = []
+    for k0 in range(0, K + 1, spT):
+        ticks = [k for k in range(k0, min(k0 + spT, K)) if live[k]]
+        if ticks:
+            out.append((k0, ticks[0], ticks[-1] + 1))
+    return out
 
 
 def one_edge_topology() -> DirectedTopology:

@@ -24,11 +24,10 @@ from containsim.analysis import (
     simulate_cascades,
 )
 from containsim.comm import CommConfig, generate_schedule
-from containsim.control import rk4
 from containsim.engine import DivergenceError, Engine, stage_times
 from containsim.topology import DirectedTopology, containment_weights, \
     partition
-from conftest import bench_topology, seeded
+from conftest import bench_topology, run_on_views, seeded
 
 TRACE_FIELDS = ("eta", "zeta", "eps", "eta_c", "deta_c", "phi1_vals",
                 "phi2_vals")
@@ -83,9 +82,9 @@ def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
                 + broadcast(phi2[ell].value(t))
         return np.concatenate([deta, dzeta.reshape(-1, N)]), eps
 
-    states, tr_eps = eng.run(
-        np.concatenate([cfg.eta0, cfg.zeta0.reshape(-1, N)]),
-        rk4(rhs, K, cfg.dt), (("eta", topo.n, 1), ("zeta", m, cfg.sigma)))
+    states, tr_eps = run_on_views(
+        eng, np.concatenate([cfg.eta0, cfg.zeta0.reshape(-1, N)]), rhs,
+        (("eta", topo.n, 1), ("zeta", m, cfg.sigma)))
     tr_eta, tr_zeta = states[:, :topo.n], states[:, topo.n:].reshape(
         K + 1, m, cfg.sigma, N)
     # The leader combination and the signals, step by step.
@@ -254,7 +253,7 @@ class TestPerturbation:
             return np.zeros_like(y), 0.0
 
         K = eng.K
-        eng.run(cfg.eta0, rk4(rhs, K, cfg.dt), ())
+        run_on_views(eng, cfg.eta0, rhs)
         assert seen == [r for k in range(K) for r in
                         (k, K + 1 + k, K + 1 + k, 2 * K + 1 + k)] + [K]
         times = stage_times(K, cfg.dt).tolist()
@@ -330,6 +329,21 @@ class TestCascadeDynamics:
     def test_validation_errors_name_the_config_key(self, key, change):
         with pytest.raises(CascadeError, match=re.escape(key)):
             single_follower_cfg(**change).validate()
+
+    @pytest.mark.parametrize("key, change", [
+        ("cascade.k_eta", {"k_eta": float("nan")}),
+        ("cascade.h", {"h": (2.0, float("nan"))}),
+        ("cascade.h", {"h": (float("nan"), 2.0)}),
+    ])
+    def test_nan_rates_name_the_config_key(self, key, change):
+        # A NaN passes every "<= 0" test; caught by the config check, it
+        # no longer reaches the run, which diverged at its first step.
+        cfg = dataclasses.replace(bench_cfg(), **change)
+        with pytest.raises(CascadeError, match=re.escape(
+                f"{key}: all rates must be strictly positive")):
+            cfg.validate()
+        with pytest.raises(CascadeError, match=re.escape(key)):
+            simulate_cascade(cfg)
 
     @pytest.mark.parametrize("value", [0.0, -0.025])
     @pytest.mark.parametrize("field, key", [("dt", "sim.dt_seconds"),

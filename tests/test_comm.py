@@ -397,14 +397,14 @@ class TestMailbox:
     def test_keeps_freshest_sequence(self):
         eng, _, used = one_edge_engine()
         assert used[:, 0].tolist() == [-1] * 15 + [1] * 25 + [4] * 61
-        view = eng.view(used[-1], HIST, 200)
+        view = eng.view(eng.K, eng.K + 1, HIST)
         assert view.p_msg.tolist() == [[4.0]]
         assert view.send_time.tolist() == [0.4]
 
     def test_latest_message_none_before_first_arrival(self):
         eng, _, used = one_edge_engine()
         assert used[14].tolist() == [-1]
-        view = eng.view(used[14], HIST, 30)
+        view = eng.view(14, 15, HIST)
         assert view.dst.size == 0 and not view.live.any()
         assert view.p_avg().tolist() == FALLBACK.tolist()
 

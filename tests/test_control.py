@@ -12,15 +12,14 @@ from containsim.control import (
     OscillatorLaw,
     check_gains,
     make_controller,
-    rk4,
     vartheta,
 )
 from containsim import config, sim
 from containsim.comm import CommConfig, generate_schedule
 from containsim.dynamics import AgentModel, OscillatorFlow
 from containsim.engine import Engine, stage_times
-from conftest import bench_topology, load_scenario_doc, to_ticks_oracle, \
-    view_spans_oracle
+from conftest import bench_topology, load_scenario_doc, rk4, \
+    to_ticks_oracle
 from law_oracle import closed_loop_oracle, law_oracle, stage
 
 
@@ -601,11 +600,13 @@ class TestBatchedPsi:
 
 
 class TestSpanPsi:
-    """oscillator_psi over whole view spans of an engine on random
-    schedules, in the order a run asks: the start, midpoint (twice) and
-    end of each step, the end again as the next step's start."""
+    """psi over a run of an engine on random schedules: a view's
+    oscillator_psi in the order a run asks (the start, midpoint (twice) and
+    end of each step, the end again as the next step's start), and the
+    oscillator law's period block at the three half ticks of each of its
+    ticks."""
 
-    def views(self, seed, K=300, N=2):
+    def views(self, seed, K=305, N=2):
         rng = np.random.default_rng(seed)
         topo, dt = bench_topology(), 0.01
         comm = CommConfig(T=0.1, T_star=0.6, drop_prob=0.3, delay_max=0.5,
@@ -619,48 +620,80 @@ class TestSpanPsi:
         states = rng.normal(size=(K + 1, 2 * topo.n, N))
         flow, oracle_flow = oscillator_flows(rng, N)
         flow.tabulate(eng.stage_lags(), dt)
-        start, end = view_spans_oracle(eng.used_seq)
-        views = [eng.view(eng.used_seq[k], states, e)
-                 for k, e in zip(start, end)]
-        return eng, views, start, flow, oracle_flow, rng
+        law = OscillatorLaw(GainSet(m=topo.m), N, AgentModel(
+            "oscillator", N, S1=flow.S[N:, :N], S2=flow.S[N:, N:]))
+        law.flow = flow
+        return eng, states, law, oracle_flow, rng
 
-    def check_span(self, view, k0, flow, oracle_flow, rng, dt=0.01):
-        halves = [2 * k + j for k in range(k0, view.last_half // 2)
-                  for j in (0, 1, 1, 2, 2)] or [view.last_half]
+    def check_view(self, view, halves, flow, oracle_flow, rng, dt=0.01):
         own = rng.normal(size=(view.m, view.N))
-        first = {}
-        for _ in range(2):          # the first pass fills the memo
+        prev = None
+        for _ in range(2):
             for h in halves:
                 t = h // 2 * dt + h % 2 * dt / 2
                 assert np.array_equal(joined_psi(view, h, flow, own),
                                       psi_oracle(view, t, oracle_flow, own))
                 psi = view.oscillator_psi(h, flow, own)
-                # Once every follower is live, each half tick of the span
-                # has one average, a row of the table computed at the
-                # span's start.
-                if h in first:
-                    assert np.shares_memory(first[h], psi) == view.all_live
-                first[h] = psi
+                # Once every follower is live, asking the half tick again
+                # hands out the average kept from the last ask.
+                if h == prev:
+                    assert np.shares_memory(last, psi) == view.all_live
+                prev, last = h, psi
+
+    def check_period(self, eng, states, law, k0, oracle_flow, rng,
+                     dt=0.01):
+        lo, hi = max(k0, eng.live_from), min(k0 + eng.steps_per_T, eng.K)
+        m, N = eng.m, law.N
+        rows = law.block(lo, eng.view(lo, hi, states)).reshape(
+            -1, 3, 2, m, N)
+        assert len(rows) == hi - lo > 0
+        own = rng.normal(size=(m, N))
+        for k in range(lo, hi):
+            view = eng.view(k, k + 1, states)
+            assert view.all_live
+            for j in range(3):
+                assert np.array_equal(
+                    np.concatenate(rows[k - lo, j], axis=1),
+                    psi_oracle(view, k * dt + j * dt / 2, oracle_flow, own))
+            # While the mailbox holds, each half tick has one average: the
+            # end of step k is the start of step k + 1.
+            if k + 1 < hi and np.array_equal(eng.used_seq[k],
+                                             eng.used_seq[k + 1]):
+                assert np.array_equal(rows[k - lo, 2], rows[k + 1 - lo, 0])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_warm_up_all_live_and_last_views(self, seed):
-        eng, views, start, flow, oracle_flow, rng = self.views(seed)
-        warm = next(i for i, v in enumerate(views)
-                    if v.live.any() and not v.all_live)
-        live = next(i for i, v in enumerate(views)
-                    if v.all_live and v.last_half - 2 * start[i] >= 4)
-        assert views[-1].last_half == 2 * eng.K
-        for i in (warm, live, len(views) - 1):
-            self.check_span(views[i], start[i], flow, oracle_flow, rng)
+        eng, states, law, oracle_flow, rng = self.views(seed)
+        K, spT, used = eng.K, eng.steps_per_T, eng.used_seq
+        # The warm-up view of a row some follower holds no message in,
+        # over the ticks it serves.
+        warm = next(k for k in range(eng.live_from)
+                    if (used[k] >= 0).any())
+        ticks = [k for k in range(warm, eng.live_from)
+                 if np.array_equal(used[k], used[warm])]
+        view = eng.view(warm, warm + 1, states)
+        assert view.live.any() and not view.all_live
+        self.check_view(view, [2 * k + j for k in ticks
+                               for j in (0, 1, 1, 2, 2)], law.flow,
+                        oracle_flow, rng)
+        # The period of the first all-live tick, one after it, and the
+        # last, which ends before tick K.
+        first = eng.live_from - eng.live_from % spT
+        assert 0 < eng.live_from % spT and K % spT > 1
+        for k0 in (first, first + spT, K - K % spT):
+            self.check_period(eng, states, law, k0, oracle_flow, rng)
+        self.check_view(eng.view(K, K + 1, states), [2 * K], law.flow,
+                        oracle_flow, rng)
 
     def test_last_view_at_the_last_tick(self):
         # A view built at tick K serves the one half tick 2K.
         for seed in range(40):
-            eng, views, start, flow, oracle_flow, rng = self.views(seed, 60)
-            if start[-1] == eng.K:
+            eng, states, law, oracle_flow, rng = self.views(seed, 60)
+            if not np.array_equal(eng.used_seq[-1], eng.used_seq[-2]):
                 break
-        assert start[-1] == eng.K and views[-1].last_half == 2 * eng.K
-        self.check_span(views[-1], eng.K, flow, oracle_flow, rng)
+        view = eng.view(eng.K, eng.K + 1, states)
+        assert view.all_live
+        self.check_view(view, [2 * eng.K], law.flow, oracle_flow, rng)
 
 
 class TestAggregation:
@@ -814,16 +847,18 @@ class TestControllers:
         views = []
         view = Engine.view
 
-        def spy(self, box, states, last):
-            views.append((self.src[box >= 0], view(self, box, states, last)))
-            return views[-1][1]
+        def spy(self, lo, hi, states):
+            views.append((self.src[np.nonzero(self.used_seq[lo:hi] >= 0)[1]],
+                          view(self, lo, hi, states).msg))
+            return view(self, lo, hi, states)
 
         monkeypatch.setattr(Engine, "view", spy)
         trace = sim.run(config.build_scenario(doc))
         v_d = np.broadcast_to([1.0, 0.1], (len(trace.times), 6, 2))
         assert np.array_equal(trace.internals["vhat"], v_d)
-        # The vhat columns of every follower's message in every view.
-        got = np.concatenate([v.vhat_msg[src < 6] for src, v in views])
+        # The vhat columns of every follower's message in every view, of a
+        # tick or of a period.
+        got = np.concatenate([msg[src < 6, 2:] for src, msg in views])
         assert len(got) > 0 and np.all(got == [1.0, 0.1])
 
     def test_switching_term_boundary_layer(self):
@@ -1073,7 +1108,7 @@ class TestLawsMatchOracle:
 
 class TestStepOperator:
     """A linear law's step, one product with the step operator while every
-    follower is live, against classical RK4 over its deriv (control.rk4)."""
+    follower is live, against classical RK4 over its deriv (conftest.rk4)."""
 
     # The operator sums y+ and gamma in another order than the four stages
     # do.  A pilot of 3000 draws (seeds other than the test's) gave at most
@@ -1099,17 +1134,19 @@ class TestStepOperator:
                               psi_mode=psi_mode, v_d=rng.normal(size=N),
                               use_velocity=use_velocity)
         view = aggregation_view(rng, m, N, live, extra, dt, spT, k)
-        view.last_half = 2 * min(k + 1, K)
         times = stage_times(K, dt)
         rows = [k, K + 1 + k, 2 * K + 1 + k] if k < K else [K]
         if model is not None:
             law.flow.tabulate(float_lags(view, times[rows], dt), dt)
         lead = rng.normal(size=(3 * K + 1, 0 if model else leaders, N))
         law.start(model or AgentModel("double_integrator", N), n, dt,
-                  times.tolist(), stage_times(K, 2).astype(int).tolist(),
+                  times, stage_times(K, 2).astype(int).tolist(),
                   lead)
         y = rng.normal(size=(2 * n + len(law.names) * m, N))
-        (got, gamma), (want, gamma_want) = law.step(k, y, view), rk4(
+        # The engine gives a block row at an all-live tick below K: the
+        # view of one tick is its gather.
+        row = law.block(k, view)[0] if view.all_live and k < K else None
+        (got, gamma), (want, gamma_want) = law.step(k, y, row, view), rk4(
             law.deriv, K, dt)(k, y, view)
         if not view.all_live or k == K:     # the four stages themselves
             assert (got is None) == (k == K)

@@ -13,13 +13,13 @@ from containsim import analysis, config, sim
 from containsim.analysis import CascadeError
 from containsim.comm import CommConfig, floor_ticks, generate_schedule, \
     to_ticks
-from containsim.control import NeighborView, rk4, rk4_step
+from containsim.control import NeighborView, OscillatorLaw, rk4_step
 from containsim.engine import DIVERGENCE_LIMIT, DivergenceError, Engine
 from containsim.sim import ScenarioError
 from containsim.topology import union_rows
 from conftest import SCENARIOS, bench_topology, link_schedule, \
-    load_scenario_doc, mailbox_oracle, one_edge_topology, seeded, \
-    view_spans_oracle
+    load_scenario_doc, mailbox_oracle, one_edge_topology, periods_oracle, \
+    run_on_views, seeded
 
 
 def rk4_step_oracle(rhs, t: float, h: float, y: list, u, k1: list) -> list:
@@ -149,10 +149,10 @@ def test_stage_lags_stay_within_the_blackout_bound(spT, extra, drop_prob,
                                                    delay_frac, seed):
     # At every stage row of a run, each message in use is 0 to 2 T* half
     # steps old: at half tick h a message of seq s is h - 2 spT s half
-    # steps old, and the view of tick k serves h = 2k, 2k + 1 and 2k + 2.
-    # These are exactly the lags oscillator_psi and stage_psi read from the
-    # flow table and the lags the engine tabulates, so no table index is
-    # negative.
+    # steps old, and step k reads h = 2k, 2k + 1 and 2k + 2.  These are
+    # exactly the lags oscillator_psi (on a view) and the law's period
+    # block read from the flow table and the lags the engine tabulates, so
+    # no table index is negative.
     scen = config.build_scenario(_SHORT_OSCILLATOR)
     dt = scen.dt
     comm = CommConfig(T=spT * dt, T_star=(spT + extra) * dt,
@@ -160,19 +160,19 @@ def test_stage_lags_stay_within_the_blackout_bound(spT, extra, drop_prob,
                       delay_max=delay_frac * (spT + extra) * dt, seed=seed)
     scen = dataclasses.replace(scen, comm=comm)
     read = set()
-    psi, stage_psi = NeighborView.oscillator_psi, NeighborView.stage_psi
+    psi, block = NeighborView.oscillator_psi, OscillatorLaw.block
 
     def spy(view, h, flow, vhat_own):
         read.update((h - view.send_half).tolist())
         return psi(view, h, flow, vhat_own)
 
-    def stage_spy(view, h, flow):       # the half ticks h, h + 1 and h + 2
-        read.update((h + np.arange(3)[:, None] - view.send_half).ravel()
-                    .tolist())
-        return stage_psi(view, h, flow)
+    def block_spy(law, lo, g):  # each pair's half ticks 2k to 2k + 2
+        half = 2 * (lo + g.dst // law.gains.m)[:, None] + np.arange(3)
+        read.update((half - g.send_half[:, None]).ravel().tolist())
+        return block(law, lo, g)
 
     with mock.patch.object(NeighborView, "oscillator_psi", spy), \
-            mock.patch.object(NeighborView, "stage_psi", stage_spy):
+            mock.patch.object(OscillatorLaw, "block", block_spy):
         trace = sim.run(scen)
     used = trace.used_seq
     K = used.shape[0] - 1
@@ -190,13 +190,16 @@ def test_stage_lags_stay_within_the_blackout_bound(spT, extra, drop_prob,
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 300), st.integers(0, 60), st.floats(0.0, 0.95),
-       st.floats(0.0, 0.99), st.integers(0, 2**31))
-def test_each_view_serves_up_to_the_next_mailbox_change(K, extra, drop_prob,
-                                                         delay_frac, seed):
-    # The run builds a view at tick 0 and wherever the mailbox row
-    # changes, and tells each the last half tick it serves.
-    dt, spT = 0.01, 10
+@given(st.integers(1, 300), st.integers(1, 30), st.integers(0, 60),
+       st.floats(0.0, 0.95), st.floats(0.0, 0.99), st.integers(0, 2**31))
+def test_each_period_views_its_ticks_where_every_follower_is_live(
+        K, spT, extra, drop_prob, delay_frac, seed):
+    # At the first tick of each sampling period the run views the pairs in
+    # use at the period's ticks below K from the first tick at which every
+    # follower holds a message, by tick and then edge, as one row of a
+    # union of followers; a period with no such tick builds nothing, and
+    # only those ticks get a row of the block.
+    dt = 0.01
     comm = CommConfig(T=spT * dt, T_star=(spT + extra) * dt,
                       drop_prob=drop_prob,
                       delay_max=delay_frac * (spT + extra) * dt, seed=seed)
@@ -204,19 +207,26 @@ def test_each_view_serves_up_to_the_next_mailbox_change(K, extra, drop_prob,
     eng = Engine(topo, [{e: generate_schedule(e, comm, K * dt, dt)
                          for e in topo.edges()}], comm.T, dt, K * dt,
                  np.arange(topo.n)[:, None])
-    built, ends = [], []
-    view = Engine.view
+    periods, rows = [], []
 
-    def spy(self, box, states, last_half):
-        built.append(next(k for k in range(K + 1)
-                          if np.array_equal(self.used_seq[k], box)))
-        ends.append(last_half)
-        return view(self, box, states, last_half)
+    def block(lo, view):
+        periods.append((len(rows), lo, lo + view.m // topo.m))  # at tick k0
+        t, e = np.nonzero(eng.used_seq[lo:periods[-1][2]] >= 0)
+        assert view.all_live
+        assert np.array_equal(view.dst, t * topo.m + eng.dst[e])
+        assert np.array_equal(view.send_half,
+                              2 * spT * eng.used_seq[lo + t, e])
+        return np.arange(view.m // topo.m)
 
-    with mock.patch.object(Engine, "view", spy):
-        eng.run(np.zeros((2 * topo.n, 2)),
-                rk4(lambda row, y, v: (np.zeros_like(y), 0.0), K, dt), ())
-    assert (built, ends) == view_spans_oracle(eng.used_seq)
+    def step(k, y, row, view):
+        rows.append(row)
+        return y + 1.0, 0.0
+    eng.run(np.zeros((topo.n, 2)), step, (), block)
+    in_edges = [np.flatnonzero(eng.dst == i) for i in range(topo.m)]
+    want = periods_oracle(eng.used_seq, spT, in_edges)
+    assert periods == want
+    assert rows == [next((k - lo for _, lo, hi in want if lo <= k < hi),
+                         None) for k in range(K + 1)]
 
 
 def _shift_first_delivery(schedules, parts):
@@ -464,53 +474,65 @@ def test_used_seq_equals_the_mailbox_at_every_tick(name):
     assert np.array_equal(eng.used_seq, mailbox_oracle(eng))
 
 
-def test_view_built_at_tick_0_and_where_the_mailbox_changes(monkeypatch):
-    # A tick whose arrivals are all older than the messages in use leaves
-    # the mailbox row, and so the view, as it was: views are built at
-    # tick 0 and at each tick whose row of the history differs from the
-    # row before, fewer than the ticks with an arrival.
+def test_views_built_once_per_mailbox_row_a_step_reads(monkeypatch):
+    # A step reads the view of its tick only before every follower holds
+    # a message and at tick K; the view of a mailbox row is built at the
+    # first such step, and not at the other changes of the row.  Each
+    # period with a tick where all are live has one view of those ticks.
     doc = load_scenario_doc("benchmark_fullstate")
     doc["sim"]["t_end_seconds"] = 3.0
     scen = config.build_scenario(doc)
     built = []
-    init = NeighborView.__init__
+    view = Engine.view
 
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
+    def counting(self, lo, hi, states):
+        built.append((lo, hi))
+        return view(self, lo, hi, states)
 
-    monkeypatch.setattr(NeighborView, "__init__", counting)
+    monkeypatch.setattr(Engine, "view", counting)
     trace = sim.run(seeded(scen, 0))
-    changed = np.any(np.diff(trace.used_seq, axis=0) != 0, axis=1)
-    arrivals = {0} | {int(to_ticks(a, scen.dt, "arrival"))
-                      for *_, a in trace.audit}
-    assert len(built) == 1 + changed.sum() < len(arrivals)
+    used = trace.used_seq
+    changed = np.any(np.diff(used, axis=0) != 0, axis=1)
+    row = np.cumsum(np.r_[True, changed])       # each tick's mailbox row
+    K = len(row) - 1
+    in_edges = [np.flatnonzero(np.array(trace.edges)[:, 1] == i)
+                for i in range(trace.m)]
+    live = [all((used[k, e] >= 0).any() for e in in_edges)
+            for k in range(K + 1)]
+    reads = [k for k in range(K + 1) if not live[k] or k == K]
+    first = [k for i, k in enumerate(reads)
+             if i == 0 or row[k] != row[reads[i - 1]]]
+    periods = periods_oracle(used, 10, in_edges)
+    assert sorted(built) == sorted([(k, k + 1) for k in first]
+                                   + [(lo, hi) for _, lo, hi in periods])
+    assert 1 < len(first) < 1 + changed.sum()
 
 
 def traced_views(monkeypatch) -> list:
-    """Make every Engine.view record (engine, box, states, view)."""
+    """Make every Engine.view record (engine, lo, hi, states, view)."""
     views, view = [], Engine.view
 
-    def spy(self, box, states, last_half):
-        views.append((self, box, states, view(self, box, states, last_half)))
+    def spy(self, lo, hi, states):
+        views.append((self, lo, hi, states, view(self, lo, hi, states)))
         return views[-1][-1]
     monkeypatch.setattr(Engine, "view", spy)
     return views
 
 
 def assert_views_read_states(views, message, fallback, width):
-    """Each view's message rows equal message(tick, sender), its fallback
-    equals fallback, and the view of an empty mailbox row has no messages
-    but width columns."""
-    eng, _, states, _ = views[-1]
-    for _, box, _, view in views:
-        live = box >= 0
+    """Each view's message rows, of a tick and of a period, equal
+    message(tick, sender), its fallback equals fallback, and the view of
+    no tick has no messages but width columns."""
+    eng, _, _, states, _ = views[-1]
+    assert len({hi - lo > 1 for _, lo, hi, _, _ in views}) == 2
+    for _, lo, hi, _, view in views:
+        t, e = np.nonzero(eng.used_seq[lo:hi] >= 0)
         assert np.array_equal(view.msg, [
             message(eng.steps_per_T * seq, src)
-            for seq, src in zip(box[live], eng.src[live])] or
+            for seq, src in zip(eng.used_seq[lo + t, e], eng.src[e])] or
             np.empty((0, width)))
         assert np.array_equal(view.p_fallback, fallback)
-    empty = eng.view(np.full(len(eng.edges), -1), states, 0)
+    empty = eng.view(0, 0, states)
     assert empty.msg.shape == (0, width) and not empty.live.any()
 
 
@@ -576,7 +598,7 @@ def guard_run(row: int, value: float, watch=GUARD_WATCH):
         if r == GUARD_STEP:                 # the start of step GUARD_STEP
             dy[row, 0] = value
         return dy, 0.0
-    states, _ = eng.run(y0, rk4(rhs, K, dt), watch)
+    states, _ = run_on_views(eng, y0, rhs, watch)
     return y0, states
 
 
