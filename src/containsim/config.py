@@ -256,8 +256,10 @@ def build_scenario(doc: dict) -> Scenario:
             raise ConfigError(f"agents.initial.{key} must be {topo.n} x {N}")
 
     ctl = doc["controllers"]
-    gains = GainSet(m=topo.m, **{k: _array(v, f"controllers.gains.{k}")
-                                 for k, v in ctl["gains"].items()})
+    gains = GainSet(m=topo.m, **{
+        k: _expect(v, float, f"controllers.gains.{k}")
+        if k == "boundary_layer_eps" else _array(v, f"controllers.gains.{k}")
+        for k, v in ctl["gains"].items()})     # eps is one scalar
     sdoc = doc["sim"]
     return Scenario(topo=topo, model=model, leaders=leaders,
                     variant=ctl["variant"], gains=gains, comm=build_comm(doc),

@@ -1,15 +1,17 @@
 """Follower control laws and their auxiliary dynamic systems.
 
 Six variants run on three laws, ``DoubleIntegratorLaw``, ``OscillatorLaw``
-and ``NonlinearVSController``, picked by ``make_controller``.  ``start``
-binds a law to a run; then ``deriv(row, y, view)`` is the flat state's
-derivative at a stage row (with the control input at a step start),
-``block(lo, view)`` a linear law's step sources at each tick of a period
-and ``step(k, y, row, view)`` the engine's step.  The internals ``names``
-are m-row blocks after p and v; block 0 is vhat, the velocity estimate a
-follower sends.  Neighbours enter through weighted averages over the
-delivered in-edges; until one has delivered, a follower's position
-reference is its initial position and its velocity average its own.
+and ``NonlinearVSController`` (the first plus two nonlinear terms), picked
+by ``make_controller``; each lists its generator's terms for the one base
+``Law``.  ``start`` binds a law to a run; then ``deriv(row, y, view)`` is
+the flat state's derivative at a stage row (with the control input at a
+step start), ``block(lo, view)`` the step sources at each tick of a
+period and ``step(k, y, row, view)`` the engine's step.  The internals
+``names`` are m-row blocks after p and v; block 0 is vhat, the velocity
+estimate a follower sends.  Neighbours enter through weighted averages
+over the delivered in-edges; until one has delivered, a follower's
+position reference is its initial position and its velocity average its
+own.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AgentModel, OscillatorFlow, plant
+from .dynamics import AgentModel, OscillatorFlow
 
 BOUNDARY_LAYER_DEFAULT = 1e-4
 
@@ -247,55 +249,39 @@ def rk4_operator(out, cols, coef, agent: np.ndarray, width: int, h: float):
 
 
 class Law:
-    """Internals start at zero but psi, eta1, eta2 (p0) and a given v_d
+    """A law whose closed loop is linear while the mailbox holds still, but
+    for nonlinear terms that a subclass's deriv adds.
+
+    Internals start at zero but psi, eta1, eta2 (p0) and a given v_d
     (vhat).  ``start`` binds the law to a run of n agents at the step dt,
-    with each stage row's time, half tick and leader accelerations."""
+    with each stage row's time, half tick and leader accelerations, and
+    builds the generator [A | B] on [y; u], the flat state then the
+    sources (two (m, N) blocks of neighbour averages and the leaders'
+    accelerations).  No entry depends on liveness: a follower without a
+    message averages its own velocity estimate.  deriv is one take,
+    product and np.bincount over the entries, gamma the terms listed under
+    "gamma", the blocks ``extra`` m-row outputs after y's.  A step on a
+    block row is one such product with the step of ``rk4_operator`` and
+    gamma's rows if the law has no extra outputs, else RK4 over deriv."""
+
+    v_d, extra = None, ()
 
     def init_internals(self, p0: np.ndarray) -> np.ndarray:
         x = np.zeros((len(self.names),) + p0.shape)
         x[[k in ("psi", "eta1", "eta2") for k in self.names]] = p0
-        if getattr(self, "v_d", None) is not None:
+        if self.v_d is not None:
             x[0] = self.v_d
         return x
 
     def start(self, model: AgentModel, n: int, dt: float, times: np.ndarray,
               halves: list, leaders: np.ndarray) -> None:
-        self.n, self.dt, self.times, self.halves, self.leaders = \
-            n, dt, times, halves, leaders
-        self.K = len(times) // 3
-
-    def block(self, lo: int, view: NeighborView) -> list:
-        """Step sources per tick of the view of ticks lo..: none here."""
-        return [None] * (view.m // self.gains.m)
-
-    def step(self, k: int, y: np.ndarray, row, view: NeighborView):
-        """(y at tick k + 1, None at K; gamma at tick k): RK4 over deriv on
-        engine.stage_times' rows, the view held."""
-        dy, out = self.deriv(k, y, view)
-        return None if k == self.K else rk4_step(
-            self.deriv, self.K + 1 + k, 2 * self.K + 1 + k, self.dt, y, view,
-            dy), out
-
-
-class LinearLaw(Law):
-    """A law whose closed loop is linear while the mailbox holds still.
-
-    ``start`` builds the generator [A | B] on [y; u], the flat state then
-    the sources (two (m, N) blocks of neighbour averages and the leaders'
-    accelerations).  No entry depends on liveness: a follower without a
-    message averages its own velocity estimate.  deriv is one take,
-    product and np.bincount over the entries, gamma the terms listed under
-    "gamma"; a step on a block row is one such product with the step of
-    ``rk4_operator`` and gamma's rows, else RK4 over deriv on the view."""
-
-    def start(self, model: AgentModel, n: int, dt: float, times: np.ndarray,
-              halves: list, leaders: np.ndarray) -> None:
-        super().start(model, n, dt, times, halves, leaders)
+        self.n, self.dt, self.times, self.halves = n, dt, times, halves
         m, N, nb = self.gains.m, self.N, len(self.names) + 2
-        rows = 2 * n + (nb - 2) * m
+        self.K, rows = len(times) // 3, 2 * n + (nb - 2) * m
         at = dict(p=0, v=n, gamma=n, vL=n + m, u0=rows, u1=rows + m,
                   lead=rows + 2 * m, **{x: 2 * n + i * m
-                                        for i, x in enumerate(self.names)})
+                                        for i, x in enumerate(self.names)},
+                  **{x: rows + i * m for i, x in enumerate(self.extra)})
         parts = []
         for o, i, count, scale, M in [("p", "v", n, 1.0, np.eye(N))] \
                 + self.terms(n, m):
@@ -307,7 +293,10 @@ class LinearLaw(Law):
             [x.ravel() for x in part]) for part in zip(*parts))
         self.gamma = np.flatnonzero(gamma)
         self.gamma_out = self.out[self.gamma] - n * N
-        self.leaders, self.size = leaders.reshape(len(leaders), -1), rows * N
+        self.leaders = leaders.reshape(len(leaders), -1)
+        self.size = (rows + len(self.extra) * m) * N
+        if self.extra:
+            return
         # The step operator, then gamma's rows: gamma reads u at the start.
         agent = np.r_[np.tile(np.arange(n), 2), np.tile(np.arange(m), nb - 2)]
         out, cols, coef = rk4_operator(
@@ -317,27 +306,37 @@ class LinearLaw(Law):
         self.step_cols = np.r_[cols, self.cols[self.gamma]]
         self.step_coef = np.r_[coef, self.coef[self.gamma]]
 
-    def deriv(self, row: int, y: np.ndarray, view: NeighborView):
-        """(dy, gamma) at the stage row; gamma only at a step start."""
+    def deriv(self, row: int, y: np.ndarray, view):
+        """(dy, gamma) at the stage row, from the view or, given an array,
+        from the row's sources; gamma only at a step start, dy's extra
+        output rows after y's."""
         n, m = self.n, self.gains.m
-        prod = np.concatenate((y.ravel(), *self.sources(
-            row, view, y[2 * n:2 * n + m]))).take(self.cols)
+        u = (view,) if isinstance(view, np.ndarray) else self.sources(
+            row, view, y[2 * n:2 * n + m])
+        prod = np.concatenate((y.ravel(), *u)).take(self.cols)
         prod *= self.coef
-        dy = np.bincount(self.out, prod, y.size).reshape(y.shape)
+        dy = np.bincount(self.out, prod, self.size).reshape(-1, self.N)
         return dy, None if row > self.K else np.bincount(
             self.gamma_out, prod[self.gamma], m * self.N).reshape(m, -1)
 
     def step(self, k: int, y: np.ndarray, row, view: NeighborView):
-        """As Law.step; one product with the step operator on a block row."""
-        if row is None:
-            return super().step(k, y, row, view)
-        x = np.concatenate((y.ravel(), row)).take(self.step_cols)
-        x *= self.step_coef
-        z = np.bincount(self.step_out, x, y.size + self.gains.m * self.N)
-        return z[:y.size].reshape(y.shape), z[y.size:].reshape(-1, self.N)
+        """(y at tick k + 1, None at K; gamma at tick k): one product with
+        the step operator, or classical RK4 over deriv on engine.stage_times'
+        rows, the view or the block row's three stage slices held."""
+        if row is not None and not self.extra:
+            x = np.concatenate((y.ravel(), row)).take(self.step_cols)
+            x *= self.step_coef
+            z = np.bincount(self.step_out, x, y.size + self.gains.m * self.N)
+            return z[:y.size].reshape(y.shape), z[y.size:].reshape(-1, self.N)
+        rows = (k, self.K + 1 + k, 2 * self.K + 1 + k)
+        u = dict(zip(rows, [view] * 3 if row is None else row.reshape(3, -1)))
+        dy, out = self.deriv(k, y, u[k])
+        return None if k == self.K else rk4_step(
+            lambda r, z, u: self.deriv(r, z, u[r]), *rows[1:], self.dt, y, u,
+            dy), out
 
 
-class DoubleIntegratorLaw(LinearLaw):
+class DoubleIntegratorLaw(Law):
     """gamma = -k_d (w - vhat) - k_p (p - psi) for double integrators:
     vhat is the observer's state, or a given v_d held constant; w is v, or
     phi + p from a first-order output filter (use_velocity off); psi is u0
@@ -388,57 +387,62 @@ class DoubleIntegratorLaw(LinearLaw):
                                self.leaders[rows]), axis=2).reshape(H, -1)
 
 
-class NonlinearVSController(Law):
-    """Reference-velocity tracking with a smoothed variable-structure term:
-    inside a boundary layer of width eps the unit-vector term is a linear
-    ramp, so the fixed step does not chatter, at an O(eps) steady cost."""
+class NonlinearVSController(DoubleIntegratorLaw):
+    """Reference-velocity tracking with a smoothed variable-structure term
+    s(e) e, where v_r = -lam (p - eta1) + vhat and e = v - v_r:
+        gamma = -k_r e + v_r' - s(e) e,   v_r' = -lam (v - eta1') + vhat'
+        vhat' = -L_p (vhat - sigma1),     sigma1' = -L_d (sigma1 - u1)
+        eta1' = -k_p (eta1 - eta2) + vhat,  eta2' = -k_d (eta2 - u0) + vhat
+    and v' = f(p, v) + gamma.  The generator holds all but f and s(e) e,
+    with e as an extra output.  Inside a boundary layer of width eps the
+    unit-vector term is a linear ramp, so the fixed step does not chatter,
+    at an O(eps) steady cost."""
 
-    names = ("vhat", "sigma1", "eta1", "eta2")
+    names, extra = ("vhat", "sigma1", "eta1", "eta2"), ("e",)
 
     def __init__(self, gains, N, model: AgentModel):
         if model is None or model.kind != "nonlinear":
             raise ValueError("nonlinear_vs requires the nonlinear model")
         self.gains, self.N, self.model = gains, N, model
-        self.L_p, self.L_d, self.k_p, self.k_d, self.k_r = (
-            getattr(gains, k)[:, None] for k in ("L_p", "L_d", "k_p", "k_d",
-                                                 "k_r"))
 
-    def start(self, model: AgentModel, n: int, dt: float, times: np.ndarray,
-              halves: list, leaders: np.ndarray) -> None:
-        super().start(model, n, dt, times, halves, leaders)
-        self.lam = self.gains.lam_effective()[:, None]   # gains now checked
-        self.accel = plant(model, self.gains.m)
+    def terms(self, n: int, m: int) -> list:
+        """As DoubleIntegratorLaw.terms."""
+        g, I = self.gains, np.eye(self.N)
+        lam = g.lam_effective()                  # the gains are now checked
+        e = [("v", 1.0), ("p", lam), ("eta1", -lam), ("vhat", -1.0)]
+        rows = {"vhat": [("vhat", -g.L_p), ("sigma1", g.L_p)],
+                "sigma1": [("sigma1", -g.L_d), ("u1", g.L_d)],
+                "eta1": [("eta1", -g.k_p), ("eta2", g.k_p), ("vhat", 1.0)],
+                "eta2": [("eta2", -g.k_d), ("u0", g.k_d), ("vhat", 1.0)],
+                "e": e}
+        rows["gamma"] = [(i, -g.k_r * s) for i, s in e] + [("v", -lam)] + [
+            (i, lam * s) for i, s in rows["eta1"]] + rows["vhat"]
+        return [("vL", "lead", n - m, 1.0, I)] + [
+            (o, i, m, s, I) for o, terms in rows.items() for i, s in terms]
 
-    def deriv(self, row: int, y: np.ndarray, view: NeighborView):
-        n, m, dy = self.n, self.gains.m, np.empty_like(y)
-        pv = y[:2 * n].reshape(2, n, self.N)
-        (p, v), (vhat, sigma1, eta1, eta2) = pv[:, :m], y[2 * n:].reshape(
-            4, m, self.N)
-        dy[:n] = pv[1]
-        dvhat, dsigma1, deta1, deta2 = dy[2 * n:].reshape(4, m, self.N)
-        theta = view.vartheta_avg(self.times[row])
-        dvhat[:] = -self.L_p * (vhat - sigma1)
-        dsigma1[:] = -self.L_d * (sigma1 - view.vhat_avg(vhat))
-        deta1[:] = -self.k_p * (eta1 - eta2) + vhat
-        deta2[:] = -self.k_d * (eta2 - theta) + vhat
-        v_r = -self.lam * (p - eta1) + vhat
-        dv_r = -self.lam * (v - deta1) + dvhat
-        e = v - v_r
-        gamma = -self.k_r * e + dv_r - self.switching_term(e, p, v)
-        dy[n:n + m], dy[n + m:2 * n] = self.accel(pv, gamma, self.leaders[row])
-        return dy, gamma
+    def deriv(self, row: int, y: np.ndarray, view):
+        """Law.deriv's (dy, gamma) plus the nonlinear terms: f(p, v) - s(e)
+        e on the followers' v rows, -s(e) e on gamma."""
+        n, m = self.n, self.gains.m
+        dy, gamma = super().deriv(row, y, view)
+        p, v = y[:m], y[n:n + m]
+        sw = self.switching_term(dy[len(y):], p, v)
+        dy[n:n + m] += self.model.drift_fns["f"](p, v) - sw
+        if gamma is not None:
+            gamma -= sw
+        return dy[:len(y)], gamma
 
     def switching_term(self, e: np.ndarray, p: np.ndarray,
                        v: np.ndarray) -> np.ndarray:
         eps, fns = self.gains.boundary_layer_eps, self.model.drift_fns
-        bound = fns["delta_p"](np.linalg.norm(p, axis=-1)) + \
-            fns["delta_v"](np.linalg.norm(v, axis=-1))   # the drift's bound
-        en = np.linalg.norm(e, axis=-1)
+        bound = fns["delta_p"](np.sqrt(np.vecdot(p, p))) + \
+            fns["delta_v"](np.sqrt(np.vecdot(v, v)))    # the drift's bound
+        en = np.sqrt(np.vecdot(e, e))
         scale = np.where(en > eps, bound / np.maximum(en, 1e-300), bound / eps)
         return scale[..., None] * e
 
 
-class OscillatorLaw(LinearLaw):
+class OscillatorLaw(Law):
     """Oscillator law: references propagated through the free flow e^{S dt}.
 
     w = v - vhat (oscillator_full), or k_phi (phi + p) - vhat with the

@@ -52,23 +52,6 @@ class AgentModel:
         return DRIFT_REGISTRY[self.drift]
 
 
-def plant(model: AgentModel, m: int):
-    """Picked once per run: plant(pv, gamma, lead) returns the followers'
-    and leaders' accelerations for the (2, n, N) stack pv of (p, v), the
-    first m under the input gamma, the rest lead (the oscillator's: free)."""
-    if model.kind == "double_integrator":
-        return lambda pv, gamma, lead: (gamma, lead)
-    if model.kind == "nonlinear":
-        f = model.drift_fns["f"]
-        return lambda pv, gamma, lead: (f(pv[0, :m], pv[1, :m]) + gamma, lead)
-    S = np.stack([model.S1, model.S2]).transpose(0, 2, 1)      # S1', S2'
-
-    def accel(pv, gamma, lead):         # one matmul per agent group
-        a, b = pv[:, :m] @ S, pv[:, m:] @ S
-        return a[0] + a[1] + gamma, b[0] + b[1]
-    return accel
-
-
 def stacked_oscillator_matrix(S1: np.ndarray, S2: np.ndarray) -> np.ndarray:
     N = S1.shape[0]
     return np.block([[np.zeros((N, N)), np.eye(N)], [S1, S2]])

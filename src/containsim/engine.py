@@ -8,9 +8,11 @@ tick (-1 before any).  A message is some of its sender's state rows at its
 send tick, read from the state history (one (K + 1, rows, N) array whose
 slices are the trace fields).  Sends are periodic, so every message in use
 during a sampling period was sent by its first tick, when one view of them
-all feeds the caller's sources.  The caller's step advances the (rows, N)
-state a tick: RK4 (``control.rk4_step``) or one product with RK4's step
-operator (``control.rk4_operator``).
+all feeds the caller's sources, one row per tick.  The caller's step
+advances the (rows, N) state a tick: from such a row, one product with
+RK4's step operator (``control.rk4_operator``), or RK4 for a law with
+nonlinear terms; from a tick's view (the warm-up ticks and K), RK4
+(``control.rk4_step``).
 """
 from __future__ import annotations
 

@@ -105,8 +105,8 @@ def mailbox_oracle(eng) -> np.ndarray:
 def follower_rhs(model, p: np.ndarray, v: np.ndarray,
                  gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(dp, dv) under input gamma; p, v, gamma hold one agent per row: the
-    oracle for dynamics.plant, one product per matrix and a dispatch on
-    the model kind at every call."""
+    plant of law_oracle.closed_loop_oracle, one product per matrix and a
+    dispatch on the model kind at every call."""
     if gamma.shape != v.shape:
         raise ValueError("gamma dimension mismatch")
     if model.kind == "double_integrator":

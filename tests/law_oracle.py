@@ -1,10 +1,12 @@
 """The linear laws as elementwise NumPy expressions, one array operation
 per term of each equation: the reference the sparse generator of
-``control.LinearLaw`` is checked against.
+``control.Law`` is checked against.
 
 These are the ``deriv`` bodies the laws ran before the generator replaced
 them; ``closed_loop_oracle`` adds the plant of every agent through
-``conftest.follower_rhs``.
+``conftest.follower_rhs``.  Any law with this ``deriv`` fits it: for
+``nonlinear_vs`` the elementwise controller of ``tests/test_control.py``,
+whose drift ``follower_rhs`` adds.
 """
 import numpy as np
 

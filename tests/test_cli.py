@@ -143,6 +143,11 @@ EXIT_CASES = [
                  "config error:",
                  r"agents\.model \(nonlinear\): unknown keys \['S1'\]",
                  id="run-nonlinear_with_S1"),
+    pytest.param("run", "benchmark_nonlinear",
+                 edit("controllers.gains", boundary_layer_eps=[0.1, 0.2]),
+                 False, 1, "config error:",
+                 r"controllers\.gains\.boundary_layer_eps: expected float",
+                 id="run-nonlinear_boundary_layer_eps_list"),
     pytest.param("validate", "oscillator_harmonic", S1_PLUS_I, False, 1,
                  "config error:", r"pure-imaginary, semi-simple spectrum",
                  id="validate-oscillator_S1_plus_I"),

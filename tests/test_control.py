@@ -998,6 +998,20 @@ def blas_path_examples(test):
     return test
 
 
+class NamedInternalsLaw:
+    """A controller above, which takes and returns its internals by name,
+    as an oracle law of closed_loop_oracle: its internals are the rows of
+    x in the order of names."""
+
+    def __init__(self, ctrl: ControllerBase, names: tuple):
+        self.ctrl, self.names = ctrl, names
+
+    def deriv(self, t, h, p, v, x, neigh, dx) -> np.ndarray:
+        out = self.ctrl.deriv(t, p, v, dict(zip(self.names, x)), neigh)
+        dx[:] = [out.d_internals[name] for name in self.names]
+        return out.gamma
+
+
 class TestLawsMatchOracle:
     # The merged oscillator law sums dsigma as (w S1' + sigma S2') - k_d
     # sigma, the order of oscillator_full; oscillator_output used to sum
@@ -1008,7 +1022,10 @@ class TestLawsMatchOracle:
     # vartheta_avg forms c0 + t c1: both round differently from the
     # elementwise oracle.  Its dy and gamma must match within GEN_TOL
     # times scale(), a bound on the magnitude of the terms; a pilot of
-    # 3000 random draws gave at most 1.1e-16.
+    # 3000 random draws gave at most 1.1e-16.  For nonlinear_vs, whose
+    # switching term reads e from the generator, a pilot of 3000 draws
+    # (seeds 5000-7999, the drift and every follower's v rows included)
+    # gave at most 1.8e-16.
     GEN_TOL = 1e-14
 
     @staticmethod
@@ -1079,26 +1096,24 @@ class TestLawsMatchOracle:
         d_old = {**{name: np.zeros_like(a) for name, a in held.items()},
                  **out_old.d_internals}
         assert sorted(new.names) == sorted(d_old)
-        if variant == "nonlinear_vs":
-            assert np.array_equal(gamma_new, out_old.gamma)
-            for name, got in zip(new.names, dy[2 * n:].reshape(x.shape)):
-                assert np.array_equal(got, d_old[name]), name
-            return
-        # The oracle law is the one the generator replaced: it equals the
-        # six controllers' equations as before.
-        law = law_oracle(variant, gains, N, flow=getattr(new, "flow", None),
-                         **settings_)
-        dx = np.full_like(x, np.nan)
-        gamma_law = law.deriv(t, h, p, v, x, view, dx)
-        assert np.array_equal(gamma_law, out_old.gamma)
-        for name, got in zip(new.names, dx):
-            want = d_old[name]
-            if variant == "oscillator_output" and s2 != "zero" \
-                    and name == "sigma":
-                assert np.max(np.abs(got - want)) \
-                    <= self.RTOL * np.max(np.abs(want))
-            else:
-                assert np.array_equal(got, want), name
+        if variant == "nonlinear_vs":   # the controller is the oracle law
+            law = NamedInternalsLaw(old, new.names)
+        else:
+            # The oracle law is the one the generator replaced: it equals
+            # the six controllers' equations as before.
+            law = law_oracle(variant, gains, N,
+                             flow=getattr(new, "flow", None), **settings_)
+            dx = np.full_like(x, np.nan)
+            gamma_law = law.deriv(t, h, p, v, x, view, dx)
+            assert np.array_equal(gamma_law, out_old.gamma)
+            for name, got in zip(new.names, dx):
+                want = d_old[name]
+                if variant == "oscillator_output" and s2 != "zero" \
+                        and name == "sigma":
+                    assert np.max(np.abs(got - want)) \
+                        <= self.RTOL * np.max(np.abs(want))
+                else:
+                    assert np.array_equal(got, want), name
         want, gamma_want = closed_loop_oracle(law, plant_model, n, t, h, y,
                                               view, lead)
         tol = self.GEN_TOL * self.scale(y, view, t, lead, gains, model)

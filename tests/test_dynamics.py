@@ -9,10 +9,9 @@ from containsim.dynamics import (
     LeaderTrajectory,
     OscillatorFlow,
     check_oscillator_spectrum,
-    plant,
 )
 from containsim.engine import stage_times
-from conftest import follower_rhs, load_scenario_doc
+from conftest import load_scenario_doc
 
 KINDS = ("damped_oscillatory", "constant_velocity", "stationary")
 
@@ -143,47 +142,6 @@ class TestLeaderTrajectories:
 
 
 class TestModels:
-    def test_double_integrator_rhs(self):
-        # One follower, (p, v) = ([1, 2], [0.5, -0.5]), and one leader.
-        model = AgentModel(kind="double_integrator")
-        pv = np.array([[[1.0, 2.0], [0.0, 0.0]], [[0.5, -0.5], [1.0, 1.0]]])
-        u, lead = np.array([[3.0, 4.0]]), np.array([[0.0, -1.0]])
-        dv, dv_lead = plant(model, 1)(pv, u, lead)
-        assert np.array_equal(dv, u) and np.array_equal(dv_lead, lead)
-
-    def test_nonlinear_rhs_adds_drift(self):
-        model = AgentModel(kind="nonlinear", drift="square_velocity")
-        pv = np.array([[[0.0, 0.0]], [[2.0, -3.0]]])
-        dv, _ = plant(model, 1)(pv, np.zeros((1, 2)), np.zeros((0, 2)))
-        assert np.allclose(dv, [[4.0, 9.0]])
-
-    @pytest.mark.parametrize("kind", ["double_integrator", "nonlinear",
-                                      "oscillator"])
-    @pytest.mark.parametrize("m", [1, 2, 6])
-    @pytest.mark.parametrize("leaders", [1, 4])
-    def test_plant_equals_follower_rhs(self, kind, m, leaders):
-        # The per-run plant against the per-call oracle, to the bit: the
-        # followers' rows, and the leaders' given accelerations, or for the
-        # oscillator their free oscillation.
-        rng = np.random.default_rng([m, leaders])
-        n = m + leaders
-        for N in (1, 2, 3):
-            B, C = rng.normal(size=(N, N)), rng.normal(size=(N, N))
-            model = AgentModel(kind=kind, N=N, drift="square_velocity",
-                               S1=-(B @ B.T + np.eye(N)), S2=C - C.T)
-            accel = plant(model, m)
-            for _ in range(20):
-                pv = rng.normal(size=(2 * n, N))
-                gamma = rng.normal(size=(m, N))
-                lead = rng.normal(size=(leaders, N))
-                dv_f, dv_l = accel(pv.reshape(2, n, N), gamma, lead)
-                p, v = pv[:n], pv[n:]
-                assert np.array_equal(
-                    dv_f, follower_rhs(model, p[:m], v[:m], gamma)[1])
-                assert np.array_equal(
-                    dv_l, p[m:] @ model.S1.T + v[m:] @ model.S2.T
-                    if kind == "oscillator" else lead)
-
     def test_drift_bound_dominates(self):
         fns = DRIFT_REGISTRY["square_velocity"]
         rng = np.random.default_rng(0)

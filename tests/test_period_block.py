@@ -22,8 +22,8 @@ from containsim.control import OscillatorLaw
 from containsim.engine import Engine
 from conftest import load_scenario_doc, periods_oracle
 
-# (scenario, controllers settings): the five linear variants, both psi
-# modes of the double integrators, and the cascade.
+# (scenario, controllers settings): the six variants, both psi modes of
+# the double integrators, and the cascade.
 CASES = [("benchmark_fullstate", {"psi_mode": "static"}),
          ("benchmark_fullstate", {"psi_mode": "dynamic"}),
          ("benchmark_outputfb", {"psi_mode": "dynamic"}),
@@ -31,9 +31,11 @@ CASES = [("benchmark_fullstate", {"psi_mode": "static"}),
                                   "use_velocity": False}),
          ("oscillator_harmonic", {}),
          ("oscillator_harmonic", {"variant": "oscillator_output"}),
+         ("benchmark_nonlinear", {}),
          ("cascade_estimates", None)]
 IDS = ["full_state", "full_state-dynamic", "output_feedback-dynamic",
-       "known_vd", "oscillator_full", "oscillator_output", "cascade"]
+       "known_vd", "oscillator_full", "oscillator_output", "nonlinear_vs",
+       "cascade"]
 
 
 def stage_psi(view, h: int, flow) -> np.ndarray:
@@ -186,3 +188,26 @@ def test_block_reads_only_recorded_rows(name, settings_, spT, extra,
         rows = np.asarray(block(lo, eng.view(lo, hi, poisoned)))
         assert np.isfinite(rows).all()
         assert np.array_equal(rows, block(lo, eng.view(lo, hi, states)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(*COMMS)
+def test_nonlinear_step_on_a_block_row_equals_its_step_on_the_view(
+        spT, extra, drop_prob, delay_frac, seed):
+    # nonlinear_vs has no step operator: on a block row it runs RK4 over
+    # deriv on the row's three stage slices, which must give, bit for bit,
+    # its step on the view of the tick, and the state the run recorded.
+    eng, block, states = recorded_run(
+        "benchmark_nonlinear", {}, random_comm(0.01, spT, extra, drop_prob,
+                                               delay_frac, seed), 1.25)
+    law = block.__self__
+    assert periods(eng)
+    for _, lo, hi in periods(eng):
+        rows = block(lo, eng.view(lo, hi, states))
+        for k in range(lo, hi):
+            (y, gamma), (y_view, gamma_view) = (
+                law.step(k, states[k], rows[k - lo], None),
+                law.step(k, states[k], None, eng.view(k, k + 1, states)))
+            assert np.array_equal(y, y_view)
+            assert np.array_equal(gamma, gamma_view)
+            assert np.array_equal(y, states[k + 1])
