@@ -15,6 +15,7 @@ own.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +83,9 @@ def check_gains(variant: str, gains: GainSet,
     for name in GAINS:
         if not np.all(getattr(gains, name) > 0):      # NaN fails too
             problems.append(f"{name} must be strictly positive")
-    if not gains.boundary_layer_eps > 0:
-        problems.append("boundary_layer_eps must be strictly positive")
+    eps = gains.boundary_layer_eps          # one number, not an array
+    if not (isinstance(eps, numbers.Real) and eps > 0):
+        problems.append("boundary_layer_eps must be a number > 0")
     # nonlinear_vs needs real roots only to derive a lam it is not given.
     if variant != "nonlinear_vs" or gains.lam is None:
         bad = np.flatnonzero(gains.k_d ** 2 - 4.0 * gains.k_p < 0).tolist()
@@ -273,8 +275,8 @@ class Law:
             x[0] = self.v_d
         return x
 
-    def start(self, model: AgentModel, n: int, dt: float, times: np.ndarray,
-              halves: list, leaders: np.ndarray) -> None:
+    def start(self, n: int, dt: float, times: np.ndarray, halves: list,
+              leaders: np.ndarray) -> None:
         self.n, self.dt, self.times, self.halves = n, dt, times, halves
         m, N, nb = self.gains.m, self.N, len(self.names) + 2
         self.K, rows = len(times) // 3, 2 * n + (nb - 2) * m

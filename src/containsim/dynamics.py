@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 SPECTRUM_REAL_TOL = 1e-9
 MODEL_KINDS = ("double_integrator", "nonlinear", "oscillator")
@@ -72,6 +71,11 @@ def check_oscillator_spectrum(S1: np.ndarray, S2: np.ndarray) -> bool:
             return False
         eigvals = eigvals[gap >= 1e-7]
     return True
+
+
+def expm(A: np.ndarray) -> np.ndarray:    # SciPy loads at the first call
+    from scipy.linalg import expm
+    return expm(A)
 
 
 class OscillatorFlow:

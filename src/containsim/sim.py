@@ -124,21 +124,20 @@ def containment_error(trace: Trace, t: float) -> tuple[np.ndarray, float]:
 def hull_distance(p: np.ndarray, leaders: np.ndarray) -> float | np.ndarray:
     """Distances ``(S, m)`` of S steps of m followers ``p`` ``(S, m, N)``
     to the hulls of the same steps' leaders ``(S, L, N)``; one point
-    ``(N,)`` (a float) or ``(m, N)`` is a stack of one.  A planar hull is
-    built once per step, and the steps with as many vertices are measured
-    together, at most HULL_BLOCK_POINTS followers per array pass."""
+    ``(N,)`` (a float) or ``(m, N)`` is a stack of one.  One convex_hull_2d
+    call builds every step's planar hull; the steps with as many vertices
+    are measured together, at most HULL_BLOCK_POINTS followers a pass."""
     p = np.asarray(p, dtype=float)
     P = p[(None,) * (3 - p.ndim)]
     X = np.array(leaders, dtype=float, ndmin=3)
     if P.shape[2] == 2:
-        hulls = [convex_hull_2d(x) for x in X]
-        sizes = np.array([len(h) for h in hulls])
+        hulls, sizes = convex_hull_2d(X)
         block = np.arange(len(P)) // max(1, HULL_BLOCK_POINTS // P.shape[1])
         dist = np.empty(P.shape[:2])
         for size, b in set(zip(sizes.tolist(), block.tolist())):
             steps = np.flatnonzero((sizes == size) & (block == b))
-            dist[steps] = _planar_hull_distance(
-                P[steps], np.stack([hulls[s] for s in steps]))
+            dist[steps] = _planar_hull_distance(P[steps],
+                                                hulls[steps, :size])
     else:
         dist = np.array([[_hull_distance_fw(q, x) for q in Q]
                          for Q, x in zip(P, X)])
@@ -174,28 +173,31 @@ def _planar_hull_distance(P: np.ndarray, hull: np.ndarray) -> np.ndarray:
     return dist
 
 
-def convex_hull_2d(X: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull (Andrew 1979) of the rows of X, (H, 2),
-    counterclockwise from the lowest-leftmost point, duplicates merged; one
-    point for coincident input, the two end points for collinear input."""
-    pts = sorted(set(map(tuple, np.asarray(X, dtype=float).tolist())))
-    if len(pts) > 2:
-        hull = _half_hull(pts)[:-1] + _half_hull(pts[::-1])[:-1]
-        pts = hull if len(hull) >= 3 else [pts[0], pts[-1]]
-    return np.array(pts).reshape(-1, 2)
-
-
-def _half_hull(points: list[tuple[float, float]]) -> list:
-    out = []
-    for q in points:
-        qx, qy = q
-        while len(out) >= 2:
-            (ox, oy), (ax, ay) = out[-2], out[-1]
-            if not (ax - ox) * (qy - oy) - (ay - oy) * (qx - ox) <= 1e-14:
-                break           # a left turn: keep out[-1]
-            out.pop()
-        out.append(q)
-    return out
+def convex_hull_2d(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Monotone-chain hulls (Andrew 1979) of S planar point sets, the float
+    array X (S, L, 2), side by side: vertices (S, 2L, 2), the first sizes[s]
+    of row s counterclockwise from its lowest-leftmost point, duplicates
+    merged; one point if all coincide, the two ends if all are collinear."""
+    S, L = X.shape[:2]
+    X = np.take_along_axis(X, np.lexsort((X[..., 1], X[..., 0]))[..., None],
+                           axis=1)
+    new = np.ones((S, L), dtype=bool)       # first of a run of equal points
+    new[:, 1:] = (X[:, 1:] != X[:, :-1]).any(axis=2)
+    last = L - 1 - new[:, ::-1].argmax(axis=1)
+    # Stacks k rows deep: the lower chain, then from its end the upper one.
+    H, k, rows = np.zeros((S, 2 * L, 2)), np.zeros(S, dtype=int), np.arange(S)
+    for up, order in ((0, range(L)), (1, range(L - 1, -1, -1))):
+        low = k + 1 if up else 2            # the least depth to pop at
+        for i in order:
+            (qx, qy), push = X[:, i].T, new[:, i] & (i <= last - up)
+            pop = push
+            while (pop := pop & (k >= low)).any():  # no left turn: pop
+                (ox, oy), (ax, ay) = H[rows, k - 2].T, H[rows, k - 1].T
+                pop &= (ax - ox) * (qy - oy) - (ay - oy) * (qx - ox) <= 1e-14
+                k -= pop
+            H[push, k[push]] = X[push, i]
+            k += push
+    return H, np.maximum(k - 1, 1)
 
 
 def _hull_distance_fw(p: np.ndarray, X: np.ndarray) -> float:
@@ -249,7 +251,7 @@ def run(scen: Scenario,
         ctrl.flow.tabulate(eng.stage_lags(), dt)
     leaders = np.empty((len(times), 0, N)) if scen.leaders is None \
         else scen.leaders.accel(times)   # the oscillator's move freely
-    ctrl.start(model, n, dt, times, halves, leaders)
+    ctrl.start(n, dt, times, halves, leaders)
     states, gamma = eng.run(
         np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]), ctrl.step,
         (("p", n, 1), ("v", n, 1)), ctrl.block)

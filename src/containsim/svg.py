@@ -18,8 +18,6 @@ _COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
 WIDTH = 560
 HEIGHT = 420
 MARGIN = 50
-TRAJECTORY_TITLE = "trajectories"
-ERROR_TITLE = "containment error"
 
 
 class _Canvas:
@@ -38,14 +36,15 @@ class _Canvas:
             f'stroke="{color}" stroke-width="{width}"{d}/>')
 
     def polyline(self, pts, color, width=1.2, closed=False, fill="none",
-                 opacity=1.0):
+                 opacity=1.0, dash=None):
         if len(pts) < 2:
             return
         body = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
         tag = "polygon" if closed else "polyline"
+        d = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<{tag} points="{body}" fill="{fill}" stroke="{color}" '
-            f'stroke-width="{width}" opacity="{opacity:.2f}"/>')
+            f'stroke-width="{width}" opacity="{opacity:.2f}"{d}/>')
 
     def circle(self, x, y, r, color):
         self.parts.append(
@@ -74,23 +73,21 @@ def render_trajectories(trace: Trace, snapshot_times=(0.0, 10.0, 20.0, 40.0)
                         ) -> str:
     if trace.p.shape[2] != 2:
         raise ValueError("trajectory rendering needs planar agents")
-    c = _Canvas(title=TRAJECTORY_TITLE)
+    c = _Canvas(title="trajectories")
     n, m = trace.p.shape[1], trace.m
-    xs = trace.p[:, :, 0]
-    ys = trace.p[:, :, 1]
-    pad_x = 0.05 * (xs.max() - xs.min() + 1e-9)
-    pad_y = 0.05 * (ys.max() - ys.min() + 1e-9)
-    sx = _scaler(xs.min() - pad_x, xs.max() + pad_x, MARGIN, WIDTH - MARGIN)
-    sy = _scaler(ys.min() - pad_y, ys.max() + pad_y, HEIGHT - MARGIN, 30)
+    lo, hi = trace.p.min(axis=(0, 1)), trace.p.max(axis=(0, 1))
+    pad = 0.05 * (hi - lo + 1e-9)           # per axis
+    sx = _scaler(lo[0] - pad[0], hi[0] + pad[0], MARGIN, WIDTH - MARGIN)
+    sy = _scaler(lo[1] - pad[1], hi[1] + pad[1], HEIGHT - MARGIN, 30)
 
     # Each snapshot is drawn, and labelled, at the last step up to its time;
     # one before step 0 or after step K (its tick rounded up) is left out.
     dt, K = trace.meta["dt"], len(trace.times) - 1
     snaps = [floor_ticks(t, dt) for t in snapshot_times
              if floor_ticks(t, dt) >= 0 and -floor_ticks(-t, dt) <= K]
+    hulls, sizes = convex_hull_2d(trace.p[snaps, m:])
     for si, k in enumerate(snaps):
-        hull = convex_hull_2d(trace.p[k, m:])
-        pts = [(sx(q[0]), sy(q[1])) for q in hull]
+        pts = [(sx(q[0]), sy(q[1])) for q in hulls[si, :sizes[si]]]
         fade = 0.25 + 0.75 * si / max(1, len(snaps) - 1)
         c.polyline(pts, "#444", width=1.0, closed=len(pts) > 2,
                    fill="none", opacity=fade)
@@ -100,12 +97,7 @@ def render_trajectories(trace: Trace, snapshot_times=(0.0, 10.0, 20.0, 40.0)
     for i in range(n):
         color = _COLORS[i % len(_COLORS)]
         pts = [(sx(x), sy(y)) for x, y in trace.p[:, i]]
-        dash = None if i < m else "4,3"
-        c.parts.append(
-            '<polyline points="' + " ".join(f"{x:.2f},{y:.2f}"
-                                            for x, y in pts)
-            + f'" fill="none" stroke="{color}" stroke-width="1.1"'
-            + (f' stroke-dasharray="{dash}"' if dash else "") + "/>")
+        c.polyline(pts, color, width=1.1, dash=None if i < m else "4,3")
         c.circle(*pts[0], 3, color)
         c.text(pts[-1][0] + 4, pts[-1][1], str(i + 1), size=9, color=color)
     c.text(MARGIN, HEIGHT - 12,
@@ -115,7 +107,7 @@ def render_trajectories(trace: Trace, snapshot_times=(0.0, 10.0, 20.0, 40.0)
 
 
 def render_error(trace: Trace) -> str:
-    c = _Canvas(title=ERROR_TITLE)
+    c = _Canvas(title="containment error")
     err = np.maximum(trace.err_pos_norm, 1e-16)
     logs = np.log10(err)
     lo = math.floor(logs.min())

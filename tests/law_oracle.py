@@ -10,7 +10,7 @@ whose drift ``follower_rhs`` adds.
 """
 import numpy as np
 
-from containsim.control import PSI_MODES
+from containsim.control import PSI_MODES, OscillatorLaw
 from containsim.dynamics import AgentModel, OscillatorFlow
 from conftest import follower_rhs
 
@@ -112,15 +112,14 @@ def closed_loop_oracle(law, model, n: int, t: float, h: int, y: np.ndarray,
     return dy, gamma
 
 
-def stage(ctrl, view, t: float, h: int, y: np.ndarray, model=None,
-          lead=None):
+def stage(ctrl, view, t: float, h: int, y: np.ndarray, lead=None):
     """ctrl's (dy, gamma) at the start of a one-row run of the agents of
     the flat state y at time t and half tick h; lead holds the leaders'
-    accelerations for double integrators, (n - m, N), zero by default."""
+    accelerations for double integrators, (n - m, N), zero by default
+    (oscillator leaders move freely)."""
     m, N = view.m, view.N
-    model = model or AgentModel("double_integrator", N)
     n = (len(y) - len(ctrl.names) * m) // 2
     lead = np.zeros((n - m, N)) if lead is None else lead
-    ctrl.start(model, n, 0.01, [t], [h], lead[None, :0 if model.kind ==
-                                                 "oscillator" else None])
+    ctrl.start(n, 0.01, [t], [h], lead[None, :0 if isinstance(
+        ctrl, OscillatorLaw) else None])
     return ctrl.deriv(0, y, view)

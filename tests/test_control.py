@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -496,6 +497,18 @@ class TestGains:
         ok, _ = check_gains("nonlinear_vs", GainSet(m=1, k_p=4.0, k_d=1.0,
                                                        lam=1.0))
         assert ok
+
+    @pytest.mark.parametrize("eps", [[0.1, 0.2], "0.1", 0.0, np.nan])
+    def test_boundary_layer_eps_is_one_positive_number(self, eps):
+        # From the Python API, where no config reader has checked the type.
+        scen = config.build_scenario(load_scenario_doc("benchmark_nonlinear"))
+        gains = dataclasses.replace(scen.gains, boundary_layer_eps=eps)
+        with pytest.raises(GainError, match="boundary_layer_eps"):
+            make_controller("nonlinear_vs", gains, 2, model=scen.model)
+        with pytest.raises(sim.ScenarioError, match="boundary_layer_eps") \
+                as exc:
+            dataclasses.replace(scen, gains=gains).validate()
+        assert isinstance(exc.value.__cause__, GainError)
 
     def test_oscillator_output_needs_stable_filter(self):
         g = GainSet(m=1, k_p=4.0, k_d=4.0, k_phi=0.5)
@@ -1091,7 +1104,7 @@ class TestLawsMatchOracle:
                             rng.normal(size=(leaders, N)),
                             x.reshape(-1, N)])
         lead = rng.normal(size=(leaders, N))
-        dy, gamma_new = stage(new, view, t, h, y, plant_model, lead)
+        dy, gamma_new = stage(new, view, t, h, y, lead)
         out_old = old.deriv(t, p, v, internals, view)
         d_old = {**{name: np.zeros_like(a) for name, a in held.items()},
                  **out_old.d_internals}
@@ -1154,9 +1167,7 @@ class TestStepOperator:
         if model is not None:
             law.flow.tabulate(float_lags(view, times[rows], dt), dt)
         lead = rng.normal(size=(3 * K + 1, 0 if model else leaders, N))
-        law.start(model or AgentModel("double_integrator", N), n, dt,
-                  times, stage_times(K, 2).astype(int).tolist(),
-                  lead)
+        law.start(n, dt, times, stage_times(K, 2).astype(int).tolist(), lead)
         y = rng.normal(size=(2 * n + len(law.names) * m, N))
         # The engine gives a block row at an all-live tick below K: the
         # view of one tick is its gather.

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import containsim
 from containsim import config
 from containsim.dynamics import (
     AgentModel,
@@ -14,6 +19,7 @@ from containsim.engine import stage_times
 from conftest import load_scenario_doc
 
 KINDS = ("damped_oscillatory", "constant_velocity", "stationary")
+SRC = os.path.dirname(os.path.dirname(containsim.__file__))
 
 
 def damped_osc(index, v_d):
@@ -181,6 +187,20 @@ class TestOscillator:
     def test_flow_cache_consistent(self):
         flow = OscillatorFlow(-np.eye(2), np.zeros((2, 2)))
         assert np.allclose(flow(0.3) @ flow(0.2), flow(0.5), atol=1e-12)
+
+    def test_scipy_loads_only_with_the_flow(self):
+        # Importing the package and building a scenario that has no
+        # oscillator do not import SciPy; dynamics.expm does, at its call.
+        code = (f"import sys; sys.path.insert(0, {SRC!r})\n"
+                "import containsim\n"
+                "from containsim import config\n"
+                "config.build_scenario(config.load_bundled("
+                "'benchmark_fullstate')).validate()\n"
+                "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+                "import numpy\n"
+                "containsim.dynamics.expm(numpy.zeros((2, 2)))\n"
+                "assert 'scipy' in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_free_motion_energy_conserved(self):
         flow = OscillatorFlow(-np.eye(2), np.zeros((2, 2)))

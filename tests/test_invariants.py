@@ -143,9 +143,7 @@ class TestControllerStructure:
             Z = (np.zeros((3, 2)), np.zeros((3, 2)))
             AB = (A[0] + B[0], A[1] + B[1])
             y = np.concatenate([p, v, x.reshape(-1, 2)])
-            model = AgentModel(kind="oscillator", S1=ctrl.S1, S2=ctrl.S2) \
-                if name == "oscillator_full" else None
-            outs = {key: stage(ctrl, _view(*msgs), 0.7, 140, y, model)[1]
+            outs = {key: stage(ctrl, _view(*msgs), 0.7, 140, y)[1]
                     for key, msgs in (("A", A), ("B", B), ("0", Z),
                                       ("AB", AB))}
             lhs = outs["AB"] + outs["0"]

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from containsim import config, sim
 from containsim.comm import CommConfig
@@ -133,6 +135,15 @@ def hull_cases():
     return cases
 
 
+def assert_same_hulls(hulls, sizes, X):
+    """Each step's hull, of sizes[s] leading rows, is the oracle's hull of
+    X[s], vertex for vertex and sign bit for sign bit."""
+    assert sizes.shape == (len(X),)
+    for hull, size, x in zip(hulls, sizes, X):
+        want = np.array(_convex_hull_2d(x)).reshape(-1, 2)
+        assert np.array_equal(hull[:size].view(np.int64), want.view(np.int64))
+
+
 class TestHullDistance:
     def test_inside_square(self):
         leaders = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
@@ -222,7 +233,7 @@ class TestHullDistance:
         m = max(len(followers) for _, followers in cases)
         X = np.stack([np.resize(leaders, (L, 2)) for leaders, _ in cases])
         P = np.stack([np.resize(followers, (m, 2)) for _, followers in cases])
-        sizes = {len(convex_hull_2d(x)) for x in X}
+        sizes = set(convex_hull_2d(X)[1].tolist())
         assert {1, 2} < sizes and max(sizes) >= 3
         got = hull_distance(P, X)
         want = np.array([[_hull_distance_2d(q, x) for q in ps]
@@ -242,9 +253,41 @@ class TestHullDistance:
 
     def test_convex_hull_matches_oracle_order(self):
         for leaders, _ in hull_cases():
-            got = convex_hull_2d(leaders)
-            want = np.array(_convex_hull_2d(leaders)).reshape(-1, 2)
-            assert np.array_equal(got, want)
+            hulls, sizes = convex_hull_2d(leaders[None])
+            assert hulls.shape == (1, 2 * len(leaders), 2)
+            assert_same_hulls(hulls, sizes, leaders[None])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 9),
+           st.sampled_from(["grid", "pool", "collinear", "coincident"]))
+    def test_stacked_hulls_match_oracle(self, seed, L, kind):
+        # Integer-grid stacks, where turn tests are exact and ties common:
+        # duplicated rows ("pool"), collinear and coincident sets, and
+        # zeros of either sign.
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-3, 4, size=(rng.integers(1, 9), L, 2)) * 1.0
+        if kind == "pool":
+            X = X[:, rng.integers(0, min(L, 3), size=L)]
+        elif kind == "collinear":
+            X[..., 1] = rng.integers(-2, 3) * X[..., 0] + rng.integers(-1, 2)
+        elif kind == "coincident":
+            X[:] = X[:, :1]
+        X[(X == 0) & (rng.random(X.shape) < 0.5)] *= -1.0
+        assert_same_hulls(*convex_hull_2d(X), X)
+
+    def test_non_finite_leaders_give_nan_to_their_step_only(self):
+        square = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
+        P = np.array([[[1.0, 1.0], [3.0, 1.0], [-1.0, -1.0]]] * 2)
+        for bad in (np.nan, np.inf, -np.inf):
+            for L in (1, 2, 4):
+                for axis in (0, 1):
+                    X = np.stack([square[:L], square[:L]])
+                    X[0, L - 1, axis] = bad
+                    with np.errstate(invalid="ignore"):
+                        got = hull_distance(P, X)
+                    assert np.isnan(got[0]).all()
+                    assert np.array_equal(got[1],
+                                          hull_distance(P[1], square[:L]))
 
 
 class TestRunLoop:
