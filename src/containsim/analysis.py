@@ -7,7 +7,7 @@ lags fed by that average.  ``simulate_cascades`` runs configs that share
 topology, signals and time grid as one run of the engine of ``sim.run``
 over disjoint copies, each copy's trace equal to its run alone; a step is
 one product with RK4's step operator (``control.rk4_operator``), on the
-held neighbour average from its period's block or its tick's view.  Bounds
+held neighbour average from its period's block.  Bounds
 of exponential-plus-sup form on the deviation from the leader convex
 combination, and the gain / blackout sweeps, certify robustness trends.
 """
@@ -97,7 +97,11 @@ class CascadeConfig:
                 (self.eta0.shape != (topo.n, self.N),
                  "initial.eta: eta0 must be (n, N)"),
                 (self.zeta0.shape != (topo.m, self.sigma, self.N),
-                 "initial.zeta: zeta0 must be (m, sigma, N)")):
+                 "initial.zeta: zeta0 must be (m, sigma, N)"),
+                (not np.isfinite(self.eta0).all(),
+                 "initial.eta: eta0 must be finite"),
+                (not np.isfinite(self.zeta0).all(),
+                 "initial.zeta: zeta0 must be finite")):
             if bad:
                 raise CascadeError(f"cascade.{what}")
         signals = [("phi1", self.phi1),
@@ -258,14 +262,11 @@ def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
                     (cfg.phi1, *cfg.leader_drive,
                      *(cfg.phi2 or [Perturbation()] * sigma))], axis=1)
 
-    def step(k, y, eps, view):  # y at tick k + 1 (k < K), eps at tick k
-        eps = view.p_avg() if eps is None else eps
-        if k < K:
-            u = np.concatenate((np.tile(eps.ravel(), (3, 1)), sig[
-                [k, K + 1 + k, 2 * K + 1 + k]].reshape(3, -1)), axis=1)
-            x = np.concatenate((y.ravel(), u.ravel())).take(cols) * coef
-            y = np.bincount(out, x, y.size).reshape(y.shape)
-        return y, eps
+    def step(k, y, eps):        # y at tick k + 1, eps at tick k
+        u = np.concatenate((np.tile(eps.ravel(), (3, 1)), sig[
+            [k, K + 1 + k, 2 * K + 2 + k]].reshape(3, -1)), axis=1)
+        x = np.concatenate((y.ravel(), u.ravel())).take(cols) * coef
+        return np.bincount(out, x, y.size).reshape(y.shape), eps
 
     states, eps = eng.run(y0, step, (("eta", Bn, 1), ("zeta", Bm, sigma)),
                           lambda lo, g: g.p_avg().reshape(-1, Bm, N))

@@ -31,14 +31,14 @@ class CommConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise CommConfigError("sampling period T must be > 0")
-        if self.T_star < self.T:
-            raise CommConfigError("T_star must be >= T")
+        if not 0 < self.T < math.inf:           # NaN fails each test
+            raise CommConfigError("sampling period T must be finite, > 0")
+        if not self.T <= self.T_star < math.inf:
+            raise CommConfigError("T_star must be >= T and finite")
         if not (0.0 <= self.drop_prob < 1.0):
             raise CommConfigError("drop_prob must be in [0, 1)")
-        if self.delay_max < 0:
-            raise CommConfigError("delay_max must be >= 0")
+        if not 0 <= self.delay_max < math.inf:
+            raise CommConfigError("delay_max must be finite, >= 0")
 
 
 @dataclass(eq=False)

@@ -3,15 +3,14 @@
 Six variants run on three laws, ``DoubleIntegratorLaw``, ``OscillatorLaw``
 and ``NonlinearVSController`` (the first plus two nonlinear terms), picked
 by ``make_controller``; each lists its generator's terms for the one base
-``Law``.  ``start`` binds a law to a run; then ``deriv(row, y, view)`` is
-the flat state's derivative at a stage row (with the control input at a
-step start), ``block(lo, view)`` the step sources at each tick of a
-period and ``step(k, y, row, view)`` the engine's step.  The internals
-``names`` are m-row blocks after p and v; block 0 is vhat, the velocity
-estimate a follower sends.  Neighbours enter through weighted averages
-over the delivered in-edges; until one has delivered, a follower's
-position reference is its initial position and its velocity average its
-own.
+``Law``.  ``start`` binds a law to a run; then ``block(lo, view)`` is the
+step sources at each tick of a period, ``step(k, y, row)`` the engine's
+step and ``deriv(row, y, u)`` the flat state's derivative and the control
+input at a stage row.  The internals ``names`` are m-row blocks after p
+and v; block 0 is vhat, the velocity estimate a follower sends.
+Neighbours enter through weighted averages over the delivered in-edges;
+until one has delivered, a follower's position reference is its initial
+position and its velocity average its own.
 """
 from __future__ import annotations
 
@@ -115,14 +114,15 @@ def vartheta(p_msg: np.ndarray, vhat_msg: np.ndarray,
 
 
 class NeighborView:
-    """The delivered messages of one mailbox row and their averages.
+    """The delivered messages of some ticks' mailbox rows and their averages.
 
-    Arrays are indexed by delivered in-edge: dst is its follower row, msg
-    its message [p_msg, vhat_msg], sent at seq * T = send_time, or
-    send_half = 2 steps_per_T seq half steps; kappa_delivered sums each
-    follower's delivered weights.  Averages are read-only, memoized (p_avg;
-    c0, c1 of vartheta_avg = c0 + t c1; vhat_avg = c1; psi at the last half
-    tick), fallbacks merged in until every follower is live."""
+    Its m rows are (tick, follower) pairs, tick-major; p_fallback holds
+    one tick's initial positions.  Arrays are indexed by delivered
+    in-edge: dst is its row, msg its message [p_msg, vhat_msg], sent at seq
+    * T = send_time, or send_half = 2 steps_per_T seq half steps.  Averages
+    are read-only (c0, c1 of vartheta_avg = c0 + t c1 memoized); a row
+    without a message reads its fallback position and a velocity estimate
+    of 0, which the laws' waiting forms never read."""
 
     def __init__(self, m: int, N: int, dst: np.ndarray, w: np.ndarray,
                  msg: np.ndarray, seq: np.ndarray, T: float,
@@ -135,7 +135,7 @@ class NeighborView:
         self.live = self.kappa_delivered > 0
         self.all_live = bool(self.live.all())
         self._rows = slice(None) if self.all_live else self.live
-        self._p = self._c = self._psi_at = self._psi = None     # the memos
+        self._c = None
 
     def _live_average(self, contrib: np.ndarray) -> np.ndarray:
         """Weighted average of the rows of contrib (one per edge) over the
@@ -152,17 +152,16 @@ class NeighborView:
         if self.all_live:
             return live_rows
         out = np.empty(live_rows.shape[:-2] + (self.m, self.N))
-        out[...] = fallback             # one (m, N) array, or a stack of them
+        out.reshape(out.shape[:-2] + (-1,) + self.p_fallback.shape)[...] = \
+            fallback                    # broadcast to each tick's rows
         out[..., self.live, :] = live_rows
         out.flags.writeable = False
         return out
 
     def p_avg(self) -> np.ndarray:
         """Weighted average of the delivered positions, not extrapolated."""
-        if self._p is None:
-            self._p = self._with_fallback(self._live_average(self.p_msg),
-                                          self.p_fallback)
-        return self._p
+        return self._with_fallback(self._live_average(self.p_msg),
+                                   self.p_fallback)
 
     def _affine(self) -> tuple[np.ndarray, np.ndarray]:
         """c0 and c1 on the live rows: the averages of vartheta at t = 0
@@ -176,28 +175,28 @@ class NeighborView:
 
     def vartheta_avg(self, t) -> np.ndarray:
         """Weighted average of the extrapolated positions at t, c0 + t c1:
-        vartheta is affine in t."""
+        vartheta is affine in t; t broadcasts against (..., rows, 1)."""
         c0, c1 = self._affine()
+        t = np.multiply(t, np.ones((self.m, 1)))[..., self._rows, :]
         theta = c0 + t * c1
         theta.flags.writeable = False
         return self._with_fallback(theta, self.p_fallback)
 
-    def vhat_avg(self, vhat_own: np.ndarray) -> np.ndarray:
-        return self._with_fallback(self._affine()[1], vhat_own)
+    def vhat_avg(self) -> np.ndarray:
+        return self._with_fallback(self._affine()[1], 0.0)
 
-    def oscillator_psi(self, h: int, flow: OscillatorFlow,
-                       vhat_own: np.ndarray) -> np.ndarray:
+    def oscillator_psi(self, lo: int, flow: OscillatorFlow) -> np.ndarray:
         """Weighted average of e^{S (t - t_send)} [p_msg; vhat_msg] at the
-        time t of the half tick h, as its two halves: (2, m, N), C order.
-        The lags are the whole half steps h - send_half."""
-        if (flow, h) != self._psi_at:
-            y = np.matmul(flow.table[h - self.send_half], self.msg[..., None])
-            avg = self._live_average(y.reshape(-1, 2 * self.N))
-            self._psi = np.ascontiguousarray(avg.reshape(
-                -1, 2, self.N).transpose(1, 0, 2))      # (2, live rows, N)
-            self._psi.flags.writeable = False
-            self._psi_at = flow, h
-        return self._with_fallback(self._psi, (self.p_fallback, vhat_own))
+        half ticks 2k to 2k + 2 of each row's tick k from lo on, psi_p then
+        psi_v: (3, 2, m, N), from one stacked matmul; lags in half steps."""
+        half = 2 * (lo + self.dst // len(self.p_fallback))[:, None] \
+            + np.arange(3)
+        y = np.matmul(flow.table[half - self.send_half[:, None]],
+                      self.msg[:, None, :, None])     # (edges, 3, 2N, 1)
+        psi = self._live_average(y.reshape(len(y), 6 * self.N))
+        fallback = np.stack((self.p_fallback, 0 * self.p_fallback))
+        return self._with_fallback(psi.reshape(len(psi), 3, 2, self.N)
+                                   .transpose(1, 2, 0, 3), fallback[:, None])
 
 
 def rk4_step(rhs, mid, end, h: float, y: np.ndarray, u, k1: np.ndarray):
@@ -256,15 +255,15 @@ class Law:
 
     Internals start at zero but psi, eta1, eta2 (p0) and a given v_d
     (vhat).  ``start`` binds the law to a run of n agents at the step dt,
-    with each stage row's time, half tick and leader accelerations, and
-    builds the generator [A | B] on [y; u], the flat state then the
-    sources (two (m, N) blocks of neighbour averages and the leaders'
-    accelerations).  No entry depends on liveness: a follower without a
-    message averages its own velocity estimate.  deriv is one take,
+    with each stage row's time, each follower's first delivery tick and
+    the stage rows' leader accelerations, and builds the generator [A | B]
+    on [y; u], the flat state then the sources (two (m, N) blocks of
+    neighbour averages and the leaders' accelerations), and its waiting
+    form, where u1 reads the follower's own vhat.  deriv is one take,
     product and np.bincount over the entries, gamma the terms listed under
-    "gamma", the blocks ``extra`` m-row outputs after y's.  A step on a
-    block row is one such product with the step of ``rk4_operator`` and
-    gamma's rows if the law has no extra outputs, else RK4 over deriv."""
+    "gamma", the blocks ``extra`` m-row outputs after y's.  A step is one
+    such product with the step of ``rk4_operator`` and gamma's rows if the
+    law has no extra outputs, else RK4 over deriv."""
 
     v_d, extra = None, ()
 
@@ -275,67 +274,83 @@ class Law:
             x[0] = self.v_d
         return x
 
-    def start(self, n: int, dt: float, times: np.ndarray, halves: list,
+    def start(self, n: int, dt: float, times: np.ndarray, first: np.ndarray,
               leaders: np.ndarray) -> None:
-        self.n, self.dt, self.times, self.halves = n, dt, times, halves
+        self.n, self.dt, self.times = n, dt, times
         m, N, nb = self.gains.m, self.N, len(self.names) + 2
-        self.K, rows = len(times) // 3, 2 * n + (nb - 2) * m
+        self.K, rows = len(times) // 3 - 1, 2 * n + (nb - 2) * m
         at = dict(p=0, v=n, gamma=n, vL=n + m, u0=rows, u1=rows + m,
                   lead=rows + 2 * m, **{x: 2 * n + i * m
                                         for i, x in enumerate(self.names)},
                   **{x: rows + i * m for i, x in enumerate(self.extra)})
-        parts = []
+        parts = []          # a waiting follower's u1 is its own vhat
         for o, i, count, scale, M in [("p", "v", n, 1.0, np.eye(N))] \
                 + self.terms(n, m):
             (c, d), a = np.nonzero(M), np.arange(count)[:, None]
             parts.append(np.broadcast_arrays((at[o] + a) * N + c, (
-                at[i] + a) * N + d, np.reshape(scale, (-1, 1)) * M[c, d],
-                o == "gamma"))
-        self.out, self.cols, self.coef, gamma = (np.concatenate(
+                at[i] + a) * N + d, (at["vhat" if i == "u1" else i] + a) * N
+                + d, np.reshape(scale, (-1, 1)) * M[c, d], o == "gamma"))
+        self.out, self.cols, waiting, self.coef, gamma = (np.concatenate(
             [x.ravel() for x in part]) for part in zip(*parts))
         self.gamma = np.flatnonzero(gamma)
         self.gamma_out = self.out[self.gamma] - n * N
         self.leaders = leaders.reshape(len(leaders), -1)
         self.size = (rows + len(self.extra) * m) * N
+        # Each row's follower (m for a leader's): p, v, the internals, then
+        # the extra outputs or, in a step, gamma.
+        agent = np.r_[np.tile(np.arange(n), 2), np.tile(np.arange(m), nb - 1)]
+        owner = np.minimum(agent, m)
+        # The followers still waiting for a message at each liveness
+        # pattern first <= k, each tick's pattern, and each tick's columns.
+        ticks = np.unique(first[first <= self.K])
+        waits = [np.r_[first > t, False] for t in np.r_[-1, ticks]]
+        pattern = np.searchsorted(ticks, np.arange(self.K + 1), "right")
+        gen = owner[self.out // N]
+        by_wait = [np.where(w[gen], waiting, self.cols) for w in waits]
+        self._cols = [by_wait[i] for i in pattern]
         if self.extra:
             return
-        # The step operator, then gamma's rows: gamma reads u at the start.
-        agent = np.r_[np.tile(np.arange(n), 2), np.tile(np.arange(m), nb - 2)]
-        out, cols, coef = rk4_operator(
-            self.out, self.cols, self.coef, agent.repeat(N),
-            2 * m * N + self.leaders.shape[1], dt)
-        self.step_out = np.r_[out, self.size + self.gamma_out]
-        self.step_cols = np.r_[cols, self.cols[self.gamma]]
-        self.step_coef = np.r_[coef, self.coef[self.gamma]]
+        # Each form's step operator, then gamma's rows (gamma reads u at the
+        # start); a waiting follower's rows take all entries of the waiting
+        # form, in order, the others those of the live form.
+        forms = []
+        for cols in (self.cols, waiting):
+            out, c, coef = rk4_operator(
+                self.out, cols, self.coef, agent[:rows].repeat(N),
+                2 * m * N + self.leaders.shape[1], dt)
+            out = np.r_[out, self.size + self.gamma_out]
+            forms.append((out, np.r_[c, cols[self.gamma]],
+                          np.r_[coef, self.coef[self.gamma]], owner[out // N]))
+        (*live, a), (*late, b) = forms
+        by_wait = [[np.concatenate((x[k], z[j])) for x, z in zip(live, late)]
+                   for k, j in ((~w[a], w[b]) for w in waits)]
+        self._steps = [by_wait[i] for i in pattern]
 
-    def deriv(self, row: int, y: np.ndarray, view):
-        """(dy, gamma) at the stage row, from the view or, given an array,
-        from the row's sources; gamma only at a step start, dy's extra
-        output rows after y's."""
-        n, m = self.n, self.gains.m
-        u = (view,) if isinstance(view, np.ndarray) else self.sources(
-            row, view, y[2 * n:2 * n + m])
-        prod = np.concatenate((y.ravel(), *u)).take(self.cols)
+    def deriv(self, row: int, y: np.ndarray, u: np.ndarray):
+        """(dy, gamma) at the stage row from its sources u, at the liveness
+        pattern of its tick; dy's extra output rows after y's."""
+        prod = np.concatenate((y.ravel(), u)).take(
+            self._cols[row % (self.K + 1)])
         prod *= self.coef
         dy = np.bincount(self.out, prod, self.size).reshape(-1, self.N)
-        return dy, None if row > self.K else np.bincount(
-            self.gamma_out, prod[self.gamma], m * self.N).reshape(m, -1)
+        return dy, np.bincount(self.gamma_out, prod[self.gamma],
+                               self.gains.m * self.N).reshape(-1, self.N)
 
-    def step(self, k: int, y: np.ndarray, row, view: NeighborView):
-        """(y at tick k + 1, None at K; gamma at tick k): one product with
-        the step operator, or classical RK4 over deriv on engine.stage_times'
-        rows, the view or the block row's three stage slices held."""
-        if row is not None and not self.extra:
-            x = np.concatenate((y.ravel(), row)).take(self.step_cols)
-            x *= self.step_coef
-            z = np.bincount(self.step_out, x, y.size + self.gains.m * self.N)
+    def step(self, k: int, y: np.ndarray, row: np.ndarray):
+        """(y at tick k + 1, gamma at tick k) from tick k's block row: one
+        product with its pattern's step operator, or classical RK4 over
+        deriv on engine.stage_times' rows, the row's stage slices held."""
+        if not self.extra:
+            out, cols, coef = self._steps[k]
+            x = np.concatenate((y.ravel(), row)).take(cols)
+            x *= coef
+            z = np.bincount(out, x, y.size + self.gains.m * self.N)
             return z[:y.size].reshape(y.shape), z[y.size:].reshape(-1, self.N)
-        rows = (k, self.K + 1 + k, 2 * self.K + 1 + k)
-        u = dict(zip(rows, [view] * 3 if row is None else row.reshape(3, -1)))
+        rows = (k, self.K + 1 + k, 2 * self.K + 2 + k)
+        u = dict(zip(rows, row.reshape(3, -1)))
         dy, out = self.deriv(k, y, u[k])
-        return None if k == self.K else rk4_step(
-            lambda r, z, u: self.deriv(r, z, u[r]), *rows[1:], self.dt, y, u,
-            dy), out
+        return rk4_step(lambda r, z, u: self.deriv(r, z, u[r]), *rows[1:],
+                        self.dt, y, u, dy), out
 
 
 class DoubleIntegratorLaw(Law):
@@ -373,20 +388,17 @@ class DoubleIntegratorLaw(Law):
             (o, i, m, s, I) for o, terms in rows.items()
             if o in self.names + ("gamma",) for i, s in terms]
 
-    def sources(self, row: int, view: NeighborView, vhat: np.ndarray):
-        return (view.vartheta_avg(self.times[row]).ravel(),
-                view.vhat_avg(vhat).ravel(), self.leaders[row])
-
     def block(self, lo: int, view: NeighborView) -> np.ndarray:
-        """x's sources at each tick: at each stage row, vartheta_avg = c0 +
-        t c1 at its time, c1 = vhat_avg (held) and the leader row."""
-        c0, c1 = (c.reshape(-1, 1, self.gains.m * self.N)
-                  for c in view._affine())
-        H, K = len(c0), self.K      # each tick's start, midpoint, end rows
-        rows = np.arange(lo, lo + H)[:, None] + [0, K + 1, 2 * K + 1]
-        return np.concatenate((c0 + self.times[rows][..., None] * c1,
-                               np.broadcast_to(c1, (H, 3, c1.shape[2])),
-                               self.leaders[rows]), axis=2).reshape(H, -1)
+        """x's sources at each tick: at each stage row, vartheta_avg at its
+        time, vhat_avg (held) and the leader row."""
+        m, K = self.gains.m, self.K
+        H = view.m // m             # each tick's start, midpoint, end rows
+        rows = np.arange(lo, lo + H)[:, None] + [0, K + 1, 2 * K + 2]
+        theta = view.vartheta_avg(self.times[rows].T.repeat(m, 1)[..., None])
+        return np.concatenate((
+            theta.reshape(3, H, -1).transpose(1, 0, 2), np.broadcast_to(
+                view.vhat_avg().reshape(H, 1, -1), (H, 3, m * self.N)),
+            self.leaders[rows]), axis=2).reshape(H, -1)
 
 
 class NonlinearVSController(DoubleIntegratorLaw):
@@ -422,17 +434,15 @@ class NonlinearVSController(DoubleIntegratorLaw):
         return [("vL", "lead", n - m, 1.0, I)] + [
             (o, i, m, s, I) for o, terms in rows.items() for i, s in terms]
 
-    def deriv(self, row: int, y: np.ndarray, view):
+    def deriv(self, row: int, y: np.ndarray, u: np.ndarray):
         """Law.deriv's (dy, gamma) plus the nonlinear terms: f(p, v) - s(e)
         e on the followers' v rows, -s(e) e on gamma."""
         n, m = self.n, self.gains.m
-        dy, gamma = super().deriv(row, y, view)
+        dy, gamma = super().deriv(row, y, u)
         p, v = y[:m], y[n:n + m]
         sw = self.switching_term(dy[len(y):], p, v)
         dy[n:n + m] += self.model.drift_fns["f"](p, v) - sw
-        if gamma is not None:
-            gamma -= sw
-        return dy[:len(y)], gamma
+        return dy[:len(y)], gamma - sw
 
     def switching_term(self, e: np.ndarray, p: np.ndarray,
                        v: np.ndarray) -> np.ndarray:
@@ -484,18 +494,11 @@ class OscillatorLaw(Law):
             (o, i, m, s, M) for o, terms in rows.items()
             if o in self.names + ("gamma",) for i, s, M in terms]
 
-    def sources(self, row: int, view: NeighborView, vhat: np.ndarray):
-        return view.oscillator_psi(self.halves[row], self.flow, vhat).ravel(),
-
     def block(self, lo: int, view: NeighborView) -> np.ndarray:
-        """x's sources at each tick: psi at its half ticks 2k to 2k + 2,
-        (3, 2, m, N), from one stacked matmul and one average."""
-        m, N = self.gains.m, self.N
-        half = 2 * (lo + view.dst // m)[:, None] + np.arange(3)
-        y = np.matmul(self.flow.table[half - view.send_half[:, None]],
-                      view.msg[:, None, :, None])      # (pairs, 3, 2N, 1)
-        psi = view._live_average(y.reshape(len(y), -1)).reshape(-1, m, 6, N)
-        return psi.transpose(0, 2, 1, 3).reshape(len(psi), -1)
+        """x's sources at each tick: psi at its half ticks 2k to 2k + 2."""
+        m = self.gains.m
+        psi = view.oscillator_psi(lo, self.flow).reshape(3, 2, -1, m, self.N)
+        return psi.transpose(2, 0, 1, 3, 4).reshape(len(psi[0, 0]), -1)
 
 
 def make_controller(variant: str, gains: GainSet, N: int,

@@ -8,11 +8,10 @@ tick (-1 before any).  A message is some of its sender's state rows at its
 send tick, read from the state history (one (K + 1, rows, N) array whose
 slices are the trace fields).  Sends are periodic, so every message in use
 during a sampling period was sent by its first tick, when one view of them
-all feeds the caller's sources, one row per tick.  The caller's step
-advances the (rows, N) state a tick: from such a row, one product with
-RK4's step operator (``control.rk4_operator``), or RK4 for a law with
-nonlinear terms; from a tick's view (the warm-up ticks and K), RK4
-(``control.rk4_step``).
+all feeds the caller's sources, one row per tick, warm-up ticks and K
+included.  The caller's step advances the (rows, N) state a tick from its
+row: one product with RK4's step operator (``control.rk4_operator``), or
+RK4 (``control.rk4_step``) for a law with nonlinear terms.
 """
 from __future__ import annotations
 
@@ -58,11 +57,10 @@ def _divergence(t: float, y, prev, watch, rows) -> DivergenceError:
 
 def stage_times(K: int, dt: float) -> np.ndarray:
     """The time of every stage row over ticks 0..K: row k is k * dt, step
-    k's start; rows K + 1 + k and 2K + 1 + k its midpoint k * dt + dt / 2
-    and end k * dt + dt (not always (k + 1) * dt).  At dt = 2 the rows are
-    in whole half steps, 2k, 2k + 1 and 2k + 2."""
+    k's start; rows K + 1 + k and 2K + 2 + k its midpoint k * dt + dt / 2
+    and end k * dt + dt (not always (k + 1) * dt)."""
     t = np.arange(K + 1) * dt
-    return np.concatenate((t, t[:-1] + dt / 2, t[:-1] + dt))
+    return np.concatenate((t, t + dt / 2, t + dt))
 
 
 class Engine:
@@ -128,19 +126,16 @@ class Engine:
         used = np.full((self.K + 1, len(self.edges)), -1)
         np.maximum.at(used, (self.tick, self.edge), self.seq)
         self.used_seq = np.maximum.accumulate(used, axis=0)
-        # The first tick each follower, then every one, holds a message.
-        first = np.full(self.m, self.K + 1)
-        np.minimum.at(first, self.dst[self.edge], self.tick)
-        self.live_from = int(first.max())
+        # The first tick each follower holds a message (K + 1 for none).
+        self.first = np.full(self.m, self.K + 1)
+        np.minimum.at(self.first, self.dst[self.edge], self.tick)
 
     def stage_lags(self) -> np.ndarray:
         """The distinct ages h - 2 steps_per_T seq, in half steps, of the
         messages in use at every stage row's half tick h (2k to 2k + 2)."""
-        used, K = self.used_seq, self.K
-        age = 2 * (np.arange(K + 1)[:, None] - self.steps_per_T * used)
-        start = np.unique(age[:K][used[:K] >= 0])
-        return np.unique(np.concatenate((start, start + 1, start + 2,
-                                         age[K][used[K] >= 0])))
+        used = self.used_seq
+        age = 2 * (np.arange(self.K + 1)[:, None] - self.steps_per_T * used)
+        return np.unique(np.unique(age[used >= 0])[:, None] + np.arange(3))
 
     def audit(self) -> list[tuple]:
         """(src, dst, seq, send_time, arrival) of every delivery, in order;
@@ -155,7 +150,7 @@ class Engine:
         """The messages in use at ticks lo..hi - 1, one take, as the view of
         a row of (hi - lo) m followers (tick k's follower i is row (k - lo)
         m + i, in tick, then edge order); edge e's seq is states[seq *
-        steps_per_T, send[src[e]]], a fallback its row of states[0]."""
+        steps_per_T, send[src[e]]], each tick's fallback states[0, :m]."""
         box = self.used_seq[lo:hi]
         (t, e), seq = np.nonzero(box >= 0), box[box >= 0]
         rows, N = states.shape[1:]
@@ -169,29 +164,21 @@ class Engine:
     def run(self, y: np.ndarray, step, watch, block):
         """Integrate from the (rows, N) state y over ticks 0..K: at each
         tick k, record y (a delay-0 message is read at its send tick), then
-        step(k, y, row, view) -> (y at tick k + 1, out at tick k).  At a
-        period's first tick k0, block(lo, view) turns the view of its ticks
-        lo.. below K from live_from on into one row per tick: all were sent
-        by k0, so their rows of states are recorded.  Other ticks get row
-        None and view, the view of tick k (one per mailbox row).  watch
-        lists the row blocks that must stay in range as (variable, agents,
-        rows per agent); the first agent out raises DivergenceError against
-        its step-start value.  Returns the (K+1, rows, N) states and outs."""
-        K, dt, spT, used = self.K, self.dt, self.steps_per_T, self.used_seq
-        changed = np.r_[True, np.any(used[1:] != used[:-1], 1)]
+        step(k, y, row) -> (y at tick k + 1, out at tick k), y dropped at
+        K.  At a period's first tick k0, block(k0, view) turns the view of
+        its ticks k0.. up to K into one row per tick: all were sent by k0,
+        so their rows of states are recorded.  watch lists the row blocks
+        that must stay in range as (variable, agents, rows per agent); the
+        first agent out raises DivergenceError against its step-start
+        value.  Returns the (K+1, rows, N) states and outs."""
+        K, dt, spT = self.K, self.dt, self.steps_per_T
         watched = sum(agents * per_agent for _, agents, per_agent in watch)
         states = np.empty((K + 1,) + y.shape)
         for k in range(K + 1):
             states[k] = y
             if k % spT == 0:
-                lo, hi = max(k, self.live_from), min(k + spT, K)
-                if lo < hi:
-                    period = block(lo, self.view(lo, hi, states))
-            row = period[k - lo] if lo <= k < hi else None
-            view = None if changed[k] else view
-            if row is None:             # built once per mailbox row
-                view = view or self.view(k, k + 1, states)
-            y, out = step(k, y, row, view)
+                period = block(k, self.view(k, min(k + spT, K + 1), states))
+            y, out = step(k, y, period[k % spT])
             if k == 0:
                 outs = np.empty((K + 1,) + np.shape(out))
             outs[k] = out

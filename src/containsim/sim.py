@@ -1,10 +1,11 @@
 """Closed-loop containment runs on the shared sampled-data engine.
 
 ``run`` plugs the controller into ``engine.Engine`` (integer ticks, the
-mailbox history ``Trace.used_seq``, period sources, tick views): it names
-the state rows each agent sends; the law's ``block`` and ``step`` are the
-engine's.  The containment errors of all steps come from one product with
-the weights, their hull distances from one ``hull_distance`` call.
+mailbox history ``Trace.used_seq``, one view and block of sources per
+sampling period): it names the state rows each agent sends; the law's
+``block`` and ``step`` are the engine's.  The containment errors of all
+steps come from one product with the weights, their hull distances from
+one ``hull_distance`` call.
 """
 from __future__ import annotations
 
@@ -75,6 +76,9 @@ class Scenario:
             raise ScenarioError(str(exc)) from exc
         if self.p0.shape != (topo.n, self.N) or self.v0.shape != self.p0.shape:
             raise ScenarioError("p0/v0 must be (n, N)")
+        for name, x in (("p0", self.p0), ("v0", self.v0), ("v_d", self.v_d)):
+            if x is not None and not np.isfinite(x).all():
+                raise ScenarioError(f"{name} must be finite")
         return ctrl
 
 
@@ -245,13 +249,12 @@ def run(scen: Scenario,
     K = eng.K
     # The state: rows p, v, then one m-row block per controller internal.
     x0 = ctrl.init_internals(scen.p0[:m])
-    # Each stage row's time, and its half tick h: dt is two half steps.
-    times, halves = stage_times(K, dt), stage_times(K, 2).astype(int).tolist()
+    times = stage_times(K, dt)
     if model.kind == "oscillator":
         ctrl.flow.tabulate(eng.stage_lags(), dt)
     leaders = np.empty((len(times), 0, N)) if scen.leaders is None \
         else scen.leaders.accel(times)   # the oscillator's move freely
-    ctrl.start(n, dt, times, halves, leaders)
+    ctrl.start(n, dt, times, eng.first, leaders)
     states, gamma = eng.run(
         np.concatenate([scen.p0, scen.v0, x0.reshape(-1, N)]), ctrl.step,
         (("p", n, 1), ("v", n, 1)), ctrl.block)

@@ -117,37 +117,24 @@ def follower_rhs(model, p: np.ndarray, v: np.ndarray,
 
 
 def rk4(rhs, K: int, h: float):
-    """step(k, y, u) -> (y at tick k + 1, None at K; out at tick k): RK4
-    over rhs(row, y, u) -> (dy, out) on engine.stage_times(K, h), u held,
-    as a law's step on a view."""
+    """step(k, y, u) -> (y at tick k + 1, out at tick k): RK4 over rhs(row,
+    y, u) -> (dy, out) on engine.stage_times(K, h), u held."""
     def step(k: int, y: np.ndarray, u):
         dy, out = rhs(k, y, u)
-        return None if k == K else rk4_step(
-            rhs, K + 1 + k, 2 * K + 1 + k, h, y, u, dy), out
+        return rk4_step(rhs, K + 1 + k, 2 * K + 2 + k, h, y, u, dy), out
     return step
 
 
 def run_on_views(eng, y: np.ndarray, rhs, watch=()):
-    """eng.run with classical RK4 over rhs(row, y, view) at every tick: the
-    block of every period has no rows, so each step reads the view."""
-    step = rk4(rhs, eng.K, eng.dt)
-    return eng.run(y, lambda k, y, row, view: step(k, y, view), watch,
-                   lambda lo, view: [None] * (view.m // eng.m))
+    """eng.run with classical RK4 over rhs(row, y, view) at every tick, on
+    the view of the tick built from the states the steps were given (the
+    engine's blocks are the ticks' offsets)."""
+    states, step = np.empty((eng.K + 1,) + y.shape), rk4(rhs, eng.K, eng.dt)
 
-
-def periods_oracle(used: np.ndarray, spT: int, in_edges) -> list:
-    """(k0, lo, hi) of every period whose block has rows: ticks lo..hi - 1,
-    those of k0..k0 + spT - 1 below K at which every follower holds a
-    message; in_edges lists each follower's in-edges."""
-    K = len(used) - 1
-    live = [all((used[k, e] >= 0).any() for e in in_edges)
-            for k in range(K + 1)]
-    out = []
-    for k0 in range(0, K + 1, spT):
-        ticks = [k for k in range(k0, min(k0 + spT, K)) if live[k]]
-        if ticks:
-            out.append((k0, ticks[0], ticks[-1] + 1))
-    return out
+    def on_view(k, y, _):
+        states[k] = y
+        return step(k, y, eng.view(k, k + 1, states))
+    return eng.run(y, on_view, watch, lambda lo, view: range(view.m // eng.m))
 
 
 def one_edge_topology() -> DirectedTopology:

@@ -6,13 +6,32 @@ These are the ``deriv`` bodies the laws ran before the generator replaced
 them; ``closed_loop_oracle`` adds the plant of every agent through
 ``conftest.follower_rhs``.  Any law with this ``deriv`` fits it: for
 ``nonlinear_vs`` the elementwise controller of ``tests/test_control.py``,
-whose drift ``follower_rhs`` adds.
+whose drift ``follower_rhs`` adds.  A follower without a message averages
+its own velocity estimate: the oracles merge that fallback in themselves.
 """
 import numpy as np
 
 from containsim.control import PSI_MODES, OscillatorLaw
 from containsim.dynamics import AgentModel, OscillatorFlow
 from conftest import follower_rhs
+
+
+def vhat_avg_oracle(neigh, vhat: np.ndarray) -> np.ndarray:
+    """The velocity estimate average, a waiting follower's own vhat."""
+    return np.where(neigh.live[:, None], neigh.vhat_avg(), vhat)
+
+
+def psi_oracle(view, t, flow, vhat_own):
+    """[psi_p, psi_v] at t, (m, 2N), as a loop over edges, one flow(lag) @
+    x each, with the lag t - send_time in float seconds; a follower without
+    a message reads its p_fallback and vhat_own."""
+    num = np.zeros((view.m, 2 * view.N))
+    for e in range(view.dst.shape[0]):
+        x = np.concatenate([view.p_msg[e], view.vhat_msg[e]])
+        num[view.dst[e]] += view.w[e] * (flow(t - view.send_time[e]) @ x)
+    out = np.concatenate([view.p_fallback, vhat_own], axis=1)
+    out[view.live] = num[view.live] / view.kappa_delivered[view.live, None]
+    return out
 
 
 class DoubleIntegratorLawOracle:
@@ -30,7 +49,7 @@ class DoubleIntegratorLawOracle:
     def deriv(self, t, h, p, v, x, neigh, dx) -> np.ndarray:
         vhat = x[0]
         if self.v_d is None:
-            dx[0] = -self.L_p * (vhat - neigh.vhat_avg(vhat))
+            dx[0] = -self.L_p * (vhat - vhat_avg_oracle(neigh, vhat))
         else:
             dx[0] = 0.0
         theta = neigh.vartheta_avg(t)
@@ -51,7 +70,7 @@ class OscillatorLawOracle:
 
     Without the output filter (oscillator_full) the law damps w = v - vhat;
     with it (oscillator_output) w = k_phi (phi + p) - vhat.  flow is the
-    OscillatorFlow whose table oscillator_psi reads.
+    OscillatorFlow of psi_oracle.
     """
 
     def __init__(self, gains, N: int, model: AgentModel, flow: OscillatorFlow,
@@ -65,7 +84,7 @@ class OscillatorLawOracle:
 
     def deriv(self, t, h, p, v, x, neigh, dx) -> np.ndarray:
         vhat, sigma = x[0], x[1]
-        psi_p, psi_v = neigh.oscillator_psi(h, self.flow, vhat)
+        psi_p, psi_v = np.split(psi_oracle(neigh, t, self.flow, vhat), 2, 1)
         if self.output_filter:
             y = x[2] + p
             w = self.k_phi * y - vhat
@@ -113,13 +132,17 @@ def closed_loop_oracle(law, model, n: int, t: float, h: int, y: np.ndarray,
 
 
 def stage(ctrl, view, t: float, h: int, y: np.ndarray, lead=None):
-    """ctrl's (dy, gamma) at the start of a one-row run of the agents of
-    the flat state y at time t and half tick h; lead holds the leaders'
-    accelerations for double integrators, (n - m, N), zero by default
-    (oscillator leaders move freely)."""
+    """ctrl's (dy, gamma) for the agents of the flat state y at time t and
+    half tick h, from the block of the view at tick h // 2: a run whose
+    stage rows are all at t, K = h // 2, and whose followers are live at
+    tick 0 if the view has a message for them, else never; lead holds the
+    leaders' accelerations for double integrators, (n - m, N), zero by
+    default (oscillator leaders move freely)."""
     m, N = view.m, view.N
     n = (len(y) - len(ctrl.names) * m) // 2
     lead = np.zeros((n - m, N)) if lead is None else lead
-    ctrl.start(n, 0.01, [t], [h], lead[None, :0 if isinstance(
-        ctrl, OscillatorLaw) else None])
-    return ctrl.deriv(0, y, view)
+    (K, j), rows = divmod(h, 2), 3 * (h // 2 + 1)
+    lead = lead[None, :0 if isinstance(ctrl, OscillatorLaw) else None]
+    ctrl.start(n, 0.01, np.full(rows, t), np.where(view.live, 0, K + 1),
+               np.broadcast_to(lead, (rows,) + lead.shape[1:]))
+    return ctrl.deriv(K, y, ctrl.block(K, view)[0].reshape(3, -1)[j])

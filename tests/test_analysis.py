@@ -240,8 +240,8 @@ class TestPerturbation:
     def test_stage_times_are_the_times_rhs_sees(self):
         # rhs sees rows of stage_times: step k starts at row k, its
         # midpoint (stages 2 and 3) is row K + 1 + k and its end row
-        # 2K + 1 + k, at k * dt + dt / 2 and k * dt + dt.  On this grid
-        # k*dt + dt differs from (k+1)*dt at 645 of 2400 ticks.
+        # 2K + 2 + k, at k * dt + dt / 2 and k * dt + dt, tick K too.  On
+        # this grid k*dt + dt differs from (k+1)*dt at 645 of 2400 ticks.
         cfg = single_follower_cfg(dt=0.025, t_end=60.0)
         sched = generate_schedule((1, 0), cfg.comm, cfg.t_end, cfg.dt)
         eng = Engine(cfg.topo, [{(1, 0): sched}], cfg.comm.T, cfg.dt,
@@ -254,14 +254,14 @@ class TestPerturbation:
 
         K = eng.K
         run_on_views(eng, cfg.eta0, rhs)
-        assert seen == [r for k in range(K) for r in
-                        (k, K + 1 + k, K + 1 + k, 2 * K + 1 + k)] + [K]
+        assert seen == [r for k in range(K + 1) for r in
+                        (k, K + 1 + k, K + 1 + k, 2 * K + 2 + k)]
         times = stage_times(K, cfg.dt).tolist()
-        assert [times[r] for r in seen[:-1]] == [
-            t for t in (k * cfg.dt for k in range(K))
+        assert [times[r] for r in seen] == [
+            t for t in (k * cfg.dt for k in range(K + 1))
             for t in (t, t + cfg.dt / 2, t + cfg.dt / 2, t + cfg.dt)]
         assert times[K] == K * cfg.dt
-        assert sum(times[2 * K + 1 + k] != (k + 1) * cfg.dt
+        assert sum(times[2 * K + 2 + k] != (k + 1) * cfg.dt
                    for k in range(K)) == 645
 
 
@@ -329,6 +329,19 @@ class TestCascadeDynamics:
     def test_validation_errors_name_the_config_key(self, key, change):
         with pytest.raises(CascadeError, match=re.escape(key)):
             single_follower_cfg(**change).validate()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field, key", [("eta0", "cascade.initial.eta"),
+                                            ("zeta0", "cascade.initial.zeta")])
+    def test_non_finite_initial_states_name_the_array(self, field, key,
+                                                      value):
+        # Caught by the config check, not as a DivergenceError at t = dt.
+        cfg = bench_cfg()
+        x = getattr(cfg, field).copy()
+        x.flat[-1] = value
+        with pytest.raises(CascadeError, match=re.escape(
+                f"{key}: {field} must be finite")):
+            simulate_cascade(dataclasses.replace(cfg, **{field: x}))
 
     @pytest.mark.parametrize("key, change", [
         ("cascade.k_eta", {"k_eta": float("nan")}),
@@ -495,7 +508,7 @@ class TestBatch:
     def test_a_step_reads_the_signal_rows_of_its_stages(self):
         # A leader's eta' is its drive d alone, so step k moves it by
         # dt / 6 (d0 + 4 dm + d1), the drive at the stage rows k, K + 1 + k
-        # and 2K + 1 + k of stage_times.  Reading any of them one row off
+        # and 2K + 2 + k of stage_times.  Reading any of them one row off
         # moves a leader by about dt^2 / 6 |d'| ~ 1e-4 in some step.
         base = bench_cfg(t_end=3.0, **mixed_signals(2))
         cfgs = self.copies(base, [(1.0, 1.0, 1.5, 0.3, 0.85, 0),
@@ -505,7 +518,7 @@ class TestBatch:
         times = stage_times(K, dt)
         d = np.stack([np.broadcast_to(p.value(times), (len(times), N))
                       for p in base.leader_drive], axis=1)
-        want = dt / 6 * (d[:K] + 4 * d[K + 1:2 * K + 1] + d[2 * K + 1:])
+        want = dt / 6 * (d[:K] + 4 * d[K + 1:2 * K + 1] + d[2 * K + 2:-1])
         for tr in simulate_cascades(cfgs):
             lead = tr.eta[:, m:]
             assert np.abs(np.diff(lead, axis=0) - want).max() <= \

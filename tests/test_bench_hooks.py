@@ -70,3 +70,36 @@ def test_traced_run_counts(monkeypatch):
     # through the wrapped LeaderTrajectory.accel, once.
     spans = [rec.names[i] for i in rec.name]
     assert spans.count("dynamics.leader_accel") == 1
+
+
+def test_every_average_is_inside_a_traced_aggregation(monkeypatch):
+    # The traced mode times neighbour aggregation as the wrapped NeighborView
+    # methods (and p_avg, the cascade's): each weighted average a run takes
+    # must be taken inside one of them, or its time reads as engine time.
+    entry = [name for owner, name in HOOKS
+             if owner is control.NeighborView and name != "__init__"]
+    depth, outside = [0], []
+    for name in entry + ["p_avg"]:
+        method = getattr(control.NeighborView, name)
+
+        def counted(*args, method=method, **kwargs):
+            depth[0] += 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(control.NeighborView, name, counted)
+    average = control.NeighborView._live_average
+
+    def spy(self, contrib):
+        outside.append(depth[0] == 0)
+        return average(self, contrib)
+    monkeypatch.setattr(control.NeighborView, "_live_average", spy)
+    for name in ("benchmark_fullstate", "oscillator_harmonic"):
+        doc = load_scenario_doc(name)
+        doc["sim"]["t_end_seconds"] = 1.0
+        sim.run(seeded(config.build_scenario(doc), 0))
+    doc = load_scenario_doc("cascade_estimates")
+    doc["sim"]["t_end_seconds"] = 2.0
+    analysis.simulate_cascade(config.build_cascade(doc))
+    assert len(outside) > 0 and not any(outside)

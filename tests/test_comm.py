@@ -151,6 +151,16 @@ class TestConfig:
         with pytest.raises(CommConfigError):
             CommConfig(T=0.1, T_star=1.0, delay_max=-0.1)
 
+    @pytest.mark.parametrize("field", ["T", "T_star", "delay_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        # Caught here, not as a ValueError or OverflowError from the
+        # conversion to ticks in generate_schedule.
+        with pytest.raises(CommConfigError, match=f"^{re.escape(field)} |"
+                           f" {re.escape(field)} must"):
+            CommConfig(**{"T": 0.1, "T_star": 1.0, "delay_max": 0.5,
+                          field: value})
+
     def test_delays_past_the_blackout_bound_accepted(self):
         # The abstract's delays are "possibly unbounded": a message may
         # arrive later than T* after its send.

@@ -13,13 +13,13 @@ from containsim import analysis, config, sim
 from containsim.analysis import CascadeError
 from containsim.comm import CommConfig, floor_ticks, generate_schedule, \
     to_ticks
-from containsim.control import NeighborView, OscillatorLaw, rk4_step
+from containsim.control import NeighborView, rk4_step
 from containsim.engine import DIVERGENCE_LIMIT, DivergenceError, Engine
 from containsim.sim import ScenarioError
 from containsim.topology import union_rows
 from conftest import SCENARIOS, bench_topology, link_schedule, \
-    load_scenario_doc, mailbox_oracle, one_edge_topology, periods_oracle, \
-    run_on_views, seeded
+    load_scenario_doc, mailbox_oracle, one_edge_topology, run_on_views, \
+    seeded
 
 
 def rk4_step_oracle(rhs, t: float, h: float, y: list, u, k1: list) -> list:
@@ -149,10 +149,10 @@ def test_stage_lags_stay_within_the_blackout_bound(spT, extra, drop_prob,
                                                    delay_frac, seed):
     # At every stage row of a run, each message in use is 0 to 2 T* half
     # steps old: at half tick h a message of seq s is h - 2 spT s half
-    # steps old, and step k reads h = 2k, 2k + 1 and 2k + 2.  These are
-    # exactly the lags oscillator_psi (on a view) and the law's period
-    # block read from the flow table and the lags the engine tabulates, so
-    # no table index is negative.
+    # steps old, and step k reads h = 2k, 2k + 1 and 2k + 2, tick K too.
+    # These are exactly the lags oscillator_psi reads from the flow table
+    # for the law's period blocks and the lags the engine tabulates, so no
+    # table index is negative.
     scen = config.build_scenario(_SHORT_OSCILLATOR)
     dt = scen.dt
     comm = CommConfig(T=spT * dt, T_star=(spT + extra) * dt,
@@ -160,27 +160,21 @@ def test_stage_lags_stay_within_the_blackout_bound(spT, extra, drop_prob,
                       delay_max=delay_frac * (spT + extra) * dt, seed=seed)
     scen = dataclasses.replace(scen, comm=comm)
     read = set()
-    psi, block = NeighborView.oscillator_psi, OscillatorLaw.block
+    psi = NeighborView.oscillator_psi
 
-    def spy(view, h, flow, vhat_own):
-        read.update((h - view.send_half).tolist())
-        return psi(view, h, flow, vhat_own)
+    def spy(view, lo, flow):    # each pair's half ticks 2k to 2k + 2
+        half = 2 * (lo + view.dst // len(view.p_fallback))[:, None] \
+            + np.arange(3)
+        read.update((half - view.send_half[:, None]).ravel().tolist())
+        return psi(view, lo, flow)
 
-    def block_spy(law, lo, g):  # each pair's half ticks 2k to 2k + 2
-        half = 2 * (lo + g.dst // law.gains.m)[:, None] + np.arange(3)
-        read.update((half - g.send_half[:, None]).ravel().tolist())
-        return block(law, lo, g)
-
-    with mock.patch.object(NeighborView, "oscillator_psi", spy), \
-            mock.patch.object(OscillatorLaw, "block", block_spy):
+    with mock.patch.object(NeighborView, "oscillator_psi", spy):
         trace = sim.run(scen)
     used = trace.used_seq
     K = used.shape[0] - 1
     half = 2 * np.arange(K + 1)[:, None] + np.arange(3)
     lags = half[:, :, None] - 2 * spT * used[:, None, :]
-    live = np.broadcast_to(used[:, None, :] >= 0, lags.shape).copy()
-    live[K, 1:] = False                    # no step follows tick K
-    lags = lags[live]
+    lags = lags[np.broadcast_to(used[:, None, :] >= 0, lags.shape)]
     assert lags.min() >= 0
     assert lags.max() <= 2 * floor_ticks(comm.T_star, dt)
     eng = Engine(scen.topo, [trace.schedules], comm.T, dt, scen.t_end,
@@ -192,13 +186,12 @@ def test_stage_lags_stay_within_the_blackout_bound(spT, extra, drop_prob,
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 300), st.integers(1, 30), st.integers(0, 60),
        st.floats(0.0, 0.95), st.floats(0.0, 0.99), st.integers(0, 2**31))
-def test_each_period_views_its_ticks_where_every_follower_is_live(
-        K, spT, extra, drop_prob, delay_frac, seed):
-    # At the first tick of each sampling period the run views the pairs in
-    # use at the period's ticks below K from the first tick at which every
-    # follower holds a message, by tick and then edge, as one row of a
-    # union of followers; a period with no such tick builds nothing, and
-    # only those ticks get a row of the block.
+def test_each_period_views_all_its_ticks(K, spT, extra, drop_prob,
+                                         delay_frac, seed):
+    # At the first tick k0 of each sampling period the run views the pairs
+    # in use at the period's ticks up to K, by tick and then edge, as one
+    # row of a union of followers, whether or not they hold a message; each
+    # tick gets its row of that period's block.
     dt = 0.01
     comm = CommConfig(T=spT * dt, T_star=(spT + extra) * dt,
                       drop_prob=drop_prob,
@@ -210,23 +203,20 @@ def test_each_period_views_its_ticks_where_every_follower_is_live(
     periods, rows = [], []
 
     def block(lo, view):
-        periods.append((len(rows), lo, lo + view.m // topo.m))  # at tick k0
-        t, e = np.nonzero(eng.used_seq[lo:periods[-1][2]] >= 0)
-        assert view.all_live
+        periods.append((lo, lo + view.m // topo.m))     # at tick k0
+        t, e = np.nonzero(eng.used_seq[lo:periods[-1][1]] >= 0)
         assert np.array_equal(view.dst, t * topo.m + eng.dst[e])
         assert np.array_equal(view.send_half,
                               2 * spT * eng.used_seq[lo + t, e])
-        return np.arange(view.m // topo.m)
+        return [(lo, k) for k in range(lo, periods[-1][1])]
 
-    def step(k, y, row, view):
+    def step(k, y, row):
         rows.append(row)
         return y + 1.0, 0.0
     eng.run(np.zeros((topo.n, 2)), step, (), block)
-    in_edges = [np.flatnonzero(eng.dst == i) for i in range(topo.m)]
-    want = periods_oracle(eng.used_seq, spT, in_edges)
-    assert periods == want
-    assert rows == [next((k - lo for _, lo, hi in want if lo <= k < hi),
-                         None) for k in range(K + 1)]
+    assert periods == [(k0, min(k0 + spT, K + 1))
+                       for k0 in range(0, K + 1, spT)]
+    assert rows == [(k - k % spT, k) for k in range(K + 1)]
 
 
 def _shift_first_delivery(schedules, parts):
@@ -474,13 +464,11 @@ def test_used_seq_equals_the_mailbox_at_every_tick(name):
     assert np.array_equal(eng.used_seq, mailbox_oracle(eng))
 
 
-def test_views_built_once_per_mailbox_row_a_step_reads(monkeypatch):
-    # A step reads the view of its tick only before every follower holds
-    # a message and at tick K; the view of a mailbox row is built at the
-    # first such step, and not at the other changes of the row.  Each
-    # period with a tick where all are live has one view of those ticks.
+def test_one_view_per_period(monkeypatch):
+    # Each sampling period has one view, of all its ticks up to K, and no
+    # step builds another.
     doc = load_scenario_doc("benchmark_fullstate")
-    doc["sim"]["t_end_seconds"] = 3.0
+    doc["sim"]["t_end_seconds"] = 3.05
     scen = config.build_scenario(doc)
     built = []
     view = Engine.view
@@ -491,21 +479,8 @@ def test_views_built_once_per_mailbox_row_a_step_reads(monkeypatch):
 
     monkeypatch.setattr(Engine, "view", counting)
     trace = sim.run(seeded(scen, 0))
-    used = trace.used_seq
-    changed = np.any(np.diff(used, axis=0) != 0, axis=1)
-    row = np.cumsum(np.r_[True, changed])       # each tick's mailbox row
-    K = len(row) - 1
-    in_edges = [np.flatnonzero(np.array(trace.edges)[:, 1] == i)
-                for i in range(trace.m)]
-    live = [all((used[k, e] >= 0).any() for e in in_edges)
-            for k in range(K + 1)]
-    reads = [k for k in range(K + 1) if not live[k] or k == K]
-    first = [k for i, k in enumerate(reads)
-             if i == 0 or row[k] != row[reads[i - 1]]]
-    periods = periods_oracle(used, 10, in_edges)
-    assert sorted(built) == sorted([(k, k + 1) for k in first]
-                                   + [(lo, hi) for _, lo, hi in periods])
-    assert 1 < len(first) < 1 + changed.sum()
+    K = len(trace.times) - 1
+    assert built == [(k0, min(k0 + 10, K + 1)) for k0 in range(0, K + 1, 10)]
 
 
 def traced_views(monkeypatch) -> list:
@@ -520,11 +495,10 @@ def traced_views(monkeypatch) -> list:
 
 
 def assert_views_read_states(views, message, fallback, width):
-    """Each view's message rows, of a tick and of a period, equal
-    message(tick, sender), its fallback equals fallback, and the view of
-    no tick has no messages but width columns."""
+    """Each period view's message rows equal message(tick, sender), its
+    fallback equals fallback, and the view of no tick has no messages but
+    width columns."""
     eng, _, _, states, _ = views[-1]
-    assert len({hi - lo > 1 for _, lo, hi, _, _ in views}) == 2
     for _, lo, hi, _, view in views:
         t, e = np.nonzero(eng.used_seq[lo:hi] >= 0)
         assert np.array_equal(view.msg, [

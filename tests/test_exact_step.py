@@ -8,7 +8,9 @@ the solution of a linear system: the extrapolated neighbour average of
 oscillator's propagated average moves with the free flow of S.  Stacking
 the follower's state with that forcing state gives one constant matrix M
 per follower and liveness, and the exact step is ``expm(M dt)`` applied to
-the stacked state.
+the stacked state.  A follower still waiting for its first message holds
+its initial position as the reference and averages its own velocity
+estimate, which the output filters and the dynamic psi then carry.
 
 The matrices below are written from the laws' equations; nothing here
 calls the package's right-hand side, its RK4 step or its neighbour views.
@@ -30,8 +32,11 @@ from conftest import load_scenario_doc, seeded
 
 # From a pilot at comm seeds 0-2 over the first 5 s: the largest one-step
 # difference was 258 dt^5 (full_state) and 39 dt^5 (oscillator_full), and
-# the end-error ratios at t_end = 2 s and 4 s were 16.06-16.34.
-ONE_STEP_C = {"benchmark_fullstate": 1e3, "oscillator_harmonic": 200.0}
+# the end-error ratios at t_end = 2 s and 4 s were 16.06-16.34.  A pilot at
+# comm seeds 2-5 gave at most 279 dt^5 (output_feedback) and 49 dt^5
+# (oscillator_output), and end-error ratios of 16.16-16.32 at seeds 1-2.
+ONE_STEP_C = {"benchmark_fullstate": 1e3, "oscillator_harmonic": 200.0,
+              "benchmark_outputfb": 1e3, "oscillator_output": 200.0}
 ORDER_RATIO = (15.0, 17.5)          # end error at dt over that at dt / 2
 
 
@@ -43,6 +48,10 @@ def follower_matrix(scen, i: int, live: bool) -> np.ndarray:
         vhat' = -L_p (vhat - c1),  theta' = c1,  c1' = 0;
     a follower with no delivered message holds vhat and its initial
     position (theta = p0, c1 = 0).
+    output_feedback (dynamic psi): [p, v, vhat, psi, phi, theta, c1], with
+    gamma = -k_d (phi + p - vhat) - k_p (p - psi),
+        p' = v,  v' = gamma,  vhat' as above,
+        psi' = -k_psi (psi - theta) + vhat,  phi' = -(phi + p) + gamma.
     oscillator_full: [p, v, vhat, sigma, psi_p, psi_v], with w = v - vhat,
         gamma = -(k_d w + S2 w) - k_p (p - psi_p) + 2 sigma,
         p' = v,  v' = S1 p + S2 v + gamma,
@@ -50,25 +59,50 @@ def follower_matrix(scen, i: int, live: bool) -> np.ndarray:
         sigma' = S1 w + S2 sigma - k_d sigma - k_p (vhat - psi_v),
         [psi_p; psi_v]' = [[0, I], [S1, S2]] [psi_p; psi_v];
     without a message psi_p = p0 stays put and the psi_v term drops.
+    oscillator_output: [p, v, vhat, sigma, phi, psi_p, psi_v], with w =
+    k_phi (phi + p) - vhat in gamma and sigma' for v - vhat, and
+        phi' = -(k_phi - S2) (phi + p) + (gamma + S1 p) / k_phi.
     """
     N, g = scen.N, scen.gains
     I, Z = np.eye(N), np.zeros((N, N))
-    k_p, k_d = g.k_p[i] * I, g.k_d[i] * I
+    k_p, k_d, k_phi = g.k_p[i] * I, g.k_d[i] * I, g.k_phi[i]
     on = float(live)
+    L_p = on * g.L_p[i] * I
     if scen.variant == "full_state":
-        L_p = on * g.L_p[i] * I
         return np.block([[Z, I, Z, Z, Z],
                          [-k_p, -k_d, k_d, k_p, Z],
                          [Z, Z, -L_p, Z, L_p],
                          [Z, Z, Z, Z, I],
                          [Z, Z, Z, Z, Z]])
+    if scen.variant == "output_feedback":
+        k_psi = g.k_psi[i] * I
+        return np.block([[Z, I, Z, Z, Z, Z, Z],
+                         [-k_d - k_p, Z, k_d, k_p, -k_d, Z, Z],
+                         [Z, Z, -L_p, Z, Z, Z, L_p],
+                         [Z, Z, I, -k_psi, Z, k_psi, Z],
+                         [-I - k_d - k_p, Z, k_d, k_p, -I - k_d, Z, Z],
+                         [Z, Z, Z, Z, Z, Z, I],
+                         [Z, Z, Z, Z, Z, Z, Z]])
     S1, S2 = scen.model.S1, scen.model.S2
-    return np.block([[Z, I, Z, Z, Z, Z],
-                     [S1 - k_p, -k_d, k_d + S2, 2 * I, k_p, Z],
-                     [S1, Z, S2, I, Z, Z],
-                     [Z, S1, -S1 - on * k_p, S2 - k_d, Z, on * k_p],
-                     [Z, Z, Z, Z, Z, on * I],
-                     [Z, Z, Z, Z, on * S1, on * S2]])
+    if scen.variant == "oscillator_full":
+        return np.block([[Z, I, Z, Z, Z, Z],
+                         [S1 - k_p, -k_d, k_d + S2, 2 * I, k_p, Z],
+                         [S1, Z, S2, I, Z, Z],
+                         [Z, S1, -S1 - on * k_p, S2 - k_d, Z, on * k_p],
+                         [Z, Z, Z, Z, Z, on * I],
+                         [Z, Z, Z, Z, on * S1, on * S2]])
+    D = k_d + S2            # gamma = -D w - k_p (p - psi_p) + 2 sigma
+    p_, vhat, sigma, phi, psi_p = -k_phi * D - k_p, D, 2 * I, -k_phi * D, k_p
+    Y = S2 - k_phi * I      # phi' = Y (phi + p) + (gamma + S1 p) / k_phi
+    return np.block([[Z, I, Z, Z, Z, Z, Z],
+                     [S1 + p_, S2, vhat, sigma, phi, psi_p, Z],
+                     [S1, Z, S2, I, Z, Z, Z],
+                     [k_phi * S1, Z, -S1 - on * k_p, S2 - k_d, k_phi * S1,
+                      Z, on * k_p],
+                     [Y + (p_ + S1) / k_phi, Z, vhat / k_phi, sigma / k_phi,
+                      Y + phi / k_phi, psi_p / k_phi, Z],
+                     [Z, Z, Z, Z, Z, Z, on * I],
+                     [Z, Z, Z, Z, Z, on * S1, on * S2]])
 
 
 class ExactStep:
@@ -83,7 +117,7 @@ class ExactStep:
         self.w = topo.weights[self.dst, self.src]
         self.steps = {}                 # (follower, live) -> expm(M dt)
         self.flows = {}                 # lag in ticks -> expm(S lag dt)
-        if scen.variant == "oscillator_full":
+        if scen.variant.startswith("oscillator"):
             N = self.N
             self.S = np.block([[np.zeros((N, N)), np.eye(N)],
                                [scen.model.S1, scen.model.S2]])
@@ -116,7 +150,8 @@ class ExactStep:
             if seq < 0:
                 continue
             x = self.message(self.src[e], seq * self.spT, own)
-            if self.scen.variant == "full_state":   # [theta(t), c1]
+            if not self.scen.variant.startswith("oscillator"):
+                # [theta(t), c1]
                 x = np.concatenate([x[:N] + x[N:] * (t - seq * self.T),
                                     x[N:]])
             else:                                   # e^{S (t - t_send)} x
@@ -131,13 +166,11 @@ class ExactStep:
 
     def run(self, free: bool) -> tuple[np.ndarray, np.ndarray]:
         """The oracle's and the run's follower states, (K + 1, m, blocks *
-        N) each, [p, v, vhat(, sigma)], row 0 the run's own.  One-step mode
-        (free=False) starts each step from the run's state at its start
-        tick; free mode from the oracle's own."""
+        N) each, [p, v] and the law's internals, row 0 the run's own.
+        One-step mode (free=False) starts each step from the run's state at
+        its start tick; free mode from the oracle's own."""
         tr, m = self.trace, self.m
-        blocks = [tr.p[:, :m], tr.v[:, :m]] + [
-            tr.internals[name] for name in ("vhat", "sigma")
-            if name in tr.internals]
+        blocks = [tr.p[:, :m], tr.v[:, :m], *tr.internals.values()]
         recorded = np.concatenate(blocks, axis=2)
         z = recorded.copy() if not free else \
             np.concatenate([recorded[:1], np.full_like(recorded[1:], np.nan)])
@@ -157,13 +190,17 @@ class ExactStep:
 
 
 def bundled(name: str, t_end: float, seed: int):
-    doc = load_scenario_doc(name)
+    """The bundled scenario name, or oscillator_harmonic with the variant
+    oscillator_output, over t_end at the comm seed."""
+    doc = load_scenario_doc("oscillator_harmonic" if name ==
+                            "oscillator_output" else name)
+    if name == "oscillator_output":
+        doc["controllers"]["variant"] = name
     doc["sim"]["t_end_seconds"] = t_end
     return seeded(config.build_scenario(doc), seed)
 
 
-@pytest.mark.parametrize("name", ["benchmark_fullstate",
-                                  "oscillator_harmonic"])
+@pytest.mark.parametrize("name", list(ONE_STEP_C))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_one_step_error_is_fifth_order(name, seed):
     scen = bundled(name, 5.0, seed)
@@ -177,8 +214,7 @@ def test_one_step_error_is_fifth_order(name, seed):
     assert gap > 0.0                # the run is RK4, not the exact flow
 
 
-@pytest.mark.parametrize("name", ["benchmark_fullstate",
-                                  "oscillator_harmonic"])
+@pytest.mark.parametrize("name", list(ONE_STEP_C))
 def test_global_error_is_fourth_order(name):
     scen = bundled(name, 2.0, 0)
     schedules = sim.build_schedules(scen)

@@ -135,8 +135,9 @@ class TestControllerStructure:
               "sigma": rng.normal(size=(2, 2))}),
         ]
         for name, ctrl, internals in cases:
-            if name == "oscillator_full":   # t = 0.7 s is half tick 140
-                ctrl.flow.tabulate(np.array([120, 100, 140]), 0.01)
+            if name == "oscillator_full":   # tick 70's half ticks 140-142
+                ctrl.flow.tabulate(np.array([120, 100, 140])
+                                   + np.arange(3)[:, None], 0.01)
             x = np.stack([internals[key] for key in ctrl.names])
             A = (rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
             B = (rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))

@@ -3,9 +3,10 @@
 Sends are periodic, so every message in use during a period was sent by
 its first tick k0: ``Engine.run`` views them all there, and the law's
 ``block`` (the cascade's held average) turns that view into one row of
-step sources per tick.  The rows must read nothing recorded after k0, and
-must equal, bit for bit, the sources the laws built from the view of each
-tick before the block: the per-view stage forms kept here as the oracle.
+step sources per tick, warm-up ticks and K included.  The rows must read
+nothing recorded after k0, and must equal, bit for bit, the sources built
+from the view of each tick: the per-view stage forms kept here as the
+oracle.
 """
 import contextlib
 import dataclasses
@@ -20,7 +21,7 @@ from containsim import analysis, config, sim
 from containsim.comm import CommConfig
 from containsim.control import OscillatorLaw
 from containsim.engine import Engine
-from conftest import load_scenario_doc, periods_oracle
+from conftest import load_scenario_doc, rk4
 
 # (scenario, controllers settings): the six variants, both psi modes of
 # the double integrators, and the cascade.
@@ -39,31 +40,39 @@ IDS = ["full_state", "full_state-dynamic", "output_feedback-dynamic",
 
 
 def stage_psi(view, h: int, flow) -> np.ndarray:
-    """psi at the half ticks h to h + 2 of an all-live view, (3, 2, m, N),
-    from one stacked matmul and one average: the view's stage_psi that the
-    oscillator law's step read before the period block."""
+    """psi at the half ticks h to h + 2 of a one-tick view, (3, 2, m, N),
+    from one stacked matmul and one average, a waiting follower's psi its
+    fallback position and 0: the view's stage_psi that the oscillator
+    law's step read before the period block."""
     half = np.arange(h, h + 3)
     y = np.matmul(flow.table[half - view.send_half[:, None]],
                   view.msg[:, None, :, None])         # (E, 3, 2N, 1)
-    avg = view._live_average(y.reshape(len(y), -1))
-    return avg.reshape(-1, 3, 2, view.N).transpose(1, 2, 0, 3)
+    avg = view._live_average(y.reshape(len(y), 6 * view.N))
+    psi = np.zeros((3, 2, view.m, view.N))
+    psi[:, 0] = view.p_fallback
+    psi[:, :, view.live] = avg.reshape(len(avg), 3, 2, view.N).transpose(
+        1, 2, 0, 3)
+    return psi
+
+
+def rows_of(law, k: int) -> list:
+    return [k, law.K + 1 + k, 2 * law.K + 2 + k]
 
 
 def sources_oracle(block, k: int, view) -> np.ndarray:
-    """Step k's sources from the view of tick k, as the laws built them
-    before the period block, in the block's layout: psi's stage_psi for
-    the oscillator; for the double integrators the stacked vartheta_avg at
-    the three stage times, vhat_avg held and the leader rows, one stage
-    after the other; the cascade's held p_avg."""
+    """Step k's sources from the view of tick k in the block's layout:
+    psi's stage_psi for the oscillator; for the double integrators the
+    stacked vartheta_avg at the three stage times, vhat_avg held and the
+    leader rows, one stage after the other; the cascade's held p_avg."""
     law = getattr(block, "__self__", None)
     if law is None:
         return view.p_avg()
     if isinstance(law, OscillatorLaw):
         return stage_psi(view, 2 * k, law.flow).ravel()
-    rows = [k, law.K + 1 + k, 2 * law.K + 1 + k]
+    rows = rows_of(law, k)
     theta = view.vartheta_avg(np.array([law.times[r] for r in rows])[
         :, None, None])
-    return np.concatenate([np.r_[th.ravel(), view.vhat_avg(None).ravel(),
+    return np.concatenate([np.r_[th.ravel(), view.vhat_avg().ravel(),
                                  law.leaders[r]]
                            for th, r in zip(theta, rows)])
 
@@ -106,8 +115,9 @@ def recorded_run(name: str, settings_, comm=None, t_end=None, cut=False):
 
 
 def periods(eng) -> list:
-    in_edges = [np.flatnonzero(eng.dst == i) for i in range(eng.m)]
-    return periods_oracle(eng.used_seq, eng.steps_per_T, in_edges)
+    """(k0, hi) of every period: its ticks k0..hi - 1, up to K."""
+    spT = eng.steps_per_T
+    return [(k0, min(k0 + spT, eng.K + 1)) for k0 in range(0, eng.K + 1, spT)]
 
 
 def random_comm(dt, spT, extra, drop_prob, delay_frac, seed) -> CommConfig:
@@ -125,12 +135,11 @@ COMMS = (st.integers(10, 30), st.integers(0, 60), st.floats(0.0, 0.95),
 def assert_blocks_equal_the_oracle(eng, block, states):
     """Every row of every period's block equals the oracle on the view of
     its tick, to the bit."""
-    for _, lo, hi in periods(eng):
+    for lo, hi in periods(eng):
         rows = block(lo, eng.view(lo, hi, states))
         assert len(rows) == hi - lo
         for k in range(lo, hi):
             view = eng.view(k, k + 1, states)
-            assert view.all_live
             assert np.array_equal(np.ravel(rows[k - lo]),
                                   np.ravel(sources_oracle(block, k, view)))
 
@@ -149,21 +158,20 @@ def test_block_rows_equal_the_per_view_sources(name, settings_, spT, extra,
 
 @pytest.mark.parametrize("name, settings_", CASES, ids=IDS)
 def test_block_rows_at_the_edges_of_the_run(name, settings_):
-    # The bundled comm at seed 3, 605 ticks: a period that straddles the
-    # first tick at which every follower holds a message, periods with
-    # several mailbox changes, and a partial last period whose last tick
-    # is K.
+    # The bundled comm at seed 3, 605 ticks: a first period with no
+    # message, a period that straddles the first tick at which every
+    # follower holds a message, periods with several mailbox changes, and
+    # a partial last period whose last tick is K.
     eng, block, states = recorded_run(
         name, settings_, 3, 6.05 if settings_ is not None else 15.125)
     K, spT, used = eng.K, eng.steps_per_T, eng.used_seq
     spans = periods(eng)
-    k0, lo, _ = spans[0]
-    assert k0 < lo == eng.live_from
+    assert (used[0] < 0).all() and 0 < eng.first.max() % spT
     changes = [np.any(used[lo + 1:hi] != used[lo:hi - 1], axis=1).sum()
-               for _, lo, hi in spans]
+               for lo, hi in spans]
     assert max(changes) >= 2
-    k0, _, hi = spans[-1]
-    assert k0 == K - K % spT and 1 < K - k0 < spT - 1 and hi == K
+    k0, hi = spans[-1]
+    assert k0 == K - K % spT and 1 < K - k0 < spT - 1 and hi == K + 1
     assert_blocks_equal_the_oracle(eng, block, states)
 
 
@@ -181,13 +189,12 @@ def test_block_reads_only_recorded_rows(name, settings_, spT, extra,
         name, settings_, random_comm(dt, spT, extra, drop_prob, delay_frac,
                                      seed), 120 * dt + 5 * dt, cut=True)
     states = np.random.default_rng(seed).normal(size=shape)
-    assert periods(eng)         # every follower holds a message from T* on
-    for k0, lo, hi in periods(eng):
+    for k0, hi in periods(eng):
         poisoned = states.copy()
         poisoned[k0 + 1:] = np.nan
-        rows = np.asarray(block(lo, eng.view(lo, hi, poisoned)))
+        rows = np.asarray(block(k0, eng.view(k0, hi, poisoned)))
         assert np.isfinite(rows).all()
-        assert np.array_equal(rows, block(lo, eng.view(lo, hi, states)))
+        assert np.array_equal(rows, block(k0, eng.view(k0, hi, states)))
 
 
 @settings(max_examples=12, deadline=None)
@@ -196,18 +203,21 @@ def test_nonlinear_step_on_a_block_row_equals_its_step_on_the_view(
         spT, extra, drop_prob, delay_frac, seed):
     # nonlinear_vs has no step operator: on a block row it runs RK4 over
     # deriv on the row's three stage slices, which must give, bit for bit,
-    # its step on the view of the tick, and the state the run recorded.
+    # RK4 over deriv on the sources of the view of the tick, warm-up ticks
+    # included, and the state the run recorded.
     eng, block, states = recorded_run(
         "benchmark_nonlinear", {}, random_comm(0.01, spT, extra, drop_prob,
                                                delay_frac, seed), 1.25)
     law = block.__self__
-    assert periods(eng)
-    for _, lo, hi in periods(eng):
+    on_view = rk4(lambda r, y, u: law.deriv(r, y, u[r]), eng.K, eng.dt)
+    for lo, hi in periods(eng):
         rows = block(lo, eng.view(lo, hi, states))
         for k in range(lo, hi):
+            u = sources_oracle(block, k, eng.view(k, k + 1, states))
             (y, gamma), (y_view, gamma_view) = (
-                law.step(k, states[k], rows[k - lo], None),
-                law.step(k, states[k], None, eng.view(k, k + 1, states)))
+                law.step(k, states[k], rows[k - lo]),
+                on_view(k, states[k], dict(zip(rows_of(law, k),
+                                               u.reshape(3, -1)))))
             assert np.array_equal(y, y_view)
             assert np.array_equal(gamma, gamma_view)
-            assert np.array_equal(y, states[k + 1])
+            assert k == eng.K or np.array_equal(y, states[k + 1])

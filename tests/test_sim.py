@@ -354,6 +354,17 @@ class TestRunLoop:
         with pytest.raises(ScenarioError, match="one leader index per leader"):
             tiny_scenario(leaders=leaders).validate()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["p0", "v0", "v_d"])
+    def test_non_finite_initial_states_name_the_array(self, field, value):
+        # From the Python API: caught by validate, not as a DivergenceError
+        # at t = dt.
+        scen = tiny_scenario()              # known_vd, with v_d
+        x = np.array(getattr(scen, field), dtype=float)
+        x.flat[-1] = value
+        with pytest.raises(ScenarioError, match=f"^{field} must be finite"):
+            sim.run(dataclasses.replace(scen, **{field: x}))
+
     def test_horizon_off_the_step_grid_rejected(self):
         with pytest.raises(ScenarioError,
                            match=r"dt must divide sim\.t_end_seconds"):
