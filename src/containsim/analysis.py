@@ -7,9 +7,10 @@ lags fed by that average.  ``simulate_cascades`` runs configs that share
 topology, signals and time grid as one run of the engine of ``sim.run``
 over disjoint copies, each copy's trace equal to its run alone; a step is
 one product with RK4's step operator (``control.rk4_operator``), on the
-held neighbour average from its period's block.  Bounds
-of exponential-plus-sup form on the deviation from the leader convex
-combination, and the gain / blackout sweeps, certify robustness trends.
+held neighbour average from its period's block and the signals at its
+tick's stage times.  Bounds of exponential-plus-sup form on the deviation
+from the leader convex combination, and the gain / blackout sweeps,
+certify robustness trends.
 """
 from __future__ import annotations
 
@@ -256,25 +257,25 @@ def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
     agent = np.r_[np.arange(Bn), np.arange(Bm).repeat(sigma)][:, None] * N
     out, cols, coef = rk4_operator(out, cols, coef, (agent + np.arange(
         N)).ravel(), width, cfg.dt)
-    # The signals on every stage row: phi1, the drives, phi2.
+    # The signals at every tick's stage times: phi1, the drives, phi2.
     times = stage_times(K, cfg.dt)
-    sig = np.stack([np.broadcast_to(p.value(times), (len(times), N)) for p in
-                    (cfg.phi1, *cfg.leader_drive,
-                     *(cfg.phi2 or [Perturbation()] * sigma))], axis=1)
+    sig = np.stack([np.broadcast_to(p.value(times), times.shape + (N,))
+                    for p in (cfg.phi1, *cfg.leader_drive,
+                              *(cfg.phi2 or [Perturbation()] * sigma))], 2)
 
     def step(k, y, eps):        # y at tick k + 1, eps at tick k
-        u = np.concatenate((np.tile(eps.ravel(), (3, 1)), sig[
-            [k, K + 1 + k, 2 * K + 2 + k]].reshape(3, -1)), axis=1)
+        u = np.concatenate((np.tile(eps.ravel(), (3, 1)),
+                            sig[k].reshape(3, -1)), axis=1)
         x = np.concatenate((y.ravel(), u.ravel())).take(cols) * coef
         return np.bincount(out, x, y.size).reshape(y.shape), eps
 
     states, eps = eng.run(y0, step, (("eta", Bn, 1), ("zeta", Bm, sigma)),
                           lambda lo, g: g.p_avg().reshape(-1, Bm, N))
 
-    deta_c = W @ sig[:K + 1, 1:n_lead + 1]
+    deta_c = W @ sig[:, 0, 1:n_lead + 1]
     deta_c.flags.writeable = False
-    phi1_vals = np.broadcast_to(sig[:K + 1, None, 0].copy(), (K + 1, m, N))
-    phi2_vals = np.broadcast_to(sig[:K + 1, None, n_lead + 1:].copy(),
+    phi1_vals = np.broadcast_to(sig[:, 0, None, 0].copy(), (K + 1, m, N))
+    phi2_vals = np.broadcast_to(sig[:, 0, None, n_lead + 1:].copy(),
                                 (K + 1, m, sigma, N))
     zeta = states[:, Bn:].reshape(K + 1, Bm, sigma, N)
     eta_c = W @ states[:, Bm:Bn].reshape(K + 1, B, n_lead, N)

@@ -5,8 +5,8 @@ and ``NonlinearVSController`` (the first plus two nonlinear terms), picked
 by ``make_controller``; each lists its generator's terms for the one base
 ``Law``.  ``start`` binds a law to a run; then ``block(lo, view)`` is the
 step sources at each tick of a period, ``step(k, y, row)`` the engine's
-step and ``deriv(row, y, u)`` the flat state's derivative and the control
-input at a stage row.  The internals ``names`` are m-row blocks after p
+step and ``deriv(k, y, u)`` the flat state's derivative and the control
+input at a stage of tick k.  The internals ``names`` are m-row blocks after p
 and v; block 0 is vhat, the velocity estimate a follower sends.
 Neighbours enter through weighted averages over the delivered in-edges;
 until one has delivered, a follower's position reference is its initial
@@ -175,9 +175,12 @@ class NeighborView:
 
     def vartheta_avg(self, t) -> np.ndarray:
         """Weighted average of the extrapolated positions at t, c0 + t c1:
-        vartheta is affine in t; t broadcasts against (..., rows, 1)."""
+        vartheta is affine in t; t is one time, or one per tick on its last
+        axis, row i's tick i // len(p_fallback)."""
         c0, c1 = self._affine()
-        t = np.multiply(t, np.ones((self.m, 1)))[..., self._rows, :]
+        if np.ndim(t):
+            t = np.asarray(t)[..., np.arange(self.m)[self._rows]
+                              // len(self.p_fallback), None]
         theta = c0 + t * c1
         theta.flags.writeable = False
         return self._with_fallback(theta, self.p_fallback)
@@ -199,15 +202,15 @@ class NeighborView:
                                    .transpose(1, 2, 0, 3), fallback[:, None])
 
 
-def rk4_step(rhs, mid, end, h: float, y: np.ndarray, u, k1: np.ndarray):
-    """One classical RK4 step of dy/dt = rhs(row, y, u)[0] with u held, its
-    midpoint and end at the rows mid and end, k1 = rhs(start, y, u)[0]
-    given.  Sums accumulate in place in the order of y + h / 6 * (k1 + 2 k2
-    + 2 k3 + k4); rhs keeps no input, returns new arrays."""
+def rk4_step(rhs, h: float, y: np.ndarray, u, k1: np.ndarray):
+    """One classical RK4 step of dy/dt = rhs(s, y, u)[0] with u held, at
+    its stages s: 1 the midpoint, 2 the end; k1 = rhs(0, y, u)[0] given.
+    Sums accumulate in place in the order of y + h / 6 * (k1 + 2 k2 + 2 k3
+    + k4); rhs keeps no input, returns new arrays."""
     z = np.multiply(k1, h / 2)
-    k2, _ = rhs(mid, np.add(z, y, out=z), u)
-    k3, _ = rhs(mid, np.add(np.multiply(k2, h / 2, out=z), y, out=z), u)
-    k4, _ = rhs(end, np.add(np.multiply(k3, h, out=z), y, out=z), u)
+    k2, _ = rhs(1, np.add(z, y, out=z), u)
+    k3, _ = rhs(1, np.add(np.multiply(k2, h / 2, out=z), y, out=z), u)
+    k4, _ = rhs(2, np.add(np.multiply(k3, h, out=z), y, out=z), u)
     k2 *= 2
     for term in (k1, np.multiply(k3, 2, out=k3), k4):
         k2 += term
@@ -255,15 +258,15 @@ class Law:
 
     Internals start at zero but psi, eta1, eta2 (p0) and a given v_d
     (vhat).  ``start`` binds the law to a run of n agents at the step dt,
-    with each stage row's time, each follower's first delivery tick and
-    the stage rows' leader accelerations, and builds the generator [A | B]
-    on [y; u], the flat state then the sources (two (m, N) blocks of
-    neighbour averages and the leaders' accelerations), and its waiting
-    form, where u1 reads the follower's own vhat.  deriv is one take,
-    product and np.bincount over the entries, gamma the terms listed under
-    "gamma", the blocks ``extra`` m-row outputs after y's.  A step is one
-    such product with the step of ``rk4_operator`` and gamma's rows if the
-    law has no extra outputs, else RK4 over deriv."""
+    with the (K + 1, 3) stage times and leader accelerations and each
+    follower's first delivery tick, and builds the generator [A | B] on
+    [y; u], the flat state then the sources (two (m, N) blocks of
+    neighbour averages and the leaders' accelerations), live and waiting
+    (u1 reads the follower's own vhat).  deriv is one take, product and
+    np.bincount over the entries, gamma the terms listed under "gamma",
+    the blocks ``extra`` m-row outputs after y's.  A step is such a
+    product with the step of ``rk4_operator`` and gamma's rows if the law
+    has no extra outputs, else RK4 over deriv."""
 
     v_d, extra = None, ()
 
@@ -278,7 +281,7 @@ class Law:
               leaders: np.ndarray) -> None:
         self.n, self.dt, self.times = n, dt, times
         m, N, nb = self.gains.m, self.N, len(self.names) + 2
-        self.K, rows = len(times) // 3 - 1, 2 * n + (nb - 2) * m
+        rows = 2 * n + (nb - 2) * m
         at = dict(p=0, v=n, gamma=n, vL=n + m, u0=rows, u1=rows + m,
                   lead=rows + 2 * m, **{x: 2 * n + i * m
                                         for i, x in enumerate(self.names)},
@@ -290,67 +293,62 @@ class Law:
             parts.append(np.broadcast_arrays((at[o] + a) * N + c, (
                 at[i] + a) * N + d, (at["vhat" if i == "u1" else i] + a) * N
                 + d, np.reshape(scale, (-1, 1)) * M[c, d], o == "gamma"))
-        self.out, self.cols, waiting, self.coef, gamma = (np.concatenate(
+        out, cols, waiting, coef, gamma = (np.concatenate(
             [x.ravel() for x in part]) for part in zip(*parts))
-        self.gamma = np.flatnonzero(gamma)
-        self.gamma_out = self.out[self.gamma] - n * N
-        self.leaders = leaders.reshape(len(leaders), -1)
-        self.size = (rows + len(self.extra) * m) * N
-        # Each row's follower (m for a leader's): p, v, the internals, then
-        # the extra outputs or, in a step, gamma.
-        agent = np.r_[np.tile(np.arange(n), 2), np.tile(np.arange(m), nb - 1)]
-        owner = np.minimum(agent, m)
-        # The followers still waiting for a message at each liveness
-        # pattern first <= k, each tick's pattern, and each tick's columns.
-        ticks = np.unique(first[first <= self.K])
-        waits = [np.r_[first > t, False] for t in np.r_[-1, ticks]]
-        pattern = np.searchsorted(ticks, np.arange(self.K + 1), "right")
-        gen = owner[self.out // N]
-        by_wait = [np.where(w[gen], waiting, self.cols) for w in waits]
-        self._cols = [by_wait[i] for i in pattern]
-        if self.extra:
-            return
-        # Each form's step operator, then gamma's rows (gamma reads u at the
-        # start); a waiting follower's rows take all entries of the waiting
-        # form, in order, the others those of the live form.
-        forms = []
-        for cols in (self.cols, waiting):
-            out, c, coef = rk4_operator(
-                self.out, cols, self.coef, agent[:rows].repeat(N),
-                2 * m * N + self.leaders.shape[1], dt)
-            out = np.r_[out, self.size + self.gamma_out]
-            forms.append((out, np.r_[c, cols[self.gamma]],
-                          np.r_[coef, self.coef[self.gamma]], owner[out // N]))
-        (*live, a), (*late, b) = forms
-        by_wait = [[np.concatenate((x[k], z[j])) for x, z in zip(live, late)]
-                   for k, j in ((~w[a], w[b]) for w in waits)]
-        self._steps = [by_wait[i] for i in pattern]
+        gamma = np.flatnonzero(gamma)
+        self.leaders = leaders.reshape(leaders.shape[:2] + (-1,))
+        self.outs = rows + len(self.extra) * m
+        # Each output row's follower (m for a leader's): p, v, the
+        # internals, the extra outputs, then gamma; and its entries' first
+        # delivery tick (a leader's 0).
+        agent = np.r_[np.tile(np.arange(n), 2),
+                      np.tile(np.arange(m), nb - 1 + len(self.extra))]
+        self.first = np.r_[first, 0][np.minimum(agent, m)].repeat(N)
+        self.live_from = int(first.max())
+        # The live form, then the waiting one: the generator and, without
+        # extra outputs, RK4's step operator, each with gamma's rows (gamma
+        # reads u at the start) after the outs rows.
+        self.gen, self.ops = [], []
+        for c in (cols, waiting):
+            g = self.outs * N + out[gamma] - n * N, c[gamma], coef[gamma]
+            self.gen.append([np.r_[x, z] for x, z in zip((out, c, coef), g)])
+            if not self.extra:
+                op = rk4_operator(out, c, coef, agent[:rows].repeat(N),
+                                  2 * m * N + self.leaders.shape[2], dt)
+                self.ops.append([np.r_[x, z] for x, z in zip(op, g)])
 
-    def deriv(self, row: int, y: np.ndarray, u: np.ndarray):
-        """(dy, gamma) at the stage row from its sources u, at the liveness
-        pattern of its tick; dy's extra output rows after y's."""
-        prod = np.concatenate((y.ravel(), u)).take(
-            self._cols[row % (self.K + 1)])
-        prod *= self.coef
-        dy = np.bincount(self.out, prod, self.size).reshape(-1, self.N)
-        return dy, np.bincount(self.gamma_out, prod[self.gamma],
-                               self.gains.m * self.N).reshape(-1, self.N)
+    def _product(self, forms, k: int, y: np.ndarray, u: np.ndarray):
+        """The outs rows and gamma of [y; u]'s product with the live form,
+        rows waiting at tick k from the waiting one's; a row sums its
+        form's entries in order."""
+        x = np.concatenate((y.ravel(), u))
+        out, cols, coef = forms[0]
+        z = x.take(cols)
+        z *= coef
+        z = np.bincount(out, z, len(self.first))
+        if k < self.live_from:
+            out, cols, coef = forms[1]
+            w = x.take(cols)
+            w *= coef
+            z = np.where(self.first > k, np.bincount(out, w, len(z)), z)
+        z = z.reshape(-1, self.N)
+        return z[:self.outs], z[self.outs:]
+
+    def deriv(self, k: int, y: np.ndarray, u: np.ndarray):
+        """(dy, gamma) at a stage of tick k from its sources u; dy's extra
+        output rows after y's."""
+        return self._product(self.gen, k, y, u)
 
     def step(self, k: int, y: np.ndarray, row: np.ndarray):
         """(y at tick k + 1, gamma at tick k) from tick k's block row: one
-        product with its pattern's step operator, or classical RK4 over
-        deriv on engine.stage_times' rows, the row's stage slices held."""
+        product with the step operator, or classical RK4 over deriv on the
+        row's three stage slices, held."""
         if not self.extra:
-            out, cols, coef = self._steps[k]
-            x = np.concatenate((y.ravel(), row)).take(cols)
-            x *= coef
-            z = np.bincount(out, x, y.size + self.gains.m * self.N)
-            return z[:y.size].reshape(y.shape), z[y.size:].reshape(-1, self.N)
-        rows = (k, self.K + 1 + k, 2 * self.K + 2 + k)
-        u = dict(zip(rows, row.reshape(3, -1)))
-        dy, out = self.deriv(k, y, u[k])
-        return rk4_step(lambda r, z, u: self.deriv(r, z, u[r]), *rows[1:],
-                        self.dt, y, u, dy), out
+            return self._product(self.ops, k, y, row)
+        u = row.reshape(3, -1)
+        dy, out = self.deriv(k, y, u[0])
+        return rk4_step(lambda s, z, u: self.deriv(k, z, u[s]), self.dt, y,
+                        u, dy), out
 
 
 class DoubleIntegratorLaw(Law):
@@ -389,16 +387,14 @@ class DoubleIntegratorLaw(Law):
             if o in self.names + ("gamma",) for i, s in terms]
 
     def block(self, lo: int, view: NeighborView) -> np.ndarray:
-        """x's sources at each tick: at each stage row, vartheta_avg at its
-        time, vhat_avg (held) and the leader row."""
-        m, K = self.gains.m, self.K
-        H = view.m // m             # each tick's start, midpoint, end rows
-        rows = np.arange(lo, lo + H)[:, None] + [0, K + 1, 2 * K + 2]
-        theta = view.vartheta_avg(self.times[rows].T.repeat(m, 1)[..., None])
+        """x's sources at each tick: at each of its stages, vartheta_avg at
+        its time, vhat_avg (held) and the leader row."""
+        m, H = self.gains.m, view.m // self.gains.m
+        theta = view.vartheta_avg(self.times[lo:lo + H].T)
         return np.concatenate((
             theta.reshape(3, H, -1).transpose(1, 0, 2), np.broadcast_to(
                 view.vhat_avg().reshape(H, 1, -1), (H, 3, m * self.N)),
-            self.leaders[rows]), axis=2).reshape(H, -1)
+            self.leaders[lo:lo + H]), axis=2).reshape(H, -1)
 
 
 class NonlinearVSController(DoubleIntegratorLaw):

@@ -11,7 +11,8 @@ during a sampling period was sent by its first tick, when one view of them
 all feeds the caller's sources, one row per tick, warm-up ticks and K
 included.  The caller's step advances the (rows, N) state a tick from its
 row: one product with RK4's step operator (``control.rk4_operator``), or
-RK4 (``control.rk4_step``) for a law with nonlinear terms.
+RK4 (``control.rk4_step``) for a law with nonlinear terms; signals are
+tabulated at ``stage_times``, one row of three per tick.
 """
 from __future__ import annotations
 
@@ -56,11 +57,11 @@ def _divergence(t: float, y, prev, watch, rows) -> DivergenceError:
 
 
 def stage_times(K: int, dt: float) -> np.ndarray:
-    """The time of every stage row over ticks 0..K: row k is k * dt, step
-    k's start; rows K + 1 + k and 2K + 2 + k its midpoint k * dt + dt / 2
-    and end k * dt + dt (not always (k + 1) * dt)."""
-    t = np.arange(K + 1) * dt
-    return np.concatenate((t, t + dt / 2, t + dt))
+    """The (K + 1, 3) stage times of ticks 0..K: row k holds step k's start
+    k * dt, midpoint k * dt + dt / 2 and end k * dt + dt (not always (k +
+    1) * dt)."""
+    t = np.arange(K + 1)[:, None] * dt
+    return np.hstack((t, t + dt / 2, t + dt))
 
 
 class Engine:
@@ -132,7 +133,7 @@ class Engine:
 
     def stage_lags(self) -> np.ndarray:
         """The distinct ages h - 2 steps_per_T seq, in half steps, of the
-        messages in use at every stage row's half tick h (2k to 2k + 2)."""
+        messages in use at tick k's stage half ticks h (2k to 2k + 2)."""
         used = self.used_seq
         age = 2 * (np.arange(self.K + 1)[:, None] - self.steps_per_T * used)
         return np.unique(np.unique(age[used >= 0])[:, None] + np.arange(3))

@@ -252,7 +252,7 @@ def run(scen: Scenario,
     times = stage_times(K, dt)
     if model.kind == "oscillator":
         ctrl.flow.tabulate(eng.stage_lags(), dt)
-    leaders = np.empty((len(times), 0, N)) if scen.leaders is None \
+    leaders = np.empty(times.shape + (0, N)) if scen.leaders is None \
         else scen.leaders.accel(times)   # the oscillator's move freely
     ctrl.start(n, dt, times, eng.first, leaders)
     states, gamma = eng.run(

@@ -37,8 +37,8 @@ class DirectedTopology:
             raise TopologyError(f"need 0 < m < n, got m={self.m}, n={self.n}")
         if w.shape != (self.n, self.n):
             raise TopologyError(f"weights must be {self.n}x{self.n}, got {w.shape}")
-        if np.any(w < 0):
-            raise TopologyError("edge weights must be nonnegative")
+        if not np.all((w >= 0) & (w < np.inf)):     # NaN fails too
+            raise TopologyError("edge weights must be finite and nonnegative")
         if np.any(np.diag(w) != 0):
             raise TopologyError("self loops are not allowed")
         if np.any(w[self.m:, :] != 0):

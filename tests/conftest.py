@@ -116,12 +116,14 @@ def follower_rhs(model, p: np.ndarray, v: np.ndarray,
     return v, p @ model.S1.T + v @ model.S2.T + gamma
 
 
-def rk4(rhs, K: int, h: float):
-    """step(k, y, u) -> (y at tick k + 1, out at tick k): RK4 over rhs(row,
-    y, u) -> (dy, out) on engine.stage_times(K, h), u held."""
+def rk4(rhs, h: float):
+    """step(k, y, u) -> (y at tick k + 1, out at tick k): RK4 over rhs((k,
+    s), y, u) -> (dy, out) at stage s of tick k, engine.stage_times(K,
+    h)[k, s], u held."""
     def step(k: int, y: np.ndarray, u):
-        dy, out = rhs(k, y, u)
-        return rk4_step(rhs, K + 1 + k, 2 * K + 2 + k, h, y, u, dy), out
+        dy, out = rhs((k, 0), y, u)
+        return rk4_step(lambda s, z, u: rhs((k, s), z, u), h, y, u,
+                        dy), out
     return step
 
 
@@ -129,7 +131,7 @@ def run_on_views(eng, y: np.ndarray, rhs, watch=()):
     """eng.run with classical RK4 over rhs(row, y, view) at every tick, on
     the view of the tick built from the states the steps were given (the
     engine's blocks are the ticks' offsets)."""
-    states, step = np.empty((eng.K + 1,) + y.shape), rk4(rhs, eng.K, eng.dt)
+    states, step = np.empty((eng.K + 1,) + y.shape), rk4(rhs, eng.dt)
 
     def on_view(k, y, _):
         states[k] = y

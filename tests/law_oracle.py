@@ -134,15 +134,16 @@ def closed_loop_oracle(law, model, n: int, t: float, h: int, y: np.ndarray,
 def stage(ctrl, view, t: float, h: int, y: np.ndarray, lead=None):
     """ctrl's (dy, gamma) for the agents of the flat state y at time t and
     half tick h, from the block of the view at tick h // 2: a run whose
-    stage rows are all at t, K = h // 2, and whose followers are live at
+    stage times are all t, K = h // 2, and whose followers are live at
     tick 0 if the view has a message for them, else never; lead holds the
     leaders' accelerations for double integrators, (n - m, N), zero by
     default (oscillator leaders move freely)."""
     m, N = view.m, view.N
     n = (len(y) - len(ctrl.names) * m) // 2
     lead = np.zeros((n - m, N)) if lead is None else lead
-    (K, j), rows = divmod(h, 2), 3 * (h // 2 + 1)
-    lead = lead[None, :0 if isinstance(ctrl, OscillatorLaw) else None]
-    ctrl.start(n, 0.01, np.full(rows, t), np.where(view.live, 0, K + 1),
-               np.broadcast_to(lead, (rows,) + lead.shape[1:]))
+    K, j = divmod(h, 2)
+    lead = lead[None, None, :0 if isinstance(ctrl, OscillatorLaw) else None]
+    ctrl.start(n, 0.01, np.full((K + 1, 3), t),
+               np.where(view.live, 0, K + 1),
+               np.broadcast_to(lead, (K + 1, 3) + lead.shape[2:]))
     return ctrl.deriv(K, y, ctrl.block(K, view)[0].reshape(3, -1)[j])

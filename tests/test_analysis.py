@@ -66,8 +66,8 @@ def simulate_cascade_oracle(cfg: CascadeConfig, seed: int | None = None,
     def split(y):
         return y[:topo.n], y[topo.n:].reshape(m, cfg.sigma, N)
 
-    def rhs(row, y, view):
-        t = times[row]
+    def rhs(stage, y, view):
+        t = times[stage[0]][stage[1]]
         eps = view.p_avg()
         eta_s, zeta_s = split(y)
         phi1_v = broadcast(cfg.phi1.value(t))
@@ -233,14 +233,15 @@ class TestPerturbation:
         times = stage_times(2400, 0.025)
         table = p.value(times)
         assert table.shape == times.shape + p.amplitude.shape
-        for t, row in zip(times.tolist(), table):
+        for t, row in zip(times.ravel().tolist(),
+                          table.reshape((-1,) + p.amplitude.shape)):
             assert np.array_equal(row, perturbation_value_oracle(p, t))
             assert np.array_equal(row, p.value(t))
 
     def test_stage_times_are_the_times_rhs_sees(self):
-        # rhs sees rows of stage_times: step k starts at row k, its
-        # midpoint (stages 2 and 3) is row K + 1 + k and its end row
-        # 2K + 2 + k, at k * dt + dt / 2 and k * dt + dt, tick K too.  On
+        # rhs sees the stages of stage_times' row k: step k starts at
+        # stage 0, its midpoint (RK4's stages 2 and 3) is stage 1 and its
+        # end stage 2, at k * dt + dt / 2 and k * dt + dt, tick K too.  On
         # this grid k*dt + dt differs from (k+1)*dt at 645 of 2400 ticks.
         cfg = single_follower_cfg(dt=0.025, t_end=60.0)
         sched = generate_schedule((1, 0), cfg.comm, cfg.t_end, cfg.dt)
@@ -248,20 +249,19 @@ class TestPerturbation:
                      cfg.t_end, np.arange(2)[:, None])
         seen = []
 
-        def rhs(row, y, u):
-            seen.append(row)
+        def rhs(stage, y, u):
+            seen.append(stage)
             return np.zeros_like(y), 0.0
 
         K = eng.K
         run_on_views(eng, cfg.eta0, rhs)
-        assert seen == [r for k in range(K + 1) for r in
-                        (k, K + 1 + k, K + 1 + k, 2 * K + 2 + k)]
+        assert seen == [(k, s) for k in range(K + 1) for s in (0, 1, 1, 2)]
         times = stage_times(K, cfg.dt).tolist()
-        assert [times[r] for r in seen] == [
+        assert [times[k][s] for k, s in seen] == [
             t for t in (k * cfg.dt for k in range(K + 1))
             for t in (t, t + cfg.dt / 2, t + cfg.dt / 2, t + cfg.dt)]
-        assert times[K] == K * cfg.dt
-        assert sum(times[2 * K + 2 + k] != (k + 1) * cfg.dt
+        assert times[K][0] == K * cfg.dt
+        assert sum(times[k][2] != (k + 1) * cfg.dt
                    for k in range(K)) == 645
 
 
@@ -507,18 +507,18 @@ class TestBatch:
 
     def test_a_step_reads_the_signal_rows_of_its_stages(self):
         # A leader's eta' is its drive d alone, so step k moves it by
-        # dt / 6 (d0 + 4 dm + d1), the drive at the stage rows k, K + 1 + k
-        # and 2K + 2 + k of stage_times.  Reading any of them one row off
-        # moves a leader by about dt^2 / 6 |d'| ~ 1e-4 in some step.
+        # dt / 6 (d0 + 4 dm + d1), the drive at the stages of row k of
+        # stage_times.  Reading any of them one tick off moves a leader by
+        # about dt^2 / 6 |d'| ~ 1e-4 in some step.
         base = bench_cfg(t_end=3.0, **mixed_signals(2))
         cfgs = self.copies(base, [(1.0, 1.0, 1.5, 0.3, 0.85, 0),
                                   (2.0, 0.5, 0.5, 0.9, 0.5, 1)], 7)
         dt, m, N = base.dt, base.topo.m, base.N
         K = round(base.t_end / dt)
         times = stage_times(K, dt)
-        d = np.stack([np.broadcast_to(p.value(times), (len(times), N))
-                      for p in base.leader_drive], axis=1)
-        want = dt / 6 * (d[:K] + 4 * d[K + 1:2 * K + 1] + d[2 * K + 2:-1])
+        d = np.stack([np.broadcast_to(p.value(times), times.shape + (N,))
+                      for p in base.leader_drive], axis=2)
+        want = dt / 6 * (d[:K, 0] + 4 * d[:K, 1] + d[:K, 2])
         for tr in simulate_cascades(cfgs):
             lead = tr.eta[:, m:]
             assert np.abs(np.diff(lead, axis=0) - want).max() <= \

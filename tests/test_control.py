@@ -754,7 +754,7 @@ class TestAggregation:
         # stack is the average at one time, fallback rows included.
         view = simple_view()
         times = np.array([0.5, 0.55, 0.6])
-        theta = view.vartheta_avg(times[:, None, None])
+        theta = view.vartheta_avg(times[:, None])
         assert theta.shape == (3, 2, 2)
         for t, layer in zip(times, theta):
             assert np.array_equal(layer, view.vartheta_avg(t))
@@ -1099,10 +1099,11 @@ class TestLawsMatchOracle:
 
 
 class TestStepOperator:
-    """A linear law's step, one product with the step operator of its
-    tick's liveness pattern, against classical RK4 over its deriv
-    (conftest.rk4) on the same block row: every follower live, some still
-    waiting for their first message, or all, at any tick up to K."""
+    """A linear law's step, one product with the live step operator (a
+    waiting follower's rows from the waiting one), against classical RK4
+    over its deriv (conftest.rk4) on the same block row: every follower
+    live, some still waiting for their first message, or all, at any tick
+    up to K."""
 
     # The operator sums y+ and gamma in another order than the four stages
     # do.  A pilot of 3000 draws (seeds other than the test's) gave at most
@@ -1139,19 +1140,20 @@ def step_and_rk4(seed, case, s2, m, N, leaders, live, extra, k, K=60):
                           v_d=rng.normal(size=N), use_velocity=use_velocity)
     view = aggregation_view(rng, m, N, live, extra, dt, spT, k)
     times = stage_times(K, dt)
-    rows = [k, K + 1 + k, 2 * K + 2 + k]
     if model is not None:
-        law.flow.tabulate(float_lags(view, times[rows], dt), dt)
-    lead = rng.normal(size=(len(times), 0 if model else leaders, N))
+        law.flow.tabulate(float_lags(view, times[k], dt), dt)
+    lead = rng.normal(size=(3, K + 1, 0 if model else leaders, N)).swapaxes(
+        0, 1)
     law.start(n, dt, times, np.where(view.live, k, K + 1), lead)
     y = rng.normal(size=(2 * n + len(law.names) * m, N))
     row = law.block(k, view)[0]
-    want = rk4(lambda r, z, u: law.deriv(r, z, u[r]), K, dt)(
-        k, y, dict(zip(rows, row.reshape(3, -1))))
+    want = rk4(lambda ks, z, u: law.deriv(ks[0], z, u[ks[1]]), dt)(
+        k, y, row.reshape(3, -1))
     gain = max([1.0] + [np.abs(getattr(gains, g)).max() for g in (
         "k_p", "k_d", "L_p", "k_psi", "k_phi")] + (
             [np.abs(model.S1).max(), np.abs(model.S2).max()]
             if model else []))
     scale = gain * max(1.0, np.abs(y).max(), np.abs(lead).max(
-        initial=0.0), (1.0 + times[-1]) * np.abs(view.msg).max(initial=0.0))
+        initial=0.0), (1.0 + times[-1, 2]) * np.abs(view.msg).max(
+            initial=0.0))
     return law.step(k, y, row), want, scale

@@ -89,8 +89,9 @@ class TestLeaderTrajectories:
         assert lead.index.tolist() == [7, 8, 9, 10]
         want = np.array([[leader_accel_oracle(lead.kind, lead.v_d, i, t)
                           for i in lead.index.tolist()]
-                         for t in times.tolist()])
-        assert_bits_equal(lead.accel(times), want)
+                         for t in times.ravel().tolist()])
+        assert_bits_equal(lead.accel(times), want.reshape(times.shape
+                                                          + want.shape[1:]))
 
     def test_accel_matches_velocity_derivative(self):
         # central finite difference of the closed-form velocity

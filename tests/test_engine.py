@@ -42,15 +42,16 @@ def rk4_step_oracle(rhs, t: float, h: float, y: list, u, k1: list) -> list:
        st.integers(0, 2400))
 def test_flat_step_equals_the_step_over_blocks(seed, rows, N, h, k):
     # The same state as one (rows, N) array and as a list of row blocks:
-    # the flat step, given the rows of its midpoint and end, equals the
-    # list-form step that computes t + h / 2 and t + h to the bit, and
+    # the flat step, calling rhs at its stages 1 and 2 (midpoint and end),
+    # equals the list-form step that computes t + h / 2 and t + h to the
+    # bit, and
     # both evaluate the right-hand side at the same stage times.  On the
     # dt = 0.025 grid, k * dt + dt is not always (k + 1) * dt.
     rng = np.random.default_rng(seed)
     y = rng.normal(size=(sum(rows), N))
     u = rng.normal(size=(len(y), len(y)))
     t = k * h
-    times = {"start": t, "mid": t + h / 2, "end": t + h}
+    times = [t, t + h / 2, t + h]
     seen = {"flat": [], "blocks": []}
 
     def rhs(t, y, u, who="flat"):
@@ -61,11 +62,10 @@ def test_flat_step_equals_the_step_over_blocks(seed, rows, N, h, k):
         dy, _ = rhs(t, np.concatenate(ys), u, "blocks")
         return np.split(dy, np.cumsum(rows)[:-1]), None
 
-    def rhs_rows(row, y, u):
-        return rhs(times[row], y, u)
+    def rhs_rows(stage, y, u):
+        return rhs(times[stage], y, u)
 
-    got = rk4_step(rhs_rows, "mid", "end", h, y, u,
-                   rhs_rows("start", y, u)[0])
+    got = rk4_step(rhs_rows, h, y, u, rhs_rows(0, y, u)[0])
     blocks = np.split(y, np.cumsum(rows)[:-1])
     want = rk4_step_oracle(rhs_blocks, t, h, blocks, u,
                            rhs_blocks(t, blocks, u)[0])
@@ -147,7 +147,7 @@ _SHORT_OSCILLATOR["sim"]["t_end_seconds"] = 3.0
        st.floats(0.0, 3.0), st.integers(0, 2**31))
 def test_stage_lags_stay_within_the_blackout_bound(spT, extra, drop_prob,
                                                    delay_frac, seed):
-    # At every stage row of a run, each message in use is 0 to 2 T* half
+    # At every stage of a run, each message in use is 0 to 2 T* half
     # steps old: at half tick h a message of seq s is h - 2 spT s half
     # steps old, and step k reads h = 2k, 2k + 1 and 2k + 2, tick K too.
     # These are exactly the lags oscillator_psi reads from the flow table
@@ -569,7 +569,7 @@ def guard_run(row: int, value: float, watch=GUARD_WATCH):
 
     def rhs(r, y, view):
         dy = np.zeros_like(y)
-        if r == GUARD_STEP:                 # the start of step GUARD_STEP
+        if r == (GUARD_STEP, 0):            # the start of step GUARD_STEP
             dy[row, 0] = value
         return dy, 0.0
     states, _ = run_on_views(eng, y0, rhs, watch)

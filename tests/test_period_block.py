@@ -55,10 +55,6 @@ def stage_psi(view, h: int, flow) -> np.ndarray:
     return psi
 
 
-def rows_of(law, k: int) -> list:
-    return [k, law.K + 1 + k, 2 * law.K + 2 + k]
-
-
 def sources_oracle(block, k: int, view) -> np.ndarray:
     """Step k's sources from the view of tick k in the block's layout:
     psi's stage_psi for the oscillator; for the double integrators the
@@ -69,12 +65,9 @@ def sources_oracle(block, k: int, view) -> np.ndarray:
         return view.p_avg()
     if isinstance(law, OscillatorLaw):
         return stage_psi(view, 2 * k, law.flow).ravel()
-    rows = rows_of(law, k)
-    theta = view.vartheta_avg(np.array([law.times[r] for r in rows])[
-        :, None, None])
-    return np.concatenate([np.r_[th.ravel(), view.vhat_avg().ravel(),
-                                 law.leaders[r]]
-                           for th, r in zip(theta, rows)])
+    theta = view.vartheta_avg(law.times[k][:, None])
+    return np.concatenate([np.r_[th.ravel(), view.vhat_avg().ravel(), lead]
+                           for th, lead in zip(theta, law.leaders[k])])
 
 
 class Cut(Exception):
@@ -209,15 +202,14 @@ def test_nonlinear_step_on_a_block_row_equals_its_step_on_the_view(
         "benchmark_nonlinear", {}, random_comm(0.01, spT, extra, drop_prob,
                                                delay_frac, seed), 1.25)
     law = block.__self__
-    on_view = rk4(lambda r, y, u: law.deriv(r, y, u[r]), eng.K, eng.dt)
+    on_view = rk4(lambda ks, y, u: law.deriv(ks[0], y, u[ks[1]]), eng.dt)
     for lo, hi in periods(eng):
         rows = block(lo, eng.view(lo, hi, states))
         for k in range(lo, hi):
             u = sources_oracle(block, k, eng.view(k, k + 1, states))
             (y, gamma), (y_view, gamma_view) = (
                 law.step(k, states[k], rows[k - lo]),
-                on_view(k, states[k], dict(zip(rows_of(law, k),
-                                               u.reshape(3, -1)))))
+                on_view(k, states[k], u.reshape(3, -1)))
             assert np.array_equal(y, y_view)
             assert np.array_equal(gamma, gamma_view)
             assert k == eng.K or np.array_equal(y, states[k + 1])

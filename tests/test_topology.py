@@ -39,10 +39,13 @@ class TestValidation:
             DirectedTopology(n=3, m=2, weights=w)
 
     def test_rejects_negative_weight(self):
-        w = np.zeros((3, 3))
-        w[0, 2] = -1.0
-        with pytest.raises(TopologyError):
-            DirectedTopology(n=3, m=2, weights=w)
+        # A NaN or infinite weight is rejected too, not run to a NaN error
+        # or a divergence.
+        for weight in (-1.0, np.nan, np.inf, -np.inf):
+            w = np.zeros((3, 3))
+            w[0, 2] = weight
+            with pytest.raises(TopologyError):
+                DirectedTopology(n=3, m=2, weights=w)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(TopologyError):
