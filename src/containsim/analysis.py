@@ -4,13 +4,10 @@ The closed loops here all reduce to one skeleton: leaders drift under an
 exogenous input, each follower tracks a blend of a filter-chain output and
 the sampled neighbour average, and the chain is a string of first-order
 lags fed by that average.  ``simulate_cascades`` runs configs that share
-topology, signals and time grid as one run of the engine of ``sim.run``
-over disjoint copies, each copy's trace equal to its run alone; a step is
-one product with RK4's step operator (``control.rk4_operator``), on the
-held neighbour average from its period's block and the signals at its
-tick's stage times.  Bounds of exponential-plus-sup form on the deviation
-from the leader convex combination, and the gain / blackout sweeps,
-certify robustness trends.
+topology, signals and time grid as one run of ``sim.run``'s engine over
+disjoint copies, each copy's trace equal to its run alone.  Bounds of
+exponential-plus-sup form on the deviation from the leader convex
+combination, and the gain / blackout sweeps, certify robustness trends.
 """
 from __future__ import annotations
 
@@ -211,20 +208,23 @@ def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
     """Integrate a batch of cascade configs as one run; one trace each.
 
     The copies may differ in the fields BATCH_FIELDS names but comm.T.
-    Schedules are drawn from each comm config, or given as one prebuilt set
-    per copy (keyed by exactly the topology's edges, delays on dt's ticks).
-    The sampled average eps, held for each step, is the follower's initial
-    eta until an in-edge delivers.  A diverging row raises
-    ``engine.DivergenceError``."""
+    Schedules are drawn once per distinct comm config, or given as one
+    prebuilt set per copy (keyed by exactly the topology's edges, delays on
+    dt's ticks).  A tick's row holds, per stage, the sampled average eps,
+    held (a follower's initial eta until an in-edge delivers), then the
+    signals; its step is one product with RK4's step operator on [y; row].
+    A diverging row raises ``engine.DivergenceError``."""
     _check_batch(cfgs)
     cfg, B = cfgs[0], len(cfgs)
     topo, N, sigma = cfg.topo, cfg.N, cfg.sigma
     m, n_lead = topo.m, topo.n - topo.m
     Bm, Bn = B * m, B * topo.n
     W = containment_weights(partition(topo))
-    if schedules is None:
-        schedules = [{edge: generate_schedule(edge, c.comm, cfg.t_end, cfg.dt)
-                      for edge in topo.edges()} for c in cfgs]
+    if schedules is None:       # one draw per distinct link process
+        drawn = {comm: {edge: generate_schedule(edge, comm, cfg.t_end, cfg.dt)
+                        for edge in topo.edges()}
+                 for comm in dict.fromkeys(c.comm for c in cfgs)}
+        schedules = [drawn[c.comm] for c in cfgs]
     elif len(schedules) != B:
         raise CascadeError(f"cascade batch: {len(schedules)} schedule sets "
                            f"for {B} configs")
@@ -263,14 +263,19 @@ def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
                     for p in (cfg.phi1, *cfg.leader_drive,
                               *(cfg.phi2 or [Perturbation()] * sigma))], 2)
 
-    def step(k, y, eps):        # y at tick k + 1, eps at tick k
-        u = np.concatenate((np.tile(eps.ravel(), (3, 1)),
-                            sig[k].reshape(3, -1)), axis=1)
-        x = np.concatenate((y.ravel(), u.ravel())).take(cols) * coef
-        return np.bincount(out, x, y.size).reshape(y.shape), eps
+    def block(lo, view):        # per stage, eps (held), then the signals
+        H = view.m // Bm
+        return np.concatenate((np.broadcast_to(view.p_avg().reshape(
+            H, 1, -1), (H, 3, Bm * N)), sig[lo:lo + H].reshape(H, 3, -1)),
+            2).reshape(H, -1)
+
+    def step(k, y, row):        # y at tick k + 1, eps at tick k
+        x = np.concatenate((y.ravel(), row)).take(cols) * coef
+        return np.bincount(out, x, y.size).reshape(y.shape), \
+            row[:Bm * N].reshape(Bm, N)
 
     states, eps = eng.run(y0, step, (("eta", Bn, 1), ("zeta", Bm, sigma)),
-                          lambda lo, g: g.p_avg().reshape(-1, Bm, N))
+                          block)
 
     deta_c = W @ sig[:, 0, 1:n_lead + 1]
     deta_c.flags.writeable = False
@@ -325,8 +330,7 @@ def iss_estimate_check(trace: CascadeTrace,
     n_ups = np.linalg.norm(trace.ups_pert(), axis=3)
     h = np.asarray(cfg.h, float)
     sigma = cfg.sigma
-    # The feeding terms side by side: their running sups from a start
-    # time i0 are one accumulate.
+    # The feeding terms side by side: their sups from i0 are one accumulate.
     feeds = np.concatenate((n_u, n_y, n_zeta, n_ups), axis=2)
     pairs_arr = np.array(pairs, dtype=int).reshape(-1, 2)
     if np.any(pairs_arr[:, 1] < pairs_arr[:, 0]):

@@ -5,14 +5,12 @@ as one union edge list (``topology.union_rows``).  Message seq is sent at
 tick seq * steps_per_T and arrives its delay ticks later; the mailbox is
 one (K + 1, E) int array, the freshest delivered seq per edge after each
 tick (-1 before any).  A message is some of its sender's state rows at its
-send tick, read from the state history (one (K + 1, rows, N) array whose
-slices are the trace fields).  Sends are periodic, so every message in use
-during a sampling period was sent by its first tick, when one view of them
-all feeds the caller's sources, one row per tick, warm-up ticks and K
-included.  The caller's step advances the (rows, N) state a tick from its
-row: one product with RK4's step operator (``control.rk4_operator``), or
-RK4 (``control.rk4_step``) for a law with nonlinear terms; signals are
-tabulated at ``stage_times``, one row of three per tick.
+send tick, read from the (K + 1, rows, N) state history.  Every message in
+use in a sampling period was sent by its first tick: there one view gives
+the caller's sources, a row per tick, and one reduction after its last
+tick checks its states.  A tick is the caller's step on its row (one
+product with RK4's step operator, or RK4 for nonlinear terms) and two row
+writes.
 """
 from __future__ import annotations
 
@@ -41,25 +39,27 @@ class DivergenceError(RuntimeError):
         self.last_norm, self.copy = last_norm, copy
 
 
-def _divergence(t: float, y, prev, watch, rows) -> DivergenceError:
-    """The error naming the first agent and variable out of range in y (prev
-    one step earlier; watch as in Engine.run; rows from union_rows)."""
+def _divergence(ticks, lo: int, dt: float, watch, rows) -> DivergenceError:
+    """The error for the first tick, then agent and variable, out of range
+    in ticks, the watched states from tick lo (rows from union_rows)."""
+    j = int(np.argmin(np.all(np.abs(ticks[1:]) <= DIVERGENCE_LIMIT,
+                             axis=(1, 2))))     # step lo + j left the range
+    y, prev = ticks[j + 1], ticks[j]
     for variable, agents, per_agent in watch:
         a, b = (z[:agents * per_agent].reshape(agents, -1) for z in (y, prev))
         bad = ~np.all(np.abs(a) <= DIVERGENCE_LIMIT, axis=1)
         if bad.any():
             row = int(np.argmax(bad))
             copy, agent = np.argwhere(rows == row)[0].tolist()
-            return DivergenceError(t, agent, variable,
+            return DivergenceError((lo + j) * dt + dt, agent, variable,
                                    float(np.linalg.norm(b[row])),
                                    copy if len(rows) > 1 else None)
         y, prev = y[agents * per_agent:], prev[agents * per_agent:]
 
 
 def stage_times(K: int, dt: float) -> np.ndarray:
-    """The (K + 1, 3) stage times of ticks 0..K: row k holds step k's start
-    k * dt, midpoint k * dt + dt / 2 and end k * dt + dt (not always (k +
-    1) * dt)."""
+    """The (K + 1, 3) stage times of ticks 0..K: row k holds k * dt, k * dt
+    + dt / 2 and k * dt + dt (not always (k + 1) * dt)."""
     t = np.arange(K + 1)[:, None] * dt
     return np.hstack((t, t + dt / 2, t + dt))
 
@@ -162,30 +162,27 @@ class Engine:
                             self.w[e], msg.reshape(-1, at.shape[1] * N), seq,
                             self.T, self.steps_per_T, states[0, :self.m])
 
+    @np.errstate(all="ignore")      # a period steps on past a bad state
     def run(self, y: np.ndarray, step, watch, block):
-        """Integrate from the (rows, N) state y over ticks 0..K: at each
-        tick k, record y (a delay-0 message is read at its send tick), then
-        step(k, y, row) -> (y at tick k + 1, out at tick k), y dropped at
-        K.  At a period's first tick k0, block(k0, view) turns the view of
-        its ticks k0.. up to K into one row per tick: all were sent by k0,
-        so their rows of states are recorded.  watch lists the row blocks
-        that must stay in range as (variable, agents, rows per agent); the
-        first agent out raises DivergenceError against its step-start
-        value.  Returns the (K+1, rows, N) states and outs."""
+        """Integrate from the (rows, N) state y over ticks 0..K: step(k,
+        y, row) -> (y at tick k + 1, dropped at K; out at tick k, (m, N)).
+        At a period's first tick k0, block(k0, view) turns the view of its
+        ticks up to K, all sent by k0, into one row each.  watch lists the
+        row blocks that must stay in range as (variable, agents, rows per
+        agent), checked once a period: the first tick, then agent, out
+        raises DivergenceError.  Returns the (K+1, rows, N) states, outs."""
         K, dt, spT = self.K, self.dt, self.steps_per_T
         watched = sum(agents * per_agent for _, agents, per_agent in watch)
-        states = np.empty((K + 1,) + y.shape)
-        for k in range(K + 1):
-            states[k] = y
-            if k % spT == 0:
-                period = block(k, self.view(k, min(k + spT, K + 1), states))
-            y, out = step(k, y, period[k % spT])
-            if k == 0:
-                outs = np.empty((K + 1,) + np.shape(out))
-            outs[k] = out
-            if k == K:
-                break
+        states = np.empty((K + 2,) + y.shape)     # row K + 1 is dropped
+        outs = np.empty((K + 1, self.m, y.shape[1]))
+        states[0] = y
+        for lo in range(0, K + 1, spT):
+            hi = min(lo + spT, K + 1)
+            period = block(lo, self.view(lo, hi, states))
+            for k in range(lo, hi):
+                states[k + 1], outs[k] = step(k, states[k], period[k - lo])
             # A nan max fails the test too; initial=0 passes an empty watch.
-            if not np.abs(y[:watched]).max(initial=0.0) <= DIVERGENCE_LIMIT:
-                raise _divergence(k * dt + dt, y, states[k], watch, self.rows)
-        return states, outs
+            ticks = states[lo:min(hi, K) + 1, :watched]
+            if not np.abs(ticks[1:]).max(initial=0.0) <= DIVERGENCE_LIMIT:
+                raise _divergence(ticks, lo, dt, watch, self.rows)
+        return states[:K + 1], outs

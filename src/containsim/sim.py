@@ -1,11 +1,9 @@
 """Closed-loop containment runs on the shared sampled-data engine.
 
-``run`` plugs the controller into ``engine.Engine`` (integer ticks, the
-mailbox history ``Trace.used_seq``, one view and block of sources per
-sampling period): it names the state rows each agent sends; the law's
-``block`` and ``step`` are the engine's.  The containment errors of all
-steps come from one product with the weights, their hull distances from
-one ``hull_distance`` call.
+``run`` plugs the controller into ``engine.Engine``: it names the state
+rows each agent sends, and the law's ``block`` and ``step`` are the
+engine's.  The containment errors of all steps come from one product with
+the weights, their hull distances from one ``hull_distance`` call.
 """
 from __future__ import annotations
 
@@ -229,11 +227,10 @@ def run(scen: Scenario,
         schedules: dict[tuple[int, int], LinkSchedule] | None = None
         ) -> Trace:
     """Validate the scenario, then integrate the closed loop at its step
-    ``scen.dt``; deterministic given the scenario.  Schedules are drawn
-    from the comm config unless given (keyed by exactly the topology's
-    edges, delays in whole ticks of dt), e.g. to rerun the same messages at
-    ``dataclasses.replace(scen, dt=scen.dt / 2)``; they are returned on
-    ``Trace.schedules``."""
+    ``scen.dt``, deterministically.  Schedules are drawn from the comm
+    config unless given (keyed by exactly the topology's edges, delays in
+    whole ticks of dt), e.g. to rerun the same messages at half the step;
+    ``Trace.schedules`` holds them."""
     ctrl = scen.validate()
     dt, topo, model = scen.dt, scen.topo, scen.model
     m, n, N = topo.m, topo.n, scen.N
@@ -283,10 +280,10 @@ def export_trace_csv(trace: Trace, path: str) -> None:
     header = ["t", "agent_id", "role", *(f"{x}_{d + 1}" for x in "pv"
                                          for d in range(N)),
               "err_norm", "hull_dist"]
-    # One format string per step: field 0 is t, then every agent's p, every
-    # agent's v, the followers' errors and their hull distances.
+    # One format string per step: field 0 is repr(t), then every agent's
+    # p, every agent's v, the followers' errors and their hull distances.
     step = "".join(
-        f"{{0!r}},{i + 1},{'follower' if i < m else 'leader'},"
+        f"{{0}},{i + 1},{'follower' if i < m else 'leader'},"
         + ",".join(f"{{{1 + N * (i + n * k) + c}!r}}" for k in (0, 1)
                    for c in range(N))
         + (f",{{{1 + 2 * N * n + i}!r}},{{{1 + 2 * N * n + m + i}!r}}"
@@ -298,7 +295,8 @@ def export_trace_csv(trace: Trace, path: str) -> None:
             rows = np.concatenate([trace.times[b, None], *(x[b].reshape(
                 len(x[b]), -1) for x in (trace.p, trace.v)),
                 _norms(trace.err_pos[b]), trace.hull_dist[b]], axis=1)
-            fh.write("".join([step.format(*row) for row in rows.tolist()]))
+            fh.write("".join([step.format(repr(row[0]), *row[1:])
+                              for row in rows.tolist()]))
 
 
 def export_trace_sidecar(trace: Trace, scen: Scenario, path: str) -> None:

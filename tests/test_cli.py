@@ -452,13 +452,22 @@ class TestSweep:
     def test_each_distinct_config_integrated_once(self, tmp_path,
                                                   monkeypatch):
         # Gains x1, x2, x4 and T* = 0.5, 1, 1.5: the x1 config is the
-        # T* = 1.5 config, so 5 copies of 16 edges.
-        calls = []
+        # T* = 1.5 config, so one batch of 5 copies.  The gain copies share
+        # a link process, so the schedules of 16 edges are drawn for
+        # T* = 1.5, 0.5 and 1 only.
+        calls, batches = [], []
         counting(monkeypatch, analysis, "generate_schedule", calls)
+        original = analysis.simulate_cascades
+
+        def batch(cfgs):
+            batches.append(len(cfgs))
+            return original(cfgs)
+        monkeypatch.setattr(analysis, "simulate_cascades", batch)
         doc = copy.deepcopy(load_scenario_doc("cascade_estimates"))
         doc["sim"]["t_end_seconds"] = 2.0
         cli.main(["sweep", "--config", write_doc(tmp_path, doc)])
-        assert len(calls) == 5 * 16
+        assert batches == [5]
+        assert len(calls) == 3 * 16
 
     def test_divergence_names_the_batch_copy(self, tmp_path, capsys):
         # Of the five copies, x2 (copy 1) leaves the range first, as it

@@ -2,6 +2,7 @@
 history, the staleness bound and the tick grid."""
 import dataclasses
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -607,3 +608,143 @@ def test_guard_with_an_empty_watch():
     _, states = guard_run(0, np.nan, watch=())
     assert np.isnan(states[-1, 0, 0])
     assert not np.isnan(states[:, 1:]).any()
+
+
+# The guard checks a period's states with one reduction after its last
+# step.  At T = 5 dt, step PERIOD_STEP puts the value at tick 7, the third
+# of the period of ticks 5 to 9, and the ticks after it carry it on: the
+# error must still name tick 7, as a check after every step does.
+PERIOD_STEPS, PERIOD_STEP = 5, 6
+
+
+def period_guard_run(row: int, value: float, copies: int, back=False):
+    """guard_run's steps over 15 ticks on copies of its graph, T = 5 dt
+    and five state rows per copy (p, v, then one internal per follower);
+    step PERIOD_STEP adds value to entry (row, 0), and with back the next
+    step takes it away.  Any RuntimeWarning is an error.  Returns y0."""
+    K, dt = 15, GUARD_DT
+    T = PERIOD_STEPS * dt
+    eng = Engine(one_edge_topology(),
+                 [{(1, 0): link_schedule([0] * 4, T=T, dt=dt)}] * copies,
+                 T=T, dt=dt, t_end=K * dt,
+                 send=np.arange(2 * copies)[:, None])
+    y0 = np.zeros((5 * copies, 2))
+    y0[:, 1] = np.arange(1.0, len(y0) + 1)
+
+    def rhs(r, y, view):
+        dy = np.zeros_like(y)
+        if r == (PERIOD_STEP, 0):
+            dy[row, 0] = value
+        if back and r == (PERIOD_STEP + 1, 0):
+            dy[row, 0] = -value
+        return dy, 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_on_views(eng, y0, rhs, (("p", 2 * copies, 1),
+                                    ("v", 2 * copies, 1)))
+    return y0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, OVER, -OVER])
+@pytest.mark.parametrize("copies, row, variable, agent, copy", [
+    (1, 0, "p", 0, None), (1, 3, "v", 1, None),
+    # Two copies: followers are union rows 0 and 1, leaders 2 and 3.
+    (2, 1, "p", 0, 1), (2, 3, "p", 1, 1), (2, 6, "v", 1, 0)])
+def test_guard_names_the_tick_inside_its_period(value, copies, row,
+                                                variable, agent, copy):
+    y0 = period_guard_run(row, 0.0, copies)
+    with pytest.raises(DivergenceError) as exc:
+        period_guard_run(row, value, copies)
+    err = exc.value
+    assert (err.t, err.agent, err.variable, err.copy) == \
+        ((PERIOD_STEP + 1) * GUARD_DT, agent, variable, copy)
+    assert err.last_norm == np.linalg.norm(y0[row])
+
+
+@pytest.mark.parametrize("value", [OVER, -OVER])
+def test_guard_sees_a_value_back_in_range_by_the_period_end(value):
+    # Tick 7 is out of range, tick 8 and the period's last tick 9 are not.
+    with pytest.raises(DivergenceError) as exc:
+        period_guard_run(3, value, 1, back=True)
+    assert (exc.value.t, exc.value.variable) == \
+        ((PERIOD_STEP + 1) * GUARD_DT, "v")
+
+
+def per_tick_guard(states, dt: float, watch, rows) -> tuple | None:
+    """(t, agent, variable, last_norm, copy) a check after every step
+    reports on the state history: the first step k whose state at k + 1
+    has a watched entry out of range, in it the first variable of watch,
+    then its first agent, and that agent's norm at tick k."""
+    for k in range(len(states) - 1):
+        at = 0
+        for variable, agents, per_agent in watch:
+            for r in range(agents):
+                x = slice(at + r * per_agent, at + (r + 1) * per_agent)
+                if not np.all(np.abs(states[k + 1, x]) <= DIVERGENCE_LIMIT):
+                    copy, agent = np.argwhere(rows == r)[0].tolist()
+                    return (k * dt + dt, agent, variable,
+                            float(np.linalg.norm(states[k, x])),
+                            copy if len(rows) > 1 else None)
+            at += agents * per_agent
+    return None
+
+
+def assert_guard_as_per_tick(run) -> tuple:
+    """run() raises the error per_tick_guard gives on the history of run()
+    without the guard, and no RuntimeWarning escapes it.  Returns the
+    engine, that history and the error's fields."""
+    got, engine_run = [], Engine.run
+
+    def unguarded(self, y, step, watch, block):
+        states, outs = engine_run(self, y, step, (), block)
+        got.append((self, watch, states))
+        return states, outs
+    with mock.patch.object(Engine, "run", unguarded), \
+            np.errstate(all="ignore"):
+        run()
+    (eng, watch, states), = got
+    want = per_tick_guard(states, eng.dt, watch, eng.rows)
+    with warnings.catch_warnings(), pytest.raises(DivergenceError) as exc:
+        warnings.simplefilter("error")
+        run()
+    err = exc.value
+    assert (err.t, err.agent, err.variable, err.last_norm, err.copy) == want
+    return eng, states, want
+
+
+def cascade_batch(k_eta: float) -> list:
+    """The bundled cascade over 0.5 s, then a copy of it at rate k_eta."""
+    cas = dataclasses.replace(config.build_cascade(
+        load_scenario_doc("cascade_estimates")), t_end=0.5)
+    return [cas, dataclasses.replace(cas, k_eta=k_eta)]
+
+
+def test_guard_names_the_copy_inside_a_cascade_period():
+    # Copy 1 of a two-copy cascade batch, at k_eta = 150, first leaves the
+    # range at tick 15, inside the period of ticks 10 to 19, and stays out
+    # for the rest of it.
+    batch = cascade_batch(150.0)
+    eng, states, want = assert_guard_as_per_tick(
+        lambda: analysis.simulate_cascades(batch))
+    k = round(want[0] / eng.dt)
+    # The cascade watches every row.
+    out = ~np.all(np.abs(states) <= DIVERGENCE_LIMIT, axis=(1, 2))
+    assert (k, eng.steps_per_T, want[4]) == (15, 10, 1)
+    assert out[k:20].all() and not out[:k].any()
+
+
+def nonlinear_run():
+    doc = load_scenario_doc("benchmark_nonlinear")
+    doc["sim"]["t_end_seconds"] = 0.2
+    doc["controllers"]["gains"]["lam"] = 2000.0
+    sim.run(config.build_scenario(doc))
+
+
+@pytest.mark.parametrize("run", [
+    nonlinear_run, lambda: analysis.simulate_cascades(cascade_batch(1e10))],
+    ids=["nonlinear_vs", "cascade"])
+def test_no_warning_escapes_a_diverging_period(run):
+    # After the first state out of range the period steps on, through
+    # overflows, an inf minus an inf and divisions of them, which must not
+    # warn: the error alone reports the divergence.
+    assert_guard_as_per_tick(run)

@@ -2,14 +2,15 @@
 
 Sends are periodic, so every message in use during a period was sent by
 its first tick k0: ``Engine.run`` views them all there, and the law's
-``block`` (the cascade's held average) turns that view into one row of
-step sources per tick, warm-up ticks and K included.  The rows must read
+``block`` (or the cascade's) turns that view into one row of step
+sources per tick, warm-up ticks and K included.  The rows must read
 nothing recorded after k0, and must equal, bit for bit, the sources built
 from the view of each tick: the per-view stage forms kept here as the
 oracle.
 """
 import contextlib
 import dataclasses
+import inspect
 from unittest import mock
 
 import numpy as np
@@ -59,10 +60,13 @@ def sources_oracle(block, k: int, view) -> np.ndarray:
     """Step k's sources from the view of tick k in the block's layout:
     psi's stage_psi for the oscillator; for the double integrators the
     stacked vartheta_avg at the three stage times, vhat_avg held and the
-    leader rows, one stage after the other; the cascade's held p_avg."""
+    leader rows, one stage after the other; for the cascade p_avg held,
+    then the stage's signals from the run's table sig."""
     law = getattr(block, "__self__", None)
     if law is None:
-        return view.p_avg()
+        sig = inspect.getclosurevars(block).nonlocals["sig"]
+        return np.concatenate([np.r_[view.p_avg().ravel(), s.ravel()]
+                               for s in sig[k]])
     if isinstance(law, OscillatorLaw):
         return stage_psi(view, 2 * k, law.flow).ravel()
     theta = view.vartheta_avg(law.times[k][:, None])
