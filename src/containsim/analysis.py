@@ -3,9 +3,10 @@
 The closed loops here all reduce to one skeleton: leaders drift under an
 exogenous input, each follower tracks a blend of a filter-chain output and
 the sampled neighbour average, and the chain is a string of first-order
-lags fed by that average.  ``simulate_cascades`` runs configs that share
-topology, signals and time grid as one run of ``sim.run``'s engine over
-disjoint copies, each copy's trace equal to its run alone.  Bounds of
+lags fed by that average.  ``simulate_cascades`` runs copies of one base
+config, each a dict of the rates, link process or initial state it
+changes, as one run of ``sim.run``'s engine over disjoint copies, each
+copy's trace equal to its run alone.  Bounds of
 exponential-plus-sup form on the deviation from the leader convex
 combination, and the gain / blackout sweeps, certify robustness trends.
 """
@@ -168,69 +169,50 @@ def simulate_cascade(cfg: CascadeConfig,
                      schedules: dict[tuple[int, int], LinkSchedule] | None
                      = None) -> CascadeTrace:
     """Fixed-step RK4 integration of the cascade skeleton: the batch of one."""
-    return simulate_cascades([cfg], None if schedules is None
+    return simulate_cascades(cfg, [{}], None if schedules is None
                              else [schedules])[0]
 
 
-def _equal(a, b) -> bool:
-    """Equality through dataclasses, sequences and arrays."""
-    if a is b:
-        return True
-    if dataclasses.is_dataclass(a):
-        return type(a) is type(b) and all(
-            _equal(getattr(a, f.name), getattr(b, f.name))
-            for f in dataclasses.fields(a))
-    if isinstance(a, (list, tuple)):
-        return isinstance(b, (list, tuple)) and len(a) == len(b) and \
-            all(map(_equal, a, b))
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
-    return a == b
+def simulate_cascades(base: CascadeConfig, copies: list[dict],
+                      schedules: list | None = None) -> list[CascadeTrace]:
+    """Integrate a batch of copies of base as one run; one trace each.
 
-
-def _check_batch(cfgs: list[CascadeConfig]) -> None:
-    if not cfgs:
-        raise CascadeError("cascade batch: no configs")
+    A copy is a dict of the BATCH_FIELDS values it changes (comm all but
+    T); its config is base with those replaced.  Schedules are drawn once per
+    distinct comm config, or given as one prebuilt set per copy (keyed by
+    exactly the topology's edges, delays on dt's ticks).  A tick's row
+    holds, per stage, the sampled average eps, held (a follower's initial
+    eta until an in-edge delivers), then the signals; its step is one
+    product with RK4's step operator on [y; row].  A diverging row raises
+    ``engine.DivergenceError``."""
+    if not copies:
+        raise CascadeError("cascade batch: no copies")
+    cfgs = [dataclasses.replace(base, **change) for change in copies]
     for cfg in cfgs:
         cfg.validate()
-    base = cfgs[0]
-    for cfg in cfgs[1:]:
-        if cfg.comm.T != base.comm.T:
-            raise CascadeError("cascade batch: comm.T differs")
+    for cfg, change in zip(cfgs, copies):
         for f in dataclasses.fields(CascadeConfig):
-            if f.name not in BATCH_FIELDS and not _equal(
-                    getattr(cfg, f.name), getattr(base, f.name)):
+            if f.name in change and f.name not in BATCH_FIELDS:
                 raise CascadeError(f"cascade batch: {f.name} differs")
-
-
-def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
-                      ) -> list[CascadeTrace]:
-    """Integrate a batch of cascade configs as one run; one trace each.
-
-    The copies may differ in the fields BATCH_FIELDS names but comm.T.
-    Schedules are drawn once per distinct comm config, or given as one
-    prebuilt set per copy (keyed by exactly the topology's edges, delays on
-    dt's ticks).  A tick's row holds, per stage, the sampled average eps,
-    held (a follower's initial eta until an in-edge delivers), then the
-    signals; its step is one product with RK4's step operator on [y; row].
-    A diverging row raises ``engine.DivergenceError``."""
-    _check_batch(cfgs)
-    cfg, B = cfgs[0], len(cfgs)
-    topo, N, sigma = cfg.topo, cfg.N, cfg.sigma
+            if f.name == "comm" and cfg.comm.T != base.comm.T:
+                raise CascadeError("cascade batch: comm.T differs")
+    B = len(cfgs)
+    topo, N, sigma = base.topo, base.N, base.sigma
     m, n_lead = topo.m, topo.n - topo.m
     Bm, Bn = B * m, B * topo.n
     W = containment_weights(partition(topo))
     if schedules is None:       # one draw per distinct link process
-        drawn = {comm: {edge: generate_schedule(edge, comm, cfg.t_end, cfg.dt)
+        drawn = {comm: {edge: generate_schedule(edge, comm, base.t_end,
+                                                base.dt)
                         for edge in topo.edges()}
                  for comm in dict.fromkeys(c.comm for c in cfgs)}
         schedules = [drawn[c.comm] for c in cfgs]
     elif len(schedules) != B:
         raise CascadeError(f"cascade batch: {len(schedules)} schedule sets "
-                           f"for {B} configs")
+                           f"for {B} copies")
     # The state: B * n rows of eta, then sigma rows of zeta per follower;
     # each agent sends its eta row.
-    eng = Engine(topo, schedules, cfg.comm.T, cfg.dt, cfg.t_end,
+    eng = Engine(topo, schedules, base.comm.T, base.dt, base.t_end,
                  np.arange(Bn)[:, None], CascadeError)
     K, rows = eng.K, eng.rows
     y0 = np.empty((Bn + Bm * sigma, N))
@@ -246,8 +228,8 @@ def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
     eps, phi1, drive, phi2 = np.split(e[len(y0):], np.cumsum([Bm, 1, n_lead]))
     k_eta = np.repeat([c.k_eta for c in cfgs], m)[:, None]
     h = np.repeat([c.h for c in cfgs], m, axis=0)[..., None]
-    terms = [(eta, eta, -k_eta), (eta, zeta[:, 0], cfg.alpha * k_eta),
-             (eta, eps, (1.0 - cfg.alpha) * k_eta), (eta, phi1, 1.0),
+    terms = [(eta, eta, -k_eta), (eta, zeta[:, 0], base.alpha * k_eta),
+             (eta, eps, (1.0 - base.alpha) * k_eta), (eta, phi1, 1.0),
              (lead, np.tile(drive, (B, 1)), 1.0), (zeta, zeta, -h),
              (zeta[:, :-1], zeta[:, 1:], h[:, :-1]),
              (zeta[:, -1], eps, h[:, -1]), (zeta, phi2, 1.0)]
@@ -256,12 +238,12 @@ def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
     # A links no two agents' rows, nor two coordinates.
     agent = np.r_[np.arange(Bn), np.arange(Bm).repeat(sigma)][:, None] * N
     out, cols, coef = rk4_operator(out, cols, coef, (agent + np.arange(
-        N)).ravel(), width, cfg.dt)
+        N)).ravel(), width, base.dt)
     # The signals at every tick's stage times: phi1, the drives, phi2.
-    times = stage_times(K, cfg.dt)
+    times = stage_times(K, base.dt)
     sig = np.stack([np.broadcast_to(p.value(times), times.shape + (N,))
-                    for p in (cfg.phi1, *cfg.leader_drive,
-                              *(cfg.phi2 or [Perturbation()] * sigma))], 2)
+                    for p in (base.phi1, *base.leader_drive,
+                              *(base.phi2 or [Perturbation()] * sigma))], 2)
 
     def block(lo, view):        # per stage, eps (held), then the signals
         H = view.m // Bm
@@ -284,7 +266,7 @@ def simulate_cascades(cfgs: list[CascadeConfig], schedules: list | None = None
                                 (K + 1, m, sigma, N))
     zeta = states[:, Bn:].reshape(K + 1, Bm, sigma, N)
     eta_c = W @ states[:, Bm:Bn].reshape(K + 1, B, n_lead, N)
-    return [CascadeTrace(times=np.arange(K + 1) * cfg.dt, eta=states[:, r],
+    return [CascadeTrace(times=np.arange(K + 1) * base.dt, eta=states[:, r],
                          zeta=zeta[:, b * m:(b + 1) * m],
                          eps=eps[:, b * m:(b + 1) * m], eta_c=eta_c[:, b],
                          deta_c=deta_c, phi1_vals=phi1_vals,
@@ -376,19 +358,15 @@ def run_sweeps(base: CascadeConfig, multipliers=(1.0, 2.0, 4.0),
                t_stars=(0.5, 1.0, 1.5)) -> tuple[list[float], list[float]]:
     """The gain and the blackout sweep, each config that appears in both
     (such as the base itself) integrated once, all in one batch."""
-    cfgs = [dataclasses.replace(base, k_eta=base.k_eta * g,
-                                h=tuple(r * g for r in base.h))
+    keys = [(base.k_eta * g, tuple(r * g for r in base.h), base.comm)
             for g in multipliers]
-    cfgs += [dataclasses.replace(base, comm=dataclasses.replace(
+    keys += [(base.k_eta, tuple(base.h), dataclasses.replace(
         base.comm, T_star=ts)) for ts in t_stars]
-    distinct = []
-    for cfg in cfgs:
-        if not any(_equal(cfg, d) for d in distinct):
-            distinct.append(cfg)
-    bounds = [tr.steady_bound() for tr in simulate_cascades(distinct)] \
-        if distinct else []
-    out = [next(b for d, b in zip(distinct, bounds) if _equal(cfg, d))
-           for cfg in cfgs]
+    distinct = list(dict.fromkeys(keys))
+    traces = simulate_cascades(base, [dict(zip(("k_eta", "h", "comm"), key))
+                                      for key in distinct]) if keys else []
+    bounds = {key: tr.steady_bound() for key, tr in zip(distinct, traces)}
+    out = [bounds[key] for key in keys]
     return out[:len(multipliers)], out[len(multipliers):]
 
 

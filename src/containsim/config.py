@@ -1,9 +1,10 @@
 """Strict JSON scenario configuration.
 
 A configuration file fully determines a run.  Unknown keys anywhere, keys
-the model or the variant would ignore, and NaN or infinite numbers (which
-JSON parsers accept) are rejected, so a typo cannot silently fall back to
-a default.  Time-valued keys carry a _seconds suffix.
+the model would ignore, an ignored controller setting, and NaN or infinite
+numbers (which JSON parsers accept) are rejected, so a typo cannot
+silently fall back to a default; a gain the variant never reads is still
+accepted.  Time-valued keys carry a _seconds suffix.
 """
 from __future__ import annotations
 

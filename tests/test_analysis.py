@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from containsim import analysis
 from containsim.analysis import (
     BATCH_FIELDS,
     ISS_REL_TOL,
@@ -474,8 +475,8 @@ class TestBatch:
     @staticmethod
     def copies(base, copies, seed):
         rng = np.random.default_rng(seed)
-        return [dataclasses.replace(
-            base, k_eta=base.k_eta * gk, h=tuple(r * gh for r in base.h),
+        return [dict(
+            k_eta=base.k_eta * gk, h=tuple(r * gh for r in base.h),
             comm=CommConfig(T=0.25, T_star=ts, drop_prob=drop,
                             delay_max=frac * ts, seed=comm_seed),
             eta0=rng.normal(size=(10, 2)),
@@ -496,8 +497,9 @@ class TestBatch:
         # Within ORACLE_TOL of the oracle, and to the bit the copy run alone.
         base = bench_cfg(t_end=3.0, alpha=alpha, sigma=sigma,
                          **(mixed_signals(sigma) if mixed else {}))
-        cfgs = self.copies(base, copies, seed)
-        for cfg, tr in zip(cfgs, simulate_cascades(cfgs)):
+        changes = self.copies(base, copies, seed)
+        for change, tr in zip(changes, simulate_cascades(base, changes)):
+            cfg = dataclasses.replace(base, **change)
             assert_traces_bits_equal(tr, simulate_cascade(cfg))
             ref = simulate_cascade_oracle(cfg)
             for name in TRACE_FIELDS:
@@ -511,15 +513,15 @@ class TestBatch:
         # stage_times.  Reading any of them one tick off moves a leader by
         # about dt^2 / 6 |d'| ~ 1e-4 in some step.
         base = bench_cfg(t_end=3.0, **mixed_signals(2))
-        cfgs = self.copies(base, [(1.0, 1.0, 1.5, 0.3, 0.85, 0),
-                                  (2.0, 0.5, 0.5, 0.9, 0.5, 1)], 7)
+        changes = self.copies(base, [(1.0, 1.0, 1.5, 0.3, 0.85, 0),
+                                     (2.0, 0.5, 0.5, 0.9, 0.5, 1)], 7)
         dt, m, N = base.dt, base.topo.m, base.N
         K = round(base.t_end / dt)
         times = stage_times(K, dt)
         d = np.stack([np.broadcast_to(p.value(times), times.shape + (N,))
                       for p in base.leader_drive], axis=2)
         want = dt / 6 * (d[:K, 0] + 4 * d[:K, 1] + d[:K, 2])
-        for tr in simulate_cascades(cfgs):
+        for tr in simulate_cascades(base, changes):
             lead = tr.eta[:, m:]
             assert np.abs(np.diff(lead, axis=0) - want).max() <= \
                 1e-13 * np.abs(lead).max()
@@ -532,23 +534,32 @@ class TestBatch:
     @pytest.mark.parametrize("name", list(SHARED_FIELD_CHANGES))
     def test_copies_must_share_the_field(self, name):
         base = bench_cfg(t_end=2.0)
-        other = dataclasses.replace(base, **SHARED_FIELD_CHANGES[name]())
-        other.validate()
+        change = SHARED_FIELD_CHANGES[name]()
+        dataclasses.replace(base, **change).validate()
         with pytest.raises(CascadeError,
                            match=re.escape(f"cascade batch: {name} differs")):
-            simulate_cascades([base, other])
+            simulate_cascades(base, [{}, change])
+
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(CascadeConfig)
+        if f.name not in BATCH_FIELDS])
+    def test_a_copy_may_not_name_a_shared_field(self, name):
+        # Even at the base's own value: a copy lists what it changes.
+        base = bench_cfg(t_end=2.0)
+        with pytest.raises(CascadeError,
+                           match=re.escape(f"cascade batch: {name} differs")):
+            simulate_cascades(base, [{}, {name: getattr(base, name)}])
 
     def test_empty_batch(self):
-        with pytest.raises(CascadeError, match="cascade batch: no configs"):
-            simulate_cascades([])
+        with pytest.raises(CascadeError, match="cascade batch: no copies"):
+            simulate_cascades(bench_cfg(t_end=2.0), [])
 
     def test_divergence_names_the_copy_and_its_agent(self):
         ok = bench_cfg(t_end=2.0)
-        bad = dataclasses.replace(ok, k_eta=2000.0)
         with pytest.raises(DivergenceError) as alone:
-            simulate_cascade(bad)
+            simulate_cascade(dataclasses.replace(ok, k_eta=2000.0))
         with pytest.raises(DivergenceError) as batch:
-            simulate_cascades([ok, bad, ok])
+            simulate_cascades(ok, [{}, {"k_eta": 2000.0}, {}])
         a, b = alone.value, batch.value
         assert a.copy is None and b.copy == 1
         assert (b.agent, b.variable, b.t, b.last_norm) == \
@@ -615,6 +626,21 @@ class TestSweeps:
         base = seeded(base, 2)
         assert run_sweeps(base) == (run_gain_sweep(base),
                                     run_blackout_sweep(base))
+
+    def test_a_list_h_sweeps_like_its_tuple(self, monkeypatch):
+        # The copies are deduplicated on their h as a tuple, so a list h
+        # (which CascadeConfig accepts) still gives one batch of 5.
+        base = seeded(bench_cfg(t_end=5.0), 2)
+        want = run_sweeps(base)
+        batches = []
+        original = analysis.simulate_cascades
+
+        def batch(base, copies):
+            batches.append(len(copies))
+            return original(base, copies)
+        monkeypatch.setattr(analysis, "simulate_cascades", batch)
+        assert run_sweeps(dataclasses.replace(base, h=list(base.h))) == want
+        assert batches == [5]
 
 
 class TestCertificate:

@@ -459,9 +459,9 @@ class TestSweep:
         counting(monkeypatch, analysis, "generate_schedule", calls)
         original = analysis.simulate_cascades
 
-        def batch(cfgs):
-            batches.append(len(cfgs))
-            return original(cfgs)
+        def batch(base, copies):
+            batches.append(len(copies))
+            return original(base, copies)
         monkeypatch.setattr(analysis, "simulate_cascades", batch)
         doc = copy.deepcopy(load_scenario_doc("cascade_estimates"))
         doc["sim"]["t_end_seconds"] = 2.0

@@ -534,18 +534,18 @@ def test_cascade_messages_are_state_rows(monkeypatch):
     doc = load_scenario_doc("cascade_estimates")
     doc["sim"]["t_end_seconds"] = 4.0
     cas = config.build_cascade(doc)
-    cfgs = [seeded(cas, 0), dataclasses.replace(
-        seeded(cas, 1), eta0=cas.eta0 + 1.0)]
+    base = seeded(cas, 0)
+    changes = [{}, {"comm": seeded(cas, 1).comm, "eta0": cas.eta0 + 1.0}]
     views = traced_views(monkeypatch)
-    traces = analysis.simulate_cascades(cfgs)
+    traces = analysis.simulate_cascades(base, changes)
     rows, m = views[-1][0].rows, cas.topo.m
 
     def message(k, j):
         b, i = np.argwhere(rows == j)[0]
         return traces[b].eta[k, i]
     assert len(views) > 1
-    assert_views_read_states(views, message,
-                             np.concatenate([c.eta0[:m] for c in cfgs]), cas.N)
+    assert_views_read_states(views, message, np.concatenate(
+        [tr.cfg.eta0[:m] for tr in traces]), cas.N)
 
 
 # The divergence guard, on a toy right-hand side.  At dt = 6 a step adds
@@ -712,11 +712,12 @@ def assert_guard_as_per_tick(run) -> tuple:
     return eng, states, want
 
 
-def cascade_batch(k_eta: float) -> list:
-    """The bundled cascade over 0.5 s, then a copy of it at rate k_eta."""
+def cascade_batch(k_eta: float) -> tuple:
+    """The bundled cascade over 0.5 s, and its copies: itself, then itself
+    at rate k_eta."""
     cas = dataclasses.replace(config.build_cascade(
         load_scenario_doc("cascade_estimates")), t_end=0.5)
-    return [cas, dataclasses.replace(cas, k_eta=k_eta)]
+    return cas, [{}, {"k_eta": k_eta}]
 
 
 def test_guard_names_the_copy_inside_a_cascade_period():
@@ -725,7 +726,7 @@ def test_guard_names_the_copy_inside_a_cascade_period():
     # for the rest of it.
     batch = cascade_batch(150.0)
     eng, states, want = assert_guard_as_per_tick(
-        lambda: analysis.simulate_cascades(batch))
+        lambda: analysis.simulate_cascades(*batch))
     k = round(want[0] / eng.dt)
     # The cascade watches every row.
     out = ~np.all(np.abs(states) <= DIVERGENCE_LIMIT, axis=(1, 2))
@@ -741,7 +742,7 @@ def nonlinear_run():
 
 
 @pytest.mark.parametrize("run", [
-    nonlinear_run, lambda: analysis.simulate_cascades(cascade_batch(1e10))],
+    nonlinear_run, lambda: analysis.simulate_cascades(*cascade_batch(1e10))],
     ids=["nonlinear_vs", "cascade"])
 def test_no_warning_escapes_a_diverging_period(run):
     # After the first state out of range the period steps on, through
