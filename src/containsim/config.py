@@ -1,10 +1,10 @@
 """Strict JSON scenario configuration.
 
-A configuration file fully determines a run.  Unknown keys anywhere, keys
-the model would ignore, an ignored controller setting, and NaN or infinite
-numbers (which JSON parsers accept) are rejected, so a typo cannot
-silently fall back to a default; a gain the variant never reads is still
-accepted.  Time-valued keys carry a _seconds suffix.
+A document fully determines a run.  ``build`` reads it in one pass and
+checks each key where it reads it: an unknown key, one the model or the
+variant does not read (a controller setting or gain), or a NaN or infinite
+number (which JSON parsers accept) is rejected, so a typo cannot silently
+fall back to a default.  Time-valued keys carry a _seconds suffix.
 """
 from __future__ import annotations
 
@@ -27,23 +27,31 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_keys(doc: dict, where: str, required: set, optional: set = frozenset()):
+def _check_keys(doc: dict, where: str, required: set,
+                optional: set = frozenset(), reader: str = ""):
+    """doc, an object with the required keys and no others but optional
+    (any other is unknown, or, given its reader, one the reader ignores)."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected an object")
-    keys = set(doc)
-    missing = required - keys
+    missing = required - set(doc)
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-    unknown = keys - required - optional
+    unknown = sorted(set(doc) - required - optional)
+    if unknown and reader:
+        raise ConfigError(f"{where}: {reader} does not read " + ", ".join(
+            f"{where}.{key}" for key in unknown))
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
 def _expect(value, kind: type, where: str):
-    """value as kind (int, float, str or list; float takes an int too)."""
+    """value as kind (bool, int, float, str or list; float takes an int too,
+    and only a finite number; only bool takes true or false)."""
     ok = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, ok):   # bool is int
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, ok):
         raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: {value!r} is not a finite number")
     return kind(value)
 
 
@@ -91,107 +99,53 @@ def load_config(path: str) -> dict:
     return doc
 
 
-def validate_config(doc: dict) -> None:
+def build(doc: dict) -> tuple[Scenario, CascadeConfig | None]:
+    """The scenario a document describes and, if it has a cascade section,
+    the cascade config on the same topology, comm and sim."""
     _check_keys(doc, "top level",
                 {"topology", "agents", "controllers", "comm", "sim"},
                 {"outputs", "cascade", "label"})
-    _check_keys(doc["topology"], "topology", {"n", "m", "edges"})
-    _check_keys(doc["agents"], "agents", {"N", "model", "initial"},
-                {"leaders"})
-    _check_keys(doc["agents"]["model"], "agents.model", {"kind"},
-                {"drift", "S1", "S2"})
-    _check_keys(doc["agents"]["initial"], "agents.initial", {"p", "v"})
-    _check_keys(doc["controllers"], "controllers", {"variant", "gains"},
-                {"psi_mode", "v_d", "use_velocity"})
-    _check_keys(doc["controllers"]["gains"], "controllers.gains", set(),
-                {"k_p", "k_d", "L_p", "L_d", "k_psi", "k_phi", "k_r",
-                 "lam", "boundary_layer_eps"})
-    _check_controller_settings(doc["controllers"])
-    _check_keys(doc["comm"], "comm",
-                {"T_seconds", "T_star_seconds"},
-                {"drop_prob", "delay_max_seconds", "seed"})
-    _check_keys(doc["sim"], "sim", {"dt_seconds", "t_end_seconds"})
-    N = _expect(doc["agents"]["N"], int, "agents.N")
-    if N < 1:
-        raise ConfigError(f"agents.N: must be at least 1, got {N}")
+    topo = build_topology(doc)
+    N, model, leaders, p0, v0 = _agents(doc["agents"], topo)
     outputs = doc.get("outputs", {})
     _check_keys(outputs, "outputs", set(), {
         "trace_csv", "audit_csv", "schedule_csv", "sidecar_json", "svg"})
+    for key, name in outputs.items():
+        _expect(name, str, f"outputs.{key}")
     if "svg" in outputs and N != 2:
         raise ConfigError("outputs.svg: trajectory rendering needs "
                           "planar agents (agents.N = 2)")
-    for where, name in [("label", doc.get("label", "")), *(
-            (f"outputs.{key}", val) for key, val in outputs.items())]:
-        _expect(name, str, where)
-    # A known model, only the keys its kind reads, and leaders that fit it;
-    # oscillator leaders read no v_d.
-    ag = doc["agents"]
-    model = _choice(ag["model"]["kind"], MODEL_KINDS, "agents.model.kind")
-    oscillator = model == "oscillator"
-    _check_keys(ag["model"], f"agents.model ({model})", {"kind"},
-                {"nonlinear": {"drift"}, "oscillator": {"S1", "S2"}}.get(
-                    model, set()))
-    _choice(ag["model"].get("drift", "zero"), DRIFT_REGISTRY,
-            "agents.model.drift")
-    leaders = ag.get("leaders", {"kind": "oscillator_free"})
-    _check_keys(leaders, "agents.leaders", {"kind"}, {"v_d"})
-    kind = _choice(leaders["kind"], LEADER_KINDS + ("oscillator_free",),
-                   "agents.leaders.kind")
-    if (kind == "oscillator_free") != oscillator:
-        raise ConfigError(f"agents.leaders.kind: {kind!r} does not fit the "
-                          f"{ag['model']['kind']} model")
-    if oscillator and "v_d" in leaders:
-        raise ConfigError("agents.leaders.v_d: the oscillator model's "
-                          "leaders move freely and do not read it")
-    if "cascade" in doc:
-        _check_keys(doc["cascade"], "cascade",
-                    {"alpha", "sigma", "k_eta", "h", "leader_drive"},
-                    {"phi1", "phi2", "initial"})
-        for key in ("leader_drive", "phi2"):
-            for idx, pert in enumerate(_expect(doc["cascade"].get(key, []),
-                                               list, f"cascade.{key}")):
-                _check_pert(pert, f"cascade.{key}[{idx}]")
-        if "phi1" in doc["cascade"]:
-            _check_pert(doc["cascade"]["phi1"], "cascade.phi1")
-        if "initial" in doc["cascade"]:
-            _check_keys(doc["cascade"]["initial"], "cascade.initial", set(),
-                        {"eta", "zeta"})
-    _check_finite(doc, "")
+    sdoc = doc["sim"]
+    _check_keys(sdoc, "sim", {"dt_seconds", "t_end_seconds"})
+    scen = Scenario(topo=topo, model=model, leaders=leaders,
+                    comm=_comm(doc["comm"]),
+                    dt=_expect(sdoc["dt_seconds"], float, "sim.dt_seconds"),
+                    t_end=_expect(sdoc["t_end_seconds"], float,
+                                  "sim.t_end_seconds"), N=N, p0=p0, v0=v0,
+                    label=_expect(doc.get("label", "scenario"), str, "label"),
+                    **_controllers(doc["controllers"], topo.m, N))
+    return scen, _cascade(doc["cascade"], scen) if "cascade" in doc else None
 
 
-def _check_controller_settings(ctl: dict) -> None:
-    """A known variant, and no setting that variant would ignore."""
-    variant = _choice(ctl["variant"], VARIANTS, "controllers.variant")
-    unused = sorted(set(ctl) - {"variant", "gains"} - set(VARIANTS[variant]))
-    if unused:
-        raise ConfigError(f"controllers: variant {variant!r} does not read "
-                          + ", ".join(f"controllers.{key}" for key in unused))
-    if not isinstance(ctl.get("use_velocity", True), bool):
-        raise ConfigError("controllers.use_velocity: expected true or false")
-    _choice(ctl.get("psi_mode", "static"), PSI_MODES, "controllers.psi_mode")
+def build_scenario(doc: dict) -> Scenario:
+    return build(doc)[0]
 
 
-def _check_finite(node, where: str) -> None:
-    if isinstance(node, dict):
-        for key, val in node.items():
-            _check_finite(val, f"{where}.{key}" if where else key)
-    elif isinstance(node, list):
-        for idx, val in enumerate(node):
-            _check_finite(val, f"{where}[{idx}]")
-    elif isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"{where}: {node!r} is not a finite number")
-
-
-def _check_pert(doc: dict, where: str) -> None:
-    _check_keys(doc, where, {"kind"}, {"amplitude", "omega", "phase", "rate"})
-    for key in sorted({"omega", "phase", "rate"} & set(doc)):
-        _expect(doc[key], float, f"{where}.{key}")
-    _array(doc.get("amplitude", 0.0), f"{where}.amplitude")
+def build_cascade(doc: dict) -> CascadeConfig:
+    cas = build(doc)[1]
+    if cas is None:
+        raise ConfigError("document has no cascade section")
+    return cas
 
 
 def build_topology(doc: dict) -> DirectedTopology:
     top = doc["topology"]
+    _check_keys(top, "topology", {"n", "m", "edges"})
     n, m = (_expect(top[key], int, f"topology.{key}") for key in "nm")
+    if n < 2:
+        raise ConfigError(f"topology.n: must be at least 2, got {n}")
+    if not 0 < m < n:
+        raise ConfigError(f"topology.m: must be in 1..{n - 1}, got {m}")
     weights = np.zeros((n, n))
     edges = _expect(top["edges"], list, "topology.edges")
     for idx, entry in enumerate(edges):
@@ -204,6 +158,11 @@ def build_topology(doc: dict) -> DirectedTopology:
             _expect(entry[2], float, f"{where}: weight")
         if not (1 <= src <= n and 1 <= dst <= n):
             raise ConfigError(f"{where}: {entry!r}: agent ids are 1..{n}")
+        if src == dst:
+            raise ConfigError(f"{where}: {entry!r} is a self loop")
+        if dst > m:
+            raise ConfigError(f"{where}: {entry!r} ends at leader {dst}; "
+                              f"leaders {m + 1}..{n} receive no edges")
         if not w > 0:
             raise ConfigError(f"{where}: weight {w!r} must be > 0")
         if weights[dst - 1, src - 1]:      # every weight set so far is > 0
@@ -212,12 +171,86 @@ def build_topology(doc: dict) -> DirectedTopology:
     return DirectedTopology(n=n, m=m, weights=weights)
 
 
-def build_perturbation(doc: dict) -> Perturbation:
-    return Perturbation(**doc)         # the keys are its fields
+def _agents(ag: dict, topo: DirectedTopology) -> tuple:
+    """(N, model, leaders, p0, v0): a known model, only the keys its kind
+    reads, and leaders that fit it; oscillator leaders read no v_d."""
+    _check_keys(ag, "agents", {"N", "model", "initial"}, {"leaders"})
+    N = _expect(ag["N"], int, "agents.N")
+    if N < 1:
+        raise ConfigError(f"agents.N: must be at least 1, got {N}")
+    mdoc = ag["model"]
+    _check_keys(mdoc, "agents.model", {"kind"}, {"drift", "S1", "S2"})
+    kind = _choice(mdoc["kind"], MODEL_KINDS, "agents.model.kind")
+    oscillator = kind == "oscillator"
+    _check_keys(mdoc, f"agents.model ({kind})", {"kind"},
+                {"nonlinear": {"drift"}, "oscillator": {"S1", "S2"}}.get(
+                    kind, set()))
+    model = AgentModel(kind=kind, N=N, drift=_choice(
+        mdoc.get("drift", "zero"), DRIFT_REGISTRY, "agents.model.drift"),
+                       **{S: _array(mdoc[S], f"agents.model.{S}")
+                          for S in ("S1", "S2") if S in mdoc})
+
+    ldoc = ag.get("leaders", {"kind": "oscillator_free"})
+    _check_keys(ldoc, "agents.leaders", {"kind"}, {"v_d"})
+    lkind = _choice(ldoc["kind"], LEADER_KINDS + ("oscillator_free",),
+                    "agents.leaders.kind")
+    if (lkind == "oscillator_free") != oscillator:
+        raise ConfigError(f"agents.leaders.kind: {lkind!r} does not fit the "
+                          f"{kind} model")
+    if oscillator and "v_d" in ldoc:
+        raise ConfigError("agents.leaders.v_d: the oscillator model's "
+                          "leaders move freely and do not read it")
+    v_d = _array(ldoc.get("v_d", [0.0] * N), "agents.leaders.v_d")
+    if v_d.shape != (N,):
+        raise ConfigError(f"agents.leaders.v_d must have {N} entries")
+    leaders = None if oscillator else LeaderTrajectory(
+        lkind, v_d, np.arange(topo.m + 1, topo.n + 1))
+
+    idoc = ag["initial"]
+    _check_keys(idoc, "agents.initial", {"p", "v"})
+    p0 = _array(idoc["p"], "agents.initial.p")
+    if idoc["v"] == "auto":
+        v0 = np.zeros((topo.n, N))
+        if leaders is not None:
+            v0[topo.m:] = leaders.velocity(0.0)
+    else:
+        v0 = _array(idoc["v"], "agents.initial.v")
+    for key, x in (("p", p0), ("v", v0)):
+        if x.shape != (topo.n, N):
+            raise ConfigError(f"agents.initial.{key} must be {topo.n} x {N}")
+    return N, model, leaders, p0, v0
 
 
-def build_comm(doc: dict) -> CommConfig:
-    cdoc = doc["comm"]
+def _controllers(ctl: dict, m: int, N: int) -> dict:
+    """Scenario's controller fields: a known variant, and only the settings
+    and gains it reads; k_psi is read only under psi_mode "dynamic"."""
+    _check_keys(ctl, "controllers", {"variant", "gains"},
+                {"psi_mode", "v_d", "use_velocity"})
+    variant = _choice(ctl["variant"], VARIANTS, "controllers.variant")
+    settings, reads = VARIANTS[variant]
+    _check_keys(ctl, "controllers", {"variant", "gains"}, set(settings),
+                f"variant {variant!r}")
+    psi_mode = _choice(ctl.get("psi_mode", "static"), PSI_MODES,
+                       "controllers.psi_mode")
+    _check_keys(ctl["gains"], "controllers.gains", set(),
+                set(reads) - ({"k_psi"} if psi_mode == "static" else set()),
+                f"variant {variant!r}" + (f" with psi_mode {psi_mode!r}"
+                                          if "psi_mode" in settings else ""))
+    return dict(variant=variant, psi_mode=psi_mode,
+                use_velocity=_expect(ctl.get("use_velocity", True), bool,
+                                     "controllers.use_velocity"),
+                v_d=_array(ctl["v_d"], "controllers.v_d")
+                if "v_d" in ctl else None,
+                gains=GainSet(m=m, **{
+                    k: _expect(v, float, f"controllers.gains.{k}")
+                    if k == "boundary_layer_eps"     # eps is one scalar
+                    else _array(v, f"controllers.gains.{k}")
+                    for k, v in ctl["gains"].items()}))
+
+
+def _comm(cdoc: dict) -> CommConfig:
+    _check_keys(cdoc, "comm", {"T_seconds", "T_star_seconds"},
+                {"drop_prob", "delay_max_seconds", "seed"})
     return CommConfig(
         **{name: _expect(cdoc.get(key, 0.0), float, f"comm.{key}")
            for name, key in (("T", "T_seconds"), ("T_star", "T_star_seconds"),
@@ -226,78 +259,37 @@ def build_comm(doc: dict) -> CommConfig:
         seed=_expect(cdoc.get("seed", 0), int, "comm.seed"))
 
 
-def build_scenario(doc: dict) -> Scenario:
-    validate_config(doc)
-    topo = build_topology(doc)
-    ag = doc["agents"]
-    N = _expect(ag["N"], int, "agents.N")
-    mdoc = ag["model"]
-    model = AgentModel(kind=mdoc["kind"], N=N,
-                       drift=mdoc.get("drift", "zero"),
-                       **{S: _array(mdoc[S], f"agents.model.{S}")
-                          for S in ("S1", "S2") if S in mdoc})
-
-    ldoc = ag.get("leaders", {"kind": "oscillator_free"})
-    v_d = _array(ldoc.get("v_d", [0.0] * N), "agents.leaders.v_d")
-    if v_d.shape != (N,):
-        raise ConfigError(f"agents.leaders.v_d must have {N} entries")
-    leaders = None if model.kind == "oscillator" else LeaderTrajectory(
-        ldoc["kind"], v_d, np.arange(topo.m + 1, topo.n + 1))
-
-    p0 = _array(ag["initial"]["p"], "agents.initial.p")
-    vspec = ag["initial"]["v"]
-    if vspec == "auto":
-        v0 = np.zeros((topo.n, N))
-        if leaders is not None:
-            v0[topo.m:] = leaders.velocity(0.0)
-    else:
-        v0 = _array(vspec, "agents.initial.v")
-    for key, x in (("p", p0), ("v", v0)):
-        if x.shape != (topo.n, N):
-            raise ConfigError(f"agents.initial.{key} must be {topo.n} x {N}")
-
-    ctl = doc["controllers"]
-    gains = GainSet(m=topo.m, **{
-        k: _expect(v, float, f"controllers.gains.{k}")
-        if k == "boundary_layer_eps" else _array(v, f"controllers.gains.{k}")
-        for k, v in ctl["gains"].items()})     # eps is one scalar
-    sdoc = doc["sim"]
-    return Scenario(topo=topo, model=model, leaders=leaders,
-                    variant=ctl["variant"], gains=gains, comm=build_comm(doc),
-                    dt=_expect(sdoc["dt_seconds"], float, "sim.dt_seconds"),
-                    t_end=_expect(sdoc["t_end_seconds"], float,
-                                  "sim.t_end_seconds"), N=N, p0=p0, v0=v0,
-                    psi_mode=ctl.get("psi_mode", "static"),
-                    v_d=_array(ctl["v_d"], "controllers.v_d")
-                    if "v_d" in ctl else None,
-                    use_velocity=ctl.get("use_velocity", True),
-                    label=doc.get("label", "scenario"))
+def build_perturbation(doc: dict, where: str = "perturbation") -> Perturbation:
+    _check_keys(doc, where, {"kind"}, {"amplitude", "omega", "phase", "rate"})
+    return Perturbation(doc["kind"], _array(doc.get("amplitude", 0.0),
+                                            f"{where}.amplitude"), **{
+        key: _expect(doc[key], float, f"{where}.{key}")
+        for key in ("omega", "phase", "rate") if key in doc})
 
 
-def build_cascade(doc: dict) -> CascadeConfig:
-    validate_config(doc)
-    if "cascade" not in doc:
-        raise ConfigError("document has no cascade section")
-    topo = build_topology(doc)
-    N = _expect(doc["agents"]["N"], int, "agents.N")
-    cas = doc["cascade"]
+def _cascade(cas: dict, scen: Scenario) -> CascadeConfig:
+    """The cascade section, on the scenario's topology, N, comm, sim and
+    initial positions."""
+    _check_keys(cas, "cascade", {"alpha", "sigma", "k_eta", "h",
+                                 "leader_drive"}, {"phi1", "phi2", "initial"})
     sigma = _expect(cas["sigma"], int, "cascade.sigma")
     init = cas.get("initial", {})
+    _check_keys(init, "cascade.initial", set(), {"eta", "zeta"})
     eta, zeta = init.get("eta", "from_p"), init.get("zeta", "zero")
-    eta0 = _array(doc["agents"]["initial"]["p"], "agents.initial.p") \
-        if eta == "from_p" else _array(eta, "cascade.initial.eta")
-    zeta0 = np.zeros((topo.m, sigma, N)) if zeta == "zero" \
-        else _array(zeta, "cascade.initial.zeta")
-    sdoc = doc["sim"]
-    phi2 = [build_perturbation(p) for p in cas.get("phi2", [])]
     return CascadeConfig(
-        topo=topo, N=N, alpha=_expect(cas["alpha"], float, "cascade.alpha"),
-        sigma=sigma, k_eta=_expect(cas["k_eta"], float, "cascade.k_eta"),
+        topo=scen.topo, N=scen.N, comm=scen.comm, dt=scen.dt,
+        t_end=scen.t_end, sigma=sigma,
+        alpha=_expect(cas["alpha"], float, "cascade.alpha"),
+        k_eta=_expect(cas["k_eta"], float, "cascade.k_eta"),
         h=tuple(_expect(r, float, f"cascade.h[{i}]")
                 for i, r in enumerate(_expect(cas["h"], list, "cascade.h"))),
-        comm=build_comm(doc), eta0=eta0, zeta0=zeta0,
-        dt=_expect(sdoc["dt_seconds"], float, "sim.dt_seconds"),
-        t_end=_expect(sdoc["t_end_seconds"], float, "sim.t_end_seconds"),
-        leader_drive=[build_perturbation(p) for p in cas["leader_drive"]],
-        phi1=build_perturbation(cas["phi1"]) if "phi1" in cas
-        else Perturbation(), phi2=phi2)
+        eta0=scen.p0 if eta == "from_p"
+        else _array(eta, "cascade.initial.eta"),
+        zeta0=np.zeros((scen.topo.m, sigma, scen.N)) if zeta == "zero"
+        else _array(zeta, "cascade.initial.zeta"),
+        phi1=build_perturbation(cas["phi1"], "cascade.phi1")
+        if "phi1" in cas else Perturbation(),
+        **{key: [build_perturbation(p, f"cascade.{key}[{idx}]")
+                 for idx, p in enumerate(_expect(cas.get(key, []), list,
+                                                 f"cascade.{key}"))]
+           for key in ("leader_drive", "phi2")})

@@ -23,10 +23,16 @@ from .dynamics import AgentModel, OscillatorFlow
 
 BOUNDARY_LAYER_DEFAULT = 1e-4
 
-# The controllers settings each variant reads besides its gains.
-VARIANTS = {"full_state": ("psi_mode",), "output_feedback": ("psi_mode",),
-            "known_vd": ("psi_mode", "v_d", "use_velocity"),
-            "nonlinear_vs": (), "oscillator_full": (), "oscillator_output": ()}
+# Each variant's controllers settings besides its gains, and the gains it
+# reads (k_psi only under psi_mode "dynamic").
+VARIANTS = {"full_state": (("psi_mode",), ("k_p", "k_d", "L_p", "k_psi")),
+            "output_feedback": (("psi_mode",), ("k_p", "k_d", "L_p", "k_psi")),
+            "known_vd": (("psi_mode", "v_d", "use_velocity"),
+                         ("k_p", "k_d", "k_psi")),
+            "nonlinear_vs": ((), ("k_p", "k_d", "L_p", "L_d", "k_r", "lam",
+                                  "boundary_layer_eps")),
+            "oscillator_full": ((), ("k_p", "k_d")),
+            "oscillator_output": ((), ("k_p", "k_d", "k_phi"))}
 PSI_MODES = ("static", "dynamic")
 GAINS = ("k_p", "k_d", "L_p", "L_d", "k_psi", "k_phi", "k_r")
 

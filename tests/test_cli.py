@@ -170,6 +170,14 @@ EXIT_CASES = [
                    id=f"{command}-zero_weight_edge")
       for command, scenario in (("run", "benchmark_fullstate"),
                                 ("sweep", "cascade_estimates"))),
+    *(pytest.param(command, scenario, add_edge(*entry), False, 1,
+                   "config error:", rf"topology\.edges\[16\]: {message}",
+                   id=f"{command}-{name}")
+      for command, scenario in (("run", "benchmark_fullstate"),
+                                ("sweep", "cascade_estimates"))
+      for name, entry, message in (
+          ("self_loop", (1, 1), r"\[1, 1\] is a self loop"),
+          ("edge_into_a_leader", (1, 8), r"\[1, 8\] ends at leader 8"))),
     pytest.param("run", "benchmark_fullstate",
                  lambda doc: doc["topology"]["edges"].append(5), False, 1,
                  "config error:",
@@ -219,14 +227,14 @@ def counting(monkeypatch, owner, name, calls):
 
 @pytest.mark.parametrize("command, scenario, expected", [
     (command, "benchmark_fullstate",
-     {"validate_config": 1, "validate": 1, "make_controller": 1})
+     {"build": 1, "validate": 1, "make_controller": 1})
     for command in ("validate", "run", "report")] + [
-    ("sweep", "cascade_estimates", {"validate_config": 1}),
+    ("sweep", "cascade_estimates", {"build": 1}),
 ])
 def test_each_check_runs_once(tmp_path, capsys, monkeypatch, command,
                               scenario, expected):
     calls = []
-    counting(monkeypatch, config, "validate_config", calls)
+    counting(monkeypatch, config, "build", calls)
     counting(monkeypatch, sim.Scenario, "validate", calls)
     counting(monkeypatch, sim, "make_controller", calls)
     doc = copy.deepcopy(load_scenario_doc(scenario))
@@ -315,6 +323,8 @@ def test_bad_controller_settings_exit_1(tmp_path, capsys, command, variant,
     doc["sim"]["t_end_seconds"] = 2.0
     doc["controllers"].pop("psi_mode")
     doc["controllers"].update(variant=variant, **settings)
+    if variant in ("known_vd", "oscillator_full"):      # neither reads L_p
+        del doc["controllers"]["gains"]["L_p"]
     assert cli.main([command, "--config", write_doc(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err

@@ -1,10 +1,11 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from containsim import config
+from containsim import config, sim
 from containsim.config import ConfigError
 from conftest import SCENARIOS, load_scenario_doc
 
@@ -13,7 +14,6 @@ class TestBundledScenarios:
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_validates_and_builds(self, name):
         doc = load_scenario_doc(name)
-        config.validate_config(doc)
         scen = config.build_scenario(doc)
         scen.validate()
         assert scen.topo.n == 10 and scen.topo.m == 6
@@ -34,19 +34,19 @@ class TestStrictness:
         doc = load_scenario_doc("benchmark_fullstate")
         doc["extra"] = 1
         with pytest.raises(ConfigError, match="unknown keys"):
-            config.validate_config(doc)
+            config.build_scenario(doc)
 
     def test_unknown_nested_key(self):
         doc = load_scenario_doc("benchmark_fullstate")
         doc["comm"]["latency"] = 0.5
         with pytest.raises(ConfigError, match="unknown keys"):
-            config.validate_config(doc)
+            config.build_scenario(doc)
 
     def test_unknown_gain(self):
         doc = load_scenario_doc("benchmark_fullstate")
         doc["controllers"]["gains"]["k_i"] = 1.0
-        with pytest.raises(ConfigError, match="unknown keys"):
-            config.validate_config(doc)
+        with pytest.raises(ConfigError, match=r"controllers\.gains\.k_i"):
+            config.build_scenario(doc)
 
     @pytest.mark.parametrize("name, key, value", [
         ("benchmark_fullstate", "use_velocity", False),
@@ -65,6 +65,7 @@ class TestStrictness:
         doc = load_scenario_doc("benchmark_fullstate")
         doc["controllers"].update(variant="known_vd", v_d=[1.0, 0.1],
                                   use_velocity="false")
+        del doc["controllers"]["gains"]["L_p"]      # known_vd does not read it
         with pytest.raises(ConfigError, match="controllers.use_velocity"):
             config.build_scenario(doc)
 
@@ -72,7 +73,7 @@ class TestStrictness:
         doc = load_scenario_doc("benchmark_fullstate")
         del doc["sim"]["dt_seconds"]
         with pytest.raises(ConfigError, match="missing keys"):
-            config.validate_config(doc)
+            config.build_scenario(doc)
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -126,6 +127,18 @@ class TestBuilding:
             config.build_scenario(doc)
         with pytest.raises(ConfigError, match=message):
             config.build_cascade(doc)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", -1, r"^topology\.n: must be at least 2, got -1$"),
+        ("m", 0, r"^topology\.m: must be in 1\.\.9, got 0$"),
+    ], ids=["n_minus_1", "m_0"])
+    def test_topology_size_names_its_key(self, key, value, message):
+        # Before, n = -1 raised NumPy's bare "negative dimensions are not
+        # allowed" and m = 0 a TopologyError that named no key.
+        doc = copy.deepcopy(load_scenario_doc("benchmark_fullstate"))
+        doc["topology"][key] = value
+        with pytest.raises(ConfigError, match=message):
+            config.build_topology(doc)
 
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_bundled_edges_all_kept(self, name):
@@ -353,7 +366,7 @@ class TestBuilding:
             node = node.setdefault(part, {})
         node[key] = value
         with pytest.raises(ConfigError, match=message):
-            config.validate_config(doc)
+            config.build_scenario(doc)
 
     def test_perturbation_builder(self):
         pert = config.build_perturbation(
@@ -361,3 +374,94 @@ class TestBuilding:
         assert pert.kind == "sinusoid"
         assert np.allclose(pert.value(np.pi), np.array([1.0, 2.0])
                            * np.sin(0.5 * np.pi))
+
+
+# The gains each variant's law reads, from the laws in control.py; a
+# variant with a psi_mode setting reads k_psi under "dynamic" only.
+READS = {"full_state": {"k_p", "k_d", "L_p"},
+         "output_feedback": {"k_p", "k_d", "L_p"},
+         "known_vd": {"k_p", "k_d"},
+         "nonlinear_vs": {"k_p", "k_d", "L_p", "L_d", "k_r", "lam",
+                          "boundary_layer_eps"},
+         "oscillator_full": {"k_p", "k_d"},
+         "oscillator_output": {"k_p", "k_d", "k_phi"}}
+GAIN_KEYS = ("k_p", "k_d", "L_p", "L_d", "k_psi", "k_phi", "k_r", "lam",
+             "boundary_layer_eps")
+BUNDLED = {"full_state": "benchmark_fullstate",
+           "output_feedback": "benchmark_outputfb",
+           "known_vd": "benchmark_fullstate",
+           "nonlinear_vs": "benchmark_nonlinear",
+           "oscillator_full": "oscillator_harmonic",
+           "oscillator_output": "oscillator_harmonic"}
+MODES = [(variant, mode) for variant in READS
+         for mode in (("static", "dynamic") if variant in (
+             "full_state", "output_feedback", "known_vd") else (None,))]
+# A second valid value of each gain (k_d^2 >= 4 k_p still holds at the
+# defaults k_p = 1, k_d = 2).
+CHANGED = {"k_p": 0.5, "k_d": 3.0, "L_p": 2.0, "L_d": 2.0, "k_psi": 2.0,
+           "k_phi": 2.0, "k_r": 2.0, "lam": 3.0, "boundary_layer_eps": 10.0}
+
+
+def variant_doc(variant: str, psi_mode: str | None, gains: dict) -> dict:
+    """The bundled document of variant's model, driven by variant with
+    these gains (known_vd with v_d = [1.0, 0.1])."""
+    doc = copy.deepcopy(load_scenario_doc(BUNDLED[variant]))
+    ctl = doc["controllers"]
+    ctl.pop("psi_mode", None)
+    ctl.update(variant=variant, gains=gains)
+    if psi_mode is not None:
+        ctl["psi_mode"] = psi_mode
+    if variant == "known_vd":
+        ctl["v_d"] = [1.0, 0.1]
+    return doc
+
+
+class TestVariantGains:
+    @pytest.mark.parametrize("key", GAIN_KEYS)
+    @pytest.mark.parametrize("variant, psi_mode", MODES)
+    def test_a_variant_accepts_only_the_gains_it_reads(self, variant,
+                                                       psi_mode, key):
+        # Before, every variant accepted all nine keys and ignored the
+        # ones its law does not read.
+        reads = READS[variant] | ({"k_psi"} if psi_mode == "dynamic"
+                                  else set())
+        doc = variant_doc(variant, psi_mode, {key: 0.5})
+        if key in reads:
+            gains = config.build_scenario(doc).gains
+            assert np.all(getattr(gains, key) == 0.5)
+        else:
+            with pytest.raises(ConfigError, match=(
+                    rf"^controllers\.gains: variant '{variant}'.* does not "
+                    rf"read controllers\.gains\.{key}$")):
+                config.build_scenario(doc)
+
+    @pytest.mark.parametrize("variant, psi_mode", MODES)
+    def test_the_gains_a_run_depends_on_are_those_read(self, variant,
+                                                       psi_mode):
+        # READS is the laws': a short run at the default gains changes
+        # when one gain changes (through the Python API, which takes every
+        # gain) if and only if the variant reads it.  Links deliver every
+        # message at once, so every follower's sources are live.
+        doc = variant_doc(variant, psi_mode, {})
+        doc["sim"]["t_end_seconds"] = 0.3
+        doc["comm"].update(drop_prob=0.0, delay_max_seconds=0.0)
+        scen = config.build_scenario(doc)
+        base = sim.run(scen)
+        changed = set()
+        for key, value in CHANGED.items():
+            gains = dataclasses.replace(scen.gains, **{key: value})
+            trace = sim.run(dataclasses.replace(scen, gains=gains))
+            if not (np.array_equal(trace.p, base.p)
+                    and np.array_equal(trace.v, base.v)):
+                changed.add(key)
+        assert changed == READS[variant] | (
+            {"k_psi"} if psi_mode == "dynamic" else set())
+
+    def test_cascade_document_gains_are_checked(self):
+        # Before, build_cascade checked the keys of controllers.gains but
+        # never read their values, so a malformed gain passed.
+        doc = copy.deepcopy(load_scenario_doc("cascade_estimates"))
+        doc["controllers"]["gains"]["k_p"] = "4"
+        with pytest.raises(ConfigError, match=r"controllers\.gains\.k_p: "
+                           r"expected float, got '4'"):
+            config.build_cascade(doc)

@@ -821,6 +821,7 @@ class TestControllers:
         doc["sim"]["t_end_seconds"] = 1.0
         doc["controllers"].update(variant="known_vd", v_d=[1.0, 0.1],
                                   psi_mode=psi_mode, use_velocity=use_velocity)
+        del doc["controllers"]["gains"]["L_p"]      # known_vd does not read it
         views = []
         view = Engine.view
 

@@ -30,7 +30,8 @@ CASES = [("benchmark_fullstate", {"psi_mode": "static"}),
          ("benchmark_fullstate", {"psi_mode": "dynamic"}),
          ("benchmark_outputfb", {"psi_mode": "dynamic"}),
          ("benchmark_fullstate", {"variant": "known_vd", "v_d": [0.5, 0.2],
-                                  "use_velocity": False}),
+                                  "use_velocity": False,
+                                  "gains": {"k_p": 4.0, "k_d": 4.0}}),
          ("oscillator_harmonic", {}),
          ("oscillator_harmonic", {"variant": "oscillator_output"}),
          ("benchmark_nonlinear", {}),
