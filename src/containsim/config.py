@@ -44,14 +44,17 @@ def _check_keys(doc: dict, where: str, required: set,
         raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
-def _expect(value, kind: type, where: str):
+def _expect(value, kind: type, where: str, low=None):
     """value as kind (bool, int, float, str or list; float takes an int too,
-    and only a finite number; only bool takes true or false)."""
+    and only a finite number; only bool takes true or false), and, given
+    low, at least low."""
     ok = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, ok):
         raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"{where}: {value!r} is not a finite number")
+    if low is not None and value < low:
+        raise ConfigError(f"{where}: must be at least {low}, got {value!r}")
     return kind(value)
 
 
@@ -63,16 +66,21 @@ def _choice(value, choices, where: str) -> str:
     return value
 
 
-def _array(value, where: str) -> np.ndarray:
+def _array(value, where: str, *shapes: tuple) -> np.ndarray:
     """value, a number or nested lists of numbers, as a float array."""
     if not isinstance(value, list):
-        return np.asarray(_expect(value, float, where))
-    for idx, item in enumerate(value):
-        _array(item, f"{where}[{idx}]")
-    try:            # every leaf is a number, so only the nesting can fail
-        return np.asarray(value, float)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: rows of unequal length") from exc
+        arr = np.asarray(_expect(value, float, where))
+    else:
+        for idx, item in enumerate(value):
+            _array(item, f"{where}[{idx}]")
+        try:        # every leaf is a number, so only the nesting can fail
+            arr = np.asarray(value, float)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: rows of unequal length") from exc
+    if shapes and arr.shape not in shapes:      # () is one number
+        want = " or ".join(" x ".join(map(str, s)) or "1" for s in shapes)
+        raise ConfigError(f"{where} must have {want} entries, got {arr.shape}")
+    return arr
 
 
 def load_bundled(name: str) -> dict:
@@ -91,12 +99,11 @@ def load_config(path: str) -> dict:
     """Parse a JSON config file; the builders validate it."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return doc
 
 
 def build(doc: dict) -> tuple[Scenario, CascadeConfig | None]:
@@ -141,9 +148,8 @@ def build_cascade(doc: dict) -> CascadeConfig:
 def build_topology(doc: dict) -> DirectedTopology:
     top = doc["topology"]
     _check_keys(top, "topology", {"n", "m", "edges"})
-    n, m = (_expect(top[key], int, f"topology.{key}") for key in "nm")
-    if n < 2:
-        raise ConfigError(f"topology.n: must be at least 2, got {n}")
+    n = _expect(top["n"], int, "topology.n", 2)
+    m = _expect(top["m"], int, "topology.m")
     if not 0 < m < n:
         raise ConfigError(f"topology.m: must be in 1..{n - 1}, got {m}")
     weights = np.zeros((n, n))
@@ -175,9 +181,7 @@ def _agents(ag: dict, topo: DirectedTopology) -> tuple:
     """(N, model, leaders, p0, v0): a known model, only the keys its kind
     reads, and leaders that fit it; oscillator leaders read no v_d."""
     _check_keys(ag, "agents", {"N", "model", "initial"}, {"leaders"})
-    N = _expect(ag["N"], int, "agents.N")
-    if N < 1:
-        raise ConfigError(f"agents.N: must be at least 1, got {N}")
+    N = _expect(ag["N"], int, "agents.N", 1)
     mdoc = ag["model"]
     _check_keys(mdoc, "agents.model", {"kind"}, {"drift", "S1", "S2"})
     kind = _choice(mdoc["kind"], MODEL_KINDS, "agents.model.kind")
@@ -197,27 +201,21 @@ def _agents(ag: dict, topo: DirectedTopology) -> tuple:
     if (lkind == "oscillator_free") != oscillator:
         raise ConfigError(f"agents.leaders.kind: {lkind!r} does not fit the "
                           f"{kind} model")
-    if oscillator and "v_d" in ldoc:
-        raise ConfigError("agents.leaders.v_d: the oscillator model's "
-                          "leaders move freely and do not read it")
-    v_d = _array(ldoc.get("v_d", [0.0] * N), "agents.leaders.v_d")
-    if v_d.shape != (N,):
-        raise ConfigError(f"agents.leaders.v_d must have {N} entries")
+    _check_keys(ldoc, "agents.leaders", {"kind"}, set() if oscillator
+                else {"v_d"}, f"the {kind} model")
+    v_d = _array(ldoc.get("v_d", [0.0] * N), "agents.leaders.v_d", (N,))
     leaders = None if oscillator else LeaderTrajectory(
         lkind, v_d, np.arange(topo.m + 1, topo.n + 1))
 
     idoc = ag["initial"]
     _check_keys(idoc, "agents.initial", {"p", "v"})
-    p0 = _array(idoc["p"], "agents.initial.p")
+    p0 = _array(idoc["p"], "agents.initial.p", (topo.n, N))
     if idoc["v"] == "auto":
         v0 = np.zeros((topo.n, N))
         if leaders is not None:
             v0[topo.m:] = leaders.velocity(0.0)
     else:
-        v0 = _array(idoc["v"], "agents.initial.v")
-    for key, x in (("p", p0), ("v", v0)):
-        if x.shape != (topo.n, N):
-            raise ConfigError(f"agents.initial.{key} must be {topo.n} x {N}")
+        v0 = _array(idoc["v"], "agents.initial.v", (topo.n, N))
     return N, model, leaders, p0, v0
 
 
@@ -239,12 +237,12 @@ def _controllers(ctl: dict, m: int, N: int) -> dict:
     return dict(variant=variant, psi_mode=psi_mode,
                 use_velocity=_expect(ctl.get("use_velocity", True), bool,
                                      "controllers.use_velocity"),
-                v_d=_array(ctl["v_d"], "controllers.v_d")
+                v_d=_array(ctl["v_d"], "controllers.v_d", (N,))
                 if "v_d" in ctl else None,
                 gains=GainSet(m=m, **{
                     k: _expect(v, float, f"controllers.gains.{k}")
                     if k == "boundary_layer_eps"     # eps is one scalar
-                    else _array(v, f"controllers.gains.{k}")
+                    else _array(v, f"controllers.gains.{k}", (), (m,))
                     for k, v in ctl["gains"].items()}))
 
 
@@ -272,7 +270,7 @@ def _cascade(cas: dict, scen: Scenario) -> CascadeConfig:
     initial positions."""
     _check_keys(cas, "cascade", {"alpha", "sigma", "k_eta", "h",
                                  "leader_drive"}, {"phi1", "phi2", "initial"})
-    sigma = _expect(cas["sigma"], int, "cascade.sigma")
+    sigma = _expect(cas["sigma"], int, "cascade.sigma", 1)
     init = cas.get("initial", {})
     _check_keys(init, "cascade.initial", set(), {"eta", "zeta"})
     eta, zeta = init.get("eta", "from_p"), init.get("zeta", "zero")

@@ -197,15 +197,15 @@ class NeighborView:
     def oscillator_psi(self, lo: int, flow: OscillatorFlow) -> np.ndarray:
         """Weighted average of e^{S (t - t_send)} [p_msg; vhat_msg] at the
         half ticks 2k to 2k + 2 of each row's tick k from lo on, psi_p then
-        psi_v: (3, 2, m, N), from one stacked matmul; lags in half steps."""
-        half = 2 * (lo + self.dst // len(self.p_fallback))[:, None] \
-            + np.arange(3)
-        y = np.matmul(flow.table[half - self.send_half[:, None]],
-                      self.msg[:, None, :, None])     # (edges, 3, 2N, 1)
-        psi = self._live_average(y.reshape(len(y), 6 * self.N))
-        fallback = np.stack((self.p_fallback, 0 * self.p_fallback))
-        return self._with_fallback(psi.reshape(len(psi), 3, 2, self.N)
-                                   .transpose(1, 2, 0, 3), fallback[:, None])
+        psi_v: (3, 2, m, N); lags in half steps.  An edge's flows at its
+        three lags are one (6N, 2N) matrix: one product per edge."""
+        lag = 2 * (lo + self.dst // len(self.p_fallback)) - self.send_half
+        flows = flow.table.take(lag[:, None] + np.arange(3), axis=0)
+        psi = self._live_average(np.matmul(flows.reshape(
+            len(lag), 6 * self.N, 2 * self.N), self.msg[:, :, None])[..., 0])
+        psi = psi.reshape(len(psi), 3, 2, self.N).transpose(1, 2, 0, 3)
+        return psi if self.all_live else self._with_fallback(psi, np.stack(
+            (self.p_fallback, 0 * self.p_fallback))[:, None])
 
 
 def rk4_step(rhs, h: float, y: np.ndarray, u, k1: np.ndarray):

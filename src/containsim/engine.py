@@ -134,9 +134,11 @@ class Engine:
     def stage_lags(self) -> np.ndarray:
         """The distinct ages h - 2 steps_per_T seq, in half steps, of the
         messages in use at tick k's stage half ticks h (2k to 2k + 2)."""
-        used = self.used_seq
-        age = 2 * (np.arange(self.K + 1)[:, None] - self.steps_per_T * used)
-        return np.unique(np.unique(age[used >= 0])[:, None] + np.arange(3))
+        age = 2 * (np.arange(self.K + 1)[:, None] - self.steps_per_T
+                   * self.used_seq)[self.used_seq >= 0]
+        seen = np.zeros(age.max(initial=-1) + 3, bool)
+        seen[age] = seen[age + 1] = seen[age + 2] = True    # marks, no sort
+        return np.flatnonzero(seen)
 
     def audit(self) -> list[tuple]:
         """(src, dst, seq, send_time, arrival) of every delivery, in order;

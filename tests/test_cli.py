@@ -331,6 +331,34 @@ def test_bad_controller_settings_exit_1(tmp_path, capsys, command, variant,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, commands, key, value, message", [
+    ("benchmark_fullstate", ("validate", "run"), "gains", {"k_p": [4.0, 4.0],
+     "k_d": 4.0, "L_p": 4.0},
+     "controllers.gains.k_p must have 1 or 6 entries, got (2,)"),
+    ("benchmark_fullstate", ("validate", "run"), "v_d", [1.0, 0.1, 0.0],
+     "controllers.v_d must have 2 entries, got (3,)"),
+    ("cascade_estimates", ("validate", "sweep"), "sigma", -1,
+     "cascade.sigma: must be at least 1, got -1"),
+], ids=["k_p_2_of_6", "v_d_3_of_2", "sigma_minus_1"])
+def test_wrong_sizes_exit_1_naming_the_key(tmp_path, capsys, name, commands,
+                                           key, value, message):
+    # Before, the short k_p raised a GainError without its key, the long
+    # v_d failed only in Scenario.validate, naming no key, and sigma -1
+    # raised NumPy's "negative dimensions are not allowed".
+    doc = copy.deepcopy(load_scenario_doc(name))
+    doc["sim"]["t_end_seconds"] = 2.0
+    if key == "v_d":        # known_vd reads v_d, but no L_p
+        doc["controllers"].update(variant="known_vd", v_d=value)
+        del doc["controllers"]["gains"]["L_p"]
+    else:
+        doc["cascade" if key == "sigma" else "controllers"][key] = value
+    path = write_doc(tmp_path, doc)
+    for command in commands:
+        assert cli.main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+
+
 class TestRun:
     def test_writes_outputs(self, tmp_path, capsys):
         path = short_doc(tmp_path, trace_csv="trace.csv",

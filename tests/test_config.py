@@ -331,8 +331,12 @@ class TestBuilding:
          r"controllers\.psi_mode: unknown psi_mode 'bogus'"),
         ("benchmark_fullstate", "agents.leaders.v_d", [1.0, 0.1, 0.0],
          r"agents\.leaders\.v_d must have 2 entries"),
+        ("benchmark_fullstate", "agents.initial.p", [[0.0, 0.0]] * 9,
+         r"agents\.initial\.p must have 10 x 2 entries, got \(9, 2\)"),
+        ("benchmark_fullstate", "controllers.gains.k_d", [4.0] * 7,
+         r"controllers\.gains\.k_d must have 1 or 6 entries, got \(7,\)"),
     ], ids=["ragged_p", "model_kind", "drift", "leaders_kind", "psi_mode",
-            "leaders_v_d_3d"])
+            "leaders_v_d_3d", "p_9_rows", "k_d_7_of_6"])
     def test_error_names_its_key(self, name, path, value, message):
         # Before, all but psi_mode raised a ValueError that named no key
         # (the ragged p NumPy's "inhomogeneous shape", the 3-entry v_d a

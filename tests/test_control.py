@@ -612,6 +612,53 @@ class TestBatchedPsi:
         assert flow.table.shape == (0, 4, 4)
 
 
+def stacked_psi_oracle(view, lo, flow):
+    """oscillator_psi as 3R separate (2N, 2N) products, one per edge and
+    stage, from one stacked matmul: the form the (6N, 2N) product per edge
+    must equal bit for bit."""
+    half = 2 * (lo + view.dst // len(view.p_fallback))[:, None] \
+        + np.arange(3)
+    y = np.matmul(flow.table[half - view.send_half[:, None]],
+                  view.msg[:, None, :, None])     # (edges, 3, 2N, 1)
+    psi = view._live_average(y.reshape(len(y), 6 * view.N))
+    fallback = np.stack((view.p_fallback, 0 * view.p_fallback))
+    return view._with_fallback(psi.reshape(len(psi), 3, 2, view.N)
+                               .transpose(1, 2, 0, 3), fallback[:, None])
+
+
+class TestPsiProduct:
+    """oscillator_psi on views of H ticks of m0 followers, against the
+    stacked product it replaced: random S1 and S2, views with waiting
+    followers, all-live views and empty ones, the longest lag at the end
+    of the table."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 3), st.sampled_from(["all", "some", "none"]),
+           st.integers(0, 30), st.integers(1, 10), st.integers(0, 40))
+    def test_matches_the_stacked_product(self, seed, N, m0, H, live, extra,
+                                         spT, lo):
+        rng = np.random.default_rng(seed)
+        m = H * m0
+        dst = {"all": np.r_[np.arange(m), rng.integers(0, m, size=extra)],
+               "some": rng.integers(1, m, size=extra) if m > 1 else
+               np.zeros(0, int), "none": np.zeros(0, int)}[live]
+        seq = rng.integers(0, lo // spT + 1, size=len(dst))
+        view = NeighborView(m, N, dst, rng.uniform(0.1, 3.0, len(dst)),
+                            rng.normal(size=(len(dst), 2 * N)), seq,
+                            spT * 0.01, spT, rng.normal(size=(m0, N)))
+        assert view.all_live == (live == "all")
+        flow = OscillatorFlow(rng.normal(size=(N, N)),
+                              rng.normal(size=(N, N)))
+        lags = 2 * (lo + dst // m0) - view.send_half
+        flow.tabulate(np.arange(lags.max(initial=0) + 3), 0.01)
+        psi, expect = view.oscillator_psi(lo, flow), \
+            stacked_psi_oracle(view, lo, flow)
+        assert psi.shape == expect.shape == (3, 2, m, N)
+        assert not psi.flags.writeable
+        assert psi.tobytes() == expect.tobytes()
+
+
 class TestSpanPsi:
     """psi over a run of an engine on random schedules: the oscillator
     law's period block at the three half ticks of each of its ticks, on a

@@ -184,6 +184,30 @@ def test_stage_lags_stay_within_the_blackout_bound(spT, extra, drop_prob,
     assert np.all(np.isfinite(trace.p))
 
 
+def stage_lags_oracle(used: np.ndarray, spT: int) -> np.ndarray:
+    """Engine.stage_lags as two sorts: the distinct ages of the messages
+    in use, then the distinct ages one and two half steps on."""
+    age = 2 * (np.arange(len(used))[:, None] - spT * used)
+    return np.unique(np.unique(age[used >= 0])[:, None] + np.arange(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 200), st.integers(0, 8),
+       st.integers(1, 20), st.floats(0.0, 1.0))
+def test_stage_lags_match_the_sorted_oracle(seed, K, E, spT, deliver):
+    # A random mailbox: at each tick an edge may take a message sent by
+    # then (seq spT <= k), and keeps the freshest; none at all, too.
+    rng = np.random.default_rng(seed)
+    k = np.arange(K + 1)[:, None]
+    got = rng.integers(0, k // spT + 1, size=(K + 1, E))
+    used = np.maximum.accumulate(np.where(
+        rng.random((K + 1, E)) < deliver, got, -1), axis=0)
+    eng = mock.Mock(used_seq=used, K=K, steps_per_T=spT)
+    lags = Engine.stage_lags(eng)
+    expect = stage_lags_oracle(used, spT)
+    assert lags.dtype == expect.dtype and np.array_equal(lags, expect)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 300), st.integers(1, 30), st.integers(0, 60),
        st.floats(0.0, 0.95), st.floats(0.0, 0.99), st.integers(0, 2**31))
